@@ -45,31 +45,12 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 import networkx as nx
 
 from ..core.conflicts import PerObjectConflicts
+from ..core.dag import reaches
 from ..core.executions import MethodExecution
 from ..core.operations import LocalStep
 from ..core.state import ObjectState
 from ..core.theorems import natural_execution_key
 from .certify import CertificationReport, cyclic_nodes
-
-
-def _dict_has_path(succ: Mapping[str, set[str]], source: str, target: str) -> bool:
-    """Directed reachability ``source -> ... -> target`` over a succ-dict.
-
-    The certifier keeps its graphs as plain ``{node: set(successors)}``
-    dicts rather than :class:`networkx.DiGraph`: edge installation runs
-    tens of thousands of times per thousand commits, and the dict form
-    makes the duplicate check and this DFS a handful of dict/set ops.
-    """
-    stack = [source]
-    seen = {source}
-    while stack:
-        for successor in succ.get(stack.pop(), ()):
-            if successor == target:
-                return True
-            if successor not in seen:
-                seen.add(successor)
-                stack.append(successor)
-    return False
 
 
 def _has_cycle(adjacency: Mapping[int, set[int]]) -> bool:
@@ -144,7 +125,10 @@ class StreamingCertifier:
         # -- live transactions -------------------------------------------------
         self._live_begin: dict[str, int] = {}
         # -- the retained committed window ------------------------------------
-        # SG(h) as succ/pred dict-of-sets (see :func:`_dict_has_path`).
+        # SG(h) as plain succ/pred dict-of-sets, not a networkx graph: edge
+        # installation runs tens of thousands of times per thousand commits,
+        # and this form makes the duplicate check and the path search
+        # (:func:`repro.core.dag.reaches`) a handful of dict/set ops.
         self._succ: dict[str, set[str]] = {}
         self._pred: dict[str, set[str]] = {}
         self._edge_count = 0
@@ -398,7 +382,7 @@ class StreamingCertifier:
         out = self._succ[source]
         if target in out:
             return
-        if not self._cycle_detected and _dict_has_path(self._succ, target, source):
+        if not self._cycle_detected and reaches(self._succ, target, source):
             self._cycle_detected = True
         out.add(target)
         self._pred[target].add(source)
@@ -442,7 +426,7 @@ class StreamingCertifier:
         if target not in succ:
             succ[target] = set()
             pred[target] = set()
-        if object_name not in self._cyclic_objects and _dict_has_path(succ, target, source):
+        if object_name not in self._cyclic_objects and reaches(succ, target, source):
             self._cyclic_objects.add(object_name)
         out.add(target)
         pred[target].add(source)

@@ -1,0 +1,221 @@
+"""The incremental precedence-DAG kernel.
+
+Every scheduler-side component that *rejects* cycle-closing precedence
+edges — the modular scheduler's inter-object coordinator, the inter-shard
+coordinator and the optimistic certifier's committed graph — keeps its
+graph in one :class:`PrecedenceDag` and asks it the same question: "does
+this batch of edges keep the graph acyclic?".  The kernel answers it in
+place.  A graph that was acyclic before a call gains a cycle iff some new
+edge's target already reaches its source, through old edges or through
+new edges inserted before it; so each genuinely new edge costs one DFS
+from its target, and a batch that closes a cycle is rolled back to the
+last node and edge.  Nothing is copied and nothing is re-checked from
+scratch, so the cost of a step follows what the step can reach, not what
+the graph holds.
+
+Observers that *keep* cyclic graphs for reporting (the streaming
+certifier, :class:`~repro.core.graphs.IncrementalSG`) do not use the
+class; the streaming certifier shares the traversal (:func:`reaches`).
+
+Adjacency is kept as insertion-ordered ``dict`` keys rather than ``set``
+members.  Set order over strings follows the per-process hash seed, and
+a search that stops at its target visits however many nodes happen to
+come first; with ordered adjacency the work counters below repeat
+exactly across processes and machines, like every other deterministic
+column.  networkx is the oracle in ``tests/core/test_dag.py`` and nowhere
+on the decision path.
+"""
+
+from __future__ import annotations
+
+from typing import Collection, Hashable, Iterable, Mapping
+
+__all__ = ["PrecedenceDag", "reachable", "reaches"]
+
+Edge = tuple[Hashable, Hashable]
+
+_NO_TARGET = object()
+
+
+def reachable(
+    succ: Mapping[Hashable, Collection[Hashable]],
+    sources: Iterable[Hashable],
+    target: Hashable = _NO_TARGET,
+) -> set:
+    """Nodes forward-reachable from ``sources`` (themselves included).
+
+    One iterative multi-source DFS over a ``{node: successors}`` mapping;
+    nodes missing from the mapping have no successors.  With ``target``
+    the search stops the moment it is discovered, so ``target in result``
+    says whether any source reaches it.
+    """
+    stack = list(sources)  # a repeated source is expanded twice, harmlessly
+    seen = set(stack)
+    if target in seen:
+        return seen
+    while stack:
+        for successor in succ.get(stack.pop(), ()):
+            if successor not in seen:
+                seen.add(successor)
+                if successor == target:
+                    return seen
+                stack.append(successor)
+    return seen
+
+
+def reaches(succ: Mapping[Hashable, Collection[Hashable]], source: Hashable, target: Hashable) -> bool:
+    """Directed reachability ``source -> ... -> target`` (a node reaches itself)."""
+    return target in reachable(succ, (source,), target)
+
+
+class PrecedenceDag:
+    """A directed graph that stays acyclic by refusing the edges that would not.
+
+    Work counters (plain ints, deterministic functions of the calls made):
+    ``edge_inserts`` — edges actually inserted, rolled-back ones included;
+    ``dfs_visits`` — nodes discovered by the acyclicity searches of
+    :meth:`add_edges` and by :meth:`reaches`; ``rollbacks`` — batches
+    refused.  Garbage-collection traversals are not decision work and are
+    not counted.
+    """
+
+    __slots__ = ("_succ", "_pred", "_edges", "edge_inserts", "dfs_visits", "rollbacks")
+
+    def __init__(self) -> None:
+        self._succ: dict[Hashable, dict[Hashable, None]] = {}
+        self._pred: dict[Hashable, dict[Hashable, None]] = {}
+        self._edges = 0
+        self.edge_inserts = 0
+        self.dfs_visits = 0
+        self.rollbacks = 0
+
+    # -- growth -----------------------------------------------------------------
+
+    def add_node(self, node: Hashable) -> None:
+        """Ensure ``node`` is present (an isolated node closes no cycle)."""
+        if node not in self._succ:
+            self._succ[node] = {}
+            self._pred[node] = {}
+
+    def add_edges(self, edges: Iterable[Edge]) -> bool:
+        """Insert a batch of edges, or none of them.
+
+        Edges already present (or repeated within the batch) are skipped.
+        Returns ``True`` with every new edge inserted when the graph stays
+        acyclic; returns ``False`` with the graph exactly as it was —
+        including nodes first seen in this batch — when some edge would
+        close a cycle.  The verdict does not depend on the batch's order.
+        """
+        succ, pred = self._succ, self._pred
+        added_edges: list[Edge] = []
+        added_nodes: list[Hashable] = []
+        for source, target in edges:
+            out = succ.get(source)
+            if out is not None and target in out:
+                continue
+            if source == target:
+                self._roll_back(added_edges, added_nodes)
+                return False
+            if target not in succ:
+                succ[target] = {}
+                pred[target] = {}
+                added_nodes.append(target)
+            elif out is not None:
+                # Only a path between two nodes already present can close a
+                # cycle: a node first seen here has no edges on that side.
+                seen = reachable(succ, (target,), source)
+                self.dfs_visits += len(seen)
+                if source in seen:
+                    self._roll_back(added_edges, added_nodes)
+                    return False
+            if out is None:
+                out = succ[source] = {}
+                pred[source] = {}
+                added_nodes.append(source)
+            out[target] = None
+            pred[target][source] = None
+            added_edges.append((source, target))
+        self._edges += len(added_edges)
+        self.edge_inserts += len(added_edges)
+        return True
+
+    def _roll_back(self, added_edges: list[Edge], added_nodes: list[Hashable]) -> None:
+        for source, target in added_edges:
+            del self._succ[source][target]
+            del self._pred[target][source]
+        for node in added_nodes:
+            del self._succ[node]
+            del self._pred[node]
+        self.edge_inserts += len(added_edges)
+        self.rollbacks += 1
+
+    # -- queries ----------------------------------------------------------------
+
+    def reaches(self, source: Hashable, target: Hashable) -> bool:
+        """Whether a path ``source -> ... -> target`` exists (absent nodes reach nothing)."""
+        if source not in self._succ or target not in self._succ:
+            return False
+        seen = reachable(self._succ, (source,), target)
+        self.dfs_visits += len(seen)
+        return target in seen
+
+    def descendants(self, sources: Iterable[Hashable]) -> set:
+        """The present ``sources`` plus everything forward-reachable from them."""
+        succ = self._succ
+        return reachable(succ, (node for node in sources if node in succ))
+
+    def counters(self) -> dict[str, int]:
+        """The work counters, under the keys ``describe()`` dicts surface them by."""
+        return {
+            "edge_inserts": self.edge_inserts,
+            "dfs_visits": self.dfs_visits,
+            "rollbacks": self.rollbacks,
+        }
+
+    def __len__(self) -> int:
+        return len(self._succ)
+
+    def size(self) -> int:
+        """Nodes plus edges retained — the live-state gauge's unit."""
+        return len(self._succ) + self._edges
+
+    def nodes(self) -> set:
+        return set(self._succ)
+
+    def edges(self) -> set[Edge]:
+        return {(source, target) for source, out in self._succ.items() for target in out}
+
+    # -- shrinkage --------------------------------------------------------------
+
+    def remove_nodes(self, nodes: Iterable[Hashable]) -> None:
+        """Drop the given nodes (absent ones are ignored) with their edges."""
+        succ, pred = self._succ, self._pred
+        for node in nodes:
+            out = succ.pop(node, None)
+            if out is None:
+                continue
+            incoming = pred.pop(node)
+            self._edges -= len(out) + len(incoming)
+            for target in out:
+                del pred[target][node]
+            for source in incoming:
+                del succ[source][node]
+
+    def prune_unreachable(self, live: Iterable[Hashable]) -> tuple[int, set]:
+        """Frontier GC: drop every node no ``live`` node reaches.
+
+        Safe for any user whose edges always point *into* a node that is
+        live at insertion time (the frontier argument is in DESIGN.md,
+        "Precedence DAG kernel"): in-edges of a resolved node are frozen,
+        so only nodes forward-reachable from a live node can ever lie on a
+        future cycle.
+
+        Returns:
+            ``(removed, keep)`` — how many nodes were dropped and the
+            retained node set (present live nodes plus their descendants),
+            which callers use to prune their own records consistently.
+        """
+        keep = self.descendants(live)
+        dead = [node for node in self._succ if node not in keep]
+        self.remove_nodes(dead)
+        return len(dead), keep

@@ -174,7 +174,6 @@ class AdaptiveModularScheduler(ModularScheduler):
         self._restarts: dict[str, int] = defaultdict(int)
         self._parked: dict[str, set[str]] = defaultdict(set)
         self._live_on: dict[str, set[str]] = defaultdict(set)
-        self._objects_of: dict[str, set[str]] = defaultdict(set)
         self.strategy_swaps = 0
         self.deferred_swaps = 0
         self.cancelled_swaps = 0
@@ -247,7 +246,6 @@ class AdaptiveModularScheduler(ModularScheduler):
             # transaction as (potentially) holding state on the object
             # until it resolves, which is what gates quiescent swaps.
             self._live_on[object_name].add(transaction_id)
-            self._objects_of[transaction_id].add(object_name)
             if response.blocked:
                 self._waits[object_name] += 1
                 self._parked[object_name].add(transaction_id)
@@ -268,9 +266,12 @@ class AdaptiveModularScheduler(ModularScheduler):
             self._restarts[synchroniser.object_name] += 1
 
     def _finish_transaction(self, info: ExecutionInfo, *, committed: bool) -> None:
-        super()._finish_transaction(info, committed=committed)
         transaction_id = info.top_level_id
-        for object_name in self._objects_of.pop(transaction_id, ()):
+        # The base class's request index (popped by the call below) names
+        # every object this transaction may be live on.
+        touched = self._objects_of.get(transaction_id, ())
+        super()._finish_transaction(info, committed=committed)
+        for object_name in touched:
             live = self._live_on.get(object_name)
             if live is not None:
                 live.discard(transaction_id)

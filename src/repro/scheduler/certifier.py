@@ -28,9 +28,10 @@ predecessors), and the resulting candidate edges are filed under both
 involved transactions.  A commit request then merely *selects* the filed
 edges whose other side has committed — it performs **zero** conflict-spec
 calls and never re-enumerates committed-vs-committed step pairs — and
-feeds them into the committed precedence graph with a DFS-based
-incremental cycle check (edges are added in place and rolled back on a
-cycle; the graph is never copied).  The original revalidate-everything
+feeds them into the committed precedence graph, a
+:class:`~repro.core.dag.PrecedenceDag` (edges are added in place and
+rolled back on a cycle; the graph is never copied).  The original
+revalidate-everything
 implementation is retained as ``_precedence_edges_legacy`` and
 ``check=True`` cross-checks every commit decision against it.
 
@@ -62,10 +63,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any
 
-import networkx as nx
-
+from ..core.dag import PrecedenceDag
 from ..core.errors import VerificationError
-from ..core.graphs import has_path
 from ..core.operations import LocalStep
 from ..core.values import freeze
 from ..objectbase.base import ObjectBase
@@ -135,7 +134,7 @@ class OptimisticCertifier(Scheduler):
         self._sequence = itertools.count(1)
         self._steps_by_object: dict[str, list[_ExecutedStep]] = defaultdict(list)
         self._committed: set[str] = set()
-        self._committed_graph = nx.DiGraph()
+        self._committed_graph = PrecedenceDag()
         self._nodes_by_transaction: dict[str, set[str]] = defaultdict(set)
         self._pending_edges: dict[str, set[_CandidateEdge]] = defaultdict(set)
         self._touched_objects: dict[str, set[str]] = defaultdict(set)
@@ -172,7 +171,7 @@ class OptimisticCertifier(Scheduler):
         self._sequence = itertools.count(1)
         self._steps_by_object = defaultdict(list)
         self._committed = set()
-        self._committed_graph = nx.DiGraph()
+        self._committed_graph = PrecedenceDag()
         self._nodes_by_transaction = defaultdict(set)
         self._pending_edges = defaultdict(set)
         self._touched_objects = defaultdict(set)
@@ -324,29 +323,11 @@ class OptimisticCertifier(Scheduler):
         active = self._active_edges(candidate_id)
         if self.check:
             self._check_against_legacy(candidate_id, active)
-        # Trial insertion into the committed graph itself — no copy.  Each
-        # genuinely new edge runs a DFS reachability check first (a cycle
-        # must close at its last-inserted edge); on failure everything the
-        # trial added is rolled back.
+        # Trial insertion into the committed graph itself; a batch that
+        # would close a cycle leaves the graph exactly as it was.
         graph = self._committed_graph
-        added_edges: list[tuple[str, str]] = []
-        added_nodes: list[str] = []
-        if candidate_id not in graph:
+        if graph.add_edges(sorted({(edge.source, edge.target) for edge in active})):
             graph.add_node(candidate_id)
-            added_nodes.append(candidate_id)
-        cyclic = False
-        for source, target in sorted({(edge.source, edge.target) for edge in active}):
-            if graph.has_edge(source, target):
-                continue
-            if has_path(graph, target, source):
-                cyclic = True
-                break
-            for node in (source, target):
-                if node not in graph:
-                    added_nodes.append(node)
-            graph.add_edge(source, target)
-            added_edges.append((source, target))
-        if not cyclic:
             owner_of = self._owner_map(active)
             for node, owner in owner_of.items():
                 # Ownership is only needed to clean up after an abort;
@@ -355,10 +336,6 @@ class OptimisticCertifier(Scheduler):
                     self._nodes_by_transaction[owner].add(node)
             self._nodes_by_transaction[candidate_id].add(candidate_id)
             return SchedulerResponse.grant()
-        for source, target in added_edges:
-            graph.remove_edge(source, target)
-        for node in added_nodes:
-            graph.remove_node(node)
         self.validation_aborts += 1
         return SchedulerResponse.abort(
             "validation failed: committing would create a precedence cycle"
@@ -441,11 +418,9 @@ class OptimisticCertifier(Scheduler):
             # A failed candidate never merged its trial edges, but edges
             # *touching* it may have been added by later-validating peers;
             # drop every node the aborted transaction owns.
-            for node in self._nodes_by_transaction.pop(transaction_id, set()):
-                if node in self._committed_graph:
-                    self._committed_graph.remove_node(node)
-            if transaction_id in self._committed_graph:
-                self._committed_graph.remove_node(transaction_id)
+            self._committed_graph.remove_nodes(
+                self._nodes_by_transaction.pop(transaction_id, set()) | {transaction_id}
+            )
         self._note_wakeups(self.gate.finish(transaction_id, committed=False))
 
     # -- live-state garbage collection ---------------------------------------------
@@ -453,31 +428,23 @@ class OptimisticCertifier(Scheduler):
     def collect_garbage(self) -> int:
         """Prune committed records and graph nodes nothing live can reach.
 
-        A committed transaction's step records exist to seed precedence
-        edges towards *later* steps; such an edge can only close a cycle
-        through a path leading back to the transaction.  Two facts bound
-        when that is still possible:
+        The kernel's frontier GC (DESIGN.md, "Precedence DAG kernel") with
+        this scheduler's notion of an *open* node — one that can still
+        gain an in-edge.  A new in-edge of a committed transaction T
+        needs another transaction with a step before one of T's, i.e. one
+        that began before T resolved; so T's nodes are open until every
+        such overlapper has resolved.  The frontier is therefore the live
+        transactions plus the committed ones whose resolve stamp is later
+        than the oldest live begin stamp.
 
-        * a new *in-edge* of a committed transaction T requires another
-          transaction with a step before one of T's — i.e. one that began
-          before T resolved — so once every such overlapper has resolved,
-          T's in-edge set is final;
-        * a newly inserted edge always *targets* a transaction that is
-          live at insertion time, so any future path into T must start
-          from a currently-live node (or a committed one some live
-          transaction still overlaps) and continue over edges that
-          already exist.
-
-        Hence: mark everything forward-reachable in the committed graph
-        from the *frontier* — live transactions plus committed ones whose
-        resolve stamp is later than the oldest live begin stamp — and
-        prune every non-frontier committed transaction none of whose
-        nodes is marked: drop its step records, its graph nodes, and its
-        bookkeeping.  Edges already *filed* under live peers survive
-        (they were discovered while the records existed and re-add a
-        fresh, in-edge-free node at validation, which cannot close a
-        cycle), so decisions are unchanged — only memory shrinks, which
-        is what keeps week-long streams O(in-flight) instead of O(total
+        Everything forward-reachable from the frontier is marked; every
+        non-frontier committed transaction none of whose nodes is marked
+        loses its step records, its graph nodes and its bookkeeping.
+        Edges already *filed* under live peers survive (they were
+        discovered while the records existed and re-add a fresh,
+        in-edge-free node at validation, which cannot close a cycle), so
+        decisions are unchanged — only memory shrinks, which is what
+        keeps week-long streams O(in-flight) instead of O(total
         arrivals).
 
         Returns:
@@ -497,18 +464,12 @@ class OptimisticCertifier(Scheduler):
         if len(frontier) == len(self._resolve_seq):
             return 0  # every retained transaction is still overlapped
         graph = self._committed_graph
-        marked: set[str] = set()
-        stack: list[str] = []
+        roots: list[str] = []
         for t in self._live_transactions:
-            stack.extend(self._nodes_by_transaction.get(t, ()))
+            roots.extend(self._nodes_by_transaction.get(t, ()))
         for t in frontier:
-            stack.extend(self._committed_nodes.get(t, ()))
-        while stack:
-            node = stack.pop()
-            if node in marked or node not in graph:
-                continue
-            marked.add(node)
-            stack.extend(graph.successors(node))
+            roots.extend(self._committed_nodes.get(t, ()))
+        marked = graph.descendants(roots)
         removed = 0
         for transaction_id in [
             t for t in self._resolve_seq if t not in frontier
@@ -530,9 +491,7 @@ class OptimisticCertifier(Scheduler):
                     records[:] = kept
                 else:
                     del self._steps_by_object[object_name]
-            for node in nodes:
-                if node in graph:
-                    graph.remove_node(node)
+            graph.remove_nodes(nodes)
             self._committed_nodes.pop(transaction_id, None)
             self._resolve_seq.pop(transaction_id, None)
             self._begin_seq.pop(transaction_id, None)
@@ -547,8 +506,9 @@ class OptimisticCertifier(Scheduler):
             owned.update(nodes)
         for nodes in self._committed_nodes.values():
             owned.update(nodes)
-        for node in [n for n in graph.nodes if n not in marked and n not in owned]:
-            graph.remove_node(node)
+        graph.remove_nodes(
+            [node for node in graph.nodes() if node not in marked and node not in owned]
+        )
         self.gc_pruned_records += removed
         return removed
 
@@ -557,8 +517,7 @@ class OptimisticCertifier(Scheduler):
         return (
             sum(len(records) for records in self._steps_by_object.values())
             + sum(len(edges) for edges in self._pending_edges.values())
-            + self._committed_graph.number_of_nodes()
-            + self._committed_graph.number_of_edges()
+            + self._committed_graph.size()
             + self.gate.live_state_size()
         )
 

@@ -32,11 +32,10 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
-
-import networkx as nx
+from typing import Any, Callable, Mapping
 
 from ..core.conflicts import ConflictSpec
+from ..core.dag import PrecedenceDag
 from ..core.errors import UnknownObjectError
 from ..core.operations import LocalStep
 from ..core.registry import resolve_component
@@ -64,9 +63,10 @@ class IntraObjectSynchroniser:
     """Serialises the method executions of a single object.
 
     One instance guards one object.  It sees only the operations addressed
-    to that object and decides GRANT / BLOCK / ABORT; lifecycle events of
-    top-level transactions are forwarded so it can release whatever state it
-    keeps per transaction.
+    to that object and decides GRANT / BLOCK / ABORT; the commit/finish of a
+    top-level transaction is forwarded to the synchronisers that saw a
+    request from it, so each can release whatever state it keeps per
+    transaction (one that never saw the transaction has none).
     """
 
     strategy = "abstract"
@@ -439,39 +439,6 @@ def validate_intra_strategy_spec(spec: Any) -> None:
 # ---------------------------------------------------------------------------
 
 
-def prune_unreachable(graph: "nx.DiGraph", live: Iterable[str]) -> tuple[int, set[str]]:
-    """Frontier GC for a precedence graph: drop nodes no live node reaches.
-
-    Precedence edges always point *recorded transaction → requester*, and a
-    resolved transaction's in-edges are frozen (edges into a node are only
-    added while it is live and requesting).  A future cycle must therefore
-    enter every resolved node it contains through an edge that already
-    exists — so a resolved node matters to some future acyclicity check
-    only if it is forward-reachable from a currently-live node.  Everything
-    else (and, at the caller's side, its recorded steps, which are the only
-    source of *new* out-edges) can be dropped without changing any future
-    decision.  This is the same frontier argument the streaming certifier's
-    GC uses, shared here so the inter-shard coordinator can reuse it.
-
-    Args:
-        graph: the precedence DiGraph, mutated in place.
-        live: identifiers of the unresolved transactions.
-
-    Returns:
-        ``(removed, keep)`` — how many nodes were dropped, and the node ids
-        retained (live nodes plus their descendants), which the caller uses
-        to prune its step records consistently.
-    """
-    keep: set[str] = set()
-    for node in live:
-        if node in graph and node not in keep:
-            keep.add(node)
-            keep.update(nx.descendants(graph, node))
-    dead = [node for node in graph if node not in keep]
-    graph.remove_nodes_from(dead)
-    return len(dead), keep
-
-
 @dataclass
 class _RecordedStep:
     """A granted step remembered for inter-object ordering checks."""
@@ -493,8 +460,10 @@ class InterObjectCoordinator:
     def __init__(self, conflicts_lookup: Callable[[str], ConflictSpec], step_level: bool = True):
         self._conflicts_lookup = conflicts_lookup
         self._step_level = step_level
-        self._steps_by_object: dict[str, list[_RecordedStep]] = defaultdict(list)
-        self._precedence = nx.DiGraph()
+        # Only objects (and transactions) with retained steps have an entry.
+        self._steps_by_object: dict[str, list[_RecordedStep]] = {}
+        self._objects_of: dict[str, set[str]] = {}
+        self._precedence = PrecedenceDag()
         self._live: set[str] = set()
         self.ordering_aborts = 0
 
@@ -507,20 +476,17 @@ class InterObjectCoordinator:
 
     def check_step(self, request: OperationRequest) -> SchedulerResponse:
         """Decide whether admitting the step keeps the global order acyclic."""
-        new_edges: set[tuple[str, str]] = set()
+        # In recorded-step order (the kernel skips repeats), so the kernel's
+        # work counters are a deterministic function of the run.
+        new_edges: list[tuple[str, str]] = []
         provisional = request.provisional_step
-        for recorded in self._steps_by_object[request.object_name]:
+        for recorded in self._steps_by_object.get(request.object_name, ()):
             pair = disjoint_ancestors(recorded.info, request.info)
             if pair is None:
                 continue
             if self._conflict(request.object_name, recorded.step, provisional):
-                new_edges.add(pair)
-        if not new_edges:
-            return SchedulerResponse.grant()
-        trial = self._precedence.copy()
-        trial.add_edges_from(new_edges)
-        if nx.is_directed_acyclic_graph(trial):
-            self._precedence = trial
+                new_edges.append(pair)
+        if self._precedence.add_edges(new_edges):
             return SchedulerResponse.grant()
         self.ordering_aborts += 1
         return SchedulerResponse.abort(
@@ -532,7 +498,10 @@ class InterObjectCoordinator:
         step = LocalStep(
             request.info.execution_id, request.object_name, request.operation, value
         )
-        self._steps_by_object[request.object_name].append(_RecordedStep(step, request.info))
+        self._steps_by_object.setdefault(request.object_name, []).append(
+            _RecordedStep(step, request.info)
+        )
+        self._objects_of.setdefault(request.info.top_level_id, set()).add(request.object_name)
 
     def note_begin(self, transaction_id: str) -> None:
         """A top-level transaction became live (tracked for the frontier GC)."""
@@ -542,21 +511,12 @@ class InterObjectCoordinator:
         """The transaction resolved; its node stays until the GC frontier passes it."""
         self._live.discard(transaction_id)
 
-    def collect_garbage(self) -> int:
-        """Frontier GC over the precedence graph and the recorded steps.
-
-        Resolved transactions that no live transaction can reach in the
-        precedence graph can never participate in a future cycle (see
-        :func:`prune_unreachable`), so their nodes, edges and recorded
-        steps — the only source of new edges out of them — are dropped
-        together.  Decision-invariant by construction: only the memory
-        profile changes, never an abort verdict.
-        """
-        removed, keep = prune_unreachable(self._precedence, self._live)
-        keep |= self._live
-        for object_name in list(self._steps_by_object):
+    def _drop_records(self, object_names: set[str], dropped: Callable[[_RecordedStep], bool]) -> int:
+        """Filter the named objects' records; an emptied list is deleted."""
+        removed = 0
+        for object_name in object_names:
             records = self._steps_by_object[object_name]
-            kept = [record for record in records if record.info.top_level_id in keep]
+            kept = [record for record in records if not dropped(record)]
             removed += len(records) - len(kept)
             if kept:
                 records[:] = kept
@@ -564,23 +524,45 @@ class InterObjectCoordinator:
                 del self._steps_by_object[object_name]
         return removed
 
+    def collect_garbage(self) -> int:
+        """Frontier GC over the precedence graph and the recorded steps.
+
+        Resolved transactions that no live transaction can reach in the
+        precedence graph can never participate in a future cycle (the
+        frontier argument: DESIGN.md, "Precedence DAG kernel"), so their
+        nodes, edges and recorded steps — the only source of new edges
+        out of them — are dropped together.  Decision-invariant by
+        construction: only the memory profile changes, never an abort
+        verdict.
+        """
+        removed, keep = self._precedence.prune_unreachable(self._live)
+        keep |= self._live
+        dead = [transaction_id for transaction_id in self._objects_of if transaction_id not in keep]
+        touched: set[str] = set()
+        for transaction_id in dead:
+            touched |= self._objects_of.pop(transaction_id)
+        return removed + self._drop_records(
+            touched, lambda record: record.info.top_level_id not in keep
+        )
+
     def live_state_size(self) -> int:
         """Recorded steps plus precedence nodes/edges still retained."""
         return (
             sum(len(records) for records in self._steps_by_object.values())
-            + self._precedence.number_of_nodes()
-            + self._precedence.number_of_edges()
+            + self._precedence.size()
         )
 
-    def forget_transaction(self, subtree_ids: set[str], node_ids: set[str]) -> None:
+    def forget_transaction(self, transaction_id: str, subtree_ids: set[str]) -> None:
         """Drop an aborted transaction's steps and precedence nodes."""
-        for records in self._steps_by_object.values():
-            records[:] = [
-                record for record in records if record.info.execution_id not in subtree_ids
-            ]
-        for node in node_ids:
-            if node in self._precedence:
-                self._precedence.remove_node(node)
+        self._drop_records(
+            self._objects_of.pop(transaction_id, set()),
+            lambda record: record.info.top_level_id == transaction_id,
+        )
+        self._precedence.remove_nodes(subtree_ids)
+
+    def describe(self) -> dict[str, int]:
+        """Decision counters: the verdict count and the kernel's work."""
+        return {"ordering_aborts": self.ordering_aborts, **self._precedence.counters()}
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +597,9 @@ class ModularScheduler(Scheduler):
         self.inter_object_checks = inter_object_checks
         self._synchronisers: dict[str, IntraObjectSynchroniser] = {}
         self._commit_checkers: list[IntraObjectSynchroniser] = []
+        # top-level id -> objects whose synchroniser saw a request from it
+        # (insertion-ordered), so resolution notifies only those.
+        self._objects_of: dict[str, dict[str, None]] = {}
         self._coordinator: InterObjectCoordinator | None = None
         self.waits = WaitsForGraph()
         self.authority = TimestampAuthority()
@@ -655,6 +640,7 @@ class ModularScheduler(Scheduler):
                 strategy_spec, object_name, registry[object_name], step_level
             )
         self._refresh_commit_checkers()
+        self._objects_of = {}
         self._coordinator = InterObjectCoordinator(lambda name: registry[name], step_level)
         self.waits = WaitsForGraph()
         self.authority = TimestampAuthority()
@@ -717,6 +703,7 @@ class ModularScheduler(Scheduler):
 
     def on_operation(self, request: OperationRequest) -> SchedulerResponse:
         intra = self.synchroniser_for(request.object_name)
+        self._objects_of.setdefault(request.info.top_level_id, {})[request.object_name] = None
         intra_response = intra.on_operation(request)
         if intra_response.blocked:
             return self._park_with_deadlock_check(request, intra_response)
@@ -787,7 +774,10 @@ class ModularScheduler(Scheduler):
         return response
 
     def _finish_transaction(self, info: ExecutionInfo, *, committed: bool) -> None:
-        for synchroniser in self._synchronisers.values():
+        # A synchroniser keeps per-transaction state only from the requests
+        # it saw, so the others have nothing to release.
+        for object_name in self._objects_of.pop(info.top_level_id, ()):
+            synchroniser = self._synchronisers[object_name]
             if committed:
                 synchroniser.on_transaction_committed(info.top_level_id)
             synchroniser.on_transaction_finished(info.top_level_id)
@@ -804,8 +794,9 @@ class ModularScheduler(Scheduler):
     def on_transaction_abort(self, info: ExecutionInfo, subtree: tuple[str, ...]) -> None:
         self._finish_transaction(info, committed=False)
         if self._coordinator is not None:
-            subtree_ids = set(subtree) | {info.execution_id}
-            self._coordinator.forget_transaction(subtree_ids, subtree_ids)
+            self._coordinator.forget_transaction(
+                info.top_level_id, set(subtree) | {info.execution_id}
+            )
 
     # -- live-state garbage collection ---------------------------------------------
 
@@ -854,14 +845,17 @@ class ModularScheduler(Scheduler):
             object_name: synchroniser.strategy
             for object_name, synchroniser in sorted(self._synchronisers.items())
         }
-        ordering_aborts = self._coordinator.ordering_aborts if self._coordinator else 0
+        if self._coordinator is not None:
+            coordinator = self._coordinator.describe()
+        else:  # not attached yet: no verdicts, an untouched kernel
+            coordinator = {"ordering_aborts": 0, **PrecedenceDag().counters()}
         return {
             "name": self.name,
             "level": self.level,
             "restart_policy": self.restart_policy.name,
             "inter_object_checks": self.inter_object_checks,
             "strategies": strategies,
-            "ordering_aborts": ordering_aborts,
+            **coordinator,
             "deadlocks_detected": self.deadlocks_detected,
             "blocked_requests": self.blocked_requests,
             "gc_pruned_records": self.gc_pruned_records,

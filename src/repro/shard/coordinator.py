@@ -38,10 +38,10 @@ Commit protocol (two-phase, optimistic presumed-abort):
 Precedence and deadlock: each shard's :class:`ShardStepTracker` observes
 the steps of cross-shard transactions and reports conflict edges
 (recorded → requester) up to the coordinator, which accumulates them in
-a transaction-level DiGraph.  An edge that would close a cycle aborts
-the requester — the same rule, and literally the same frontier GC
-(:func:`~repro.scheduler.modular.prune_unreachable`), as the modular
-scheduler's inter-object coordinator.  Distributed stalls that produce
+a transaction-level :class:`~repro.core.dag.PrecedenceDag`.  An edge
+that would close a cycle aborts the requester — the same rule, the same
+kernel and the same frontier GC as the modular scheduler's inter-object
+coordinator.  Distributed stalls that produce
 no edges (blocked frames on several shards with no local cycle) are
 broken by aborting the *youngest* unresolved cross transaction after a
 full zero-progress round.
@@ -51,13 +51,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
-import networkx as nx
-
+from ..core.dag import PrecedenceDag
 from ..core.errors import SimulationError
 from ..core.operations import LocalStep
-from ..scheduler.modular import prune_unreachable
 from .map import ShardMap
 
 __all__ = ["ShardReport", "ShardStepTracker", "InterShardCoordinator"]
@@ -157,7 +155,7 @@ class InterShardCoordinator:
         self._sequence = itertools.count(1)
         # remote_id -> shard index awaiting the result.
         self._pending_results: dict[str, int] = {}
-        self._precedence = nx.DiGraph()
+        self._precedence = PrecedenceDag()
         self._resolved_since_gc = 0
         self._last_tick: dict[int, int] = {}
         # Observability (surfaces in the sharded result's description).
@@ -237,7 +235,8 @@ class InterShardCoordinator:
             "stall_aborts": self.stall_aborts,
             "cycle_aborts": self.cycle_aborts,
             "gc_pruned_records": self.gc_pruned_records,
-            "precedence_nodes": self._precedence.number_of_nodes(),
+            "precedence_nodes": len(self._precedence),
+            **self._precedence.counters(),
         }
 
     # ------------------------------------------------------------------
@@ -318,18 +317,13 @@ class InterShardCoordinator:
         recorded_txn = self._txns.get(recorded)
         if recorded_txn is not None and recorded_txn.outcome == "aborted":
             return False  # edges from aborted work never constrain anyone
-        if (
-            requester in self._precedence
-            and recorded in self._precedence
-            and nx.has_path(self._precedence, requester, recorded)
-        ):
-            # The edge would close a cycle: abort the requester, exactly as
-            # the modular inter-object coordinator does one level down.
-            self._resolve_abort(requesting, CYCLE_REASON, directives)
-            self.cycle_aborts += 1
-            return True
-        self._precedence.add_edge(recorded, requester)
-        return False
+        if self._precedence.add_edges((edge,)):
+            return False
+        # The edge would close a cycle: abort the requester, exactly as
+        # the modular inter-object coordinator does one level down.
+        self._resolve_abort(requesting, CYCLE_REASON, directives)
+        self.cycle_aborts += 1
+        return True
 
     # ------------------------------------------------------------------
     # Resolution
@@ -393,15 +387,14 @@ class InterShardCoordinator:
         """Frontier GC, shared with the modular scheduler's coordinator.
 
         A resolved transaction's steps (held in the shard-side trackers)
-        are the only source of new out-edges, and by the frontier argument
-        of :func:`~repro.scheduler.modular.prune_unreachable` a resolved
-        node unreachable from every live node can never join a future
-        cycle.  Dropping it here therefore also licenses the shards to
-        drop its step records — the ``("forget", gid)`` directives — so
-        tracker memory is bounded by the live frontier, not the history.
+        are the only source of new out-edges, so once the kernel's
+        frontier GC (DESIGN.md, "Precedence DAG kernel") drops its node
+        the shards may drop its step records too — the ``("forget",
+        gid)`` directives — and tracker memory is bounded by the live
+        frontier, not the history.
         """
         live = [gid for gid, txn in self._txns.items() if txn.state != "resolved"]
-        removed, keep = prune_unreachable(self._precedence, live)
+        removed, keep = self._precedence.prune_unreachable(live)
         self.gc_pruned_records += removed
         live_set = set(live)
         for gid in list(self._txns):

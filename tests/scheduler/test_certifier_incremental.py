@@ -114,12 +114,12 @@ class TestCommitValidationIsIncremental:
         run_step(scheduler, first, "other-cell", WriteRegister(1), 1)
         assert scheduler.on_commit_request(first).granted
         scheduler.on_transaction_commit(first)
-        snapshot_nodes = set(scheduler._committed_graph.nodes)
-        snapshot_edges = set(scheduler._committed_graph.edges)
+        snapshot_nodes = scheduler._committed_graph.nodes()
+        snapshot_edges = scheduler._committed_graph.edges()
         assert scheduler.on_commit_request(second).decision is Decision.ABORT
         # The failed trial left no residue in the committed graph.
-        assert set(scheduler._committed_graph.nodes) == snapshot_nodes
-        assert set(scheduler._committed_graph.edges) == snapshot_edges
+        assert scheduler._committed_graph.nodes() == snapshot_nodes
+        assert scheduler._committed_graph.edges() == snapshot_edges
         scheduler.on_transaction_abort(second, ("T2",))
         # An unrelated transaction still validates cleanly afterwards.
         run_step(scheduler, third, "cell", WriteRegister(3), 3)

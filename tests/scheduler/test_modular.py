@@ -169,6 +169,82 @@ class TestModularScheduler:
         assert run_step(scheduler, third, "other-cell", WriteRegister(9), 9).granted
         assert run_step(scheduler, third, "cell", WriteRegister(9), 9).granted
 
+    def test_coordinator_indexes_hold_only_retained_steps(self, small_object_base):
+        scheduler = attach(small_object_base, default_strategy="timestamp")
+        coordinator = scheduler._coordinator
+        first, second = info("T1"), info("T2")
+        scheduler.on_transaction_begin(first)
+        scheduler.on_transaction_begin(second)
+        # A check is a read: asking about an object nobody has stepped on
+        # leaves no empty list behind.
+        assert scheduler.on_operation(request(first, "cell", ReadRegister(), 0)).granted
+        assert coordinator._steps_by_object == {}
+        assert run_step(scheduler, first, "cell", WriteRegister(1), 1).granted
+        assert run_step(scheduler, second, "other-cell", WriteRegister(2), 2).granted
+        assert coordinator._objects_of == {"T1": {"cell"}, "T2": {"other-cell"}}
+        # An abort touches only the aborted transaction's objects, and an
+        # emptied list is dropped, not kept.
+        untouched = coordinator._steps_by_object["other-cell"]
+        scheduler.on_transaction_abort(first, ("T1",))
+        assert set(coordinator._steps_by_object) == {"other-cell"}
+        assert coordinator._steps_by_object["other-cell"] is untouched
+        assert coordinator._objects_of == {"T2": {"other-cell"}}
+        # Once resolved and unreachable from anything live, GC drops the rest.
+        scheduler.on_transaction_commit(second)
+        scheduler.collect_garbage()
+        assert coordinator._steps_by_object == {} and coordinator._objects_of == {}
+        assert coordinator.live_state_size() == 0
+
+    def test_only_synchronisers_that_saw_the_transaction_are_notified(self, small_object_base):
+        class Recording(IntraObjectLocking):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.events = []
+
+            def on_transaction_committed(self, transaction_id):
+                self.events.append(("committed", transaction_id))
+
+            def on_transaction_finished(self, transaction_id):
+                super().on_transaction_finished(transaction_id)
+                self.events.append(("finished", transaction_id))
+
+        scheduler = attach(small_object_base, default_strategy="locking")
+        for object_name in ("cell", "other-cell"):
+            scheduler._synchronisers[object_name] = Recording(
+                object_name, scheduler.conflicts_for(scheduler.level)[object_name]
+            )
+        first, second = info("T1"), info("T2")
+        scheduler.on_transaction_begin(first)
+        scheduler.on_transaction_begin(second)
+        assert run_step(scheduler, first, "cell", WriteRegister(1), 1).granted
+        assert run_step(scheduler, second, "other-cell", WriteRegister(2), 2).granted
+        # A blocked request was still seen: the synchroniser may hold state.
+        assert run_step(scheduler, second, "cell", WriteRegister(3), 3).blocked
+        scheduler.on_transaction_commit(first)
+        scheduler.on_transaction_abort(second, ("T2",))
+        assert scheduler.synchroniser_for("cell").events == [
+            ("committed", "T1"), ("finished", "T1"), ("finished", "T2"),
+        ]
+        assert scheduler.synchroniser_for("other-cell").events == [("finished", "T2")]
+        assert scheduler._objects_of == {}
+        assert all(s.live_state_size() == 0 for s in scheduler._synchronisers.values())
+
+    def test_describe_surfaces_the_kernel_counters(self, small_object_base):
+        detached = ModularScheduler().describe()
+        assert (detached["ordering_aborts"], detached["edge_inserts"]) == (0, 0)
+        scheduler = attach(small_object_base, default_strategy="timestamp")
+        first, second = info("T1"), info("T2")
+        scheduler.on_transaction_begin(first)
+        scheduler.on_transaction_begin(second)
+        assert run_step(scheduler, first, "cell", WriteRegister(1), 1).granted
+        assert run_step(scheduler, second, "cell", WriteRegister(2), 2).granted
+        assert run_step(scheduler, second, "other-cell", WriteRegister(2), 2).granted
+        assert run_step(scheduler, first, "other-cell", WriteRegister(1), 1).decision is Decision.ABORT
+        description = scheduler.describe()
+        assert description["ordering_aborts"] == description["rollbacks"] == 1
+        assert description["edge_inserts"] == 1
+        assert description["dfs_visits"] >= 1
+
     def test_commit_releases_intra_object_locks(self, small_object_base):
         scheduler = attach(small_object_base, default_strategy="locking")
         first, second = info("T1"), info("T2")
