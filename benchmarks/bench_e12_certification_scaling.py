@@ -1,15 +1,15 @@
-"""E12 — certification cost scaling: indexed/incremental vs from-scratch.
+"""E12 — certification cost scaling: indexed vs from-scratch.
 
 PR 2 made post-run certification near-linear: histories carry persistent
 indexes (per-object step lists, cached ancestor chains, sorted-interval
 sweeps) and the serialisation-graph builders enumerate only
-actually-ordered conflicting pairs, with an :class:`IncrementalSG` variant
-that consumes steps in commit order.  The original permutation builders
+actually-ordered conflicting pairs.  The original permutation builders
 are retained as ``sg_mode="legacy"`` — this experiment certifies the same
-committed projection under all three modes and times them, across run
-lengths and two schedulers (blocking n2pl produces long committed
-histories; the optimistic certifier exercises the incremental commit-time
-validation during the run itself).
+committed projection under both modes and times them, across run lengths
+and two schedulers (blocking n2pl produces long committed histories; the
+optimistic certifier exercises the incremental commit-time validation
+during the run itself).  Rows recorded before the ``"incremental"`` mode
+was deleted keep their ``*_incremental*`` columns as history.
 
 Each sweep appends to ``BENCH_e12_certification_scaling.json`` (schema:
 ``{"experiment", "rows": [...]}``) with a setup/run/certify timing
@@ -32,8 +32,8 @@ from .harness import append_bench_rows, print_experiment
 COLUMNS = [
     "scheduler", "transactions", "committed", "committed_steps",
     "setup_seconds", "run_seconds",
-    "certify_legacy_seconds", "certify_indexed_seconds", "certify_incremental_seconds",
-    "speedup_indexed", "speedup_incremental",
+    "certify_legacy_seconds", "certify_indexed_seconds",
+    "speedup_indexed",
 ]
 
 LENGTHS = (12, 24, 48)
@@ -71,7 +71,7 @@ def run_configuration(scheduler_name: str, transactions: int) -> dict:
     committed = result.committed_history()
     timings: dict[str, float] = {}
     reports = {}
-    for sg_mode in ("legacy", "indexed", "incremental"):
+    for sg_mode in ("legacy", "indexed"):
         started = time.perf_counter()
         reports[sg_mode] = certify_history(committed, check_legality=False, sg_mode=sg_mode)
         timings[sg_mode] = time.perf_counter() - started
@@ -94,9 +94,7 @@ def run_configuration(scheduler_name: str, transactions: int) -> dict:
         "run_seconds": round(run_seconds, 6),
         "certify_legacy_seconds": round(timings["legacy"], 6),
         "certify_indexed_seconds": round(timings["indexed"], 6),
-        "certify_incremental_seconds": round(timings["incremental"], 6),
         "speedup_indexed": round(timings["legacy"] / max(timings["indexed"], 1e-9), 2),
-        "speedup_incremental": round(timings["legacy"] / max(timings["incremental"], 1e-9), 2),
     }
     if scheduler_name == "certifier":
         description = scheduler.describe()
@@ -119,7 +117,7 @@ def write_bench_json(rows: list[dict], path: Path = BENCH_JSON) -> None:
 
 def test_e12_certification_scaling(benchmark):
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_experiment("E12: certification cost — legacy vs indexed/incremental", rows, COLUMNS)
+    print_experiment("E12: certification cost — legacy vs indexed", rows, COLUMNS)
     write_bench_json(rows)
     # The online certifier must never re-enumerate step pairs at commit.
     for row in rows:
@@ -142,6 +140,6 @@ def test_e12_certification_scaling(benchmark):
 if __name__ == "__main__":  # pragma: no cover - manual/CI smoke entry point
     experiment_rows = run_experiment()
     print_experiment(
-        "E12: certification cost — legacy vs indexed/incremental", experiment_rows, COLUMNS
+        "E12: certification cost — legacy vs indexed", experiment_rows, COLUMNS
     )
     write_bench_json(experiment_rows)

@@ -17,8 +17,8 @@ warn-only on pushes.
 
 Watched files:
 
-* ``BENCH_e12_certification_scaling.json`` — the indexed/incremental
-  certification speedups over the legacy builders, measured within one
+* ``BENCH_e12_certification_scaling.json`` — the indexed
+  certification speedup over the legacy builders, measured within one
   sweep on one machine (a wall-time *ratio*, hence machine-independent).
 * ``BENCH_e14_restart_policies.json`` — each restart/contention policy's
   ``recovery_ratio`` (its commit rate over the storm baseline's), a pure
@@ -71,7 +71,7 @@ WATCHES = (
         name="E12",
         path=BENCH_DIR / "BENCH_e12_certification_scaling.json",
         key_fields=("scheduler", "transactions"),
-        columns=("speedup_indexed", "speedup_incremental"),
+        columns=("speedup_indexed",),
         # The certifier configurations' legacy certification takes well
         # under a millisecond — their speedup ratios are noise; only the
         # meaningfully-timed configurations gate.

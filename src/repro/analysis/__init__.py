@@ -1,9 +1,8 @@
 """Analysis layer: run certification, history statistics and text reports.
 
-Hot-loop profiling lives in :mod:`repro.analysis.profile` (also a CLI:
-``python -m repro.analysis.profile``); it is not re-exported here so the
-module can double as the ``-m`` entry point without an import cycle
-warning.
+Profiling is not part of this layer: ``python3 -m bench.run --trace 1``
+prints the per-layer table, and ``python3 -m cProfile -o hot.pstats -m
+bench.onepass --workload W --kind timed --seed N`` writes a pstats dump.
 """
 
 from .certify import CertificationReport, certify_history, certify_run

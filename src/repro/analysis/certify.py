@@ -18,7 +18,6 @@ import networkx as nx
 
 from ..core.errors import IllegalHistoryError
 from ..core.graphs import (
-    incremental_serialisation_graph,
     is_acyclic,
     serialisation_graph,
     serialisation_graph_legacy,
@@ -27,7 +26,7 @@ from ..core.history import History
 from ..core.theorems import execution_serial_order, theorem_5_conditions
 from ..simulation.metrics import RunResult
 
-SG_MODES = ("indexed", "incremental", "legacy")
+SG_MODES = ("indexed", "legacy")
 
 
 @dataclass
@@ -104,8 +103,6 @@ def certify_history(
     * ``"indexed"`` (default) — the sorted-interval sweep builders; the
       graph is built once and reused for the acyclicity test and the serial
       order instead of being rebuilt per question;
-    * ``"incremental"`` — :class:`~repro.core.graphs.IncrementalSG` fed the
-      committed steps in temporal order (the certifier-shaped construction);
     * ``"legacy"`` — the original from-scratch permutation builders,
       retained for oracle cross-checks and the E12 benchmark baseline.
     """
@@ -123,14 +120,9 @@ def certify_history(
 
     if sg_mode == "legacy":
         graph = serialisation_graph_legacy(history)
-        serialisable = is_acyclic(graph)
-    elif sg_mode == "incremental":
-        incremental = incremental_serialisation_graph(history)
-        graph = incremental.graph
-        serialisable = incremental.is_acyclic
     else:
         graph = serialisation_graph(history)
-        serialisable = is_acyclic(graph)
+    serialisable = is_acyclic(graph)
     cycle: tuple[str, ...] | None = None
     if not serialisable:
         violations.append("serialisation graph contains a cycle")

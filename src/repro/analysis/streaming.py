@@ -10,8 +10,7 @@ instead:
 * every committed transaction's subtree is snapshotted at commit time
   (its steps and message intervals are final the moment it commits) and
   its local steps are classified against the retained window of earlier
-  committed steps, exactly like :class:`~repro.core.graphs.IncrementalSG`
-  classifies steps fed in temporal order;
+  committed steps;
 * Definition 9's type (a)/(b) edges, Theorem 5(a)'s per-object combined
   graphs and Theorem 5(b)'s message relations are all maintained (or, for
   the intra-transaction parts, evaluated once on a small per-transaction

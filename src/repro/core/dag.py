@@ -13,9 +13,8 @@ last node and edge.  Nothing is copied and nothing is re-checked from
 scratch, so the cost of a step follows what the step can reach, not what
 the graph holds.
 
-Observers that *keep* cyclic graphs for reporting (the streaming
-certifier, :class:`~repro.core.graphs.IncrementalSG`) do not use the
-class; the streaming certifier shares the traversal (:func:`reaches`).
+The streaming certifier, an observer that *keeps* cyclic graphs for
+reporting, does not use the class; it shares the traversal (:func:`reaches`).
 
 Adjacency is kept as insertion-ordered ``dict`` keys rather than ``set``
 members.  Set order over strings follows the per-process hash seed, and

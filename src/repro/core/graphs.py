@@ -31,12 +31,6 @@ Two construction strategies coexist:
   takes a ``check=True`` flag that rebuilds the graph the legacy way and
   raises :class:`~repro.core.errors.VerificationError` on any divergence
   (mirroring the ``check_undo`` convention of the simulation engine).
-
-:class:`IncrementalSG` additionally maintains ``SG(h)`` *online*: local
-steps are fed in temporal order and each is classified against the
-per-object steps already seen, while a DFS-based incremental cycle check
-flags the first edge that closes a cycle — this is the post-run analogue of
-the optimistic certifier's commit-time validation.
 """
 
 from __future__ import annotations
@@ -56,25 +50,6 @@ def _add_edge(graph: nx.DiGraph, source: str, target: str, reason: tuple) -> Non
         graph[source][target]["reasons"].append(reason)
     else:
         graph.add_edge(source, target, reasons=[reason])
-
-
-def has_path(graph: nx.DiGraph, source, target) -> bool:
-    """Iterative DFS reachability (used by the incremental cycle checks)."""
-    if source not in graph or target not in graph:
-        return False
-    if source == target:
-        return True
-    seen = {source}
-    frontier = [source]
-    while frontier:
-        current = frontier.pop()
-        for successor in graph.successors(current):
-            if successor == target:
-                return True
-            if successor not in seen:
-                seen.add(successor)
-                frontier.append(successor)
-    return False
 
 
 def _conflicting_ordered_pairs(history: History) -> Iterable[tuple[LocalStep, LocalStep]]:
@@ -148,8 +123,8 @@ def _add_type_a_edges(
                     _add_edge(graph, source, target, ("conflict", first.step_id, second.step_id))
 
 
-def _add_type_b_edges(history: History, add_edge) -> None:
-    """Install Definition 9's structure edges through ``add_edge(source, target, reason)``."""
+def _add_type_b_edges(graph: nx.DiGraph, history: History) -> None:
+    """Install Definition 9's structure edges."""
     for execution in history.executions.values():
         messages = execution.message_steps()
         for first_message, second_message in itertools.permutations(messages, 2):
@@ -161,7 +136,8 @@ def _add_type_b_edges(history: History, add_edge) -> None:
                 continue
             for source in history.descendants(first_child):
                 for target in history.descendants(second_child):
-                    add_edge(
+                    _add_edge(
+                        graph,
                         source,
                         target,
                         ("structure", first_message.step_id, second_message.step_id),
@@ -185,7 +161,7 @@ def serialisation_graph(history: History, *, check: bool = False) -> nx.DiGraph:
     graph = nx.DiGraph()
     graph.add_nodes_from(history.execution_ids())
     _add_type_a_edges(graph, history, _conflicting_ordered_pairs(history))
-    _add_type_b_edges(history, lambda source, target, reason: _add_edge(graph, source, target, reason))
+    _add_type_b_edges(graph, history)
     if check:
         _assert_graphs_match(graph, serialisation_graph_legacy(history), "serialisation_graph")
     return graph
@@ -196,7 +172,7 @@ def serialisation_graph_legacy(history: History) -> nx.DiGraph:
     graph = nx.DiGraph()
     graph.add_nodes_from(history.execution_ids())
     _add_type_a_edges(graph, history, _conflicting_ordered_pairs_legacy(history))
-    _add_type_b_edges(history, lambda source, target, reason: _add_edge(graph, source, target, reason))
+    _add_type_b_edges(graph, history)
     return graph
 
 
@@ -411,147 +387,6 @@ def _descendant_local_steps(history: History, message: MessageStep) -> list[Loca
     for execution_id in history.descendants(child_id):
         steps.extend(history.execution(execution_id).local_steps())
     return steps
-
-
-# ---------------------------------------------------------------------------
-# Incremental SG construction
-# ---------------------------------------------------------------------------
-
-
-class IncrementalSG:
-    """``SG(h)`` maintained online as local steps arrive in temporal order.
-
-    The node set and the type (b) structure edges depend only on the
-    execution forest and programme orders, so they are installed up front;
-    type (a) conflict edges are discovered by classifying each new local
-    step against the per-object steps already added — ``O(predecessors on
-    the object)`` per step instead of re-enumerating every pair on every
-    query.  Steps must be fed in an order consistent with ``<`` (any linear
-    extension); :func:`incremental_serialisation_graph` does this from a
-    recorded history.
-
-    Cycle detection is incremental: before a *new* edge ``(u, v)`` is
-    inserted, a DFS checks whether ``v`` already reaches ``u`` — every cycle
-    contains a last-inserted edge, so the first such hit is recorded in
-    :attr:`cycle_edge` and :attr:`is_acyclic` turns false.  networkx is used
-    only as a cross-check under ``check=True``.
-    """
-
-    def __init__(self, history: History, *, check: bool = False):
-        self._history = history
-        self._check = check
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(history.execution_ids())
-        self._steps_by_object: dict[str, list[LocalStep]] = {}
-        self.cycle_edge: tuple[str, str] | None = None
-        _add_type_b_edges(history, self._add_edge)
-
-    @property
-    def is_acyclic(self) -> bool:
-        return self.cycle_edge is None
-
-    def add_step(self, step: LocalStep) -> bool:
-        """Classify and add one local step; returns ``is_acyclic`` after it.
-
-        The step is compared against every step previously added on its
-        object: pairs that are ordered by ``<`` and conflict induce edges
-        between all incomparable ancestor pairs, exactly as in the
-        from-scratch builder.
-        """
-        history = self._history
-        earlier_steps = self._steps_by_object.setdefault(step.object_name, [])
-        conflicts = history.conflicts
-        for earlier in earlier_steps:
-            # Insertion order should be a linear extension of <, in which
-            # case only ``earlier < step`` can hold; the reverse direction is
-            # still checked so that degenerate (cyclic-<) histories — where
-            # no true linear extension exists — classify every ordered pair
-            # exactly as the from-scratch builder does.  Concurrent
-            # (unordered) steps induce no edges.
-            if history.precedes(earlier, step) and conflicts.steps_conflict(earlier, step):
-                self._add_conflict_edges(earlier, step)
-            if history.precedes(step, earlier) and conflicts.steps_conflict(step, earlier):
-                self._add_conflict_edges(step, earlier)
-        earlier_steps.append(step)
-        if self._check:
-            materialised = nx.DiGraph(self.graph)
-            if self.is_acyclic != nx.is_directed_acyclic_graph(materialised):
-                raise VerificationError(
-                    "IncrementalSG cycle verdict diverges from networkx on the "
-                    f"materialised graph after step {step.step_id}"
-                )
-        return self.is_acyclic
-
-    def _add_conflict_edges(self, first: LocalStep, second: LocalStep) -> None:
-        history = self._history
-        for source in history.ancestors(first.execution_id, include_self=True):
-            for target in history.ancestors(second.execution_id, include_self=True):
-                if source == target:
-                    continue
-                if history.are_incomparable(source, target):
-                    self._add_edge(source, target, ("conflict", first.step_id, second.step_id))
-
-    def _add_edge(self, source: str, target: str, reason: tuple) -> None:
-        if self.graph.has_edge(source, target):
-            self.graph[source][target]["reasons"].append(reason)
-            return
-        if self.cycle_edge is None and has_path(self.graph, target, source):
-            self.cycle_edge = (source, target)
-        self.graph.add_edge(source, target, reasons=[reason])
-
-
-def local_steps_in_temporal_order(history: History) -> list[LocalStep]:
-    """A linear extension of ``<`` over the history's local steps.
-
-    Interval-backed histories sort by start instant (ties broken by step
-    id); order-pair histories fall back to a Kahn sort over the ordered
-    pairs.
-    """
-    steps = history.local_steps()
-    intervals = history.intervals()
-    if intervals is not None:
-        return sorted(
-            steps,
-            key=lambda step: (intervals.get(step.step_id, (step.step_id,))[0], step.step_id),
-        )
-    by_id = {step.step_id: step for step in steps}
-    indegree = {step_id: 0 for step_id in by_id}
-    successors: dict[int, list[int]] = {step_id: [] for step_id in by_id}
-    for first, second in history.ordered_step_pairs(steps):
-        successors[first.step_id].append(second.step_id)
-        indegree[second.step_id] += 1
-    ready = sorted(step_id for step_id, degree in indegree.items() if degree == 0)
-    ordered: list[LocalStep] = []
-    while ready:
-        current = ready.pop(0)
-        ordered.append(by_id[current])
-        for successor in successors[current]:
-            indegree[successor] -= 1
-            if indegree[successor] == 0:
-                ready.append(successor)
-        ready.sort()
-    if len(ordered) != len(steps):
-        # < is cyclic among the local steps; feed the remainder in id order
-        # so the incremental builder still sees every step.
-        emitted = {step.step_id for step in ordered}
-        ordered.extend(step for step_id, step in sorted(by_id.items()) if step_id not in emitted)
-    return ordered
-
-
-def incremental_serialisation_graph(history: History, *, check: bool = False) -> IncrementalSG:
-    """Feed a recorded history through :class:`IncrementalSG`.
-
-    With ``check=True`` the resulting graph is cross-checked against the
-    legacy from-scratch builder and the cycle verdict against networkx.
-    """
-    incremental = IncrementalSG(history, check=check)
-    for step in local_steps_in_temporal_order(history):
-        incremental.add_step(step)
-    if check:
-        _assert_graphs_match(
-            incremental.graph, serialisation_graph_legacy(history), "IncrementalSG"
-        )
-    return incremental
 
 
 def is_acyclic(graph: nx.DiGraph) -> bool:

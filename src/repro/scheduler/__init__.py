@@ -38,8 +38,8 @@ from .modular import (
     disjoint_ancestors,
     make_intra_strategy,
 )
-from .n2pl import NestedTwoPhaseLocking, StepLevelNestedTwoPhaseLocking
-from .nto import NestedTimestampOrdering, StepLevelNestedTimestampOrdering
+from .n2pl import NestedTwoPhaseLocking
+from .nto import NestedTimestampOrdering
 from .recovery import ACA_MODE, CASCADE_MODE, CommitGate, GATE_MODES
 from .restart import (
     IMMEDIATE_RESTART,
@@ -195,8 +195,6 @@ __all__ = [
     "Scheduler",
     "SchedulerResponse",
     "SingleActiveObjectScheduler",
-    "StepLevelNestedTimestampOrdering",
-    "StepLevelNestedTwoPhaseLocking",
     "TimestampAuthority",
     "WaitsForGraph",
     "disjoint_ancestors",

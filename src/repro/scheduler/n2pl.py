@@ -187,12 +187,3 @@ class NestedTwoPhaseLocking(Scheduler):
             "deadlocks_detected": self.deadlocks_detected,
             "blocked_requests": self.blocked_requests,
         }
-
-
-class StepLevelNestedTwoPhaseLocking(NestedTwoPhaseLocking):
-    """Convenience subclass preconfigured for step-level (return-value) locks."""
-
-    name = "n2pl-step"
-
-    def __init__(self, restart_policy: Any = "immediate") -> None:
-        super().__init__(level=STEP_LEVEL, restart_policy=restart_policy)

@@ -254,14 +254,3 @@ class NestedTimestampOrdering(Scheduler):
             "gc_pruned_records": self.gc_pruned_records,
             **self.gate.describe(),
         }
-
-
-class StepLevelNestedTimestampOrdering(NestedTimestampOrdering):
-    """Convenience subclass preconfigured for step-level conflict checks."""
-
-    name = "nto-step"
-
-    def __init__(
-        self, restart_policy: Any = "immediate", gate_mode: str = CASCADE_MODE
-    ) -> None:
-        super().__init__(level=STEP_LEVEL, restart_policy=restart_policy, gate_mode=gate_mode)

@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any
 
+from ..core.dag import reaches
 from ..core.operations import LocalStep
 from ..objectbase.base import ObjectBase
 from .base import (
@@ -63,18 +64,6 @@ class IntraTransactionOrdering:
         # top-level id -> sibling precedence adjacency
         self._edges: dict[str, dict[str, set[str]]] = defaultdict(dict)
 
-    def _reaches(self, edges: dict[str, set[str]], start: str, target: str) -> bool:
-        stack, seen = [start], set()
-        while stack:
-            node = stack.pop()
-            if node == target:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(edges.get(node, ()))
-        return False
-
     def check_step(self, request: OperationRequest) -> SchedulerResponse:
         transaction_id = request.info.top_level_id
         edges = self._edges[transaction_id]
@@ -91,7 +80,7 @@ class IntraTransactionOrdering:
         for earlier_side, later_side in new_pairs:
             if earlier_side == later_side:
                 continue
-            if self._reaches(edges, later_side, earlier_side):
+            if reaches(edges, later_side, earlier_side):
                 return SchedulerResponse.abort(
                     "inter-object ordering violation among parallel siblings: "
                     f"admitting the step would order {later_side} both before "

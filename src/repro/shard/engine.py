@@ -47,11 +47,10 @@ from typing import Any, Mapping
 
 from ..analysis import certify_run
 from ..core.errors import SimulationError
-from ..scheduler import make_scheduler
 from ..simulation import SimulationEngine
 from ..simulation.metrics import RunMetrics, merge_run_metrics
 from ..simulation.transactions import TransactionSpec
-from ..simulation.workloads import make_workload
+from ..sweep.runner import build_unsubmitted_engine
 from ..sweep.spec import ScenarioSpec
 from .coordinator import InterShardCoordinator, ShardReport, ShardStepTracker
 from .map import ShardMap
@@ -118,17 +117,8 @@ class ShardWorker:
         spec = ScenarioSpec.from_json_dict(payload["spec"])
         shard_map = ShardMap.from_json_dict(payload["map"])
         index = int(payload["index"])
-        workload = make_workload(spec.workload, **spec.workload_params)
-        object_base, transaction_specs = workload.build()
-        scheduler_kwargs = dict(spec.scheduler_kwargs)
-        if spec.modular_strategy_from_workload:
-            scheduler_kwargs.setdefault(
-                "per_object_strategy", workload.modular_strategy_map()
-            )
-        scheduler = make_scheduler(spec.scheduler, **scheduler_kwargs)
-        engine = SimulationEngine(
-            object_base, scheduler, seed=spec.seed, **dict(spec.engine_params)
-        )
+        engine, workload, transaction_specs = build_unsubmitted_engine(spec)
+        object_base = engine.object_base
         names = frozenset(object_base.object_names())
         tracker = ShardStepTracker(object_base.conflicts("step"))
         engine.bind_shard_runtime(

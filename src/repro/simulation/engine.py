@@ -551,17 +551,20 @@ class SimulationEngine:
             SimulationError: when called twice (engines are single-use) or
                 when a transaction programme itself raises.
         """
+        self._admit_pending()
+        if self.hot_loop == SCAN_LOOP:
+            self._run_scan_loop()
+        else:
+            self._run_until(self.max_ticks)
+        return self._finalise_run()
+
+    def _admit_pending(self) -> None:
+        """Admit the closed-batch submissions queued by :meth:`submit`."""
         if self._finished:
             raise SimulationError("engine instances are single-use; create a new one")
         for spec in self._pending_specs:
             self._admit(spec)
         self._pending_specs = []
-
-        if self.hot_loop == SCAN_LOOP:
-            self._run_scan_loop()
-        else:
-            self._run_event_loop()
-        return self._finalise_run()
 
     def _finalise_run(self) -> RunResult:
         """Close the run and build its result (shared with shard finalize)."""
@@ -597,39 +600,26 @@ class SimulationEngine:
             ),
         )
 
-    def _run_event_loop(self) -> None:
-        """The default hot loop: O(1) frame choice, single event heap.
+    def _run_until(self, horizon: int) -> int:
+        """The default hot loop, run until the clock reaches ``horizon``.
 
-        Per decision this touches the ready list tail (or one RNG draw),
-        the heap head and the frame generator — no per-tick scans and no
-        per-tick allocations.  Hot attributes are bound to locals once;
-        decisions are accumulated locally and flushed to the metrics when
-        the loop exits.
+        A plain run is one call with ``max_ticks``, a shard round one call
+        with the round's horizon.  Per decision this touches the ready list
+        tail (or one RNG draw), the heap head and the frame generator — no
+        per-tick scans, no per-tick allocations.  Returns the decisions made.
         """
         frames = self._frames
         events = self._events
         ready = self._ready
-        metrics = self.metrics
-        heappop = heapq.heappop
+        shard = self._shard
         rng_choice = self.rng.choice
         random_scheduling = self.scheduling == "random"
-        max_ticks = self.max_ticks
         decisions = 0
         try:
-            while (frames or events) and self._tick < max_ticks:
+            while (frames or events) and self._tick < horizon:
                 tick = self._tick
-                while events and events[0][0] <= tick:
-                    due, kind, _, payload = heappop(events)
-                    if kind == _EVENT_RESTART:
-                        spec, attempt, lineage = payload
-                        metrics.restarts += 1
-                        self._start_transaction(spec, attempt=attempt, lineage=lineage)
-                    elif kind == _EVENT_FAULT:
-                        self._inject_fault(due)
-                    else:
-                        metrics.submitted += 1
-                        metrics.arrived += 1
-                        self._admit(payload, arrival_tick=due)
+                if events and events[0][0] <= tick:
+                    self._release_due_events()
                 if ready:
                     if random_scheduling:
                         frame = rng_choice(ready)[1]
@@ -640,23 +630,22 @@ class SimulationEngine:
                     self._tick = tick + 1
                     decisions += 1
                     self._advance(frame)
-                    continue
-                if events:
+                elif events:
                     # Nothing is runnable until the next event matures:
                     # fast-forward the clock to its due tick (the wait
-                    # costs time, not scheduling decisions), clamped to
-                    # the tick budget so a truncated run never reports a
-                    # makespan beyond max_ticks.
-                    self._tick = min(events[0][0], max_ticks)
-                    continue
-                # No runnable frame and no pending event.  If frames are
-                # parked, a wake-up was missed (a scheduler bug) or the
-                # wait cannot resolve; force a retry round rather than
-                # dropping the transactions.
-                if not self._force_wake_all():
+                    # costs time, not scheduling decisions), clamped so a
+                    # run never reports a makespan beyond its horizon.
+                    self._tick = min(events[0][0], horizon)
+                elif shard is not None and (shard.waiters or shard.held or shard.sessions):
+                    break  # blocked on the barrier until a directive arrives
+                # Nothing runnable, nothing pending: parked frames mean a
+                # missed wake-up (a scheduler bug) or an unresolvable wait;
+                # force a retry round rather than dropping the transactions.
+                elif not self._force_wake_all():
                     break
         finally:
-            metrics.decisions += decisions
+            self.metrics.decisions += decisions
+        return decisions
 
     def _run_scan_loop(self) -> None:
         """The legacy hot loop: a frame scan per tick (``hot_loop="scan"``).
@@ -704,11 +693,11 @@ class SimulationEngine:
     # engine (+ scheduler) per shard.  Shards advance in lock-step *tick
     # rounds*: each round the driver applies the coordinator's directives
     # (remote admissions, results, votes, global commit/abort decisions),
-    # runs the event loop up to a common horizon, then drains the shard's
-    # outbox/notes for the coordinator.  All cross-shard interaction
-    # happens at these barriers, so a sharded run is a pure function of
-    # (spec, shard map, seed) regardless of transport — in-process and
-    # multiprocess execution are bit-identical.
+    # runs the plain hot loop (_run_until) up to a common horizon, then
+    # drains the shard's outbox/notes for the coordinator.  All cross-shard
+    # interaction happens at these barriers, so a sharded run is a pure
+    # function of (spec, shard map, seed) regardless of transport —
+    # in-process and multiprocess execution are bit-identical.
     #
     # Cross-shard transactions follow the paper's modular recipe one level
     # up: on its home shard the transaction runs normally until commit,
@@ -763,80 +752,12 @@ class SimulationEngine:
         )
 
     def begin_shard_run(self) -> None:
-        """Admit the pending closed-batch submissions (mirrors :meth:`run`)."""
-        if self._finished:
-            raise SimulationError("engine instances are single-use; create a new one")
-        for spec in self._pending_specs:
-            self._admit(spec)
-        self._pending_specs = []
+        """Admit the pending closed-batch submissions, as :meth:`run` does."""
+        self._admit_pending()
 
     def run_shard_round(self, horizon: int) -> int:
-        """Advance the event loop until ``horizon`` (or a cross-shard stall).
-
-        The body mirrors :meth:`_run_event_loop` with the tick budget
-        clamped to the round horizon, plus one extra stall rule: when
-        nothing is runnable, no event is pending and the shard is waiting
-        on cross-shard state (remote results, held commits, open
-        sessions), the round ends — resolution arrives as directives at a
-        later barrier.  Idle gaps within the round fast-forward exactly as
-        in a plain run, so a single-shard round sequence reproduces the
-        plain engine's clock bit for bit.
-
-        Returns:
-            The number of scheduling decisions made this round.
-        """
-        shard = self._shard
-        frames = self._frames
-        events = self._events
-        ready = self._ready
-        metrics = self.metrics
-        heappop = heapq.heappop
-        rng_choice = self.rng.choice
-        random_scheduling = self.scheduling == "random"
-        horizon = min(horizon, self.max_ticks)
-        decisions = 0
-        try:
-            while (frames or events) and self._tick < horizon:
-                tick = self._tick
-                while events and events[0][0] <= tick:
-                    due, kind, _, payload = heappop(events)
-                    if kind == _EVENT_RESTART:
-                        spec, attempt, lineage = payload
-                        metrics.restarts += 1
-                        self._start_transaction(spec, attempt=attempt, lineage=lineage)
-                    elif kind == _EVENT_FAULT:
-                        self._inject_fault(due)
-                    else:
-                        metrics.submitted += 1
-                        metrics.arrived += 1
-                        self._admit(payload, arrival_tick=due)
-                if ready:
-                    if random_scheduling:
-                        frame = rng_choice(ready)[1]
-                    else:
-                        index = self._round_robin_cursor % len(ready)
-                        self._round_robin_cursor = index + 1
-                        frame = ready[index][1]
-                    self._tick = tick + 1
-                    decisions += 1
-                    self._advance(frame)
-                    continue
-                if events:
-                    due = events[0][0]
-                    if due >= horizon:
-                        self._tick = horizon
-                        break
-                    self._tick = due
-                    continue
-                if shard.waiters or shard.held or shard.sessions:
-                    # Blocked on the barrier: a directive (remote result,
-                    # global decision) must arrive before progress resumes.
-                    break
-                if not self._force_wake_all():
-                    break
-        finally:
-            metrics.decisions += decisions
-        return decisions
+        """One round: the plain hot loop run to ``horizon``; returns its decisions."""
+        return self._run_until(min(horizon, self.max_ticks))
 
     def apply_shard_directives(self, directives) -> None:
         """Apply one round's coordinator directives, in order.
@@ -1140,10 +1061,6 @@ class SimulationEngine:
                 "the arrival schedule (the last arrival is due at tick "
                 f"{max(event[0] for event in self._events if event[1] == _EVENT_ARRIVAL)})"
             )
-
-    def _next_event_tick(self) -> int | None:
-        """The earliest tick a queued restart or arrival becomes due, if any."""
-        return self._events[0][0] if self._events else None
 
     def _admit(self, spec: TransactionSpec, arrival_tick: int = 0) -> None:
         """A new lineage enters the system (first attempt)."""

@@ -72,14 +72,16 @@ class ScenarioResult:
     worker_pid: int
 
 
-def build_engine(spec: ScenarioSpec) -> SimulationEngine:
-    """Construct the engine for a scenario, with its transactions submitted.
+def build_unsubmitted_engine(spec: ScenarioSpec) -> tuple[SimulationEngine, Any, Any]:
+    """Construct a scenario's workload, scheduler and engine, nothing submitted.
 
-    Args:
-        spec: the scenario to materialise.
+    The one place a :class:`ScenarioSpec` becomes live objects:
+    :func:`build_engine` submits the transactions to the result, a
+    :class:`~repro.shard.engine.ShardWorker` binds it as one shard and
+    submits its home slice.
 
     Returns:
-        A single-use :class:`SimulationEngine` ready for :meth:`run`.
+        ``(engine, workload, transaction_specs)``.
     """
     workload = make_workload(spec.workload, **spec.workload_params)
     object_base, transaction_specs = workload.build()
@@ -91,6 +93,19 @@ def build_engine(spec: ScenarioSpec) -> SimulationEngine:
     if spec.certify == "stream":
         engine_params.setdefault("certify", "stream")
     engine = SimulationEngine(object_base, scheduler, seed=spec.seed, **engine_params)
+    return engine, workload, transaction_specs
+
+
+def build_engine(spec: ScenarioSpec) -> SimulationEngine:
+    """Construct the engine for a scenario, with its transactions submitted.
+
+    Args:
+        spec: the scenario to materialise.
+
+    Returns:
+        A single-use :class:`SimulationEngine` ready for :meth:`run`.
+    """
+    engine, workload, transaction_specs = build_unsubmitted_engine(spec)
     # Streaming workloads (any with an arrival_process hook) enter as an
     # open arrival stream; everything else as the classic closed batch.
     arrival_factory = getattr(workload, "arrival_process", None)

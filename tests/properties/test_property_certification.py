@@ -10,10 +10,7 @@ siblings and non-trivial disjoint ancestors actually occur) and assert:
   implementations (``order_pairs_legacy`` / ``precedes_legacy``);
 * the sweep-based ``serialisation_graph`` / ``sg_local`` / ``sg_mesg``
   reproduce the legacy from-scratch graphs (``check=True`` raises on any
-  divergence);
-* :class:`~repro.core.graphs.IncrementalSG`, fed the steps in commit
-  order, yields the same edges, reasons and cycle verdict as the
-  from-scratch builder (networkx only as a cross-check).
+  divergence), a degenerate history whose ``<`` is cyclic included.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from repro.core import (
     ReadVariable,
     ReadWriteConflictSpec,
     WriteVariable,
-    incremental_serialisation_graph,
     is_acyclic,
     serialisation_graph,
     serialisation_graph_legacy,
@@ -157,27 +153,10 @@ class TestGraphBuilderOracles:
             sg_local(history, object_name, check=True)
             sg_mesg(history, object_name, check=True)
 
-    @settings(max_examples=30, deadline=None)
-    @given(nested_history())
-    def test_incremental_sg_matches_from_scratch(self, history):
-        incremental = incremental_serialisation_graph(history, check=True)
-        reference = serialisation_graph_legacy(history)
-        assert incremental.is_acyclic == is_acyclic(reference)
-
-    @settings(max_examples=20, deadline=None)
-    @given(nested_history())
-    def test_incremental_sg_cycle_verdict_matches_networkx(self, history):
-        incremental = incremental_serialisation_graph(history)
-        assert incremental.is_acyclic == is_acyclic(incremental.graph)
-        if not incremental.is_acyclic:
-            source, target = incremental.cycle_edge
-            assert incremental.graph.has_edge(source, target)
-
-    def test_incremental_sg_handles_cyclic_temporal_order(self):
+    def test_serialisation_graph_handles_cyclic_temporal_order(self):
         # An (illegal) history whose < is cyclic among conflicting local
-        # steps admits no linear extension, so the feed order falls back to
-        # step-id order; both directions of each pair must still be
-        # classified or the cycle-closing edge is silently dropped.
+        # steps: both directions of the pair must be classified or the
+        # cycle-closing edge is silently dropped.
         from repro.core import MethodExecution
         from repro.core.executions import ENVIRONMENT_OBJECT
         from repro.core.operations import LocalStep, MessageStep
@@ -201,6 +180,6 @@ class TestGraphBuilderOracles:
             order_pairs=[(s1.step_id, s2.step_id), (s2.step_id, s1.step_id)],
         )
         reference = serialisation_graph_legacy(history)
-        incremental = incremental_serialisation_graph(history)
-        assert incremental.is_acyclic == is_acyclic(reference) is False
-        assert set(incremental.graph.edges) == set(reference.edges)
+        indexed = serialisation_graph(history, check=True)  # raises on divergence
+        assert is_acyclic(indexed) == is_acyclic(reference) is False
+        assert set(indexed.edges) == set(reference.edges)

@@ -133,6 +133,64 @@ class TestEventLoopBitIdentity:
             SimulationEngine(base, make_scheduler("n2pl"), hot_loop="warp")
 
 
+class TestOneHotLoop:
+    """Plain runs and shard rounds are calls of the same ``_run_until``."""
+
+    @pytest.fixture
+    def loop_calls(self, monkeypatch):
+        from repro.simulation import SimulationEngine
+
+        calls = []
+        run_until = SimulationEngine._run_until
+
+        def counting(engine, horizon):
+            calls.append(horizon)
+            return run_until(engine, horizon)
+
+        monkeypatch.setattr(SimulationEngine, "_run_until", counting)
+        return calls
+
+    def test_plain_run_is_one_call_with_max_ticks(self, loop_calls):
+        engine = contended_engine(
+            make_scheduler("n2pl"), seed=5, scheduling="random", hot_loop="event", stream=True
+        )
+        result = engine.run()
+        assert loop_calls == [engine.max_ticks]
+        assert result.metrics.decisions > 0
+
+    def test_shard_round_is_one_call_per_worker_round(self, loop_calls, monkeypatch):
+        from repro.shard import ShardMap, ShardedEngine
+        from repro.shard.engine import ShardWorker
+        from repro.sweep import ScenarioSpec
+
+        worker_rounds = []
+        worker_round = ShardWorker.round
+
+        def counting_round(worker, directives, horizon):
+            worker_rounds.append(horizon)
+            return worker_round(worker, directives, horizon)
+
+        monkeypatch.setattr(ShardWorker, "round", counting_round)
+        spec = ScenarioSpec(
+            workload="hotspot",
+            scheduler="n2pl",
+            seed=5,
+            workload_params={
+                "transactions": 24,
+                "hot_objects": 2,
+                "hot_probability": 0.25,
+                "use_service_layer": False,
+                "seed": 5,
+            },
+            scheduler_kwargs={"restart_policy": "backoff"},
+            certify=False,
+        )
+        result = ShardedEngine(spec, ShardMap(shards=2), mode="inprocess").run()
+        assert result.metrics.remote_invocations > 0  # rounds did cross-shard work
+        assert len(worker_rounds) == 2 * result.rounds
+        assert loop_calls == worker_rounds
+
+
 #: Every hot record type the rewrite slotted.  A class in this list whose
 #: MRO (below ``object``) re-introduces ``__dict__`` fails the audit.
 SLOTTED_HOT_TYPES = [

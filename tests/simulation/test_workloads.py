@@ -108,6 +108,20 @@ class TestHotspotWorkload:
         registers = {name for spec in specs for name in spec.arguments[0]}
         assert registers <= {"hot-0", "hot-1"}
 
+    def test_near_certain_contention_terminates(self):
+        # hot_probability just below 1 leaves the cold pool reachable on
+        # paper only; generation must settle for the two hot registers
+        # instead of spinning for a third distinct name.
+        workload = HotspotWorkload(
+            transactions=3,
+            hot_probability=0.9999999999999999,
+            hot_objects=2,
+            operations_per_transaction=3,
+            seed=5,
+        )
+        specs = workload.build_transactions()
+        assert all(set(spec.arguments[0]) == {"hot-0", "hot-1"} for spec in specs)
+
     def test_zero_contention_touches_cold_objects_only(self):
         workload = HotspotWorkload(transactions=10, hot_probability=0.0, seed=5)
         specs = workload.build_transactions()
