@@ -14,7 +14,14 @@ instead:
 * Definition 9's type (a)/(b) edges, Theorem 5(a)'s per-object combined
   graphs and Theorem 5(b)'s message relations are all maintained (or, for
   the intra-transaction parts, evaluated once on a small per-transaction
-  ``History``), with per-edge DFS cycle checks;
+  ``History``).  Both graph families live in the precedence-DAG kernel
+  (:class:`~repro.core.dag.PrecedenceDag`): this module is its one
+  *observer* — it keeps the edge that closes a cycle and reports it — so
+  it grows them with ``insert`` and asks ``reaches`` once per new edge
+  until the first hit, prunes with ``remove_nodes`` and marks with
+  ``descendants``.  The only adjacency kept here is the pending-emission
+  worklist of :meth:`_emit_ready`, which is Kahn's in-degree table rather
+  than a precedence graph;
 * legality (Definition 6, condition 3) is checked by replaying each
   object's committed steps in stamp order — but only the *stable prefix*:
   a step is replayed once every live transaction began after it, because
@@ -39,44 +46,17 @@ never rejoin a cycle), so it reports the *retained* edge count.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 import networkx as nx
 
 from ..core.conflicts import PerObjectConflicts
-from ..core.dag import reaches
+from ..core.dag import PrecedenceDag
 from ..core.executions import MethodExecution
 from ..core.operations import LocalStep
 from ..core.state import ObjectState
 from ..core.theorems import natural_execution_key
 from .certify import CertificationReport, cyclic_nodes
-
-
-def _has_cycle(adjacency: Mapping[int, set[int]]) -> bool:
-    """Iterative three-colour DFS over a tiny adjacency mapping."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {node: WHITE for node in adjacency}
-    for root in adjacency:
-        if colour[root] != WHITE:
-            continue
-        stack: list[tuple[int, Iterator[int]]] = [(root, iter(adjacency[root]))]
-        colour[root] = GREY
-        while stack:
-            node, successors = stack[-1]
-            advanced = False
-            for successor in successors:
-                state = colour.get(successor, BLACK)
-                if state == GREY:
-                    return True
-                if state == WHITE:
-                    colour[successor] = GREY
-                    stack.append((successor, iter(adjacency[successor])))
-                    advanced = True
-                    break
-            if not advanced:
-                colour[node] = BLACK
-                stack.pop()
-    return False
 
 
 class _StepEntry:
@@ -124,17 +104,10 @@ class StreamingCertifier:
         # -- live transactions -------------------------------------------------
         self._live_begin: dict[str, int] = {}
         # -- the retained committed window ------------------------------------
-        # SG(h) as plain succ/pred dict-of-sets, not a networkx graph: edge
-        # installation runs tens of thousands of times per thousand commits,
-        # and this form makes the duplicate check and the path search
-        # (:func:`repro.core.dag.reaches`) a handful of dict/set ops.
-        self._succ: dict[str, set[str]] = {}
-        self._pred: dict[str, set[str]] = {}
-        self._edge_count = 0
-        # Theorem 5(a) combined graphs, one succ/pred pair per object.
-        self._object_succ: dict[str, dict[str, set[str]]] = {}
-        self._object_pred: dict[str, dict[str, set[str]]] = {}
-        self._object_edges: dict[str, int] = {}
+        # SG(h) over every retained committed execution, and Theorem 5(a)'s
+        # combined graphs, one per object that has an edge.
+        self._sg = PrecedenceDag()
+        self._object_graphs: dict[str, PrecedenceDag] = {}
         self._steps_by_object: dict[str, list[_StepEntry]] = {}
         # Ancestor chain per execution, nearest parent first, including the
         # execution itself.  Chains are a handful of ids deep, so the same
@@ -145,7 +118,7 @@ class StreamingCertifier:
         self._resolve_stamp: dict[str, int] = {}
         self._txn_executions: dict[str, tuple[str, ...]] = {}
         # -- rolling serial order ---------------------------------------------
-        # Unemitted committed top-levels, same succ/pred dict shape.
+        # Unemitted committed top-levels: Kahn's worklist, not a precedence graph.
         self._top_succ: dict[str, set[str]] = {}
         self._top_pred: dict[str, set[str]] = {}
         self._order: list[str] = []
@@ -213,7 +186,7 @@ class StreamingCertifier:
         executions = list(executions)
         # Register the top-level before installing any edges: edges into
         # this very transaction are discovered during its own
-        # classification below, and :meth:`_sg_add_edge` only mirrors a
+        # classification below, and :meth:`_note_sg_edge` only mirrors a
         # top-top edge into the pending-emission graph when both endpoints
         # are already registered.
         self._resolve_stamp[top_id] = resolve_stamp
@@ -243,8 +216,7 @@ class StreamingCertifier:
                 current = by_id[current].parent_id
             self._chain[execution_id] = tuple(chain)
             self._object_of[execution_id] = execution.object_name
-            self._succ[execution_id] = set()
-            self._pred[execution_id] = set()
+            self._sg.add_node(execution_id)
 
         # Each execution's local steps are consulted by the message-relation
         # buckets below and again when building the window entries; snapshot
@@ -273,6 +245,7 @@ class StreamingCertifier:
         # Theorem 5(b)'s message relation ->_e, both evaluated directly on
         # the subtree.  ``->_e`` orders two messages when programme order
         # does, or when conflicting descendant steps do temporally.
+        sg_insert = self._sg.insert
         for execution in executions:
             messages = execution.message_steps()
             if len(messages) < 2:
@@ -286,13 +259,13 @@ class StreamingCertifier:
                         for step in local_steps_of[descendant_id]:
                             buckets.setdefault(step.object_name, []).append(step)
                 local_buckets[message.step_id] = buckets
-            relation: dict[int, set[int]] = {message.step_id: set() for message in messages}
+            relation: list[tuple[int, int]] = []
             for first_message in messages:
                 for second_message in messages:
                     if first_message.step_id == second_message.step_id:
                         continue
                     if execution.program_precedes(first_message, second_message):
-                        relation[first_message.step_id].add(second_message.step_id)
+                        relation.append((first_message.step_id, second_message.step_id))
                         first_child = children_by_step.get(first_message.step_id)
                         second_child = children_by_step.get(second_message.step_id)
                         if first_child is not None and second_child is not None:
@@ -301,24 +274,18 @@ class StreamingCertifier:
                             # (a series-parallel partial order), so they can
                             # neither close a cycle nor touch the top-level
                             # mirror — install them without the per-edge
-                            # path check :meth:`_sg_add_edge` pays.
-                            succ = self._succ
-                            pred = self._pred
+                            # path check :meth:`_note_sg_edge` pays.
                             for source in descendants_of(first_child):
-                                out = succ[source]
                                 for target in descendants_of(second_child):
-                                    if target not in out:
-                                        out.add(target)
-                                        pred[target].add(source)
-                                        self._edge_count += 1
+                                    sg_insert(source, target)
                         continue
                     if self._messages_conflict_ordered(
                         local_buckets[first_message.step_id],
                         local_buckets[second_message.step_id],
                         intervals,
                     ):
-                        relation[first_message.step_id].add(second_message.step_id)
-            if _has_cycle(relation):
+                        relation.append((first_message.step_id, second_message.step_id))
+            if not PrecedenceDag().add_edges(relation):
                 self._cyclic_executions.add(execution.execution_id)
 
         # Type (a) conflict edges + Theorem 5(a) local/mesg edges: classify
@@ -375,17 +342,10 @@ class StreamingCertifier:
 
     # -- edge installation -----------------------------------------------------
 
-    def _sg_add_edge(self, source: str, target: str) -> None:
-        if source == target:
-            return
-        out = self._succ[source]
-        if target in out:
-            return
-        if not self._cycle_detected and reaches(self._succ, target, source):
+    def _note_sg_edge(self, source: str, target: str) -> None:
+        """Bookkeeping for an SG(h) edge ``insert`` reported as new."""
+        if not self._cycle_detected and self._sg.reaches(target, source):
             self._cycle_detected = True
-        out.add(target)
-        self._pred[target].add(source)
-        self._edge_count += 1
         # "." never appears in a top-level id, so this spots top-top edges.
         if "." not in source and "." not in target:
             top_out = self._top_succ.get(source)
@@ -393,64 +353,16 @@ class StreamingCertifier:
                 top_out.add(target)
                 self._top_pred[target].add(source)
 
-    def _sg_remove_node(self, node: str) -> None:
-        out = self._succ.pop(node, None)
-        if out is not None:
-            self._edge_count -= len(out)
-            for target in out:
-                pred = self._pred.get(target)
-                if pred is not None:
-                    pred.discard(node)
-        incoming = self._pred.pop(node, None)
-        if incoming is not None:
-            self._edge_count -= len(incoming)
-            for source in incoming:
-                successors = self._succ.get(source)
-                if successors is not None:
-                    successors.discard(node)
-
     def _object_add_edge(self, object_name: str, source: str, target: str) -> None:
-        succ = self._object_succ.get(object_name)
-        if succ is None:
-            succ = self._object_succ[object_name] = {}
-            self._object_pred[object_name] = {}
-            self._object_edges[object_name] = 0
-        pred = self._object_pred[object_name]
-        out = succ.get(source)
-        if out is None:
-            out = succ[source] = set()
-            pred[source] = set()
-        elif target in out:
-            return
-        if target not in succ:
-            succ[target] = set()
-            pred[target] = set()
-        if object_name not in self._cyclic_objects and reaches(succ, target, source):
+        graph = self._object_graphs.get(object_name)
+        if graph is None:
+            graph = self._object_graphs[object_name] = PrecedenceDag()
+        if (
+            graph.insert(source, target)
+            and object_name not in self._cyclic_objects
+            and graph.reaches(target, source)
+        ):
             self._cyclic_objects.add(object_name)
-        out.add(target)
-        pred[target].add(source)
-        self._object_edges[object_name] += 1
-
-    def _object_remove_node(self, object_name: str, node: str) -> None:
-        succ = self._object_succ[object_name]
-        pred = self._object_pred[object_name]
-        removed = 0
-        out = succ.pop(node, None)
-        if out is not None:
-            removed += len(out)
-            for target in out:
-                target_pred = pred.get(target)
-                if target_pred is not None:
-                    target_pred.discard(node)
-        incoming = pred.pop(node, None)
-        if incoming is not None:
-            removed += len(incoming)
-            for source in incoming:
-                successors = succ.get(source)
-                if successors is not None:
-                    successors.discard(node)
-        if removed:
-            self._object_edges[object_name] -= removed
 
     def _messages_conflict_ordered(
         self,
@@ -486,15 +398,16 @@ class StreamingCertifier:
         """Install every edge witnessed by the ordered conflicting pair.
 
         Incomparability (neither execution an ancestor of the other) is
-        checked with direct ``_chain`` tuple scans — this method and
-        :meth:`_sg_add_edge` are the streaming hot path.
+        checked with direct ``_chain`` tuple scans — this method is the
+        streaming hot path, so it calls the kernel's ``insert`` directly
+        and does its own bookkeeping only for an edge that is new.
         """
         chain = self._chain
         first_id = first.execution_id
         second_id = second.execution_id
         first_chain = chain[first_id]
         second_chain = chain[second_id]
-        sg_add_edge = self._sg_add_edge
+        sg_insert = self._sg.insert
         # Definition 9, type (a): between every incomparable ancestor pair.
         for source in first_chain:
             source_chain = chain[source]
@@ -503,8 +416,9 @@ class StreamingCertifier:
                     source != target
                     and target not in source_chain
                     and source not in chain[target]
+                    and sg_insert(source, target)
                 ):
-                    sg_add_edge(source, target)
+                    self._note_sg_edge(source, target)
         # Definition 10: a local edge between the issuing executions, mapped
         # up to every incomparable proper-ancestor pair sharing an object.
         if first_id in chain[second_id] or second_id in chain[first_id]:
@@ -630,19 +544,11 @@ class StreamingCertifier:
         if len(frontier) == len(self._resolve_stamp):
             return 0
 
-        marked: set[str] = set()
-        stack = [
-            execution_id
-            for top in frontier
-            for execution_id in self._txn_executions[top]
-        ]
-        graph_succ = self._succ
-        while stack:
-            current = stack.pop()
-            for successor in graph_succ.get(current, ()):
-                if successor not in marked:
-                    marked.add(successor)
-                    stack.append(successor)
+        # Frontier nodes are marked along with what they reach; harmless,
+        # frontier transactions are skipped below before the mark is read.
+        marked = self._sg.descendants(
+            execution_id for top in frontier for execution_id in self._txn_executions[top]
+        )
 
         pruned_txns: set[str] = set()
         pruned = 0
@@ -652,17 +558,16 @@ class StreamingCertifier:
             if any(execution_id in marked for execution_id in self._txn_executions[top]):
                 continue
             pruned_txns.add(top)
-            for execution_id in self._txn_executions[top]:
-                self._sg_remove_node(execution_id)
-                object_name = self._object_of[execution_id]
-                object_succ = self._object_succ.get(object_name)
-                if object_succ is not None and execution_id in object_succ:
-                    self._object_remove_node(object_name, execution_id)
-                del self._chain[execution_id]
-                del self._object_of[execution_id]
-                pruned += 1
             del self._resolve_stamp[top]
-            del self._txn_executions[top]
+            executions = self._txn_executions.pop(top)
+            self._sg.remove_nodes(executions)
+            for execution_id in executions:
+                # An object graph holds executions of that object only.
+                graph = self._object_graphs.get(self._object_of.pop(execution_id))
+                if graph is not None:
+                    graph.remove_nodes((execution_id,))
+                del self._chain[execution_id]
+            pruned += len(executions)
         if pruned_txns:
             for object_name, window in self._steps_by_object.items():
                 self._steps_by_object[object_name] = [
@@ -678,10 +583,8 @@ class StreamingCertifier:
         return (
             sum(len(window) for window in self._steps_by_object.values())
             + sum(len(pending) for pending in self._pending_replay.values())
-            + len(self._succ)
-            + self._edge_count
-            + sum(len(succ) for succ in self._object_succ.values())
-            + sum(self._object_edges.values())
+            + self._sg.size()
+            + sum(graph.size() for graph in self._object_graphs.values())
             + len(self._top_succ)
             + len(self._live_begin)
         )
@@ -704,6 +607,7 @@ class StreamingCertifier:
 
         legal = not self._legality_first
         serialisable = not self._cycle_detected
+        sg_edges = self._sg.edges()
         cycle: tuple[str, ...] | None = None
         serial_order: tuple[str, ...] = ()
         if serialisable:
@@ -712,10 +616,7 @@ class StreamingCertifier:
             # Only here does networkx enter: one graph build for the SCC
             # computation shared with the post-hoc certifier.
             graph = nx.DiGraph()
-            graph.add_nodes_from(self._succ)
-            for source, targets in self._succ.items():
-                for target in targets:
-                    graph.add_edge(source, target)
+            graph.add_edges_from(sg_edges)  # an isolated node is on no cycle
             cycle = cyclic_nodes(graph)
 
         # ``History.check_legal`` raises at the alphabetically first
@@ -746,7 +647,7 @@ class StreamingCertifier:
             committed_executions=self._committed_executions,
             committed_local_steps=self._committed_local_steps,
             sg_nodes=self._committed_executions,
-            sg_edges=self._edge_count,
+            sg_edges=len(sg_edges),
             serial_order=serial_order,
             cycle=cycle,
         )

@@ -13,8 +13,13 @@ last node and edge.  Nothing is copied and nothing is re-checked from
 scratch, so the cost of a step follows what the step can reach, not what
 the graph holds.
 
-The streaming certifier, an observer that *keeps* cyclic graphs for
-reporting, does not use the class; it shares the traversal (:func:`reaches`).
+An *observer* keeps the same graphs for a different question.  The
+streaming certifier reports a cycle rather than refusing it, so it grows
+its graphs through :meth:`PrecedenceDag.insert`, which keeps every edge,
+and asks :meth:`~PrecedenceDag.reaches` itself, once per new edge until the
+first hit.  Acyclicity is therefore a property of :meth:`~PrecedenceDag.add_edges`,
+not of the class: a graph fed only through it is always acyclic, and no
+decision-path user calls anything else to grow one.
 
 Adjacency is kept as insertion-ordered ``dict`` keys rather than ``set``
 members.  Set order over strings follows the per-process hash seed, and
@@ -68,7 +73,7 @@ def reaches(succ: Mapping[Hashable, Collection[Hashable]], source: Hashable, tar
 
 
 class PrecedenceDag:
-    """A directed graph that stays acyclic by refusing the edges that would not.
+    """A directed graph that stays acyclic while it grows through :meth:`add_edges`.
 
     Work counters (plain ints, deterministic functions of the calls made):
     ``edge_inserts`` — edges actually inserted, rolled-back ones included;
@@ -138,6 +143,30 @@ class PrecedenceDag:
         self.edge_inserts += len(added_edges)
         return True
 
+    def insert(self, source: Hashable, target: Hashable) -> bool:
+        """Insert one edge whatever it closes; return whether it is new.
+
+        The observer's way in: missing endpoints are created and a
+        cycle-closing edge is kept like any other, so a caller that wants
+        to know asks ``dag.insert(s, t) and dag.reaches(t, s)`` — inserting
+        ``s -> t`` first cannot create a ``t -> ... -> s`` path.
+        """
+        succ = self._succ
+        out = succ.get(source)
+        if out is None:
+            out = succ[source] = {}
+            self._pred[source] = {}
+        elif target in out:
+            return False
+        if target not in succ:
+            succ[target] = {}
+            self._pred[target] = {}
+        out[target] = None
+        self._pred[target][source] = None
+        self._edges += 1
+        self.edge_inserts += 1
+        return True
+
     def _roll_back(self, added_edges: list[Edge], added_nodes: list[Hashable]) -> None:
         for source, target in added_edges:
             del self._succ[source][target]
@@ -194,6 +223,9 @@ class PrecedenceDag:
             if out is None:
                 continue
             incoming = pred.pop(node)
+            if node in out:  # a self-loop, which only insert() can leave behind
+                del out[node], incoming[node]
+                self._edges -= 1
             self._edges -= len(out) + len(incoming)
             for target in out:
                 del pred[target][node]

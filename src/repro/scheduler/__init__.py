@@ -10,6 +10,7 @@ name, which the benchmark harness uses for its parameter sweeps.
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Callable
 
 from ..core.registry import resolve_component
@@ -54,79 +55,49 @@ from .restart import (
 from .single_active import SingleActiveObjectScheduler
 from .timestamps import HierarchicalTimestamp, TimestampAuthority
 
-# Every factory declares its accepted keywords explicitly: a misspelt or
-# unsupported keyword raises TypeError here instead of being silently
-# ignored, and the sweep layer (repro.sweep) validates spec kwargs against
-# these signatures eagerly — before any worker process is spawned.
+
+def _preset(cls: type[Scheduler], **fixed: Any) -> Callable[..., Scheduler]:
+    """``cls`` with some keywords fixed: the result no longer accepts them.
+
+    ``functools.partial`` would let a caller override a fixed keyword; here
+    passing one is a ``TypeError`` (a second value for the keyword), and
+    ``inspect.signature`` does not list it.
+    """
+
+    def factory(**kwargs: Any) -> Scheduler:
+        return cls(**fixed, **kwargs)
+
+    signature = inspect.signature(cls)
+    factory.__signature__ = signature.replace(
+        parameters=[p for p in signature.parameters.values() if p.name not in fixed]
+    )
+    return factory
+
+
+# The keywords a name accepts, and their defaults, are the signature of the
+# class it maps to — nothing is re-declared here.  A misspelt or unsupported
+# keyword raises TypeError, and the sweep layer (repro.sweep) binds spec
+# kwargs against ``inspect.signature`` of these entries eagerly — before any
+# worker process is spawned.
 #
-# Two cross-cutting axes appear on (nearly) every factory since PR 4:
+# Two cross-cutting axes appear on (nearly) every scheduler since PR 4:
 # ``restart_policy`` (immediate / backoff / ordered — how aborted
 # transactions are resubmitted, see repro.scheduler.restart) on all of
 # them, and ``gate_mode`` (cascade / aca — how the CommitGate resolves
 # dirty reads) on the non-strict schedulers that run a CommitGate.
 SCHEDULER_FACTORIES: dict[str, Callable[..., Scheduler]] = {
-    "pass-through": lambda restart_policy=IMMEDIATE_RESTART: Scheduler(
-        restart_policy=restart_policy
+    "pass-through": Scheduler,
+    "n2pl": NestedTwoPhaseLocking,
+    "n2pl-step": _preset(NestedTwoPhaseLocking, level=STEP_LEVEL),
+    "nto": NestedTimestampOrdering,
+    "nto-step": _preset(NestedTimestampOrdering, level=STEP_LEVEL),
+    "single-active": SingleActiveObjectScheduler,
+    "certifier": OptimisticCertifier,
+    "modular": ModularScheduler,
+    "modular-intra-only": _preset(
+        ModularScheduler, inter_object_checks=False, gate_mode=CASCADE_MODE
     ),
-    "n2pl": lambda level=OPERATION_LEVEL, restart_policy=IMMEDIATE_RESTART: (
-        NestedTwoPhaseLocking(level=level, restart_policy=restart_policy)
-    ),
-    "n2pl-step": lambda restart_policy=IMMEDIATE_RESTART: NestedTwoPhaseLocking(
-        level=STEP_LEVEL, restart_policy=restart_policy
-    ),
-    "nto": lambda level=OPERATION_LEVEL, restart_policy=IMMEDIATE_RESTART,
-    gate_mode=CASCADE_MODE: NestedTimestampOrdering(
-        level=level, restart_policy=restart_policy, gate_mode=gate_mode
-    ),
-    "nto-step": lambda restart_policy=IMMEDIATE_RESTART, gate_mode=CASCADE_MODE: (
-        NestedTimestampOrdering(
-            level=STEP_LEVEL, restart_policy=restart_policy, gate_mode=gate_mode
-        )
-    ),
-    "single-active": lambda restart_policy=IMMEDIATE_RESTART: SingleActiveObjectScheduler(
-        restart_policy=restart_policy
-    ),
-    "certifier": lambda level=STEP_LEVEL, check=False, restart_policy=IMMEDIATE_RESTART,
-    gate_mode=CASCADE_MODE: OptimisticCertifier(
-        level=level, check=check, restart_policy=restart_policy, gate_mode=gate_mode
-    ),
-    "modular": lambda default_strategy="locking", per_object_strategy=None,
-    inter_object_checks=True, level=STEP_LEVEL, restart_policy=IMMEDIATE_RESTART,
-    gate_mode=CASCADE_MODE: ModularScheduler(
-        default_strategy=default_strategy,
-        per_object_strategy=per_object_strategy,
-        inter_object_checks=inter_object_checks,
-        level=level,
-        restart_policy=restart_policy,
-        gate_mode=gate_mode,
-    ),
-    "modular-intra-only": lambda default_strategy="locking", per_object_strategy=None,
-    level=STEP_LEVEL, restart_policy=IMMEDIATE_RESTART: ModularScheduler(
-        default_strategy=default_strategy,
-        per_object_strategy=per_object_strategy,
-        inter_object_checks=False,
-        level=level,
-        restart_policy=restart_policy,
-    ),
-    "adaptive": lambda ladder=DEFAULT_LADDER, window=128, promote_threshold=4,
-    demote_threshold=0, hysteresis=2, drain_limit=4, drain_patience=8,
-    per_object_strategy=None, inter_object_checks=True, level=STEP_LEVEL,
-    restart_policy=IMMEDIATE_RESTART, gate_mode=CASCADE_MODE: (
-        AdaptiveModularScheduler(
-            ladder=ladder,
-            window=window,
-            promote_threshold=promote_threshold,
-            demote_threshold=demote_threshold,
-            hysteresis=hysteresis,
-            drain_limit=drain_limit,
-            drain_patience=drain_patience,
-            per_object_strategy=per_object_strategy,
-            inter_object_checks=inter_object_checks,
-            level=level,
-            restart_policy=restart_policy,
-            gate_mode=gate_mode,
-        )
-    ),
+    "adaptive": AdaptiveModularScheduler,
 }
 
 

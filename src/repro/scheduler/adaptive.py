@@ -145,6 +145,13 @@ class AdaptiveModularScheduler(ModularScheduler):
             raise ValueError(f"drain limit must be >= 1, got {drain_limit}")
         if drain_patience < 1:
             raise ValueError(f"drain patience must be >= 1, got {drain_patience}")
+        self.ladder = ladder
+        self.window = window
+        self.promote_threshold = promote_threshold
+        self.demote_threshold = demote_threshold
+        self.hysteresis = hysteresis
+        self.drain_limit = drain_limit
+        self.drain_patience = drain_patience
         super().__init__(
             default_strategy=ladder[0],
             per_object_strategy=per_object_strategy,
@@ -153,18 +160,11 @@ class AdaptiveModularScheduler(ModularScheduler):
             restart_policy=restart_policy,
             gate_mode=gate_mode,
         )
-        self.ladder = ladder
-        self.window = window
-        self.promote_threshold = promote_threshold
-        self.demote_threshold = demote_threshold
-        self.hysteresis = hysteresis
-        self.drain_limit = drain_limit
-        self.drain_patience = drain_patience
-        self._reset_adaptive_state()
 
     # -- wiring ---------------------------------------------------------------
 
-    def _reset_adaptive_state(self) -> None:
+    def _reset(self) -> None:
+        super()._reset()
         self._rungs: dict[str, int] = {}
         self._desired: dict[str, int] = {}
         self._desired_age: dict[str, int] = defaultdict(int)
@@ -182,7 +182,6 @@ class AdaptiveModularScheduler(ModularScheduler):
 
     def attach(self, object_base) -> None:
         super().attach(object_base)
-        self._reset_adaptive_state()
         registry = self.conflicts_for(self.level)
         step_level = self.level == STEP_LEVEL
         for object_name in self._synchronisers:

@@ -70,10 +70,6 @@ class ExecutionInfo:
     def is_top_level(self) -> bool:
         return self.parent_id is None
 
-    def is_ancestor_or_self(self, other_execution_id: str) -> bool:
-        """True when ``other_execution_id`` is this execution or an ancestor of it."""
-        return other_execution_id == self.execution_id or other_execution_id in self.ancestor_ids
-
 
 def disjoint_ancestors(first: ExecutionInfo, second: ExecutionInfo) -> tuple[str, str] | None:
     """The children of the least common ancestor on each side, or top-levels.
@@ -193,6 +189,15 @@ class Scheduler:
     storms).  The policy is configuration the scheduler transports; the
     engine drives it.
 
+    Three facts are each written once.  The keywords a scheduler accepts
+    are its class signature (the registry in :mod:`repro.scheduler` maps
+    names to classes).  Its conflict granularity is :attr:`level`: a
+    subclass that takes a ``level`` keyword assigns it, with the rest of
+    its configuration, *before* calling ``super().__init__``, which
+    validates it.  Its fresh per-run state is :meth:`_reset`, which both
+    construction and :meth:`attach` end in — so a scheduler attached to a
+    second object base starts exactly like a new one.
+
     Args:
         restart_policy: a policy name, a ``{"name": ..., **kwargs}``
             mapping, or a :class:`~repro.scheduler.restart.RestartPolicy`
@@ -200,15 +205,19 @@ class Scheduler:
     """
 
     name = "pass-through"
+    #: Conflict granularity, ``"operation"`` or ``"step"``.
+    level = STEP_LEVEL
 
     def __init__(
         self, restart_policy: "str | Mapping[str, Any] | RestartPolicy" = IMMEDIATE_RESTART
     ) -> None:
+        if self.level not in (OPERATION_LEVEL, STEP_LEVEL):
+            raise ValueError(f"unknown conflict level {self.level!r}")
         self.object_base: ObjectBase | None = None
         self.operation_conflicts: PerObjectConflicts = PerObjectConflicts()
         self.step_conflicts: PerObjectConflicts = PerObjectConflicts()
-        self._pending_wakeups: set[str] = set()
         self.restart_policy: RestartPolicy = make_restart_policy(restart_policy)
+        self._reset()
 
     # -- wiring ---------------------------------------------------------------
 
@@ -217,7 +226,15 @@ class Scheduler:
         self.object_base = object_base
         self.operation_conflicts = object_base.conflicts(OPERATION_LEVEL)
         self.step_conflicts = object_base.conflicts(STEP_LEVEL)
-        self._pending_wakeups = set()
+        self._reset()
+
+    def _reset(self) -> None:
+        """Create the per-run state — the one place a class lists it.
+
+        Overrides call ``super()._reset()`` first and may read the
+        configuration and the conflict registries, nothing else.
+        """
+        self._pending_wakeups: set[str] = set()
 
     def conflicts_for(self, level: str) -> PerObjectConflicts:
         """The per-object conflict registry at ``"operation"`` or ``"step"`` level."""

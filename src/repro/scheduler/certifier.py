@@ -67,9 +67,7 @@ from ..core.dag import PrecedenceDag
 from ..core.errors import VerificationError
 from ..core.operations import LocalStep
 from ..core.values import freeze
-from ..objectbase.base import ObjectBase
 from .base import (
-    OPERATION_LEVEL,
     STEP_LEVEL,
     ExecutionInfo,
     OperationRequest,
@@ -125,12 +123,13 @@ class OptimisticCertifier(Scheduler):
         restart_policy: Any = "immediate",
         gate_mode: str = CASCADE_MODE,
     ):
-        super().__init__(restart_policy=restart_policy)
-        if level not in (OPERATION_LEVEL, STEP_LEVEL):
-            raise ValueError(f"unknown conflict level {level!r}")
         self.level = level
         self.check = check
         self.gate_mode = gate_mode
+        super().__init__(restart_policy=restart_policy)
+
+    def _reset(self) -> None:
+        super()._reset()
         self._sequence = itertools.count(1)
         self._steps_by_object: dict[str, list[_ExecutedStep]] = defaultdict(list)
         self._committed: set[str] = set()
@@ -151,41 +150,12 @@ class OptimisticCertifier(Scheduler):
         # check=True so the legacy oracle comparison can exclude edges the
         # re-enumeration can no longer see (an unbounded id set is fine in
         # a testing mode).
-        self._pruned_committed: set[str] | None = set() if check else None
+        self._pruned_committed: set[str] | None = set() if self.check else None
         self.validation_aborts = 0
         self.classified_pairs = 0
         self.commit_conflict_calls = 0
         self.gc_pruned_records = 0
-        self.gate = self._make_gate()
-
-    def _make_gate(self) -> CommitGate:
-        registry = self.conflicts_for(self.level)
-        return CommitGate(
-            lambda name: registry[name],
-            step_level=self.level == STEP_LEVEL,
-            mode=self.gate_mode,
-        )
-
-    def attach(self, object_base: ObjectBase) -> None:
-        super().attach(object_base)
-        self._sequence = itertools.count(1)
-        self._steps_by_object = defaultdict(list)
-        self._committed = set()
-        self._committed_graph = PrecedenceDag()
-        self._nodes_by_transaction = defaultdict(set)
-        self._pending_edges = defaultdict(set)
-        self._touched_objects = defaultdict(set)
-        self._live_transactions = set()
-        self._begin_seq = {}
-        self._resolve_seq = {}
-        self._committed_nodes = {}
-        self._committed_touched = {}
-        self._pruned_committed = set() if self.check else None
-        self.validation_aborts = 0
-        self.classified_pairs = 0
-        self.commit_conflict_calls = 0
-        self.gc_pruned_records = 0
-        self.gate = self._make_gate()
+        self.gate = CommitGate.for_scheduler(self)
 
     def on_transaction_begin(self, info: ExecutionInfo) -> None:
         transaction_id = info.top_level_id

@@ -15,10 +15,6 @@ could not express.
 A cycle (including the degenerate self-loop produced when two sibling
 executions of the same transaction block each other) means no further
 progress is possible and a victim must be aborted.
-
-The legacy ``set_waits``/``clear_waits`` interface is kept as a thin layer
-over the table (one record keyed by the waiter itself) for callers that
-track at most one wait per transaction.
 """
 
 from __future__ import annotations
@@ -90,27 +86,6 @@ class WaitsForGraph:
                 out[holder] = count
         if not out:
             del self._out[waiter]
-
-    def parked_keys(self, waiter: str) -> set[str]:
-        """The record keys currently parked on behalf of ``waiter``."""
-        return set(self._keys_by_waiter.get(waiter, ()))
-
-    # -- legacy single-record interface ------------------------------------------
-
-    def set_waits(self, waiter: str, holders: set[str]) -> None:
-        """Replace the single record keyed by ``waiter`` with the holder set.
-
-        Self-loops are kept: a transaction whose sibling executions wait on
-        one another is just as stuck as a cross-transaction cycle.
-        """
-        if holders:
-            self.park(waiter, waiter, holders)
-        else:
-            self.unpark(waiter)
-
-    def clear_waits(self, waiter: str) -> None:
-        """Remove the record keyed by ``waiter``."""
-        self.unpark(waiter)
 
     # -- transaction life cycle ---------------------------------------------------
 

@@ -41,7 +41,6 @@ from ..core.operations import LocalStep
 from ..core.registry import resolve_component
 from ..objectbase.base import ObjectBase
 from .base import (
-    OPERATION_LEVEL,
     STEP_LEVEL,
     ExecutionInfo,
     OperationRequest,
@@ -584,9 +583,6 @@ class ModularScheduler(Scheduler):
         restart_policy: Any = "immediate",
         gate_mode: str = CASCADE_MODE,
     ):
-        super().__init__(restart_policy=restart_policy)
-        if level not in (OPERATION_LEVEL, STEP_LEVEL):
-            raise ValueError(f"unknown conflict level {level!r}")
         self.level = level
         self.gate_mode = gate_mode
         self.default_strategy = default_strategy
@@ -595,38 +591,34 @@ class ModularScheduler(Scheduler):
         for strategy_spec in self.per_object_strategy.values():
             validate_intra_strategy_spec(strategy_spec)
         self.inter_object_checks = inter_object_checks
+        super().__init__(restart_policy=restart_policy)
+
+    # -- wiring ---------------------------------------------------------------
+
+    def _reset(self) -> None:
+        super()._reset()
+        # Empty until :meth:`attach` derives them from the object base.
         self._synchronisers: dict[str, IntraObjectSynchroniser] = {}
         self._commit_checkers: list[IntraObjectSynchroniser] = []
+        self._coordinator: InterObjectCoordinator | None = None
         # top-level id -> objects whose synchroniser saw a request from it
         # (insertion-ordered), so resolution notifies only those.
         self._objects_of: dict[str, dict[str, None]] = {}
-        self._coordinator: InterObjectCoordinator | None = None
         self.waits = WaitsForGraph()
         self.authority = TimestampAuthority()
-        self.gate = self._make_gate()
-        self.deadlocks_detected = 0
-        self.blocked_requests = 0
-        self.gc_pruned_records = 0
-
-    def _make_gate(self) -> CommitGate:
         # Intra-object synchronisers are free to execute against uncommitted
         # state (timestamp ordering does); the gate keeps committed histories
         # recoverable regardless of the per-object strategy mix.  It belongs
         # to the *inter-object* half of the split, so the intra-only
         # configuration — the paper's deliberately insufficient baseline —
         # runs without it.
-        registry = self.conflicts_for(self.level)
-        return CommitGate(
-            lambda name: registry[name],
-            step_level=self.level == STEP_LEVEL,
-            mode=self.gate_mode,
-        )
-
-    # -- wiring ---------------------------------------------------------------
+        self.gate = CommitGate.for_scheduler(self)
+        self.deadlocks_detected = 0
+        self.blocked_requests = 0
+        self.gc_pruned_records = 0
 
     def attach(self, object_base: ObjectBase) -> None:
         super().attach(object_base)
-        self._synchronisers = {}
         registry = self.conflicts_for(self.level)
         step_level = self.level == STEP_LEVEL
         for object_name in object_base.object_names(include_environment=True):
@@ -640,14 +632,7 @@ class ModularScheduler(Scheduler):
                 strategy_spec, object_name, registry[object_name], step_level
             )
         self._refresh_commit_checkers()
-        self._objects_of = {}
         self._coordinator = InterObjectCoordinator(lambda name: registry[name], step_level)
-        self.waits = WaitsForGraph()
-        self.authority = TimestampAuthority()
-        self.gate = self._make_gate()
-        self.deadlocks_detected = 0
-        self.blocked_requests = 0
-        self.gc_pruned_records = 0
 
     def _refresh_commit_checkers(self) -> None:
         # Only synchronisers that override the default (always-grant)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..objectbase.base import ObjectBase
 from .base import (
     OPERATION_LEVEL,
     STEP_LEVEL,
@@ -46,27 +45,17 @@ class NestedTwoPhaseLocking(Scheduler):
     name = "n2pl"
 
     def __init__(self, level: str = OPERATION_LEVEL, restart_policy: Any = "immediate"):
-        super().__init__(restart_policy=restart_policy)
-        if level not in (OPERATION_LEVEL, STEP_LEVEL):
-            raise ValueError(f"unknown conflict level {level!r}")
         self.level = level
-        self.locks: LockManager | None = None
-        self.waits = WaitsForGraph()
-        self._top_level_of: dict[str, str] = {}
-        self._executions_of: dict[str, set[str]] = {}
-        self.deadlocks_detected = 0
-        self.blocked_requests = 0
+        super().__init__(restart_policy=restart_policy)
 
-    # -- wiring ---------------------------------------------------------------
-
-    def attach(self, object_base: ObjectBase) -> None:
-        super().attach(object_base)
+    def _reset(self) -> None:
+        super()._reset()
         self.locks = LockManager(
             self.conflicts_for(self.level), step_level=self.level == STEP_LEVEL
         )
         self.waits = WaitsForGraph()
-        self._top_level_of = {}
-        self._executions_of = {}
+        self._top_level_of: dict[str, str] = {}
+        self._executions_of: dict[str, set[str]] = {}
         self.deadlocks_detected = 0
         self.blocked_requests = 0
 
@@ -81,7 +70,6 @@ class NestedTwoPhaseLocking(Scheduler):
         self._executions_of.setdefault(child.top_level_id, set()).add(child.execution_id)
 
     def on_operation(self, request: OperationRequest) -> SchedulerResponse:
-        assert self.locks is not None, "scheduler not attached"
         item = (
             request.operation if self.level == OPERATION_LEVEL else request.provisional_step
         )
@@ -129,7 +117,6 @@ class NestedTwoPhaseLocking(Scheduler):
         )
 
     def on_execution_complete(self, info: ExecutionInfo) -> None:
-        assert self.locks is not None
         if info.parent_id is not None:
             # Rule 5: the parent immediately acquires the released locks.
             freed = self.locks.transfer(info.execution_id, info.parent_id)
@@ -142,13 +129,11 @@ class NestedTwoPhaseLocking(Scheduler):
         # The engine itself wakes every frame parked on an ending
         # transaction (or any of its executions), so the release needs no
         # wake-up note; only rule-5 transfers do.
-        assert self.locks is not None
         self.locks.release_all(info.execution_id)
         self.waits.remove_transaction(info.top_level_id)
         self._forget_top_level(info.top_level_id)
 
     def on_transaction_abort(self, info: ExecutionInfo, subtree: tuple[str, ...]) -> None:
-        assert self.locks is not None
         self.locks.release_all_of(subtree)
         self.locks.release_all(info.execution_id)
         self.waits.remove_transaction(info.top_level_id)
@@ -174,8 +159,7 @@ class NestedTwoPhaseLocking(Scheduler):
         so no :meth:`collect_garbage` pass is needed — the size is
         O(live) by construction.
         """
-        lock_count = self.locks.lock_count() if self.locks is not None else 0
-        return lock_count + len(self._top_level_of)
+        return self.locks.lock_count() + len(self._top_level_of)
 
     # -- descriptive ------------------------------------------------------------
 

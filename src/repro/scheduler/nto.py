@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core.operations import LocalOperation, LocalStep
-from ..objectbase.base import ObjectBase
 from .base import (
     OPERATION_LEVEL,
     STEP_LEVEL,
@@ -79,11 +78,12 @@ class NestedTimestampOrdering(Scheduler):
         restart_policy: Any = "immediate",
         gate_mode: str = CASCADE_MODE,
     ):
-        super().__init__(restart_policy=restart_policy)
-        if level not in (OPERATION_LEVEL, STEP_LEVEL):
-            raise ValueError(f"unknown conflict level {level!r}")
         self.level = level
         self.gate_mode = gate_mode
+        super().__init__(restart_policy=restart_policy)
+
+    def _reset(self) -> None:
+        super()._reset()
         self.authority = TimestampAuthority()
         self._records: dict[str, list[_StepRecord]] = defaultdict(list)
         # First timestamp component per live top-level execution (the
@@ -94,27 +94,7 @@ class NestedTimestampOrdering(Scheduler):
         self._members: dict[str, set[str]] = {}
         self.timestamp_aborts = 0
         self.gc_pruned_records = 0
-        self.gate = self._make_gate()
-
-    def _make_gate(self) -> CommitGate:
-        registry = self.conflicts_for(self.level)
-        return CommitGate(
-            lambda name: registry[name],
-            step_level=self.level == STEP_LEVEL,
-            mode=self.gate_mode,
-        )
-
-    # -- wiring ---------------------------------------------------------------
-
-    def attach(self, object_base: ObjectBase) -> None:
-        super().attach(object_base)
-        self.authority = TimestampAuthority()
-        self._records = defaultdict(list)
-        self._live_first = {}
-        self._members = {}
-        self.timestamp_aborts = 0
-        self.gc_pruned_records = 0
-        self.gate = self._make_gate()
+        self.gate = CommitGate.for_scheduler(self)
 
     # -- lifecycle --------------------------------------------------------------
 

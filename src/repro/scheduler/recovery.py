@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..core.operations import LocalOperation, LocalStep
-from .base import ExecutionInfo, SchedulerResponse
+from .base import STEP_LEVEL, ExecutionInfo, Scheduler, SchedulerResponse
 from .deadlock import WaitsForGraph
 
 #: Commit-time cascading (the default, legacy behaviour).
@@ -122,6 +122,16 @@ class CommitGate:
         self.cascading_aborts = 0
         self.commit_waits = 0
         self.blocked_reads = 0
+
+    @classmethod
+    def for_scheduler(cls, scheduler: Scheduler) -> "CommitGate":
+        """A fresh gate at ``scheduler``'s conflict level and ``gate_mode``."""
+        registry = scheduler.conflicts_for(scheduler.level)
+        return cls(
+            lambda name: registry[name],
+            step_level=scheduler.level == STEP_LEVEL,
+            mode=scheduler.gate_mode,
+        )
 
     # -- life cycle ----------------------------------------------------------
 

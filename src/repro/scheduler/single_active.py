@@ -32,7 +32,6 @@ from typing import Any
 
 from ..core.dag import reaches
 from ..core.operations import LocalStep
-from ..objectbase.base import ObjectBase
 from .base import (
     ExecutionInfo,
     OperationRequest,
@@ -108,8 +107,8 @@ class SingleActiveObjectScheduler(Scheduler):
 
     name = "single-active-object"
 
-    def __init__(self, restart_policy: Any = "immediate") -> None:
-        super().__init__(restart_policy=restart_policy)
+    def _reset(self) -> None:
+        super()._reset()
         # object name -> {transaction id -> mode}
         self._object_locks: dict[str, dict[str, str]] = defaultdict(dict)
         self.waits = WaitsForGraph()
@@ -120,15 +119,6 @@ class SingleActiveObjectScheduler(Scheduler):
 
     def _sibling_conflicts(self, object_name: str):
         return self.step_conflicts[object_name]
-
-    def attach(self, object_base: ObjectBase) -> None:
-        super().attach(object_base)
-        self._object_locks = defaultdict(dict)
-        self.waits = WaitsForGraph()
-        self.sibling_order = IntraTransactionOrdering(self._sibling_conflicts)
-        self.deadlocks_detected = 0
-        self.blocked_requests = 0
-        self.sibling_ordering_aborts = 0
 
     # -- helpers ---------------------------------------------------------------
 

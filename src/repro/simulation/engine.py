@@ -83,7 +83,7 @@ from ..core.history import HistoryBuilder
 from ..core.operations import LocalOperation, LocalStep
 from ..core.state import ObjectState, UndoLog
 from ..objectbase.base import ObjectBase
-from ..scheduler.base import ExecutionInfo, OperationRequest, Scheduler, SchedulerResponse
+from ..scheduler.base import STEP_LEVEL, ExecutionInfo, OperationRequest, Scheduler
 from ..scheduler.restart import ImmediateRestart, RestartPolicy
 from .arrivals import ArrivalProcess, make_arrival_process
 from .events import (
@@ -266,9 +266,6 @@ class SimulationEngine:
             the tail of the stream — raise the cap to fit the schedule.
         record_trace: record a :class:`~repro.simulation.events.Trace` of
             every event (costs memory; off by default).
-        conflict_level_for_history: granularity of the conflict relation
-            stored on the recorded history (``"step"`` or
-            ``"operation"``).
         hot_loop: frame-choice strategy — ``"event"`` (the default: O(1)
             choice from the maintained ready list) or ``"scan"`` (the
             legacy per-tick scan over the frame table, kept as the
@@ -303,7 +300,6 @@ class SimulationEngine:
         starvation_limit: int = 2000,
         max_ticks: int = 2_000_000,
         record_trace: bool = False,
-        conflict_level_for_history: str = "step",
         undo: str = INCREMENTAL_UNDO,
         check_undo: bool = False,
         gc_interval: int = 64,
@@ -341,7 +337,7 @@ class SimulationEngine:
 
         self._builder = HistoryBuilder(
             initial_states=object_base.initial_states(),
-            conflicts=object_base.conflicts(conflict_level_for_history),
+            conflicts=object_base.conflicts(STEP_LEVEL),
         )
         self.certify = certify
         self._certifier = None

@@ -58,9 +58,6 @@ class Trace:
     def of_kind(self, kind: str) -> list[TraceEvent]:
         return [event for event in self.events if event.kind == kind]
 
-    def for_execution(self, execution_id: str) -> list[TraceEvent]:
-        return [event for event in self.events if event.execution_id == execution_id]
-
     def __len__(self) -> int:
         return len(self.events)
 

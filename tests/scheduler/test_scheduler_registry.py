@@ -1,0 +1,126 @@
+"""The scheduler registry is a table of classes, and a scheduler can be re-attached.
+
+Two facts are written once in ``repro.scheduler`` and pinned here from the
+outside: the keywords a registry name accepts are the signature of the class
+it maps to (minus what a preset fixes), and a scheduler's per-run state is
+whatever ``_reset`` creates — so attaching a used instance to a second engine
+must behave exactly like a new instance.
+"""
+
+from __future__ import annotations
+
+import inspect
+
+import pytest
+
+from repro.scheduler import SCHEDULER_FACTORIES, make_scheduler
+from repro.simulation import SimulationEngine, make_workload
+from repro.sweep import ScenarioSpec
+from repro.sweep.spec import SweepSpecError
+
+_MODULAR = {
+    "default_strategy": "locking",
+    "per_object_strategy": None,
+    "inter_object_checks": True,
+    "level": "step",
+    "restart_policy": "immediate",
+    "gate_mode": "cascade",
+}
+
+#: name -> {keyword: default}, in signature order, as recorded from the
+#: hand-written factories this table replaced.
+RECORDED_SIGNATURES = {
+    "pass-through": {"restart_policy": "immediate"},
+    "n2pl": {"level": "operation", "restart_policy": "immediate"},
+    "n2pl-step": {"restart_policy": "immediate"},
+    "nto": {"level": "operation", "restart_policy": "immediate", "gate_mode": "cascade"},
+    "nto-step": {"restart_policy": "immediate", "gate_mode": "cascade"},
+    "single-active": {"restart_policy": "immediate"},
+    "certifier": {
+        "level": "step",
+        "check": False,
+        "restart_policy": "immediate",
+        "gate_mode": "cascade",
+    },
+    "modular": _MODULAR,
+    "modular-intra-only": {
+        key: value
+        for key, value in _MODULAR.items()
+        if key not in ("inter_object_checks", "gate_mode")
+    },
+    "adaptive": {
+        "ladder": ("certifier", "timestamp", "locking"),
+        "window": 128,
+        "promote_threshold": 4,
+        "demote_threshold": 0,
+        "hysteresis": 2,
+        "drain_limit": 4,
+        "drain_patience": 8,
+        **{key: value for key, value in _MODULAR.items() if key != "default_strategy"},
+    },
+}
+
+FIXED_KEYWORDS = [
+    ("n2pl-step", "level", "operation"),
+    ("nto-step", "level", "operation"),
+    ("modular-intra-only", "inter_object_checks", True),
+    ("modular-intra-only", "gate_mode", "aca"),
+]
+
+
+def test_every_registry_name_is_recorded():
+    assert set(SCHEDULER_FACTORIES) == set(RECORDED_SIGNATURES)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_SIGNATURES))
+def test_signature_is_the_recorded_one(name):
+    parameters = inspect.signature(SCHEDULER_FACTORIES[name]).parameters
+    assert [(p.name, p.default) for p in parameters.values()] == list(
+        RECORDED_SIGNATURES[name].items()
+    )
+
+
+@pytest.mark.parametrize("name, keyword, value", FIXED_KEYWORDS)
+def test_fixed_keyword_is_rejected(name, keyword, value):
+    with pytest.raises(TypeError, match=keyword):
+        make_scheduler(name, **{keyword: value})
+    with pytest.raises(SweepSpecError, match=keyword):
+        ScenarioSpec(workload="hotspot", scheduler=name, scheduler_kwargs={keyword: value})
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_SIGNATURES))
+def test_unknown_keyword_names_the_scheduler_class(name):
+    with pytest.raises(TypeError) as caught:
+        make_scheduler(name, no_such_keyword=1)
+    message = str(caught.value)
+    assert "no_such_keyword" in message
+    # ... by the class whose ``__init__`` it is (single-active inherits the base's).
+    assert any(
+        f"{cls.__name__}.__init__()" in message for cls in type(make_scheduler(name)).__mro__
+    )
+    assert "lambda" not in message
+
+
+def _run(scheduler, workload_seed):
+    # A fresh object base per run, contended enough that every scheduler
+    # blocks, aborts or restarts something.
+    base, specs = make_workload(
+        "hotspot", transactions=14, hot_objects=2, hot_probability=0.8, seed=workload_seed
+    ).build()
+    engine = SimulationEngine(base, scheduler, seed=5)
+    engine.submit_all(specs)
+    result = engine.run()
+    return result.metrics.as_dict(), result.scheduler_description
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_SIGNATURES))
+def test_reattached_scheduler_starts_like_a_new_one(name):
+    kwargs = {"restart_policy": "backoff"}
+    if name == "adaptive":
+        kwargs.update(window=8, promote_threshold=2)
+    used = make_scheduler(name, **kwargs)
+    first = _run(used, workload_seed=11)
+    assert first[0]["committed"] > 0
+    # Same instance, second engine, other workload: anything the first run
+    # left behind outside ``_reset`` shows in the metrics row or describe().
+    assert _run(used, workload_seed=12) == _run(make_scheduler(name, **kwargs), workload_seed=12)

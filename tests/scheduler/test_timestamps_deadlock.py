@@ -69,44 +69,44 @@ class TestTimestampAuthority:
 class TestWaitsForGraph:
     def test_no_cycle_in_a_chain(self):
         graph = WaitsForGraph()
-        graph.set_waits("T1", {"T2"})
-        graph.set_waits("T2", {"T3"})
+        graph.park("T1", "T1", {"T2"})
+        graph.park("T2", "T2", {"T3"})
         assert graph.find_cycle_from("T1") is None
 
     def test_detects_two_party_cycle(self):
         graph = WaitsForGraph()
-        graph.set_waits("T1", {"T2"})
-        graph.set_waits("T2", {"T1"})
+        graph.park("T1", "T1", {"T2"})
+        graph.park("T2", "T2", {"T1"})
         cycle = graph.find_cycle_from("T1")
         assert cycle is not None
         assert set(cycle) == {"T1", "T2"}
 
     def test_detects_longer_cycle(self):
         graph = WaitsForGraph()
-        graph.set_waits("T1", {"T2"})
-        graph.set_waits("T2", {"T3"})
-        graph.set_waits("T3", {"T1"})
+        graph.park("T1", "T1", {"T2"})
+        graph.park("T2", "T2", {"T3"})
+        graph.park("T3", "T3", {"T1"})
         assert graph.find_cycle_from("T2") is not None
 
     def test_self_wait_counts_as_deadlock(self):
         graph = WaitsForGraph()
-        graph.set_waits("T1", {"T1"})
+        graph.park("T1", "T1", {"T1"})
         assert graph.has_self_wait("T1")
         assert graph.find_cycle_from("T1") == ["T1"]
 
     def test_clear_and_remove(self):
         graph = WaitsForGraph()
-        graph.set_waits("T1", {"T2"})
-        graph.set_waits("T2", {"T1"})
-        graph.clear_waits("T1")
+        graph.park("T1", "T1", {"T2"})
+        graph.park("T2", "T2", {"T1"})
+        graph.unpark("T1")
         assert graph.find_cycle_from("T2") is None
-        graph.set_waits("T1", {"T2"})
+        graph.park("T1", "T1", {"T2"})
         graph.remove_transaction("T2")
         assert graph.waits_of("T1") == set()
         assert graph.find_cycle_from("T1") is None
 
     def test_empty_holder_set_clears_entry(self):
         graph = WaitsForGraph()
-        graph.set_waits("T1", {"T2"})
-        graph.set_waits("T1", set())
+        graph.park("T1", "T1", {"T2"})
+        graph.park("T1", "T1", set())
         assert graph.edges() == {}
