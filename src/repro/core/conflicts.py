@@ -54,11 +54,25 @@ class ConflictSpec:
         """
         return self.operations_conflict(first.operation, second.operation)
 
-    def conflicting(self, first, second) -> bool:
-        """Convenience dispatcher accepting either steps or operations."""
-        if isinstance(first, LocalStep) and isinstance(second, LocalStep):
-            return self.steps_conflict(first, second)
-        return self.operations_conflict(first, second)
+    def conflicting(self, earlier, later, step_level: bool) -> bool:
+        """Definition 3 at a granularity: does ``earlier`` conflict with ``later``?
+
+        The relation is directional.  ``earlier`` was processed (locked,
+        recorded, executed) before ``later``, and only "earlier conflicts
+        with later" forces an order between the two — commutativity may be
+        asymmetric, and testing the one direction admits strictly more
+        concurrency.  Either argument is a :class:`LocalStep` or a bare
+        :class:`LocalOperation`: at step level two steps are compared with
+        their return values; at operation level, or when either side is an
+        operation, steps are unwrapped and their operations compared.
+        """
+        if step_level and isinstance(earlier, LocalStep) and isinstance(later, LocalStep):
+            return self.steps_conflict(earlier, later)
+        if isinstance(earlier, LocalStep):
+            earlier = earlier.operation
+        if isinstance(later, LocalStep):
+            later = later.operation
+        return self.operations_conflict(earlier, later)
 
 
 class ConservativeConflictSpec(ConflictSpec):

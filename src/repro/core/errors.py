@@ -58,31 +58,6 @@ class SchedulerError(ReproError):
     """Base class for errors raised by concurrency-control schedulers."""
 
 
-class TransactionAborted(SchedulerError):
-    """Raised inside a transaction programme when the scheduler aborts it."""
-
-    def __init__(self, execution_id: str, reason: str = ""):
-        super().__init__(f"execution {execution_id} aborted: {reason}")
-        self.execution_id = execution_id
-        self.reason = reason
-
-
-class DeadlockDetected(SchedulerError):
-    """A cycle was found in the waits-for graph of a locking scheduler."""
-
-    def __init__(self, cycle):
-        super().__init__(f"deadlock among executions: {list(cycle)}")
-        self.cycle = list(cycle)
-
-
-class LockProtocolViolation(SchedulerError):
-    """A method execution violated one of the N2PL rules (rules 1-5)."""
-
-
-class TimestampViolation(SchedulerError):
-    """A method execution violated one of the NTO rules (rules 1-2)."""
-
-
 class SimulationError(ReproError):
     """Base class for errors raised by the simulation engine."""
 

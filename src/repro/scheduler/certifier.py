@@ -205,11 +205,8 @@ class OptimisticCertifier(Scheduler):
     def _conflicting(self, object_name: str, earlier: LocalStep, later: LocalStep) -> bool:
         # Precedence edges follow the serialisation-graph definition: only
         # "earlier conflicts with later" forces the earlier transaction first.
-        if self.level == STEP_LEVEL:
-            spec = self.step_conflicts[object_name]
-            return spec.steps_conflict(earlier, later)
-        spec = self.operation_conflicts[object_name]
-        return spec.operations_conflict(earlier.operation, later.operation)
+        spec = self.conflicts_for(self.level)[object_name]
+        return spec.conflicting(earlier, later, self.level == STEP_LEVEL)
 
     def _active_edges(self, candidate_id: str) -> list[_CandidateEdge]:
         """The candidate's filed edges whose other side has resolved.

@@ -90,26 +90,6 @@ class LockManager:
     def lock_count(self) -> int:
         return sum(len(entries) for entries in self._locks_by_object.values())
 
-    def _items_conflict(
-        self,
-        object_name: str,
-        held: LocalOperation | LocalStep,
-        requested: LocalOperation | LocalStep,
-    ) -> bool:
-        # The held lock's step executed (or will execute) before the requested
-        # one, so the relevant relation is "held conflicts with requested" —
-        # the same directional relation that induces serialisation-graph
-        # edges.  Commutativity is allowed to be asymmetric (Definition 3),
-        # and exploiting the asymmetry admits strictly more concurrency.
-        spec = self._conflicts[object_name]
-        if isinstance(held, LocalStep) and isinstance(requested, LocalStep):
-            return spec.steps_conflict(held, requested)
-        held_operation = held.operation if isinstance(held, LocalStep) else held
-        requested_operation = (
-            requested.operation if isinstance(requested, LocalStep) else requested
-        )
-        return spec.operations_conflict(held_operation, requested_operation)
-
     def conflicting_holders(
         self,
         object_name: str,
@@ -124,6 +104,8 @@ class LockManager:
         # One granularity per manager, so the registry lookup and the
         # conflict relation can be bound once instead of per held entry
         # (this loop runs for every lock request on a contended object).
+        # The held item goes first: Definition 3's direction, as in
+        # ConflictSpec.conflicting.
         spec = self._conflicts[object_name]
         conflict = spec.steps_conflict if self._step_level else spec.operations_conflict
         requester_id = requester.execution_id

@@ -126,14 +126,7 @@ class IntraObjectSynchroniser:
     # -- helpers ------------------------------------------------------------------
 
     def _items_conflict(self, held, requested) -> bool:
-        # ``held`` was processed before ``requested``; per Definition 3 the
-        # directional relation "held conflicts with requested" is what forces
-        # an ordering, so that is what intra-object synchronisers check.
-        if self.step_level and isinstance(held, LocalStep) and isinstance(requested, LocalStep):
-            return self.conflicts.steps_conflict(held, requested)
-        held_operation = held.operation if isinstance(held, LocalStep) else held
-        requested_operation = requested.operation if isinstance(requested, LocalStep) else requested
-        return self.conflicts.operations_conflict(held_operation, requested_operation)
+        return self.conflicts.conflicting(held, requested, self.step_level)
 
     def _item_of(self, request: OperationRequest):
         return request.provisional_step if self.step_level else request.operation
@@ -466,24 +459,19 @@ class InterObjectCoordinator:
         self._live: set[str] = set()
         self.ordering_aborts = 0
 
-    def _conflict(self, object_name: str, earlier: LocalStep, later: LocalStep) -> bool:
-        # Only "earlier conflicts with later" induces a serialisation edge.
-        spec = self._conflicts_lookup(object_name)
-        if self._step_level:
-            return spec.steps_conflict(earlier, later)
-        return spec.operations_conflict(earlier.operation, later.operation)
-
     def check_step(self, request: OperationRequest) -> SchedulerResponse:
         """Decide whether admitting the step keeps the global order acyclic."""
         # In recorded-step order (the kernel skips repeats), so the kernel's
         # work counters are a deterministic function of the run.
         new_edges: list[tuple[str, str]] = []
         provisional = request.provisional_step
+        spec = self._conflicts_lookup(request.object_name)
         for recorded in self._steps_by_object.get(request.object_name, ()):
             pair = disjoint_ancestors(recorded.info, request.info)
             if pair is None:
                 continue
-            if self._conflict(request.object_name, recorded.step, provisional):
+            # Only "earlier conflicts with later" induces a serialisation edge.
+            if spec.conflicting(recorded.step, provisional, self._step_level):
                 new_edges.append(pair)
         if self._precedence.add_edges(new_edges):
             return SchedulerResponse.grant()

@@ -108,26 +108,19 @@ class NestedTimestampOrdering(Scheduler):
         self.authority.assign_child(parent.execution_id, child.execution_id)
         self._members.setdefault(child.top_level_id, set()).add(child.execution_id)
 
-    def _conflicting(self, object_name: str, recorded, requested) -> bool:
-        # The recorded step was processed before the requested one, so NTO
-        # rule 1 cares about "recorded conflicts with requested" only.
-        if self.level == STEP_LEVEL and isinstance(recorded, LocalStep) and isinstance(requested, LocalStep):
-            spec = self.step_conflicts[object_name]
-            return spec.steps_conflict(recorded, requested)
-        spec = self.operation_conflicts[object_name]
-        recorded_operation = recorded.operation if isinstance(recorded, LocalStep) else recorded
-        requested_operation = requested.operation if isinstance(requested, LocalStep) else requested
-        return spec.operations_conflict(recorded_operation, requested_operation)
-
     def on_operation(self, request: OperationRequest) -> SchedulerResponse:
         timestamp = self.authority.timestamp_of(request.info.execution_id)
         requested = request.lock_item(self.level)
+        spec = self.conflicts_for(self.level)[request.object_name]
+        step_level = self.level == STEP_LEVEL
         for record in self._records[request.object_name]:
             if record.timestamp.is_prefix_of(timestamp) or timestamp.is_prefix_of(record.timestamp):
                 continue  # comparable executions are never reordered by NTO
             if record.timestamp < timestamp:
                 continue
-            if self._conflicting(request.object_name, record.item, requested):
+            # The recorded step was processed first, so NTO rule 1 cares
+            # about "recorded conflicts with requested" only.
+            if spec.conflicting(record.item, requested, step_level):
                 self.timestamp_aborts += 1
                 return SchedulerResponse.abort(
                     f"timestamp order violation: conflicting step of {record.issuer_id} "

@@ -163,14 +163,6 @@ class CommitGate:
 
     # -- recording -----------------------------------------------------------
 
-    def _conflicting(self, object_name: str, earlier, later) -> bool:
-        spec = self._conflicts_lookup(object_name)
-        if self._step_level and isinstance(earlier, LocalStep) and isinstance(later, LocalStep):
-            return spec.steps_conflict(earlier, later)
-        earlier_operation = earlier.operation if isinstance(earlier, LocalStep) else earlier
-        later_operation = later.operation if isinstance(later, LocalStep) else later
-        return spec.operations_conflict(earlier_operation, later_operation)
-
     @staticmethod
     def _mutates_state(item: LocalOperation | LocalStep) -> bool:
         """False only when the item is provably read-only.
@@ -199,6 +191,7 @@ class CommitGate:
         records = self._steps_by_object.setdefault(object_name, {})
         dependencies = self._dependencies.setdefault(transaction_id, set())
         live = self._live
+        spec = self._conflicts_lookup(object_name)
         for record in records.values():
             if record.transaction_id == transaction_id:
                 continue
@@ -206,7 +199,7 @@ class CommitGate:
                 continue  # pragma: no cover - records of resolved txns are pruned
             if not self._mutates_state(record.item):
                 continue
-            if self._conflicting(object_name, record.item, item):
+            if spec.conflicting(record.item, item, self._step_level):
                 dependencies.add(record.transaction_id)
         sequence = next(self._sequence)
         records[sequence] = _GateRecord(sequence, item, transaction_id)
@@ -240,6 +233,7 @@ class CommitGate:
             return SchedulerResponse.grant()
         transaction_id = info.top_level_id
         writers: set[str] = set()
+        spec = self._conflicts_lookup(object_name)
         for record in self._steps_by_object.get(object_name, {}).values():
             if record.transaction_id == transaction_id:
                 continue
@@ -247,7 +241,7 @@ class CommitGate:
                 continue  # pragma: no cover - records of resolved txns are pruned
             if not self._mutates_state(record.item):
                 continue
-            if self._conflicting(object_name, record.item, item):
+            if spec.conflicting(record.item, item, self._step_level):
                 writers.add(record.transaction_id)
         if not writers:
             self._waits.unpark(info.execution_id)

@@ -376,12 +376,11 @@ class SimulationEngine:
         # Unified event heap: (due tick, kind, sequence, payload) covering
         # delayed restarts (payload = (spec, attempt, lineage)) and streamed
         # arrivals (payload = spec).  The kind keeps restarts ahead of
-        # arrivals at an equal due tick and the per-kind sequence keeps
-        # equal keys FIFO — both matching the order the split queues had.
+        # arrivals at an equal due tick and the sequence keeps equal
+        # (due, kind) keys FIFO — both matching the order the split queues
+        # had.  _schedule is the only writer.
         self._events: list[tuple[int, int, int, Any]] = []
-        self._restart_sequence = itertools.count()
-        self._arrival_sequence = itertools.count()
-        self._fault_sequence = itertools.count()
+        self._event_sequence = itertools.count()
         # Fault injection: explicit crash ticks enter the heap up front,
         # periodic crashes re-arm themselves at each firing (see
         # _inject_fault) for as long as work remains.
@@ -391,15 +390,10 @@ class SimulationEngine:
         if self._fault_plan is not None:
             self._fault_plan.bind(seed)
             for due in self._fault_plan.initial_ticks():
-                heapq.heappush(
-                    self._events, (due, _EVENT_FAULT, next(self._fault_sequence), None)
-                )
+                self._schedule(due, _EVENT_FAULT)
             first_periodic = self._fault_plan.next_after(0)
             if first_periodic is not None:
-                heapq.heappush(
-                    self._events,
-                    (first_periodic, _EVENT_FAULT, next(self._fault_sequence), None),
-                )
+                self._schedule(first_periodic, _EVENT_FAULT)
         self._last_arrival_tick = 0
         # Lineage = original submission index, preserved across restarts so
         # the restart policy can reason about transaction seniority.
@@ -497,9 +491,7 @@ class SimulationEngine:
         for tick, spec in zip(process.schedule(len(specs)), specs):
             due = start + tick
             self._last_arrival_tick = due
-            heapq.heappush(
-                self._events, (due, _EVENT_ARRIVAL, next(self._arrival_sequence), spec)
-            )
+            self._schedule(due, _EVENT_ARRIVAL, spec)
 
     def submit_scheduled(self, pairs) -> None:
         """Queue ``(arrival_tick, spec)`` pairs with pre-computed due ticks.
@@ -520,9 +512,7 @@ class SimulationEngine:
             self.object_base.environment.method(spec.method_name)  # validate early
             if due > self._last_arrival_tick:
                 self._last_arrival_tick = due
-            heapq.heappush(
-                self._events, (due, _EVENT_ARRIVAL, next(self._arrival_sequence), spec)
-            )
+            self._schedule(due, _EVENT_ARRIVAL, spec)
 
     def run_stream(
         self, specs, arrival: "ArrivalProcess | str | dict" = "poisson"
@@ -663,6 +653,10 @@ class SimulationEngine:
             self._tick += 1
             self.metrics.decisions += 1
             self._advance(frame)
+
+    def _schedule(self, due: int, kind: int, payload: Any = None) -> None:
+        """Queue a restart, arrival or fault on the event heap."""
+        heapq.heappush(self._events, (due, kind, next(self._event_sequence), payload))
 
     def _release_due_events(self) -> None:
         """Release every queued restart/arrival whose due tick was reached."""
@@ -829,26 +823,6 @@ class SimulationEngine:
         )
         return remote_id
 
-    def _spawn_mixed_parallel(self, frame: _Frame, request: ParallelRequest) -> None:
-        """A parallel request whose branches span shards."""
-        shard = self._shard
-        existing_steps = list(frame.execution.step_ids())
-        waiting: set[str] = set()
-        order: list[str] = []
-        for invocation in request.invocations:
-            if shard.owns(invocation.object_name):
-                child = self._spawn_child(frame, invocation, after=existing_steps)
-                waiting.add(child.execution_id)
-                order.append(child.execution_id)
-            else:
-                remote_id = self._send_remote_invoke(frame, invocation)
-                waiting.add(remote_id)
-                order.append(remote_id)
-        self._set_not_ready(frame, _WAITING)
-        frame.waiting_on = waiting
-        frame.parallel_order = order
-        frame.parallel_results = {}
-
     def deliver_remote_result(self, remote_id: str, value: Any) -> None:
         """A remote invocation's result arrived (stale ids are dropped)."""
         shard = self._shard
@@ -858,20 +832,7 @@ class SimulationEngine:
         frame = self._frames.get(frame_id)
         if frame is None or frame.status != _WAITING or remote_id not in frame.waiting_on:
             return
-        frame.waiting_on.discard(remote_id)
-        if frame.parallel_order:
-            frame.parallel_results[remote_id] = value
-            if not frame.waiting_on:
-                frame.inbox = [
-                    frame.parallel_results.get(child_id)
-                    for child_id in frame.parallel_order
-                ]
-                frame.parallel_order = []
-                frame.parallel_results = {}
-                self._set_ready(frame)
-        elif not frame.waiting_on:
-            frame.inbox = value
-            self._set_ready(frame)
+        self._deliver(frame, remote_id, value)
 
     def admit_remote(
         self,
@@ -890,34 +851,20 @@ class SimulationEngine:
         key by ``gid`` exactly as on the home shard).  Each invocation is
         spawned as a child of that root; the root itself never becomes
         runnable and is resolved only by the coordinator's global decision.
+        A nested call that comes *back* to the transaction's home shard
+        finds the transaction's own live root there: that root is its
+        session, and the invocation is spawned under it.
         """
         shard = self._shard
         if gid in self._aborted_executions:
             return  # raced with a local abort; the coordinator re-relays
         session = shard.sessions.get(gid)
+        if session is None and gid in shard.cross:
+            session = self._frames.get(gid)
         if session is None:
-            execution = self._builder.begin_top_level(
-                "remote-session", execution_id=gid
+            session = shard.sessions[gid] = self._open_root(
+                "remote-session", gid, generator=_proxy_session_marker, status=_WAITING
             )
-            info = ExecutionInfo(
-                execution_id=gid,
-                object_name=self.object_base.environment.name,
-                method_name="remote-session",
-                parent_id=None,
-                ancestor_ids=(),
-                top_level_id=gid,
-            )
-            session = _Frame(
-                info=info,
-                execution=execution,
-                generator=_proxy_session_marker,
-                status=_WAITING,
-                seq=next(self._frame_sequence),
-            )
-            self._frames[gid] = session
-            self._executions_by_transaction[gid] = {gid}
-            shard.sessions[gid] = session
-            self.scheduler.on_transaction_begin(info)
             self._record(BEGIN, gid, detail="remote session")
         child = self._spawn_child(
             session,
@@ -955,86 +902,18 @@ class SimulationEngine:
     def apply_global_commit(self, gid: str) -> None:
         """The coordinator decided commit: finalise the local share."""
         shard = self._shard
-        frame = shard.held.pop(gid, None)
+        frame = shard.held.pop(gid, None) or shard.sessions.get(gid)
         if frame is not None:
             shard.cross.discard(gid)
             self._finalise_commit(frame, frame.commit_value)
-            return
-        session = shard.sessions.pop(gid, None)
-        if session is not None:
-            self._finalise_session_commit(session)
 
     def apply_global_abort(self, gid: str, reason: str) -> None:
         """The coordinator decided abort: discard the local share."""
-        shard = self._shard
-        if gid in shard.sessions:
-            self._abort_remote(gid, reason)
-            return
-        shard.held.pop(gid, None)
         if gid in self._frames or gid in self._executions_by_transaction:
-            # Home shard: the standard abort path applies (restart policy
-            # included) and re-notes the abort, which the coordinator
+            # The standard abort path (on the home shard, restart policy
+            # included); it re-notes the abort, which the coordinator
             # ignores for an already-resolved id.
             self._abort_transaction(gid, reason)
-
-    def _finalise_session_commit(self, session: _Frame) -> None:
-        """Commit a foreign transaction's local session (owner side).
-
-        Mirrors :meth:`_finalise_commit` minus home-only accounting: the
-        commit count, latency and restart-policy bookkeeping belong to the
-        home shard; here the session's locks are released, its undo
-        segments dropped and its committed executions recorded.
-        """
-        gid = session.execution_id
-        self.scheduler.on_transaction_commit(session.info)
-        self._committed.append(gid)
-        self._record(COMMITTED, gid, detail="remote session")
-        self._set_not_ready(session, _DONE)
-        self._frames.pop(gid, None)
-        self._undo_log.forget_transaction(gid)
-        subtree = self._executions_by_transaction.pop(gid, set())
-        self._drain_wakeups({gid, *subtree})
-        self._note_finished_attempt()
-
-    def _abort_remote(self, gid: str, reason: str) -> None:
-        """Abort a foreign transaction's local session (owner side).
-
-        Mirrors :meth:`_abort_transaction` minus home-only accounting (no
-        restart, no give-up, no in-flight or aborted-attempt counts — the
-        home shard owns those); wasted local steps are still counted here
-        because the work physically ran on this shard.
-        """
-        shard = self._shard
-        session = shard.sessions.pop(gid, None)
-        if session is None:
-            return
-        subtree_ids = set(self._executions_by_transaction.get(gid, ()))
-        subtree_ids.add(gid)
-        frames = self._frames
-        subtree_frames = [
-            frames[execution_id]
-            for execution_id in subtree_ids
-            if execution_id in frames
-        ]
-        self._aborted_executions.update(subtree_ids)
-        self._record(ABORTED, gid, detail=reason)
-        self.scheduler.on_transaction_abort(session.info, tuple(sorted(subtree_ids)))
-        for frame in subtree_frames:
-            if frame.status == _PARKED:
-                self._clear_parking(frame)
-            self._set_not_ready(frame, _DONE)
-            self._frames.pop(frame.execution_id, None)
-        for remote_id in [
-            remote_id
-            for remote_id, frame_id in shard.waiters.items()
-            if frame_id in subtree_ids
-        ]:
-            del shard.waiters[remote_id]
-        self.metrics.wasted_steps += self._undo_states(gid, subtree_ids)
-        self._drain_wakeups(subtree_ids)
-        self._executions_by_transaction.pop(gid, None)
-        shard.notes.append(("aborted", gid, reason))
-        self._note_finished_attempt()
 
     def _check_arrival_truncation(self) -> None:
         """Refuse to end a run that silently dropped queued arrivals.
@@ -1225,44 +1104,56 @@ class SimulationEngine:
         if self._trace is not None:
             self._trace.record(TraceEvent(self._tick, kind, execution_id, object_name, detail))
 
+    def _root_info(self, execution_id: str, method_name: str) -> ExecutionInfo:
+        """The :class:`ExecutionInfo` of a top-level execution."""
+        return ExecutionInfo(
+            execution_id=execution_id,
+            object_name=self.object_base.environment.name,
+            method_name=method_name,
+            parent_id=None,
+            ancestor_ids=(),
+            top_level_id=execution_id,
+        )
+
+    def _open_root(
+        self, method_name: str, execution_id: str | None, **frame_fields: Any
+    ) -> _Frame:
+        """Begin a top-level execution — a transaction attempt or a session.
+
+        Records it in the history (``execution_id=None`` takes the
+        builder's next id), registers its frame and execution index, and
+        announces it to the scheduler.
+        """
+        execution = self._builder.begin_top_level(method_name, execution_id)
+        info = self._root_info(execution.execution_id, method_name)
+        frame = _Frame(
+            info=info, execution=execution, seq=next(self._frame_sequence), **frame_fields
+        )
+        self._frames[info.execution_id] = frame
+        self._executions_by_transaction[info.execution_id] = {info.execution_id}
+        self.scheduler.on_transaction_begin(info)
+        return frame
+
     def _start_transaction(self, spec: TransactionSpec, attempt: int, lineage: int) -> None:
         definition = self.object_base.environment.method(spec.method_name)
         shard = self._shard
-        if shard is not None and shard.id_prefix:
-            # Namespaced ids keep top-level (and hence child) execution ids
-            # globally unique across the shard fleet; single-shard runs keep
-            # the builder's own ids so they stay bit-identical to plain runs.
-            execution = self._builder.begin_top_level(
-                spec.method_name,
-                execution_id=f"{shard.id_prefix}T{next(shard.txn_counter)}",
-            )
-        else:
-            execution = self._builder.begin_top_level(spec.method_name)
-        info = ExecutionInfo(
-            execution_id=execution.execution_id,
-            object_name=self.object_base.environment.name,
-            method_name=spec.method_name,
-            parent_id=None,
-            ancestor_ids=(),
-            top_level_id=execution.execution_id,
+        # Namespaced ids keep top-level (and hence child) execution ids
+        # globally unique across the shard fleet; single-shard runs keep
+        # the builder's own ids so they stay bit-identical to plain runs.
+        namespaced = (
+            f"{shard.id_prefix}T{next(shard.txn_counter)}"
+            if shard is not None and shard.id_prefix
+            else None
         )
-        frame = _Frame(
-            info=info,
-            execution=execution,
-            spec=spec,
-            attempt=attempt,
-            seq=next(self._frame_sequence),
-        )
+        frame = self._open_root(spec.method_name, namespaced, spec=spec, attempt=attempt)
+        info = frame.info
         context = MethodContext(info.object_name, info.execution_id, spec.method_name)
         frame.generator = definition.body(context, *spec.arguments)
         frame.is_generator = self._is_generator(frame.generator)
-        self._frames[info.execution_id] = frame
         self._ready_add(frame)
-        self._executions_by_transaction[info.execution_id] = {info.execution_id}
         self._lineage_of[info.execution_id] = lineage
         if attempt == 1:
             self.restart_policy.on_submit(lineage)
-        self.scheduler.on_transaction_begin(info)
         if shard is not None and shard.classify(spec):
             # Register the attempt for two-phase coordination; each restart
             # is a fresh id, so the coordinator sees attempts, not lineages.
@@ -1340,40 +1231,81 @@ class SimulationEngine:
         return hasattr(candidate, "send") and hasattr(candidate, "throw")
 
     def _handle_request(self, frame: _Frame, request: Any) -> None:
-        shard = self._shard
         if isinstance(request, LocalRequest):
             self._resolve_local(frame, request)
-        elif isinstance(request, InvokeRequest):
-            if shard is not None and not shard.owns(request.object_name):
-                remote_id = self._send_remote_invoke(frame, request)
-                self._set_not_ready(frame, _WAITING)
-                frame.waiting_on = {remote_id}
-                frame.parallel_order = []
-                return
-            child = self._spawn_child(frame, request, after=None)
-            self._set_not_ready(frame, _WAITING)
-            frame.waiting_on = {child.execution_id}
+            return
+        if isinstance(request, InvokeRequest):
+            awaited = [self._dispatch(frame, request, after=None)]
             frame.parallel_order = []
         elif isinstance(request, ParallelRequest):
-            if shard is not None and not all(
-                shard.owns(invocation.object_name)
-                for invocation in request.invocations
-            ):
-                self._spawn_mixed_parallel(frame, request)
-                return
             existing_steps = list(frame.execution.step_ids())
-            children = [
-                self._spawn_child(frame, invocation, after=existing_steps)
+            awaited = [
+                self._dispatch(frame, invocation, after=existing_steps)
                 for invocation in request.invocations
             ]
-            self._set_not_ready(frame, _WAITING)
-            frame.waiting_on = {child.execution_id for child in children}
-            frame.parallel_order = [child.execution_id for child in children]
+            frame.parallel_order = awaited
             frame.parallel_results = {}
         else:
             raise SimulationError(
                 f"method {frame.info.method_name!r} yielded an unknown request: {request!r}"
             )
+        self._set_not_ready(frame, _WAITING)
+        frame.waiting_on = set(awaited)
+
+    def _dispatch(self, frame: _Frame, invocation: InvokeRequest, after) -> str:
+        """Start one invocation; returns the id whose result ``frame`` awaits.
+
+        A local child's execution id, or — when another shard owns the
+        object — the id of the message queued for that shard.
+        """
+        shard = self._shard
+        if shard is not None and not shard.owns(invocation.object_name):
+            return self._send_remote_invoke(frame, invocation)
+        return self._spawn_child(frame, invocation, after).execution_id
+
+    def _deliver(self, frame: _Frame, key: str, value: Any) -> None:
+        """Hand ``frame`` the result it awaited under ``key``.
+
+        ``key`` is a child execution id or a remote message id.  A
+        parallel request gathers its results in ``parallel_order``; the
+        frame becomes runnable when nothing is awaited any more.
+        """
+        frame.waiting_on.discard(key)
+        if frame.parallel_order:
+            frame.parallel_results[key] = value
+            if not frame.waiting_on:
+                frame.inbox = [
+                    frame.parallel_results.get(awaited) for awaited in frame.parallel_order
+                ]
+                frame.parallel_order = []
+                frame.parallel_results = {}
+                self._set_ready(frame)
+        elif not frame.waiting_on:
+            frame.inbox = value
+            self._set_ready(frame)
+
+    def _wait(self, frame: _Frame, object_name: str, reason: str, blockers) -> None:
+        """A BLOCK answer to ``frame``'s operation or commit request.
+
+        The frame keeps its request pending and parks on the blockers the
+        scheduler named; at ``starvation_limit`` consecutive blocked
+        attempts its transaction is aborted instead.
+        """
+        frame.blocked_attempts += 1
+        self._record(BLOCKED, frame.execution_id, object_name, reason)
+        if frame.blocked_attempts >= self.starvation_limit:
+            self._abort_transaction(frame.info.top_level_id, "starvation: blocked too long")
+        elif not self._park(frame, blockers, commit=frame.pending_commit):
+            # No live blocker to key a wake-up on: stay runnable and retry
+            # (the pre-event-driven behaviour), which keeps the starvation
+            # valve meaningful for degenerate schedulers.  A retried commit
+            # is accounted as commit waiting, so "never blocks an
+            # operation" schedulers still report zero blocked ticks.
+            self.metrics.wait_ticks += 1
+            if frame.pending_commit:
+                self.metrics.commit_wait_ticks += 1
+            else:
+                self.metrics.blocked_ticks += 1
 
     # -- local operations ---------------------------------------------------------
 
@@ -1401,17 +1333,7 @@ class SimulationEngine:
         response = self.scheduler.on_operation(operation_request)
         if response.blocked:
             frame.pending_local = request
-            frame.blocked_attempts += 1
-            self._record(BLOCKED, frame.execution_id, object_name, response.reason)
-            if frame.blocked_attempts >= self.starvation_limit:
-                self._abort_transaction(info.top_level_id, "starvation: blocked too long")
-                return
-            if not self._park(frame, response.blockers, commit=False):
-                # No live blocker to key a wake-up on: stay runnable and
-                # retry (the pre-event-driven behaviour), which keeps the
-                # starvation valve meaningful for degenerate schedulers.
-                metrics.blocked_ticks += 1
-                metrics.wait_ticks += 1
+            self._wait(frame, object_name, response.reason, response.blockers)
             return
         if response.aborted:
             frame.pending_local = None
@@ -1462,38 +1384,19 @@ class SimulationEngine:
         self._drain_wakeups()
 
     def _deliver_to_parent(self, child: _Frame, return_value: Any) -> None:
+        parent = child.parent
         if child.shard_remote_id is not None:
             # A remote-session child: its result travels back to the shard
             # that requested it (open-nesting style, the value is
             # provisional until the global commit); the session root stays
             # open, retaining the subtree's locks, until the coordinator
             # resolves the transaction.
-            shard = self._shard
-            shard.outbox.append(
+            self._shard.outbox.append(
                 ("result", child.shard_remote_id, child.info.top_level_id, return_value)
             )
-            parent = child.parent
-            if parent is not None:
-                parent.waiting_on.discard(child.execution_id)
-            return
-        parent = child.parent
-        if parent is None or parent.status != _WAITING:
-            return
-        parent.waiting_on.discard(child.execution_id)
-        if parent.parallel_order:
-            parent.parallel_results[child.execution_id] = return_value
-            if not parent.waiting_on:
-                parent.inbox = [
-                    parent.parallel_results.get(child_id)
-                    for child_id in parent.parallel_order
-                ]
-                parent.parallel_order = []
-                parent.parallel_results = {}
-                self._set_ready(parent)
-        else:
-            if not parent.waiting_on:
-                parent.inbox = return_value
-                self._set_ready(parent)
+            parent.waiting_on.discard(child.execution_id)
+        elif parent.status == _WAITING:
+            self._deliver(parent, child.execution_id, return_value)
 
     def _complete_top_level(self, frame: _Frame, return_value: Any) -> None:
         shard = self._shard
@@ -1510,18 +1413,7 @@ class SimulationEngine:
             self._set_ready(frame)  # _complete_frame marked it done
             frame.pending_commit = True
             frame.commit_value = return_value
-            frame.blocked_attempts += 1
-            self._record(BLOCKED, frame.execution_id, detail=response.reason or "commit deferred")
-            if frame.blocked_attempts >= self.starvation_limit:
-                self._abort_transaction(frame.info.top_level_id, "starvation: blocked too long")
-                return
-            if not self._park(frame, response.blockers, commit=True):
-                # No live blocker to key a wake-up on: busy-retry the commit
-                # (mirrors the operation-block fallback); account the wait
-                # as commit waiting so "never blocks an operation"
-                # schedulers still report zero blocked ticks.
-                self.metrics.wait_ticks += 1
-                self.metrics.commit_wait_ticks += 1
+            self._wait(frame, "", response.reason or "commit deferred", response.blockers)
             return
         if not response.granted:
             self._abort_transaction(frame.info.top_level_id, response.reason or "commit vetoed")
@@ -1529,39 +1421,52 @@ class SimulationEngine:
         self._finalise_commit(frame, return_value)
 
     def _finalise_commit(self, frame: _Frame, return_value: Any) -> None:
-        """Apply a granted commit (shared with the global-commit directive)."""
+        """Apply a granted commit (shared with the global-commit directive).
+
+        A session commits its foreign transaction's local share through
+        this same path; the commit count, latency, in-flight and
+        restart-policy bookkeeping (and online certification) belong to the
+        transaction's home shard.
+        """
+        shard = self._shard
+        session = shard is not None and shard.sessions.pop(frame.execution_id, None) is not None
         frame.pending_commit = False
         self.scheduler.on_transaction_commit(frame.info)
-        self.metrics.committed += 1
         self._committed.append(frame.execution_id)
-        if self._certifier is not None:
-            # Snapshot the committed subtree while the execution index still
-            # lists it (the index is dropped a few lines below).
-            subtree = [
-                self._builder.execution_record(execution_id)
-                for execution_id in sorted(
-                    self._executions_by_transaction.get(
-                        frame.execution_id, {frame.execution_id}
-                    )
-                )
-            ]
-            self._certifier.note_commit(
-                frame.execution_id,
-                subtree,
-                self._builder.intervals_for(subtree),
-                resolve_stamp=self._builder.clock,
-            )
-        self._record(COMMITTED, frame.execution_id, detail=str(return_value))
+        self._record(
+            COMMITTED,
+            frame.execution_id,
+            detail="remote session" if session else str(return_value),
+        )
         # Re-entered commits (pending_commit retries) arrive here _READY.
         self._set_not_ready(frame, _DONE)
         self._frames.pop(frame.execution_id, None)
         self._undo_log.forget_transaction(frame.info.top_level_id)
-        lineage = self._lineage_of.pop(frame.execution_id, None)
-        if lineage is not None:
-            self.restart_policy.on_finished(lineage)
-            arrival_tick = self._arrival_tick_of.pop(lineage, 0)
-            self.metrics.note_latency(self._tick - arrival_tick)
-        self._in_flight -= 1
+        if not session:
+            self.metrics.committed += 1
+            if self._certifier is not None:
+                # Snapshot the committed subtree while the execution index
+                # still lists it (the index is dropped a few lines below).
+                subtree = [
+                    self._builder.execution_record(execution_id)
+                    for execution_id in sorted(
+                        self._executions_by_transaction.get(
+                            frame.execution_id, {frame.execution_id}
+                        )
+                    )
+                ]
+                self._certifier.note_commit(
+                    frame.execution_id,
+                    subtree,
+                    self._builder.intervals_for(subtree),
+                    resolve_stamp=self._builder.clock,
+                )
+            lineage = self._lineage_of.pop(frame.execution_id, None)
+            if lineage is not None:
+                self.restart_policy.on_finished(lineage)
+                arrival_tick = self._arrival_tick_of.pop(lineage, 0)
+                self.metrics.note_latency(self._tick - arrival_tick)
+            self._in_flight -= 1
         # The commit released the transaction's locks (and resolved any
         # read-from dependencies on it): wake its waiters, then drop the
         # execution index — a committed transaction can never abort, so the
@@ -1587,8 +1492,6 @@ class SimulationEngine:
         fault events alone.
         """
         plan = self._fault_plan
-        if plan is None:  # defensive: events exist only when a plan is set
-            return
         shard = self._shard
         lineage_of = self._lineage_of
         candidates = sorted(
@@ -1609,9 +1512,7 @@ class SimulationEngine:
             self._abort_transaction(victim, "fault: injected crash")
         next_due = plan.next_after(due)
         if next_due is not None and (self._frames or self._events):
-            heapq.heappush(
-                self._events, (next_due, _EVENT_FAULT, next(self._fault_sequence), None)
-            )
+            self._schedule(next_due, _EVENT_FAULT)
 
     # -- aborts ----------------------------------------------------------------------
 
@@ -1634,13 +1535,13 @@ class SimulationEngine:
 
     def _abort_transaction(self, top_level_id: str, reason: str) -> None:
         shard = self._shard
-        if shard is not None and top_level_id in shard.sessions:
-            # A locally-detected abort (deadlock, timestamp violation,
-            # starvation) of a *foreign* transaction's session: discard the
-            # local subtree and notify the coordinator, which relays the
-            # abort to the home shard (where restart policy applies).
-            self._abort_remote(top_level_id, reason)
-            return
+        # A session — a *foreign* transaction's local share — aborts through
+        # this same path, whether the abort was detected locally (deadlock,
+        # timestamp violation, starvation) or decided globally: the subtree
+        # is discarded, its effects undone (the wasted steps physically ran
+        # here) and the coordinator notified.  The attempt and reason
+        # counts, restart and give-up belong to the transaction's home shard.
+        session = shard is not None and shard.sessions.pop(top_level_id, None) is not None
         top_frame = self._frames.get(top_level_id)
         # Every execution ever created for this attempt belongs to the
         # aborted subtree (including completed children whose frames are
@@ -1656,18 +1557,12 @@ class SimulationEngine:
         ]
 
         self._aborted_executions.update(subtree_ids)
-        self.metrics.aborted_attempts += 1
-        self.metrics.aborts_by_reason[self._abort_reason_category(reason)] += 1
+        if not session:
+            self.metrics.aborted_attempts += 1
+            self.metrics.aborts_by_reason[self._abort_reason_category(reason)] += 1
         self._record(ABORTED, top_level_id, detail=reason)
 
-        info = top_frame.info if top_frame is not None else ExecutionInfo(
-            execution_id=top_level_id,
-            object_name=self.object_base.environment.name,
-            method_name="",
-            parent_id=None,
-            ancestor_ids=(),
-            top_level_id=top_level_id,
-        )
+        info = top_frame.info if top_frame is not None else self._root_info(top_level_id, "")
         self.scheduler.on_transaction_abort(info, tuple(sorted(subtree_ids)))
         if self._certifier is not None:
             self._certifier.note_abort(top_level_id)
@@ -1687,9 +1582,9 @@ class SimulationEngine:
         self._drain_wakeups(subtree_ids)
         self._executions_by_transaction.pop(top_level_id, None)
 
-        if shard is not None and top_level_id in shard.cross:
+        if session or (shard is not None and top_level_id in shard.cross):
             # Unregister the attempt and tell the coordinator, so every
-            # other participant discards its session for this id.
+            # other participant discards its share of this id.
             shard.cross.discard(top_level_id)
             shard.held.pop(top_level_id, None)
             for remote_id in [
@@ -1699,6 +1594,9 @@ class SimulationEngine:
             ]:
                 del shard.waiters[remote_id]
             shard.notes.append(("aborted", top_level_id, reason))
+        if session:
+            self._note_finished_attempt()
+            return
 
         # Restart the transaction if its spec allows it; *when* is the
         # restart policy's call — zero delay restarts within this tick
@@ -1717,14 +1615,8 @@ class SimulationEngine:
             else:
                 self.metrics.delayed_restarts += 1
                 self.metrics.restart_delay_ticks += delay
-                heapq.heappush(
-                    self._events,
-                    (
-                        self._tick + delay,
-                        _EVENT_RESTART,
-                        next(self._restart_sequence),
-                        (spec, attempt + 1, lineage),
-                    ),
+                self._schedule(
+                    self._tick + delay, _EVENT_RESTART, (spec, attempt + 1, lineage)
                 )
                 self._record(RESTART_SCHEDULED, top_level_id, detail=f"+{delay} ticks: {reason}")
         else:

@@ -17,6 +17,7 @@ from repro.core import (
     steps_commute_on_states,
 )
 from repro.core.operations import FunctionalOperation
+from repro.objectbase.adts.fifo_queue import EMPTY, Dequeue, Enqueue, FifoQueueStepConflicts
 
 
 class TestConservativeSpec:
@@ -89,6 +90,53 @@ class TestConflictTable:
         table = ConflictTable([("A", "B")])
         assert ("A", "B") in table.declared_pairs()
         assert ("B", "A") in table.declared_pairs()
+
+
+class TestConflictingAtAGranularity:
+    """``ConflictSpec.conflicting(earlier, later, step_level)`` — Definition 3's
+    direction, and which relation each granularity × argument shape consults."""
+
+    @staticmethod
+    def _shapes(earlier: LocalStep, later: LocalStep):
+        return {
+            "two steps": (earlier, later),
+            "two operations": (earlier.operation, later.operation),
+            "step then operation": (earlier, later.operation),
+            "operation then step": (earlier.operation, later),
+        }
+
+    def test_asymmetric_table_respects_direction_at_both_levels(self):
+        table = ConflictTable([("A", "B")], symmetric=False)
+        step_a = LocalStep("e1", "X", FunctionalOperation("A", lambda s: (None, s)), None)
+        step_b = LocalStep("e2", "X", FunctionalOperation("B", lambda s: (None, s)), None)
+        for step_level in (True, False):
+            for shape, (earlier, later) in self._shapes(step_a, step_b).items():
+                assert table.conflicting(earlier, later, step_level), (step_level, shape)
+            for shape, (earlier, later) in self._shapes(step_b, step_a).items():
+                assert not table.conflicting(earlier, later, step_level), (step_level, shape)
+
+    def test_return_values_count_only_between_two_steps_at_step_level(self):
+        spec = FifoQueueStepConflicts()
+        enqueue = LocalStep("e1", "Q", Enqueue("a"), None)
+        dequeued_other = LocalStep("e2", "Q", Dequeue(), "b")
+        dequeued_nothing = LocalStep("e3", "Q", Dequeue(), EMPTY)
+        # Step level, two steps: the return-value-aware, asymmetric relation.
+        assert not spec.conflicting(enqueue, dequeued_other, True)
+        assert not spec.conflicting(dequeued_other, enqueue, True)
+        assert spec.conflicting(dequeued_nothing, enqueue, True)
+        assert not spec.conflicting(enqueue, dequeued_nothing, True)
+        # Every other cell unwraps the steps: Enqueue/Dequeue conflict as
+        # operations whatever the dequeue returned, in either order.
+        for earlier_step, later_step in (
+            (enqueue, dequeued_other),
+            (dequeued_other, enqueue),
+            (enqueue, dequeued_nothing),
+        ):
+            shapes = self._shapes(earlier_step, later_step)
+            assert spec.conflicting(*shapes.pop("two steps"), False)
+            for shape, (earlier, later) in shapes.items():
+                for step_level in (True, False):
+                    assert spec.conflicting(earlier, later, step_level), (step_level, shape)
 
 
 class TestPerObjectConflicts:

@@ -199,6 +199,40 @@ class TestCrossShardExecution:
         assert len(merged) == len(set(merged))
         assert result.metrics.committed == len(merged)
 
+    @pytest.mark.parametrize("scheduler", ("n2pl", "nto-step", "certifier"))
+    def test_session_aborts_do_not_double_count(self, scheduler):
+        # Every abort on the split-hot run also aborts a session on the
+        # other shard; only the home shard may count the attempt.
+        spec = make_spec(scheduler, seed=808, transactions=30, assignment=SPLIT_HOT)
+        spec.workload_params.update({"hot_probability": 0.9, "cold_objects": 8})
+        metrics = ShardedEngine(spec, ShardMap(shards=2, assignment=SPLIT_HOT)).run().metrics
+        assert metrics.aborted_attempts > 0
+        assert metrics.aborted_attempts == metrics.restarts + metrics.gave_up
+        assert sum(metrics.aborts_by_reason.values()) == metrics.aborted_attempts
+
+    @pytest.mark.parametrize("scheduler", ("n2pl", "nto-step"))
+    def test_nested_call_back_to_the_home_shard_runs_under_the_home_root(self, scheduler):
+        # The service layer nests the call: a transaction homed on one
+        # shard invokes a service object on the other, whose method invokes
+        # a hot object back on the home shard.  There the transaction's own
+        # live root is its session (this used to die in admit_remote with
+        # "duplicate execution id").
+        spec = ScenarioSpec(
+            workload="hotspot",
+            scheduler=scheduler,
+            seed=5,
+            workload_params={"transactions": 16, "hot_objects": 2, "seed": 5},
+            scheduler_kwargs={"restart_policy": "backoff"},
+        )
+        result = ShardedEngine(spec, ShardMap(shards=2)).run()
+        metrics = result.metrics
+        assert metrics.remote_invocations > 0
+        assert metrics.committed + metrics.gave_up == 16
+        if scheduler == "nto-step":
+            assert metrics.committed == 16
+        for outcome in result.shards:
+            assert outcome.serialisable is True
+
 
 class TestSweepIntegration:
     def test_run_scenario_routes_to_sharded_engine(self):

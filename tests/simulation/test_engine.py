@@ -8,8 +8,9 @@ from repro.objectbase import MethodDefinition, ObjectBase, ObjectDefinition
 from repro.objectbase.adts import counter_definition, register_definition
 from repro.scheduler import NestedTwoPhaseLocking, Scheduler, make_scheduler
 from repro.scheduler.base import SchedulerResponse
+from repro.scheduler.restart import RestartPolicy
 from repro.simulation import SimulationEngine, TransactionSpec
-from repro.simulation.events import ABORTED, COMMITTED
+from repro.simulation.events import ABORTED, BEGIN, COMMITTED, RESTARTED
 
 
 def two_register_base():
@@ -176,8 +177,8 @@ class TestAbortAndRestart:
 
         name = "abort-once"
 
-        def __init__(self):
-            super().__init__()
+        def __init__(self, restart_policy="immediate"):
+            super().__init__(restart_policy)
             self.aborted_once = False
 
         def on_operation(self, request):
@@ -198,6 +199,38 @@ class TestAbortAndRestart:
         assert result.aborted_execution_ids
         committed = result.committed_history()
         assert set(committed.execution_ids()).isdisjoint(result.aborted_execution_ids)
+
+    def test_events_due_at_one_tick_release_the_restart_then_arrivals_in_submission_order(self):
+        class FixedDelay(RestartPolicy):
+            name = "fixed"
+
+            def delay(self, lineage, attempt, reason):
+                return 7
+
+        def run(later_arrivals):
+            engine = SimulationEngine(
+                two_register_base(), self.AbortFirstAttempt(FixedDelay()), record_trace=True
+            )
+            engine.submit_scheduled(
+                [(0, TransactionSpec("set_both", (1,), label="first")), *later_arrivals]
+            )
+            return engine.run()
+
+        # Alone, the aborted transaction's delayed restart fires at its due tick.
+        due = run([]).trace.of_kind(RESTARTED)[0].tick
+        result = run(
+            [
+                (due, TransactionSpec("set_both", (2,), label="a")),
+                (due, TransactionSpec("set_both", (3,), label="b")),
+            ]
+        )
+        begun = [
+            event.detail
+            for event in result.trace
+            if event.kind in (BEGIN, RESTARTED) and event.tick == due
+        ]
+        assert begun == ["first", "a", "b"]
+        assert result.metrics.committed == 3
 
     def test_aborted_effects_are_undone(self):
         base = two_register_base()
