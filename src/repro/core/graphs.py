@@ -24,8 +24,8 @@ Two construction strategies coexist:
 * the **indexed** builders (the default) enumerate only actually-ordered
   conflicting step pairs per object via the history's sorted-interval
   sweep — ``O(n log n + k)`` pair enumeration instead of ``O(n^2)``
-  permutations — and share per-object ``SG_local`` graphs when assembling
-  ``SG_mesg``;
+  permutations — and derive every ``SG_mesg`` from one sweep over the
+  ``SG_local`` edges;
 * the **legacy** builders (``*_legacy``) are the original from-scratch
   permutation scans.  They are retained as oracles: every indexed builder
   takes a ``check=True`` flag that rebuilds the graph the legacy way and
@@ -230,6 +230,34 @@ def sg_local_legacy(history: History, object_name: str) -> nx.DiGraph:
     return graph
 
 
+def sg_mesg_by_object(history: History, local_graphs: Mapping[str, nx.DiGraph]) -> dict[str, nx.DiGraph]:
+    """Every ``SG_mesg(h, o)`` from one sweep over the ``SG_local`` edges.
+
+    Each local edge ``f -> f'`` is mapped *up* once: it is filed, for every
+    pair of incomparable proper ancestors ``s`` of ``f`` and ``t`` of ``f'``
+    that share an object, as ``s -> t`` under that object — so the cost
+    follows the local edges and the nesting depth, not the number of objects.
+    """
+    graphs: dict[str, nx.DiGraph] = {}
+    owner: dict[str, str] = {}
+    for execution_id, execution in history.executions.items():
+        owner[execution_id] = execution.object_name
+        graphs.setdefault(execution.object_name, nx.DiGraph()).add_node(execution_id)
+    for local_graph in local_graphs.values():
+        for first_id, second_id in local_graph.edges:
+            # A dangling parent_id (condition 1 reports it) owns nothing.
+            targets = [target for target in history.ancestors(second_id) if target in owner]
+            for source in history.ancestors(first_id):
+                for target in targets:
+                    if (
+                        owner.get(source) == owner[target]
+                        and source != target
+                        and history.are_incomparable(source, target)
+                    ):
+                        _add_edge(graphs[owner[source]], source, target, ("mesg", first_id, second_id))
+    return graphs
+
+
 def sg_mesg(
     history: History,
     object_name: str,
@@ -242,37 +270,13 @@ def sg_mesg(
     Same nodes as :func:`sg_local`; an edge ``e -> e'`` appears when the two
     executions are incomparable and some *proper descendants* ``f`` of ``e``
     and ``f'`` of ``e'`` are joined by an edge of ``SG_local(h, o')`` for
-    some object ``o'`` (Definition 10).
-
-    Instead of scanning every pair of the object's executions against every
-    local edge, each local edge ``f -> f'`` is mapped *up*: the candidate
-    endpoints are the proper ancestors of ``f`` and ``f'`` that belong to
-    ``object_name`` (cached chains), so the cost is proportional to the
-    number of local edges times the nesting depth.  ``local_graphs`` lets
-    callers (``combined_object_graph``, ``theorem_5_conditions``) share the
-    per-object local graphs instead of rebuilding them per call.
+    some object ``o'`` (Definition 10).  A view on :func:`sg_mesg_by_object`,
+    which sweeps every object's edges: a loop over objects should call that
+    once.  ``local_graphs`` shares the local graphs instead of rebuilding them.
     """
-    graph = nx.DiGraph()
-    object_executions = history.executions_of_object(object_name)
-    graph.add_nodes_from(object_executions)
-    members = set(object_executions)
     if local_graphs is None:
-        local_graphs = {
-            other_object: sg_local(history, other_object)
-            for other_object in _objects_with_executions(history)
-        }
-    for local_graph in local_graphs.values():
-        for first_id, second_id in local_graph.edges:
-            sources = [eid for eid in history.ancestors(first_id) if eid in members]
-            if not sources:
-                continue
-            targets = [eid for eid in history.ancestors(second_id) if eid in members]
-            for source in sources:
-                for target in targets:
-                    if source == target:
-                        continue
-                    if history.are_incomparable(source, target):
-                        _add_edge(graph, source, target, ("mesg", first_id, second_id))
+        local_graphs = {name: sg_local(history, name) for name in _objects_with_executions(history)}
+    graph = sg_mesg_by_object(history, local_graphs).get(object_name, nx.DiGraph())
     if check:
         _assert_graphs_match(graph, sg_mesg_legacy(history, object_name), f"sg_mesg({object_name!r})")
     return graph
@@ -317,18 +321,19 @@ def combined_object_graph(
     local_graphs: Mapping[str, nx.DiGraph] | None = None,
 ) -> nx.DiGraph:
     """``SG_local(h, o) union SG_mesg(h, o)`` — the graph of Theorem 5(a)."""
-    combined = nx.DiGraph()
-    if local_graphs is not None and object_name in local_graphs:
-        local_graph = local_graphs[object_name]
-    else:
+    local_graph = (local_graphs or {}).get(object_name)
+    if local_graph is None:
         local_graph = sg_local(history, object_name)
-    mesg_graph = sg_mesg(history, object_name, local_graphs=local_graphs)
-    combined.add_nodes_from(local_graph.nodes)
-    combined.add_nodes_from(mesg_graph.nodes)
-    for source, target, data in local_graph.edges(data=True):
-        _add_edge(combined, source, target, ("local", data["reasons"]))
-    for source, target, data in mesg_graph.edges(data=True):
-        _add_edge(combined, source, target, ("mesg", data["reasons"]))
+    return object_graph_union(local_graph, sg_mesg(history, object_name, local_graphs=local_graphs))
+
+
+def object_graph_union(local_graph: nx.DiGraph, mesg_graph: nx.DiGraph) -> nx.DiGraph:
+    """The Theorem 5(a) union of two built graphs, each reason tagged with its origin."""
+    combined = nx.DiGraph()
+    for tag, graph in (("local", local_graph), ("mesg", mesg_graph)):
+        combined.add_nodes_from(graph.nodes)
+        for source, target, data in graph.edges(data=True):
+            _add_edge(combined, source, target, (tag, data["reasons"]))
     return combined
 
 

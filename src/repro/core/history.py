@@ -22,11 +22,11 @@ certification machinery relies on: per-object local-step lists, a
 parent→children map, cached ancestor chains/sets, cached descendant
 tuples, and — for interval-backed histories — per-step-set sorted-interval
 sweeps that turn ``order_pairs`` and ordered-pair enumeration into
-``O(n log n + k)`` binary-search scans instead of ``O(n^2)`` permutations.
-The original permutation/uncached implementations are retained as
-``order_pairs_legacy``/``precedes_legacy`` and serve as oracles for the
-``check=True`` cross-checks in :mod:`repro.core.graphs` and the property
-tests.
+``O(n log n + k)`` binary-search scans instead of ``O(n^2)`` permutations,
+and Definition 6 condition 2c into an ``O(n log n)`` envelope sweep
+(DESIGN.md "Certification complexity", *Legality*).  The uncached
+``precedes_legacy`` is retained as the oracle for the ``check=True``
+cross-checks in :mod:`repro.core.graphs` and the property tests.
 """
 
 from __future__ import annotations
@@ -312,23 +312,11 @@ class History:
 
         For interval-backed histories the pairs are enumerated with a
         sorted-interval sweep — ``O(n log n + k)`` for ``k`` ordered pairs —
-        instead of the quadratic permutation scan, which is retained as
-        :meth:`order_pairs_legacy` for cross-checking.
+        instead of the quadratic permutation scan.
         """
         if self._intervals is None:
             return set(self._order_pairs)
         return _interval_sweep_pairs(list(self._intervals.items()))
-
-    def order_pairs_legacy(self) -> set[tuple[int, int]]:
-        """The original ``O(n^2)`` permutation enumeration (oracle only)."""
-        if self._intervals is None:
-            return set(self._order_pairs)
-        pairs: set[tuple[int, int]] = set()
-        items = list(self._intervals.items())
-        for (first_id, (_, first_end)), (second_id, (second_start, _)) in itertools.permutations(items, 2):
-            if first_end < second_start:
-                pairs.add((first_id, second_id))
-        return pairs
 
     def precedes(self, first: Step | int, second: Step | int) -> bool:
         """``t < t'``: ``first`` completed before ``second`` was initiated."""
@@ -464,12 +452,9 @@ class History:
         """
         step_obj = self._steps[step.step_id if isinstance(step, Step) else int(step)]
         result = {step_obj.step_id}
-        if isinstance(step_obj, MessageStep):
-            child_id = self.child_of_message(step_obj)
-            if child_id is not None:
-                for execution_id in self.descendants(child_id):
-                    if execution_id in self._executions:
-                        result.update(self._executions[execution_id].step_ids())
+        child_id = self.child_of_message(step_obj) if isinstance(step_obj, MessageStep) else None
+        if child_id is not None:
+            result.update(self._subtree_step_ids(child_id))
         return result
 
     # ------------------------------------------------------------------
@@ -574,8 +559,8 @@ class History:
         return True
 
     def _check_condition_one(self) -> None:
-        # B is a function defined on every message step, and is 1-1.
-        seen_children: set[str] = set()
+        # B is defined on every message step (and 1-1 by representation: an
+        # execution records the one message step whose image it is).
         for message in self.message_steps():
             child_id = self.child_of_message(message)
             if child_id is None:
@@ -583,12 +568,6 @@ class History:
                     f"message step {message.step_id} has no resulting method execution",
                     condition="1",
                 )
-            if child_id in seen_children:
-                raise IllegalHistoryError(
-                    f"execution {child_id!r} is the image of two message steps (B not 1-1)",
-                    condition="1",
-                )
-            seen_children.add(child_id)
             child = self.execution(child_id)
             if child.parent_id != message.execution_id:
                 raise IllegalHistoryError(
@@ -596,8 +575,16 @@ class History:
                     f"invoking message step belongs to {message.execution_id!r}",
                     condition="1",
                 )
-        # Executions that claim an invoking step must contain a matching message step.
+        # Executions that claim an invoking step must contain a matching
+        # message step, and no two may claim the same one (B is a function).
         for execution in self._executions.values():
+            claimant = self._children_by_step.get(execution.invoking_step_id)
+            if claimant is not None and claimant != execution.execution_id:
+                raise IllegalHistoryError(
+                    f"executions {claimant!r} and {execution.execution_id!r} both claim "
+                    f"invoking message step {execution.invoking_step_id} (B not a function)",
+                    condition="1",
+                )
             if execution.invoking_step_id is None:
                 if execution.parent_id is not None:
                     raise IllegalHistoryError(
@@ -663,7 +650,10 @@ class History:
                         f"{object_name!r} are unordered",
                         condition="2b",
                     )
-        # 2c: orderings propagate to descendants.
+        # 2c: orderings propagate to descendants.  The enumeration words every
+        # violation and is the only checker of order-pair histories.
+        if self._intervals is not None and self._envelopes_follow_order():
+            return
         all_steps = list(self._steps.values())
         descendant_cache = {step.step_id: self.step_descendant_steps(step) for step in all_steps}
         for first, second in self.ordered_step_pairs(all_steps):
@@ -677,6 +667,40 @@ class History:
                             f"{first_descendant} and {second_descendant} are not ordered accordingly",
                             condition="2c",
                         )
+
+    def _envelopes_follow_order(self) -> bool:
+        """Condition 2c of an interval order, in ``O(n log n)`` (DESIGN.md, *Legality*).
+
+        ``env(t) = (min start, max end)`` over ``step_descendant_steps(t)``, one
+        bottom-up pass over the execution forest; a descendant with no (or an
+        inverted) interval widens it to ``(-inf, +inf)``, as ``precedes`` is
+        ``False`` for it.  2c holds iff ``envmax(a) < envmin(b)`` whenever ``b``
+        starts after ``a`` ends: one suffix minimum, one bisect per step.
+        """
+        intervals, infinity = self._intervals, float("inf")
+        subtree: dict[str, tuple[float, float]] = {}
+        envelope: dict[int, tuple[float, float]] = {}
+        for execution_id in sorted(self._executions, key=self.level, reverse=True):
+            low, high = infinity, -infinity
+            for step_id in self._executions[execution_id].step_ids_iter():
+                start, end = intervals.get(step_id, (infinity, -infinity))
+                if start > end:
+                    start, end = -infinity, infinity
+                if step_id in self._children_by_step:
+                    below = subtree[self._children_by_step[step_id]]  # deeper, so done
+                    start, end = min(start, below[0]), max(end, below[1])
+                envelope[step_id] = (start, end)
+                low, high = min(low, start), max(high, end)
+            subtree[execution_id] = (low, high)
+        timed = sorted((intervals[sid][0], sid) for sid in envelope if sid in intervals)
+        starts = [start for start, _ in timed]
+        # floor[i]: the least envmin among timed[i:].
+        floor = list(itertools.accumulate((envelope[sid][0] for _, sid in reversed(timed)), min))[::-1]
+        for _, step_id in timed:
+            later = bisect_right(starts, intervals[step_id][1])
+            if later < len(timed) and envelope[step_id][1] >= floor[later]:
+                return False
+        return True
 
     def _check_condition_three(self) -> None:
         for object_name in sorted(self.object_names()):
@@ -803,10 +827,11 @@ class HistoryBuilder:
     object.  Each local step is stamped with the clock instant at which it
     executed; message steps span the interval from invocation to the
     completion of the child execution, which makes condition 2c of
-    Definition 6 hold by construction.  When a local step's return value is
-    left as :data:`AUTO` the builder computes it by applying the operation
-    to the object's current state, so condition 3 also holds by
-    construction.
+    Definition 6 hold by construction (a descendant's interval lies inside
+    its message step's — DESIGN.md "Certification complexity", *Legality*).
+    When a local step's return value is left as :data:`AUTO` the builder
+    computes it by applying the operation to the object's current state, so
+    condition 3 also holds by construction.
     """
 
     def __init__(

@@ -30,13 +30,14 @@ import networkx as nx
 
 from .errors import IllegalStepSequenceError, ModelError, VerificationError
 from .graphs import (
-    combined_object_graph,
     find_cycle,
     is_acyclic,
     message_relation,
+    object_graph_union,
     serialisation_graph,
     sg_local,
     sg_local_legacy,
+    sg_mesg_by_object,
     sg_mesg_legacy,
 )
 from .history import History
@@ -324,25 +325,24 @@ def theorem_5_conditions(history: History, *, legacy: bool = False) -> Theorem5R
         acyclic; (b) for every execution ``e`` the message relation ``->_e``
         is acyclic.  When both hold the history is serialisable.
 
-    The default path builds every ``SG_local`` exactly once and shares the
-    collection across all the per-object combined graphs (the legacy path
-    rebuilt each local graph once per object — quadratic in the number of
+    The default path builds every ``SG_local`` exactly once and every
+    ``SG_mesg`` from one sweep over their edges (the legacy path rebuilt
+    each local graph once per object — quadratic in the number of
     objects); ``legacy=True`` keeps the original from-scratch builders for
     benchmarking and oracle cross-checks.
     """
-    cyclic_objects: list[str] = []
     object_names = {execution.object_name for execution in history.executions.values()}
     if legacy:
-        for object_name in sorted(object_names):
-            combined = _combined_object_graph_legacy(history, object_name)
-            if not is_acyclic(combined):
-                cyclic_objects.append(object_name)
+        local_graphs = {name: sg_local_legacy(history, name) for name in object_names}
+        mesg_graphs = {name: sg_mesg_legacy(history, name) for name in object_names}
     else:
-        local_graphs = {object_name: sg_local(history, object_name) for object_name in object_names}
-        for object_name in sorted(object_names):
-            combined = combined_object_graph(history, object_name, local_graphs=local_graphs)
-            if not is_acyclic(combined):
-                cyclic_objects.append(object_name)
+        local_graphs = {name: sg_local(history, name) for name in object_names}
+        mesg_graphs = sg_mesg_by_object(history, local_graphs)
+    cyclic_objects = [
+        name
+        for name in sorted(object_names)
+        if not is_acyclic(object_graph_union(local_graphs[name], mesg_graphs[name]))
+    ]
 
     cyclic_executions: list[str] = []
     for execution_id in sorted(history.execution_ids()):
@@ -351,18 +351,6 @@ def theorem_5_conditions(history: History, *, legacy: bool = False) -> Theorem5R
 
     holds = not cyclic_objects and not cyclic_executions
     return Theorem5Report(holds, cyclic_objects, cyclic_executions)
-
-
-def _combined_object_graph_legacy(history: History, object_name: str) -> nx.DiGraph:
-    """Theorem 5(a) graph built with the legacy from-scratch builders."""
-    combined = nx.DiGraph()
-    local_graph = sg_local_legacy(history, object_name)
-    mesg_graph = sg_mesg_legacy(history, object_name)
-    combined.add_nodes_from(local_graph.nodes)
-    combined.add_nodes_from(mesg_graph.nodes)
-    combined.add_edges_from(local_graph.edges)
-    combined.add_edges_from(mesg_graph.edges)
-    return combined
 
 
 # ---------------------------------------------------------------------------

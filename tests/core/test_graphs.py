@@ -1,6 +1,8 @@
 """Unit tests for serialisation graphs (Definitions 9 and 10)."""
 
 from repro.core import (
+    History,
+    MethodExecution,
     ReadVariable,
     WriteVariable,
     combined_object_graph,
@@ -10,6 +12,7 @@ from repro.core import (
     serialisation_graph,
     sg_local,
     sg_mesg,
+    theorem_5_conditions,
 )
 
 from tests.conftest import fresh_builder, increment_via_read_write
@@ -108,6 +111,26 @@ class TestPerObjectGraphs:
 
     def test_combined_graph_cyclic_for_non_serialisable_history(self, non_serialisable_history):
         assert not is_acyclic(combined_object_graph(non_serialisable_history, "environment"))
+
+    def test_dangling_parent_is_skipped_when_edges_are_mapped_up(self, non_serialisable_history):
+        # ``ancestors()`` returns a parent_id no execution carries (condition 1
+        # reports it); the one-sweep SG_mesg must ignore it, as the scan did.
+        history = non_serialisable_history
+        child = history.execution("T1.1")
+        orphan = MethodExecution(
+            "T1.1", "A", child.method_name, parent_id="ghost", invoking_step_id=child.invoking_step_id
+        )
+        for step in child.steps():
+            orphan.add_step(step)
+        executions = [orphan if e.execution_id == "T1.1" else e for e in history.executions.values()]
+        orphaned = History(
+            executions, history.initial_states, conflicts=history.conflicts, intervals=history.intervals()
+        )
+        assert orphaned.ancestors("T1.1") == ["ghost"] and not orphaned.is_legal()
+        assert theorem_5_conditions(orphaned) == theorem_5_conditions(orphaned, legacy=True)
+        for object_name in ("environment", "A", "B"):
+            sg_mesg(orphaned, object_name, check=True)
+        assert set(sg_mesg(orphaned, "environment").edges) == {("T2", "T1")}
 
 
 class TestMessageRelation:

@@ -24,6 +24,7 @@ from repro.core.errors import (
 from repro.core.operations import LocalStep, MessageStep
 
 from tests.conftest import fresh_builder, increment_via_read_write
+from tests.oracles.legality import check_condition_2c, with_intervals
 
 
 def simple_history():
@@ -282,6 +283,80 @@ class TestLegality:
         with pytest.raises(IllegalHistoryError) as excinfo:
             history.check_legal()
         assert excinfo.value.condition == "2a"
+
+    def test_two_executions_claiming_one_message_step_violate_condition_one(self):
+        # B must be a function: a second execution claiming T1.1's invoking
+        # step used to be dropped from the index, so its steps escaped the
+        # message's descendant set and the history passed as legal.
+        history = simple_history()
+        original = history.execution("T1.1")
+        clone = MethodExecution(
+            "T1.1-clone",
+            "A",
+            "bump",
+            parent_id=original.parent_id,
+            invoking_step_id=original.invoking_step_id,
+        )
+        extra = LocalStep("T1.1-clone", "A", ReadVariable("x"), 1)
+        clone.add_step(extra)
+        duplicated = History(
+            [*history.executions.values(), clone],
+            history.initial_states,
+            conflicts=history.conflicts,
+            intervals={**history.intervals(), extra.step_id: (100, 100)},
+        )
+        with pytest.raises(IllegalHistoryError) as excinfo:
+            duplicated.check_legal()
+        assert excinfo.value.condition == "1"
+        assert "'T1.1'" in str(excinfo.value) and "'T1.1-clone'" in str(excinfo.value)
+
+    @staticmethod
+    def _message_with_a_later_step():
+        """T1's message (2, 4) over ``inner`` (3, 3), then ``later`` (5, 5) of T2.
+
+        T2's own message (1, 6) spans everything, so the only ordered pairs
+        are ``message < later`` and ``inner < later``; reads only, on two
+        objects, so 2a and 2b have nothing to say.
+        """
+        builder = fresh_builder({"A": {"x": 0}, "B": {"x": 0}})
+        second = builder.invoke(builder.begin_top_level(), "B", "m")
+        first = builder.begin_top_level()
+        child = builder.invoke(first, "A", "m")
+        inner = builder.local(child, ReadVariable("x"))
+        builder.finish(child)
+        later = builder.local(second, ReadVariable("x"))
+        builder.finish(second)
+        history = builder.build(check=True)
+        (message,) = history.execution(first.execution_id).message_steps()
+        assert history.intervals()[message.step_id] == (2, 4)
+        return history, message, inner, later
+
+    @pytest.mark.parametrize("interval", [(3, 5), None], ids=["stretched", "untimed"])
+    def test_descendant_not_following_its_message_violates_condition_2c(self, interval):
+        # ``inner`` either outlasts its message step, into ``later``'s
+        # instant, or has no interval at all: message < later no longer
+        # propagates to the message's descendant.
+        history, message, inner, later = self._message_with_a_later_step()
+        broken = with_intervals(history, {inner.step_id: interval})
+        with pytest.raises(IllegalHistoryError) as excinfo:
+            broken.check_legal()
+        assert excinfo.value.condition == "2c"
+        assert str(excinfo.value) == (
+            f"{message.step_id} < {later.step_id} but descendants "
+            f"{inner.step_id} and {later.step_id} are not ordered accordingly"
+        )
+        with pytest.raises(IllegalHistoryError) as enumerated:
+            check_condition_2c(broken)
+        assert str(enumerated.value) == str(excinfo.value)
+
+    def test_untimed_descendant_under_an_unordered_message_stays_legal(self):
+        # Nothing starts after the message ends, so its poisoned envelope
+        # (-inf, +inf) is never compared: no ordering exists to propagate.
+        history, message, inner, later = self._message_with_a_later_step()
+        lonely = with_intervals(history, {inner.step_id: None, later.step_id: (4, 4)})
+        assert not lonely.precedes(message, later)
+        lonely.check_legal()
+        check_condition_2c(lonely)
 
     def test_wrong_return_value_violates_condition_3(self):
         builder = fresh_builder({"A": {"x": 0}})

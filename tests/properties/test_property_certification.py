@@ -6,8 +6,13 @@ the original permutation implementations as oracles.  These tests generate
 random *nested* histories (with internal parallelism, so incomparable
 siblings and non-trivial disjoint ancestors actually occur) and assert:
 
-* indexed ``order_pairs`` / ``precedes`` agree with the retained legacy
-  implementations (``order_pairs_legacy`` / ``precedes_legacy``);
+* indexed ``order_pairs`` / ``precedes`` agree with the legacy
+  implementations (``tests/oracles`` ``order_pairs_legacy``, the retained
+  ``precedes_legacy``);
+* ``check_legal`` — whose condition 2c is an interval-envelope sweep —
+  agrees, verdict and message, with the enumeration kept in
+  ``tests/oracles/legality.py`` on histories with perturbed or dropped
+  intervals;
 * the sweep-based ``serialisation_graph`` / ``sg_local`` / ``sg_mesg``
   reproduce the legacy from-scratch graphs (``check=True`` raises on any
   divergence), a degenerate history whose ``<`` is cyclic included.
@@ -16,12 +21,14 @@ siblings and non-trivial disjoint ancestors actually occur) and assert:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     History,
     HistoryBuilder,
+    IllegalHistoryError,
     ObjectState,
     PerObjectConflicts,
     ReadVariable,
@@ -33,6 +40,9 @@ from repro.core import (
     sg_local,
     sg_mesg,
 )
+from repro.core.graphs import _assert_graphs_match, sg_mesg_by_object, sg_mesg_legacy
+
+from tests.oracles.legality import check_condition_2c, order_pairs_legacy, with_intervals
 
 OBJECT_NAMES = ("A", "B", "C")
 VARIABLE_NAMES = ("x", "y")
@@ -46,8 +56,10 @@ def nested_history(draw):
     child method execution which issues one or two local read/write steps
     and is invoked either sequentially or in parallel with its predecessor
     (``after=[]``), so the execution forest exhibits both comparable and
-    incomparable sibling pairs.  The interleaving across transactions is
-    drawn by hypothesis.
+    incomparable sibling pairs.  Some accesses are relayed through a method
+    of another object, so objects other than the environment have proper
+    descendants and a non-empty ``SG_mesg``.  The interleaving across
+    transactions is drawn by hypothesis.
     """
     transaction_count = draw(st.integers(2, 4))
     accesses_per_transaction = draw(st.integers(1, 3))
@@ -69,6 +81,7 @@ def nested_history(draw):
                     draw(st.integers(0, 9)),
                     draw(st.booleans()),  # parallel sibling?
                     draw(st.booleans()),  # second local step?
+                    draw(st.sampled_from((None, *OBJECT_NAMES))),  # relayed through?
                 )
             )
         plans.append(list(reversed(plan)))
@@ -76,12 +89,15 @@ def nested_history(draw):
     pending = {index for index in range(transaction_count) if plans[index]}
     while pending:
         index = draw(st.sampled_from(sorted(pending)))
-        object_name, variable, is_write, value, parallel, extra_step = plans[index].pop()
+        object_name, variable, is_write, value, parallel, extra_step, relay = plans[index].pop()
+        caller = transactions[index]
+        if relay is not None:
+            caller = builder.invoke(caller, relay, "relay", after=[] if parallel else None)
         child = builder.invoke(
-            transactions[index],
+            caller,
             object_name,
             "access",
-            after=[] if parallel else None,
+            after=[] if parallel and relay is None else None,
         )
         if is_write:
             builder.local(child, WriteVariable(variable, value))
@@ -90,16 +106,45 @@ def nested_history(draw):
         if extra_step:
             builder.local(child, ReadVariable(variable, default=0))
         builder.finish(child)
+        if relay is not None:
+            builder.finish(caller)
         if not plans[index]:
             pending.discard(index)
     return builder.build(check=True)
+
+
+@st.composite
+def perturbed_history(draw):
+    """A :func:`nested_history` with 0-2 intervals stretched, advanced or dropped."""
+    history = draw(nested_history())
+    intervals = history.intervals()
+    changes = {}
+    for _ in range(draw(st.integers(0, 2))):
+        step_id = draw(st.sampled_from(sorted(intervals)))
+        start, end = intervals[step_id]
+        kind = draw(st.sampled_from(("stretch", "advance", "drop")))
+        delta = draw(st.integers(1, 6))
+        changes[step_id] = {
+            "stretch": (start, end + delta),
+            "advance": (start - delta, end),
+            "drop": None,
+        }[kind]
+    return with_intervals(history, changes)
+
+
+def _verdict(check):
+    try:
+        check()
+    except IllegalHistoryError as error:
+        return error.condition, str(error)
+    return None
 
 
 class TestIndexedHistoryOracles:
     @settings(max_examples=40, deadline=None)
     @given(nested_history())
     def test_order_pairs_sweep_matches_legacy(self, history):
-        assert history.order_pairs() == history.order_pairs_legacy()
+        assert history.order_pairs() == order_pairs_legacy(history)
 
     @settings(max_examples=30, deadline=None)
     @given(nested_history())
@@ -140,6 +185,31 @@ class TestIndexedHistoryOracles:
             assert swept == expected
 
 
+class TestLegalityOracle:
+    def test_check_legal_matches_the_enumeration_of_condition_2c(self):
+        # check_legal raises the first violated condition in the order 1,
+        # 2a, 2b, 2c, 3 — so it says "2c" exactly when the enumeration does
+        # and the same words, and a legal or "3" verdict means 2c held.
+        seen: Counter[str] = Counter()
+
+        @settings(max_examples=600, deadline=None, derandomize=True)
+        @given(perturbed_history())
+        def compare(history):
+            verdict = _verdict(history.check_legal)
+            enumerated = _verdict(lambda: check_condition_2c(history))
+            seen["legal" if verdict is None else verdict[0]] += 1
+            if verdict is None or verdict[0] == "3":
+                assert enumerated is None
+            elif verdict[0] == "2c":
+                assert verdict == enumerated
+            else:
+                assert verdict[0] in ("2a", "2b")
+
+        compare()
+        assert sum(seen.values()) >= 500
+        assert seen["legal"] >= 50 and seen["2c"] >= 20, seen
+
+
 class TestGraphBuilderOracles:
     @settings(max_examples=30, deadline=None)
     @given(nested_history())
@@ -152,6 +222,17 @@ class TestGraphBuilderOracles:
         for object_name in sorted(history.object_names() | {"environment"}):
             sg_local(history, object_name, check=True)
             sg_mesg(history, object_name, check=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(nested_history())
+    def test_one_sweep_yields_every_sg_mesg(self, history):
+        objects = sorted({execution.object_name for execution in history.executions.values()})
+        swept = sg_mesg_by_object(history, {name: sg_local(history, name) for name in objects})
+        assert sorted(swept) == objects
+        for object_name in objects:
+            _assert_graphs_match(
+                swept[object_name], sg_mesg_legacy(history, object_name), f"sg_mesg({object_name!r})"
+            )
 
     def test_serialisation_graph_handles_cyclic_temporal_order(self):
         # An (illegal) history whose < is cyclic among conflicting local
