@@ -1,14 +1,20 @@
-"""E11 — abort-path cost: incremental undo vs full-history replay.
+"""E11 — the abort path on an abort-heavy workload, pinned to its committed rows.
 
-The event-driven engine repairs object states after an abort with
-per-transaction undo segments (roll the touched objects back to the
-pre-subtree snapshot, re-apply the surviving suffix) instead of replaying
-the entire step log from the initial states.  This experiment drives an
-abort-heavy hot-spot workload — NTO restarts aggressively under
-contention — under both strategies and times the runs.  Scheduling
-decisions are independent of the undo strategy, so both rows commit the
-same transactions and abort the same attempts; only the abort-path cost
-differs.
+The engine repairs object states after an abort with per-transaction undo
+segments (roll the touched objects back to the pre-subtree snapshot,
+re-apply the surviving suffix) instead of replaying the entire step log
+from the initial states.  This experiment drives an abort-heavy hot-spot
+workload — NTO restarts aggressively under contention — records the run's
+wall clock, and asserts that every deterministic column (aborts, wasted
+steps, local steps, makespan, commits, give-ups) equals the rows committed
+when both repair strategies were still timed side by side: the abort path
+may get cheaper, it may not change what the run computes.
+
+What it no longer gates is a wall ratio against full replay.  That cost
+claim is held as an exact count in ``tests/simulation/test_undo.py``
+(re-applied steps per abort stay flat as the run doubles; the replay
+oracle's grow), and the replay itself lives in ``tests/oracles/engines.py``.
+Rows recorded before carry ``undo: "replay"`` twins; they stay as history.
 
 Each sweep also appends a ``BENCH_e11_abort_heavy.json`` file next to this
 module (schema: ``{"experiment", "rows": [...]}``) so the repository's
@@ -17,6 +23,7 @@ performance trajectory is recorded run over run.
 
 from __future__ import annotations
 
+import json
 import time
 from pathlib import Path
 
@@ -29,6 +36,11 @@ COLUMNS = [
     "undo", "wall_seconds", "aborts", "wasted_steps", "local_steps",
     "makespan", "committed", "gave_up",
 ]
+
+#: Pure functions of the seeded spec: pinned to the committed rows.
+DETERMINISTIC_COLUMNS = (
+    "aborts", "wasted_steps", "local_steps", "makespan", "committed", "gave_up",
+)
 
 BENCH_JSON = Path(__file__).resolve().parent / "BENCH_e11_abort_heavy.json"
 
@@ -44,9 +56,9 @@ def _workload() -> HotspotWorkload:
     )
 
 
-def run_configuration(undo: str) -> dict:
+def run_configuration() -> dict:
     base, specs = _workload().build()
-    engine = SimulationEngine(base, make_scheduler("nto"), seed=1111, undo=undo)
+    engine = SimulationEngine(base, make_scheduler("nto"), seed=1111)
     engine.submit_all(specs)
     started = time.perf_counter()
     result = engine.run()
@@ -55,7 +67,7 @@ def run_configuration(undo: str) -> dict:
     return {
         "experiment": "e11_abort_heavy",
         "scheduler": "nto",
-        "undo": undo,
+        "undo": "incremental",
         "wall_seconds": round(elapsed, 6),
         "aborts": metrics.aborted_attempts,
         "wasted_steps": metrics.wasted_steps,
@@ -67,7 +79,15 @@ def run_configuration(undo: str) -> dict:
 
 
 def run_experiment() -> list[dict]:
-    return [run_configuration(undo) for undo in ("replay", "incremental")]
+    return [run_configuration()]
+
+
+def committed_row(path: Path = BENCH_JSON) -> dict | None:
+    """The first recorded incremental-undo row: the deterministic baseline."""
+    if not path.exists():
+        return None
+    rows = json.loads(path.read_text()).get("rows", [])
+    return next((row for row in rows if row.get("undo") == "incremental"), None)
 
 
 def write_bench_json(rows: list[dict], path: Path = BENCH_JSON) -> None:
@@ -76,17 +96,21 @@ def write_bench_json(rows: list[dict], path: Path = BENCH_JSON) -> None:
 
 
 def test_e11_abort_heavy(benchmark):
+    baseline = committed_row()
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_experiment("E11: abort path — full replay vs incremental undo", rows, COLUMNS)
+    print_experiment("E11: abort path on an abort-heavy workload", rows, COLUMNS)
     write_bench_json(rows)
-    by_undo = {row["undo"]: row for row in rows}
-    # The strategy must not change the run itself, only its cost.
-    for key in ("aborts", "wasted_steps", "local_steps", "makespan", "committed", "gave_up"):
-        assert by_undo["replay"][key] == by_undo["incremental"][key]
-    assert by_undo["replay"]["aborts"] > 0, "the workload must be abort-heavy"
+    (row,) = rows
+    assert row["aborts"] > 0, "the workload must be abort-heavy"
+    # The repair strategy may change the run's cost, never the run.
+    assert baseline is not None, f"no committed incremental row in {BENCH_JSON.name}"
+    for key in DETERMINISTIC_COLUMNS:
+        assert row[key] == baseline[key], (
+            f"{key} drifted from the committed row: {row[key]!r} != {baseline[key]!r}"
+        )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual/CI smoke entry point
     experiment_rows = run_experiment()
-    print_experiment("E11: abort path — full replay vs incremental undo", experiment_rows, COLUMNS)
+    print_experiment("E11: abort path on an abort-heavy workload", experiment_rows, COLUMNS)
     write_bench_json(experiment_rows)

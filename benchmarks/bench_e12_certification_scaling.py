@@ -1,25 +1,31 @@
-"""E12 — certification cost scaling: indexed vs from-scratch.
+"""E12 — post-hoc certification across run lengths, pinned to its committed rows.
 
-PR 2 made post-run certification near-linear: histories carry persistent
-indexes (per-object step lists, cached ancestor chains, sorted-interval
-sweeps) and the serialisation-graph builders enumerate only
-actually-ordered conflicting pairs.  The original permutation builders
-are retained as ``sg_mode="legacy"`` — this experiment certifies the same
-committed projection under both modes and times them, across run lengths
-and two schedulers (blocking n2pl produces long committed histories; the
-optimistic certifier exercises the incremental commit-time validation
-during the run itself).  Rows recorded before the ``"incremental"`` mode
-was deleted keep their ``*_incremental*`` columns as history.
+Post-run certification is near-linear: histories carry persistent indexes
+(per-object step lists, cached ancestor chains, sorted-interval sweeps) and
+the serialisation-graph builders enumerate only actually-ordered
+conflicting pairs.  This experiment certifies the committed projection of
+the same low-contention hotspot workload across run lengths and two
+schedulers (blocking n2pl produces long committed histories; the
+optimistic certifier exercises commit-time validation during the run
+itself), records a setup/run/certify wall breakdown per configuration, and
+asserts that every deterministic column (commits, committed steps, SG
+edges, the serialisability verdict) equals the committed rows.
+
+What it no longer gates is a wall ratio against the from-scratch
+permutation builders: those live in ``tests/oracles/graphs.py`` as the
+reference the property tests compare against, and the scaling claim is
+held exactly, as call counts, by ``tests/analysis/test_certification_cost.py``.
+Rows recorded before carry ``certify_legacy_seconds`` / ``speedup_*`` /
+``*_incremental*`` / ``commit_conflict_calls`` columns; they stay as history.
 
 Each sweep appends to ``BENCH_e12_certification_scaling.json`` (schema:
-``{"experiment", "rows": [...]}``) with a setup/run/certify timing
-breakdown per configuration, so the repository's performance trajectory is
-recorded run over run; CI diffs the file against the committed baseline
-and warns on >30% wall-time regressions (``benchmarks/compare_bench.py``).
+``{"experiment", "rows": [...]}``) so the repository's performance
+trajectory is recorded run over run.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from pathlib import Path
 
@@ -31,14 +37,14 @@ from .harness import append_bench_rows, print_experiment
 
 COLUMNS = [
     "scheduler", "transactions", "committed", "committed_steps",
-    "setup_seconds", "run_seconds",
-    "certify_legacy_seconds", "certify_indexed_seconds",
-    "speedup_indexed",
+    "sg_edges", "serialisable", "setup_seconds", "run_seconds", "certify_seconds",
 ]
+
+#: Pure functions of the seeded spec: pinned to the committed rows.
+DETERMINISTIC_COLUMNS = ("committed", "committed_steps", "sg_edges", "serialisable")
 
 LENGTHS = (12, 24, 48)
 SCHEDULERS = ("n2pl", "certifier")
-SPEEDUP_FLOOR = 5.0
 
 BENCH_JSON = Path(__file__).resolve().parent / "BENCH_e12_certification_scaling.json"
 
@@ -69,37 +75,22 @@ def run_configuration(scheduler_name: str, transactions: int) -> dict:
     run_seconds = time.perf_counter() - started
 
     committed = result.committed_history()
-    timings: dict[str, float] = {}
-    reports = {}
-    for sg_mode in ("legacy", "indexed"):
-        started = time.perf_counter()
-        reports[sg_mode] = certify_history(committed, check_legality=False, sg_mode=sg_mode)
-        timings[sg_mode] = time.perf_counter() - started
-    verdicts = {
-        (report.serialisable, report.theorem5_holds, report.sg_edges)
-        for report in reports.values()
-    }
-    if len(verdicts) != 1:
-        raise AssertionError(f"certification modes disagree: {verdicts!r}")
+    started = time.perf_counter()
+    report = certify_history(committed, check_legality=False)
+    certify_seconds = time.perf_counter() - started
 
-    row = {
+    return {
         "experiment": "e12_certification_scaling",
         "scheduler": scheduler_name,
         "transactions": transactions,
         "committed": result.metrics.committed,
         "committed_steps": len(committed.local_steps()),
-        "sg_edges": reports["indexed"].sg_edges,
-        "serialisable": reports["indexed"].serialisable,
+        "sg_edges": report.sg_edges,
+        "serialisable": report.serialisable,
         "setup_seconds": round(setup_seconds, 6),
         "run_seconds": round(run_seconds, 6),
-        "certify_legacy_seconds": round(timings["legacy"], 6),
-        "certify_indexed_seconds": round(timings["indexed"], 6),
-        "speedup_indexed": round(timings["legacy"] / max(timings["indexed"], 1e-9), 2),
+        "certify_seconds": round(certify_seconds, 6),
     }
-    if scheduler_name == "certifier":
-        description = scheduler.describe()
-        row["commit_conflict_calls"] = description.get("commit_conflict_calls", 0)
-    return row
 
 
 def run_experiment() -> list[dict]:
@@ -110,36 +101,46 @@ def run_experiment() -> list[dict]:
     ]
 
 
+def committed_rows(path: Path = BENCH_JSON) -> dict[tuple, dict]:
+    """The first recorded row per ``(scheduler, transactions)``: the baseline."""
+    if not path.exists():
+        return {}
+    baselines: dict[tuple, dict] = {}
+    for row in json.loads(path.read_text()).get("rows", []):
+        baselines.setdefault((row.get("scheduler"), row.get("transactions")), row)
+    return baselines
+
+
 def write_bench_json(rows: list[dict], path: Path = BENCH_JSON) -> None:
     """Append this sweep's rows to the recorded trajectory."""
     append_bench_rows(path, "e12_certification_scaling", rows)
 
 
 def test_e12_certification_scaling(benchmark):
+    baselines = committed_rows()
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_experiment("E12: certification cost — legacy vs indexed", rows, COLUMNS)
+    print_experiment("E12: post-hoc certification across run lengths", rows, COLUMNS)
     write_bench_json(rows)
-    # The online certifier must never re-enumerate step pairs at commit.
-    for row in rows:
-        if row["scheduler"] == "certifier":
-            assert row["commit_conflict_calls"] == 0
-    # At the longest run length the indexed path must beat the from-scratch
-    # builders by at least SPEEDUP_FLOOR on the scheduler with the longest
-    # committed history.
     longest = max(
         (row for row in rows if row["transactions"] == max(LENGTHS)),
         key=lambda row: row["committed_steps"],
     )
     assert longest["committed_steps"] >= 100, "workload must produce a long committed history"
-    assert longest["speedup_indexed"] >= SPEEDUP_FLOOR, (
-        f"indexed certification only {longest['speedup_indexed']}x faster than legacy "
-        f"at {longest['transactions']} transactions"
-    )
+    for row in rows:
+        label = f"{row['scheduler']}/{row['transactions']}"
+        assert row["serialisable"], f"{label}: committed projection is not serialisable"
+        baseline = baselines.get((row["scheduler"], row["transactions"]))
+        assert baseline is not None, f"{label}: no committed row in {BENCH_JSON.name}"
+        for key in DETERMINISTIC_COLUMNS:
+            assert row[key] == baseline[key], (
+                f"{label}: {key} drifted from the committed row: "
+                f"{row[key]!r} != {baseline[key]!r}"
+            )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual/CI smoke entry point
     experiment_rows = run_experiment()
     print_experiment(
-        "E12: certification cost — legacy vs indexed", experiment_rows, COLUMNS
+        "E12: post-hoc certification across run lengths", experiment_rows, COLUMNS
     )
     write_bench_json(experiment_rows)

@@ -45,7 +45,7 @@ below 2x at 100k arrivals), so every row now carries a machine-checked
 into the bounded-memory live-state gauge.  The streaming verdicts are
 oracle-tested against post-hoc ``certify_run`` at smaller sizes by
 ``tests/analysis/test_streaming_certification.py``, and the engine's GC
-by ``tests/simulation/test_open_system.py`` ``check=True`` cross-checks.
+by ``tests/simulation/test_open_system.py`` on the ``tests/oracles`` engines.
 
 ``REPRO_E15_ARRIVALS`` overrides the stream length for local iteration;
 rows are only appended to the trajectory file when the full 2,000-arrival

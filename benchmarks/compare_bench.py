@@ -17,15 +17,15 @@ warn-only on pushes.
 
 Watched files:
 
-* ``BENCH_e12_certification_scaling.json`` — the indexed
-  certification speedup over the legacy builders, measured within one
-  sweep on one machine (a wall-time *ratio*, hence machine-independent).
 * ``BENCH_e14_restart_policies.json`` — each restart/contention policy's
   ``recovery_ratio`` (its commit rate over the storm baseline's), a pure
   function of the deterministic scenario spec.
 * ``BENCH_e15_open_system.json`` — each open-system scenario's
   ``commit_rate`` and ``throughput`` (committed over makespan), pure
   functions of the deterministic arrival stream.
+* ``BENCH_e16_hot_loop.json`` — each configuration's
+  ``speedup_vs_baseline`` (decisions/second over the committed
+  pre-rewrite row's).
 * ``BENCH_e17_streaming_certification.json`` — each scheduler's
   ``certify_relative_throughput`` (plain wall clock over certified wall
   clock, an in-run ratio): the streaming certifier's O(new-work)
@@ -68,16 +68,6 @@ class Watch:
 
 WATCHES = (
     Watch(
-        name="E12",
-        path=BENCH_DIR / "BENCH_e12_certification_scaling.json",
-        key_fields=("scheduler", "transactions"),
-        columns=("speedup_indexed",),
-        # The certifier configurations' legacy certification takes well
-        # under a millisecond — their speedup ratios are noise; only the
-        # meaningfully-timed configurations gate.
-        noise_floor=("certify_legacy_seconds", 0.05),
-    ),
-    Watch(
         name="E14",
         path=BENCH_DIR / "BENCH_e14_restart_policies.json",
         key_fields=("policy",),
@@ -94,13 +84,12 @@ WATCHES = (
         path=BENCH_DIR / "BENCH_e16_hot_loop.json",
         # ``engine`` in the key keeps the committed ``pre_pr`` rows out of
         # the comparison (they are a single sweep, never re-recorded); the
-        # ratio columns are the in-run event/scan and event/baseline
-        # factors, both machine-independent enough to trend-watch.
+        # ratio column is the event/baseline throughput factor.
         key_fields=("scheduler", "mode", "engine"),
-        columns=("speedup_scan", "speedup_vs_baseline"),
-        # Stream scenarios finish the scan run in ~half a second; anything
-        # quicker than the floor is timing jitter, not signal.
-        noise_floor=("wall_seconds_scan", 0.25),
+        columns=("speedup_vs_baseline",),
+        # Stream scenarios finish in about half a second; anything quicker
+        # than the floor is timing jitter, not signal.
+        noise_floor=("wall_seconds", 0.25),
     ),
     Watch(
         name="E17",
@@ -237,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         arguments.remove("--fail-on-regression")
     if arguments:
         # Explicit path: compare it with the watch whose file name matches,
-        # defaulting to the E12 shape for unknown files (backward compat).
+        # defaulting to the first watch's shape for unknown files.
         path = Path(arguments[0])
         matching = next((w for w in WATCHES if w.path.name == path.name), WATCHES[0])
         watches = (

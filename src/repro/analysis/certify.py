@@ -17,16 +17,10 @@ from typing import Any
 import networkx as nx
 
 from ..core.errors import IllegalHistoryError
-from ..core.graphs import (
-    is_acyclic,
-    serialisation_graph,
-    serialisation_graph_legacy,
-)
+from ..core.graphs import is_acyclic, serialisation_graph
 from ..core.history import History
 from ..core.theorems import execution_serial_order, theorem_5_conditions
 from ..simulation.metrics import RunResult
-
-SG_MODES = ("indexed", "legacy")
 
 
 @dataclass
@@ -90,24 +84,12 @@ def cyclic_nodes(graph: nx.DiGraph) -> tuple[str, ...]:
     return tuple(sorted(nodes))
 
 
-def certify_history(
-    history: History,
-    *,
-    check_legality: bool = True,
-    sg_mode: str = "indexed",
-) -> CertificationReport:
+def certify_history(history: History, *, check_legality: bool = True) -> CertificationReport:
     """Certify an arbitrary history (assumed already projected to committed work).
 
-    ``sg_mode`` selects the serialisation-graph machinery:
-
-    * ``"indexed"`` (default) — the sorted-interval sweep builders; the
-      graph is built once and reused for the acyclicity test and the serial
-      order instead of being rebuilt per question;
-    * ``"legacy"`` — the original from-scratch permutation builders,
-      retained for oracle cross-checks and the E12 benchmark baseline.
+    The serialisation graph is built once and reused for the acyclicity
+    test and the serial order instead of being rebuilt per question.
     """
-    if sg_mode not in SG_MODES:
-        raise ValueError(f"unknown sg_mode {sg_mode!r}; expected one of {SG_MODES}")
     violations: list[str] = []
 
     legal = True
@@ -118,17 +100,14 @@ def certify_history(
             legal = False
             violations.append(f"legality: {error}")
 
-    if sg_mode == "legacy":
-        graph = serialisation_graph_legacy(history)
-    else:
-        graph = serialisation_graph(history)
+    graph = serialisation_graph(history)
     serialisable = is_acyclic(graph)
     cycle: tuple[str, ...] | None = None
     if not serialisable:
         violations.append("serialisation graph contains a cycle")
         cycle = cyclic_nodes(graph)
 
-    report5 = theorem_5_conditions(history, legacy=sg_mode == "legacy")
+    report5 = theorem_5_conditions(history)
     if not report5.holds:
         if report5.cyclic_objects:
             violations.append(
@@ -161,9 +140,6 @@ def certify_history(
     )
 
 
-def certify_run(
-    result: RunResult, *, check_legality: bool = True, sg_mode: str = "indexed"
-) -> CertificationReport:
+def certify_run(result: RunResult, *, check_legality: bool = True) -> CertificationReport:
     """Certify the committed projection of a simulation run."""
-    committed = result.committed_history()
-    return certify_history(committed, check_legality=check_legality, sg_mode=sg_mode)
+    return certify_history(result.committed_history(), check_legality=check_legality)

@@ -1,11 +1,12 @@
 """Online certification: grow ``SG(h)`` at commit time, O(new work) per commit.
 
 Post-hoc certification (:func:`~repro.analysis.certify.certify_run`)
-replays the *whole* committed projection after the run — quadratic-ish
-work that made certification unaffordable above a few thousand
-transactions (E15 shipped ``certify=False``).  The
-:class:`StreamingCertifier` does the same checks as the run progresses
-instead:
+certifies the *whole* committed projection after the run, so it needs the
+whole history retained and delivers no verdict until the end (its cost
+is near-linear since Definition 6 condition 2c became an envelope sweep;
+DESIGN.md "Certification complexity").  The :class:`StreamingCertifier`
+does the same checks as the run progresses instead, on a window that
+stays O(in-flight):
 
 * every committed transaction's subtree is snapshotted at commit time
   (its steps and message intervals are final the moment it commits) and

@@ -19,18 +19,12 @@ All graphs are returned as :class:`networkx.DiGraph` instances whose edges
 carry a ``reasons`` attribute listing the step pairs that induced them, so
 failures can be explained to the user.
 
-Two construction strategies coexist:
-
-* the **indexed** builders (the default) enumerate only actually-ordered
-  conflicting step pairs per object via the history's sorted-interval
-  sweep — ``O(n log n + k)`` pair enumeration instead of ``O(n^2)``
-  permutations — and derive every ``SG_mesg`` from one sweep over the
-  ``SG_local`` edges;
-* the **legacy** builders (``*_legacy``) are the original from-scratch
-  permutation scans.  They are retained as oracles: every indexed builder
-  takes a ``check=True`` flag that rebuilds the graph the legacy way and
-  raises :class:`~repro.core.errors.VerificationError` on any divergence
-  (mirroring the ``check_undo`` convention of the simulation engine).
+The builders enumerate only actually-ordered conflicting step pairs per
+object via the history's sorted-interval sweep — ``O(n log n + k)`` pair
+enumeration instead of ``O(n^2)`` permutations — and derive every
+``SG_mesg`` from one sweep over the ``SG_local`` edges.  The from-scratch
+permutation scans they replaced are the reference the property tests hold
+them against (``tests/oracles/graphs.py``).
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ from typing import Iterable, Mapping
 
 import networkx as nx
 
-from .errors import VerificationError
 from .history import History
 from .operations import LocalStep, MessageStep
 
@@ -60,46 +53,6 @@ def _conflicting_ordered_pairs(history: History) -> Iterable[tuple[LocalStep, Lo
     """
     for object_name in sorted(history.object_names()):
         yield from history.ordered_conflicting_pairs(object_name)
-
-
-def _conflicting_ordered_pairs_legacy(history: History) -> Iterable[tuple[LocalStep, LocalStep]]:
-    """The original permutation enumeration (oracle only)."""
-    for object_name in history.object_names():
-        steps = history.local_steps(object_name)
-        for first, second in itertools.permutations(steps, 2):
-            if not history.precedes_legacy(first, second):
-                continue
-            if history.conflicts.steps_conflict(first, second):
-                yield first, second
-
-
-def _reason_multisets(graph: nx.DiGraph) -> dict[tuple, dict[tuple, int]]:
-    rendered: dict[tuple, dict[tuple, int]] = {}
-    for source, target, data in graph.edges(data=True):
-        counts: dict[tuple, int] = {}
-        for reason in data["reasons"]:
-            key = tuple(reason)
-            counts[key] = counts.get(key, 0) + 1
-        rendered[(source, target)] = counts
-    return rendered
-
-
-def _assert_graphs_match(candidate: nx.DiGraph, oracle: nx.DiGraph, label: str) -> None:
-    """Cross-check an indexed graph against its legacy oracle."""
-    if set(candidate.nodes) != set(oracle.nodes):
-        raise VerificationError(
-            f"{label}: node sets diverge (indexed {sorted(candidate.nodes)!r} "
-            f"vs legacy {sorted(oracle.nodes)!r})"
-        )
-    candidate_reasons = _reason_multisets(candidate)
-    oracle_reasons = _reason_multisets(oracle)
-    if candidate_reasons != oracle_reasons:
-        missing = set(oracle_reasons) - set(candidate_reasons)
-        extra = set(candidate_reasons) - set(oracle_reasons)
-        raise VerificationError(
-            f"{label}: edge/reason sets diverge (missing {sorted(missing)!r}, "
-            f"extra {sorted(extra)!r}, or reason multiplicities differ)"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +97,7 @@ def _add_type_b_edges(graph: nx.DiGraph, history: History) -> None:
                     )
 
 
-def serialisation_graph(history: History, *, check: bool = False) -> nx.DiGraph:
+def serialisation_graph(history: History) -> nx.DiGraph:
     """Build ``SG(h)`` exactly as in Definition 9.
 
     Nodes are execution ids.  For a type (a) witness ``t < t'`` with ``t``
@@ -155,23 +108,11 @@ def serialisation_graph(history: History, *, check: bool = False) -> nx.DiGraph:
     every pair of executions descending from ``B(m)`` and ``B(m')``.
 
     Conflict witnesses are enumerated with the history's sorted-interval
-    sweep; ``check=True`` rebuilds the graph with the legacy permutation
-    scan and raises on any divergence.
+    sweep.
     """
     graph = nx.DiGraph()
     graph.add_nodes_from(history.execution_ids())
     _add_type_a_edges(graph, history, _conflicting_ordered_pairs(history))
-    _add_type_b_edges(graph, history)
-    if check:
-        _assert_graphs_match(graph, serialisation_graph_legacy(history), "serialisation_graph")
-    return graph
-
-
-def serialisation_graph_legacy(history: History) -> nx.DiGraph:
-    """The original from-scratch ``SG(h)`` builder (oracle for ``check=True``)."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(history.execution_ids())
-    _add_type_a_edges(graph, history, _conflicting_ordered_pairs_legacy(history))
     _add_type_b_edges(graph, history)
     return graph
 
@@ -181,7 +122,7 @@ def serialisation_graph_legacy(history: History) -> nx.DiGraph:
 # ---------------------------------------------------------------------------
 
 
-def sg_local(history: History, object_name: str, *, check: bool = False) -> nx.DiGraph:
+def sg_local(history: History, object_name: str) -> nx.DiGraph:
     """``SG_local(h, o)``: conflict ordering among the object's own executions.
 
     Nodes are the method executions *of object* ``object_name``; there is an
@@ -200,33 +141,6 @@ def sg_local(history: History, object_name: str, *, check: bool = False) -> nx.D
             continue
         if history.are_incomparable(source, target):
             _add_edge(graph, source, target, ("local-conflict", first.step_id, second.step_id))
-    if check:
-        _assert_graphs_match(graph, sg_local_legacy(history, object_name), f"sg_local({object_name!r})")
-    return graph
-
-
-def sg_local_legacy(history: History, object_name: str) -> nx.DiGraph:
-    """The original per-execution-pair ``SG_local`` builder (oracle)."""
-    graph = nx.DiGraph()
-    executions = [
-        history.execution(execution_id)
-        for execution_id in history.executions_of_object(object_name)
-    ]
-    graph.add_nodes_from(execution.execution_id for execution in executions)
-    for first_execution, second_execution in itertools.permutations(executions, 2):
-        if not history.are_incomparable(first_execution.execution_id, second_execution.execution_id):
-            continue
-        for first_step in first_execution.local_steps():
-            for second_step in second_execution.local_steps():
-                if not history.precedes_legacy(first_step, second_step):
-                    continue
-                if history.conflicts.steps_conflict(first_step, second_step):
-                    _add_edge(
-                        graph,
-                        first_execution.execution_id,
-                        second_execution.execution_id,
-                        ("local-conflict", first_step.step_id, second_step.step_id),
-                    )
     return graph
 
 
@@ -263,7 +177,6 @@ def sg_mesg(
     object_name: str,
     *,
     local_graphs: Mapping[str, nx.DiGraph] | None = None,
-    check: bool = False,
 ) -> nx.DiGraph:
     """``SG_mesg(h, o)``: orderings the object's executions inherit from below.
 
@@ -276,38 +189,7 @@ def sg_mesg(
     """
     if local_graphs is None:
         local_graphs = {name: sg_local(history, name) for name in _objects_with_executions(history)}
-    graph = sg_mesg_by_object(history, local_graphs).get(object_name, nx.DiGraph())
-    if check:
-        _assert_graphs_match(graph, sg_mesg_legacy(history, object_name), f"sg_mesg({object_name!r})")
-    return graph
-
-
-def sg_mesg_legacy(history: History, object_name: str) -> nx.DiGraph:
-    """The original execution-pair scan over all local graphs (oracle)."""
-    graph = nx.DiGraph()
-    executions = [
-        history.execution(execution_id)
-        for execution_id in history.executions_of_object(object_name)
-    ]
-    graph.add_nodes_from(execution.execution_id for execution in executions)
-
-    local_graphs = {
-        other_object: sg_local_legacy(history, other_object)
-        for other_object in _objects_with_executions(history)
-    }
-
-    for first_execution, second_execution in itertools.permutations(executions, 2):
-        first_id = first_execution.execution_id
-        second_id = second_execution.execution_id
-        if not history.are_incomparable(first_id, second_id):
-            continue
-        first_descendants = set(history.descendants(first_id, include_self=False))
-        second_descendants = set(history.descendants(second_id, include_self=False))
-        for local_graph in local_graphs.values():
-            for source, target in local_graph.edges:
-                if source in first_descendants and target in second_descendants:
-                    _add_edge(graph, first_id, second_id, ("mesg", source, target))
-    return graph
+    return sg_mesg_by_object(history, local_graphs).get(object_name, nx.DiGraph())
 
 
 def _objects_with_executions(history: History) -> set[str]:

@@ -24,9 +24,7 @@ tuples, and — for interval-backed histories — per-step-set sorted-interval
 sweeps that turn ``order_pairs`` and ordered-pair enumeration into
 ``O(n log n + k)`` binary-search scans instead of ``O(n^2)`` permutations,
 and Definition 6 condition 2c into an ``O(n log n)`` envelope sweep
-(DESIGN.md "Certification complexity", *Legality*).  The uncached
-``precedes_legacy`` is retained as the oracle for the ``check=True``
-cross-checks in :mod:`repro.core.graphs` and the property tests.
+(DESIGN.md "Certification complexity", *Legality*).
 """
 
 from __future__ import annotations
@@ -331,31 +329,6 @@ class History:
                 return False
             return first_interval[1] < second_interval[0]
         return second_id in self._reachable_from(first_id)
-
-    def precedes_legacy(self, first: Step | int, second: Step | int) -> bool:
-        """Uncached reference implementation of ``precedes`` (oracle only)."""
-        first_id = first.step_id if isinstance(first, Step) else int(first)
-        second_id = second.step_id if isinstance(second, Step) else int(second)
-        if first_id == second_id:
-            return False
-        if self._intervals is not None:
-            first_interval = self._intervals.get(first_id)
-            second_interval = self._intervals.get(second_id)
-            if first_interval is None or second_interval is None:
-                return False
-            return first_interval[1] < second_interval[0]
-        successors: dict[int, set[int]] = {}
-        for before, after in self._order_pairs:
-            successors.setdefault(before, set()).add(after)
-        reached: set[int] = set()
-        frontier = list(successors.get(first_id, ()))
-        while frontier:
-            current = frontier.pop()
-            if current in reached:
-                continue
-            reached.add(current)
-            frontier.extend(successors.get(current, ()))
-        return second_id in reached
 
     def _successors(self) -> dict[int, set[int]]:
         """Successor adjacency of the generating pairs (built once, cached)."""

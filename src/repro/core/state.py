@@ -250,22 +250,3 @@ class UndoLog:
                 log.append(entry)
             states[object_name] = state
         return removed
-
-    def prune(self, top_level_id: str, subtree_ids: Iterable[str]) -> int:
-        """Remove the subtree's entries without recomputing states.
-
-        Used by the legacy full-replay abort path, which recomputes every
-        object state from scratch anyway; the remaining entries' snapshots
-        are left stale, so a log that has been pruned must not be used for
-        incremental undo afterwards.
-        """
-        subtree = frozenset(subtree_ids)
-        removed = 0
-        for object_name in self._touched_by_transaction.pop(top_level_id, ()):
-            log = self._by_object.get(object_name)
-            if not log:
-                continue
-            kept = [entry for entry in log if entry.execution_id not in subtree]
-            removed += len(log) - len(kept)
-            self._by_object[object_name] = kept
-        return removed

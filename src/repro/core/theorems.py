@@ -36,9 +36,7 @@ from .graphs import (
     object_graph_union,
     serialisation_graph,
     sg_local,
-    sg_local_legacy,
     sg_mesg_by_object,
-    sg_mesg_legacy,
 )
 from .history import History
 from .operations import LocalStep, MessageStep, Step
@@ -318,26 +316,19 @@ class Theorem5Report:
         return self.holds
 
 
-def theorem_5_conditions(history: History, *, legacy: bool = False) -> Theorem5Report:
+def theorem_5_conditions(history: History) -> Theorem5Report:
     """Evaluate conditions (a) and (b) of Theorem 5.
 
     (a) for every object ``o``, ``SG_local(h, o) union SG_mesg(h, o)`` is
         acyclic; (b) for every execution ``e`` the message relation ``->_e``
         is acyclic.  When both hold the history is serialisable.
 
-    The default path builds every ``SG_local`` exactly once and every
-    ``SG_mesg`` from one sweep over their edges (the legacy path rebuilt
-    each local graph once per object — quadratic in the number of
-    objects); ``legacy=True`` keeps the original from-scratch builders for
-    benchmarking and oracle cross-checks.
+    Every ``SG_local`` is built exactly once and every ``SG_mesg`` comes
+    from one sweep over their edges.
     """
     object_names = {execution.object_name for execution in history.executions.values()}
-    if legacy:
-        local_graphs = {name: sg_local_legacy(history, name) for name in object_names}
-        mesg_graphs = {name: sg_mesg_legacy(history, name) for name in object_names}
-    else:
-        local_graphs = {name: sg_local(history, name) for name in object_names}
-        mesg_graphs = sg_mesg_by_object(history, local_graphs)
+    local_graphs = {name: sg_local(history, name) for name in object_names}
+    mesg_graphs = sg_mesg_by_object(history, local_graphs)
     cyclic_objects = [
         name
         for name in sorted(object_names)

@@ -30,10 +30,10 @@ edges whose other side has committed — it performs **zero** conflict-spec
 calls and never re-enumerates committed-vs-committed step pairs — and
 feeds them into the committed precedence graph, a
 :class:`~repro.core.dag.PrecedenceDag` (edges are added in place and
-rolled back on a cycle; the graph is never copied).  The original
-revalidate-everything
-implementation is retained as ``_precedence_edges_legacy`` and
-``check=True`` cross-checks every commit decision against it.
+rolled back on a cycle; the graph is never copied).  The
+revalidate-everything implementation this replaced re-enumerates step
+pairs at each commit; it lives in ``tests/oracles/certifier.py``, where
+the differential tests hold every commit's edge selection against it.
 
 The committed projection of any run is therefore serialisable, which the
 post-hoc certification in :mod:`repro.analysis` verifies.
@@ -64,7 +64,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core.dag import PrecedenceDag
-from ..core.errors import VerificationError
 from ..core.operations import LocalStep
 from ..core.values import freeze
 from .base import (
@@ -119,12 +118,10 @@ class OptimisticCertifier(Scheduler):
     def __init__(
         self,
         level: str = STEP_LEVEL,
-        check: bool = False,
         restart_policy: Any = "immediate",
         gate_mode: str = CASCADE_MODE,
     ):
         self.level = level
-        self.check = check
         self.gate_mode = gate_mode
         super().__init__(restart_policy=restart_policy)
 
@@ -146,14 +143,8 @@ class OptimisticCertifier(Scheduler):
         self._resolve_seq: dict[str, int] = {}
         self._committed_nodes: dict[str, set[str]] = {}
         self._committed_touched: dict[str, set[str]] = {}
-        # Ids whose records were garbage-collected — tracked only under
-        # check=True so the legacy oracle comparison can exclude edges the
-        # re-enumeration can no longer see (an unbounded id set is fine in
-        # a testing mode).
-        self._pruned_committed: set[str] | None = set() if self.check else None
         self.validation_aborts = 0
         self.classified_pairs = 0
-        self.commit_conflict_calls = 0
         self.gc_pruned_records = 0
         self.gate = CommitGate.for_scheduler(self)
 
@@ -221,57 +212,6 @@ class OptimisticCertifier(Scheduler):
                 active.append(edge)
         return active
 
-    def _precedence_edges_legacy(
-        self, candidate_id: str
-    ) -> tuple[set[tuple[str, str]], dict[str, str]]:
-        """The original full re-enumeration over every recorded step pair.
-
-        Retained as the ``check=True`` oracle for the incremental edge
-        sets; its conflict-spec calls are counted separately so the
-        "no committed-vs-committed enumeration" unit test can tell the two
-        apart.
-        """
-        relevant = self._committed | {candidate_id}
-        edges: set[tuple[str, str]] = set()
-        owner_of: dict[str, str] = {}
-        for object_name, records in self._steps_by_object.items():
-            for first, second in itertools.combinations(records, 2):
-                if first.transaction_id not in relevant or second.transaction_id not in relevant:
-                    continue
-                if candidate_id not in (first.transaction_id, second.transaction_id):
-                    continue
-                earlier, later = (first, second) if first.sequence < second.sequence else (second, first)
-                self.commit_conflict_calls += 1
-                if not self._conflicting(object_name, earlier.step, later.step):
-                    continue
-                pair = disjoint_ancestors(earlier.info, later.info)
-                if pair is None:
-                    continue  # comparable executions: no ordering constraint
-                edges.add(pair)
-                owner_of[pair[0]] = earlier.transaction_id
-                owner_of[pair[1]] = later.transaction_id
-        return edges, owner_of
-
-    def _check_against_legacy(self, candidate_id: str, active: list[_CandidateEdge]) -> None:
-        # Edges whose other side's records were garbage-collected cannot be
-        # re-derived by the legacy re-enumeration (the steps are gone);
-        # compare only what both sides can still see.
-        pruned = self._pruned_committed or set()
-        active = [edge for edge in active if edge.other(candidate_id) not in pruned]
-        legacy_edges, legacy_owner_of = self._precedence_edges_legacy(candidate_id)
-        incremental_edges = {(edge.source, edge.target) for edge in active}
-        if incremental_edges != legacy_edges:
-            raise VerificationError(
-                f"certifier check: candidate {candidate_id!r} incremental edges "
-                f"{sorted(incremental_edges)!r} != legacy {sorted(legacy_edges)!r}"
-            )
-        owner_of = self._owner_map(active)
-        if owner_of != legacy_owner_of:
-            raise VerificationError(
-                f"certifier check: candidate {candidate_id!r} owner map diverges "
-                f"({owner_of!r} != {legacy_owner_of!r})"
-            )
-
     @staticmethod
     def _owner_map(active: list[_CandidateEdge]) -> dict[str, str]:
         owner_of: dict[str, str] = {}
@@ -288,8 +228,6 @@ class OptimisticCertifier(Scheduler):
         if not gate_response.granted:
             return gate_response
         active = self._active_edges(candidate_id)
-        if self.check:
-            self._check_against_legacy(candidate_id, active)
         # Trial insertion into the committed graph itself; a batch that
         # would close a cycle leaves the graph exactly as it was.
         graph = self._committed_graph
@@ -462,8 +400,6 @@ class OptimisticCertifier(Scheduler):
             self._committed_nodes.pop(transaction_id, None)
             self._resolve_seq.pop(transaction_id, None)
             self._begin_seq.pop(transaction_id, None)
-            if self._pruned_committed is not None:
-                self._pruned_committed.add(transaction_id)
         # Orphan sweep: nodes re-added by a trial insertion after their
         # owner was pruned carry out-edges only (an in-edge would require
         # an overlapper, which would have kept the owner in the frontier);
@@ -498,7 +434,6 @@ class OptimisticCertifier(Scheduler):
             "validation_aborts": self.validation_aborts,
             "committed": len(self._committed),
             "classified_pairs": self.classified_pairs,
-            "commit_conflict_calls": self.commit_conflict_calls,
             "gc_pruned_records": self.gc_pruned_records,
             **self.gate.describe(),
         }

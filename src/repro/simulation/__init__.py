@@ -10,7 +10,7 @@ from .arrivals import (
     arrival_process_names,
     make_arrival_process,
 )
-from .engine import INCREMENTAL_UNDO, REPLAY_UNDO, SimulationEngine
+from .engine import SimulationEngine
 from .events import Trace, TraceEvent
 from .faults import (
     CrashPlan,
@@ -65,8 +65,6 @@ __all__ = [
     "RandomOperationsWorkload",
     "RunMetrics",
     "RunResult",
-    "INCREMENTAL_UNDO",
-    "REPLAY_UNDO",
     "SimulationEngine",
     "StreamingWorkload",
     "Trace",

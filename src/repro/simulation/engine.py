@@ -33,9 +33,9 @@ Execution model
   the transaction's first step on it and the surviving steps since are
   re-applied — and the transaction is resubmitted (up to ``max_restarts``
   times) as a fresh execution.  The cost is proportional to the aborted
-  subtree's footprint, not the length of the whole run; the legacy
-  full-replay strategy is kept (``undo="replay"``) for benchmarking, and
-  ``check_undo=True`` runs both and verifies they agree after every abort.
+  subtree's footprint, not the length of the whole run
+  (``tests/simulation/test_undo.py`` holds the repaired states against a
+  full replay of the surviving history and counts the re-applied steps).
 * *When* an aborted transaction is resubmitted is decided by the
   scheduler's :class:`~repro.scheduler.restart.RestartPolicy`: a zero
   delay restarts within the same tick (the ``immediate`` policy — the
@@ -57,12 +57,11 @@ Choosing the next runnable frame is O(1): the engine maintains a *ready
 list* of ``(creation sequence, frame)`` pairs, updated at every status
 transition (spawn, park, wake, wait, retire), that is always sorted by
 frame-creation order — exactly the iteration order of the frame table
-that the original per-tick scan observed, so decisions (and the RNG draw
-sequence) are bit-identical to the scan implementation.  The scan
-strategy is retained as ``hot_loop="scan"`` and serves as the oracle in
-the bit-identity property tests and as the in-run reference point for
-``benchmarks/bench_e16_hot_loop.py``'s machine-independent speedup
-ratio.
+that a per-tick scan of the table would observe, so decisions (and the
+RNG draw sequence) are bit-identical to such a scan.  The scan itself
+lives in ``tests/oracles/engines.py``, where the bit-identity property
+tests hold this loop against it; E16 gates the loop's decision throughput
+against the committed pre-rewrite rows.
 
 The recorded history contains the steps of aborted attempts as well; the
 :class:`~repro.simulation.metrics.RunResult` exposes the committed
@@ -80,7 +79,7 @@ from typing import Any
 
 from ..core.errors import SimulationError
 from ..core.history import HistoryBuilder
-from ..core.operations import LocalOperation, LocalStep
+from ..core.operations import LocalStep
 from ..core.state import ObjectState, UndoLog
 from ..objectbase.base import ObjectBase
 from ..scheduler.base import STEP_LEVEL, ExecutionInfo, OperationRequest, Scheduler
@@ -120,12 +119,6 @@ _DONE = "done"
 # ObjectState is immutable, so one shared empty state serves every
 # object the run never initialised (instead of allocating per lookup).
 _EMPTY_STATE = ObjectState()
-
-INCREMENTAL_UNDO = "incremental"
-REPLAY_UNDO = "replay"
-
-EVENT_LOOP = "event"
-SCAN_LOOP = "scan"
 
 #: ``certify="stream"`` — maintain the certification verdict online via
 #: :class:`~repro.analysis.streaming.StreamingCertifier` (the only engine
@@ -175,16 +168,6 @@ class _Frame:
     @property
     def execution_id(self) -> str:
         return self.info.execution_id
-
-
-@dataclass(slots=True)
-class _StepLogEntry:
-    """A local step kept (only) for the full-replay undo strategy."""
-
-    execution_id: str
-    top_level_id: str
-    object_name: str
-    operation: LocalOperation
 
 
 def _proxy_session_marker():  # pragma: no cover - never advanced
@@ -266,15 +249,6 @@ class SimulationEngine:
             the tail of the stream — raise the cap to fit the schedule.
         record_trace: record a :class:`~repro.simulation.events.Trace` of
             every event (costs memory; off by default).
-        hot_loop: frame-choice strategy — ``"event"`` (the default: O(1)
-            choice from the maintained ready list) or ``"scan"`` (the
-            legacy per-tick scan over the frame table, kept as the
-            bit-identity oracle and benchmark reference).  Both produce
-            identical runs; they differ only in speed.
-        undo: abort repair strategy — ``"incremental"`` (per-transaction
-            undo segments) or ``"replay"`` (legacy full-history replay).
-        check_undo: run both strategies after every abort and raise on
-            divergence (testing aid).
         gc_interval: live-state garbage collection cadence, in finished
             transaction attempts (commits plus aborts) between passes.
             Each pass prunes the committed prefix of the undo log, asks
@@ -285,8 +259,8 @@ class SimulationEngine:
             total arrival count.
 
     Raises:
-        SimulationError: on an unknown ``scheduling``, ``undo`` or
-            ``hot_loop`` value, or a non-positive ``gc_interval``.
+        SimulationError: on an unknown ``scheduling`` or ``certify`` value,
+            or a non-positive ``gc_interval``.
     """
 
     def __init__(
@@ -300,19 +274,12 @@ class SimulationEngine:
         starvation_limit: int = 2000,
         max_ticks: int = 2_000_000,
         record_trace: bool = False,
-        undo: str = INCREMENTAL_UNDO,
-        check_undo: bool = False,
         gc_interval: int = 64,
-        hot_loop: str = EVENT_LOOP,
         certify: bool | str = False,
         fault_plan: "FaultPlan | str | dict | None" = None,
     ):
         if scheduling not in ("random", "round-robin"):
             raise SimulationError(f"unknown scheduling policy {scheduling!r}")
-        if undo not in (INCREMENTAL_UNDO, REPLAY_UNDO):
-            raise SimulationError(f"unknown undo strategy {undo!r}")
-        if hot_loop not in (EVENT_LOOP, SCAN_LOOP):
-            raise SimulationError(f"unknown hot_loop strategy {hot_loop!r}")
         if gc_interval < 1:
             raise SimulationError(f"gc_interval must be >= 1, got {gc_interval}")
         if certify not in (False, STREAM_CERTIFY):
@@ -330,9 +297,6 @@ class SimulationEngine:
         self.starvation_limit = starvation_limit
         self.max_ticks = max_ticks
         self.record_trace = record_trace
-        self.undo = undo
-        self.check_undo = check_undo
-        self.hot_loop = hot_loop
         self._trace = Trace() if record_trace else None
 
         self._builder = HistoryBuilder(
@@ -363,11 +327,6 @@ class SimulationEngine:
         self._ready: list[tuple[int, _Frame]] = []
         self._parked_count = 0
         self._undo_log = UndoLog()
-        # The append-only global step log is only needed when the full-replay
-        # strategy (or its equivalence check) is active.
-        self._full_log: list[_StepLogEntry] | None = (
-            [] if undo == REPLAY_UNDO or check_undo else None
-        )
         self._aborted_executions: set[str] = set()
         self._committed: list[str] = []
         self._pending_specs: list[TransactionSpec] = []
@@ -538,10 +497,7 @@ class SimulationEngine:
                 when a transaction programme itself raises.
         """
         self._admit_pending()
-        if self.hot_loop == SCAN_LOOP:
-            self._run_scan_loop()
-        else:
-            self._run_until(self.max_ticks)
+        self._run_until(self.max_ticks)
         return self._finalise_run()
 
     def _admit_pending(self) -> None:
@@ -587,7 +543,7 @@ class SimulationEngine:
         )
 
     def _run_until(self, horizon: int) -> int:
-        """The default hot loop, run until the clock reaches ``horizon``.
+        """The hot loop, run until the clock reaches ``horizon``.
 
         A plain run is one call with ``max_ticks``, a shard round one call
         with the round's horizon.  Per decision this touches the ready list
@@ -632,27 +588,6 @@ class SimulationEngine:
         finally:
             self.metrics.decisions += decisions
         return decisions
-
-    def _run_scan_loop(self) -> None:
-        """The legacy hot loop: a frame scan per tick (``hot_loop="scan"``).
-
-        Kept as the bit-identity oracle for the ready list and as the
-        in-run reference the E16 benchmark measures its speedup against.
-        Event release and fast-forward share the unified heap.
-        """
-        while (self._frames or self._events) and self._tick < self.max_ticks:
-            self._release_due_events()
-            frame = self._choose_frame_scan()
-            if frame is None:
-                if self._events:
-                    self._tick = min(self._events[0][0], self.max_ticks)
-                    continue
-                if not self._force_wake_all():
-                    break
-                continue
-            self._tick += 1
-            self.metrics.decisions += 1
-            self._advance(frame)
 
     def _schedule(self, due: int, kind: int, payload: Any = None) -> None:
         """Queue a restart, arrival or fault on the event heap."""
@@ -717,14 +652,12 @@ class SimulationEngine:
         cross-shard transactions for the coordinator's precedence graph.
 
         Raises:
-            SimulationError: when the engine already ran, uses the scan
-                loop, or certifies online (per-shard certification happens
-                post-hoc in the shard worker instead).
+            SimulationError: when the engine already ran or certifies
+                online (per-shard certification happens post-hoc in the
+                shard worker instead).
         """
         if self._finished or self._tick or self._frames:
             raise SimulationError("bind_shard_runtime must precede the run")
-        if self.hot_loop != EVENT_LOOP:
-            raise SimulationError("sharded execution requires hot_loop='event'")
         if self._certifier is not None:
             raise SimulationError(
                 "sharded engines cannot certify online; certify each shard's "
@@ -945,23 +878,6 @@ class SimulationEngine:
         if self._in_flight > self.metrics.in_flight_peak:
             self.metrics.in_flight_peak = self._in_flight
         self._start_transaction(spec, attempt=1, lineage=lineage)
-
-    def _choose_frame_scan(self) -> _Frame | None:
-        """The legacy chooser: scan the frame table for ready frames.
-
-        The candidate list is in frame-table insertion order == creation
-        order, which is what the maintained ready list reproduces.
-        """
-        candidates = [
-            frame for frame in self._frames.values() if frame.status == _READY
-        ]
-        if not candidates:
-            return None
-        if self.scheduling == "random":
-            return self.rng.choice(candidates)
-        index = self._round_robin_cursor % len(candidates)
-        self._round_robin_cursor = index + 1
-        return candidates[index]
 
     # ------------------------------------------------------------------
     # the ready list
@@ -1348,10 +1264,6 @@ class SimulationEngine:
         self._undo_log.record(
             object_name, info.execution_id, info.top_level_id, operation, pre_state
         )
-        if self._full_log is not None:
-            self._full_log.append(
-                _StepLogEntry(info.execution_id, info.top_level_id, object_name, operation)
-            )
         metrics.local_steps += 1
         self.scheduler.on_operation_executed(operation_request, value)
         shard = self._shard
@@ -1600,7 +1512,7 @@ class SimulationEngine:
 
         # Restart the transaction if its spec allows it; *when* is the
         # restart policy's call — zero delay restarts within this tick
-        # (the legacy behaviour), a positive delay queues the respawn on
+        # (the ``immediate`` policy), a positive delay queues the respawn on
         # the delayed-restart heap.
         spec = top_frame.spec if top_frame is not None else None
         attempt = top_frame.attempt if top_frame is not None else 1
@@ -1667,32 +1579,4 @@ class SimulationEngine:
 
     def _undo_states(self, top_level_id: str, subtree_ids: set[str]) -> int:
         """Undo the aborted subtree's steps; returns the wasted-step count."""
-        if self.undo == REPLAY_UNDO:
-            removed = self._undo_log.prune(top_level_id, subtree_ids)
-            self._states = self._replay_states()
-            return removed
-        removed = self._undo_log.undo(top_level_id, subtree_ids, self._states)
-        if self.check_undo:
-            replayed = self._replay_states()
-            if self._states != replayed:
-                differing = sorted(
-                    name
-                    for name in set(self._states) | set(replayed)
-                    if self._states.get(name) != replayed.get(name)
-                )
-                raise SimulationError(
-                    "incremental undo diverged from full replay on objects "
-                    f"{differing} after abort of {top_level_id}"
-                )
-        return removed
-
-    def _replay_states(self) -> dict[str, ObjectState]:
-        """Rebuild every object state by replaying the surviving global log."""
-        assert self._full_log is not None, "full replay requires the global step log"
-        states = dict(self.object_base.initial_states())
-        for entry in self._full_log:
-            if entry.execution_id in self._aborted_executions:
-                continue
-            state = states.get(entry.object_name, ObjectState())
-            _, states[entry.object_name] = entry.operation.apply(state)
-        return states
+        return self._undo_log.undo(top_level_id, subtree_ids, self._states)

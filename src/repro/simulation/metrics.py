@@ -49,7 +49,7 @@ class RunMetrics:
     #: whose clock fast-forwarded across idle gaps (delayed restarts,
     #: arrival streams), where the difference is exactly the skipped idle
     #: time.  ``decisions / wall-clock`` is the engine's raw service
-    #: throughput, which ``benchmarks/bench_e16_hot_loop.py`` tracks.
+    #: throughput, which benchmark E16 tracks.
     decisions: int = 0
     committed: int = 0
     aborted_attempts: int = 0

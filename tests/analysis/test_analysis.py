@@ -45,12 +45,6 @@ class TestCertifyHistory:
         assert report.legal  # trivially true when not checked
         assert report.serialisable
 
-    @pytest.mark.parametrize("sg_mode", ["incremental", "warp"])
-    def test_unknown_sg_mode_is_rejected(self, serialisable_history, sg_mode):
-        # SG_MODES is ("indexed", "legacy"): there is no third builder to select.
-        with pytest.raises(ValueError, match="unknown sg_mode"):
-            certify_history(serialisable_history, sg_mode=sg_mode)
-
 
 class TestCertifyRun:
     def test_n2pl_run_certifies(self):

@@ -154,16 +154,16 @@ class TestReport:
 
 
 class TestMain:
+    # An unknown file name takes the first watch's shape — E14's
+    # ``policy`` / ``recovery_ratio``.
     def test_explicit_path_warn_only_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "BENCH_custom.json"
         path.write_text(
             json.dumps(
                 {
                     "rows": [
-                        {"scheduler": "s", "transactions": 1, "speedup_indexed": 5.0,
-                         "certify_legacy_seconds": 1.0},
-                        {"scheduler": "s", "transactions": 1, "speedup_indexed": 1.0,
-                         "certify_legacy_seconds": 1.0},
+                        {"policy": "p", "recovery_ratio": 5.0},
+                        {"policy": "p", "recovery_ratio": 1.0},
                     ]
                 }
             )
@@ -177,10 +177,8 @@ class TestMain:
             json.dumps(
                 {
                     "rows": [
-                        {"scheduler": "s", "transactions": 1, "speedup_indexed": 5.0,
-                         "certify_legacy_seconds": 1.0},
-                        {"scheduler": "s", "transactions": 1, "speedup_indexed": 1.0,
-                         "certify_legacy_seconds": 1.0},
+                        {"policy": "p", "recovery_ratio": 5.0},
+                        {"policy": "p", "recovery_ratio": 1.0},
                     ]
                 }
             )
@@ -196,10 +194,8 @@ class TestMain:
             json.dumps(
                 {
                     "rows": [
-                        {"scheduler": "s", "transactions": 1, "speedup_indexed": 5.0,
-                         "certify_legacy_seconds": 1.0},
-                        {"scheduler": "s", "transactions": 1, "speedup_indexed": 5.0,
-                         "certify_legacy_seconds": 1.0},
+                        {"policy": "p", "recovery_ratio": 5.0},
+                        {"policy": "p", "recovery_ratio": 5.0},
                     ]
                 }
             )

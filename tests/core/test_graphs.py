@@ -16,6 +16,7 @@ from repro.core import (
 )
 
 from tests.conftest import fresh_builder, increment_via_read_write
+from tests.oracles.graphs import assert_graphs_match, sg_mesg_legacy, theorem_5_conditions_legacy
 
 
 class TestSerialisationGraph:
@@ -127,9 +128,13 @@ class TestPerObjectGraphs:
             executions, history.initial_states, conflicts=history.conflicts, intervals=history.intervals()
         )
         assert orphaned.ancestors("T1.1") == ["ghost"] and not orphaned.is_legal()
-        assert theorem_5_conditions(orphaned) == theorem_5_conditions(orphaned, legacy=True)
+        assert theorem_5_conditions(orphaned) == theorem_5_conditions_legacy(orphaned)
         for object_name in ("environment", "A", "B"):
-            sg_mesg(orphaned, object_name, check=True)
+            assert_graphs_match(
+                sg_mesg(orphaned, object_name),
+                sg_mesg_legacy(orphaned, object_name),
+                f"sg_mesg({object_name!r})",
+            )
         assert set(sg_mesg(orphaned, "environment").edges) == {("T2", "T1")}
 
 

@@ -1,0 +1,94 @@
+"""Reference engines for :class:`repro.simulation.SimulationEngine`.
+
+Kept out of ``src/``: production never runs them, the bit-identity tests
+run the same scenario on both and compare every observable.
+
+* :class:`ScanLoopEngine` — the hot loop as it stood before the ready list:
+  every tick scans the whole frame table for ready frames.  The candidate
+  list comes out in frame-table insertion order, which is the order the
+  production ready list maintains, so a run (RNG draws included) must be
+  bit-identical (``tests/simulation/test_hot_loop.py``).
+* :class:`ReplayCheckedEngine` — after the production incremental undo of
+  every abort, re-derives every object state by replaying the surviving
+  recorded steps from the initial states, and raises on any divergence
+  (``tests/simulation/test_undo.py`` and the fault / open-system /
+  adaptive cells that abort mid-stream).
+"""
+
+from __future__ import annotations
+
+from repro.core.errors import SimulationError
+from repro.core.operations import LocalStep
+from repro.core.state import ObjectState
+from repro.simulation import SimulationEngine
+from repro.simulation.engine import _READY
+
+
+class ScanLoopEngine(SimulationEngine):
+    """Chooses each tick's frame by scanning the frame table."""
+
+    def _run_until(self, horizon: int) -> int:
+        decisions = 0
+        while (self._frames or self._events) and self._tick < horizon:
+            self._release_due_events()
+            candidates = [frame for frame in self._frames.values() if frame.status == _READY]
+            if not candidates:
+                if self._events:
+                    self._tick = min(self._events[0][0], horizon)
+                elif not self._force_wake_all():
+                    break
+                continue
+            if self.scheduling == "random":
+                frame = self.rng.choice(candidates)
+            else:
+                index = self._round_robin_cursor % len(candidates)
+                self._round_robin_cursor = index + 1
+                frame = candidates[index]
+            self._tick += 1
+            self.metrics.decisions += 1
+            decisions += 1
+            self._advance(frame)
+        return decisions
+
+
+class ReplayCheckedEngine(SimulationEngine):
+    """Holds every incremental undo against a full replay of the run so far."""
+
+    def _undo_states(self, top_level_id: str, subtree_ids: set[str]) -> int:
+        removed = super()._undo_states(top_level_id, subtree_ids)
+        replayed, wasted = self._replay_states(subtree_ids)
+        if self._states != replayed:
+            differing = sorted(
+                name
+                for name in set(self._states) | set(replayed)
+                if self._states.get(name) != replayed.get(name)
+            )
+            raise SimulationError(
+                "incremental undo diverged from full replay on objects "
+                f"{differing} after abort of {top_level_id}"
+            )
+        if removed != wasted:
+            raise SimulationError(
+                f"incremental undo removed {removed} steps of {top_level_id}; "
+                f"the recorded history holds {wasted}"
+            )
+        return removed
+
+    def _replay_states(self, subtree_ids: set[str]) -> tuple[dict[str, ObjectState], int]:
+        """Every object state from the surviving recorded steps, in recorded order.
+
+        Also counts the recorded local steps of ``subtree_ids`` — what the
+        abort wasted.  The history builder keeps every step of every
+        attempt in the order the engine recorded (and so applied) them.
+        """
+        states = dict(self.object_base.initial_states())
+        wasted = 0
+        for step in self._builder._steps_by_id.values():
+            if not isinstance(step, LocalStep):
+                continue
+            if step.execution_id in subtree_ids:
+                wasted += 1
+            if step.execution_id not in self._aborted_executions:
+                state = states.get(step.object_name, ObjectState())
+                _, states[step.object_name] = step.operation.apply(state)
+        return states, wasted

@@ -5,6 +5,10 @@ the indexed implementations against them.
 
 * :func:`order_pairs_legacy` — the permutation enumeration of ``<`` that
   ``History.order_pairs``' sorted-interval sweep replaced;
+* :func:`precedes_oracle` — ``t < t'`` by a route that shares no code with
+  ``History.precedes``: for interval histories, membership in that
+  permutation enumeration; for order-pair histories, a closure walked
+  from scratch on every call;
 * :func:`check_condition_2c` — Definition 6 condition 2c as every ordered
   step pair × both descendant sets, copied verbatim from
   ``History._check_condition_two`` as it stood before the envelope sweep
@@ -15,10 +19,12 @@ the indexed implementations against them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from repro.core import History
 from repro.core.errors import IllegalHistoryError
+from repro.core.operations import Step
 
 
 def order_pairs_legacy(history: History) -> set[tuple[int, int]]:
@@ -31,6 +37,32 @@ def order_pairs_legacy(history: History) -> set[tuple[int, int]]:
         if first_end < second_start:
             pairs.add((first_id, second_id))
     return pairs
+
+
+# One enumeration per history, not per query: the tests ask about every pair.
+_enumerated_order = functools.lru_cache(maxsize=4)(order_pairs_legacy)
+
+
+def precedes_oracle(history: History, first: Step | int, second: Step | int) -> bool:
+    """``t < t'``, independently of ``History.precedes`` and its caches."""
+    first_id = first.step_id if isinstance(first, Step) else int(first)
+    second_id = second.step_id if isinstance(second, Step) else int(second)
+    if first_id == second_id:
+        return False
+    if history._intervals is not None:
+        return (first_id, second_id) in _enumerated_order(history)
+    successors: dict[int, set[int]] = {}
+    for before, after in history._order_pairs:
+        successors.setdefault(before, set()).add(after)
+    reached: set[int] = set()
+    frontier = list(successors.get(first_id, ()))
+    while frontier:
+        current = frontier.pop()
+        if current in reached:
+            continue
+        reached.add(current)
+        frontier.extend(successors.get(current, ()))
+    return second_id in reached
 
 
 def check_condition_2c(history: History) -> None:

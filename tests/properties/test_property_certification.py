@@ -1,21 +1,23 @@
 """Property-based oracles for the indexed certification machinery.
 
 PR 2 rewrote the serialisation-graph builders and the history order
-queries on top of persistent indexes and sorted-interval sweeps, keeping
-the original permutation implementations as oracles.  These tests generate
-random *nested* histories (with internal parallelism, so incomparable
-siblings and non-trivial disjoint ancestors actually occur) and assert:
+queries on top of persistent indexes and sorted-interval sweeps; the
+original permutation implementations live on as oracles under
+``tests/oracles/``.  These tests generate random *nested* histories (with
+internal parallelism, so incomparable siblings and non-trivial disjoint
+ancestors actually occur) and assert:
 
-* indexed ``order_pairs`` / ``precedes`` agree with the legacy
-  implementations (``tests/oracles`` ``order_pairs_legacy``, the retained
-  ``precedes_legacy``);
+* indexed ``order_pairs`` / ``precedes`` agree with the reference
+  implementations (``tests/oracles/legality.py`` ``order_pairs_legacy`` and
+  ``precedes_oracle``, which derives ``<`` without calling ``precedes``);
 * ``check_legal`` — whose condition 2c is an interval-envelope sweep —
   agrees, verdict and message, with the enumeration kept in
   ``tests/oracles/legality.py`` on histories with perturbed or dropped
   intervals;
 * the sweep-based ``serialisation_graph`` / ``sg_local`` / ``sg_mesg``
-  reproduce the legacy from-scratch graphs (``check=True`` raises on any
-  divergence), a degenerate history whose ``<`` is cyclic included.
+  reproduce the from-scratch graphs of ``tests/oracles/graphs.py`` — nodes,
+  edges and reason multisets — a degenerate history whose ``<`` is cyclic
+  included.
 """
 
 from __future__ import annotations
@@ -36,13 +38,23 @@ from repro.core import (
     WriteVariable,
     is_acyclic,
     serialisation_graph,
-    serialisation_graph_legacy,
     sg_local,
     sg_mesg,
 )
-from repro.core.graphs import _assert_graphs_match, sg_mesg_by_object, sg_mesg_legacy
+from repro.core.graphs import sg_mesg_by_object
 
-from tests.oracles.legality import check_condition_2c, order_pairs_legacy, with_intervals
+from tests.oracles.graphs import (
+    assert_graphs_match,
+    serialisation_graph_legacy,
+    sg_local_legacy,
+    sg_mesg_legacy,
+)
+from tests.oracles.legality import (
+    check_condition_2c,
+    order_pairs_legacy,
+    precedes_oracle,
+    with_intervals,
+)
 
 OBJECT_NAMES = ("A", "B", "C")
 VARIABLE_NAMES = ("x", "y")
@@ -151,7 +163,7 @@ class TestIndexedHistoryOracles:
     def test_precedes_matches_legacy_on_every_pair(self, history):
         steps = history.steps()
         for first, second in itertools.permutations(steps, 2):
-            assert history.precedes(first, second) == history.precedes_legacy(first, second)
+            assert history.precedes(first, second) == precedes_oracle(history, first, second)
 
     @settings(max_examples=20, deadline=None)
     @given(nested_history())
@@ -166,7 +178,7 @@ class TestIndexedHistoryOracles:
         )
         steps = encoded.steps()
         for first, second in itertools.permutations(steps, 2):
-            assert encoded.precedes(first, second) == encoded.precedes_legacy(first, second)
+            assert encoded.precedes(first, second) == precedes_oracle(encoded, first, second)
             assert encoded.precedes(first, second) == history.precedes(first, second)
 
     @settings(max_examples=30, deadline=None)
@@ -180,7 +192,7 @@ class TestIndexedHistoryOracles:
             expected = {
                 (first.step_id, second.step_id)
                 for first, second in itertools.permutations(steps, 2)
-                if history.precedes_legacy(first, second)
+                if precedes_oracle(history, first, second)
             }
             assert swept == expected
 
@@ -214,14 +226,24 @@ class TestGraphBuilderOracles:
     @settings(max_examples=30, deadline=None)
     @given(nested_history())
     def test_serialisation_graph_matches_legacy(self, history):
-        serialisation_graph(history, check=True)  # raises on divergence
+        assert_graphs_match(
+            serialisation_graph(history), serialisation_graph_legacy(history), "serialisation_graph"
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(nested_history())
     def test_per_object_graphs_match_legacy(self, history):
         for object_name in sorted(history.object_names() | {"environment"}):
-            sg_local(history, object_name, check=True)
-            sg_mesg(history, object_name, check=True)
+            assert_graphs_match(
+                sg_local(history, object_name),
+                sg_local_legacy(history, object_name),
+                f"sg_local({object_name!r})",
+            )
+            assert_graphs_match(
+                sg_mesg(history, object_name),
+                sg_mesg_legacy(history, object_name),
+                f"sg_mesg({object_name!r})",
+            )
 
     @settings(max_examples=30, deadline=None)
     @given(nested_history())
@@ -230,7 +252,7 @@ class TestGraphBuilderOracles:
         swept = sg_mesg_by_object(history, {name: sg_local(history, name) for name in objects})
         assert sorted(swept) == objects
         for object_name in objects:
-            _assert_graphs_match(
+            assert_graphs_match(
                 swept[object_name], sg_mesg_legacy(history, object_name), f"sg_mesg({object_name!r})"
             )
 
@@ -261,6 +283,7 @@ class TestGraphBuilderOracles:
             order_pairs=[(s1.step_id, s2.step_id), (s2.step_id, s1.step_id)],
         )
         reference = serialisation_graph_legacy(history)
-        indexed = serialisation_graph(history, check=True)  # raises on divergence
+        indexed = serialisation_graph(history)
+        assert_graphs_match(indexed, reference, "serialisation_graph")
         assert is_acyclic(indexed) == is_acyclic(reference) is False
         assert set(indexed.edges) == set(reference.edges)

@@ -19,6 +19,8 @@ from repro.scheduler.adaptive import AdaptiveModularScheduler, DEFAULT_LADDER
 from repro.scheduler.modular import IntraObjectLocking
 from repro.simulation import HotspotWorkload, SimulationEngine
 
+from tests.oracles.engines import ReplayCheckedEngine
+
 
 def contended_workload(seed=11, transactions=40):
     return HotspotWorkload(
@@ -39,10 +41,10 @@ def adaptive_scheduler(**kwargs):
     return AdaptiveModularScheduler(**kwargs)
 
 
-def run_adaptive(workload, scheduler=None, seed=7, **engine_kwargs):
+def run_adaptive(workload, scheduler=None, seed=7, engine_class=SimulationEngine):
     base, specs = workload.build()
     scheduler = scheduler or adaptive_scheduler()
-    engine = SimulationEngine(base, scheduler, seed=seed, **engine_kwargs)
+    engine = engine_class(base, scheduler, seed=seed)
     engine.submit_all(specs)
     return engine.run(), scheduler
 
@@ -198,7 +200,7 @@ class TestForceSwap:
             restart_policy="backoff",
         )
         result, scheduler = run_adaptive(
-            contended_workload(seed=31), scheduler=scheduler, check_undo=True
+            contended_workload(seed=31), scheduler=scheduler, engine_class=ReplayCheckedEngine
         )
         assert scheduler.strategy_swaps + scheduler.deferred_swaps > 0
         report = certify_run(result, check_legality=True)

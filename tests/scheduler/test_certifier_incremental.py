@@ -7,9 +7,9 @@ Commit validation merely *selects* the filed edges whose other side has
 resolved: it performs zero conflict-spec calls and never re-enumerates
 committed-vs-committed step pairs.  These tests pin that contract down by
 counting conflict-spec calls per lifecycle phase, and exercise the
-touched-object abort cleanup, the dominated-record pruning, and the
-``check=True`` oracle that revalidates every commit against the legacy
-full re-enumeration.
+touched-object abort cleanup, the dominated-record pruning, and run the
+scheduler under ``tests/oracles/certifier.py`` ``ReenumeratingCertifier``,
+which revalidates every commit against a full re-enumeration of step pairs.
 """
 
 from __future__ import annotations
@@ -17,15 +17,16 @@ from __future__ import annotations
 import pytest
 
 from repro.objectbase.adts.register import ReadRegister, WriteRegister
-from repro.scheduler import OptimisticCertifier, make_scheduler
+from repro.scheduler import OptimisticCertifier
 from repro.scheduler.base import Decision
 from repro.simulation import HotspotWorkload, SimulationEngine
 
+from tests.oracles.certifier import ReenumeratingCertifier
 from tests.scheduler.conftest import info, request
 
 
-def make_certifier(base, **kwargs):
-    scheduler = OptimisticCertifier(**kwargs)
+def make_certifier(base, certifier_class=OptimisticCertifier):
+    scheduler = certifier_class()
     scheduler.attach(base)
     return scheduler
 
@@ -93,7 +94,7 @@ class TestCommitValidationIsIncremental:
             scheduler.on_transaction_commit(issuer)
 
     def test_cyclic_conflicts_still_abort_at_validation(self, small_object_base):
-        scheduler = make_certifier(small_object_base, check=True)
+        scheduler = make_certifier(small_object_base, ReenumeratingCertifier)
         first, second = info("T1"), info("T2")
         run_step(scheduler, first, "cell", WriteRegister(1), 1)
         run_step(scheduler, second, "cell", WriteRegister(2), 2)
@@ -106,7 +107,7 @@ class TestCommitValidationIsIncremental:
         assert scheduler.validation_aborts == 1
 
     def test_failed_validation_rolls_the_committed_graph_back(self, small_object_base):
-        scheduler = make_certifier(small_object_base, check=True)
+        scheduler = make_certifier(small_object_base, ReenumeratingCertifier)
         first, second, third = info("T1"), info("T2"), info("T3")
         run_step(scheduler, first, "cell", WriteRegister(1), 1)
         run_step(scheduler, second, "cell", WriteRegister(2), 2)
@@ -187,11 +188,15 @@ class TestAbortCleanupAndPruning:
         assert len(live_records) == 2
 
 
-class TestLegacyOracle:
+class TestReenumerationOracle:
+    @pytest.mark.parametrize("restart_policy", ["immediate", "backoff"])
     @pytest.mark.parametrize("seed", [1, 7, 42, 1111])
-    def test_engine_runs_validate_against_legacy(self, seed):
-        # check=True revalidates every commit decision against the original
+    def test_engine_runs_validate_against_reenumeration(self, seed, restart_policy):
+        # The oracle revalidates every commit decision against the original
         # full re-enumeration and raises VerificationError on divergence.
+        # Under "immediate" restarts the commit gate's cascade storm lets
+        # almost nothing reach validation (0-2 commits of 16 on these
+        # seeds); "backoff" commits all 16, so the oracle demonstrably runs.
         base, specs = HotspotWorkload(
             transactions=16,
             hot_objects=2,
@@ -200,7 +205,7 @@ class TestLegacyOracle:
             hot_probability=0.5,
             seed=seed,
         ).build()
-        scheduler = make_scheduler("certifier", check=True)
+        scheduler = ReenumeratingCertifier(restart_policy=restart_policy)
         engine = SimulationEngine(base, scheduler, seed=seed)
         engine.submit_all(specs)
         result = engine.run()
@@ -208,21 +213,36 @@ class TestLegacyOracle:
 
         report = certify_run(result, check_legality=False)
         assert report.serialisable
+        if restart_policy == "backoff":
+            assert result.metrics.committed == 16
+            assert scheduler.commit_conflict_calls > 600, "the oracle must have enumerated pairs"
 
-    def test_check_flag_reaches_factory(self):
-        scheduler = make_scheduler("certifier", check=True)
-        assert scheduler.check is True
-        assert make_scheduler("certifier").check is False
+    def test_oracle_catches_a_dropped_filed_edge(self, small_object_base, monkeypatch):
+        # The differential is live: a selection that loses one filed edge
+        # diverges from the re-enumeration at the first commit that has one.
+        from repro.core.errors import VerificationError
+
+        selection = OptimisticCertifier._active_edges
+        monkeypatch.setattr(
+            OptimisticCertifier,
+            "_active_edges",
+            lambda scheduler, candidate_id: selection(scheduler, candidate_id)[1:],
+        )
+        scheduler = make_certifier(small_object_base, ReenumeratingCertifier)
+        first, second = info("T1"), info("T2")
+        run_step(scheduler, first, "cell", WriteRegister(1), 1)
+        run_step(scheduler, second, "cell", WriteRegister(2), 2)
+        assert scheduler.on_commit_request(first).granted
+        scheduler.on_transaction_commit(first)
+        with pytest.raises(VerificationError, match="selected edges"):
+            scheduler.on_commit_request(second)
 
     def test_describe_reports_incremental_counters(self, small_object_base):
         scheduler = make_certifier(small_object_base)
         description = scheduler.describe()
         assert description["classified_pairs"] == 0
-        assert description["commit_conflict_calls"] == 0
         issuer = info("T1")
         run_step(scheduler, issuer, "cell", WriteRegister(1), 1)
         run_step(scheduler, issuer, "cell", WriteRegister(2), 2)
         assert scheduler.describe()["classified_pairs"] == 1
         assert scheduler.on_commit_request(issuer).granted
-        # Without check mode the legacy path never runs at commit.
-        assert scheduler.describe()["commit_conflict_calls"] == 0

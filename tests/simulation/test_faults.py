@@ -3,7 +3,8 @@
 An injected crash is an engine-initiated abort of an in-flight top-level
 transaction.  The tests pin the contract: faults land exactly where the
 plan says, victims recover through the ordinary undo/restart machinery
-(verified against full replay via ``check_undo=True``), the committed
+(verified against full replay by running on ``ReplayCheckedEngine``), the
+committed
 projection stays serialisable, and a faulted run is still a pure
 function of its seeds.
 """
@@ -25,8 +26,12 @@ from repro.simulation import (
 )
 from repro.simulation.events import FAULT_INJECTED
 
+from tests.oracles.engines import ReplayCheckedEngine
 
-def run_with_faults(fault_plan, scheduler="n2pl", seed=7, record_trace=False, **engine_kwargs):
+
+def run_with_faults(
+    fault_plan, scheduler="n2pl", seed=7, record_trace=False, engine_class=SimulationEngine
+):
     workload = HotspotWorkload(
         transactions=24,
         hot_objects=2,
@@ -37,13 +42,12 @@ def run_with_faults(fault_plan, scheduler="n2pl", seed=7, record_trace=False, **
         seed=seed,
     )
     base, specs = workload.build()
-    engine = SimulationEngine(
+    engine = engine_class(
         base,
         make_scheduler(scheduler, restart_policy="backoff"),
         seed=seed,
         fault_plan=fault_plan,
         record_trace=record_trace,
-        **engine_kwargs,
     )
     engine.submit_all(specs)
     return engine.run()
@@ -99,11 +103,11 @@ class TestCrashPlanValidation:
 
 class TestInjection:
     def test_faults_land_and_victims_recover(self):
-        # check_undo=True re-derives every object state by full replay
+        # The oracle engine re-derives every object state by full replay
         # after each abort — including the injected ones — and raises on
         # any divergence, so a green run certifies the recovery path.
         result = run_with_faults(
-            CrashPlan(at=(40, 90), period=150), check_undo=True
+            CrashPlan(at=(40, 90), period=150), engine_class=ReplayCheckedEngine
         )
         assert result.metrics.faults_injected > 0
         assert result.metrics.aborts_by_reason.get("fault", 0) == (
@@ -138,7 +142,7 @@ class TestInjection:
         result = run_with_faults(
             CrashPlan(period=80, max_faults=3),
             scheduler="adaptive",
-            check_undo=True,
+            engine_class=ReplayCheckedEngine,
         )
         assert result.metrics.committed + result.metrics.gave_up == 24
         report = certify_run(result, check_legality=True)

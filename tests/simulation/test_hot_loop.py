@@ -1,12 +1,12 @@
 """The event-driven hot loop against its bit-identity oracle.
 
 The PR-6 rewrite replaced the per-tick frame scan with a maintained ready
-list and a unified event heap (``hot_loop="event"``), keeping the legacy
-scan loop (``hot_loop="scan"``) precisely so the two can be compared: the
-refactor's contract is that *every* observable of a run — metrics,
-committed order, aborted executions, the trace, the recorded history — is
-bit-identical under both strategies, for every scheduler, restart policy,
-commit-gate mode, scheduling policy and seed.
+list and a unified event heap.  The scan loop it replaced is
+``tests/oracles/engines.py`` ``ScanLoopEngine``, kept precisely so the two
+can be compared: the refactor's contract is that *every* observable of a
+run — metrics, committed order, aborted executions, the trace, the
+recorded history — is bit-identical under both loops, for every scheduler,
+restart policy, commit-gate mode, scheduling policy and seed.
 
 A second contract rides along: the hot record types are ``__slots__``-ed
 (the rewrite's memory/speed pass), and a slotted type silently regaining a
@@ -30,10 +30,13 @@ from repro.scheduler.certifier import _CandidateEdge
 from repro.scheduler.locks import LockEntry
 from repro.scheduler.nto import _StepRecord
 from repro.scheduler.recovery import _GateRecord
+from repro.simulation import SimulationEngine
 from repro.simulation.engine import _Frame
 from repro.simulation.events import TraceEvent
 from repro.simulation.transactions import MethodContext
 from repro.simulation.workloads import make_workload
+
+from tests.oracles.engines import ScanLoopEngine
 
 #: Schedulers whose factories accept the CommitGate ``gate_mode`` axis.
 GATE_AWARE = {"nto", "nto-step", "certifier", "modular"}
@@ -46,7 +49,7 @@ gate_modes = st.sampled_from(["cascade", "aca"])
 scheduling_policies = st.sampled_from(["random", "round-robin"])
 
 
-def contended_engine(scheduler, *, seed, scheduling, hot_loop, stream):
+def contended_engine(scheduler, *, seed, scheduling, stream, engine_class=SimulationEngine):
     """A small but genuinely contended scenario (parks, aborts, restarts)."""
     workload = make_workload(
         "hotspot",
@@ -58,14 +61,11 @@ def contended_engine(scheduler, *, seed, scheduling, hot_loop, stream):
         seed=seed,
     )
     base, specs = workload.build()
-    from repro.simulation import SimulationEngine
-
-    engine = SimulationEngine(
+    engine = engine_class(
         base,
         scheduler,
         seed=seed,
         scheduling=scheduling,
-        hot_loop=hot_loop,
         record_trace=True,
     )
     if stream:
@@ -111,26 +111,18 @@ class TestEventLoopBitIdentity:
         if scheduler in GATE_AWARE:
             kwargs["gate_mode"] = gate_mode
         results = []
-        for hot_loop in ("event", "scan"):
+        for engine_class in (SimulationEngine, ScanLoopEngine):
             engine = contended_engine(
                 make_scheduler(scheduler, **kwargs),
                 seed=seed,
                 scheduling=scheduling,
-                hot_loop=hot_loop,
                 stream=stream,
+                engine_class=engine_class,
             )
             results.append(engine.run())
         event, scan = results
+        assert event.metrics.decisions > 0
         assert observables(event) == observables(scan)
-
-    def test_unknown_hot_loop_is_rejected(self):
-        from repro.simulation import SimulationEngine
-        from repro.simulation.engine import SimulationError
-
-        workload = make_workload("hotspot", transactions=2, seed=1)
-        base, _ = workload.build()
-        with pytest.raises(SimulationError):
-            SimulationEngine(base, make_scheduler("n2pl"), hot_loop="warp")
 
 
 class TestOneHotLoop:
@@ -138,8 +130,6 @@ class TestOneHotLoop:
 
     @pytest.fixture
     def loop_calls(self, monkeypatch):
-        from repro.simulation import SimulationEngine
-
         calls = []
         run_until = SimulationEngine._run_until
 
@@ -152,7 +142,7 @@ class TestOneHotLoop:
 
     def test_plain_run_is_one_call_with_max_ticks(self, loop_calls):
         engine = contended_engine(
-            make_scheduler("n2pl"), seed=5, scheduling="random", hot_loop="event", stream=True
+            make_scheduler("n2pl"), seed=5, scheduling="random", stream=True
         )
         result = engine.run()
         assert loop_calls == [engine.max_ticks]

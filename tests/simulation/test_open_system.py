@@ -1,11 +1,11 @@
 """Open-system streaming runs: latency metrics, determinism, live-state GC.
 
 The garbage collector must be *invisible* except in memory: the oracle
-tests below run streaming scenarios with ``check=True`` (certifier
-commit decisions revalidated against the legacy re-enumeration) and
-``check_undo=True`` (incremental undo cross-checked against full
-replay), both with an aggressively small ``gc_interval`` so collection
-happens constantly while the oracles watch.
+tests below run streaming scenarios on ``tests/oracles``'
+``ReenumeratingCertifier`` (certifier commit decisions revalidated
+against a full re-enumeration) and ``ReplayCheckedEngine`` (incremental
+undo cross-checked against full replay), both with an aggressively small
+``gc_interval`` so collection happens constantly while the oracles watch.
 """
 
 import pytest
@@ -16,6 +16,9 @@ from repro.scheduler import make_scheduler
 from repro.simulation import SimulationEngine, make_workload
 from repro.sweep import summarise_run
 
+from tests.oracles.certifier import ReenumeratingCertifier
+from tests.oracles.engines import ReplayCheckedEngine
+
 
 def build_stream_engine(
     scheduler_name,
@@ -25,6 +28,7 @@ def build_stream_engine(
     seed=7,
     scheduler_kwargs=None,
     hot_probability=0.2,
+    engine_class=SimulationEngine,
     **engine_params,
 ):
     workload = make_workload(
@@ -38,7 +42,7 @@ def build_stream_engine(
     )
     base, specs = workload.build()
     scheduler = make_scheduler(scheduler_name, **(scheduler_kwargs or {}))
-    engine = SimulationEngine(base, scheduler, seed=seed, **engine_params)
+    engine = engine_class(base, scheduler, seed=seed, **engine_params)
     return engine, specs, {"name": "poisson", "rate": rate}
 
 
@@ -146,28 +150,26 @@ class TestGarbageCollectionOracles:
     """GC must never change a decision — only memory."""
 
     def test_certifier_check_oracle_over_stream(self):
-        # check=True revalidates every commit against the legacy
+        # The oracle scheduler revalidates every commit against a full
         # re-enumeration (restricted to what survives GC); gc_interval=4
         # keeps the collector running constantly under the oracle.
-        engine, specs, arrival = build_stream_engine(
-            "certifier",
-            scheduler_kwargs={"restart_policy": "backoff", "check": True},
-            gc_interval=4,
-        )
+        scheduler = ReenumeratingCertifier(restart_policy="backoff")
+        engine, specs, arrival = build_stream_engine(scheduler, gc_interval=4)
         result = engine.run_stream(specs, arrival)
         assert result.metrics.committed == len(specs)
+        assert scheduler.commit_conflict_calls > 0 and scheduler._pruned_committed
         assert certify_run(result, check_legality=True).legal is True
 
     def test_undo_oracle_over_contended_stream(self):
-        # Hot contention forces aborts mid-stream; check_undo replays the
-        # full log after every abort and must agree with incremental undo
+        # Hot contention forces aborts mid-stream; the oracle engine replays
+        # the full log after every abort and must agree with incremental undo
         # even though collect() constantly drops committed prefixes.
         engine, specs, arrival = build_stream_engine(
             "nto-step",
             hot_probability=0.6,
             scheduler_kwargs={"restart_policy": "backoff"},
             gc_interval=4,
-            check_undo=True,
+            engine_class=ReplayCheckedEngine,
         )
         result = engine.run_stream(specs, arrival)
         assert result.metrics.aborted_attempts > 0, "scenario lost its contention"

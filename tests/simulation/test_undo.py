@@ -1,19 +1,23 @@
 """Incremental undo: per-transaction undo segments vs full-history replay.
 
-The abort path no longer replays the whole run; it rolls every touched
+The abort path does not replay the whole run; it rolls every touched
 object back to the snapshot taken before the aborted subtree's first step
-and re-applies the surviving suffix.  These tests pin the equivalence:
-``check_undo=True`` makes the engine compare the incremental result with a
-full replay after *every* abort and raise on any divergence, and the
-``undo="replay"`` strategy must produce byte-identical runs.
+and re-applies the surviving suffix.  These tests pin the equivalence
+against ``tests/oracles/engines.py`` ``ReplayCheckedEngine``, which
+re-derives every object state by full replay of the surviving recorded
+steps after *every* abort and raises on any divergence, and pin the cost:
+the steps re-applied per abort, counted exactly, do not grow with the
+length of the run, while the replay's do.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core.errors import SimulationError
-from repro.core.operations import LocalStep
+from repro.core.operations import LocalOperation
 from repro.core.state import ObjectState, UndoLog
 from repro.objectbase.adts.register import WriteRegister
 from repro.scheduler import Scheduler, make_scheduler
@@ -24,6 +28,8 @@ from repro.simulation import (
     QueueWorkload,
     SimulationEngine,
 )
+
+from tests.oracles.engines import ReplayCheckedEngine
 
 ABORT_HEAVY = [
     ("nto", lambda: HotspotWorkload(
@@ -45,9 +51,9 @@ ABORT_HEAVY = [
 ]
 
 
-def run_engine(workload, scheduler_name, **kwargs):
+def run_engine(workload, scheduler_name, engine_class=SimulationEngine, seed=7):
     base, specs = workload.build()
-    engine = SimulationEngine(base, make_scheduler(scheduler_name), seed=7, **kwargs)
+    engine = engine_class(base, make_scheduler(scheduler_name), seed=seed)
     engine.submit_all(specs)
     return engine.run()
 
@@ -57,9 +63,9 @@ class TestIncrementalUndoEquivalence:
     def test_incremental_undo_matches_full_replay_on_every_abort(
         self, scheduler_name, make_workload
     ):
-        # check_undo=True re-derives every object state by full replay after
+        # The oracle engine re-derives every object state by full replay after
         # each abort and raises SimulationError on the slightest divergence.
-        result = run_engine(make_workload(), scheduler_name, check_undo=True)
+        result = run_engine(make_workload(), scheduler_name, ReplayCheckedEngine)
         assert result.metrics.aborted_attempts > 0, (
             f"{scheduler_name}: the workload must actually abort for the "
             "equivalence check to mean anything"
@@ -68,18 +74,33 @@ class TestIncrementalUndoEquivalence:
 
     @pytest.mark.parametrize("scheduler_name,make_workload", ABORT_HEAVY)
     def test_replay_strategy_produces_identical_runs(self, scheduler_name, make_workload):
-        # The undo strategy must not influence scheduling decisions: the
-        # same seed under either strategy yields the same run.
-        incremental = run_engine(make_workload(), scheduler_name, undo="incremental")
-        replay = run_engine(make_workload(), scheduler_name, undo="replay")
+        # Replaying beside the undo must not influence scheduling decisions:
+        # the same seed on either engine yields the same run.
+        incremental = run_engine(make_workload(), scheduler_name)
+        replay = run_engine(make_workload(), scheduler_name, ReplayCheckedEngine)
         assert incremental.metrics.as_dict() == replay.metrics.as_dict()
         assert incremental.final_states() == replay.final_states()
 
-    def test_unknown_undo_strategy_rejected(self):
-        workload = BankingWorkload(accounts=4, transactions=2, seed=1)
-        base, _ = workload.build()
-        with pytest.raises(SimulationError):
-            SimulationEngine(base, make_scheduler("n2pl"), undo="magic")
+    def test_replay_oracle_catches_a_skipped_reapply(self, monkeypatch):
+        # The differential is live: an undo that rolls back to the snapshot
+        # and forgets to re-apply the survivors is caught at the first abort
+        # that has any.
+        def rollback_only(log, top_level_id, subtree_ids, states):
+            subtree = frozenset(subtree_ids)
+            removed = 0
+            for object_name in sorted(log._touched_by_transaction.pop(top_level_id, ())):
+                entries = log._by_object.get(object_name, [])
+                doomed = [entry for entry in entries if entry.execution_id in subtree]
+                if doomed:
+                    removed += len(doomed)
+                    states[object_name] = doomed[0].pre_state
+                    entries[:] = [entry for entry in entries if entry.execution_id not in subtree]
+            return removed
+
+        monkeypatch.setattr(UndoLog, "undo", rollback_only)
+        scheduler_name, make_workload = ABORT_HEAVY[0]
+        with pytest.raises(SimulationError, match="diverged from full replay"):
+            run_engine(make_workload(), scheduler_name, ReplayCheckedEngine)
 
     def test_committed_state_preserved_across_interleaved_abort(self):
         # A committed write that lands *after* the aborted transaction's
@@ -108,12 +129,11 @@ class TestIncrementalUndoEquivalence:
                     return SchedulerResponse.abort("validation failed: synthetic")
                 return SchedulerResponse.grant()
 
-        engine = SimulationEngine(
+        engine = ReplayCheckedEngine(
             base,
             AbortSecondTransactionLate(),
             scheduling="round-robin",
             max_restarts=0,
-            check_undo=True,
         )
         engine.submit(TransactionSpec("write_cell", (10,)))
         engine.submit(TransactionSpec("write_cell", (20,)))
@@ -121,6 +141,97 @@ class TestIncrementalUndoEquivalence:
         assert result.metrics.committed == 1
         assert result.metrics.gave_up == 1
         assert result.final_states()["cell"]["value"] == 11
+
+
+def _operation_classes(cls=LocalOperation):
+    for subclass in cls.__subclasses__():
+        yield subclass
+        yield from _operation_classes(subclass)
+
+
+@contextmanager
+def counted_applies(monkeypatch):
+    """Count ``operation.apply`` calls made inside the two abort repairs.
+
+    Wrapped from here, the way ``test_certification_cost.py`` wraps
+    ``History.precedes``: ``counts["undo"]`` is the calls made while
+    ``UndoLog.undo`` runs (the survivors it re-applies), ``counts["replay"]``
+    those made while the oracle's ``_replay_states`` runs.  No counter lives
+    in ``src/``.
+    """
+    counts = {"undo": 0, "replay": 0}
+    inside: list[str] = []
+
+    def counting(apply):
+        def wrapper(operation, state):
+            if inside:
+                counts[inside[-1]] += 1
+            return apply(operation, state)
+
+        return wrapper
+
+    def marking(function, label):
+        def wrapper(*args, **kwargs):
+            inside.append(label)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for operation_class in set(_operation_classes()):
+            if "apply" in vars(operation_class):
+                patch.setattr(operation_class, "apply", counting(vars(operation_class)["apply"]))
+        patch.setattr(UndoLog, "undo", marking(UndoLog.undo, "undo"))
+        patch.setattr(
+            ReplayCheckedEngine,
+            "_replay_states",
+            marking(ReplayCheckedEngine._replay_states, "replay"),
+        )
+        yield counts
+
+
+class TestAbortCostIsTheSubtreeFootprint:
+    """E11's claim as an exact count instead of a wall ratio.
+
+    The E11 workload (NTO on a two-object hot spot, seed 1111) at two run
+    lengths, objects scaled with the transactions so contention per object
+    is constant: an abort re-applies the survivors on the objects it
+    touched, so the re-applied steps per abort must stay flat as the run
+    doubles, while a full replay per abort re-applies the whole surviving
+    run so far and grows with it.
+    """
+
+    @staticmethod
+    def e11_workload(scale):
+        return HotspotWorkload(
+            transactions=32 * scale,
+            hot_objects=2 * scale,
+            cold_objects=8 * scale,
+            operations_per_transaction=3,
+            hot_probability=0.7,
+            seed=1111,
+        )
+
+    def test_reapplied_steps_per_abort_stay_flat_as_the_run_doubles(self, monkeypatch):
+        per_abort = {}
+        for scale in (1, 2):
+            with counted_applies(monkeypatch) as counts:
+                result = run_engine(
+                    self.e11_workload(scale), "nto", ReplayCheckedEngine, seed=1111
+                )
+            aborts = result.metrics.aborted_attempts
+            assert aborts >= 500 * scale, "the workload must be abort-heavy"
+            per_abort[scale] = {kind: count / aborts for kind, count in counts.items()}
+        undo_growth = per_abort[2]["undo"] / per_abort[1]["undo"]
+        replay_growth = per_abort[2]["replay"] / per_abort[1]["replay"]
+        # Measured: 4.10 -> 3.56 re-applied steps per abort (0.87x) against
+        # 32.5 -> 50.8 replayed (1.56x).
+        assert 0.75 <= undo_growth <= 1.25, per_abort
+        assert replay_growth >= 1.4, per_abort
+        assert per_abort[2]["undo"] * 8 < per_abort[2]["replay"], per_abort
 
 
 class TestUndoLogUnit:
