@@ -28,7 +28,7 @@ class ScanLoopEngine(SimulationEngine):
     """Chooses each tick's frame by scanning the frame table."""
 
     def _run_until(self, horizon: int) -> int:
-        decisions = 0
+        before = self.metrics.decisions
         while (self._frames or self._events) and self._tick < horizon:
             self._release_due_events()
             candidates = [frame for frame in self._frames.values() if frame.status == _READY]
@@ -46,9 +46,8 @@ class ScanLoopEngine(SimulationEngine):
                 frame = candidates[index]
             self._tick += 1
             self.metrics.decisions += 1
-            decisions += 1
             self._advance(frame)
-        return decisions
+        return self.metrics.decisions - before
 
 
 class ReplayCheckedEngine(SimulationEngine):

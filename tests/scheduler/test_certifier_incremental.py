@@ -188,15 +188,9 @@ class TestAbortCleanupAndPruning:
         assert len(live_records) == 2
 
 
-class TestReenumerationOracle:
-    @pytest.mark.parametrize("restart_policy", ["immediate", "backoff"])
-    @pytest.mark.parametrize("seed", [1, 7, 42, 1111])
-    def test_engine_runs_validate_against_reenumeration(self, seed, restart_policy):
-        # The oracle revalidates every commit decision against the original
-        # full re-enumeration and raises VerificationError on divergence.
-        # Under "immediate" restarts the commit gate's cascade storm lets
-        # almost nothing reach validation (0-2 commits of 16 on these
-        # seeds); "backoff" commits all 16, so the oracle demonstrably runs.
+class TestLegacyOracle:
+    @staticmethod
+    def run_under_oracle(seed, restart_policy):
         base, specs = HotspotWorkload(
             transactions=16,
             hot_objects=2,
@@ -208,14 +202,25 @@ class TestReenumerationOracle:
         scheduler = ReenumeratingCertifier(restart_policy=restart_policy)
         engine = SimulationEngine(base, scheduler, seed=seed)
         engine.submit_all(specs)
-        result = engine.run()
+        return engine.run(), scheduler
+
+    @pytest.mark.parametrize("seed", [1, 7, 42, 1111])
+    def test_engine_runs_validate_against_legacy(self, seed):
+        # The oracle revalidates every commit decision against the original
+        # full re-enumeration and raises VerificationError on divergence.
         from repro.analysis import certify_run
 
-        report = certify_run(result, check_legality=False)
-        assert report.serialisable
-        if restart_policy == "backoff":
-            assert result.metrics.committed == 16
-            assert scheduler.commit_conflict_calls > 600, "the oracle must have enumerated pairs"
+        result, _ = self.run_under_oracle(seed, "immediate")
+        assert certify_run(result, check_legality=False).serialisable
+
+    @pytest.mark.parametrize("seed", [1, 7, 42, 1111])
+    def test_engine_runs_reach_validation_under_backoff(self, seed):
+        # Under "immediate" restarts the commit gate's cascade storm lets
+        # almost nothing reach validation (0-2 commits of 16 on these
+        # seeds); "backoff" commits all 16, so the oracle demonstrably runs.
+        result, scheduler = self.run_under_oracle(seed, "backoff")
+        assert result.metrics.committed == 16
+        assert scheduler.commit_conflict_calls > 600, "the oracle must have enumerated pairs"
 
     def test_oracle_catches_a_dropped_filed_edge(self, small_object_base, monkeypatch):
         # The differential is live: a selection that loses one filed edge
