@@ -456,7 +456,10 @@ class InterObjectCoordinator:
         self._steps_by_object: dict[str, list[_RecordedStep]] = {}
         self._objects_of: dict[str, set[str]] = {}
         self._precedence = PrecedenceDag()
-        self._live: set[str] = set()
+        # Live top-level id -> the precedence nodes it owns: itself and the
+        # sibling-level executions its edges name.  These are the graph's
+        # *open* nodes, the roots of the frontier GC.
+        self._live: dict[str, set[str]] = {}
         self.ordering_aborts = 0
 
     def check_step(self, request: OperationRequest) -> SchedulerResponse:
@@ -464,6 +467,7 @@ class InterObjectCoordinator:
         # In recorded-step order (the kernel skips repeats), so the kernel's
         # work counters are a deterministic function of the run.
         new_edges: list[tuple[str, str]] = []
+        source_owners: list[str] = []
         provisional = request.provisional_step
         spec = self._conflicts_lookup(request.object_name)
         for recorded in self._steps_by_object.get(request.object_name, ()):
@@ -473,7 +477,14 @@ class InterObjectCoordinator:
             # Only "earlier conflicts with later" induces a serialisation edge.
             if spec.conflicting(recorded.step, provisional, self._step_level):
                 new_edges.append(pair)
+                source_owners.append(recorded.info.top_level_id)
         if self._precedence.add_edges(new_edges):
+            live = self._live
+            requester = request.info.top_level_id
+            for owner, (source, target) in zip(source_owners, new_edges):
+                for transaction_id, node in ((owner, source), (requester, target)):
+                    if transaction_id in live:
+                        live[transaction_id].add(node)
             return SchedulerResponse.grant()
         self.ordering_aborts += 1
         return SchedulerResponse.abort(
@@ -492,11 +503,11 @@ class InterObjectCoordinator:
 
     def note_begin(self, transaction_id: str) -> None:
         """A top-level transaction became live (tracked for the frontier GC)."""
-        self._live.add(transaction_id)
+        self._live[transaction_id] = {transaction_id}
 
     def note_finished(self, transaction_id: str) -> None:
         """The transaction resolved; its node stays until the GC frontier passes it."""
-        self._live.discard(transaction_id)
+        self._live.pop(transaction_id, None)
 
     def _drop_records(self, object_names: set[str], dropped: Callable[[_RecordedStep], bool]) -> int:
         """Filter the named objects' records; an emptied list is deleted."""
@@ -518,12 +529,16 @@ class InterObjectCoordinator:
         precedence graph can never participate in a future cycle (the
         frontier argument: DESIGN.md, "Precedence DAG kernel"), so their
         nodes, edges and recorded steps — the only source of new edges
-        out of them — are dropped together.  Decision-invariant by
-        construction: only the memory profile changes, never an abort
-        verdict.
+        out of them — are dropped together.  The frontier is every node a
+        live transaction owns, not only its top-level id: a child execution
+        of a live transaction can still gain an in-edge from a sibling, so
+        the order between two siblings must survive a pass.
+        Decision-invariant by construction: only the memory profile
+        changes, never an abort verdict.
         """
-        removed, keep = self._precedence.prune_unreachable(self._live)
-        keep |= self._live
+        open_nodes = set().union(*self._live.values())
+        removed, keep = self._precedence.prune_unreachable(open_nodes)
+        keep |= self._live.keys()
         dead = [transaction_id for transaction_id in self._objects_of if transaction_id not in keep]
         touched: set[str] = set()
         for transaction_id in dead:
