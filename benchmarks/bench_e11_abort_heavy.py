@@ -23,14 +23,13 @@ performance trajectory is recorded run over run.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 from repro.scheduler import make_scheduler
 from repro.simulation import HotspotWorkload, SimulationEngine
 
-from .harness import append_bench_rows, print_experiment
+from .harness import append_bench_rows, print_experiment, read_bench_rows
 
 COLUMNS = [
     "undo", "wall_seconds", "aborts", "wasted_steps", "local_steps",
@@ -84,10 +83,9 @@ def run_experiment() -> list[dict]:
 
 def committed_row(path: Path = BENCH_JSON) -> dict | None:
     """The first recorded incremental-undo row: the deterministic baseline."""
-    if not path.exists():
-        return None
-    rows = json.loads(path.read_text()).get("rows", [])
-    return next((row for row in rows if row.get("undo") == "incremental"), None)
+    return next(
+        (row for row in read_bench_rows(path) if row.get("undo") == "incremental"), None
+    )
 
 
 def write_bench_json(rows: list[dict], path: Path = BENCH_JSON) -> None:

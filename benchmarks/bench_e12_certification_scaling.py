@@ -25,7 +25,6 @@ trajectory is recorded run over run.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from repro.analysis import certify_history
 from repro.scheduler import make_scheduler
 from repro.simulation import HotspotWorkload, SimulationEngine
 
-from .harness import append_bench_rows, print_experiment
+from .harness import append_bench_rows, print_experiment, read_bench_rows
 
 COLUMNS = [
     "scheduler", "transactions", "committed", "committed_steps",
@@ -103,10 +102,8 @@ def run_experiment() -> list[dict]:
 
 def committed_rows(path: Path = BENCH_JSON) -> dict[tuple, dict]:
     """The first recorded row per ``(scheduler, transactions)``: the baseline."""
-    if not path.exists():
-        return {}
     baselines: dict[tuple, dict] = {}
-    for row in json.loads(path.read_text()).get("rows", []):
+    for row in read_bench_rows(path):
         baselines.setdefault((row.get("scheduler"), row.get("transactions")), row)
     return baselines
 

@@ -37,7 +37,6 @@ local iteration; shortened runs are never appended to the trajectory.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -46,7 +45,7 @@ from repro.scheduler import make_scheduler
 from repro.simulation import SimulationEngine
 from repro.simulation.workloads import make_workload
 
-from .harness import append_bench_rows, print_experiment
+from .harness import append_bench_rows, print_experiment, read_bench_rows
 
 COLUMNS = [
     "scheduler", "mode", "engine", "transactions", "decisions", "makespan",
@@ -138,14 +137,8 @@ def measure(scheduler: str, mode: str) -> dict:
 
 def _baseline_rows(path: Path = BENCH_JSON) -> dict[tuple, dict]:
     """The recorded ``pre_pr`` row per ``(scheduler, mode)``."""
-    if not path.exists():
-        return {}
-    try:
-        rows = json.loads(path.read_text()).get("rows", [])
-    except ValueError:
-        return {}
     baselines: dict[tuple, dict] = {}
-    for row in rows:
+    for row in read_bench_rows(path):
         if row.get("engine") == "pre_pr":
             baselines.setdefault((row.get("scheduler"), row.get("mode")), row)
     return baselines

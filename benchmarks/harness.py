@@ -30,6 +30,7 @@ from repro.sweep import SweepRunner, SweepSpec, summarise_run
 
 __all__ = [
     "append_bench_rows",
+    "read_bench_rows",
     "run_configuration",
     "run_sweep_rows",
     "print_experiment",
@@ -65,6 +66,19 @@ def print_experiment(title: str, rows: list[dict[str, Any]], columns: list[str])
     print(format_table(rows, columns, title=title))
 
 
+def read_bench_rows(path: Path) -> list[dict[str, Any]]:
+    """The rows recorded in a ``BENCH_*.json`` trajectory file, oldest first.
+
+    A missing or unreadable file reads as empty.
+    """
+    if not path.exists():
+        return []
+    try:
+        return json.loads(path.read_text()).get("rows", [])
+    except (ValueError, AttributeError):
+        return []
+
+
 def append_bench_rows(path: Path, experiment: str, rows: list[dict[str, Any]]) -> None:
     """Append rows to a ``BENCH_*.json`` trajectory file.
 
@@ -74,13 +88,7 @@ def append_bench_rows(path: Path, experiment: str, rows: list[dict[str, Any]]) -
     unreadable file is treated as empty rather than discarding the new
     measurement.
     """
-    recorded: list[dict[str, Any]] = []
-    if path.exists():
-        try:
-            recorded = json.loads(path.read_text()).get("rows", [])
-        except (ValueError, AttributeError):
-            recorded = []
-    recorded.extend(rows)
     path.write_text(
-        json.dumps({"experiment": experiment, "rows": recorded}, indent=2) + "\n"
+        json.dumps({"experiment": experiment, "rows": read_bench_rows(path) + rows}, indent=2)
+        + "\n"
     )

@@ -467,7 +467,8 @@ class InterObjectCoordinator:
         # In recorded-step order (the kernel skips repeats), so the kernel's
         # work counters are a deterministic function of the run.
         new_edges: list[tuple[str, str]] = []
-        source_owners: list[str] = []
+        sibling_nodes: set[str] = set()
+        requester = request.info.top_level_id
         provisional = request.provisional_step
         spec = self._conflicts_lookup(request.object_name)
         for recorded in self._steps_by_object.get(request.object_name, ()):
@@ -477,14 +478,13 @@ class InterObjectCoordinator:
             # Only "earlier conflicts with later" induces a serialisation edge.
             if spec.conflicting(recorded.step, provisional, self._step_level):
                 new_edges.append(pair)
-                source_owners.append(recorded.info.top_level_id)
+                if recorded.info.top_level_id == requester:
+                    # Two executions of one transaction: the pair names
+                    # children of their common ancestor, not top-level ids.
+                    sibling_nodes.update(pair)
         if self._precedence.add_edges(new_edges):
-            live = self._live
-            requester = request.info.top_level_id
-            for owner, (source, target) in zip(source_owners, new_edges):
-                for transaction_id, node in ((owner, source), (requester, target)):
-                    if transaction_id in live:
-                        live[transaction_id].add(node)
+            if sibling_nodes and requester in self._live:
+                self._live[requester] |= sibling_nodes
             return SchedulerResponse.grant()
         self.ordering_aborts += 1
         return SchedulerResponse.abort(

@@ -6,10 +6,10 @@ whole execution subtree is discarded, its effects are rolled back through
 the undo log (exactly the paper's abort semantics; the fault tests run it
 on an engine that re-derives every state by full replay), the scheduler
 releases its locks and gate state, and the ordinary restart policy
-resubmits the lineage.  Injected faults therefore exercise the recovery machinery —
-undo, garbage collection of scheduler state, cascade handling for
-transactions that read the victim's dirty writes — under load rather than
-only at scheduler-chosen abort points.
+resubmits the lineage.  Injected faults therefore exercise the recovery
+machinery — undo, garbage collection of scheduler state, cascade handling
+for transactions that read the victim's dirty writes — under load rather
+than only at scheduler-chosen abort points.
 
 Like arrival processes and restart policies, plans are deterministic:
 explicit crash ticks are part of the configuration, the optional victim

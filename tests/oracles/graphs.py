@@ -17,6 +17,7 @@ multiset of reasons on every edge.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import networkx as nx
 
@@ -128,15 +129,11 @@ def theorem_5_conditions_legacy(history: History) -> Theorem5Report:
     )
 
 
-def _reason_multisets(graph: nx.DiGraph) -> dict[tuple, dict[tuple, int]]:
-    rendered: dict[tuple, dict[tuple, int]] = {}
-    for source, target, data in graph.edges(data=True):
-        counts: dict[tuple, int] = {}
-        for reason in data["reasons"]:
-            key = tuple(reason)
-            counts[key] = counts.get(key, 0) + 1
-        rendered[(source, target)] = counts
-    return rendered
+def _reason_multisets(graph: nx.DiGraph) -> dict[tuple, Counter]:
+    return {
+        (source, target): Counter(tuple(reason) for reason in data["reasons"])
+        for source, target, data in graph.edges(data=True)
+    }
 
 
 def assert_graphs_match(candidate: nx.DiGraph, oracle: nx.DiGraph, label: str) -> None:
