@@ -12,8 +12,7 @@ from __future__ import annotations
 import time
 
 from repro.core import check_determinacy
-from repro.scheduler import make_scheduler
-from repro.simulation import BankingWorkload, SimulationEngine
+from repro.sweep import ScenarioSpec, build_engine
 
 from .harness import print_experiment
 
@@ -23,11 +22,13 @@ COLUMNS = ["transactions", "local_steps", "objects", "replays_per_object", "dete
 
 
 def _committed_history(transactions: int):
-    workload = BankingWorkload(accounts=8, transactions=transactions, seed=909)
-    base, specs = workload.build()
-    engine = SimulationEngine(base, make_scheduler("n2pl"), seed=909)
-    engine.submit_all(specs)
-    return engine.run().committed_history()
+    spec = ScenarioSpec(
+        workload="banking",
+        scheduler="n2pl",
+        seed=909,
+        workload_params={"accounts": 8, "transactions": transactions, "seed": 909},
+    )
+    return build_engine(spec).run().committed_history()
 
 
 def run_experiment() -> list[dict]:

@@ -17,20 +17,19 @@ dominate the comparison):
    available: enforced at ≥4 CPUs, relaxed to ``RELAXED_TARGET`` at 2-3
    CPUs, and recorded-but-not-asserted on single-core hosts (where a
    CPU-bound fan-out cannot beat serial by construction).  The measured
-   wall-clocks, the speedup and the host's CPU count are appended to
-   ``BENCH_e13_sweep_scaling.json`` either way, so the recorded
-   trajectory always states the hardware it was measured on.
+   wall-clocks, the speedup and the host's CPU count are in the row
+   either way (the golden ``BENCH_e13_sweep_scaling.json`` and the fresh
+   one under ``benchmarks/out/``), so a recorded row always states the
+   hardware it was measured on.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from pathlib import Path
 
 from repro.sweep import Axis, AxisPoint, ScenarioSpec, SweepRunner, SweepSpec, sweep_report
 
-from .harness import append_bench_rows, print_experiment
+from .harness import Experiment, cpu_count
 
 WORKERS = 4
 SPEEDUP_TARGET = 0.6  # parallel wall-clock as a fraction of serial, ≥4 CPUs
@@ -50,13 +49,6 @@ SCHEDULERS = (
         },
     ),
 )
-
-COLUMNS = [
-    "scenarios", "workers", "cpu_count", "serial_seconds", "parallel_seconds",
-    "parallel_fraction", "speedup", "rows_identical",
-]
-
-BENCH_JSON = Path(__file__).resolve().parent / "BENCH_e13_sweep_scaling.json"
 
 SWEEP = SweepSpec(
     name="e13_sweep_scaling",
@@ -79,14 +71,7 @@ SWEEP = SweepSpec(
 )
 
 
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without sched_getaffinity
-        return os.cpu_count() or 1
-
-
-def run_experiment() -> list[dict]:
+def run_experiment(sizing=None) -> list[dict]:
     started = time.perf_counter()
     serial_rows = SweepRunner(SWEEP, workers=0).run_rows()
     serial_seconds = time.perf_counter() - started
@@ -96,10 +81,9 @@ def run_experiment() -> list[dict]:
     parallel_seconds = time.perf_counter() - started
 
     row = {
-        "experiment": "e13_sweep_scaling",
         "scenarios": len(SWEEP),
         "workers": WORKERS,
-        "cpu_count": _cpu_count(),
+        "cpu_count": cpu_count(),
         "serial_seconds": round(serial_seconds, 6),
         "parallel_seconds": round(parallel_seconds, 6),
         "parallel_fraction": round(parallel_seconds / max(serial_seconds, 1e-9), 4),
@@ -115,16 +99,21 @@ def run_experiment() -> list[dict]:
     return [row]
 
 
-def write_bench_json(rows: list[dict], path: Path = BENCH_JSON) -> None:
-    """Append this run's measurement to the recorded trajectory."""
-    append_bench_rows(path, "e13_sweep_scaling", rows)
+EXPERIMENT = Experiment(
+    name="e13_sweep_scaling",
+    title="E13: sweep fan-out — serial vs 4-worker wall-clock",
+    columns=(
+        "scenarios", "workers", "cpu_count", "serial_seconds", "parallel_seconds",
+        "parallel_fraction", "speedup", "rows_identical",
+    ),
+    key_fields=("scenarios", "workers"),
+    run=run_experiment,
+)
 
 
 def test_e13_sweep_scaling(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_experiment("E13: sweep fan-out — serial vs 4-worker wall-clock", rows, COLUMNS)
-    write_bench_json(rows)
-    row = rows[0]
+    rows = EXPERIMENT.execute(benchmark)
+    (row,) = rows
     # Determinism is hardware-independent: always enforced.
     assert row["rows_identical"], "parallel sweep rows diverged from the serial run"
     # Scaling is a hardware fact: enforce the 0.6x target where 4 workers can
@@ -143,8 +132,4 @@ def test_e13_sweep_scaling(benchmark):
 
 
 if __name__ == "__main__":  # pragma: no cover - manual/CI smoke entry point
-    experiment_rows = run_experiment()
-    print_experiment(
-        "E13: sweep fan-out — serial vs 4-worker wall-clock", experiment_rows, COLUMNS
-    )
-    write_bench_json(experiment_rows)
+    EXPERIMENT.execute()

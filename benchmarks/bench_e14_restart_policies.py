@@ -27,26 +27,24 @@ change *throughput*, never correctness, so the ``legal`` and
 ``serialisable`` columns must be true in every mode.  Each row's
 ``recovery_ratio`` — its commit rate over the storm baseline's (floored
 at half a transaction to stay finite when the baseline commits nothing)
-— is machine-independent, and ``compare_bench.py`` warns when it
-regresses >30% against the committed ``BENCH_e14_restart_policies.json``
-baseline.
+— is machine-independent, and ``compare_bench.py`` flags a fresh row
+whose ratio falls >30% below the golden ``BENCH_e14_restart_policies.json``'s.
+Every column is a pure function of the scenario spec (counts,
+tick-derived ratios and certification verdicts), so the whole table is
+pinned to the golden bit for bit.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.sweep import Axis, AxisPoint, ScenarioSpec, SweepSpec
 
-from .harness import append_bench_rows, print_experiment, run_sweep_rows
+from .harness import Experiment, run_sweep_rows
 
-COLUMNS = [
+COLUMNS = (
     "policy", "commit_rate", "recovery_ratio", "committed", "aborts", "gave_up",
     "cascade_aborts", "deadlocks", "restarts", "delayed_restarts", "makespan",
     "legal", "serialisable",
-]
-
-BENCH_JSON = Path(__file__).resolve().parent / "BENCH_e14_restart_policies.json"
+)
 
 #: The storm scenario: 28 update transactions fighting over 3 hot
 #: registers half the time.  Under immediate/cascade this commits 0/28.
@@ -54,42 +52,21 @@ TRANSACTIONS = 28
 
 BASELINE_POLICY = "immediate/cascade"
 
-POLICY_POINTS = (
+POLICY_POINTS = tuple(
     AxisPoint(
-        "immediate/cascade",
+        f"{restart_policy}/{gate_mode}",
         {
-            "scheduler_kwargs.restart_policy": "immediate",
-            "scheduler_kwargs.gate_mode": "cascade",
+            "scheduler_kwargs.restart_policy": restart_policy,
+            "scheduler_kwargs.gate_mode": gate_mode,
         },
-    ),
-    AxisPoint(
-        "backoff/cascade",
-        {
-            "scheduler_kwargs.restart_policy": "backoff",
-            "scheduler_kwargs.gate_mode": "cascade",
-        },
-    ),
-    AxisPoint(
-        "ordered/cascade",
-        {
-            "scheduler_kwargs.restart_policy": "ordered",
-            "scheduler_kwargs.gate_mode": "cascade",
-        },
-    ),
-    AxisPoint(
-        "immediate/aca",
-        {
-            "scheduler_kwargs.restart_policy": "immediate",
-            "scheduler_kwargs.gate_mode": "aca",
-        },
-    ),
-    AxisPoint(
-        "backoff/aca",
-        {
-            "scheduler_kwargs.restart_policy": "backoff",
-            "scheduler_kwargs.gate_mode": "aca",
-        },
-    ),
+    )
+    for restart_policy, gate_mode in (
+        ("immediate", "cascade"),
+        ("backoff", "cascade"),
+        ("ordered", "cascade"),
+        ("immediate", "aca"),
+        ("backoff", "aca"),
+    )
 )
 
 SWEEP = SweepSpec(
@@ -113,7 +90,7 @@ SWEEP = SweepSpec(
 )
 
 
-def run_experiment() -> list[dict]:
+def run_experiment(sizing=None) -> list[dict]:
     rows = run_sweep_rows(SWEEP)
     baseline = next(row for row in rows if row["policy"] == BASELINE_POLICY)
     # Commit rates are deterministic counts, so the ratio is comparable
@@ -121,20 +98,23 @@ def run_experiment() -> list[dict]:
     # commits nothing at all.
     floor = max(baseline["commit_rate"], 0.5 / TRANSACTIONS)
     for row in rows:
-        row["experiment"] = "e14_restart_policies"
         row["recovery_ratio"] = round(row["commit_rate"] / floor, 2)
     return rows
 
 
-def write_bench_json(rows: list[dict], path: Path = BENCH_JSON) -> None:
-    """Append this sweep's rows to the recorded trajectory."""
-    append_bench_rows(path, "e14_restart_policies", rows)
+EXPERIMENT = Experiment(
+    name="e14_restart_policies",
+    title="E14: restart & contention policies vs the cascade storm",
+    columns=COLUMNS,
+    key_fields=("policy",),
+    run=run_experiment,
+    pinned=COLUMNS,
+    watched=("recovery_ratio",),
+)
 
 
 def test_e14_restart_policies(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_experiment("E14: restart & contention policies vs the cascade storm", rows, COLUMNS)
-    write_bench_json(rows)
+    rows = EXPERIMENT.execute(benchmark)
     by_policy = {row["policy"]: row for row in rows}
     # Correctness is policy-independent: every mode's committed history
     # must replay legally and serialise.
@@ -151,8 +131,4 @@ def test_e14_restart_policies(benchmark):
 
 
 if __name__ == "__main__":  # pragma: no cover - manual/CI smoke entry point
-    experiment_rows = run_experiment()
-    print_experiment(
-        "E14: restart & contention policies vs the cascade storm", experiment_rows, COLUMNS
-    )
-    write_bench_json(experiment_rows)
+    EXPERIMENT.execute()

@@ -33,9 +33,10 @@ the arrival rate λ towards the engine's service capacity:
   could not hold.
 
 Rows are a pure function of the spec (the arrival schedule is seeded),
-so ``commit_rate`` and ``throughput`` are machine-independent and
-``compare_bench.py`` guards them against the committed
-``BENCH_e15_open_system.json`` baseline.  Every scenario is certified
+so a full-size sweep is pinned to the golden ``BENCH_e15_open_system.json``
+on every table column, and ``compare_bench.py`` guards the
+machine-independent ``commit_rate`` and ``throughput`` of the fresh rows
+against it.  Every scenario is certified
 **online** (``certify="stream"``): post-hoc certification of a
 2,000-transaction history is an experiment-sized cost of its own (see
 the E12 scaling notes), but the streaming certifier's O(new-work)
@@ -48,30 +49,25 @@ oracle-tested against post-hoc ``certify_run`` at smaller sizes by
 by ``tests/simulation/test_open_system.py`` on the ``tests/oracles`` engines.
 
 ``REPRO_E15_ARRIVALS`` overrides the stream length for local iteration;
-rows are only appended to the trajectory file when the full 2,000-arrival
-sweep ran, so shortened smoke runs never pollute the baseline.
+a shortened sweep is written to ``benchmarks/out/`` marked as such and is
+neither pinned to nor compared with the golden.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
+from repro.sweep import Axis, AxisPoint, SweepSpec
 
-from repro.sweep import Axis, AxisPoint, ScenarioSpec, SweepSpec
+from .harness import Experiment, hotspot_spec, run_sweep_rows
 
-from .harness import append_bench_rows, print_experiment, run_sweep_rows
-
-COLUMNS = [
+COLUMNS = (
     "scheduler", "arrival", "committed", "commit_rate", "arrived",
     "in_flight_peak", "mean_latency", "latency_max", "live_state_peak",
     "live_state_ratio", "saturated", "makespan", "throughput", "serialisable",
-]
+)
 
-BENCH_JSON = Path(__file__).resolve().parent / "BENCH_e15_open_system.json"
-
-#: Arrivals per scenario (the acceptance floor is 2,000).
-DEFAULT_ARRIVALS = 2000
-ARRIVALS = int(os.environ.get("REPRO_E15_ARRIVALS", DEFAULT_ARRIVALS))
+#: Arrivals per scenario: the variable that shortens the stream (the full
+#: size, 2,000, is also the acceptance floor).
+SIZE = "REPRO_E15_ARRIVALS"
 
 #: A scenario counts as saturated when its mean latency exceeds this
 #: multiple of the same scheduler's latency at the lightest arrival rate.
@@ -92,108 +88,41 @@ LIVE_STATE_RATIO_BOUND = 64.0
 
 GC_INTERVAL = 64
 
-ARRIVAL_POINTS = (
-    AxisPoint(
-        "poisson@0.02",
-        {
-            "workload_params.arrival": "poisson",
-            "workload_params.arrival_params": {"rate": 0.02},
-        },
-    ),
-    AxisPoint(
-        "poisson@0.045",
-        {
-            "workload_params.arrival": "poisson",
-            "workload_params.arrival_params": {"rate": 0.045},
-        },
-    ),
-    AxisPoint(
-        "poisson@0.055",
-        {
-            "workload_params.arrival": "poisson",
-            "workload_params.arrival_params": {"rate": 0.055},
-        },
-    ),
-    AxisPoint(
-        "bursty@16x640",
-        {
-            "workload_params.arrival": "bursty",
-            "workload_params.arrival_params": {
-                "burst": 16,
-                "mean_gap": 640,
-                "within_gap": 8,
-            },
-        },
-    ),
-)
 
-SCHEDULER_POINTS = (
-    AxisPoint(
-        "n2pl",
-        {
-            "scheduler": "n2pl",
-            "scheduler_kwargs.restart_policy": "backoff",
-        },
-    ),
-    AxisPoint(
-        "nto-step",
-        {
-            "scheduler": "nto-step",
-            "scheduler_kwargs.restart_policy": "backoff",
-        },
-    ),
-    AxisPoint(
-        "certifier",
-        {
-            "scheduler": "certifier",
-            "scheduler_kwargs.restart_policy": "backoff",
-        },
-    ),
-    # Admitted once ROADMAP item 5 landed: the coordinator's frontier GC
-    # and the timestamp synchronisers' watermarks bound its retained state,
-    # so the long-horizon grid's live-state assertion holds for it too.
-    AxisPoint(
-        "modular",
-        {
-            "scheduler": "modular",
-            "scheduler_kwargs.restart_policy": "backoff",
-        },
-    ),
-)
-
-
-def make_sweep(arrivals: int = ARRIVALS) -> SweepSpec:
-    return SweepSpec(
-        name="e15_open_system",
-        base=ScenarioSpec(
-            workload="hotspot-stream",
-            scheduler="n2pl",
-            seed=1515,
-            workload_params={
-                "inner_params": {
-                    "transactions": arrivals,
-                    "hot_objects": 2,
-                    "cold_objects": 128,
-                    "operations_per_transaction": 2,
-                    "hot_probability": 0.05,
-                    "use_service_layer": False,
-                    "seed": 1515,
-                },
-                "arrival": "poisson",
-                "arrival_params": {"rate": 0.02},
-            },
-            engine_params={"gc_interval": GC_INTERVAL},
-            certify="stream",
-        ),
-        axes=(
-            Axis("scheduler", SCHEDULER_POINTS, target="scheduler"),
-            Axis("arrival", ARRIVAL_POINTS),
-        ),
+def _arrival_point(label: str, name: str, **params) -> AxisPoint:
+    return AxisPoint(
+        label,
+        {"workload_params.arrival": name, "workload_params.arrival_params": params},
     )
 
 
-def run_experiment(arrivals: int = ARRIVALS) -> list[dict]:
-    rows = run_sweep_rows(make_sweep(arrivals))
+ARRIVAL_POINTS = (
+    _arrival_point("poisson@0.02", "poisson", rate=0.02),
+    _arrival_point("poisson@0.045", "poisson", rate=0.045),
+    _arrival_point("poisson@0.055", "poisson", rate=0.055),
+    _arrival_point("bursty@16x640", "bursty", burst=16, mean_gap=640, within_gap=8),
+)
+
+#: All with ``backoff`` restarts (the base spec's).  ``modular`` was
+#: admitted once ROADMAP item 5 landed: the coordinator's frontier GC and
+#: the timestamp synchronisers' watermarks bound its retained state, so
+#: the long-horizon grid's live-state assertion holds for it too.
+SCHEDULERS = ("n2pl", "nto-step", "certifier", "modular")
+
+
+def make_sweep(arrivals: int) -> SweepSpec:
+    return SweepSpec(
+        name="e15_open_system",
+        base=hotspot_spec(
+            "n2pl", arrivals, 1515, rate=0.02, certify="stream",
+            engine_params={"gc_interval": GC_INTERVAL},
+        ),
+        axes=(Axis("scheduler", SCHEDULERS), Axis("arrival", ARRIVAL_POINTS)),
+    )
+
+
+def run_experiment(sizing) -> list[dict]:
+    rows = run_sweep_rows(make_sweep(sizing[SIZE]))
     # Per-scheduler saturation flag: latency vs the lightest poisson point.
     lightest = {
         row["scheduler"]: row["mean_latency"]
@@ -202,48 +131,51 @@ def run_experiment(arrivals: int = ARRIVALS) -> list[dict]:
     }
     for row in rows:
         floor = max(lightest.get(row["scheduler"], 0.0), 1e-9)
-        row["experiment"] = "e15_open_system"
         row["saturated"] = bool(row["mean_latency"] > SATURATION_FACTOR * floor)
     return rows
 
 
-def write_bench_json(rows: list[dict], path: Path = BENCH_JSON) -> None:
-    """Append this sweep's rows to the recorded trajectory (full runs only).
+EXPERIMENT = Experiment(
+    name="e15_open_system",
+    title="E15: open-system arrival streams (saturation & latency)",
+    columns=COLUMNS,
+    key_fields=("scheduler", "arrival"),
+    run=run_experiment,
+    full_sizes={SIZE: 2000},
+    pinned=COLUMNS,
+    watched=("commit_rate", "throughput"),
+)
 
-    Gated on the rows themselves, not on the environment: a shortened
-    stream (however it was requested) must never enter the trajectory the
-    regression gate compares against.
-    """
-    if rows and all(row.get("arrived") == DEFAULT_ARRIVALS for row in rows):
-        append_bench_rows(path, "e15_open_system", rows)
+
+def assert_stream_row(row: dict, label: str, arrivals: int, gc_interval: int) -> None:
+    """The open-system gates every certified stream row must pass (E17's too)."""
+    # With backoff restarts at these utilisations every transaction
+    # eventually commits.
+    assert row["committed"] == arrivals, f"{label}: only {row['committed']}/{arrivals} commits"
+    # Certification runs online now; every stream must certify clean.
+    assert row["serialisable"] is True, f"{label}: stream failed certification"
+    # The bounded-memory claim: peak retained live state tracks the
+    # retention window (in-flight + one GC interval), not the total
+    # arrival count.
+    window = max(1, row["in_flight_peak"]) + gc_interval
+    assert row["live_state_peak"] <= LIVE_STATE_RATIO_BOUND * window, (
+        f"{label}: live-state peak {row['live_state_peak']} exceeds "
+        f"{LIVE_STATE_RATIO_BOUND}x the retention window {window} "
+        f"(in-flight peak {row['in_flight_peak']} + gc_interval {gc_interval})"
+    )
 
 
 def test_e15_open_system(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_experiment("E15: open-system arrival streams (saturation & latency)", rows, COLUMNS)
-    write_bench_json(rows)
+    rows = EXPERIMENT.execute(benchmark)
+    arrivals = EXPERIMENT.sizing()[SIZE]
     for row in rows:
         label = f"{row['scheduler']}/{row['arrival']}"
-        # Every arrival enters the system and (with backoff restarts at
-        # these utilisations) every transaction eventually commits.
-        assert row["arrived"] == ARRIVALS, f"{label}: stream released {row['arrived']}"
-        assert row["committed"] == ARRIVALS, (
-            f"{label}: only {row['committed']}/{ARRIVALS} commits"
-        )
-        # Certification runs online now; every stream must certify clean.
-        assert row["serialisable"] is True, f"{label}: stream failed certification"
-        # The bounded-memory claim: peak retained live state tracks the
-        # retention window (in-flight + one GC interval), not the total
-        # arrival count.
-        window = max(1, row["in_flight_peak"]) + GC_INTERVAL
-        assert row["live_state_peak"] <= LIVE_STATE_RATIO_BOUND * window, (
-            f"{label}: live-state peak {row['live_state_peak']} exceeds "
-            f"{LIVE_STATE_RATIO_BOUND}x the retention window {window} "
-            f"(in-flight peak {row['in_flight_peak']} + gc_interval {GC_INTERVAL})"
-        )
+        # Every arrival enters the system.
+        assert row["arrived"] == arrivals, f"{label}: stream released {row['arrived']}"
+        assert_stream_row(row, label, arrivals, GC_INTERVAL)
     # The latency knee: every scheduler's near-capacity poisson point is
     # strictly slower than its lightest one.
-    for scheduler in ("n2pl", "nto-step", "certifier", "modular"):
+    for scheduler in SCHEDULERS:
         by_arrival = {
             row["arrival"]: row for row in rows if row["scheduler"] == scheduler
         }
@@ -253,8 +185,4 @@ def test_e15_open_system(benchmark):
 
 
 if __name__ == "__main__":  # pragma: no cover - manual/CI smoke entry point
-    experiment_rows = run_experiment()
-    print_experiment(
-        "E15: open-system arrival streams (saturation & latency)", experiment_rows, COLUMNS
-    )
-    write_bench_json(experiment_rows)
+    EXPERIMENT.execute()

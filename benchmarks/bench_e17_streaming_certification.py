@@ -36,36 +36,21 @@ online certification actually costs on a long stream and gates it:
   back towards post-hoc cost.
 
 ``REPRO_E17_ARRIVALS`` shortens the stream for local iteration and the
-CI smoke step; shortened runs are never appended to the trajectory.
+CI smoke step; a shortened run is written to ``benchmarks/out/`` marked as
+such and ``compare_bench`` reports it as not compared with the golden
+``BENCH_e17_streaming_certification.json``.
 """
 
 from __future__ import annotations
 
-import gc
-import os
-import time
-from pathlib import Path
+from repro.sweep import ScenarioSpec, build_engine
 
-from repro.scheduler import make_scheduler
-from repro.simulation import SimulationEngine
-from repro.simulation.workloads import make_workload
+from .bench_e15_open_system import assert_stream_row
+from .harness import Experiment, hotspot_spec, timed_best
 
-from .harness import append_bench_rows, print_experiment
-
-COLUMNS = [
-    "scheduler", "arrivals", "committed", "commit_rate", "makespan",
-    "wall_seconds_plain", "wall_seconds_stream", "certify_overhead",
-    "certify_relative_throughput", "serialisable", "legal",
-    "live_state_peak", "gc_pruned",
-]
-
-BENCH_JSON = Path(__file__).resolve().parent / "BENCH_e17_streaming_certification.json"
-
-#: Arrivals per scenario (the acceptance floor is 100,000).
-DEFAULT_ARRIVALS = 100_000
-ARRIVALS = int(os.environ.get("REPRO_E17_ARRIVALS", DEFAULT_ARRIVALS))
-#: Timing repeats per engine variant; the best (minimum) wall is kept.
-REPEATS = max(1, int(os.environ.get("REPRO_E17_REPEATS", 1)))
+#: Arrivals per scenario: the variable that shortens the stream (the full
+#: size, 100,000, is also the acceptance floor).
+SIZE = "REPRO_E17_ARRIVALS"
 
 SEED = 1717
 #: Arrival rate just below the slowest scheduler's service capacity:
@@ -84,85 +69,42 @@ SCHEDULERS = ("n2pl", "nto-step", "certifier")
 #: The acceptance gate: certified wall clock over plain wall clock.
 OVERHEAD_CEILING = 2.0
 
-#: Same bound shape as E15: peak live state within a constant multiple of
-#: the retention window (in-flight peak + one GC interval of
-#: not-yet-collected transactions), never of the total arrival count.
-LIVE_STATE_RATIO_BOUND = 64.0
-
-#: Columns that must be bit-identical between the plain and certified
+#: Metrics that must be bit-identical between the plain and certified
 #: runs — the certifier is an observer and must never steer the engine.
-DETERMINISTIC_COLUMNS = ("committed", "commit_rate", "total_ticks", "arrived")
+DETERMINISTIC_METRICS = ("committed", "commit_rate", "total_ticks", "arrived")
 
 
-def _build_engine(scheduler: str, arrivals: int, certify):
-    workload = make_workload(
-        "hotspot",
-        transactions=arrivals,
-        hot_objects=2,
-        cold_objects=128,
-        operations_per_transaction=2,
-        hot_probability=0.05,
-        use_service_layer=False,
-        seed=SEED,
+def _spec(scheduler: str, arrivals: int, certify) -> ScenarioSpec:
+    # At rate 0.045 the last of 100,000 arrivals lands around tick 2.2M —
+    # past the engine's default cap, which would refuse the run
+    # (undelivered arrivals at max_ticks raise SimulationError).  Scale
+    # the cap with the requested size.
+    max_ticks = max(2_000_000, int(arrivals / STREAM_RATE) + 500_000)
+    return hotspot_spec(
+        scheduler, arrivals, SEED, rate=STREAM_RATE, certify=certify,
+        engine_params={"gc_interval": GC_INTERVAL, "max_ticks": max_ticks},
     )
-    base, specs = workload.build()
-    engine = SimulationEngine(
-        base,
-        make_scheduler(scheduler, restart_policy="backoff"),
-        seed=SEED,
-        gc_interval=GC_INTERVAL,
-        # At rate 0.045 the last of 100,000 arrivals lands around tick
-        # 2.2M — past the engine's default cap, which would refuse the
-        # run (undelivered arrivals at max_ticks raise SimulationError).
-        # Scale the cap with the requested size.
-        max_ticks=max(2_000_000, int(arrivals / STREAM_RATE) + 500_000),
-        certify=certify,
-    )
-    engine.submit_stream(specs, {"name": "poisson", "rate": STREAM_RATE})
-    return engine
 
 
-def _timed_run(scheduler: str, arrivals: int, certify):
-    """Best-of-``REPEATS`` wall clock for one engine variant.
-
-    The cyclic collector is disabled inside the timed region (and the
-    heap collected right before it): the builder retains the full
-    history either way, so mid-run garbage is acyclic and refcounted
-    away, while gen-2 collections rescan the ever-growing history —
-    a drag that grows with stream length, hits the variant with the
-    larger heap harder, and has nothing to do with certification cost.
-    """
-    wall = float("inf")
-    for _ in range(REPEATS):
-        engine = _build_engine(scheduler, arrivals, certify)
-        gc.collect()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            started = time.perf_counter()
-            result = engine.run()
-            wall = min(wall, time.perf_counter() - started)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-    return wall, result, engine
-
-
-def measure(scheduler: str, arrivals: int = ARRIVALS) -> dict:
+def measure(scheduler: str, sizing) -> dict:
     """Run one scheduler plain and certified; report the overhead row."""
-    wall_plain, plain, _ = _timed_run(scheduler, arrivals, False)
-    wall_stream, streamed, engine = _timed_run(scheduler, arrivals, "stream")
+    arrivals = sizing[SIZE]
+    wall_plain, plain, _ = timed_best(
+        sizing.repeats, lambda: build_engine(_spec(scheduler, arrivals, False)), freeze_gc=True
+    )
+    wall_stream, streamed, engine = timed_best(
+        sizing.repeats, lambda: build_engine(_spec(scheduler, arrivals, "stream")), freeze_gc=True
+    )
 
-    for column in DETERMINISTIC_COLUMNS:
-        before = getattr(plain.metrics, column)
-        after = getattr(streamed.metrics, column)
+    for name in DETERMINISTIC_METRICS:
+        before = getattr(plain.metrics, name)
+        after = getattr(streamed.metrics, name)
         assert before == after, (
-            f"{scheduler}: certify='stream' changed {column}: {before!r} != {after!r}"
+            f"{scheduler}: certify='stream' changed {name}: {before!r} != {after!r}"
         )
 
     report = streamed.streaming_report
     return {
-        "experiment": "e17_streaming_certification",
         "scheduler": scheduler,
         "arrivals": arrivals,
         "committed": streamed.metrics.committed,
@@ -180,26 +122,42 @@ def measure(scheduler: str, arrivals: int = ARRIVALS) -> dict:
     }
 
 
-def run_experiment(arrivals: int = ARRIVALS) -> list[dict]:
-    return [measure(scheduler, arrivals) for scheduler in SCHEDULERS]
+def run_experiment(sizing) -> list[dict]:
+    return [measure(scheduler, sizing) for scheduler in SCHEDULERS]
 
 
-def write_bench_json(rows: list[dict], path: Path = BENCH_JSON) -> None:
-    """Append full-size sweeps to the trajectory (shortened runs never)."""
-    if rows and all(row.get("arrivals") == DEFAULT_ARRIVALS for row in rows):
-        append_bench_rows(path, "e17_streaming_certification", rows)
+EXPERIMENT = Experiment(
+    name="e17_streaming_certification",
+    title="E17: streaming certification overhead",
+    columns=(
+        "scheduler", "arrivals", "committed", "commit_rate", "makespan",
+        "wall_seconds_plain", "wall_seconds_stream", "certify_overhead",
+        "certify_relative_throughput", "serialisable", "legal",
+        "live_state_peak", "gc_pruned",
+    ),
+    key_fields=("scheduler",),
+    run=run_experiment,
+    full_sizes={SIZE: 100_000},
+    repeats=("REPRO_E17_REPEATS", 1),
+    # The certification overhead as a *throughput* ratio (plain wall over
+    # certified wall) so that, like every watched column, higher is
+    # better; ``commit_rate`` rides along as the determinism canary.
+    watched=("certify_relative_throughput", "commit_rate"),
+    # Both walls come from the same in-process run pair, but a plain run
+    # quicker than the floor makes the ratio scheduling jitter.
+    noise_floor=("wall_seconds_plain", 0.25),
+)
 
 
 def test_e17_streaming_certification(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_experiment("E17: streaming certification overhead", rows, COLUMNS)
-    write_bench_json(rows)
+    rows = EXPERIMENT.execute(benchmark)
     for row in rows:
         label = row["scheduler"]
-        assert row["committed"] == row["arrivals"], (
-            f"{label}: only {row['committed']}/{row['arrivals']} commits"
-        )
-        assert row["serialisable"] is True, f"{label}: stream failed certification"
+        # Same gates, and the same live-state bound, as an E15 row: peak
+        # live state within a constant multiple of the retention window
+        # (in-flight peak + one GC interval of not-yet-collected
+        # transactions), never of the total arrival count.
+        assert_stream_row(row, label, row["arrivals"], GC_INTERVAL)
         assert row["legal"] is True, f"{label}: stream failed legality"
         # The acceptance gate: online certification under 2x plain run time.
         assert row["certify_overhead"] < OVERHEAD_CEILING, (
@@ -209,14 +167,7 @@ def test_e17_streaming_certification(benchmark):
         # The certifier's window must be garbage-collected on a stream this
         # long — a zero prune count means the O(new-work) claim is hollow.
         assert row["gc_pruned"] > 0, f"{label}: certifier GC never pruned"
-        window = max(1, row["in_flight_peak"]) + GC_INTERVAL
-        assert row["live_state_peak"] <= LIVE_STATE_RATIO_BOUND * window, (
-            f"{label}: live-state peak {row['live_state_peak']} exceeds "
-            f"{LIVE_STATE_RATIO_BOUND}x the retention window {window}"
-        )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual/CI smoke entry point
-    experiment_rows = run_experiment()
-    print_experiment("E17: streaming certification overhead", experiment_rows, COLUMNS)
-    write_bench_json(experiment_rows)
+    EXPERIMENT.execute()

@@ -23,21 +23,23 @@ benchmark regenerates the three claims that make sharding usable:
    on the CPUs actually available — enforced at ≥4 CPUs on full-size
    runs, recorded-but-never-asserted below (a CPU-bound fan-out cannot
    beat serial on a single core by construction).  The walls, μ ratios
-   and host CPU count land in ``BENCH_e18_sharding.json`` either way, so
-   the trajectory always states the hardware it was measured on.
+   and host CPU count are in the rows either way (the golden
+   ``BENCH_e18_sharding.json`` and the fresh ones under
+   ``benchmarks/out/``), so a recorded row always states the hardware it
+   was measured on.
 
 The scaling grid is the E15 open-system shape — a saturating Poisson
 hotspot stream with mid-stream GC — restricted to single-operation
 transactions so every transaction is shard-local: it measures the
 partition's parallel headroom, not 2PC contention.  A separate ``cross``
 case splits the hot pair across shards under multi-operation contention,
-so the trajectory also tracks the coordinator's decision counters
+so the rows also track the coordinator's decision counters
 (cross-shard commits, stall/cycle aborts) on a workload where
 distributed deadlocks actually happen.
 
-``REPRO_E18_ARRIVALS`` shortens the stream for local iteration; rows are
-appended to the trajectory only when the full-size grid ran, so
-shortened smoke runs never pollute the baseline.
+``REPRO_E18_ARRIVALS`` shortens the stream for local iteration; a
+shortened grid is written to ``benchmarks/out/`` marked as such and
+``compare_bench`` reports it as not compared with the golden.
 
 Sharded runs must not themselves be nested inside a multiprocessing
 pool: the multiprocess transport spawns daemon processes, which daemonic
@@ -46,30 +48,18 @@ pool workers cannot.  Everything here runs serially in the test process.
 
 from __future__ import annotations
 
-import os
-import time
-from pathlib import Path
-
 from repro.shard import ShardMap, ShardedEngine
 from repro.sweep import ScenarioSpec, build_engine, summarise_run, summarise_sharded_run
 
-from .harness import append_bench_rows, print_experiment
+from .harness import Experiment, cpu_count, hotspot_spec, timed_best
 
-#: Arrivals in the scaling stream (the committed baseline size).
-DEFAULT_ARRIVALS = 400
-ARRIVALS = int(os.environ.get("REPRO_E18_ARRIVALS", DEFAULT_ARRIVALS))
-
-#: Walls are taken as the best of N runs (the deterministic outcome is
-#: identical across repeats, only the wall varies with runner noise).
-REPEATS = max(1, int(os.environ.get("REPRO_E18_REPEATS", 1)))
+#: Arrivals in the scaling stream: the variable that shortens it (the full
+#: size, 400, is the golden's).
+SIZE = "REPRO_E18_ARRIVALS"
 
 #: The cross-shard contention case is abort-heavy, so it runs a smaller
 #: closed batch; shortened smoke runs shrink it along with the stream.
-DEFAULT_CROSS_TRANSACTIONS = 120
-CROSS_TRANSACTIONS = min(DEFAULT_CROSS_TRANSACTIONS, ARRIVALS)
-
-#: Full-size batch per case — the trajectory-append gate.
-FULL_SIZE = {"scaling": DEFAULT_ARRIVALS, "cross": DEFAULT_CROSS_TRANSACTIONS}
+CROSS_TRANSACTIONS = 120
 
 SEED = 1818
 SHARD_COUNTS = (1, 2, 4)
@@ -93,24 +83,8 @@ COLOCATED_HOT = {"hot-0": 0, "hot-1": 0}
 #: cross-shard and the coordinator's deadlock breakers earn their keep.
 SPLIT_HOT = {"hot-0": 0, "hot-1": 1}
 
-COLUMNS = [
-    "case", "mode", "scheduler", "shards", "committed", "gave_up",
-    "commit_rate", "throughput", "mu_wall", "mu_ratio_vs_one",
-    "remote_invocations", "cross_commits", "cross_aborts", "stall_aborts",
-    "cycle_aborts", "shard_rounds", "serialisable", "wall_seconds", "cpu_count",
-]
 
-BENCH_JSON = Path(__file__).resolve().parent / "BENCH_e18_sharding.json"
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without sched_getaffinity
-        return os.cpu_count() or 1
-
-
-def _scaling_spec() -> ScenarioSpec:
+def _scaling_spec(arrivals: int) -> ScenarioSpec:
     # The E15 open-system shape (Poisson hotspot stream, mid-stream GC)
     # at a rate that saturates a single engine, restricted to
     # single-operation transactions: every transaction lives on one
@@ -118,45 +92,17 @@ def _scaling_spec() -> ScenarioSpec:
     # rather than 2PC contention (the ``cross`` case measures that).
     # Per-shard post-hoc certification stands in for E15's streaming
     # certifier, which is (deliberately) rejected on sharded runs.
-    return ScenarioSpec(
-        workload="hotspot-stream",
-        scheduler="n2pl",
-        seed=SEED,
-        workload_params={
-            "inner_params": {
-                "transactions": ARRIVALS,
-                "hot_objects": 2,
-                "cold_objects": 48,
-                "operations_per_transaction": 1,
-                "hot_probability": 0.05,
-                "use_service_layer": False,
-                "seed": SEED,
-            },
-            "arrival": "poisson",
-            "arrival_params": {"rate": 0.25},
-        },
-        scheduler_kwargs={"restart_policy": "backoff"},
+    return hotspot_spec(
+        "n2pl", arrivals, SEED, rate=0.25, certify=True,
         engine_params={"gc_interval": GC_INTERVAL},
-        certify=True,
+        cold_objects=48, operations_per_transaction=1,
     )
 
 
-def _cross_spec(scheduler: str) -> ScenarioSpec:
-    return ScenarioSpec(
-        workload="hotspot",
-        scheduler=scheduler,
-        seed=SEED,
-        workload_params={
-            "transactions": CROSS_TRANSACTIONS,
-            "hot_objects": 2,
-            "cold_objects": 16,
-            "operations_per_transaction": 3,
-            "hot_probability": 0.5,
-            "use_service_layer": False,
-            "seed": SEED,
-        },
-        scheduler_kwargs={"restart_policy": "backoff"},
-        certify=True,
+def _cross_spec(scheduler: str, transactions: int) -> ScenarioSpec:
+    return hotspot_spec(
+        scheduler, transactions, SEED, certify=True,
+        cold_objects=16, operations_per_transaction=3, hot_probability=0.5,
     )
 
 
@@ -175,37 +121,23 @@ def _outcome(result) -> tuple:
     )
 
 
-def _run_sharded(spec: ScenarioSpec, shard_map: ShardMap, mode: str):
-    """Run one sharded config ``REPEATS`` times; best wall, one result."""
-    best_wall, result = None, None
-    for _ in range(REPEATS):
-        engine = ShardedEngine(
+def _run_sharded(spec: ScenarioSpec, shard_map: ShardMap, mode: str, repeats: int):
+    """Run one sharded config; ``(result, best wall of repeats)``."""
+    wall, result, _ = timed_best(
+        repeats,
+        lambda: ShardedEngine(
             spec,
             shard_map,
             mode=mode,
             round_ticks=ROUND_TICKS,
             mp_context="fork" if mode == "multiprocess" else None,
-        )
-        started = time.perf_counter()
-        result = engine.run()
-        wall = time.perf_counter() - started
-        best_wall = wall if best_wall is None else min(best_wall, wall)
-    return result, best_wall
-
-
-def _run_plain(spec: ScenarioSpec):
-    best_wall, result = None, None
-    for _ in range(REPEATS):
-        started = time.perf_counter()
-        result = build_engine(spec).run()
-        wall = time.perf_counter() - started
-        best_wall = wall if best_wall is None else min(best_wall, wall)
-    return result, best_wall
+        ),
+    )
+    return result, wall
 
 
 def _bench_row(case, mode, spec, shards, row, coordinator, wall, cpu) -> dict:
     return {
-        "experiment": "e18_sharding",
         "case": case,
         "mode": mode,
         "scheduler": spec.scheduler,
@@ -230,13 +162,18 @@ def _bench_row(case, mode, spec, shards, row, coordinator, wall, cpu) -> dict:
     }
 
 
-def run_experiment() -> list[dict]:
-    cpu = _cpu_count()
+def run_experiment(sizing) -> list[dict]:
+    cpu = cpu_count()
+    repeats = sizing.repeats
     rows: list[dict] = []
-    spec = _scaling_spec()
+    spec = _scaling_spec(sizing[SIZE])
 
     # Plain-engine reference: the unsharded row the shards=1 run must hit.
-    plain_result, plain_wall = _run_plain(spec)
+    # Its wall covers building the engine, as a sharded run's covers
+    # building its workers.
+    plain_wall, plain_result, _ = timed_best(
+        repeats, lambda: spec, lambda spec: build_engine(spec).run()
+    )
     plain_row = summarise_run(plain_result, spec.scheduler, certify=True)
     plain_reference = (
         plain_result.metrics.as_dict(),
@@ -251,8 +188,8 @@ def run_experiment() -> list[dict]:
         shard_map = ShardMap(
             shards=shards, assignment=COLOCATED_HOT if shards > 1 else {}
         )
-        inproc, inproc_wall = _run_sharded(spec, shard_map, "inprocess")
-        multi, multi_wall = _run_sharded(spec, shard_map, "multiprocess")
+        inproc, inproc_wall = _run_sharded(spec, shard_map, "inprocess", repeats)
+        multi, multi_wall = _run_sharded(spec, shard_map, "multiprocess", repeats)
 
         inproc_row = summarise_sharded_run(inproc, spec.scheduler)
         multi_row = summarise_sharded_run(multi, spec.scheduler)
@@ -286,9 +223,9 @@ def run_experiment() -> list[dict]:
 
     # Cross-shard contention: split hot pair, coordinator under fire.
     for scheduler in ("n2pl", "certifier"):
-        cross_spec = _cross_spec(scheduler)
+        cross_spec = _cross_spec(scheduler, min(CROSS_TRANSACTIONS, sizing[SIZE]))
         shard_map = ShardMap(shards=2, assignment=SPLIT_HOT)
-        result, wall = _run_sharded(cross_spec, shard_map, "inprocess")
+        result, wall = _run_sharded(cross_spec, shard_map, "inprocess", repeats)
         row = summarise_sharded_run(result, scheduler)
         rows.append(
             _bench_row("cross", "inprocess", cross_spec, 2, row,
@@ -298,22 +235,33 @@ def run_experiment() -> list[dict]:
     return rows
 
 
-def write_bench_json(rows: list[dict], path: Path = BENCH_JSON) -> None:
-    """Append this run's rows to the recorded trajectory (full runs only).
-
-    Gated on the rows themselves, not on the environment: a shortened
-    grid (however it was requested) must never enter the trajectory the
-    regression gate compares against.
-    """
-    if rows and all(row["transactions"] == FULL_SIZE[row["case"]] for row in rows):
-        append_bench_rows(path, "e18_sharding", rows)
+EXPERIMENT = Experiment(
+    name="e18_sharding",
+    title="E18: sharded execution — identity, transport, μ scaling",
+    columns=(
+        "case", "mode", "scheduler", "shards", "committed", "gave_up",
+        "commit_rate", "throughput", "mu_wall", "mu_ratio_vs_one",
+        "remote_invocations", "cross_commits", "cross_aborts", "stall_aborts",
+        "cycle_aborts", "shard_rounds", "serialisable", "wall_seconds", "cpu_count",
+    ),
+    key_fields=("case", "mode", "scheduler", "shards"),
+    run=run_experiment,
+    full_sizes={SIZE: 400},
+    repeats=("REPRO_E18_REPEATS", 1),
+    # ``mu_ratio_vs_one`` is each shard count's measured μ over the same
+    # mode's 1-shard μ — an in-run wall ratio, so it needs the noise
+    # floor — and is where the sharded engine's parallel headroom eroding
+    # shows up; ``commit_rate`` rides along as the deterministic canary (a
+    # coordinator change that thrashes more degrades it identically on
+    # every machine).  The cross rows carry no μ ratio (``None`` skips
+    # comparison) but their commit_rate still gates.
+    watched=("mu_ratio_vs_one", "commit_rate"),
+    noise_floor=("wall_seconds", 0.25),
+)
 
 
 def test_e18_sharding(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_experiment("E18: sharded execution — identity, transport, μ scaling", rows, COLUMNS)
-    write_bench_json(rows)
-
+    rows = EXPERIMENT.execute(benchmark)
     by_key = {(row["case"], row["mode"], row["shards"]): row for row in rows}
     # Determinism is hardware-independent: always enforced.
     assert by_key[("scaling", "inprocess", 1)]["matches_plain"], (
@@ -340,8 +288,7 @@ def test_e18_sharding(benchmark):
     # two shard processes actually run concurrently and the stream is
     # full-size (short smoke streams measure jitter); record elsewhere.
     cpu = rows[0]["cpu_count"]
-    full_size = all(row["transactions"] == FULL_SIZE[row["case"]] for row in rows)
-    if cpu >= MIN_CPUS_FOR_SCALING and full_size:
+    if cpu >= MIN_CPUS_FOR_SCALING and EXPERIMENT.sizing().full:
         ratio = by_key[("scaling", "multiprocess", 2)]["mu_ratio_vs_one"]
         assert ratio >= SCALING_TARGET, (
             f"2-shard multiprocess μ only {ratio:.2f}x of 1-shard "
@@ -350,8 +297,4 @@ def test_e18_sharding(benchmark):
 
 
 if __name__ == "__main__":  # pragma: no cover - manual/CI smoke entry point
-    experiment_rows = run_experiment()
-    print_experiment(
-        "E18: sharded execution — identity, transport, μ scaling", experiment_rows, COLUMNS
-    )
-    write_bench_json(experiment_rows)
+    EXPERIMENT.execute()

@@ -47,33 +47,20 @@ exploration windows on the way to the right rung, which costs ticks the
 clairvoyant fixed choice never spends.
 
 ``REPRO_E19_ARRIVALS`` overrides the stream length for local iteration
-and the CI smoke step; rows are only appended to the trajectory file
-when the full 400-arrival grid ran, so shortened runs never pollute the
-baseline ``BENCH_e19_adaptive.json``.
+and the CI smoke step; a shortened grid is written to ``benchmarks/out/``
+marked as such and ``compare_bench`` reports it as not compared with the
+golden ``BENCH_e19_adaptive.json`` (the full 400-arrival grid).
 """
 
 from __future__ import annotations
 
-import os
-import time
-from pathlib import Path
+from repro.sweep import ScenarioSpec, run_scenario
 
-from repro.sweep import ScenarioSpec
-from repro.sweep.runner import run_scenario
+from .harness import Experiment
 
-from .harness import append_bench_rows, print_experiment
-
-COLUMNS = [
-    "scenario", "scheduler", "arrived", "committed", "commit_rate",
-    "makespan", "throughput", "throughput_vs_best_fixed",
-    "serialisable", "legal", "wall_seconds",
-]
-
-BENCH_JSON = Path(__file__).resolve().parent / "BENCH_e19_adaptive.json"
-
-#: Arrivals per scenario (the acceptance grid runs 400).
-DEFAULT_ARRIVALS = 400
-ARRIVALS = int(os.environ.get("REPRO_E19_ARRIVALS", DEFAULT_ARRIVALS))
+#: Arrivals per scenario: the variable that shortens the streams (the
+#: acceptance grid runs the full size, 400).
+SIZE = "REPRO_E19_ARRIVALS"
 
 #: Adaptive commit rate must reach this fraction of the best fixed
 #: strategy's on every scenario.
@@ -86,73 +73,59 @@ SEED = 1919
 MIXED_SCENARIO = "zipf-mixed"
 
 
+def _stream(workload: str, inner: dict, arrival: str, **arrival_params) -> dict:
+    return dict(
+        workload=workload,
+        workload_params={
+            "inner_params": inner,
+            "arrival": arrival,
+            "arrival_params": arrival_params,
+        },
+    )
+
+
 def _scenarios(arrivals: int) -> dict[str, dict]:
+    def zipf(skew: float, seed: int) -> dict:
+        return {
+            "transactions": arrivals,
+            "objects": 48,
+            "operations_per_transaction": 3,
+            "skew": skew,
+            "seed": seed,
+        }
+
+    hotspot = {
+        "transactions": arrivals,
+        "hot_objects": 2,
+        "cold_objects": 32,
+        "operations_per_transaction": 3,
+        "hot_probability": 0.4,
+        "use_service_layer": False,
+        "seed": 19,
+    }
+    orders = {"transactions": arrivals, "customers": 12, "items": 32, "seed": 19}
     return {
-        "zipf-mixed": dict(
-            workload="zipf-stream",
-            workload_params={
-                "inner_params": {
-                    "transactions": arrivals,
-                    "objects": 48,
-                    "operations_per_transaction": 3,
-                    "skew": 1.1,
-                    "seed": 19,
-                },
-                "arrival": "poisson",
-                "arrival_params": {"rate": 0.04},
-            },
+        "zipf-mixed": _stream("zipf-stream", zipf(1.1, 19), "poisson", rate=0.04),
+        "diurnal-hotspot": _stream(
+            "hotspot-stream", hotspot, "diurnal", rate=0.05, amplitude=0.8, period=2000
         ),
-        "diurnal-hotspot": dict(
-            workload="hotspot-stream",
-            workload_params={
-                "inner_params": {
-                    "transactions": arrivals,
-                    "hot_objects": 2,
-                    "cold_objects": 32,
-                    "operations_per_transaction": 3,
-                    "hot_probability": 0.4,
-                    "use_service_layer": False,
-                    "seed": 19,
-                },
-                "arrival": "diurnal",
-                "arrival_params": {"rate": 0.05, "amplitude": 0.8, "period": 2000},
-            },
-        ),
-        "flash-crowd-orders": dict(
-            workload="order-processing-stream",
-            workload_params={
-                "inner_params": {
-                    "transactions": arrivals,
-                    "customers": 12,
-                    "items": 32,
-                    "seed": 19,
-                },
-                "arrival": "flash-crowd",
-                "arrival_params": {
-                    "rate": 0.02,
-                    "spike_factor": 6.0,
-                    "spike_length": 60,
-                    "mean_calm": 500,
-                },
-            },
+        "flash-crowd-orders": _stream(
+            "order-processing-stream", orders, "flash-crowd",
+            rate=0.02, spike_factor=6.0, spike_length=60, mean_calm=500,
         ),
         "faulted-zipf": dict(
-            workload="zipf-stream",
-            workload_params={
-                "inner_params": {
-                    "transactions": arrivals,
-                    "objects": 48,
-                    "operations_per_transaction": 3,
-                    "skew": 1.3,
-                    "seed": 23,
-                },
-                "arrival": "poisson",
-                "arrival_params": {"rate": 0.03},
-            },
+            _stream("zipf-stream", zipf(1.3, 23), "poisson", rate=0.03),
             engine_params={
                 "fault_plan": {"name": "crash", "period": 1500, "max_faults": 6}
             },
         ),
+    }
+
+
+def _fixed(strategy: str) -> dict:
+    return {
+        "scheduler": "modular",
+        "scheduler_kwargs": {"restart_policy": "backoff", "default_strategy": strategy},
     }
 
 
@@ -165,50 +138,29 @@ SCHEDULERS: dict[str, dict] = {
             "promote_threshold": 4,
         },
     },
-    "fixed-certifier": {
-        "scheduler": "modular",
-        "scheduler_kwargs": {
-            "restart_policy": "backoff",
-            "default_strategy": "certifier",
-        },
-    },
-    "fixed-timestamp": {
-        "scheduler": "modular",
-        "scheduler_kwargs": {
-            "restart_policy": "backoff",
-            "default_strategy": "timestamp",
-        },
-    },
-    "fixed-locking": {
-        "scheduler": "modular",
-        "scheduler_kwargs": {
-            "restart_policy": "backoff",
-            "default_strategy": "locking",
-        },
-    },
+    "fixed-certifier": _fixed("certifier"),
+    "fixed-timestamp": _fixed("timestamp"),
+    "fixed-locking": _fixed("locking"),
 }
 
 
-def _make_spec(scenario_kwargs: dict, scheduler_kwargs: dict) -> ScenarioSpec:
-    return ScenarioSpec(
-        seed=SEED, certify=True, check_legality=True,
-        **scenario_kwargs, **scheduler_kwargs,
-    )
-
-
 def _run_cell(scenario: str, scenario_kwargs: dict, scheduler: str) -> dict:
-    started = time.perf_counter()
-    row = dict(run_scenario(_make_spec(scenario_kwargs, SCHEDULERS[scheduler])).row)
-    row["experiment"] = "e19_adaptive"
-    row["scenario"] = scenario
-    row["scheduler"] = scheduler
-    row["wall_seconds"] = round(time.perf_counter() - started, 3)
-    return row
+    spec = ScenarioSpec(
+        seed=SEED, certify=True, check_legality=True,
+        **scenario_kwargs, **SCHEDULERS[scheduler],
+    )
+    outcome = run_scenario(spec)
+    return {
+        **outcome.row,
+        "scenario": scenario,
+        "scheduler": scheduler,
+        "wall_seconds": round(outcome.elapsed_seconds, 3),
+    }
 
 
-def run_experiment(arrivals: int = ARRIVALS) -> list[dict]:
+def run_experiment(sizing) -> list[dict]:
     rows = []
-    for scenario, scenario_kwargs in _scenarios(arrivals).items():
+    for scenario, scenario_kwargs in _scenarios(sizing[SIZE]).items():
         cells = [
             _run_cell(scenario, scenario_kwargs, scheduler)
             for scheduler in SCHEDULERS
@@ -231,22 +183,30 @@ def run_experiment(arrivals: int = ARRIVALS) -> list[dict]:
     return rows
 
 
-def write_bench_json(rows: list[dict], path: Path = BENCH_JSON) -> None:
-    """Append this grid's rows to the recorded trajectory (full runs only).
-
-    Gated on the rows themselves, not on the environment: a shortened
-    stream (however it was requested) must never enter the trajectory the
-    regression gate compares against.
-    """
-    if rows and all(row.get("arrived") == DEFAULT_ARRIVALS for row in rows):
-        append_bench_rows(path, "e19_adaptive", rows)
+EXPERIMENT = Experiment(
+    name="e19_adaptive",
+    title="E19: adaptive per-object scheduling vs fixed strategies",
+    columns=(
+        "scenario", "scheduler", "arrived", "committed", "commit_rate",
+        "makespan", "throughput", "throughput_vs_best_fixed",
+        "serialisable", "legal", "wall_seconds",
+    ),
+    key_fields=("scenario", "scheduler"),
+    run=run_experiment,
+    full_sizes={SIZE: 400},
+    # ``commit_rate`` and ``throughput_vs_best_fixed`` (the adaptive rows'
+    # throughput over the best fixed strategy's on the same scenario; None
+    # on fixed rows skips them) are pure functions of the seeded spec, but
+    # sub-floor smoke cells would make the grid itself untrustworthy, so
+    # the wall floor keeps only experiment-sized goldens gating.
+    watched=("commit_rate", "throughput_vs_best_fixed"),
+    noise_floor=("wall_seconds", 0.25),
+)
 
 
 def test_e19_adaptive(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_experiment("E19: adaptive per-object scheduling vs fixed strategies", rows, COLUMNS)
-    write_bench_json(rows)
-
+    rows = EXPERIMENT.execute(benchmark)
+    arrivals = EXPERIMENT.sizing()[SIZE]
     by_scenario: dict[str, dict[str, dict]] = {}
     for row in rows:
         by_scenario.setdefault(row["scenario"], {})[row["scheduler"]] = row
@@ -256,7 +216,7 @@ def test_e19_adaptive(benchmark):
         label = f"{row['scenario']}/{row['scheduler']}"
         assert row["serialisable"] is True, f"{label}: failed certification"
         assert row["legal"] is True, f"{label}: committed an illegal history"
-        assert row["arrived"] == ARRIVALS, f"{label}: stream released {row['arrived']}"
+        assert row["arrived"] == arrivals, f"{label}: stream released {row['arrived']}"
 
     for scenario, cells in by_scenario.items():
         adaptive = cells["adaptive"]
@@ -280,26 +240,16 @@ def test_e19_adaptive(benchmark):
 
     # Determinism, adaptation trajectory included: re-running one adaptive
     # scenario under the same seed must reproduce the row bit-identically
-    # on every deterministic column (wall time and the derived ratio are
-    # the only non-spec-determined fields).
-    def deterministic(row: dict) -> dict:
-        return {
-            key: value
-            for key, value in row.items()
-            if key not in ("wall_seconds", "throughput_vs_best_fixed")
-        }
-
-    scenario_kwargs = _scenarios(ARRIVALS)["flash-crowd-orders"]
+    # on every column the run itself produces (wall time is the only one
+    # the spec does not determine).
+    scenario_kwargs = _scenarios(arrivals)["flash-crowd-orders"]
     repeat = _run_cell("flash-crowd-orders", scenario_kwargs, "adaptive")
-    assert deterministic(repeat) == deterministic(
-        by_scenario["flash-crowd-orders"]["adaptive"]
-    ), "adaptive run is not bit-identical under a fixed seed"
+    recorded = by_scenario["flash-crowd-orders"]["adaptive"]
+    drifted = [
+        key for key in repeat if key != "wall_seconds" and repeat[key] != recorded[key]
+    ]
+    assert not drifted, f"adaptive run is not bit-identical under a fixed seed: {drifted}"
 
 
 if __name__ == "__main__":  # pragma: no cover - manual/CI smoke entry point
-    experiment_rows = run_experiment()
-    print_experiment(
-        "E19: adaptive per-object scheduling vs fixed strategies",
-        experiment_rows, COLUMNS,
-    )
-    write_bench_json(experiment_rows)
+    EXPERIMENT.execute()

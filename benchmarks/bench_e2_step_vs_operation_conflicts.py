@@ -2,32 +2,44 @@
 
 Paper claim (Section 5.1): locking steps rather than operations lets an
 Enqueue coexist with Dequeues of other items.  We run the producer/consumer
-queue workload under both granularities of N2PL and NTO.
+queue workload under both granularities of N2PL and NTO, as a declarative
+:class:`~repro.sweep.spec.SweepSpec`.
 """
 
 from __future__ import annotations
 
-from repro.simulation import QueueWorkload
+from repro.sweep import Axis, ScenarioSpec, SweepSpec
 
-from .harness import print_experiment, run_configuration
+from .harness import print_experiment, run_sweep_rows
 
 CONFIGURATIONS = ["n2pl", "n2pl-step", "nto", "nto-step"]
 DEPTHS = [4, 12]
 COLUMNS = ["initial_depth", "scheduler", "makespan", "blocked_ticks", "aborts", "throughput", "serialisable"]
 
 
+SWEEP = SweepSpec(
+    name="e2_step_vs_operation_conflicts",
+    base=ScenarioSpec(
+        workload="queue",
+        scheduler="n2pl",
+        seed=202,
+        workload_params={
+            "queues": 2,
+            "producers": 10,
+            "consumers": 10,
+            "items_per_transaction": 3,
+            "seed": 202,
+        },
+    ),
+    axes=(
+        Axis("initial_depth", DEPTHS, target="workload_params.initial_depth"),
+        Axis("scheduler", CONFIGURATIONS),
+    ),
+)
+
+
 def run_experiment() -> list[dict]:
-    rows = []
-    for depth in DEPTHS:
-        for scheduler_name in CONFIGURATIONS:
-            workload = QueueWorkload(
-                queues=2, producers=10, consumers=10, items_per_transaction=3,
-                initial_depth=depth, seed=202,
-            )
-            row = run_configuration(workload, scheduler_name, seed=202)
-            row["initial_depth"] = depth
-            rows.append(row)
-    return rows
+    return run_sweep_rows(SWEEP)
 
 
 def test_e2_step_vs_operation_conflicts(benchmark):

@@ -9,9 +9,7 @@ non-serialisable runs over several seeds for three regimes.
 
 from __future__ import annotations
 
-from repro.analysis import certify_run
-from repro.scheduler import make_scheduler
-from repro.simulation import HotspotWorkload, SimulationEngine
+from repro.sweep import ScenarioSpec, run_scenario
 
 from .harness import print_experiment
 
@@ -24,34 +22,34 @@ REGIMES = [
 COLUMNS = ["regime", "non_serialisable_runs", "runs", "aborts"]
 
 
-def _workload(seed: int) -> HotspotWorkload:
-    return HotspotWorkload(
-        transactions=10, hot_objects=3, cold_objects=4, hot_probability=0.9,
-        operations_per_transaction=3, use_service_layer=False, seed=seed,
+def _spec(scheduler_name: str, strategy: str, seed: int) -> ScenarioSpec:
+    return ScenarioSpec(
+        workload="hotspot",
+        scheduler=scheduler_name,
+        seed=seed,
+        workload_params={
+            "transactions": 10,
+            "hot_objects": 3,
+            "cold_objects": 4,
+            "hot_probability": 0.9,
+            "operations_per_transaction": 3,
+            "use_service_layer": False,
+            "seed": seed,
+        },
+        scheduler_kwargs={"default_strategy": strategy},
     )
 
 
 def run_experiment() -> list[dict]:
     rows = []
     for label, scheduler_name, strategy in REGIMES:
-        violations = 0
-        aborts = 0
-        for seed in SEEDS:
-            base, specs = _workload(seed).build()
-            engine = SimulationEngine(
-                base, make_scheduler(scheduler_name, default_strategy=strategy), seed=seed
-            )
-            engine.submit_all(specs)
-            result = engine.run()
-            aborts += result.metrics.aborted_attempts
-            if not certify_run(result, check_legality=False).serialisable:
-                violations += 1
+        runs = [run_scenario(_spec(scheduler_name, strategy, seed)).row for seed in SEEDS]
         rows.append(
             {
                 "regime": label,
-                "non_serialisable_runs": violations,
-                "runs": len(list(SEEDS)),
-                "aborts": aborts,
+                "non_serialisable_runs": sum(not run["serialisable"] for run in runs),
+                "runs": len(runs),
+                "aborts": sum(run["aborts"] for run in runs),
             }
         )
     return rows

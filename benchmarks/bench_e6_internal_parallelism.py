@@ -11,8 +11,7 @@ while every run stays serialisable.
 from __future__ import annotations
 
 from repro.analysis import certify_run
-from repro.scheduler import make_scheduler
-from repro.simulation import RandomOperationsWorkload, SimulationEngine
+from repro.sweep import ScenarioSpec, build_engine
 
 from .harness import print_experiment
 
@@ -38,14 +37,20 @@ def run_experiment() -> list[dict]:
     rows = []
     for fanout in FANOUTS:
         for scheduler_name in SCHEDULERS:
-            workload = RandomOperationsWorkload(
-                registers=12, transactions=10, operations_per_transaction=6,
-                nesting_depth=2, parallel_fanout=fanout, seed=505,
+            spec = ScenarioSpec(
+                workload="random-ops",
+                scheduler=scheduler_name,
+                seed=505,
+                workload_params={
+                    "registers": 12,
+                    "transactions": 10,
+                    "operations_per_transaction": 6,
+                    "nesting_depth": 2,
+                    "parallel_fanout": fanout,
+                    "seed": 505,
+                },
             )
-            base, specs = workload.build()
-            engine = SimulationEngine(base, make_scheduler(scheduler_name), seed=505)
-            engine.submit_all(specs)
-            result = engine.run()
+            result = build_engine(spec).run()
             rows.append(
                 {
                     "fanout": fanout,

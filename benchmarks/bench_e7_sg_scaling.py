@@ -11,8 +11,7 @@ from __future__ import annotations
 import time
 
 from repro.core import execution_serial_order, is_serialisable, serialisation_graph
-from repro.scheduler import make_scheduler
-from repro.simulation import RandomOperationsWorkload, SimulationEngine
+from repro.sweep import ScenarioSpec, build_engine
 
 from .harness import print_experiment
 
@@ -21,14 +20,19 @@ COLUMNS = ["transactions", "executions", "local_steps", "sg_nodes", "sg_edges", 
 
 
 def _history_of_size(transactions: int):
-    workload = RandomOperationsWorkload(
-        registers=10, transactions=transactions, operations_per_transaction=4,
-        nesting_depth=2, seed=606,
+    spec = ScenarioSpec(
+        workload="random-ops",
+        scheduler="n2pl",
+        seed=606,
+        workload_params={
+            "registers": 10,
+            "transactions": transactions,
+            "operations_per_transaction": 4,
+            "nesting_depth": 2,
+            "seed": 606,
+        },
     )
-    base, specs = workload.build()
-    engine = SimulationEngine(base, make_scheduler("n2pl"), seed=606)
-    engine.submit_all(specs)
-    return engine.run().committed_history()
+    return build_engine(spec).run().committed_history()
 
 
 def run_experiment() -> list[dict]:

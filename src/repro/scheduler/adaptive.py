@@ -356,32 +356,6 @@ class AdaptiveModularScheduler(ModularScheduler):
         self.strategy_swaps += 1
         return True
 
-    def force_swap(self, object_name: str, strategy: Any) -> bool:
-        """Request an immediate move of ``object_name`` to a ladder rung.
-
-        A test/diagnostic hook: ``strategy`` must be one of the ladder's
-        entries (matched by registry name).  The swap still honours the
-        quiescence rule; when the object is busy it is recorded as
-        desired and executed at the next quiescent point.
-
-        Returns:
-            True when the swap executed immediately.
-        """
-        if object_name not in self._rungs:
-            raise KeyError(
-                f"object {object_name!r} is not under adaptive management; "
-                f"adapted objects: {', '.join(sorted(self._rungs)) or '(none)'}"
-            )
-        names = [_ladder_entry_name(spec) for spec in self.ladder]
-        wanted = _ladder_entry_name(strategy)
-        if wanted not in names:
-            raise ValueError(
-                f"strategy {wanted!r} is not on the ladder {names}"
-            )
-        self._desired[object_name] = names.index(wanted)
-        self._desired_age[object_name] = 0
-        return self._try_swap(object_name)
-
     # -- descriptive ------------------------------------------------------------
 
     def describe(self) -> dict[str, Any]:

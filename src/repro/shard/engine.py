@@ -425,7 +425,7 @@ class ShardedEngine:
         round_ticks: int = DEFAULT_ROUND_TICKS,
         mp_context: str | None = None,
         certify: bool | None = None,
-        check_legality: bool = False,
+        check_legality: bool | None = None,
     ):
         """Args:
             spec: the scenario to run (its ``shards`` / ``shard_mode``
@@ -440,7 +440,8 @@ class ShardedEngine:
                 ``fork`` for speed).
             certify: post-hoc certify each shard's committed projection in
                 the worker; defaults to ``bool(spec.certify)``.
-            check_legality: also replay-check legality when certifying.
+            check_legality: also replay-check legality when certifying;
+                defaults to ``spec.check_legality``.
         """
         if shard_map is None:
             shard_map = ShardMap(shards=getattr(spec, "shards", 1))
@@ -457,6 +458,8 @@ class ShardedEngine:
             raise SimulationError(f"round_ticks must be >= 1, got {round_ticks}")
         if certify is None:
             certify = bool(spec.certify)
+        if check_legality is None:
+            check_legality = spec.check_legality
         self.spec = spec
         self.shard_map = shard_map
         self.mode = mode

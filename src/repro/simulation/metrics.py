@@ -31,47 +31,78 @@ policy metric: cascade storms collapse it.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from ..core.history import History
 from .events import Trace
 
 
+def _update(merged: Counter, part: Counter) -> Counter:
+    merged.update(part)
+    return merged
+
+
+#: How two shards' values of one field fold together (see
+#: :func:`merge_run_metrics` for what each choice means for the fleet).
+_MERGE_RULES = {"sum": operator.add, "max": max, "update": _update}
+
+
+def _metric(merge: str, default: Any = 0, *, exported: bool = True) -> Any:
+    """A :class:`RunMetrics` field: its merge rule, whether ``as_dict`` lists it.
+
+    The field list is the one place a metric is declared;
+    :meth:`RunMetrics.as_dict` and :func:`merge_run_metrics` are derived
+    from it, so a new field cannot be silently dropped from sharded totals.
+    """
+    metadata = {"merge": merge, "exported": exported}
+    if callable(default):
+        return field(default_factory=default, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+#: The derived quantities :meth:`RunMetrics.as_dict` reports next to the fields.
+_DERIVED = (
+    "mean_latency", "live_state_per_in_flight", "throughput", "commit_rate",
+    "abort_rate", "blocked_fraction", "wasted_fraction",
+)
+
+
 @dataclass
 class RunMetrics:
     """Aggregate counters of one simulation run."""
 
-    total_ticks: int = 0
+    total_ticks: int = _metric("max")
     #: Scheduling decisions actually made (one runnable frame advanced per
     #: decision).  Equal to ``total_ticks`` on closed runs; smaller on runs
     #: whose clock fast-forwarded across idle gaps (delayed restarts,
     #: arrival streams), where the difference is exactly the skipped idle
     #: time.  ``decisions / wall-clock`` is the engine's raw service
     #: throughput, which benchmark E16 tracks.
-    decisions: int = 0
-    committed: int = 0
-    aborted_attempts: int = 0
-    gave_up: int = 0
-    restarts: int = 0
-    delayed_restarts: int = 0
-    restart_delay_ticks: int = 0
-    local_steps: int = 0
-    wasted_steps: int = 0
-    blocked_ticks: int = 0
-    invocations: int = 0
+    decisions: int = _metric("sum")
+    committed: int = _metric("sum")
+    aborted_attempts: int = _metric("sum")
+    gave_up: int = _metric("sum")
+    restarts: int = _metric("sum")
+    delayed_restarts: int = _metric("sum")
+    restart_delay_ticks: int = _metric("sum")
+    local_steps: int = _metric("sum")
+    wasted_steps: int = _metric("sum")
+    blocked_ticks: int = _metric("sum")
+    invocations: int = _metric("sum")
     #: Invocations shipped to another shard's engine (0 on plain runs).
-    remote_invocations: int = 0
-    aborts_by_reason: Counter = field(default_factory=Counter)
-    faults_injected: int = 0
-    submitted: int = 0
-    parks: int = 0
-    wakes: int = 0
-    forced_wakes: int = 0
-    commit_parks: int = 0
-    wait_ticks: int = 0
-    commit_wait_ticks: int = 0
+    remote_invocations: int = _metric("sum")
+    aborts_by_reason: Counter = _metric("update", Counter)
+    faults_injected: int = _metric("sum")
+    submitted: int = _metric("sum")
+    parks: int = _metric("sum")
+    wakes: int = _metric("sum")
+    forced_wakes: int = _metric("sum")
+    commit_parks: int = _metric("sum")
+    wait_ticks: int = _metric("sum")
+    commit_wait_ticks: int = _metric("sum")
     # Open-system (streaming) quantities.  ``arrived`` counts transactions
     # released by an arrival stream (0 for closed-batch runs); the latency
     # aggregates cover every committed transaction, measured in ticks from
@@ -79,20 +110,20 @@ class RunMetrics:
     # restarts.  ``in_flight_peak`` is the largest number of transactions
     # simultaneously in the system (arrived but not yet committed or given
     # up).
-    arrived: int = 0
-    in_flight_peak: int = 0
-    latency_count: int = 0
-    latency_sum: int = 0
-    latency_max: int = 0
+    arrived: int = _metric("sum")
+    in_flight_peak: int = _metric("sum")
+    latency_count: int = _metric("sum", exported=False)
+    latency_sum: int = _metric("sum", exported=False)
+    latency_max: int = _metric("max")
     # Live-state gauge, sampled at every garbage-collection pass: retained
     # scheduler records + candidate edges + undo-log segments + parked
     # frames.  ``live_state_peak`` is the largest sample;
     # ``live_state_ratio_peak`` the largest sample-to-in-flight ratio,
     # which a bounded-memory run keeps (roughly) flat however long the
     # stream goes.
-    live_state_peak: int = 0
-    live_state_ratio_peak: float = 0.0
-    live_state_samples: int = 0
+    live_state_peak: int = _metric("sum")
+    live_state_ratio_peak: float = _metric("max", 0.0)
+    live_state_samples: int = _metric("sum")
 
     # -- recording helpers -------------------------------------------------------
 
@@ -182,43 +213,14 @@ class RunMetrics:
         return self.live_state_peak / max(1, self.in_flight_peak)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "total_ticks": self.total_ticks,
-            "decisions": self.decisions,
-            "committed": self.committed,
-            "aborted_attempts": self.aborted_attempts,
-            "gave_up": self.gave_up,
-            "restarts": self.restarts,
-            "delayed_restarts": self.delayed_restarts,
-            "restart_delay_ticks": self.restart_delay_ticks,
-            "local_steps": self.local_steps,
-            "wasted_steps": self.wasted_steps,
-            "blocked_ticks": self.blocked_ticks,
-            "invocations": self.invocations,
-            "remote_invocations": self.remote_invocations,
-            "submitted": self.submitted,
-            "parks": self.parks,
-            "wakes": self.wakes,
-            "forced_wakes": self.forced_wakes,
-            "commit_parks": self.commit_parks,
-            "wait_ticks": self.wait_ticks,
-            "commit_wait_ticks": self.commit_wait_ticks,
-            "arrived": self.arrived,
-            "in_flight_peak": self.in_flight_peak,
-            "mean_latency": self.mean_latency,
-            "latency_max": self.latency_max,
-            "live_state_peak": self.live_state_peak,
-            "live_state_ratio_peak": self.live_state_ratio_peak,
-            "live_state_samples": self.live_state_samples,
-            "live_state_per_in_flight": self.live_state_per_in_flight,
-            "throughput": self.throughput,
-            "commit_rate": self.commit_rate,
-            "abort_rate": self.abort_rate,
-            "blocked_fraction": self.blocked_fraction,
-            "wasted_fraction": self.wasted_fraction,
-            "aborts_by_reason": dict(self.aborts_by_reason),
-            "faults_injected": self.faults_injected,
+        data = {
+            spec.name: getattr(self, spec.name)
+            for spec in fields(self)
+            if spec.metadata.get("exported", True)
         }
+        data["aborts_by_reason"] = dict(self.aborts_by_reason)  # plain, JSON-safe
+        data.update((name, getattr(self, name)) for name in _DERIVED)
+        return data
 
 
 def merge_run_metrics(parts: "list[RunMetrics]") -> RunMetrics:
@@ -233,40 +235,17 @@ def merge_run_metrics(parts: "list[RunMetrics]") -> RunMetrics:
     bounded-memory assertions stay conservative).  The ratio peak takes
     the worst shard.
     """
-    merged = RunMetrics()
-    for metrics in parts:
-        merged.total_ticks = max(merged.total_ticks, metrics.total_ticks)
-        merged.decisions += metrics.decisions
-        merged.committed += metrics.committed
-        merged.aborted_attempts += metrics.aborted_attempts
-        merged.gave_up += metrics.gave_up
-        merged.restarts += metrics.restarts
-        merged.delayed_restarts += metrics.delayed_restarts
-        merged.restart_delay_ticks += metrics.restart_delay_ticks
-        merged.local_steps += metrics.local_steps
-        merged.wasted_steps += metrics.wasted_steps
-        merged.blocked_ticks += metrics.blocked_ticks
-        merged.invocations += metrics.invocations
-        merged.remote_invocations += metrics.remote_invocations
-        merged.aborts_by_reason.update(metrics.aborts_by_reason)
-        merged.faults_injected += metrics.faults_injected
-        merged.submitted += metrics.submitted
-        merged.parks += metrics.parks
-        merged.wakes += metrics.wakes
-        merged.forced_wakes += metrics.forced_wakes
-        merged.commit_parks += metrics.commit_parks
-        merged.wait_ticks += metrics.wait_ticks
-        merged.commit_wait_ticks += metrics.commit_wait_ticks
-        merged.arrived += metrics.arrived
-        merged.in_flight_peak += metrics.in_flight_peak
-        merged.latency_count += metrics.latency_count
-        merged.latency_sum += metrics.latency_sum
-        merged.latency_max = max(merged.latency_max, metrics.latency_max)
-        merged.live_state_peak += metrics.live_state_peak
-        merged.live_state_ratio_peak = max(
-            merged.live_state_ratio_peak, metrics.live_state_ratio_peak
-        )
-        merged.live_state_samples += metrics.live_state_samples
+    merged = type(parts[0])() if parts else RunMetrics()
+    for spec in fields(merged):
+        rule = _MERGE_RULES.get(spec.metadata.get("merge"))
+        if rule is None:
+            raise TypeError(
+                f"{type(merged).__name__}.{spec.name} declares no merge rule; "
+                f"declare it with _metric({' / '.join(map(repr, _MERGE_RULES))})"
+            )
+        for metrics in parts:
+            folded = rule(getattr(merged, spec.name), getattr(metrics, spec.name))
+            setattr(merged, spec.name, folded)
     return merged
 
 

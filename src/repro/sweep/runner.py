@@ -219,7 +219,7 @@ def run_sharded_scenario(spec: ScenarioSpec):
     from ..shard import ShardMap, ShardedEngine
 
     shard_map = ShardMap(shards=spec.shards, assignment=spec.shard_assignment)
-    return ShardedEngine(spec, shard_map, check_legality=spec.check_legality).run()
+    return ShardedEngine(spec, shard_map).run()
 
 
 def run_scenario(spec: ScenarioSpec, index: int = 0) -> ScenarioResult:

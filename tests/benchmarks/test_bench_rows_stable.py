@@ -1,115 +1,50 @@
-"""Re-verification: E14/E15 sweeps still reproduce their committed rows.
+"""Re-verification: E14/E15 sweeps still reproduce their golden rows.
 
 The hot-loop rewrite (PR 6) must not change *what* the engine computes,
-only how fast — and the strongest cross-PR witness of that is the
-benchmark trajectory itself: every machine-independent column of the
-E14 restart-policy storm and the E15 open-system sweep must come out
-bit-identical to the rows recorded before the rewrite.  Wall-clock
-columns are not part of the comparison (that is ``compare_bench``'s
-noise-floored job).
+only how fast — and the strongest cross-PR witness of that is the golden
+rows themselves: every machine-independent column of the E14
+restart-policy storm and the E15 open-system sweep must come out
+bit-identical to the committed ``BENCH_*.json``.  Wall-clock columns are
+not part of the comparison (that is ``compare_bench``'s noise-floored
+job).
 
-Two E15 comparisons run since certification went online (this PR):
+Both go through the experiments' own records: a full-size run
+(whatever ``REPRO_E15_ARRIVALS`` says) held against the golden by the
+same :meth:`~benchmarks.harness.Experiment.check_pins` the benchmark
+steps use, on the same pinned columns — every table column, the
+``serialisable`` verdict the streaming certifier stamps on every E15 row
+included.
 
-* against the *latest* recorded sweep — full-column bit-identity,
-  including the ``serialisable`` verdict the streaming certifier now
-  stamps on every row;
-* against the *first* recorded sweep — the pre-streaming baseline —
-  over every column except the ones this PR legitimately changed
-  (``serialisable`` did not exist, and the live-state gauge now counts
-  the certifier's retained window).  Everything else matching
-  bit-for-bit is the cross-PR proof that ``certify="stream"`` is a pure
-  observer: it never steers the engine it watches.
+The comparison this file used to make against the *first* recorded E15
+sweep (``certify=False``, before the streaming certifier existed) went
+with that sweep when the trajectory became a golden; that
+``certify="stream"`` never steers the engine it watches is held by
+``tests/sweep/test_open_system_sweep.py::TestStreamCertifySweep::
+test_stream_certify_serial_equals_spawn_parallel`` (certified rows equal
+the ``certify=False`` rows off the certifier's own columns), by E17's
+plain-vs-stream identity, and against post-hoc certification by
+``tests/analysis/test_streaming_certification.py``.
 """
 
 from __future__ import annotations
 
-import json
-
-import pytest
-
 from benchmarks import bench_e14_restart_policies as e14
 from benchmarks import bench_e15_open_system as e15
 
-#: E15 columns whose values this PR changed on purpose: ``serialisable``
-#: is new, and the live-state gauge now includes the streaming
-#: certifier's retained window.
-E15_STREAMING_COLUMNS = ("serialisable", "live_state_peak", "live_state_ratio")
 
-
-def recorded_sweep(path, count, *, latest=True):
-    if not path.exists():
-        pytest.skip(f"no recorded trajectory at {path}")
-    rows = json.loads(path.read_text()).get("rows", [])
-    if len(rows) < count:
-        pytest.skip(f"{path.name} holds {len(rows)} rows; need {count}")
-    return rows[-count:] if latest else rows[:count]
-
-
-def assert_rows_match(fresh_rows, recorded_rows, columns, label_fields):
-    assert len(fresh_rows) == len(recorded_rows)
-    for fresh, recorded in zip(fresh_rows, recorded_rows):
-        label = "/".join(str(fresh.get(field)) for field in label_fields)
-        diffs = {
-            column: (recorded.get(column), fresh.get(column))
-            for column in columns
-            if fresh.get(column) != recorded.get(column)
-        }
-        assert not diffs, (
-            f"{label}: deterministic columns drifted from the committed "
-            f"baseline (recorded, fresh): {diffs}"
-        )
-
-
-@pytest.fixture(scope="module")
-def e15_fresh_rows():
-    if e15.ARRIVALS != e15.DEFAULT_ARRIVALS:
-        pytest.skip("REPRO_E15_ARRIVALS overrides the recorded scenario size")
-    return e15.run_experiment()
+def assert_reproduces_golden(module):
+    experiment = module.EXPERIMENT
+    assert experiment.pinned == module.COLUMNS
+    rows = experiment.run(experiment.sizing(environ={}))
+    assert {experiment.key(row) for row in rows} == set(experiment.golden_rows())
+    experiment.check_pins(rows)
 
 
 class TestCommittedSweepsReproduce:
     def test_e14_restart_policy_rows_are_bit_identical(self):
-        fresh = e14.run_experiment()
-        recorded = recorded_sweep(e14.BENCH_JSON, len(fresh))
         # Every E14 column is a pure function of the scenario spec: counts,
         # tick-derived ratios and certification verdicts.
-        assert_rows_match(fresh, recorded, e14.COLUMNS, ("policy",))
+        assert_reproduces_golden(e14)
 
-    def test_e15_open_system_rows_are_bit_identical(self, e15_fresh_rows):
-        recorded = recorded_sweep(e15.BENCH_JSON, len(e15_fresh_rows))
-        assert_rows_match(
-            e15_fresh_rows, recorded, e15.COLUMNS, ("scheduler", "arrival")
-        )
-
-    def test_e15_streaming_certifier_never_steered_the_engine(self, e15_fresh_rows):
-        """Certified rows equal the pre-streaming baseline sweep.
-
-        The first recorded E15 sweep ran with ``certify=False`` (before
-        the streaming certifier existed).  Apart from the columns the
-        certifier *adds* (:data:`E15_STREAMING_COLUMNS`), today's
-        ``certify="stream"`` rows must reproduce it bit-for-bit.  The
-        comparison covers the configurations that sweep actually ran —
-        the modular scheduler only joined the grid once its coordinator
-        GC landed, so its rows have no pre-streaming baseline.
-        """
-        all_rows = json.loads(e15.BENCH_JSON.read_text()).get("rows", [])
-        first_sweep: dict[tuple, dict] = {}
-        for row in all_rows:
-            key = (row.get("scheduler"), row.get("arrival"))
-            if key in first_sweep:
-                break  # a repeated configuration starts the second sweep
-            first_sweep[key] = row
-        fresh = [
-            row
-            for row in e15_fresh_rows
-            if (row.get("scheduler"), row.get("arrival")) in first_sweep
-        ]
-        if len(fresh) < len(first_sweep):
-            pytest.skip("current grid no longer covers the baseline sweep")
-        recorded = [
-            first_sweep[(row.get("scheduler"), row.get("arrival"))] for row in fresh
-        ]
-        columns = [
-            column for column in e15.COLUMNS if column not in E15_STREAMING_COLUMNS
-        ]
-        assert_rows_match(fresh, recorded, columns, ("scheduler", "arrival"))
+    def test_e15_open_system_rows_are_bit_identical(self):
+        assert_reproduces_golden(e15)

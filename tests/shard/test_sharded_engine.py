@@ -272,6 +272,27 @@ class TestSweepIntegration:
         with pytest.raises(SweepSpecError):
             make_spec("n2pl", seed=1, shards=2, assignment={"hot-0": 5})
 
+    def test_direct_run_takes_check_legality_from_the_spec(self):
+        # ShardedEngine(spec) used to take ``certify`` from the spec but
+        # default ``check_legality`` to False, so the same spec reported
+        # legal=None run directly and legal=True through repro.run.
+        import dataclasses
+
+        import repro
+
+        spec = dataclasses.replace(
+            make_spec("n2pl", seed=7, transactions=12, shards=2, assignment=COLOCATED_HOT),
+            check_legality=True,
+        )
+        direct = ShardedEngine(spec, ShardMap(shards=2, assignment=COLOCATED_HOT)).run()
+        assert direct.legal is True
+        assert direct.legal == repro.run(spec).legal
+        # The keyword still overrides the spec.
+        unchecked = ShardedEngine(
+            spec, ShardMap(shards=2, assignment=COLOCATED_HOT), check_legality=False
+        ).run()
+        assert unchecked.legal is None
+
     def test_sharded_engine_rejects_stream_certify(self):
         from repro.core.errors import SimulationError
 
