@@ -1,4 +1,4 @@
-"""Online certification: grow ``SG(h)`` at commit time, O(new work) per commit.
+"""Online certification: check ``SG(h)`` at commit time, O(new work) per commit.
 
 Post-hoc certification (:func:`~repro.analysis.certify.certify_run`)
 certifies the *whole* committed projection after the run, so it needs the
@@ -12,17 +12,20 @@ stays O(in-flight):
   (its steps and message intervals are final the moment it commits) and
   its local steps are classified against the retained window of earlier
   committed steps;
-* Definition 9's type (a)/(b) edges, Theorem 5(a)'s per-object combined
-  graphs and Theorem 5(b)'s message relations are all maintained (or, for
-  the intra-transaction parts, evaluated once on a small per-transaction
-  ``History``).  Both graph families live in the precedence-DAG kernel
-  (:class:`~repro.core.dag.PrecedenceDag`): this module is its one
-  *observer* — it keeps the edge that closes a cycle and reports it — so
-  it grows them with ``insert`` and asks ``reaches`` once per new edge
-  until the first hit, prunes with ``remove_nodes`` and marks with
-  ``descendants``.  The only adjacency kept here is the pending-emission
-  worklist of :meth:`_emit_ready`, which is Kahn's in-degree table rather
-  than a precedence graph;
+* Definition 9 draws a type (a) edge between *every* incomparable pair of
+  ancestors, so an edge between two transactions' executions comes with
+  the edge between their top-levels, and type (b) edges never leave a
+  transaction: ``SG(h)`` is acyclic iff its *top-level projection* is and
+  every transaction's own subgraph is.  The projection is one
+  :class:`~repro.core.dag.PrecedenceDag` grown through ``add_edges`` (the
+  first refused batch is the first cycle), pruned with ``remove_nodes``
+  and marked with ``descendants``.  A subtree that satisfies Definition 6
+  condition 2a and the containment form of 2c, and whose messages are
+  totally ordered, has only type (b) edges inside it and acyclic message
+  relations; any other transaction gets a small DAG of its own and
+  Theorem 5(b)'s ``->_e`` in full.  The execution-level graph and Theorem
+  5(a)'s per-object graphs are built once, by :meth:`finalise`, from what
+  GC retained;
 * legality (Definition 6, condition 3) is checked by replaying each
   object's committed steps in stamp order — but only the *stable prefix*:
   a step is replayed once every live transaction began after it, because
@@ -47,7 +50,7 @@ never rejoin a cycle), so it reports the *retained* edge count.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import networkx as nx
 
@@ -58,6 +61,8 @@ from ..core.operations import LocalStep
 from ..core.state import ObjectState
 from ..core.theorems import natural_execution_key
 from .certify import CertificationReport, cyclic_nodes
+
+Edge = tuple[str, str]
 
 
 class _StepEntry:
@@ -70,6 +75,97 @@ class _StepEntry:
         self.step = step
         self.execution_id = execution_id
         self.top_id = top_id
+
+
+class _Subtree:
+    """One committed transaction's execution forest, indexed on its own records."""
+
+    __slots__ = ("by_id", "chain", "child_of")
+
+    def __init__(self, executions: Iterable[MethodExecution]):
+        self.by_id = by_id = {execution.execution_id: execution for execution in executions}
+        # Ancestor chain per execution, nearest parent first, including the
+        # execution itself; ids outside the subtree end the walk, matching
+        # ``History.ancestors`` on the subtree-only history.  Chains are a
+        # handful of ids deep, so the tuple doubles as a membership set.
+        self.chain: dict[str, tuple[str, ...]] = {}
+        self.child_of: dict[int, str] = {}
+        for execution_id, execution in by_id.items():
+            if execution.invoking_step_id is not None:
+                self.child_of.setdefault(execution.invoking_step_id, execution_id)
+            chain = [execution_id]
+            parent_id = execution.parent_id
+            while parent_id is not None and parent_id in by_id:
+                chain.append(parent_id)
+                parent_id = by_id[parent_id].parent_id
+            self.chain[execution_id] = tuple(chain)
+
+    def descendants(self, execution_id: str) -> list[str]:
+        return [other for other, chain in self.chain.items() if execution_id in chain]
+
+    def structure_edges(self) -> Iterator[Edge]:
+        """Definition 9's type (b) edges: for messages ``m prec m'`` of one
+        execution, every descendant of ``B(m)`` before every one of ``B(m')``."""
+        for execution in self.by_id.values():
+            messages = execution.message_steps()
+            for first in messages:
+                first_child = self.child_of.get(first.step_id)
+                if first_child is None:
+                    continue
+                for second in messages:
+                    second_child = self.child_of.get(second.step_id)
+                    if second_child is not None and execution.program_precedes(first, second):
+                        for source in self.descendants(first_child):
+                            for target in self.descendants(second_child):
+                                yield source, target
+
+
+def _incomparable(
+    chain: Mapping[str, tuple[str, ...]], sources: Iterable[str], targets: Iterable[str]
+) -> Iterator[Edge]:
+    """Pairs of ``sources`` x ``targets`` neither of which is an ancestor of the other."""
+    for source in sources:
+        source_chain = chain[source]
+        for target in targets:
+            if target not in source_chain and source not in chain[target]:
+                yield source, target
+
+
+def _sequential_and_nested(
+    executions: Iterable[MethodExecution], intervals: Mapping[int, tuple[int, int]]
+) -> bool:
+    """Whether a committed subtree needs no intra-transaction check.
+
+    True when Definition 6 condition 2a holds, the containment form of 2c
+    holds (each child's steps lie inside its invoking message's interval,
+    as ``HistoryBuilder`` builds them) and every execution's messages are
+    totally ordered (each directly after the previous one, as sequential
+    code records them).  Then everything under the earlier of two messages
+    ends before the later one starts, so every conflict edge inside the
+    transaction is a type (b) edge and ``->_e`` is the programme order.
+    ``False`` only costs the general path (:meth:`StreamingCertifier._check_transaction`).
+    """
+    for execution in executions:
+        pairs = execution.program_order_pairs()
+        for before, after in pairs:
+            first, second = intervals.get(before), intervals.get(after)
+            if first is None or second is None or first[1] >= second[0]:
+                return False
+        if execution.invoking_step_id is not None:
+            envelope = intervals.get(execution.invoking_step_id)
+            if envelope is None:
+                return False
+            low, high = envelope
+            for step_id in execution.step_ids_iter():
+                interval = intervals.get(step_id)
+                if interval is None or interval[0] < low or interval[1] > high:
+                    return False
+        previous = None
+        for message in execution.message_steps():
+            if previous is not None and (previous, message.step_id) not in pairs:
+                return False
+            previous = message.step_id
+    return True
 
 
 class StreamingCertifier:
@@ -105,21 +201,15 @@ class StreamingCertifier:
         # -- live transactions -------------------------------------------------
         self._live_begin: dict[str, int] = {}
         # -- the retained committed window ------------------------------------
-        # SG(h) over every retained committed execution, and Theorem 5(a)'s
-        # combined graphs, one per object that has an edge.
-        self._sg = PrecedenceDag()
-        self._object_graphs: dict[str, PrecedenceDag] = {}
+        # SG(h)'s top-level projection over every retained committed
+        # transaction, and each one's subtree records for :meth:`finalise`.
+        self._projection = PrecedenceDag()
         self._steps_by_object: dict[str, list[_StepEntry]] = {}
-        # Ancestor chain per execution, nearest parent first, including the
-        # execution itself.  Chains are a handful of ids deep, so the same
-        # tuple doubles as the membership set in the hot classification
-        # loops (tuple scans beat frozenset construction at these sizes).
-        self._chain: dict[str, tuple[str, ...]] = {}
-        self._object_of: dict[str, str] = {}
         self._resolve_stamp: dict[str, int] = {}
-        self._txn_executions: dict[str, tuple[str, ...]] = {}
+        self._txn_executions: dict[str, tuple[MethodExecution, ...]] = {}
         # -- rolling serial order ---------------------------------------------
-        # Unemitted committed top-levels: Kahn's worklist, not a precedence graph.
+        # The projection's edges among unemitted committed top-levels, as
+        # Kahn's worklist (emission pops nodes the projection keeps).
         self._top_succ: dict[str, set[str]] = {}
         self._top_pred: dict[str, set[str]] = {}
         self._order: list[str] = []
@@ -135,7 +225,6 @@ class StreamingCertifier:
         self._legality_first: dict[str, str] = {}
         # -- verdict accumulators (monotone) ----------------------------------
         self._cycle_detected = False
-        self._cyclic_objects: set[str] = set()
         self._cyclic_executions: set[str] = set()
         self._committed_transactions = 0
         self._committed_executions = 0
@@ -184,127 +273,35 @@ class StreamingCertifier:
             resolve_stamp: the builder clock at commit time.
         """
         self._live_begin.pop(top_id, None)
-        executions = list(executions)
-        # Register the top-level before installing any edges: edges into
-        # this very transaction are discovered during its own
-        # classification below, and :meth:`_note_sg_edge` only mirrors a
-        # top-top edge into the pending-emission graph when both endpoints
-        # are already registered.
+        executions = tuple(executions)
         self._resolve_stamp[top_id] = resolve_stamp
         self._top_succ[top_id] = set()
         self._top_pred[top_id] = set()
-        # The subtree's ancestry forest, computed directly on the records
-        # (building a per-commit ``History`` for these lookups dominated
-        # the certifier's cost; the structure is a tree of a handful of
-        # executions, so plain dict walks are far cheaper).
-        by_id = {execution.execution_id: execution for execution in executions}
-        children_by_step: dict[int, str] = {}
-        children_index: dict[str, list[str]] = {}
-        for execution in executions:
-            execution_id = execution.execution_id
-            parent_id = execution.parent_id
-            if parent_id is not None and parent_id in by_id:
-                children_index.setdefault(parent_id, []).append(execution_id)
-            if execution.invoking_step_id is not None:
-                children_by_step.setdefault(execution.invoking_step_id, execution_id)
-            # Ancestor chain, nearest parent first (ids outside the
-            # committed subtree terminate the walk, matching
-            # ``History.ancestors`` on the subtree-only history).
-            chain = [execution_id]
-            current = parent_id
-            while current is not None and current in by_id:
-                chain.append(current)
-                current = by_id[current].parent_id
-            self._chain[execution_id] = tuple(chain)
-            self._object_of[execution_id] = execution.object_name
-            self._sg.add_node(execution_id)
+        # A transaction outside the fast-path shape keeps its own conflicting
+        # pairs for :meth:`_check_transaction`; for every other one they are
+        # type (b) edges already.
+        own_pairs: list[tuple[_StepEntry, _StepEntry]] | None = (
+            None if _sequential_and_nested(executions, intervals) else []
+        )
 
-        # Each execution's local steps are consulted by the message-relation
-        # buckets below and again when building the window entries; snapshot
-        # the lists once instead of re-filtering the step sequence each time.
-        local_steps_of = {
-            execution_id: execution.local_steps()
-            for execution_id, execution in by_id.items()
-        }
-
-        descendants: dict[str, tuple[str, ...]] = {}
-
-        def descendants_of(execution_id: str) -> tuple[str, ...]:
-            cached = descendants.get(execution_id)
-            if cached is None:
-                collected = [execution_id]
-                frontier = [execution_id]
-                while frontier:
-                    for child in children_index.get(frontier.pop(), ()):
-                        collected.append(child)
-                        frontier.append(child)
-                cached = descendants[execution_id] = tuple(collected)
-            return cached
-
-        # Type (b) structure edges (intra-transaction by construction:
-        # between descendants of two programme-ordered messages) and
-        # Theorem 5(b)'s message relation ->_e, both evaluated directly on
-        # the subtree.  ``->_e`` orders two messages when programme order
-        # does, or when conflicting descendant steps do temporally.
-        sg_insert = self._sg.insert
-        for execution in executions:
-            messages = execution.message_steps()
-            if len(messages) < 2:
-                continue
-            local_buckets: dict[int, dict[str, list[LocalStep]]] = {}
-            for message in messages:
-                buckets: dict[str, list[LocalStep]] = {}
-                child_id = children_by_step.get(message.step_id)
-                if child_id is not None:
-                    for descendant_id in descendants_of(child_id):
-                        for step in local_steps_of[descendant_id]:
-                            buckets.setdefault(step.object_name, []).append(step)
-                local_buckets[message.step_id] = buckets
-            relation: list[tuple[int, int]] = []
-            for first_message in messages:
-                for second_message in messages:
-                    if first_message.step_id == second_message.step_id:
-                        continue
-                    if execution.program_precedes(first_message, second_message):
-                        relation.append((first_message.step_id, second_message.step_id))
-                        first_child = children_by_step.get(first_message.step_id)
-                        second_child = children_by_step.get(second_message.step_id)
-                        if first_child is not None and second_child is not None:
-                            # Type (b) edges connect two disjoint, freshly
-                            # registered subtrees along the programme order
-                            # (a series-parallel partial order), so they can
-                            # neither close a cycle nor touch the top-level
-                            # mirror — install them without the per-edge
-                            # path check :meth:`_note_sg_edge` pays.
-                            for source in descendants_of(first_child):
-                                for target in descendants_of(second_child):
-                                    sg_insert(source, target)
-                        continue
-                    if self._messages_conflict_ordered(
-                        local_buckets[first_message.step_id],
-                        local_buckets[second_message.step_id],
-                        intervals,
-                    ):
-                        relation.append((first_message.step_id, second_message.step_id))
-            if not PrecedenceDag().add_edges(relation):
-                self._cyclic_executions.add(execution.execution_id)
-
-        # Type (a) conflict edges + Theorem 5(a) local/mesg edges: classify
-        # the new steps, in temporal order, against the retained window
-        # (which grows to include this transaction's own earlier steps, so
-        # intra-transaction witnesses are covered as well).
+        # Classify the new steps, in temporal order, against the retained
+        # window (which grows to include this transaction's own earlier
+        # steps, so intra-transaction witnesses are covered as well).  A pair
+        # from two transactions only contributes its projection edge, so a
+        # pair whose edge is already known needs no conflict test.
         new_entries = sorted(
             (
-                _StepEntry(intervals[step.step_id][0], step, execution_id, top_id)
-                for execution_id, steps in local_steps_of.items()
-                for step in steps
+                _StepEntry(intervals[step.step_id][0], step, execution.execution_id, top_id)
+                for execution in executions
+                for step in execution.local_steps()
             ),
             key=lambda entry: (entry.stamp, entry.step.step_id),
         )
+        preds: dict[str, None] = {}
+        succs: dict[str, None] = {}
         steps_by_object = self._steps_by_object
         pending_replay = self._pending_replay
         conflict_fn = self._conflict_fn
-        classify = self._classify_conflict
         heappush = heapq.heappush
         for entry in new_entries:
             step = entry.step
@@ -319,21 +316,44 @@ class StreamingCertifier:
             if window is None:
                 window = steps_by_object[object_name] = []
             for other in window:
+                other_top = other.top_id
                 if other.stamp < stamp:
-                    if conflict(other.step, step):
-                        classify(other, entry)
-                elif conflict(step, other.step):
-                    classify(entry, other)
+                    if other_top == top_id:
+                        if own_pairs is not None and conflict(other.step, step):
+                            own_pairs.append((other, entry))
+                    elif other_top not in preds and conflict(other.step, step):
+                        preds[other_top] = None
+                elif other_top == top_id:
+                    if own_pairs is not None and conflict(step, other.step):
+                        own_pairs.append((entry, other))
+                elif other_top not in succs and conflict(step, other.step):
+                    succs[other_top] = None
             window.append(entry)
             heappush(
                 pending_replay.setdefault(object_name, []),
                 (stamp, step.step_id, step),
             )
+        if own_pairs is not None:
+            self._check_transaction(_Subtree(executions), intervals, own_pairs)
+
+        # In-edges first: while this node has no out-edge, their searches
+        # for a way back stop at once.
+        edges = [(source, top_id) for source in preds]
+        edges.extend((top_id, target) for target in succs)
+        if edges:
+            if not self._projection.add_edges(edges):
+                self._cycle_detected = True
+            else:
+                top_succ, top_pred = self._top_succ, self._top_pred
+                for source, target in edges:
+                    if source in top_succ and target in top_succ:
+                        top_succ[source].add(target)
+                        top_pred[target].add(source)
 
         self._committed_transactions += 1
         self._committed_executions += len(executions)
         self._committed_local_steps += len(new_entries)
-        self._txn_executions[top_id] = tuple(execution.execution_id for execution in executions)
+        self._txn_executions[top_id] = executions
         # Serial-order emission is deferred to the GC pass (and to
         # :meth:`finalise`): emittability is monotone — settled stays
         # settled, in-degrees only fall, and the key floor only rises —
@@ -341,29 +361,53 @@ class StreamingCertifier:
         # emitted order, only when it becomes visible, and keeps the
         # per-commit path free of the O(pending tops) rescan.
 
-    # -- edge installation -----------------------------------------------------
+    def _check_transaction(
+        self,
+        subtree: _Subtree,
+        intervals: Mapping[int, tuple[int, int]],
+        own_pairs: list[tuple[_StepEntry, _StepEntry]],
+    ) -> None:
+        """The intra-transaction half of ``SG(h)`` and Theorem 5(b), in full.
 
-    def _note_sg_edge(self, source: str, target: str) -> None:
-        """Bookkeeping for an SG(h) edge ``insert`` reported as new."""
-        if not self._cycle_detected and self._sg.reaches(target, source):
+        The transaction's own subgraph is its type (b) edges plus the type
+        (a) edges of its own conflicting pairs, complete at commit (a later
+        commit only adds edges between transactions).  ``->_e`` orders two
+        messages when programme order does, or when conflicting descendant
+        steps do temporally.
+        """
+        chain = subtree.chain
+        edges = list(subtree.structure_edges())
+        for first, second in own_pairs:
+            edges.extend(_incomparable(chain, chain[first.execution_id], chain[second.execution_id]))
+        if not PrecedenceDag().add_edges(edges):
             self._cycle_detected = True
-        # "." never appears in a top-level id, so this spots top-top edges.
-        if "." not in source and "." not in target:
-            top_out = self._top_succ.get(source)
-            if top_out is not None and target in self._top_succ and target not in top_out:
-                top_out.add(target)
-                self._top_pred[target].add(source)
-
-    def _object_add_edge(self, object_name: str, source: str, target: str) -> None:
-        graph = self._object_graphs.get(object_name)
-        if graph is None:
-            graph = self._object_graphs[object_name] = PrecedenceDag()
-        if (
-            graph.insert(source, target)
-            and object_name not in self._cyclic_objects
-            and graph.reaches(target, source)
-        ):
-            self._cyclic_objects.add(object_name)
+        for execution in subtree.by_id.values():
+            messages = execution.message_steps()
+            if len(messages) < 2:
+                continue
+            local_buckets: dict[int, dict[str, list[LocalStep]]] = {}
+            for message in messages:
+                buckets: dict[str, list[LocalStep]] = {}
+                child_id = subtree.child_of.get(message.step_id)
+                if child_id is not None:
+                    for descendant_id in subtree.descendants(child_id):
+                        for step in subtree.by_id[descendant_id].local_steps():
+                            buckets.setdefault(step.object_name, []).append(step)
+                local_buckets[message.step_id] = buckets
+            relation = [
+                (first.step_id, second.step_id)
+                for first in messages
+                for second in messages
+                if first is not second
+                and (
+                    execution.program_precedes(first, second)
+                    or self._messages_conflict_ordered(
+                        local_buckets[first.step_id], local_buckets[second.step_id], intervals
+                    )
+                )
+            ]
+            if not PrecedenceDag().add_edges(relation):
+                self._cyclic_executions.add(execution.execution_id)
 
     def _messages_conflict_ordered(
         self,
@@ -394,49 +438,6 @@ class StreamingCertifier:
                     ):
                         return True
         return False
-
-    def _classify_conflict(self, first: _StepEntry, second: _StepEntry) -> None:
-        """Install every edge witnessed by the ordered conflicting pair.
-
-        Incomparability (neither execution an ancestor of the other) is
-        checked with direct ``_chain`` tuple scans — this method is the
-        streaming hot path, so it calls the kernel's ``insert`` directly
-        and does its own bookkeeping only for an edge that is new.
-        """
-        chain = self._chain
-        first_id = first.execution_id
-        second_id = second.execution_id
-        first_chain = chain[first_id]
-        second_chain = chain[second_id]
-        sg_insert = self._sg.insert
-        # Definition 9, type (a): between every incomparable ancestor pair.
-        for source in first_chain:
-            source_chain = chain[source]
-            for target in second_chain:
-                if (
-                    source != target
-                    and target not in source_chain
-                    and source not in chain[target]
-                    and sg_insert(source, target)
-                ):
-                    self._note_sg_edge(source, target)
-        # Definition 10: a local edge between the issuing executions, mapped
-        # up to every incomparable proper-ancestor pair sharing an object.
-        if first_id in chain[second_id] or second_id in chain[first_id]:
-            return
-        self._object_add_edge(first.step.object_name, first_id, second_id)
-        object_of = self._object_of
-        for source in first_chain[1:]:
-            source_object = object_of[source]
-            source_chain = chain[source]
-            for target in second_chain[1:]:
-                if (
-                    object_of[target] == source_object
-                    and source != target
-                    and target not in source_chain
-                    and source not in chain[target]
-                ):
-                    self._object_add_edge(source_object, source, target)
 
     # -- rolling serial order --------------------------------------------------
 
@@ -526,10 +527,13 @@ class StreamingCertifier:
         (some live transaction began before it resolved — only then can it
         gain new in-edges), while its top-level is still awaiting serial-
         order emission, or while it is forward-reachable from a frontier
-        transaction's nodes (a future cycle's path into the pruned region
-        would have to pass through a frontier node first).  Everything else
-        can never rejoin a cycle and is dropped.  Frozen after the first
-        cycle so the violating nodes survive to :meth:`finalise`.
+        transaction in the projection (a future cycle's path into the
+        pruned region would have to pass through a frontier transaction
+        first; a path of ``SG(h)`` between executions maps onto one between
+        their top-levels and back, so marking the projection marks the
+        transactions that marking ``SG(h)`` would).  Everything else can
+        never rejoin a cycle and is dropped.  Frozen after the first cycle
+        so the violating nodes survive to :meth:`finalise`.
         """
         threshold = self._settle_threshold()
         self._replay_stable_prefix(threshold)
@@ -545,31 +549,17 @@ class StreamingCertifier:
         if len(frontier) == len(self._resolve_stamp):
             return 0
 
-        # Frontier nodes are marked along with what they reach; harmless,
-        # frontier transactions are skipped below before the mark is read.
-        marked = self._sg.descendants(
-            execution_id for top in frontier for execution_id in self._txn_executions[top]
-        )
-
+        marked = self._projection.descendants(frontier)
         pruned_txns: set[str] = set()
         pruned = 0
         for top in list(self._resolve_stamp):
-            if top in frontier or top in self._top_succ:
-                continue
-            if any(execution_id in marked for execution_id in self._txn_executions[top]):
+            if top in frontier or top in self._top_succ or top in marked:
                 continue
             pruned_txns.add(top)
             del self._resolve_stamp[top]
-            executions = self._txn_executions.pop(top)
-            self._sg.remove_nodes(executions)
-            for execution_id in executions:
-                # An object graph holds executions of that object only.
-                graph = self._object_graphs.get(self._object_of.pop(execution_id))
-                if graph is not None:
-                    graph.remove_nodes((execution_id,))
-                del self._chain[execution_id]
-            pruned += len(executions)
+            pruned += len(self._txn_executions.pop(top))
         if pruned_txns:
+            self._projection.remove_nodes(pruned_txns)
             for object_name, window in self._steps_by_object.items():
                 self._steps_by_object[object_name] = [
                     entry for entry in window if entry.top_id not in pruned_txns
@@ -584,13 +574,59 @@ class StreamingCertifier:
         return (
             sum(len(window) for window in self._steps_by_object.values())
             + sum(len(pending) for pending in self._pending_replay.values())
-            + self._sg.size()
-            + sum(graph.size() for graph in self._object_graphs.values())
+            + self._projection.size()
             + len(self._top_succ)
             + len(self._live_begin)
         )
 
     # -- finalisation ----------------------------------------------------------
+
+    def _retained_graphs(self, per_object: bool) -> tuple[set[Edge], dict[str, list[Edge]]]:
+        """``SG(h)`` over what GC retained and, if asked, Theorem 5(a)'s graphs.
+
+        Replays the classification over the retained windows in insertion
+        order — every retained pair was met by :meth:`note_commit` when its
+        later step arrived — and rebuilds the type (b) edges from the
+        retained subtrees, so the edges are the ones the retained part of
+        ``SG(h)`` holds.  Every Theorem 5(a) edge is an ``SG(h)`` edge, so
+        those graphs matter only when ``SG(h)`` is cyclic, and GC has pruned
+        nothing since the first cycle.
+        """
+        chain: dict[str, tuple[str, ...]] = {}
+        object_of: dict[str, str] = {}
+        sg_edges: set[Edge] = set()
+        for executions in self._txn_executions.values():
+            subtree = _Subtree(executions)
+            chain.update(subtree.chain)
+            sg_edges.update(subtree.structure_edges())
+            for execution in executions:
+                object_of[execution.execution_id] = execution.object_name
+        object_edges: dict[str, list[Edge]] = {}
+        for object_name, window in self._steps_by_object.items():
+            conflict = self._conflict_fn[object_name]
+            for index, entry in enumerate(window):
+                for other in window[:index]:
+                    if other.stamp < entry.stamp:
+                        if not conflict(other.step, entry.step):
+                            continue
+                        first_id, second_id = other.execution_id, entry.execution_id
+                    elif conflict(entry.step, other.step):
+                        first_id, second_id = entry.execution_id, other.execution_id
+                    else:
+                        continue
+                    # Definition 9, type (a): between every incomparable ancestor pair.
+                    first_chain, second_chain = chain[first_id], chain[second_id]
+                    sg_edges.update(_incomparable(chain, first_chain, second_chain))
+                    if not per_object or first_id in second_chain or second_id in first_chain:
+                        continue
+                    # Definition 10: a local edge between the issuing executions,
+                    # mapped up to every incomparable proper-ancestor pair
+                    # sharing an object.
+                    object_edges.setdefault(object_name, []).append((first_id, second_id))
+                    for source, target in _incomparable(chain, first_chain[1:], second_chain[1:]):
+                        if object_of[source] == object_of[target]:
+                            object_edges.setdefault(object_of[source], []).append((source, target))
+        return sg_edges, object_edges
 
     def finalise(self) -> CertificationReport:
         """The rolling report, completed; equals the post-hoc verdict.
@@ -608,7 +644,7 @@ class StreamingCertifier:
 
         legal = not self._legality_first
         serialisable = not self._cycle_detected
-        sg_edges = self._sg.edges()
+        sg_edges, object_edges = self._retained_graphs(per_object=not serialisable)
         cycle: tuple[str, ...] | None = None
         serial_order: tuple[str, ...] = ()
         if serialisable:
@@ -619,6 +655,9 @@ class StreamingCertifier:
             graph = nx.DiGraph()
             graph.add_edges_from(sg_edges)  # an isolated node is on no cycle
             cycle = cyclic_nodes(graph)
+        cyclic_objects = sorted(
+            name for name, edges in object_edges.items() if not PrecedenceDag().add_edges(edges)
+        )
 
         # ``History.check_legal`` raises at the alphabetically first
         # illegal object; reproduce exactly that one violation string.
@@ -629,10 +668,8 @@ class StreamingCertifier:
         )
         if not serialisable:
             violations.append("serialisation graph contains a cycle")
-        if self._cyclic_objects:
-            violations.append(
-                "Theorem 5(a) violated for objects: " + ", ".join(sorted(self._cyclic_objects))
-            )
+        if cyclic_objects:
+            violations.append("Theorem 5(a) violated for objects: " + ", ".join(cyclic_objects))
         if self._cyclic_executions:
             violations.append(
                 "Theorem 5(b) violated for executions: "
@@ -642,7 +679,7 @@ class StreamingCertifier:
         self._finalised = CertificationReport(
             legal=legal,
             serialisable=serialisable,
-            theorem5_holds=not self._cyclic_objects and not self._cyclic_executions,
+            theorem5_holds=not cyclic_objects and not self._cyclic_executions,
             violations=violations,
             committed_transactions=self._committed_transactions,
             committed_executions=self._committed_executions,

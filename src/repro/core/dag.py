@@ -1,10 +1,10 @@
 """The incremental precedence-DAG kernel.
 
-Every scheduler-side component that *rejects* cycle-closing precedence
-edges — the modular scheduler's inter-object coordinator, the inter-shard
-coordinator and the optimistic certifier's committed graph — keeps its
-graph in one :class:`PrecedenceDag` and asks it the same question: "does
-this batch of edges keep the graph acyclic?".  The kernel answers it in
+Every component that keeps a precedence graph — the modular scheduler's
+inter-object coordinator, the inter-shard coordinator, the optimistic
+certifier's committed graph and the streaming certifier's top-level
+projection of ``SG(h)`` — keeps it in one :class:`PrecedenceDag` and asks
+it the same question: "does this batch of edges keep the graph acyclic?".  The kernel answers it in
 place.  A graph that was acyclic before a call gains a cycle iff some new
 edge's target already reaches its source, through old edges or through
 new edges inserted before it; so each genuinely new edge costs one DFS
@@ -12,14 +12,6 @@ from its target, and a batch that closes a cycle is rolled back to the
 last node and edge.  Nothing is copied and nothing is re-checked from
 scratch, so the cost of a step follows what the step can reach, not what
 the graph holds.
-
-An *observer* keeps the same graphs for a different question.  The
-streaming certifier reports a cycle rather than refusing it, so it grows
-its graphs through :meth:`PrecedenceDag.insert`, which keeps every edge,
-and asks :meth:`~PrecedenceDag.reaches` itself, once per new edge until the
-first hit.  Acyclicity is therefore a property of :meth:`~PrecedenceDag.add_edges`,
-not of the class: a graph fed only through it is always acyclic, and no
-decision-path user calls anything else to grow one.
 
 Adjacency is kept as insertion-ordered ``dict`` keys rather than ``set``
 members.  Set order over strings follows the per-process hash seed, and
@@ -73,13 +65,12 @@ def reaches(succ: Mapping[Hashable, Collection[Hashable]], source: Hashable, tar
 
 
 class PrecedenceDag:
-    """A directed graph that stays acyclic while it grows through :meth:`add_edges`.
+    """A directed graph that stays acyclic: :meth:`add_edges` is its only way to grow.
 
     Work counters (plain ints, deterministic functions of the calls made):
     ``edge_inserts`` — edges actually inserted, rolled-back ones included;
     ``dfs_visits`` — nodes discovered by the acyclicity searches of
-    :meth:`add_edges` and by :meth:`reaches`; ``rollbacks`` — batches
-    refused.  Garbage-collection traversals are not decision work and are
+    :meth:`add_edges`; ``rollbacks`` — batches refused.  Garbage-collection traversals are not decision work and are
     not counted.
     """
 
@@ -143,30 +134,6 @@ class PrecedenceDag:
         self.edge_inserts += len(added_edges)
         return True
 
-    def insert(self, source: Hashable, target: Hashable) -> bool:
-        """Insert one edge whatever it closes; return whether it is new.
-
-        The observer's way in: missing endpoints are created and a
-        cycle-closing edge is kept like any other, so a caller that wants
-        to know asks ``dag.insert(s, t) and dag.reaches(t, s)`` — inserting
-        ``s -> t`` first cannot create a ``t -> ... -> s`` path.
-        """
-        succ = self._succ
-        out = succ.get(source)
-        if out is None:
-            out = succ[source] = {}
-            self._pred[source] = {}
-        elif target in out:
-            return False
-        if target not in succ:
-            succ[target] = {}
-            self._pred[target] = {}
-        out[target] = None
-        self._pred[target][source] = None
-        self._edges += 1
-        self.edge_inserts += 1
-        return True
-
     def _roll_back(self, added_edges: list[Edge], added_nodes: list[Hashable]) -> None:
         for source, target in added_edges:
             del self._succ[source][target]
@@ -178,14 +145,6 @@ class PrecedenceDag:
         self.rollbacks += 1
 
     # -- queries ----------------------------------------------------------------
-
-    def reaches(self, source: Hashable, target: Hashable) -> bool:
-        """Whether a path ``source -> ... -> target`` exists (absent nodes reach nothing)."""
-        if source not in self._succ or target not in self._succ:
-            return False
-        seen = reachable(self._succ, (source,), target)
-        self.dfs_visits += len(seen)
-        return target in seen
 
     def descendants(self, sources: Iterable[Hashable]) -> set:
         """The present ``sources`` plus everything forward-reachable from them."""
@@ -223,9 +182,6 @@ class PrecedenceDag:
             if out is None:
                 continue
             incoming = pred.pop(node)
-            if node in out:  # a self-loop, which only insert() can leave behind
-                del out[node], incoming[node]
-                self._edges -= 1
             self._edges -= len(out) + len(incoming)
             for target in out:
                 del pred[target][node]

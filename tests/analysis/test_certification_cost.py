@@ -1,4 +1,4 @@
-"""Post-hoc certification cost, held as counts rather than walls.
+"""Certification cost, held as counts rather than walls.
 
 Definition 6 condition 2c used to be enumerated over every ordered step
 pair × both descendant sets, and ``SG_mesg`` rebuilt per object by
@@ -6,6 +6,11 @@ rescanning every ``SG_local`` edge of every object; both are now one pass
 (DESIGN.md "Certification complexity", *Legality*).  The counts below are
 exact at a fixed seed, so the test holds the growth law itself instead of
 a timing that a busy host can blur.
+
+The streaming certifier checks ``SG(h)`` on its top-level projection while
+the run is going and builds the execution-level graphs only in
+``finalise`` (DESIGN.md "Streaming certification"); its test pins the
+projection's kernel counters on a fixed stream.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ import pytest
 import repro
 from repro.analysis import certify_history
 from repro.core import History
+from repro.core.dag import PrecedenceDag
+from repro.sweep import ScenarioSpec, build_engine
 
 
 def committed_banking_history(transactions: int) -> History:
@@ -75,3 +82,49 @@ def test_certification_work_grows_with_the_history_not_its_square(monkeypatch):
     assert all(calls <= 3 * count for calls, count in zip(comparisons, steps)), comparisons
     assert comparisons[1] <= 2.5 * comparisons[0], comparisons
     assert visits[1] <= 2.5 * visits[0], visits
+
+
+def test_streaming_certifier_checks_the_top_level_projection_only():
+    # The zipf-stream-modular benchmark's configuration, cut to 300 arrivals.
+    spec = ScenarioSpec(
+        workload="zipf-stream",
+        workload_params={
+            "inner_params": {
+                "transactions": 300,
+                "objects": 48,
+                "skew": 1.1,
+                "operations_per_transaction": 3,
+                "seed": 12,
+            },
+            "arrival": "poisson",
+            "arrival_params": {"rate": 0.012},
+        },
+        scheduler="modular",
+        scheduler_kwargs={"restart_policy": "backoff"},
+        seed=12,
+        engine_params={"gc_interval": 16},
+        certify="stream",
+        check_legality=True,
+    )
+    engine = build_engine(spec)
+    certifier = engine._certifier
+    note_commit = certifier.note_commit
+    held = set()
+
+    def checked_note_commit(*args, **kwargs):
+        note_commit(*args, **kwargs)
+        # Until finalise, the one graph is the projection, over top-level ids.
+        held.update(
+            id(value) for value in vars(certifier).values() if isinstance(value, PrecedenceDag)
+        )
+        assert not any("." in node for node in certifier._projection.nodes())
+
+    certifier.note_commit = checked_note_commit
+    result = engine.run()
+    assert held == {id(certifier._projection)}
+    assert result.metrics.committed == 300 and result.streaming_report.correct
+    assert certifier._projection.counters() == {
+        "edge_inserts": 1207,
+        "dfs_visits": 938,
+        "rollbacks": 0,
+    }

@@ -1,7 +1,8 @@
 """Oracle tests: streaming certification equals post-hoc certification.
 
-The :class:`~repro.analysis.streaming.StreamingCertifier` grows ``SG(h)``
-at commit time and prunes certified, frontier-unreachable transactions as
+The :class:`~repro.analysis.streaming.StreamingCertifier` checks ``SG(h)``
+at commit time on its top-level projection, builds the execution-level
+graphs only at ``finalise`` and prunes certified, frontier-unreachable transactions as
 the run progresses — so its rolling report is built from a *window*, never
 the whole history.  Its contract is nevertheless bit-for-bit equality
 with post-hoc :func:`~repro.analysis.certify.certify_run` on every
@@ -12,15 +13,17 @@ incident to pruned transactions and reports the retained count).
 Three layers of evidence:
 
 * a hypothesis property sweeping scheduler x restart-policy x gate-mode
-  x batch/stream x seed over a genuinely contended workload, with the
-  engine garbage-collecting (and therefore the certifier pruning)
-  mid-stream;
+  x batch/stream x workload x seed over genuinely contended workloads
+  (sequential, and nested with parallel children), with the engine
+  garbage-collecting (and therefore the certifier pruning) mid-stream;
 * a longer deterministic stream asserting the certifier actually pruned
   (a zero prune count would make the window equivalence vacuous);
 * direct-feed histories with *injected* violations — a conflict cycle
-  whose edges span a GC boundary, and a forged return value replayed
-  away before its transaction is pruned — caught identically by both
-  certifiers.
+  whose edges span a GC boundary, a forged return value replayed away
+  before its transaction is pruned, and a cycle between two parallel
+  children of one transaction — caught identically by both certifiers;
+  and forged intervals that only the subtree's condition 2a / 2c check
+  sends down the general intra-transaction path.
 """
 
 from __future__ import annotations
@@ -53,11 +56,42 @@ COMPARED_FIELDS = (
 #: Schedulers whose factories accept the CommitGate ``gate_mode`` axis.
 GATE_AWARE = {"nto", "nto-step", "certifier", "modular"}
 
+#: The weak schedulers commit non-serialisable histories, which is what
+#: drives the certifier past its first cycle into :meth:`finalise`'s rebuild.
 scheduler_names = st.sampled_from(
-    ["n2pl", "n2pl-step", "nto", "nto-step", "single-active", "certifier", "modular"]
+    [
+        "n2pl",
+        "n2pl-step",
+        "nto",
+        "nto-step",
+        "single-active",
+        "certifier",
+        "modular",
+        "pass-through",
+        "modular-intra-only",
+    ]
 )
 restart_policies = st.sampled_from(["immediate", "backoff", "ordered"])
 gate_modes = st.sampled_from(["cascade", "aca"])
+
+#: Sequential transactions on a contended hotspot, and transactions nested
+#: three deep whose two access groups run in parallel (programme-incomparable
+#: messages: the general intra-transaction path and Theorem 5(b) in full).
+WORKLOADS = {
+    "hotspot": {
+        "hot_objects": 2,
+        "cold_objects": 8,
+        "operations_per_transaction": 3,
+        "hot_probability": 0.7,
+    },
+    "random-ops": {
+        "registers": 4,
+        "write_fraction": 0.7,
+        "nesting_depth": 3,
+        "parallel_fanout": 2,
+    },
+}
+workload_names = st.sampled_from(sorted(WORKLOADS))
 
 
 def assert_reports_equal(streamed, oracle):
@@ -75,6 +109,7 @@ def certified_run(
     gate_mode,
     stream,
     seed,
+    workload="hotspot",
     transactions=14,
     gc_interval=3,
 ):
@@ -87,16 +122,9 @@ def certified_run(
     kwargs = {"restart_policy": policy}
     if scheduler in GATE_AWARE:
         kwargs["gate_mode"] = gate_mode
-    workload = make_workload(
-        "hotspot",
-        transactions=transactions,
-        hot_objects=2,
-        cold_objects=8,
-        operations_per_transaction=3,
-        hot_probability=0.7,
-        seed=seed,
-    )
-    base, specs = workload.build()
+    base, specs = make_workload(
+        workload, transactions=transactions, seed=seed, **WORKLOADS[workload]
+    ).build()
     engine = SimulationEngine(
         base,
         make_scheduler(scheduler, **kwargs),
@@ -112,19 +140,25 @@ def certified_run(
 
 
 class TestStreamingEqualsPostHoc:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         scheduler=scheduler_names,
         policy=restart_policies,
         gate_mode=gate_modes,
         stream=st.booleans(),
+        workload=workload_names,
         seed=st.integers(0, 10_000),
     )
     def test_rolling_report_equals_certify_run(
-        self, scheduler, policy, gate_mode, stream, seed
+        self, scheduler, policy, gate_mode, stream, workload, seed
     ):
         engine, result = certified_run(
-            scheduler, policy=policy, gate_mode=gate_mode, stream=stream, seed=seed
+            scheduler,
+            policy=policy,
+            gate_mode=gate_mode,
+            stream=stream,
+            workload=workload,
+            seed=seed,
         )
         oracle = certify_run(result, check_legality=True)
         assert_reports_equal(result.streaming_report, oracle)
@@ -173,18 +207,22 @@ def _feed_commit(certifier, builder, top_id, child_ids):
     )
 
 
+def _builder_and_certifier(objects):
+    builder = fresh_builder({name: {"x": 0} for name in objects})
+    certifier = StreamingCertifier(
+        builder.conflicts,
+        initial_states={name: ObjectState({"x": 0}) for name in objects},
+    )
+    return builder, certifier
+
+
 class TestInjectedViolationsSpanGC:
     """Hand-built histories whose defects straddle a mid-feed GC pass."""
 
     OBJECTS = ("A", "B", "C", "F1", "F2", "F3", "F4", "F5")
 
     def _builder_and_certifier(self):
-        builder = fresh_builder({name: {"x": 0} for name in self.OBJECTS})
-        certifier = StreamingCertifier(
-            builder.conflicts,
-            initial_states={name: ObjectState({"x": 0}) for name in self.OBJECTS},
-        )
-        return builder, certifier
+        return _builder_and_certifier(self.OBJECTS)
 
     def _commit_fillers(self, builder, certifier, count=5, forge_on=None):
         """Commit ``count`` no-conflict transactions (T1..Tcount).
@@ -275,3 +313,63 @@ class TestInjectedViolationsSpanGC:
         assert streamed.violations == oracle.violations
         assert any("F2" in violation for violation in streamed.violations)
         assert_reports_equal(streamed, oracle)
+
+
+class TestIntraTransactionViolations:
+    """Defects inside one transaction, which only the general path examines."""
+
+    def test_cycle_between_parallel_children(self):
+        builder, certifier = _builder_and_certifier(("A", "B"))
+        top = builder.begin_top_level().execution_id
+        certifier.note_begin(top, builder.clock)
+        # Two parallel children: neither message is programme-ordered first.
+        left = builder.invoke(top, "A", "left", after=[])
+        right = builder.invoke(top, "B", "right", after=[])
+        builder.local(left, WriteVariable("x", 1))
+        builder.local(right, WriteVariable("x", 2))
+        # Each child then relays a write to the other's object, after the
+        # other's own write there: left -> right on A, right -> left on B.
+        relay_b = builder.invoke(left, "B", "relay")
+        builder.local(relay_b, WriteVariable("x", 3))
+        builder.finish(relay_b)
+        relay_a = builder.invoke(right, "A", "relay")
+        builder.local(relay_a, WriteVariable("x", 4))
+        builder.finish(relay_a)
+        builder.finish(left)
+        builder.finish(right)
+        _feed_commit(
+            certifier,
+            builder,
+            top,
+            [execution.execution_id for execution in (left, right, relay_b, relay_a)],
+        )
+
+        streamed = certifier.finalise()
+        oracle = certify_history(builder.build(), check_legality=True)
+        assert streamed.serialisable is False
+        assert streamed.cycle == oracle.cycle == (left.execution_id, right.execution_id)
+        assert_reports_equal(streamed, oracle)
+
+    def test_forged_intervals_take_the_general_path(self):
+        builder, certifier = _builder_and_certifier(("A",))
+        top = builder.begin_top_level().execution_id
+        certifier.note_begin(top, builder.clock)
+        first = _write_child(builder, top, "A", 1)
+        second = _write_child(builder, top, "A", 2)
+        executions = [builder.execution_record(e) for e in (top, first, second)]
+        intervals = builder.intervals_for(executions)
+        # The later message's child writes before the earlier one's: the
+        # messages' own intervals (so condition 2a) are untouched, but the
+        # write leaves its message's interval, breaking 2c's containment.
+        (first_write,) = executions[1].local_steps()
+        (second_write,) = executions[2].local_steps()
+        stamp = intervals[first_write.step_id][0] - 1
+        intervals[second_write.step_id] = (stamp, stamp)
+        certifier.note_commit(top, executions, intervals, resolve_stamp=builder.clock)
+
+        streamed = certifier.finalise()
+        assert streamed.violations == [
+            "serialisation graph contains a cycle",
+            "Theorem 5(b) violated for executions: T1",
+        ]
+        assert streamed.cycle == (first, second)
