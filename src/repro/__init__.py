@@ -49,8 +49,8 @@ from .core import (
     is_serialisable,
     serialisation_graph,
     serialise,
-    theorem_5_conditions,
 )
+from .analysis import theorem_5_conditions
 from .core.registry import component_names, resolve_component
 from .facade import run
 from .scheduler import (

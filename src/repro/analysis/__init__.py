@@ -5,8 +5,8 @@ prints the per-layer table, and ``python3 -m cProfile -o hot.pstats -m
 bench.onepass --workload W --kind timed --seed N`` writes a pstats dump.
 """
 
-from .certify import CertificationReport, certify_history, certify_run
-from .streaming import StreamingCertifier
+from .certify import certify_history, certify_run, theorem_5_conditions
+from .streaming import CertificationReport, StreamingCertifier, Theorem5Report
 from .report import (
     format_comparison,
     format_markdown_table,
@@ -20,6 +20,7 @@ __all__ = [
     "CertificationReport",
     "HistoryStatistics",
     "StreamingCertifier",
+    "Theorem5Report",
     "certify_history",
     "certify_run",
     "format_comparison",
@@ -28,4 +29,5 @@ __all__ = [
     "history_statistics",
     "relative_change",
     "summarise_sweep",
+    "theorem_5_conditions",
 ]

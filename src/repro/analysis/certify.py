@@ -7,139 +7,103 @@ serialisation graph must be acyclic (Theorem 2's sufficient condition) and
 the modular conditions of Theorem 5 must hold.  Experiments that disable a
 part of the machinery (e.g. the intra-object-only configuration of E4) use
 the certification verdicts to count correctness violations.
+
+There is one certifier, :class:`~repro.analysis.streaming.StreamingCertifier`.
+:func:`certify_history` feeds it every transaction of a finished history
+in commit order and never collects garbage, so its report covers the whole
+history (``sg_edges`` included); legality is :meth:`History.check_legal`,
+all of Definition 6.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import replace
 
-import networkx as nx
-
-from ..core.errors import IllegalHistoryError
-from ..core.graphs import is_acyclic, serialisation_graph
+from ..core.errors import IllegalHistoryError, ModelError
+from ..core.executions import MethodExecution
 from ..core.history import History
-from ..core.theorems import execution_serial_order, theorem_5_conditions
+from ..core.theorems import natural_execution_key
 from ..simulation.metrics import RunResult
+from .streaming import CertificationReport, StreamingCertifier, Theorem5Report
 
 
-@dataclass
-class CertificationReport:
-    """Verdicts of certifying one run's committed projection."""
+def _fed_certifier(history: History) -> StreamingCertifier:
+    """A certifier that has seen every transaction of ``history`` commit.
 
-    legal: bool
-    serialisable: bool
-    theorem5_holds: bool
-    violations: list[str] = field(default_factory=list)
-    committed_transactions: int = 0
-    committed_executions: int = 0
-    committed_local_steps: int = 0
-    sg_nodes: int = 0
-    sg_edges: int = 0
-    serial_order: tuple[str, ...] = ()
-    #: Sorted execution ids on some serialisation-graph cycle (the nodes of
-    #: the graph's non-trivial strongly connected components), or ``None``
-    #: when the graph is acyclic.  The node *set* is canonical — unlike a
-    #: single reported cycle it does not depend on edge insertion order —
-    #: so the streaming certifier can be compared against it bit-for-bit.
-    cycle: tuple[str, ...] | None = None
-
-    @property
-    def correct(self) -> bool:
-        """True when the run passed every check."""
-        return self.legal and self.serialisable and self.theorem5_holds
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "legal": self.legal,
-            "serialisable": self.serialisable,
-            "theorem5_holds": self.theorem5_holds,
-            "correct": self.correct,
-            "violations": list(self.violations),
-            "committed_transactions": self.committed_transactions,
-            "committed_executions": self.committed_executions,
-            "committed_local_steps": self.committed_local_steps,
-            "sg_nodes": self.sg_nodes,
-            "sg_edges": self.sg_edges,
-            "serial_order": list(self.serial_order),
-            "cycle": None if self.cycle is None else list(self.cycle),
-        }
-
-
-def cyclic_nodes(graph: nx.DiGraph) -> tuple[str, ...]:
-    """All nodes on some cycle of ``graph``, as a sorted tuple.
-
-    A non-trivial strongly connected component contains exactly the nodes
-    that lie on at least one cycle, so the returned set is independent of
-    the order the graph's edges were inserted in.
+    A transaction is an execution forest: an execution whose parent is
+    missing from the history (a condition 1 violation) roots a group of its
+    own.  Groups commit in the order their last step ends.
     """
-    nodes: set[str] = set()
-    for component in nx.strongly_connected_components(graph):
-        if len(component) > 1:
-            nodes.update(component)
-        else:
-            (node,) = component
-            if graph.has_edge(node, node):
-                nodes.add(node)
-    return tuple(sorted(nodes))
+    intervals = history.intervals()
+    if intervals is None:
+        raise ModelError(
+            "certification needs an interval-backed history; this one orders its "
+            "steps by order pairs"
+        )
+    executions = history.executions
+    groups: dict[str, list[MethodExecution]] = {}
+    for execution_id, execution in executions.items():
+        root, parent_id, seen = execution_id, execution.parent_id, {execution_id}
+        while parent_id in executions:
+            if parent_id in seen:
+                raise ModelError(f"the ancestry of execution {execution_id!r} is cyclic")
+            seen.add(parent_id)
+            root, parent_id = parent_id, executions[parent_id].parent_id
+        groups.setdefault(root, []).append(execution)
+        for step in execution.local_steps():
+            if step.step_id not in intervals:
+                raise ModelError(f"local step {step.step_id} of {execution_id!r} has no interval")
+
+    stamps = {
+        root: max(
+            (
+                intervals[step_id][1]
+                for execution in group
+                for step_id in execution.step_ids_iter()
+                if step_id in intervals
+            ),
+            default=0,
+        )
+        for root, group in groups.items()
+    }
+    certifier = StreamingCertifier(history.conflicts, history.initial_states)
+    for root in sorted(groups, key=lambda root: (stamps[root], natural_execution_key(root))):
+        certifier.note_commit(root, groups[root], intervals, resolve_stamp=stamps[root])
+    return certifier
 
 
 def certify_history(history: History, *, check_legality: bool = True) -> CertificationReport:
-    """Certify an arbitrary history (assumed already projected to committed work).
+    """Certify an interval-backed history (assumed already projected to committed work).
 
-    The serialisation graph is built once and reused for the acyclicity
-    test and the serial order instead of being rebuilt per question.
+    Raises :class:`~repro.core.errors.ModelError` for an order-pair
+    history, or one with a local step that has no interval.
     """
-    violations: list[str] = []
-
+    report = _fed_certifier(history).finalise()
+    violations = list(report.violations)
+    if not report.legal:
+        del violations[0]  # the certifier's condition 3 replay; check_legal covers it
     legal = True
     if check_legality:
         try:
             history.check_legal()
         except IllegalHistoryError as error:
             legal = False
-            violations.append(f"legality: {error}")
-
-    graph = serialisation_graph(history)
-    serialisable = is_acyclic(graph)
-    cycle: tuple[str, ...] | None = None
-    if not serialisable:
-        violations.append("serialisation graph contains a cycle")
-        cycle = cyclic_nodes(graph)
-
-    report5 = theorem_5_conditions(history)
-    if not report5.holds:
-        if report5.cyclic_objects:
-            violations.append(
-                "Theorem 5(a) violated for objects: " + ", ".join(report5.cyclic_objects)
-            )
-        if report5.cyclic_executions:
-            violations.append(
-                "Theorem 5(b) violated for executions: " + ", ".join(report5.cyclic_executions)
-            )
-
-    serial_order: tuple[str, ...] = ()
-    if serialisable:
-        order = execution_serial_order(history, graph=graph)
-        serial_order = tuple(
-            execution_id for execution_id in order if history.execution(execution_id).is_top_level
-        )
-
-    return CertificationReport(
-        legal=legal,
-        serialisable=serialisable,
-        theorem5_holds=report5.holds,
-        violations=violations,
-        committed_transactions=len(history.top_level_executions()),
-        committed_executions=len(history.execution_ids()),
-        committed_local_steps=len(history.local_steps()),
-        sg_nodes=graph.number_of_nodes(),
-        sg_edges=graph.number_of_edges(),
-        serial_order=serial_order,
-        cycle=cycle,
-    )
+            violations.insert(0, f"legality: {error}")
+    return replace(report, legal=legal, violations=violations)
 
 
 def certify_run(result: RunResult, *, check_legality: bool = True) -> CertificationReport:
     """Certify the committed projection of a simulation run."""
     return certify_history(result.committed_history(), check_legality=check_legality)
+
+
+def theorem_5_conditions(history: History) -> Theorem5Report:
+    """Conditions (a) and (b) of Theorem 5, as the certifier evaluates them.
+
+    (a) for every object ``o``, ``SG_local(h, o) union SG_mesg(h, o)`` is
+    acyclic; (b) for every execution ``e`` the message relation ``->_e`` is
+    acyclic.  When both hold the history is serialisable.
+    """
+    certifier = _fed_certifier(history)
+    certifier.finalise()
+    return certifier.theorem5

@@ -1,12 +1,12 @@
-"""Online certification: check ``SG(h)`` at commit time, O(new work) per commit.
+"""The certifier: ``SG(h)`` and Theorem 5, checked commit by commit.
 
-Post-hoc certification (:func:`~repro.analysis.certify.certify_run`)
-certifies the *whole* committed projection after the run, so it needs the
-whole history retained and delivers no verdict until the end (its cost
-is near-linear since Definition 6 condition 2c became an envelope sweep;
-DESIGN.md "Certification complexity").  The :class:`StreamingCertifier`
-does the same checks as the run progresses instead, on a window that
-stays O(in-flight):
+The :class:`StreamingCertifier` is the one implementation of the
+certification checks, run two ways.  Online (``certify="stream"``) the
+engine feeds it each transaction as it commits and garbage-collects its
+window, which stays O(in-flight).  Post hoc,
+:func:`~repro.analysis.certify.certify_history` feeds it every transaction
+of a finished history in commit order and never collects, so everything
+is retained.  Either way:
 
 * every committed transaction's subtree is snapshotted at commit time
   (its steps and message intervals are final the moment it commits) and
@@ -37,20 +37,23 @@ stays O(in-flight):
   ("Streaming certification") and mirrors the optimistic certifier's
   ``collect_garbage``.
 
-The contract, enforced by the property tests in
-``tests/analysis/test_streaming_certification.py``, is that
-:meth:`finalise` returns a :class:`~repro.analysis.certify.CertificationReport`
-whose verdicts (``legal``, ``serialisable``, ``theorem5_holds``), counters,
-``serial_order``, ``cycle`` and ``violations`` equal the post-hoc report of
-the same run bit-for-bit.  The one deliberate exception is ``sg_edges``:
-the streaming graph drops edges incident to pruned transactions (they can
-never rejoin a cycle), so it reports the *retained* edge count.
+The contract is that the online :meth:`finalise` report equals the
+post-hoc one of the same run bit-for-bit on its verdicts (``legal``,
+``serialisable``, ``theorem5_holds``), counters, ``serial_order``,
+``cycle`` and ``violations``.  The one deliberate exception is
+``sg_edges``: GC drops edges incident to pruned transactions (they can
+never rejoin a cycle), so online it is the *retained* edge count.  Both
+runs are held against the definitional certification of
+``tests/oracles/certify.py``: online in
+``tests/analysis/test_streaming_certification.py``, post hoc in
+``tests/analysis/test_one_certifier.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import networkx as nx
 
@@ -60,9 +63,81 @@ from ..core.executions import MethodExecution
 from ..core.operations import LocalStep
 from ..core.state import ObjectState
 from ..core.theorems import natural_execution_key
-from .certify import CertificationReport, cyclic_nodes
 
 Edge = tuple[str, str]
+
+
+@dataclass
+class CertificationReport:
+    """Verdicts of certifying one run's committed projection."""
+
+    legal: bool
+    serialisable: bool
+    theorem5_holds: bool
+    violations: list[str] = field(default_factory=list)
+    committed_transactions: int = 0
+    committed_executions: int = 0
+    committed_local_steps: int = 0
+    sg_nodes: int = 0
+    sg_edges: int = 0
+    serial_order: tuple[str, ...] = ()
+    #: Sorted execution ids on some serialisation-graph cycle (the nodes of
+    #: the graph's non-trivial strongly connected components), or ``None``
+    #: when the graph is acyclic.  The node *set* is canonical — unlike a
+    #: single reported cycle it does not depend on edge insertion order —
+    #: so an online and a post-hoc report can be compared bit-for-bit.
+    cycle: tuple[str, ...] | None = None
+
+    @property
+    def correct(self) -> bool:
+        """True when the run passed every check."""
+        return self.legal and self.serialisable and self.theorem5_holds
+
+    def as_dict(self) -> dict[str, Any]:
+        return {
+            "legal": self.legal,
+            "serialisable": self.serialisable,
+            "theorem5_holds": self.theorem5_holds,
+            "correct": self.correct,
+            "violations": list(self.violations),
+            "committed_transactions": self.committed_transactions,
+            "committed_executions": self.committed_executions,
+            "committed_local_steps": self.committed_local_steps,
+            "sg_nodes": self.sg_nodes,
+            "sg_edges": self.sg_edges,
+            "serial_order": list(self.serial_order),
+            "cycle": None if self.cycle is None else list(self.cycle),
+        }
+
+
+@dataclass
+class Theorem5Report:
+    """The two conditions of Theorem 5: (a) per object, (b) per execution."""
+
+    holds: bool
+    cyclic_objects: list[str] = field(default_factory=list)
+    cyclic_executions: list[str] = field(default_factory=list)
+
+    def __bool__(self) -> bool:  # pragma: no cover - trivial
+        return self.holds
+
+
+def cyclic_nodes(graph: nx.DiGraph) -> tuple[str, ...]:
+    """All nodes on some cycle of ``graph``, as a sorted tuple.
+
+    A non-trivial strongly connected component contains exactly the nodes
+    that lie on at least one cycle, so the returned set is independent of
+    the order the graph's edges were inserted in.
+    """
+    nodes: set[str] = set()
+    for component in nx.strongly_connected_components(graph):
+        if len(component) > 1:
+            nodes.update(component)
+        else:
+            (node,) = component
+            if graph.has_edge(node, node):
+                nodes.add(node)
+    return tuple(sorted(nodes))
 
 
 class _StepEntry:
@@ -173,9 +248,11 @@ class StreamingCertifier:
 
     The engine drives the four lifecycle hooks (:meth:`note_begin`,
     :meth:`note_commit`, :meth:`note_abort`, :meth:`collect_garbage`) and
-    calls :meth:`finalise` once, after the last event.  The certifier is a
-    pure observer: it never influences scheduling, so a run with
-    ``certify="stream"`` is bit-identical to the same run without it.
+    calls :meth:`finalise` once, after the last event; post-hoc
+    certification calls only :meth:`note_commit` and :meth:`finalise`.
+    The certifier is a pure observer: it never influences scheduling, so a
+    run with ``certify="stream"`` is bit-identical to the same run without
+    it.
 
     Top-level ids must be begun in :func:`natural_execution_key` order
     (``HistoryBuilder`` numbers them ``T1, T2, ...``); the rolling
@@ -232,6 +309,8 @@ class StreamingCertifier:
         #: GC telemetry, public for the window-bound tests.
         self.gc_passes = 0
         self.gc_pruned = 0
+        #: Theorem 5's verdicts by object and execution, set by :meth:`finalise`.
+        self.theorem5: Theorem5Report | None = None
         self._finalised: CertificationReport | None = None
 
     # -- lifecycle hooks -------------------------------------------------------
@@ -629,7 +708,7 @@ class StreamingCertifier:
         return sg_edges, object_edges
 
     def finalise(self) -> CertificationReport:
-        """The rolling report, completed; equals the post-hoc verdict.
+        """The rolling report, completed.
 
         Transactions still live at this point never committed (e.g. the
         run was truncated): the committed projection excludes them, so
@@ -651,12 +730,16 @@ class StreamingCertifier:
             serial_order = tuple(self._order)
         else:
             # Only here does networkx enter: one graph build for the SCC
-            # computation shared with the post-hoc certifier.
+            # computation.
             graph = nx.DiGraph()
             graph.add_edges_from(sg_edges)  # an isolated node is on no cycle
             cycle = cyclic_nodes(graph)
         cyclic_objects = sorted(
             name for name, edges in object_edges.items() if not PrecedenceDag().add_edges(edges)
+        )
+        cyclic_executions = sorted(self._cyclic_executions)
+        self.theorem5 = Theorem5Report(
+            not cyclic_objects and not cyclic_executions, cyclic_objects, cyclic_executions
         )
 
         # ``History.check_legal`` raises at the alphabetically first
@@ -670,16 +753,15 @@ class StreamingCertifier:
             violations.append("serialisation graph contains a cycle")
         if cyclic_objects:
             violations.append("Theorem 5(a) violated for objects: " + ", ".join(cyclic_objects))
-        if self._cyclic_executions:
+        if cyclic_executions:
             violations.append(
-                "Theorem 5(b) violated for executions: "
-                + ", ".join(sorted(self._cyclic_executions))
+                "Theorem 5(b) violated for executions: " + ", ".join(cyclic_executions)
             )
 
         self._finalised = CertificationReport(
             legal=legal,
             serialisable=serialisable,
-            theorem5_holds=not cyclic_objects and not self._cyclic_executions,
+            theorem5_holds=self.theorem5.holds,
             violations=violations,
             committed_transactions=self._committed_transactions,
             committed_executions=self._committed_executions,

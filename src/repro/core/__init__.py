@@ -33,15 +33,7 @@ from .errors import (
     WorkloadError,
 )
 from .executions import ENVIRONMENT_OBJECT, MethodExecution
-from .graphs import (
-    combined_object_graph,
-    find_cycle,
-    is_acyclic,
-    message_relation,
-    serialisation_graph,
-    sg_local,
-    sg_mesg,
-)
+from .graphs import find_cycle, is_acyclic, serialisation_graph
 from .history import AUTO, History, HistoryBuilder
 from .registry import component_names, resolve_component
 from .operations import (
@@ -58,14 +50,12 @@ from .operations import (
 )
 from .state import EMPTY_STATE, AppliedStep, ObjectState, UndoLog
 from .theorems import (
-    Theorem5Report,
     brute_force_serialisable,
     check_determinacy,
     execution_serial_order,
     is_serialisable,
     serialisation_cycle,
     serialise,
-    theorem_5_conditions,
 )
 
 __all__ = [
@@ -99,7 +89,6 @@ __all__ = [
     "SchedulerError",
     "SimulationError",
     "Step",
-    "Theorem5Report",
     "UnknownExecutionError",
     "UnknownMethodError",
     "UnknownObjectError",
@@ -110,12 +99,10 @@ __all__ = [
     "resolve_component",
     "brute_force_serialisable",
     "check_determinacy",
-    "combined_object_graph",
     "execution_serial_order",
     "find_cycle",
     "is_acyclic",
     "is_serialisable",
-    "message_relation",
     "AppliedStep",
     "UndoLog",
     "operations_commute_on_state",
@@ -123,9 +110,6 @@ __all__ = [
     "serialisation_cycle",
     "serialisation_graph",
     "serialise",
-    "sg_local",
-    "sg_mesg",
     "steps_commute_on_state",
     "steps_commute_on_states",
-    "theorem_5_conditions",
 ]

@@ -135,15 +135,11 @@ class History:
             if isinstance(step, LocalStep):
                 self._local_steps_by_object.setdefault(step.object_name, []).append(step)
         self._children_index: dict[str, list[str]] = {}
-        self._executions_by_object: dict[str, list[str]] = {}
         for execution in self._executions.values():
             if execution.parent_id is not None:
                 self._children_index.setdefault(execution.parent_id, []).append(
                     execution.execution_id
                 )
-            self._executions_by_object.setdefault(execution.object_name, []).append(
-                execution.execution_id
-            )
 
         self._ancestor_chain_cache: dict[str, tuple[str, ...]] = {}
         self._ancestor_set_cache: dict[str, frozenset[str]] = {}
@@ -213,10 +209,6 @@ class History:
 
     def children_of(self, execution_id: str) -> list[str]:
         return list(self._children_index.get(execution_id, ()))
-
-    def executions_of_object(self, object_name: str) -> list[str]:
-        """Ids of the method executions belonging to the given object."""
-        return list(self._executions_by_object.get(object_name, ()))
 
     def ancestors(self, execution_id: str, include_self: bool = False) -> list[str]:
         """Ancestors of the execution, nearest first (chains are memoised)."""
@@ -395,26 +387,6 @@ class History:
         for first, second in self.ordered_step_pairs(self.local_steps(object_name)):
             if self.conflicts.steps_conflict(first, second):
                 yield first, second
-
-    def projected_order_pairs(self, step_ids: Iterable[int]) -> set[tuple[int, int]]:
-        """The transitive order ``<`` restricted to the given step ids.
-
-        Used by committed projections of order-pair histories: simply
-        filtering the generating pairs would lose orderings that pass
-        *through* a dropped step, so the restriction is taken on the
-        transitive closure instead.
-        """
-        keep = set(step_ids)
-        if self._intervals is not None:
-            return _interval_sweep_pairs(
-                [(sid, interval) for sid, interval in self._intervals.items() if sid in keep]
-            )
-        pairs: set[tuple[int, int]] = set()
-        for first in keep:
-            for second in self._reachable_from(first):
-                if second in keep:
-                    pairs.add((first, second))
-        return pairs
 
     def step_descendant_steps(self, step: Step | int) -> set[int]:
         """All step ids that are descendants of the given step (inclusive).

@@ -9,11 +9,8 @@
   test; :func:`serialise` goes further and *constructs* the equivalent
   serial history following the proof of the theorem (the ``=>`` relation,
   extended level by level, then the ``<_s`` order of Claims 2-6).
-* **Theorem 5** (modular synchronisation): a history is serialisable
-  provided each object's ``SG_local union SG_mesg`` is acyclic and each
-  execution's message relation ``->_e`` is acyclic.
-  :func:`theorem_5_conditions` evaluates both conditions and reports which
-  objects or executions violate them.
+* **Theorem 5** (modular synchronisation) is checked by the certifier,
+  :func:`repro.analysis.theorem_5_conditions`.
 
 A brute-force oracle (:func:`brute_force_serialisable`) is provided for
 cross-checking the above on small histories in the test-suite.
@@ -24,20 +21,11 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass, field
 
 import networkx as nx
 
 from .errors import IllegalStepSequenceError, ModelError, VerificationError
-from .graphs import (
-    find_cycle,
-    is_acyclic,
-    message_relation,
-    object_graph_union,
-    serialisation_graph,
-    sg_local,
-    sg_mesg_by_object,
-)
+from .graphs import find_cycle, is_acyclic, serialisation_graph
 from .history import History
 from .operations import LocalStep, MessageStep, Step
 from .state import ObjectState
@@ -97,13 +85,9 @@ def _random_topological_sort(
 # ---------------------------------------------------------------------------
 
 
-def is_serialisable(history: History, *, graph: nx.DiGraph | None = None) -> bool:
-    """Sufficient condition of Theorem 2: ``SG(h)`` acyclic implies serialisable.
-
-    ``graph`` lets callers that already built ``SG(h)`` (the certification
-    pipeline) reuse it instead of rebuilding from scratch.
-    """
-    return is_acyclic(serialisation_graph(history) if graph is None else graph)
+def is_serialisable(history: History) -> bool:
+    """Sufficient condition of Theorem 2: ``SG(h)`` acyclic implies serialisable."""
+    return is_acyclic(serialisation_graph(history))
 
 
 def serialisation_cycle(history: History) -> list[tuple[str, str]] | None:
@@ -145,24 +129,21 @@ _KEY_CACHE_LIMIT = 100_000
 _KEY_CACHE: dict[str, tuple[tuple[int, int | str], ...]] = {}
 
 
-def execution_serial_order(history: History, *, graph: nx.DiGraph | None = None) -> list[str]:
+def execution_serial_order(history: History) -> list[str]:
     """A total order of all executions compatible with ``SG(h)``.
 
     The order is produced exactly as in the proof of Theorem 2: siblings
     under each parent (and the top-level executions) are ordered by a
     topological sort of the serialisation graph restricted to them, and the
     ordering is inherited by descendants.  Raises :class:`ModelError` when
-    ``SG(h)`` is cyclic.  ``graph`` reuses a prebuilt ``SG(h)``.
+    ``SG(h)`` is cyclic.
     """
-    index = _serial_index(history, graph=graph)
+    index = _serial_index(history)
     return sorted(index, key=lambda execution_id: index[execution_id])
 
 
-def _serial_index(
-    history: History, *, graph: nx.DiGraph | None = None
-) -> dict[str, tuple[int, ...]]:
-    if graph is None:
-        graph = serialisation_graph(history)
+def _serial_index(history: History) -> dict[str, tuple[int, ...]]:
+    graph = serialisation_graph(history)
     if not is_acyclic(graph):
         raise ModelError("serialisation graph has a cycle; history may not be serialisable")
     index: dict[str, tuple[int, ...]] = {}
@@ -297,51 +278,6 @@ def _ancestor_step_in(history: History, step: Step, ancestor_execution_id: str) 
             return history.step(execution.invoking_step_id)
         current_id = execution.parent_id
     return None
-
-
-# ---------------------------------------------------------------------------
-# Theorem 5 — separating intra- and inter-object synchronisation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Theorem5Report:
-    """Outcome of evaluating the two conditions of Theorem 5 on a history."""
-
-    holds: bool
-    cyclic_objects: list[str] = field(default_factory=list)
-    cyclic_executions: list[str] = field(default_factory=list)
-
-    def __bool__(self) -> bool:  # pragma: no cover - trivial
-        return self.holds
-
-
-def theorem_5_conditions(history: History) -> Theorem5Report:
-    """Evaluate conditions (a) and (b) of Theorem 5.
-
-    (a) for every object ``o``, ``SG_local(h, o) union SG_mesg(h, o)`` is
-        acyclic; (b) for every execution ``e`` the message relation ``->_e``
-        is acyclic.  When both hold the history is serialisable.
-
-    Every ``SG_local`` is built exactly once and every ``SG_mesg`` comes
-    from one sweep over their edges.
-    """
-    object_names = {execution.object_name for execution in history.executions.values()}
-    local_graphs = {name: sg_local(history, name) for name in object_names}
-    mesg_graphs = sg_mesg_by_object(history, local_graphs)
-    cyclic_objects = [
-        name
-        for name in sorted(object_names)
-        if not is_acyclic(object_graph_union(local_graphs[name], mesg_graphs[name]))
-    ]
-
-    cyclic_executions: list[str] = []
-    for execution_id in sorted(history.execution_ids()):
-        if not is_acyclic(message_relation(history, execution_id)):
-            cyclic_executions.append(execution_id)
-
-    holds = not cyclic_objects and not cyclic_executions
-    return Theorem5Report(holds, cyclic_objects, cyclic_executions)
 
 
 # ---------------------------------------------------------------------------

@@ -272,39 +272,27 @@ class RunResult:
     def committed_history(self) -> History:
         """The committed projection: aborted transaction subtrees removed.
 
-        Interval-backed histories (everything the engine records) keep the
-        surviving intervals verbatim — the temporal order is never
-        materialised as explicit pairs.  Order-pair histories restrict the
-        *transitive* order to the surviving steps
-        (:meth:`~repro.core.history.History.projected_order_pairs`), so
-        orderings that passed through a dropped step are preserved.
+        The engine records an interval-backed history, and the surviving
+        intervals are kept verbatim — the temporal order is never
+        materialised as explicit pairs.
         """
         surviving = [
             execution
             for execution_id, execution in self.history.executions.items()
             if execution_id not in self.aborted_execution_ids
         ]
-        intervals = self.history.intervals()
         surviving_step_ids = {
             step.step_id for execution in surviving for step in execution.steps()
         }
-        if intervals is not None:
-            kept_intervals = {
-                step_id: interval
-                for step_id, interval in intervals.items()
-                if step_id in surviving_step_ids
-            }
-            return History(
-                surviving,
-                self.history.initial_states,
-                conflicts=self.history.conflicts,
-                intervals=kept_intervals,
-            )
         return History(
             surviving,
             self.history.initial_states,
             conflicts=self.history.conflicts,
-            order_pairs=self.history.projected_order_pairs(surviving_step_ids),
+            intervals={
+                step_id: interval
+                for step_id, interval in self.history.intervals().items()
+                if step_id in surviving_step_ids
+            },
         )
 
     def final_states(self) -> dict[str, Any]:

@@ -2,8 +2,9 @@
 
 Definition 6 condition 2c used to be enumerated over every ordered step
 pair × both descendant sets, and ``SG_mesg`` rebuilt per object by
-rescanning every ``SG_local`` edge of every object; both are now one pass
-(DESIGN.md "Certification complexity", *Legality*).  The counts below are
+rescanning every ``SG_local`` edge of every object; legality is now one
+pass, and post-hoc certification is the streaming certifier fed the whole
+history (DESIGN.md "Certification complexity").  The counts below are
 exact at a fixed seed, so the test holds the growth law itself instead of
 a timing that a busy host can blur.
 
@@ -18,8 +19,8 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.analysis import certify_history
-from repro.core import History
+from repro.analysis import StreamingCertifier, certify_history
+from repro.core import History, PerObjectConflicts
 from repro.core.dag import PrecedenceDag
 from repro.sweep import ScenarioSpec, build_engine
 
@@ -29,8 +30,9 @@ def committed_banking_history(transactions: int) -> History:
 
     Accounts and branches grow with the batch, so contention per object
     stays put: at a fixed object count the conflicting pairs per object —
-    the ``k`` of ``O(n log n + k)`` that condition 2b and ``SG_local`` must
-    look at whatever the algorithm — are themselves quadratic in ``n``.
+    the ``k`` of ``O(n log n + k)`` that condition 2b and the certifier's
+    window must look at whatever the algorithm — are themselves quadratic
+    in ``n``.
     """
     result = repro.run(
         "banking",
@@ -61,27 +63,64 @@ def count_calls(monkeypatch: pytest.MonkeyPatch, name: str) -> list[int]:
     return calls
 
 
+class CountingConflicts(PerObjectConflicts):
+    """A conflict registry whose specs count their ``steps_conflict`` calls."""
+
+    def __init__(self, inner: PerObjectConflicts):
+        super().__init__()
+        self.inner = inner
+        self.calls = 0
+
+    def __getitem__(self, object_name):
+        registry, spec = self, self.inner[object_name]
+
+        class Counted:
+            def steps_conflict(self, first, second):
+                registry.calls += 1
+                return spec.steps_conflict(first, second)
+
+        return Counted()
+
+
 def test_certification_work_grows_with_the_history_not_its_square(monkeypatch):
-    # ``precedes`` is the unit of work of the legality check (nothing else
-    # in certify_history calls it); an ancestor chain is fetched twice per
-    # SG_local edge mapped up into SG_mesg and twice per conflict witness
-    # of SG(h), so ``ancestors`` counts edge visits.
+    # ``precedes`` is the unit of work of the legality check (the certifier
+    # never calls it).  The certifier's work is its conflict-spec calls —
+    # the window scan at each commit and its replay in ``finalise`` — and
+    # the projection's kernel counters.
+    built: list[tuple[StreamingCertifier, CountingConflicts]] = []
+    certifier_init = StreamingCertifier.__init__
+
+    def counting_init(self, conflicts, initial_states=None):
+        counting = CountingConflicts(conflicts)
+        certifier_init(self, counting, initial_states)
+        built.append((self, counting))
+
+    monkeypatch.setattr(StreamingCertifier, "__init__", counting_init)
     precedes = count_calls(monkeypatch, "precedes")
-    ancestors = count_calls(monkeypatch, "ancestors")
-    steps, comparisons, visits = [], [], []
+    steps, comparisons, work = [], [], []
     for transactions in (120, 240):
         history = committed_banking_history(transactions)
-        precedes[0] = ancestors[0] = 0
+        precedes[0] = 0
         report = certify_history(history)
         assert report.correct and report.committed_transactions == transactions
+        ((certifier, counting),) = built
+        built.clear()
         steps.append(len(history.steps()))
         comparisons.append(precedes[0])
-        visits.append(ancestors[0])
+        work.append({"conflict_calls": counting.calls, **certifier._projection.counters()})
 
-    assert steps[1] >= 1.9 * steps[0], steps
+    assert steps == [824, 1672]
+    assert work == [
+        {"conflict_calls": 4199, "edge_inserts": 1000, "dfs_visits": 908, "rollbacks": 0},
+        {"conflict_calls": 9003, "edge_inserts": 2205, "dfs_visits": 2508, "rollbacks": 0},
+    ]
     assert all(calls <= 3 * count for calls, count in zip(comparisons, steps)), comparisons
     assert comparisons[1] <= 2.5 * comparisons[0], comparisons
-    assert visits[1] <= 2.5 * visits[0], visits
+    for counter in ("conflict_calls", "edge_inserts"):
+        assert work[1][counter] <= 2.5 * work[0][counter], counter
+    # A cycle check walks what the new edges reach, which lengthens with the
+    # batch; the visits still grow well short of the 4x of a square.
+    assert work[1]["dfs_visits"] <= 3 * work[0]["dfs_visits"]
 
 
 def test_streaming_certifier_checks_the_top_level_projection_only():

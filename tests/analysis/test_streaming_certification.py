@@ -1,14 +1,16 @@
-"""Oracle tests: streaming certification equals post-hoc certification.
+"""Oracle tests: online certification equals the definitional certification.
 
 The :class:`~repro.analysis.streaming.StreamingCertifier` checks ``SG(h)``
 at commit time on its top-level projection, builds the execution-level
 graphs only at ``finalise`` and prunes certified, frontier-unreachable transactions as
 the run progresses — so its rolling report is built from a *window*, never
 the whole history.  Its contract is nevertheless bit-for-bit equality
-with post-hoc :func:`~repro.analysis.certify.certify_run` on every
-verdict, counter, the serial order, the cycle witness and the violation
-strings (``sg_edges`` alone is exempt: the streaming graph drops edges
-incident to pruned transactions and reports the retained count).
+with the whole-graph certification of ``tests/oracles/certify.py`` on
+every verdict, counter, the serial order, the cycle witness and the
+violation strings (``sg_edges`` alone is exempt: the streaming graph drops
+edges incident to pruned transactions and reports the retained count).
+Post-hoc ``repro.analysis.certify_run`` runs this same certifier, so a
+comparison with it would check GC and nothing else.
 
 Three layers of evidence:
 
@@ -30,13 +32,14 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import StreamingCertifier, certify_history, certify_run
+from repro.analysis import StreamingCertifier
 from repro.core import ObjectState, ReadVariable, WriteVariable
 from repro.scheduler import make_scheduler
 from repro.simulation import SimulationEngine
 from repro.simulation.workloads import make_workload
 
 from tests.conftest import fresh_builder
+from tests.oracles import certify as oracle
 
 #: Every report field the streaming certifier promises bit-for-bit
 #: (``sg_edges`` is the documented exception — see the module docstring).
@@ -94,11 +97,11 @@ WORKLOADS = {
 workload_names = st.sampled_from(sorted(WORKLOADS))
 
 
-def assert_reports_equal(streamed, oracle):
+def assert_reports_equal(streamed, expected):
     for field in COMPARED_FIELDS:
-        assert getattr(streamed, field) == getattr(oracle, field), (
+        assert getattr(streamed, field) == getattr(expected, field), (
             f"{field}: streaming {getattr(streamed, field)!r} "
-            f"!= post-hoc {getattr(oracle, field)!r}"
+            f"!= oracle {getattr(expected, field)!r}"
         )
 
 
@@ -160,8 +163,8 @@ class TestStreamingEqualsPostHoc:
             workload=workload,
             seed=seed,
         )
-        oracle = certify_run(result, check_legality=True)
-        assert_reports_equal(result.streaming_report, oracle)
+        expected = oracle.certify_run(result)
+        assert_reports_equal(result.streaming_report, expected)
 
     def test_long_stream_prunes_and_still_matches(self):
         engine, result = certified_run(
@@ -175,8 +178,8 @@ class TestStreamingEqualsPostHoc:
         # The window equivalence is only meaningful if the window was
         # actually collected mid-stream.
         assert engine._certifier.gc_pruned > 0
-        oracle = certify_run(result, check_legality=True)
-        assert_reports_equal(result.streaming_report, oracle)
+        expected = oracle.certify_run(result)
+        assert_reports_equal(result.streaming_report, expected)
 
     def test_finalise_is_memoised(self):
         _, result = certified_run(
@@ -285,12 +288,12 @@ class TestInjectedViolationsSpanGC:
         _feed_commit(certifier, builder, t6, [t6_a, t6_c])
 
         streamed = certifier.finalise()
-        oracle = certify_history(builder.build(), check_legality=True)
+        expected = oracle.certify_history(builder.build())
         assert streamed.serialisable is False
-        assert oracle.serialisable is False
+        assert expected.serialisable is False
         assert streamed.cycle is not None
         assert {"T6", "T7", "T8"} <= set(streamed.cycle)
-        assert_reports_equal(streamed, oracle)
+        assert_reports_equal(streamed, expected)
 
     def test_forged_return_value_replayed_before_pruning(self):
         builder, certifier = self._builder_and_certifier()
@@ -307,12 +310,12 @@ class TestInjectedViolationsSpanGC:
         _feed_commit(certifier, builder, t4, [t4_a])
 
         streamed = certifier.finalise()
-        oracle = certify_history(builder.build(), check_legality=True)
+        expected = oracle.certify_history(builder.build())
         assert streamed.legal is False
-        assert oracle.legal is False
-        assert streamed.violations == oracle.violations
+        assert expected.legal is False
+        assert streamed.violations == expected.violations
         assert any("F2" in violation for violation in streamed.violations)
-        assert_reports_equal(streamed, oracle)
+        assert_reports_equal(streamed, expected)
 
 
 class TestIntraTransactionViolations:
@@ -345,10 +348,10 @@ class TestIntraTransactionViolations:
         )
 
         streamed = certifier.finalise()
-        oracle = certify_history(builder.build(), check_legality=True)
+        expected = oracle.certify_history(builder.build())
         assert streamed.serialisable is False
-        assert streamed.cycle == oracle.cycle == (left.execution_id, right.execution_id)
-        assert_reports_equal(streamed, oracle)
+        assert streamed.cycle == expected.cycle == (left.execution_id, right.execution_id)
+        assert_reports_equal(streamed, expected)
 
     def test_forged_intervals_take_the_general_path(self):
         builder, certifier = _builder_and_certifier(("A",))

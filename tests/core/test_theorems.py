@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import theorem_5_conditions
 from repro.core import (
     ModelError,
     ReadVariable,
@@ -12,7 +13,6 @@ from repro.core import (
     is_serialisable,
     serialisation_cycle,
     serialise,
-    theorem_5_conditions,
 )
 
 from tests.conftest import fresh_builder, increment_via_read_write

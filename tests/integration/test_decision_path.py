@@ -5,8 +5,9 @@ stopwatch:
 
 * no layer that rejects cycle-closing edges copies a networkx graph,
   re-checks one from scratch or asks networkx for a path while deciding
-  (networkx is the post-hoc certifier's tool, and the oracle in
-  ``tests/core/test_dag.py``);
+  (networkx builds ``SG(h)`` for Theorem 2's ``serialise``, the cycle
+  witness of a cyclic certification, and the oracles under
+  ``tests/oracles/`` and in ``tests/core/test_dag.py``);
 * the inter-object coordinator's work per edge-inducing step follows what
   the step can reach, not what garbage collection has left behind.
 """

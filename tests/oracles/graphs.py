@@ -1,14 +1,14 @@
 """From-scratch permutation builders for Definitions 9 and 10.
 
-Kept out of ``src/``: production builds ``SG(h)``, ``SG_local`` and
-``SG_mesg`` from the history's sorted-interval sweep and one upward sweep
-over the local edges (:mod:`repro.core.graphs`).  These are the builders
-those replaced — every step pair of an object, every execution pair of an
-object, every local graph per object — written against the public
-:class:`~repro.core.History` accessors only and on the independent
+``SG(h)`` (:mod:`repro.core.graphs`) and the Definition 10 builders of
+:mod:`tests.oracles.certify` come from the history's sorted-interval sweep
+and, for ``SG_mesg``, one upward sweep over the local edges.  These are the
+builders those replaced — every step pair of an object, every execution
+pair of an object, every local graph per object — written against the
+public :class:`~repro.core.History` accessors only and on the independent
 :func:`tests.oracles.legality.precedes_oracle`, so a differential against
 them shares neither the pair enumeration, nor ``<``, nor the edge
-bookkeeping with the production side.
+bookkeeping with the sweeps.
 
 :func:`assert_graphs_match` is the comparison: same nodes, same edges, same
 multiset of reasons on every edge.
@@ -21,9 +21,10 @@ from collections import Counter
 
 import networkx as nx
 
-from repro.core import History, is_acyclic, message_relation
-from repro.core.theorems import Theorem5Report
+from repro.analysis import Theorem5Report
+from repro.core import History, is_acyclic
 
+from tests.oracles.certify import message_relation
 from tests.oracles.legality import precedes_oracle
 
 
@@ -67,8 +68,9 @@ def sg_local_legacy(history: History, object_name: str) -> nx.DiGraph:
     """``SG_local(h, o)`` (Definition 10) from every execution pair of the object."""
     graph = nx.DiGraph()
     executions = [
-        history.execution(execution_id)
-        for execution_id in history.executions_of_object(object_name)
+        execution
+        for execution in history.executions.values()
+        if execution.object_name == object_name
     ]
     graph.add_nodes_from(execution.execution_id for execution in executions)
     for first_execution, second_execution in itertools.permutations(executions, 2):
@@ -91,7 +93,11 @@ def sg_local_legacy(history: History, object_name: str) -> nx.DiGraph:
 def sg_mesg_legacy(history: History, object_name: str) -> nx.DiGraph:
     """``SG_mesg(h, o)`` from every execution pair × every object's local graph."""
     graph = nx.DiGraph()
-    execution_ids = history.executions_of_object(object_name)
+    execution_ids = [
+        execution.execution_id
+        for execution in history.executions.values()
+        if execution.object_name == object_name
+    ]
     graph.add_nodes_from(execution_ids)
     local_graphs = [
         sg_local_legacy(history, other_object)
