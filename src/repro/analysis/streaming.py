@@ -55,10 +55,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-import networkx as nx
-
 from ..core.conflicts import PerObjectConflicts
-from ..core.dag import PrecedenceDag
+from ..core.dag import PrecedenceDag, cyclic_nodes
 from ..core.executions import MethodExecution
 from ..core.operations import LocalStep
 from ..core.state import ObjectState
@@ -120,24 +118,6 @@ class Theorem5Report:
 
     def __bool__(self) -> bool:  # pragma: no cover - trivial
         return self.holds
-
-
-def cyclic_nodes(graph: nx.DiGraph) -> tuple[str, ...]:
-    """All nodes on some cycle of ``graph``, as a sorted tuple.
-
-    A non-trivial strongly connected component contains exactly the nodes
-    that lie on at least one cycle, so the returned set is independent of
-    the order the graph's edges were inserted in.
-    """
-    nodes: set[str] = set()
-    for component in nx.strongly_connected_components(graph):
-        if len(component) > 1:
-            nodes.update(component)
-        else:
-            (node,) = component
-            if graph.has_edge(node, node):
-                nodes.add(node)
-    return tuple(sorted(nodes))
 
 
 class _StepEntry:
@@ -729,11 +709,7 @@ class StreamingCertifier:
         if serialisable:
             serial_order = tuple(self._order)
         else:
-            # Only here does networkx enter: one graph build for the SCC
-            # computation.
-            graph = nx.DiGraph()
-            graph.add_edges_from(sg_edges)  # an isolated node is on no cycle
-            cycle = cyclic_nodes(graph)
+            cycle = cyclic_nodes(sg_edges)
         cyclic_objects = sorted(
             name for name, edges in object_edges.items() if not PrecedenceDag().add_edges(edges)
         )

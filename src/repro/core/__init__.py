@@ -33,7 +33,7 @@ from .errors import (
     WorkloadError,
 )
 from .executions import ENVIRONMENT_OBJECT, MethodExecution
-from .graphs import find_cycle, is_acyclic, serialisation_graph
+from .graphs import is_acyclic, serialisation_graph
 from .history import AUTO, History, HistoryBuilder
 from .registry import component_names, resolve_component
 from .operations import (
@@ -100,7 +100,6 @@ __all__ = [
     "brute_force_serialisable",
     "check_determinacy",
     "execution_serial_order",
-    "find_cycle",
     "is_acyclic",
     "is_serialisable",
     "AppliedStep",

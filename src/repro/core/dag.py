@@ -1,4 +1,10 @@
-"""The incremental precedence-DAG kernel.
+"""The graph kernel: the incremental precedence DAG and two whole-graph passes.
+
+Theorem 2's construction and Definition 6's replay need three graph
+operations, and every module of the library takes them from here: an
+acyclicity test (:class:`PrecedenceDag`), a cycle witness
+(:func:`cyclic_nodes`, an iterative Tarjan) and a keyed topological order
+(:func:`topological_order`, Kahn's algorithm on a heap).
 
 Every component that keeps a precedence graph — the modular scheduler's
 inter-object coordinator, the inter-shard coordinator, the optimistic
@@ -18,15 +24,16 @@ members.  Set order over strings follows the per-process hash seed, and
 a search that stops at its target visits however many nodes happen to
 come first; with ordered adjacency the work counters below repeat
 exactly across processes and machines, like every other deterministic
-column.  networkx is the oracle in ``tests/core/test_dag.py`` and nowhere
-on the decision path.
+column.  networkx is the oracle in ``tests/core/test_dag.py``; nothing
+under ``src/`` imports it.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Hashable, Iterable, Mapping
+import heapq
+from typing import Any, Callable, Collection, Hashable, Iterable, Mapping
 
-__all__ = ["PrecedenceDag", "reachable", "reaches"]
+__all__ = ["PrecedenceDag", "cyclic_nodes", "reachable", "reaches", "topological_order"]
 
 Edge = tuple[Hashable, Hashable]
 
@@ -62,6 +69,86 @@ def reachable(
 def reaches(succ: Mapping[Hashable, Collection[Hashable]], source: Hashable, target: Hashable) -> bool:
     """Directed reachability ``source -> ... -> target`` (a node reaches itself)."""
     return target in reachable(succ, (source,), target)
+
+
+def topological_order(
+    nodes: Iterable[Hashable], edges: Iterable[Edge], key: Callable[[Hashable], Any]
+) -> list | None:
+    """The nodes in topological order, least ``key`` first among the ready ones.
+
+    Kahn's algorithm on a heap; equal keys fall back to the order of
+    ``nodes``, so the result is ``networkx.lexicographical_topological_sort``'s.
+    Every edge endpoint must be one of ``nodes``; repeated edges are
+    harmless.  Returns ``None`` when the edges close a cycle.
+    """
+    position = {node: index for index, node in enumerate(dict.fromkeys(nodes))}
+    successors: dict[Hashable, list] = {node: [] for node in position}
+    indegree = dict.fromkeys(position, 0)
+    for source, target in edges:
+        successors[source].append(target)
+        indegree[target] += 1
+    ready = [(key(node), position[node], node) for node, degree in indegree.items() if not degree]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        node = heapq.heappop(ready)[2]
+        order.append(node)
+        for successor in successors[node]:
+            indegree[successor] -= 1
+            if not indegree[successor]:
+                heapq.heappush(ready, (key(successor), position[successor], successor))
+    return order if len(order) == len(position) else None
+
+
+def cyclic_nodes(edges: Iterable[Edge]) -> tuple:
+    """Every node on some cycle of the graph ``edges`` spans, as a sorted tuple.
+
+    These are the nodes of the non-trivial strongly connected components
+    plus the nodes with a self-loop, so the result does not depend on the
+    order the edges come in.  An iterative Tarjan: no recursion, however
+    long the paths.
+    """
+    succ: dict[Hashable, dict[Hashable, None]] = {}
+    on_cycle = set()
+    for source, target in edges:
+        if source == target:
+            on_cycle.add(source)
+        succ.setdefault(source, {})[target] = None
+        succ.setdefault(target, {})
+    # A node whose component is closed gets an index above every other, so
+    # the low-link minimum ignores it: no separate on-stack set is needed.
+    closed = len(succ)
+    index: dict[Hashable, int] = {}
+    low: dict[Hashable, int] = {}
+    stack: list = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, successors = work[-1]
+            for successor in successors:
+                if successor not in index:
+                    index[successor] = low[successor] = len(index)
+                    stack.append(successor)
+                    work.append((successor, iter(succ[successor])))
+                    break
+                low[node] = min(low[node], index[successor])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while not component or component[-1] != node:
+                        component.append(stack.pop())
+                        index[component[-1]] = closed
+                    if len(component) > 1:
+                        on_cycle.update(component)
+    return tuple(sorted(on_cycle))
 
 
 class PrecedenceDag:

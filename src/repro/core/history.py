@@ -36,6 +36,7 @@ from collections.abc import Iterable, Mapping
 from typing import Any
 
 from .conflicts import PerObjectConflicts
+from .dag import topological_order
 from .errors import (
     IllegalHistoryError,
     IllegalStepSequenceError,
@@ -407,33 +408,16 @@ class History:
     # ------------------------------------------------------------------
 
     def topological_local_order(self, object_name: str) -> list[LocalStep]:
-        """A topological sort of the object's local steps consistent with ``<``."""
+        """The object's local steps sorted consistently with ``<``, smallest ready step id first."""
         steps = self.local_steps(object_name)
-        return self._topological_sort(steps)
-
-    def _topological_sort(self, steps: list[LocalStep]) -> list[LocalStep]:
         by_id = {step.step_id: step for step in steps}
-        indegree = {step_id: 0 for step_id in by_id}
-        successors: dict[int, list[int]] = {step_id: [] for step_id in by_id}
-        for first, second in self.ordered_step_pairs(steps):
-            successors[first.step_id].append(second.step_id)
-            indegree[second.step_id] += 1
-        # Kahn's algorithm with deterministic tie-breaking on step id.
-        ready = sorted(step_id for step_id, degree in indegree.items() if degree == 0)
-        ordered: list[LocalStep] = []
-        while ready:
-            current = ready.pop(0)
-            ordered.append(by_id[current])
-            for successor in successors[current]:
-                indegree[successor] -= 1
-                if indegree[successor] == 0:
-                    ready.append(successor)
-            ready.sort()
-        if len(ordered) != len(steps):
+        pairs = ((first.step_id, second.step_id) for first, second in self.ordered_step_pairs(steps))
+        order = topological_order(by_id, pairs, int)
+        if order is None:
             raise IllegalHistoryError(
                 "the temporal order < contains a cycle among local steps", condition="2"
             )
-        return ordered
+        return [by_id[step_id] for step_id in order]
 
     def replay(
         self,

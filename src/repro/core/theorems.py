@@ -22,10 +22,9 @@ import itertools
 import random
 import re
 
-import networkx as nx
-
+from .dag import cyclic_nodes, topological_order
 from .errors import IllegalStepSequenceError, ModelError, VerificationError
-from .graphs import find_cycle, is_acyclic, serialisation_graph
+from .graphs import is_acyclic, serialisation_graph
 from .history import History
 from .operations import LocalStep, MessageStep, Step
 from .state import ObjectState
@@ -59,25 +58,14 @@ def check_determinacy(history: History, attempts: int = 5, seed: int = 0) -> boo
 def _random_topological_sort(
     history: History, steps: list[LocalStep], rng: random.Random
 ) -> list[LocalStep]:
-    remaining = {step.step_id: step for step in steps}
-    indegree = {step.step_id: 0 for step in steps}
-    successors: dict[int, list[int]] = {step.step_id: [] for step in steps}
-    for first, second in history.ordered_step_pairs(steps):
-        successors[first.step_id].append(second.step_id)
-        indegree[second.step_id] += 1
-    ready = [step_id for step_id, degree in indegree.items() if degree == 0]
-    ordered: list[LocalStep] = []
-    while ready:
-        index = rng.randrange(len(ready))
-        current = ready.pop(index)
-        ordered.append(remaining[current])
-        for successor in successors[current]:
-            indegree[successor] -= 1
-            if indegree[successor] == 0:
-                ready.append(successor)
-    if len(ordered) != len(steps):
+    """Kernel order under seeded random keys: any linear extension of ``<`` can come out."""
+    by_id = {step.step_id: step for step in steps}
+    keys = {step_id: rng.random() for step_id in by_id}
+    pairs = ((first.step_id, second.step_id) for first, second in history.ordered_step_pairs(steps))
+    order = topological_order(by_id, pairs, keys.__getitem__)
+    if order is None:
         raise ModelError("temporal order contains a cycle among local steps")
-    return ordered
+    return [by_id[step_id] for step_id in order]
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +78,9 @@ def is_serialisable(history: History) -> bool:
     return is_acyclic(serialisation_graph(history))
 
 
-def serialisation_cycle(history: History) -> list[tuple[str, str]] | None:
-    """A cycle of ``SG(h)`` if one exists (useful for diagnostics)."""
-    return find_cycle(serialisation_graph(history))
+def serialisation_cycle(history: History) -> tuple[str, ...] | None:
+    """The executions on some cycle of ``SG(h)``, sorted, or ``None`` when it is acyclic."""
+    return cyclic_nodes(serialisation_graph(history)) or None
 
 
 def natural_execution_key(execution_id: str) -> tuple[tuple[int, int | str], ...]:
@@ -146,6 +134,12 @@ def _serial_index(history: History) -> dict[str, tuple[int, ...]]:
     graph = serialisation_graph(history)
     if not is_acyclic(graph):
         raise ModelError("serialisation graph has a cycle; history may not be serialisable")
+    # SG(h) restricted to each sibling group, filed under the siblings' parent.
+    sibling_edges: dict[str | None, list[tuple[str, str]]] = {}
+    for source, target in graph:
+        parent_id = history.parent_of(source)
+        if parent_id == history.parent_of(target):
+            sibling_edges.setdefault(parent_id, []).append((source, target))
     index: dict[str, tuple[int, ...]] = {}
 
     def assign(parent_id: str | None, prefix: tuple[int, ...]) -> None:
@@ -153,11 +147,8 @@ def _serial_index(history: History) -> dict[str, tuple[int, ...]]:
             siblings = history.top_level_executions()
         else:
             siblings = history.children_of(parent_id)
-        if not siblings:
-            return
-        restricted = graph.subgraph(siblings).copy()
-        ordered = list(nx.lexicographical_topological_sort(restricted, key=natural_execution_key))
-        for position, execution_id in enumerate(ordered):
+        edges = sibling_edges.get(parent_id, ())
+        for position, execution_id in enumerate(topological_order(siblings, edges, natural_execution_key)):
             index[execution_id] = prefix + (position,)
             assign(execution_id, prefix + (position,))
 
@@ -340,13 +331,17 @@ def _serial_arrangement_matches(
             for rank, child in enumerate(ordered_siblings(history.children_of(execution_id)))
         }
 
-        def preference(step: Step) -> tuple[int, int]:
-            if isinstance(step, MessageStep):
-                child_id = history.child_of_message(step)
-                return (child_rank.get(child_id, 0), step.step_id)
-            return (0, step.step_id)
+        steps = {step.step_id: step for step in execution.steps()}
 
-        for step in _program_order_sort(execution, preference):
+        def preference(step_id: int) -> tuple[int, int]:
+            step = steps[step_id]
+            if isinstance(step, MessageStep):
+                return (child_rank.get(history.child_of_message(step), 0), step_id)
+            return (0, step_id)
+
+        # Programme order, each message placed by its child's rank.
+        for step_id in topological_order(steps, execution.program_order_pairs(), preference):
+            step = steps[step_id]
             if isinstance(step, LocalStep):
                 per_object.setdefault(step.object_name, []).append(step)
             elif isinstance(step, MessageStep):
@@ -366,18 +361,3 @@ def _serial_arrangement_matches(
         if state != reference_states.get(object_name, ObjectState()):
             return False
     return True
-
-
-def _program_order_sort(execution, preference=None) -> list[Step]:
-    steps = execution.steps()
-    graph = nx.DiGraph()
-    graph.add_nodes_from(step.step_id for step in steps)
-    graph.add_edges_from(execution.program_order_pairs())
-    by_id = {step.step_id: step for step in steps}
-    if preference is None:
-        key = int
-    else:
-        def key(step_id: int):
-            return preference(by_id[step_id])
-    ordered_ids = list(nx.lexicographical_topological_sort(graph, key=key))
-    return [by_id[step_id] for step_id in ordered_ids]

@@ -7,7 +7,9 @@ collection, so it must agree with the definitional certification of
 every ``->_e`` — on every report field, ``sg_edges`` included.  The grid
 below covers six schedulers (two of which commit non-serialisable
 histories) on a sequential hotspot and on nested transactions with
-parallel children.
+parallel children.  On the same grid's serialisable runs, Theorem 2's
+construction (``execution_serial_order``, ``serialise``) is held against
+the certifier's serial order.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 
 from repro import theorem_5_conditions
 from repro.analysis import certify_history, certify_run
-from repro.core import History, ModelError
+from repro.core import History, ModelError, execution_serial_order, serialise
 from repro.scheduler import make_scheduler
 from repro.simulation import SimulationEngine
 from repro.simulation.workloads import make_workload
@@ -70,6 +72,34 @@ def test_certify_run_equals_the_oracle_on_every_field(scheduler, workload):
         serialisable.append(report.serialisable)
     if (scheduler, workload) in CYCLIC_CELLS:
         assert not all(serialisable), "this cell should reach the cyclic path"
+
+
+#: ``serialise(verify=True)`` is quadratic in executions times steps; the
+#: random-ops runs (54 executions) fit, the hotspot runs (80) take 3x longer.
+SERIALISE_LIMIT = 60
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_theorem_2_construction_agrees_with_the_certifier(scheduler, workload):
+    """On every serialisable engine run, Theorem 2's construction orders the
+    transactions as the certifier does, and the serial history it builds is
+    legal, serial and equivalent."""
+    checked = 0
+    for seed in SEEDS:
+        result = run(scheduler, workload, seed)
+        report = certify_run(result)
+        if not report.serialisable:
+            continue
+        history = result.committed_history()
+        top_level = set(history.top_level_executions())
+        order = [execution_id for execution_id in execution_serial_order(history) if execution_id in top_level]
+        assert tuple(order) == report.serial_order, (scheduler, workload, seed)
+        if len(history.execution_ids()) <= SERIALISE_LIMIT:
+            serialise(history, verify=True)
+        checked += 1
+    if (scheduler, workload) not in CYCLIC_CELLS:
+        assert checked == len(SEEDS)
 
 
 class TestCertifyHistory:

@@ -1,10 +1,12 @@
-"""The precedence-DAG kernel against networkx as the oracle.
+"""The graph kernel against networkx as the oracle.
 
 The kernel replaces "copy the graph, add the edges, re-check the whole
 thing" on three decision paths, so the property under test is exactly
 that sentence: over random edge batches, ``add_edges`` must accept a batch
 iff the copy-plus-edges graph is acyclic, and a refused batch must leave
-no trace.
+no trace.  Its two whole-graph passes are held against networkx too:
+``cyclic_nodes`` against the strongly connected components, and
+``topological_order`` against ``lexicographical_topological_sort``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dag import PrecedenceDag, reaches
+from repro.core.dag import PrecedenceDag, cyclic_nodes, reaches, topological_order
 
 NODES = st.integers(min_value=0, max_value=11)
 EDGES = st.tuples(NODES, NODES)
@@ -98,6 +100,68 @@ class TestAgainstNetworkx:
         succ = {node: set(oracle.successors(node)) for node in oracle}
         expected = source == target or (present and nx.has_path(oracle, source, target))
         assert reaches(succ, source, target) == expected
+
+
+def scc_cycle_nodes(graph: nx.DiGraph) -> tuple:
+    """The nodes of the non-trivial components plus the self-looped nodes, sorted."""
+    nodes = set(nx.nodes_with_selfloops(graph))
+    for component in nx.strongly_connected_components(graph):
+        if len(component) > 1:
+            nodes |= component
+    return tuple(sorted(nodes))
+
+
+#: Up to 40 nodes, so a draw holds several components, self-loops and repeats.
+DIGRAPH_NODES = st.integers(min_value=0, max_value=39)
+DIGRAPHS = st.lists(st.tuples(DIGRAPH_NODES, DIGRAPH_NODES), max_size=60)
+
+
+class TestWholeGraphPasses:
+    @settings(max_examples=1000, deadline=None)
+    @given(DIGRAPHS, st.lists(DIGRAPH_NODES, max_size=6))
+    def test_cyclic_nodes_is_the_scc_node_set(self, edges, isolated):
+        oracle = nx.DiGraph()
+        oracle.add_nodes_from(isolated)  # on no cycle: cyclic_nodes never sees them
+        oracle.add_edges_from(edges)
+        assert cyclic_nodes(edges) == scc_cycle_nodes(oracle)
+        assert cyclic_nodes(reversed(edges)) == cyclic_nodes(edges)
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        DIGRAPHS,
+        st.permutations(range(40)),
+        st.permutations(range(40)),
+        st.lists(st.integers(0, 3), min_size=40, max_size=40),
+    )
+    def test_topological_order_is_lexicographical_topological_sort(self, pairs, hidden, nodes, keys):
+        # Orient every edge along a hidden order: a random DAG.  Keys tie, and
+        # equal keys fall back to the order of ``nodes``, as in networkx.
+        rank = {node: index for index, node in enumerate(hidden)}
+        edges = [(a, b) if rank[a] < rank[b] else (b, a) for a, b in pairs if a != b]
+        oracle = nx.DiGraph()
+        oracle.add_nodes_from(nodes)
+        oracle.add_edges_from(edges)
+        expected = list(nx.lexicographical_topological_sort(oracle, key=keys.__getitem__))
+        assert topological_order(list(oracle), edges, keys.__getitem__) == expected
+
+    @settings(max_examples=1000, deadline=None)
+    @given(DIGRAPHS)
+    def test_topological_order_is_none_exactly_on_cyclic_inputs(self, edges):
+        oracle = nx.DiGraph(edges)
+        order = topological_order(range(40), edges, int)
+        if nx.is_directed_acyclic_graph(oracle):
+            assert order is not None and sorted(order) == list(range(40))
+        else:
+            assert order is None
+
+    def test_long_chain_and_ring_need_no_recursion(self):
+        size = 20_000
+        chain = [(node, node + 1) for node in range(size - 1)]
+        assert cyclic_nodes(chain) == ()
+        assert topological_order(reversed(range(size)), chain, lambda node: -node) == list(range(size))
+        ring = chain + [(size - 1, 0)]
+        assert cyclic_nodes(ring) == tuple(range(size))
+        assert topological_order(range(size), ring, int) is None
 
 
 class TestKernelContract:

@@ -9,10 +9,10 @@ from repro.core import (
     History,
     MethodExecution,
     ReadVariable,
-    find_cycle,
     is_acyclic,
     serialisation_graph,
 )
+from repro.core.dag import cyclic_nodes
 
 from tests.conftest import fresh_builder, increment_via_read_write
 from tests.oracles.graphs import theorem_5_conditions_legacy
@@ -21,27 +21,25 @@ from tests.oracles.graphs import theorem_5_conditions_legacy
 class TestSerialisationGraph:
     def test_conflict_edges_point_in_temporal_order(self, serialisable_history):
         graph = serialisation_graph(serialisable_history)
-        assert graph.has_edge("T1", "T2")
-        assert not graph.has_edge("T2", "T1")
+        assert ("T1", "T2") in graph
+        assert ("T2", "T1") not in graph
 
     def test_edges_connect_incomparable_executions_only(self, serialisable_history):
         graph = serialisation_graph(serialisable_history)
-        for source, target in graph.edges:
+        for source, target in graph:
             assert serialisable_history.are_incomparable(source, target)
 
     def test_edge_reasons_reference_witness_steps(self, serialisable_history):
         graph = serialisation_graph(serialisable_history)
-        reasons = graph["T1"]["T2"]["reasons"]
-        assert any(reason[0] == "conflict" for reason in reasons)
+        assert any(reason[0] == "conflict" for reason in graph["T1", "T2"])
 
     def test_incompatible_orders_create_cycle(self, non_serialisable_history):
         graph = serialisation_graph(non_serialisable_history)
         assert not is_acyclic(graph)
-        cycle = find_cycle(graph)
-        assert cycle is not None and len(cycle) >= 2
+        assert len(cyclic_nodes(graph)) >= 2
 
     def test_acyclic_graph_has_no_cycle_reported(self, serialisable_history):
-        assert find_cycle(serialisation_graph(serialisable_history)) is None
+        assert cyclic_nodes(serialisation_graph(serialisable_history)) == ()
 
     def test_structure_edges_between_sequential_children(self):
         builder = fresh_builder({"A": {"x": 0}, "B": {"x": 0}})
@@ -51,9 +49,7 @@ class TestSerialisationGraph:
         history = builder.build(check=True)
         graph = serialisation_graph(history)
         children = history.children_of(transaction.execution_id)
-        assert graph.has_edge(children[0], children[1])
-        reasons = graph[children[0]][children[1]]["reasons"]
-        assert any(reason[0] == "structure" for reason in reasons)
+        assert any(reason[0] == "structure" for reason in graph[children[0], children[1]])
 
     def test_no_structure_edges_between_parallel_children(self):
         builder = fresh_builder({"A": {"x": 0}, "B": {"x": 0}})
@@ -68,11 +64,7 @@ class TestSerialisationGraph:
         builder.finish(second)
         history = builder.build(check=True)
         graph = serialisation_graph(history)
-        assert not any(
-            reason[0] == "structure"
-            for _, _, data in graph.edges(data=True)
-            for reason in data["reasons"]
-        )
+        assert not any(reason[0] == "structure" for reasons in graph.values() for reason in reasons)
 
     def test_single_transaction_graph_is_edge_free_across_top_levels(self):
         builder = fresh_builder({"A": {"x": 0}})
@@ -81,7 +73,7 @@ class TestSerialisationGraph:
         history = builder.build(check=True)
         graph = serialisation_graph(history)
         assert is_acyclic(graph)
-        assert set(graph.nodes) == set(history.execution_ids())
+        assert {node for edge in graph for node in edge} <= set(history.execution_ids())
 
 
 class TestPerObjectGraphs:

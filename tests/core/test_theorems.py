@@ -35,7 +35,9 @@ class TestTheorem2Serialisability:
 
     def test_cyclic_graph_reports_cycle(self, non_serialisable_history):
         assert not is_serialisable(non_serialisable_history)
-        assert serialisation_cycle(non_serialisable_history)
+        cycle = serialisation_cycle(non_serialisable_history)
+        assert cycle == tuple(sorted(cycle)) and set(cycle) <= set(non_serialisable_history.execution_ids())
+        assert {"T1", "T2"} <= set(cycle)
 
     def test_serialise_produces_equivalent_serial_history(self, serialisable_history):
         serial = serialise(serialisable_history)

@@ -1,26 +1,55 @@
-"""The scheduling decision path keeps its precedence graphs in the DAG kernel.
+"""The library runs on its own graph kernel, and the decision path pays by reach.
 
-Two claims, both about *cost*, both checked by count rather than by
-stopwatch:
+Two claims, both checked by what happens rather than by stopwatch:
 
-* no layer that rejects cycle-closing edges copies a networkx graph,
-  re-checks one from scratch or asks networkx for a path while deciding
-  (networkx builds ``SG(h)`` for Theorem 2's ``serialise``, the cycle
-  witness of a cyclic certification, and the oracles under
-  ``tests/oracles/`` and in ``tests/core/test_dag.py``);
+* nothing ``import repro`` loads, and nothing a certified run or Theorem
+  2's ``serialise`` calls, imports networkx: every acyclicity test, cycle
+  witness and topological order in ``src/`` is ``repro.core.dag``'s
+  (networkx is the oracle under ``tests/oracles/`` and in
+  ``tests/core/test_dag.py``, and ``bench/trace.py`` counts its calls);
 * the inter-object coordinator's work per edge-inducing step follows what
   the step can reach, not what garbage collection has left behind.
 """
 
 from __future__ import annotations
 
-import networkx as nx
-import pytest
+import os
+import subprocess
+import sys
 
 from repro.sweep import ScenarioSpec
-from repro.sweep.runner import build_engine, run_sharded_scenario
+from repro.sweep.runner import build_engine
 
 BACKOFF = {"restart_policy": "backoff"}
+
+#: Imports every public package, certifies a pass-through run that commits a
+#: non-serialisable history (so ``finalise`` takes its cycle witness) and an
+#: n2pl run that does not, serialises the latter, then reports whether
+#: networkx was loaded.
+HYGIENE_SCRIPT = """
+import sys
+import repro, repro.shard, repro.sweep, repro.analysis
+from repro.analysis import certify_run
+from repro.core import serialise
+from repro.scheduler import make_scheduler
+from repro.simulation import SimulationEngine, make_workload
+
+def run(scheduler):
+    base, specs = make_workload(
+        "hotspot", transactions=8, hot_objects=2, cold_objects=6,
+        operations_per_transaction=3, hot_probability=0.7, seed=0,
+    ).build()
+    engine = SimulationEngine(base, make_scheduler(scheduler, restart_policy="backoff"), seed=0)
+    engine.submit_all(specs)
+    return engine.run()
+
+report = certify_run(run("pass-through"))
+assert not report.serialisable and report.cycle, report
+serialisable = run("n2pl")
+assert certify_run(serialisable).serial_order
+assert serialise(serialisable.committed_history(), verify=True).is_serial()
+print("networkx" in sys.modules)
+"""
 
 
 def stream(inner: dict, rate: float) -> dict:
@@ -46,81 +75,17 @@ def zipf_stream_spec(scheduler: str, gc_interval: int = 16, transactions: int = 
     )
 
 
-def hotspot_inner(transactions: int) -> dict:
-    return {
-        "transactions": transactions,
-        "hot_objects": 2,
-        "cold_objects": 8,
-        "operations_per_transaction": 3,
-        "hot_probability": 0.6,
-        "use_service_layer": False,
-        "seed": 21,
-    }
-
-
-def run_single(spec: ScenarioSpec):
-    engine = build_engine(spec)
-    return engine.run(), engine.scheduler
-
-
-def modular_work(spec: ScenarioSpec) -> int:
-    result, _ = run_single(spec)
-    return result.scheduler_description["edge_inserts"]
-
-
-def certifier_work() -> int:
-    spec = ScenarioSpec(
-        workload="hotspot",
-        workload_params=hotspot_inner(60),
-        scheduler="certifier",
-        scheduler_kwargs=BACKOFF,
-        seed=21,
-        certify=False,
+def test_the_library_never_imports_networkx():
+    # A fresh interpreter: this test process has networkx loaded by the oracles.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    completed = subprocess.run(
+        [sys.executable, "-c", HYGIENE_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
     )
-    _, scheduler = run_single(spec)
-    return scheduler._committed_graph.edge_inserts
-
-
-def two_shard_work() -> int:
-    spec = ScenarioSpec(
-        workload="hotspot-stream",
-        workload_params=stream(hotspot_inner(80), 0.05),
-        scheduler="nto-step",
-        scheduler_kwargs=BACKOFF,
-        seed=21,
-        shards=2,
-        shard_assignment={"hot-0": 0, "hot-1": 1},
-        certify=False,
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False", (
+        "the library loaded networkx: graph operations in src/ belong in repro.core.dag"
     )
-    return run_sharded_scenario(spec).coordinator["edge_inserts"]
-
-
-#: layer name -> a small uncertified run returning the edges its kernel inserted.
-LAYERS = {
-    "scheduler.modular.InterObjectCoordinator": lambda: modular_work(zipf_stream_spec("modular")),
-    "scheduler.adaptive (modular coordinator under strategy swaps)": lambda: modular_work(
-        zipf_stream_spec("adaptive")
-    ),
-    "scheduler.certifier.OptimisticCertifier": certifier_work,
-    "shard.coordinator.InterShardCoordinator": two_shard_work,
-}
-
-
-@pytest.mark.parametrize("layer", LAYERS)
-def test_no_networkx_on_the_decision_path(layer, monkeypatch):
-    def forbidden(name):
-        def call(*args, **kwargs):
-            raise AssertionError(
-                f"networkx {name} was called on the decision path of {layer}: "
-                f"precedence graphs on that path belong in repro.core.dag.PrecedenceDag"
-            )
-
-        return call
-
-    monkeypatch.setattr(nx.DiGraph, "copy", forbidden("DiGraph.copy"))
-    monkeypatch.setattr(nx, "is_directed_acyclic_graph", forbidden("is_directed_acyclic_graph"))
-    monkeypatch.setattr(nx, "has_path", forbidden("has_path"))
-    assert LAYERS[layer]() > 0, f"{layer}: the run induced no precedence edge, the guard saw nothing"
 
 
 def test_coordinator_work_does_not_grow_with_retained_garbage():
@@ -136,7 +101,7 @@ def test_coordinator_work_does_not_grow_with_retained_garbage():
     """
     rows = {}
     for gc_interval in (4, 64):
-        result, _ = run_single(zipf_stream_spec("modular", gc_interval, transactions=400))
+        result = build_engine(zipf_stream_spec("modular", gc_interval, transactions=400)).run()
         rows[gc_interval] = (result.metrics.as_dict(), result.scheduler_description)
     eager_metrics, eager = rows[4]
     lazy_metrics, lazy = rows[64]

@@ -4,12 +4,14 @@ Kept out of ``src/``: production certifies with one implementation, the
 commit-by-commit :class:`~repro.analysis.streaming.StreamingCertifier`,
 which ``repro.analysis.certify_history`` feeds a finished history.  This
 module is the definitional reference both uses of it are held against.
-It builds ``SG(h)`` with :func:`repro.core.serialisation_graph`, every
-``SG_local`` and ``SG_mesg`` (Definition 10) and every message relation
-``->_e`` (Theorem 5(b)) as networkx graphs straight from the
-:class:`~repro.core.History` accessors, and orders the transactions by the
-top level of Theorem 2's construction
-(:func:`repro.core.execution_serial_order`) — no code of the certifier's.
+It builds ``SG(h)`` as a networkx graph over every execution id from the
+edges of :func:`repro.core.serialisation_graph`, every ``SG_local`` and
+``SG_mesg`` (Definition 10) and every message relation ``->_e`` (Theorem
+5(b)) as networkx graphs straight from the :class:`~repro.core.History`
+accessors, and orders the transactions by the top level of Theorem 2's
+construction (:func:`repro.core.execution_serial_order`).  Acyclicity,
+cycle witnesses and topological orders are networkx's: no code of the
+certifier's and none of the graph kernel's (``repro.core.dag``).
 
 The Definition 10 builders enumerate the ordered conflicting pairs with
 the history's interval sweep and derive every ``SG_mesg`` from one upward
@@ -26,8 +28,7 @@ from typing import Mapping
 import networkx as nx
 
 from repro.analysis import CertificationReport, Theorem5Report
-from repro.analysis.streaming import cyclic_nodes
-from repro.core import History, IllegalHistoryError, is_acyclic, serialisation_graph
+from repro.core import History, IllegalHistoryError, serialisation_graph
 from repro.core.operations import LocalStep, MessageStep
 from repro.core.theorems import natural_execution_key
 from repro.simulation import RunResult
@@ -199,6 +200,24 @@ def _descendant_local_steps(history: History, message: MessageStep) -> list[Loca
 # ---------------------------------------------------------------------------
 
 
+def cyclic_nodes(graph: nx.DiGraph) -> tuple[str, ...]:
+    """All nodes on some cycle of ``graph``, as a sorted tuple.
+
+    A non-trivial strongly connected component contains exactly the nodes
+    that lie on at least one cycle, so the returned set is independent of
+    the order the graph's edges were inserted in.
+    """
+    nodes: set[str] = set()
+    for component in nx.strongly_connected_components(graph):
+        if len(component) > 1:
+            nodes.update(component)
+        else:
+            (node,) = component
+            if graph.has_edge(node, node):
+                nodes.add(node)
+    return tuple(sorted(nodes))
+
+
 def theorem_5_conditions(history: History) -> Theorem5Report:
     """Conditions (a) and (b) of Theorem 5, every graph built whole.
 
@@ -211,12 +230,14 @@ def theorem_5_conditions(history: History) -> Theorem5Report:
     cyclic_objects = [
         name
         for name in sorted(object_names)
-        if not is_acyclic(object_graph_union(local_graphs[name], mesg_graphs[name]))
+        if not nx.is_directed_acyclic_graph(
+            object_graph_union(local_graphs[name], mesg_graphs[name])
+        )
     ]
     cyclic_executions = [
         execution_id
         for execution_id in sorted(history.execution_ids())
-        if not is_acyclic(message_relation(history, execution_id))
+        if not nx.is_directed_acyclic_graph(message_relation(history, execution_id))
     ]
     return Theorem5Report(
         not cyclic_objects and not cyclic_executions, cyclic_objects, cyclic_executions
@@ -235,8 +256,10 @@ def certify_history(history: History, *, check_legality: bool = True) -> Certifi
             legal = False
             violations.append(f"legality: {error}")
 
-    graph = serialisation_graph(history)
-    serialisable = is_acyclic(graph)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(history.execution_ids())
+    graph.add_edges_from(serialisation_graph(history))
+    serialisable = nx.is_directed_acyclic_graph(graph)
     cycle: tuple[str, ...] | None = None
     if not serialisable:
         violations.append("serialisation graph contains a cycle")

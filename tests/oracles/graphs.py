@@ -11,7 +11,9 @@ them shares neither the pair enumeration, nor ``<``, nor the edge
 bookkeeping with the sweeps.
 
 :func:`assert_graphs_match` is the comparison: same nodes, same edges, same
-multiset of reasons on every edge.
+multiset of reasons on every edge.  It also takes ``SG(h)`` in the
+``{(source, target): reasons}`` form :func:`repro.core.serialisation_graph`
+returns, which carries no node set: then only edges and reasons are compared.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections import Counter
 import networkx as nx
 
 from repro.analysis import Theorem5Report
-from repro.core import History, is_acyclic
+from repro.core import History
 
 from tests.oracles.certify import message_relation
 from tests.oracles.legality import precedes_oracle
@@ -121,33 +123,40 @@ def theorem_5_conditions_legacy(history: History) -> Theorem5Report:
     cyclic_objects = [
         name
         for name in sorted(object_names)
-        if not is_acyclic(
+        if not nx.is_directed_acyclic_graph(
             nx.compose(sg_local_legacy(history, name), sg_mesg_legacy(history, name))
         )
     ]
     cyclic_executions = [
         execution_id
         for execution_id in sorted(history.execution_ids())
-        if not is_acyclic(message_relation(history, execution_id))
+        if not nx.is_directed_acyclic_graph(message_relation(history, execution_id))
     ]
     return Theorem5Report(
         not cyclic_objects and not cyclic_executions, cyclic_objects, cyclic_executions
     )
 
 
-def _reason_multisets(graph: nx.DiGraph) -> dict[tuple, Counter]:
+def _reason_multisets(graph: nx.DiGraph | dict) -> dict[tuple, Counter]:
+    if isinstance(graph, dict):
+        return {edge: Counter(tuple(reason) for reason in reasons) for edge, reasons in graph.items()}
     return {
         (source, target): Counter(tuple(reason) for reason in data["reasons"])
         for source, target, data in graph.edges(data=True)
     }
 
 
-def assert_graphs_match(candidate: nx.DiGraph, oracle: nx.DiGraph, label: str) -> None:
-    """Fail unless the two graphs agree on nodes, edges and reason multisets."""
-    assert set(candidate.nodes) == set(oracle.nodes), (
-        f"{label}: node sets diverge (production {sorted(candidate.nodes)!r} "
-        f"vs oracle {sorted(oracle.nodes)!r})"
-    )
+def assert_graphs_match(candidate: nx.DiGraph | dict, oracle: nx.DiGraph, label: str) -> None:
+    """Fail unless the two graphs agree on nodes, edges and reason multisets.
+
+    A ``candidate`` in the ``{(source, target): reasons}`` form has no node
+    set, so for it only edges and reasons are compared.
+    """
+    if not isinstance(candidate, dict):
+        assert set(candidate.nodes) == set(oracle.nodes), (
+            f"{label}: node sets diverge (production {sorted(candidate.nodes)!r} "
+            f"vs oracle {sorted(oracle.nodes)!r})"
+        )
     candidate_reasons = _reason_multisets(candidate)
     oracle_reasons = _reason_multisets(oracle)
     assert candidate_reasons == oracle_reasons, (
