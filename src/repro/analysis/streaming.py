@@ -257,6 +257,9 @@ class StreamingCertifier:
         self._conflict_fn: dict[str, Callable[[LocalStep, LocalStep], bool]] = {}
         # -- live transactions -------------------------------------------------
         self._live_begin: dict[str, int] = {}
+        # :func:`natural_execution_key` of every live or not yet emitted
+        # top-level, computed once and dropped when it aborts or is emitted.
+        self._keys: dict[str, tuple] = {}
         # -- the retained committed window ------------------------------------
         # SG(h)'s top-level projection over every retained committed
         # transaction, and each one's subtree records for :meth:`finalise`.
@@ -298,6 +301,7 @@ class StreamingCertifier:
     def note_begin(self, top_id: str, begin_stamp: int) -> None:
         """A top-level transaction (or a restart attempt) began."""
         self._live_begin[top_id] = begin_stamp
+        self._keys[top_id] = natural_execution_key(top_id)
 
     def note_abort(self, top_id: str) -> None:
         """A live transaction aborted: it will never contribute steps.
@@ -311,6 +315,7 @@ class StreamingCertifier:
         begin = self._live_begin.pop(top_id, None)
         if begin is None:
             return
+        del self._keys[top_id]
         if not self._live_begin or begin < min(self._live_begin.values()):
             self._emit_ready()
 
@@ -326,12 +331,14 @@ class StreamingCertifier:
         Args:
             top_id: the committed top-level execution id.
             executions: every execution of the subtree (the top level and
-                all its descendants), snapshotted from the builder.
+                all its descendants), as the builder hands it over.
             intervals: the interval slice covering the subtree's steps
-                (see :meth:`~repro.core.history.HistoryBuilder.intervals_for`).
+                (see :meth:`~repro.core.history.HistoryBuilder.forget`).
             resolve_stamp: the builder clock at commit time.
         """
         self._live_begin.pop(top_id, None)
+        if top_id not in self._keys:  # post hoc: never begun
+            self._keys[top_id] = natural_execution_key(top_id)
         executions = tuple(executions)
         self._resolve_stamp[top_id] = resolve_stamp
         self._top_succ[top_id] = set()
@@ -533,27 +540,23 @@ class StreamingCertifier:
 
         top_succ = self._top_succ
         top_pred = self._top_pred
-        floor_keys = [natural_execution_key(top) for top in self._live_begin]
-        floor_keys.extend(
-            natural_execution_key(top) for top in top_succ if not settled(top)
-        )
+        keys = self._keys
+        floor_keys = [keys[top] for top in self._live_begin]
+        floor_keys.extend(keys[top] for top in top_succ if not settled(top))
         floor = min(floor_keys, default=None)
-        ready = [
-            (natural_execution_key(top), top)
-            for top in top_succ
-            if not top_pred[top] and settled(top)
-        ]
+        ready = [(keys[top], top) for top in top_succ if not top_pred[top] and settled(top)]
         heapq.heapify(ready)
         while ready and (floor is None or ready[0][0] < floor):
             _, top = heapq.heappop(ready)
             self._order.append(top)
+            del keys[top]
             successors = top_succ.pop(top)
             del top_pred[top]
             for successor in successors:
                 pred = top_pred[successor]
                 pred.discard(top)
                 if not pred and settled(successor):
-                    heapq.heappush(ready, (natural_execution_key(successor), successor))
+                    heapq.heappush(ready, (keys[successor], successor))
 
     # -- legality --------------------------------------------------------------
 

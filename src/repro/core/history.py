@@ -923,19 +923,7 @@ class HistoryBuilder:
         if message_id is not None:
             start, _ = self._intervals[message_id]
             self._intervals[message_id] = (start, end)
-            message = self._find_step(message_id)
-            message.return_value = return_value
-
-    def _find_step(self, step_id: int) -> Step:
-        step = self._steps_by_id.get(step_id)
-        if step is not None:
-            return step
-        # Steps attached to an execution behind the builder's back are not
-        # in the index; fall back to the (slow) scan before giving up.
-        for execution in self._executions.values():
-            if execution.has_step(step_id):
-                return execution.step(step_id)
-        raise ModelError(f"unknown step id {step_id}")
+            self._steps_by_id[message_id].return_value = return_value
 
     def _resolve(self, execution: MethodExecution | str) -> MethodExecution:
         if isinstance(execution, MethodExecution):
@@ -945,36 +933,33 @@ class HistoryBuilder:
         except KeyError as exc:
             raise UnknownExecutionError(f"unknown execution {execution!r}") from exc
 
-    # -- committed-subtree snapshots ------------------------------------------
+    # -- handing subtrees over ------------------------------------------------
 
-    def execution_record(self, execution_id: str) -> MethodExecution:
-        """The live :class:`MethodExecution` recorded under ``execution_id``.
+    def forget(
+        self, execution_ids: Iterable[str]
+    ) -> tuple[list[MethodExecution], dict[int, tuple[int, int]]]:
+        """Drop the given executions and every record of their steps.
 
-        Exposed for the streaming certifier, which snapshots a committed
-        transaction's subtree at commit time (when the subtree's steps and
-        message intervals are final) instead of waiting for :meth:`build`.
+        Returns the executions and their steps' intervals (for a committed
+        subtree, final and complete: what the streaming certifier takes).
+        Forgetting each transaction once it settles leaves only in-flight
+        records; a later :meth:`build` covers only what was never forgotten.
         """
-        return self._resolve(execution_id)
-
-    def intervals_for(self, executions: Iterable[MethodExecution]) -> dict[int, tuple[int, int]]:
-        """The interval slice covering every step of the given executions.
-
-        Message steps of an unfinished execution are absent from the slice
-        only if the child never ran; for a committed subtree every message
-        has been closed by :meth:`finish`, so the slice is complete and
-        immutable.
-        """
-        slice_: dict[int, tuple[int, int]] = {}
-        intervals = self._intervals
-        for execution in executions:
-            # Iterate the id index directly: this runs once per commit on
-            # the streaming path, and materialising the step lists just to
-            # read their ids was a measurable slice of the feed cost.
+        executions: list[MethodExecution] = []
+        intervals: dict[int, tuple[int, int]] = {}
+        for execution_id in execution_ids:
+            execution = self._executions.pop(execution_id, None)
+            if execution is None:
+                continue
+            executions.append(execution)
             for step_id in execution.step_ids_iter():
-                interval = intervals.get(step_id)
+                self._steps_by_id.pop(step_id, None)
+                interval = self._intervals.pop(step_id, None)
                 if interval is not None:
-                    slice_[step_id] = interval
-        return slice_
+                    intervals[step_id] = interval
+            self._child_counters.pop(execution_id, None)
+            self._open_messages.pop(execution_id, None)
+        return executions, intervals
 
     # -- building ------------------------------------------------------------
 

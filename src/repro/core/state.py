@@ -117,7 +117,8 @@ class AppliedStep:
     ``pre_state`` is a snapshot (a reference — states are immutable) of the
     object's state immediately before ``operation`` was applied, which is
     exactly what incremental undo needs to roll the object back to the
-    point just before an aborted transaction first touched it.
+    point just before an aborted transaction first touched it;
+    ``return_value`` is what its transaction observed.
     """
 
     execution_id: str
@@ -125,6 +126,7 @@ class AppliedStep:
     object_name: str
     operation: Any  # a LocalOperation; typed loosely to avoid an import cycle
     pre_state: ObjectState
+    return_value: Any
 
 
 class UndoLog:
@@ -151,11 +153,11 @@ class UndoLog:
         top_level_id: str,
         operation: Any,
         pre_state: ObjectState,
+        return_value: Any,
     ) -> None:
         """Append one applied step to the object's segment."""
-        self._by_object.setdefault(object_name, []).append(
-            AppliedStep(execution_id, top_level_id, object_name, operation, pre_state)
-        )
+        entry = AppliedStep(execution_id, top_level_id, object_name, operation, pre_state, return_value)
+        self._by_object.setdefault(object_name, []).append(entry)
         self._touched_by_transaction.setdefault(top_level_id, set()).add(object_name)
 
     # -- queries -------------------------------------------------------------
@@ -217,17 +219,23 @@ class UndoLog:
         top_level_id: str,
         subtree_ids: Iterable[str],
         states: dict[str, ObjectState],
-    ) -> int:
+    ) -> tuple[int, list[str]]:
         """Undo every step of ``subtree_ids``, repairing ``states`` in place.
 
         For each object the aborted transaction touched, the object is
         rolled back to the snapshot taken before the subtree's first step
         on it, and the surviving steps applied since are re-applied in
-        order (refreshing their snapshots).  Returns the number of removed
-        (wasted) steps.  Objects untouched by the subtree keep their states.
+        order (refreshing their snapshots).  Objects untouched by the
+        subtree keep their states.  Returns the number of removed (wasted)
+        steps and, in log order, the top-level ids owning a survivor that
+        may write and no longer returns its recorded value: it now has an
+        effect no scheduler saw (a failed delete that deletes), and its
+        transaction observed undone work (a read-only survivor changes
+        nothing a later step can observe).
         """
         subtree = frozenset(subtree_ids)
         removed = 0
+        stale: dict[str, None] = {}
         for object_name in sorted(self._touched_by_transaction.pop(top_level_id, ())):
             log = self._by_object.get(object_name)
             if not log:
@@ -246,7 +254,9 @@ class UndoLog:
                     removed += 1
                     continue
                 entry.pre_state = state
-                _, state = entry.operation.apply(state)
+                value, state = entry.operation.apply(state)
+                if value != entry.return_value and not entry.operation.is_read_only():
+                    stale[entry.top_level_id] = None
                 log.append(entry)
             states[object_name] = state
-        return removed
+        return removed, list(stale)

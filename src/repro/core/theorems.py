@@ -93,28 +93,13 @@ def natural_execution_key(execution_id: str) -> tuple[tuple[int, int | str], ...
     rolling order: a transaction begun *later* could still sort before
     every pending one).  Splitting the id into digit runs compares the
     numbers numerically, so later-begun transactions always carry larger
-    keys.
-
-    Memoised: the streaming certifier's rolling emission re-keys the same
-    pending ids at every commit/abort event, which made the regex split
-    the hot loop's dominant cost on long streams.
+    keys.  The streaming certifier keys each transaction once and keeps the
+    key with the transaction's own state.
     """
-    cached = _KEY_CACHE.get(execution_id)
-    if cached is None:
-        if len(_KEY_CACHE) >= _KEY_CACHE_LIMIT:
-            _KEY_CACHE.clear()
-        cached = _KEY_CACHE[execution_id] = tuple(
-            (1, int(part)) if part.isdigit() else (0, part)
-            for part in re.split(r"(\d+)", execution_id)
-        )
-    return cached
-
-
-#: Keys are tiny, but a run can mint hundreds of thousands of ids; the
-#: cache resets rather than evicting (the working set — the pending ids —
-#: is always recent, so it re-fills with live entries immediately).
-_KEY_CACHE_LIMIT = 100_000
-_KEY_CACHE: dict[str, tuple[tuple[int, int | str], ...]] = {}
+    return tuple(
+        (1, int(part)) if part.isdigit() else (0, part)
+        for part in re.split(r"(\d+)", execution_id)
+    )
 
 
 def execution_serial_order(history: History) -> list[str]:

@@ -32,9 +32,11 @@ Execution model
   undo* — each touched object is rolled back to the snapshot taken before
   the transaction's first step on it and the surviving steps since are
   re-applied — and the transaction is resubmitted (up to ``max_restarts``
-  times) as a fresh execution.  The cost is proportional to the aborted
-  subtree's footprint, not the length of the whole run
-  (``tests/simulation/test_undo.py`` holds the repaired states against a
+  times) as a fresh execution.  A live survivor that may write and now
+  returns another value than it recorded aborts too (its transaction saw
+  undone work).  The cost is proportional to the aborted subtree's
+  footprint, not the length of the whole run (``tests/simulation/
+  test_undo.py`` holds the repaired states and return values against a
   full replay of the surviving history and counts the re-applied steps).
 * *When* an aborted transaction is resubmitted is decided by the
   scheduler's :class:`~repro.scheduler.restart.RestartPolicy`: a zero
@@ -66,6 +68,9 @@ against the committed pre-rewrite rows.
 The recorded history contains the steps of aborted attempts as well; the
 :class:`~repro.simulation.metrics.RunResult` exposes the committed
 projection, which is what serialisability certification operates on.
+Under ``certify="stream"`` the certifier checks each transaction as it
+settles and the builder forgets it, so the engine keeps only in-flight
+records and the result carries no history.
 """
 
 from __future__ import annotations
@@ -488,9 +493,11 @@ class SimulationEngine:
         """Execute every submitted transaction to commit (or give-up).
 
         Returns:
-            The :class:`~repro.simulation.metrics.RunResult` with the full
-            recorded history (aborted attempts included), the metrics, the
-            committed transaction order and, when requested, the trace.
+            The :class:`~repro.simulation.metrics.RunResult`: the recorded
+            history (aborted attempts included; ``None`` under
+            ``certify="stream"``, which keeps only in-flight records), the
+            final object states, the metrics, the committed transaction
+            order and, when requested, the trace.
 
         Raises:
             SimulationError: when called twice (engines are single-use) or
@@ -524,9 +531,11 @@ class SimulationEngine:
         # gauge sample records.
         self._collect_garbage()
         self._finished = True
-        history = self._builder.build()
         return RunResult(
-            history=history,
+            # Online certification forgot every settled transaction, so there
+            # is no whole history to build (see RunResult.committed_history).
+            history=self._builder.build() if self._certifier is None else None,
+            states=self._states,
             metrics=self.metrics,
             scheduler_description=self.scheduler.describe(),
             aborted_execution_ids=frozenset(self._aborted_executions),
@@ -1262,7 +1271,7 @@ class SimulationEngine:
         self._states[object_name] = new_state
         self._builder.record_local(frame.execution, operation, value)
         self._undo_log.record(
-            object_name, info.execution_id, info.top_level_id, operation, pre_state
+            object_name, info.execution_id, info.top_level_id, operation, pre_state, value
         )
         metrics.local_steps += 1
         self.scheduler.on_operation_executed(operation_request, value)
@@ -1357,21 +1366,15 @@ class SimulationEngine:
         if not session:
             self.metrics.committed += 1
             if self._certifier is not None:
-                # Snapshot the committed subtree while the execution index
-                # still lists it (the index is dropped a few lines below).
-                subtree = [
-                    self._builder.execution_record(execution_id)
-                    for execution_id in sorted(
-                        self._executions_by_transaction.get(
-                            frame.execution_id, {frame.execution_id}
-                        )
-                    )
-                ]
+                # Hand the committed subtree over while the execution index
+                # still lists it (the index is dropped a few lines below):
+                # the builder forgets it, the certifier keeps what it needs.
+                index = self._executions_by_transaction
+                subtree, intervals = self._builder.forget(
+                    sorted(index.get(frame.execution_id, {frame.execution_id}))
+                )
                 self._certifier.note_commit(
-                    frame.execution_id,
-                    subtree,
-                    self._builder.intervals_for(subtree),
-                    resolve_stamp=self._builder.clock,
+                    frame.execution_id, subtree, intervals, resolve_stamp=self._builder.clock
                 )
             lineage = self._lineage_of.pop(frame.execution_id, None)
             if lineage is not None:
@@ -1428,23 +1431,6 @@ class SimulationEngine:
 
     # -- aborts ----------------------------------------------------------------------
 
-    @staticmethod
-    def _abort_reason_category(reason: str) -> str:
-        lowered = reason.lower()
-        for keyword in (
-            "deadlock",
-            "timestamp",
-            "cascad",
-            "validation",
-            "inter-object",
-            "intra-object",
-            "starvation",
-            "fault",
-        ):
-            if keyword in lowered:
-                return "cascade" if keyword == "cascad" else keyword
-        return "other"
-
     def _abort_transaction(self, top_level_id: str, reason: str) -> None:
         shard = self._shard
         # A session — a *foreign* transaction's local share — aborts through
@@ -1470,14 +1456,14 @@ class SimulationEngine:
 
         self._aborted_executions.update(subtree_ids)
         if not session:
-            self.metrics.aborted_attempts += 1
-            self.metrics.aborts_by_reason[self._abort_reason_category(reason)] += 1
+            self.metrics.note_abort(reason)
         self._record(ABORTED, top_level_id, detail=reason)
 
         info = top_frame.info if top_frame is not None else self._root_info(top_level_id, "")
         self.scheduler.on_transaction_abort(info, tuple(sorted(subtree_ids)))
         if self._certifier is not None:
             self._certifier.note_abort(top_level_id)
+            self._builder.forget(subtree_ids)
 
         # Discard the attempt's frames (unhooking any parked ones) and undo
         # the attempt's effects on the object states.
@@ -1486,7 +1472,8 @@ class SimulationEngine:
                 self._clear_parking(frame)
             self._set_not_ready(frame, _DONE)
             self._frames.pop(frame.execution_id, None)
-        self.metrics.wasted_steps += self._undo_states(top_level_id, subtree_ids)
+        wasted, stale = self._undo_states(top_level_id, subtree_ids)
+        self.metrics.wasted_steps += wasted
 
         # The abort released the transaction's locks and undid its effects:
         # wake every frame parked on any execution of the subtree, then drop
@@ -1506,14 +1493,22 @@ class SimulationEngine:
             ]:
                 del shard.waiters[remote_id]
             shard.notes.append(("aborted", top_level_id, reason))
-        if session:
-            self._note_finished_attempt()
-            return
 
-        # Restart the transaction if its spec allows it; *when* is the
-        # restart policy's call — zero delay restarts within this tick
-        # (the ``immediate`` policy), a positive delay queues the respawn on
-        # the delayed-restart heap.
+        if not session:
+            self._restart_or_give_up(top_frame, top_level_id, reason)
+        self._note_finished_attempt()
+        # The undo re-applied a survivor whose step no longer returns what
+        # its transaction observed (UndoLog.undo): abort that transaction
+        # before any other step can read the effect nobody scheduled.
+        for victim in stale:
+            if victim in self._executions_by_transaction:
+                self._abort_transaction(
+                    victim, f"cascading abort: undoing {top_level_id} changed a step it observed"
+                )
+
+    def _restart_or_give_up(self, top_frame: _Frame | None, top_level_id: str, reason: str) -> None:
+        """Restart an aborted transaction if its spec allows, when its policy
+        says (zero delay: this tick; else via the event heap), or give up."""
         spec = top_frame.spec if top_frame is not None else None
         attempt = top_frame.attempt if top_frame is not None else 1
         lineage = self._lineage_of.pop(top_level_id, None)
@@ -1538,7 +1533,6 @@ class SimulationEngine:
                 self._arrival_tick_of.pop(lineage, None)
             self._in_flight -= 1
             self._record(GAVE_UP, top_level_id, detail=reason)
-        self._note_finished_attempt()
 
     # -- live-state garbage collection -------------------------------------------
 
@@ -1577,6 +1571,6 @@ class SimulationEngine:
         if self._certifier is not None:
             self._certifier.collect_garbage()
 
-    def _undo_states(self, top_level_id: str, subtree_ids: set[str]) -> int:
-        """Undo the aborted subtree's steps; returns the wasted-step count."""
+    def _undo_states(self, top_level_id: str, subtree_ids: set[str]) -> tuple[int, list[str]]:
+        """Undo the aborted subtree's steps (see :meth:`UndoLog.undo`)."""
         return self._undo_log.undo(top_level_id, subtree_ids, self._states)

@@ -1,7 +1,8 @@
 """Run metrics and results.
 
-Every simulation run produces a :class:`RunResult`: the recorded history,
-the set of executions that belong to aborted transaction attempts, and a
+Every simulation run produces a :class:`RunResult`: the recorded history
+(none when the run certified online), the final object states, the set of
+executions that belong to aborted transaction attempts, and a
 :class:`RunMetrics` summary with the quantities the experiments report —
 committed/aborted transaction counts, abort reasons, blocking, wasted work
 and the makespan in scheduler ticks.  A tick is one *productive*
@@ -36,7 +37,9 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Any
 
+from ..core.errors import SimulationError
 from ..core.history import History
+from ..core.state import ObjectState
 from .events import Trace
 
 
@@ -62,6 +65,10 @@ def _metric(merge: str, default: Any = 0, *, exported: bool = True) -> Any:
         return field(default_factory=default, metadata=metadata)
     return field(default=default, metadata=metadata)
 
+
+#: The keywords ``aborts_by_reason`` files an abort under, in precedence order.
+_ABORT_CATEGORIES = ("deadlock", "timestamp", "cascad", "validation", "inter-object",
+                     "intra-object", "starvation", "fault")
 
 #: The derived quantities :meth:`RunMetrics.as_dict` reports next to the fields.
 _DERIVED = (
@@ -126,6 +133,13 @@ class RunMetrics:
     live_state_samples: int = _metric("sum")
 
     # -- recording helpers -------------------------------------------------------
+
+    def note_abort(self, reason: str) -> None:
+        """Record one aborted attempt under the first category its reason names."""
+        self.aborted_attempts += 1
+        lowered = reason.lower()
+        category = next((name for name in _ABORT_CATEGORIES if name in lowered), "other")
+        self.aborts_by_reason["cascade" if category == "cascad" else category] += 1
 
     def note_latency(self, latency: int) -> None:
         """Record one committed transaction's arrival-to-commit latency."""
@@ -253,7 +267,12 @@ def merge_run_metrics(parts: "list[RunMetrics]") -> RunMetrics:
 class RunResult:
     """Everything a simulation run produced."""
 
-    history: History
+    #: The recorded history, aborted attempts included; ``None`` when the run
+    #: certified online (``certify="stream"``), which forgets settled work.
+    history: History | None
+    #: The engine's object-state table at the end of the run: every granted
+    #: step applied, every aborted attempt undone.
+    states: dict[str, ObjectState]
     metrics: RunMetrics
     scheduler_description: dict[str, Any]
     aborted_execution_ids: frozenset[str]
@@ -275,15 +294,23 @@ class RunResult:
         The engine records an interval-backed history, and the surviving
         intervals are kept verbatim — the temporal order is never
         materialised as explicit pairs.
+
+        Raises:
+            SimulationError: on a run that certified online, which kept no
+                history (a partial one would certify the wrong thing).
         """
+        if self.history is None:
+            raise SimulationError(
+                "this run certified online (certify='stream') and kept no history; "
+                "its verdicts are in streaming_report — run it again with "
+                "certify=False to get a history"
+            )
         surviving = [
             execution
             for execution_id, execution in self.history.executions.items()
             if execution_id not in self.aborted_execution_ids
         ]
-        surviving_step_ids = {
-            step.step_id for execution in surviving for step in execution.steps()
-        }
+        kept = {step_id for execution in surviving for step_id in execution.step_ids_iter()}
         return History(
             surviving,
             self.history.initial_states,
@@ -291,19 +318,15 @@ class RunResult:
             intervals={
                 step_id: interval
                 for step_id, interval in self.history.intervals().items()
-                if step_id in surviving_step_ids
+                if step_id in kept
             },
         )
 
-    def final_states(self) -> dict[str, Any]:
-        """Final object states of the committed projection of the run.
-
-        The full recorded history also contains the steps of aborted
-        attempts, whose effects the engine undid, so replaying it would not
-        reflect the object base's actual end state; the committed projection
-        does.
-        """
-        return self.committed_history().final_states()
+    def final_states(self) -> dict[str, ObjectState]:
+        """Final object states by name: the engine's state table, which is
+        authoritative (the engine undid every aborted attempt in it), so
+        nothing is replayed; the tests hold it to the committed replay."""
+        return {name: self.states[name] for name in sorted(self.states)}
 
     def summary(self) -> dict[str, Any]:
         """A flat dictionary convenient for printing experiment tables."""

@@ -10,7 +10,8 @@ every verdict, counter, the serial order, the cycle witness and the
 violation strings (``sg_edges`` alone is exempt: the streaming graph drops
 edges incident to pruned transactions and reports the retained count).
 Post-hoc ``repro.analysis.certify_run`` runs this same certifier, so a
-comparison with it would check GC and nothing else.
+comparison with it would check GC and nothing else.  A stream run keeps no
+history, so the oracle certifies its ``certify=False`` twin, the same run.
 
 Three layers of evidence:
 
@@ -30,15 +31,17 @@ Three layers of evidence:
 
 from __future__ import annotations
 
+import re
+
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import StreamingCertifier
-from repro.core import ObjectState, ReadVariable, WriteVariable
+from repro.core import History, HistoryBuilder, ObjectState, ReadVariable, WriteVariable
 from repro.scheduler import make_scheduler
 from repro.simulation import SimulationEngine
 from repro.simulation.workloads import make_workload
 
-from tests.conftest import fresh_builder
+from tests.conftest import read_write_conflicts
 from tests.oracles import certify as oracle
 
 #: Every report field the streaming certifier promises bit-for-bit
@@ -97,11 +100,20 @@ WORKLOADS = {
 workload_names = st.sampled_from(sorted(WORKLOADS))
 
 
+def _field(report, name):
+    value = getattr(report, name)
+    if name == "violations":
+        # Step ids are process-global, so a run and its twin number their
+        # steps differently; a violation names the step by id.
+        return [re.sub(r"\bstep \d+", "step #", violation) for violation in value]
+    return value
+
+
 def assert_reports_equal(streamed, expected):
-    for field in COMPARED_FIELDS:
-        assert getattr(streamed, field) == getattr(expected, field), (
-            f"{field}: streaming {getattr(streamed, field)!r} "
-            f"!= oracle {getattr(expected, field)!r}"
+    for name in COMPARED_FIELDS:
+        assert _field(streamed, name) == _field(expected, name), (
+            f"{name}: streaming {getattr(streamed, name)!r} "
+            f"!= oracle {getattr(expected, name)!r}"
         )
 
 
@@ -115,12 +127,13 @@ def certified_run(
     workload="hotspot",
     transactions=14,
     gc_interval=3,
+    certify="stream",
 ):
     """A contended run with online certification and a tiny GC interval.
 
     ``gc_interval=3`` forces many mid-run pruning passes, so the
     equivalence below is exercised against a heavily collected window,
-    not a luckily complete one.
+    not a luckily complete one.  ``certify=False`` makes the run's twin.
     """
     kwargs = {"restart_policy": policy}
     if scheduler in GATE_AWARE:
@@ -133,13 +146,27 @@ def certified_run(
         make_scheduler(scheduler, **kwargs),
         seed=seed,
         gc_interval=gc_interval,
-        certify="stream",
+        certify=certify,
     )
     if stream:
         engine.submit_stream(specs, {"name": "poisson", "rate": 0.2})
     else:
         engine.submit_all(specs)
     return engine, engine.run()
+
+
+def certified_twin(scheduler, **kwargs):
+    """The online run, and the oracle's report on its ``certify=False`` twin.
+
+    A stream run forgets each transaction once it settles, so it has no
+    history to certify post hoc; the twin is the same run
+    (``tests/simulation/test_stream_retention.py`` holds the two runs
+    identical) and keeps its whole history.
+    """
+    engine, result = certified_run(scheduler, **kwargs)
+    _, twin = certified_run(scheduler, certify=False, **kwargs)
+    assert twin.committed_transaction_ids == result.committed_transaction_ids
+    return engine, result, oracle.certify_run(twin)
 
 
 class TestStreamingEqualsPostHoc:
@@ -155,7 +182,7 @@ class TestStreamingEqualsPostHoc:
     def test_rolling_report_equals_certify_run(
         self, scheduler, policy, gate_mode, stream, workload, seed
     ):
-        engine, result = certified_run(
+        _, result, expected = certified_twin(
             scheduler,
             policy=policy,
             gate_mode=gate_mode,
@@ -163,11 +190,10 @@ class TestStreamingEqualsPostHoc:
             workload=workload,
             seed=seed,
         )
-        expected = oracle.certify_run(result)
         assert_reports_equal(result.streaming_report, expected)
 
     def test_long_stream_prunes_and_still_matches(self):
-        engine, result = certified_run(
+        engine, result, expected = certified_twin(
             "nto-step",
             policy="backoff",
             gate_mode="cascade",
@@ -178,7 +204,6 @@ class TestStreamingEqualsPostHoc:
         # The window equivalence is only meaningful if the window was
         # actually collected mid-stream.
         assert engine._certifier.gc_pruned > 0
-        expected = oracle.certify_run(result)
         assert_reports_equal(result.streaming_report, expected)
 
     def test_finalise_is_memoised(self):
@@ -197,21 +222,41 @@ def _write_child(builder, top_id, object_name, value):
 
 
 def _feed_commit(certifier, builder, top_id, child_ids):
-    """Snapshot a committed subtree into the certifier, builder-style."""
-    executions = [
-        builder.execution_record(execution_id)
-        for execution_id in (top_id, *child_ids)
-    ]
-    certifier.note_commit(
-        top_id,
-        executions,
-        builder.intervals_for(executions),
-        resolve_stamp=builder.clock,
-    )
+    """Hand a committed subtree to the certifier, as the engine does."""
+    executions, intervals = builder.forget((top_id, *child_ids))
+    certifier.note_commit(top_id, executions, intervals, resolve_stamp=builder.clock)
+
+
+class _HandingOverBuilder(HistoryBuilder):
+    """Forgets what it hands over, as the engine's builder does, yet still
+    builds the whole history, so the oracle certifies everything fed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._handed_over: list = []
+        self._handed_over_intervals: dict = {}
+
+    def forget(self, execution_ids):
+        executions, intervals = super().forget(execution_ids)
+        self._handed_over.extend(executions)
+        self._handed_over_intervals.update(intervals)
+        return executions, intervals
+
+    def build(self, check=False):
+        rest = super().build()
+        return History(
+            [*self._handed_over, *rest.executions.values()],
+            rest.initial_states,
+            conflicts=self.conflicts,
+            intervals={**self._handed_over_intervals, **rest.intervals()},
+        )
 
 
 def _builder_and_certifier(objects):
-    builder = fresh_builder({name: {"x": 0} for name in objects})
+    builder = _HandingOverBuilder(
+        initial_states={name: ObjectState({"x": 0}) for name in objects},
+        conflicts=read_write_conflicts(),
+    )
     certifier = StreamingCertifier(
         builder.conflicts,
         initial_states={name: ObjectState({"x": 0}) for name in objects},
@@ -359,8 +404,7 @@ class TestIntraTransactionViolations:
         certifier.note_begin(top, builder.clock)
         first = _write_child(builder, top, "A", 1)
         second = _write_child(builder, top, "A", 2)
-        executions = [builder.execution_record(e) for e in (top, first, second)]
-        intervals = builder.intervals_for(executions)
+        executions, intervals = builder.forget((top, first, second))
         # The later message's child writes before the earlier one's: the
         # messages' own intervals (so condition 2a) are untouched, but the
         # write leaves its message's interval, breaking 2c's containment.

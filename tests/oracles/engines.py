@@ -9,10 +9,10 @@ run the same scenario on both and compare every observable.
   production ready list maintains, so a run (RNG draws included) must be
   bit-identical (``tests/simulation/test_hot_loop.py``).
 * :class:`ReplayCheckedEngine` — after the production incremental undo of
-  every abort, re-derives every object state by replaying the surviving
-  recorded steps from the initial states, and raises on any divergence
-  (``tests/simulation/test_undo.py`` and the fault / open-system /
-  adaptive cells that abort mid-stream).
+  every abort, re-derives every object state and surviving return value
+  by replaying the surviving recorded steps from the initial states, and
+  raises on any divergence (``tests/simulation/test_undo.py`` and the
+  fault / open-system / adaptive cells that abort mid-stream).
 """
 
 from __future__ import annotations
@@ -51,11 +51,47 @@ class ScanLoopEngine(SimulationEngine):
 
 
 class ReplayCheckedEngine(SimulationEngine):
-    """Holds every incremental undo against a full replay of the run so far."""
+    """Holds every incremental undo against a full replay of the run so far.
 
-    def _undo_states(self, top_level_id: str, subtree_ids: set[str]) -> int:
-        removed = super()._undo_states(top_level_id, subtree_ids)
-        replayed, wasted = self._replay_states(subtree_ids)
+    The replay also re-derives every surviving step's return value.  Once
+    an abort and the cascade it set off are done, and again when the run
+    ends, a survivor may differ from what it recorded only if it is
+    read-only and its transaction is still in flight (the commit gate
+    aborts that one later).  Needs the whole history, so online
+    certification (which forgets settled transactions) is refused.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self._certifier is not None:
+            raise SimulationError("the replay oracle needs the whole history: certify=False")
+        self._abort_depth = 0
+        self._mismatches: list[LocalStep] = []
+
+    def _abort_transaction(self, top_level_id: str, reason: str) -> None:
+        self._abort_depth += 1
+        try:
+            super()._abort_transaction(top_level_id, reason)
+        finally:
+            self._abort_depth -= 1
+        if not self._abort_depth:
+            self._check_survivors(self._mismatches)
+
+    def _finalise_run(self):
+        self._check_survivors(self._replay_states(set())[2])
+        return super()._finalise_run()
+
+    def _check_survivors(self, mismatches: list[LocalStep]) -> None:
+        live = {eid for ids in self._executions_by_transaction.values() for eid in ids}
+        for step in mismatches:
+            if step.execution_id not in live or not step.operation.is_read_only():
+                raise SimulationError(
+                    f"surviving step {step!r} no longer returns its recorded value on replay"
+                )
+
+    def _undo_states(self, top_level_id: str, subtree_ids: set[str]) -> tuple[int, list[str]]:
+        removed, stale = super()._undo_states(top_level_id, subtree_ids)
+        replayed, wasted, self._mismatches = self._replay_states(subtree_ids)
         if self._states != replayed:
             differing = sorted(
                 name
@@ -71,17 +107,22 @@ class ReplayCheckedEngine(SimulationEngine):
                 f"incremental undo removed {removed} steps of {top_level_id}; "
                 f"the recorded history holds {wasted}"
             )
-        return removed
+        return removed, stale
 
-    def _replay_states(self, subtree_ids: set[str]) -> tuple[dict[str, ObjectState], int]:
+    def _replay_states(
+        self, subtree_ids: set[str]
+    ) -> tuple[dict[str, ObjectState], int, list[LocalStep]]:
         """Every object state from the surviving recorded steps, in recorded order.
 
         Also counts the recorded local steps of ``subtree_ids`` — what the
-        abort wasted.  The history builder keeps every step of every
-        attempt in the order the engine recorded (and so applied) them.
+        abort wasted — and lists the survivors whose replayed return value
+        differs from the recorded one.  The history builder keeps every
+        step of every attempt in the order the engine recorded (and so
+        applied) them.
         """
         states = dict(self.object_base.initial_states())
         wasted = 0
+        mismatches = []
         for step in self._builder._steps_by_id.values():
             if not isinstance(step, LocalStep):
                 continue
@@ -89,5 +130,7 @@ class ReplayCheckedEngine(SimulationEngine):
                 wasted += 1
             if step.execution_id not in self._aborted_executions:
                 state = states.get(step.object_name, ObjectState())
-                _, states[step.object_name] = step.operation.apply(state)
-        return states, wasted
+                value, states[step.object_name] = step.operation.apply(state)
+                if value != step.return_value:
+                    mismatches.append(step)
+        return states, wasted, mismatches

@@ -16,6 +16,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.analysis import certify_run
 from repro.core.errors import SimulationError
 from repro.core.operations import LocalOperation
 from repro.core.state import ObjectState, UndoLog
@@ -27,7 +28,9 @@ from repro.simulation import (
     HotspotWorkload,
     QueueWorkload,
     SimulationEngine,
+    make_workload,
 )
+from repro.simulation.events import ABORTED
 
 from tests.oracles.engines import ReplayCheckedEngine
 
@@ -95,7 +98,7 @@ class TestIncrementalUndoEquivalence:
                     removed += len(doomed)
                     states[object_name] = doomed[0].pre_state
                     entries[:] = [entry for entry in entries if entry.execution_id not in subtree]
-            return removed
+            return removed, []
 
         monkeypatch.setattr(UndoLog, "undo", rollback_only)
         scheduler_name, make_workload = ABORT_HEAVY[0]
@@ -141,6 +144,36 @@ class TestIncrementalUndoEquivalence:
         assert result.metrics.committed == 1
         assert result.metrics.gave_up == 1
         assert result.final_states()["cell"]["value"] == 11
+
+
+class TestSurvivorsKeepTheirRecordedValues:
+    """No survivor that can change the state stays behind acting differently."""
+
+    @pytest.mark.parametrize("policy", ["immediate", "backoff"])
+    def test_btree_certifier_run_commits_a_legal_history(self, policy):
+        # T56 deletes key 159 and T63's delete of 159 then fails on that
+        # dirty state.  Undoing T56 used to re-apply T63's delete as a
+        # survivor that really deletes, while T63 had recorded False and the
+        # scheduler had seen a no-op: T68's range scan missed 159 with no
+        # dependency on T63, and committed after T63 cascaded and 159 came
+        # back.  Now the undo takes T63 with it at once; the oracle engine
+        # also replays every surviving return value after each abort.
+        base, specs = make_workload("btree", transactions=16, seed=2).build()
+        engine = ReplayCheckedEngine(
+            base,
+            make_scheduler("certifier", restart_policy=policy),
+            seed=2,
+            record_trace=True,
+        )
+        engine.submit_all(specs)
+        result = engine.run()
+        undone = [
+            event
+            for event in result.trace.of_kind(ABORTED)
+            if "changed a step it observed" in event.detail
+        ]
+        assert undone, "the scenario lost the survivor whose step changes"
+        assert certify_run(result, check_legality=True).legal
 
 
 def _operation_classes(cls=LocalOperation):
@@ -237,8 +270,8 @@ class TestAbortCostIsTheSubtreeFootprint:
 class TestUndoLogUnit:
     def apply(self, log, object_name, execution_id, top_level_id, operation, states):
         pre = states.get(object_name, ObjectState())
-        _, states[object_name] = operation.apply(pre)
-        log.record(object_name, execution_id, top_level_id, operation, pre)
+        value, states[object_name] = operation.apply(pre)
+        log.record(object_name, execution_id, top_level_id, operation, pre, value)
 
     def test_undo_removes_only_subtree_steps_and_repairs_state(self):
         log = UndoLog()
@@ -248,8 +281,8 @@ class TestUndoLogUnit:
         self.apply(log, "A", "T1.2", "T1", WriteRegister(3), states)
         assert states["A"]["value"] == 3
 
-        removed = log.undo("T1", {"T1", "T1.1", "T1.2"}, states)
-        assert removed == 2
+        removed, stale = log.undo("T1", {"T1", "T1.1", "T1.2"}, states)
+        assert (removed, stale) == (2, [])
         # T2's surviving write is re-applied on the pre-T1 snapshot.
         assert states["A"]["value"] == 2
         assert [entry.execution_id for entry in log.steps_on("A")] == ["T2.1"]
@@ -280,7 +313,7 @@ class TestUndoLogUnit:
         log = UndoLog()
         states = {"A": ObjectState({"value": 0})}
         self.apply(log, "A", "T1.1", "T1", WriteRegister(5), states)
-        assert log.undo("T9", {"T9"}, states) == 0
+        assert log.undo("T9", {"T9"}, states) == (0, [])
         assert states["A"]["value"] == 5
 
     def test_step_level_values_survive_reapplication(self):
@@ -292,7 +325,32 @@ class TestUndoLogUnit:
         states = {"Q": ObjectState({"items": ("seed",)})}
         self.apply(log, "Q", "T1.1", "T1", Enqueue("x"), states)
         self.apply(log, "Q", "T2.1", "T2", Dequeue(), states)
-        log.undo("T1", {"T1", "T1.1"}, states)
+        _, stale = log.undo("T1", {"T1", "T1.1"}, states)
         # The dequeue re-applies against the rolled-back queue: "seed" is
         # still the item removed, and T1's enqueue is gone.
         assert tuple(states["Q"]["items"]) == ()
+        assert stale == []
+
+    def test_survivor_whose_step_changes_is_reported(self):
+        # T2's dequeue found T1's "x" (the queue was empty before it); once
+        # T1 is undone the dequeue comes up empty-handed, so T2 observed
+        # undone work and its step now acts differently.
+        from repro.objectbase.adts.fifo_queue import Dequeue, Enqueue
+
+        log = UndoLog()
+        states = {"Q": ObjectState({"items": ()})}
+        self.apply(log, "Q", "T1.1", "T1", Enqueue("x"), states)
+        self.apply(log, "Q", "T2.1", "T2", Dequeue(), states)
+        self.apply(log, "Q", "T3.1", "T3", Enqueue("y"), states)
+        assert log.undo("T1", {"T1", "T1.1"}, states) == (1, ["T2"])
+
+    def test_read_only_survivor_whose_value_changes_is_not_reported(self):
+        # A read changes nothing a later step can observe: the commit gate,
+        # not the undo, deals with the transaction that read dirty data.
+        from repro.objectbase.adts.register import ReadRegister
+
+        log = UndoLog()
+        states = {"A": ObjectState({"value": 0})}
+        self.apply(log, "A", "T1.1", "T1", WriteRegister(7), states)
+        self.apply(log, "A", "T2.1", "T2", ReadRegister(), states)
+        assert log.undo("T1", {"T1", "T1.1"}, states) == (1, [])
