@@ -113,8 +113,8 @@ class CommitGate:
         self._aborted: set[str] = set()
         self._dependencies: dict[str, set[str]] = {}
         self._waits = WaitsForGraph()
-        # Transactions currently inside a blocked commit spell.  The
-        # inter-shard coordinator polls check_commit every vote round, so
+        # Transactions currently inside a blocked commit spell.  A deferred
+        # cross-shard ballot calls check_commit again at every barrier, so
         # the counter tracks *spells*, not calls — otherwise commit_waits
         # would scale with the barrier frequency and a sharded run's
         # scheduler description would depend on round_ticks.

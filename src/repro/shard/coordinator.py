@@ -19,21 +19,21 @@ No decision depends on wall-clock, process identity, or arrival order
 within a round — which is why the multiprocess transport is bit-identical
 to the in-process oracle.
 
-Commit protocol (two-phase, optimistic presumed-abort):
+Commit protocol (two-phase, optimistic presumed-abort); a barrier with
+an open ballot runs apply, then ballot, then decide, then run:
 
 * a cross-shard transaction that finishes its body is *held* on its home
   shard, which emits a ``("prepared", gid)`` note;
-* the coordinator then polls every participant (home included) with
-  ``("vote", gid)`` directives each round; shards answer commit / defer /
-  abort from their local scheduler's commit gate;
-* when every participant votes commit *in the same round*, the
-  coordinator issues ``("commit", gid)`` directives; any abort vote (or a
-  locally-detected abort note) resolves the transaction as aborted
-  everywhere.  A commit vote is a promise — between the vote and the
-  commit directive the participant must not abort the transaction
-  locally; the engine keeps held/session state out of local victim
-  selection, which closes the gap for every abort source the simulator
-  has (see DESIGN.md for the limitation discussion).
+* at the barrier that sees the note, every participant (home included,
+  :meth:`InterShardCoordinator.polls`) applies the barrier's directives,
+  then answers commit / defer / abort from its local commit gate;
+* :meth:`InterShardCoordinator.settle` decides before the next round
+  runs: a unanimous ballot commits everywhere, any abort vote (or a
+  locally-detected abort note) aborts everywhere, and a deferred ballot
+  is polled again at the next barrier.  A vote and its decision are zero
+  ticks apart on every shard; a commit vote is still a promise, so the
+  engine keeps held/session state out of local victim selection (see
+  DESIGN.md for the limitation discussion).
 
 Precedence and deadlock: each shard's :class:`ShardStepTracker` observes
 the steps of cross-shard transactions and reports conflict edges
@@ -141,7 +141,6 @@ class _CrossTxn:
     sequence: int
     participants: set[int] = field(default_factory=set)
     state: str = "running"  # running -> voting -> resolved
-    votes: dict[int, str] = field(default_factory=dict)
     outcome: str = ""
 
 
@@ -174,10 +173,9 @@ class InterShardCoordinator:
         Returns ``(directives, progress)`` where ``directives[i]`` is the
         ordered list for shard ``i`` and ``progress`` reflects whether the
         fleet moved: scheduling decisions, tick advances, cross-shard
-        messages, prepared/aborted notes, or commit/abort resolutions.
-        Vote traffic alone is *not* progress — a ring of mutually
-        deferring transactions must trip the stall breaker, not disguise
-        itself as liveness.
+        messages, prepared/aborted notes, or abort resolutions.  Ballots
+        are not settled here: the driver takes :meth:`polls` after this
+        call and hands the answers to :meth:`settle`.
         """
         directives: list[list[tuple]] = [[] for _ in range(self._map.shards)]
         progress = False
@@ -198,12 +196,50 @@ class InterShardCoordinator:
                 if self._ingest_note(report.index, note, directives):
                     progress = True
 
-        if self._settle_votes(directives):
-            progress = True
-        self._issue_vote_polls(directives)
         if self._resolved_since_gc >= self._gc_interval:
             self._collect(directives)
         return directives, progress
+
+    def polls(self) -> list[list[str]]:
+        """Per shard, the prepared gids it votes on at this barrier (home included).
+
+        A ballot deferred at one barrier is polled again at the next.
+        """
+        polls: list[list[str]] = [[] for _ in range(self._map.shards)]
+        for txn in self._txns.values():
+            if txn.state == "voting":
+                for shard in self._voters(txn):
+                    polls[shard].append(txn.gid)
+        return polls
+
+    def settle(self, answers: Sequence[Sequence[tuple[str, str, str]]]) -> list[list[tuple]]:
+        """Turn shard ``i``'s ``(gid, verdict, reason)`` answers into directives.
+
+        Any abort vote aborts the transaction on every voter; a ballot every
+        voter answered commit commits on every voter, in shard order; a
+        deferred ballot gets no directive and stays open.
+        """
+        directives: list[list[tuple]] = [[] for _ in range(self._map.shards)]
+        commits: dict[str, set[int]] = {}
+        for shard, shard_answers in enumerate(answers):
+            for gid, verdict, reason in shard_answers:
+                txn = self._txns[gid]
+                if txn.state != "voting":
+                    continue  # an abort vote from a lower shard resolved it
+                if verdict == "abort":
+                    self._resolve_abort(txn, reason, directives)
+                elif verdict == "commit":
+                    commits.setdefault(gid, set()).add(shard)
+        for txn in self._txns.values():
+            if txn.state != "voting" or commits.get(txn.gid) != self._voters(txn):
+                continue
+            txn.state = "resolved"
+            txn.outcome = "committed"
+            for shard in sorted(commits[txn.gid]):
+                directives[shard].append(("commit", txn.gid))
+            self.commits_decided += 1
+            self._resolved_since_gc += 1
+        return directives
 
     def break_stall(self) -> list[list[tuple]] | None:
         """Abort the youngest unresolved cross transaction, if any.
@@ -222,9 +258,6 @@ class InterShardCoordinator:
         self._resolve_abort(victim, STALL_REASON, directives)
         self.stall_aborts += 1
         return directives
-
-    def unresolved(self) -> int:
-        return sum(1 for txn in self._txns.values() if txn.state != "resolved")
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -288,7 +321,6 @@ class InterShardCoordinator:
             if txn.state == "resolved":
                 return False
             txn.state = "voting"
-            txn.votes.clear()
             return True
         if kind == "aborted":
             _, gid, reason = note
@@ -297,16 +329,6 @@ class InterShardCoordinator:
                 return False
             self._resolve_abort(txn, reason, directives, skip={sender})
             return True
-        if kind == "vote":
-            _, gid, verdict, reason = note
-            txn = self._txns.get(gid)
-            if txn is None or txn.state != "voting":
-                return False
-            txn.votes[sender] = verdict
-            if verdict == "abort":
-                self._resolve_abort(txn, reason or "participant voted abort", directives)
-                return True
-            return False  # commit/defer votes settle later, and are not progress
         raise SimulationError(f"unknown inter-shard note {note!r}")
 
     def _note_edge(self, edge: tuple[str, str], directives: list[list[tuple]]) -> bool:
@@ -331,31 +353,6 @@ class InterShardCoordinator:
     def _voters(self, txn: _CrossTxn) -> set[int]:
         return {txn.home, *txn.participants}
 
-    def _settle_votes(self, directives: list[list[tuple]]) -> bool:
-        """Commit every voting transaction whose ballot is unanimous."""
-        resolved_any = False
-        for txn in list(self._txns.values()):
-            if txn.state != "voting":
-                continue
-            voters = self._voters(txn)
-            if all(txn.votes.get(shard) == "commit" for shard in voters):
-                txn.state = "resolved"
-                txn.outcome = "committed"
-                for shard in sorted(voters):
-                    directives[shard].append(("commit", txn.gid))
-                self.commits_decided += 1
-                self._note_resolved()
-                resolved_any = True
-        return resolved_any
-
-    def _issue_vote_polls(self, directives: list[list[tuple]]) -> None:
-        for txn in self._txns.values():
-            if txn.state != "voting":
-                continue
-            txn.votes.clear()
-            for shard in sorted(self._voters(txn)):
-                directives[shard].append(("vote", txn.gid))
-
     def _resolve_abort(
         self,
         txn: _CrossTxn,
@@ -378,9 +375,6 @@ class InterShardCoordinator:
             if not remote_id.startswith(f"{txn.gid}/")
         }
         self.aborts_decided += 1
-        self._note_resolved()
-
-    def _note_resolved(self) -> None:
         self._resolved_since_gc += 1
 
     def _collect(self, directives: list[list[tuple]]) -> None:

@@ -7,9 +7,11 @@ log, history builder and all — per shard.  Shards advance in lock-step
 *tick rounds*: every round the driver ships the coordinator's directives
 to each shard, each shard runs its event loop up to the shared horizon,
 and the barrier collects outgoing messages (remote invocations, results)
-and lifecycle notes (prepared, aborted, votes) into an
+and lifecycle notes (prepared, aborted) into an
 :class:`~repro.shard.coordinator.InterShardCoordinator` that decides the
-next round's directives.
+next round's directives.  A barrier with an open commit ballot first
+has each shard apply the directives and vote (:meth:`ShardWorker.vote`);
+the coordinator's decisions are then the directives of the round.
 
 Determinism is the design's spine, not a feature flag:
 
@@ -169,22 +171,25 @@ class ShardWorker:
             owned.add(object_base.environment.name)
         self._owned = frozenset(owned)
 
+    def _apply(self, directives: list[tuple]) -> None:
+        for directive in directives:
+            if directive[0] in ("forget", "abort"):
+                # Aborted work constrains nobody, and a forgotten (GC'd)
+                # transaction's steps no longer matter to any precedence check.
+                self.tracker.forget(directive[1])
+        self.engine.apply_shard_directives(
+            [directive for directive in directives if directive[0] != "forget"]
+        )
+
+    def vote(self, directives: list[tuple], gids: list[str]) -> list[tuple[str, str, str]]:
+        """Apply the barrier's directives, then vote ``(gid, verdict, reason)`` on each gid."""
+        self._apply(directives)
+        return [(gid, *self.engine.commit_vote(gid)) for gid in gids]
+
     def round(self, directives: list[tuple], horizon: int) -> ShardReport:
         """Apply one round of directives, advance to ``horizon``, report."""
         engine = self.engine
-        engine_directives = []
-        for directive in directives:
-            kind = directive[0]
-            if kind == "forget":
-                # Coordinator GC: this resolved transaction's steps can no
-                # longer matter to any future precedence check.
-                self.tracker.forget(directive[1])
-                continue
-            if kind == "abort":
-                # Aborted work constrains nobody; drop its records now.
-                self.tracker.forget(directive[1])
-            engine_directives.append(directive)
-        engine.apply_shard_directives(engine_directives)
+        self._apply(directives)
         decisions = engine.run_shard_round(horizon)
         notes = engine.drain_shard_notes()
         for note in notes:
@@ -239,16 +244,10 @@ def _shard_worker_main(conn, payload: Mapping[str, Any]) -> None:
     try:
         worker = ShardWorker(payload)
         while True:
-            command = conn.recv()
-            kind = command[0]
-            if kind == "round":
-                conn.send(worker.round(command[1], command[2]))
-            elif kind == "finalize":
-                conn.send(worker.finalize())
-            elif kind == "stop":
+            command, *arguments = conn.recv()
+            if command == "stop":
                 break
-            else:  # pragma: no cover - driver bug guard
-                raise SimulationError(f"unknown shard command {command!r}")
+            conn.send(getattr(worker, command)(*arguments))
     except EOFError:  # pragma: no cover - parent died; exit quietly
         pass
     except BaseException as error:  # noqa: BLE001 - relay to the driver
@@ -263,19 +262,12 @@ def _shard_worker_main(conn, payload: Mapping[str, Any]) -> None:
 class _LocalTransport:
     """The in-process oracle: workers live in the driver's interpreter."""
 
-    name = "inprocess"
-
     def __init__(self, payloads: list[dict[str, Any]]):
         self._workers = [ShardWorker(payload) for payload in payloads]
 
-    def round(self, directives: list[list[tuple]], horizon: int) -> list[ShardReport]:
-        return [
-            worker.round(shard_directives, horizon)
-            for worker, shard_directives in zip(self._workers, directives)
-        ]
-
-    def finalize(self) -> list[dict[str, Any]]:
-        return [worker.finalize() for worker in self._workers]
+    def exchange(self, command: str, arguments: list[tuple]) -> list[Any]:
+        """Call ``command`` on every worker with its arguments, in shard order."""
+        return [getattr(worker, command)(*args) for worker, args in zip(self._workers, arguments)]
 
     def close(self) -> None:
         pass
@@ -289,8 +281,6 @@ class _ProcessTransport:
     loop.  Reports are collected in shard-index order regardless of
     completion order — the coordinator never observes scheduling noise.
     """
-
-    name = "multiprocess"
 
     def __init__(self, payloads: list[dict[str, Any]], mp_context: str):
         context = multiprocessing.get_context(mp_context)
@@ -310,23 +300,37 @@ class _ProcessTransport:
             self.close()
             raise
 
-    def _receive(self, pipe) -> Any:
-        message = pipe.recv()
-        if isinstance(message, _WorkerFailure):
-            raise SimulationError(
-                f"shard worker failed: {message.message}\n{message.details}"
-            )
-        return message
+    def exchange(self, command: str, arguments: list[tuple]) -> list[Any]:
+        """Send ``command`` to every worker, then collect the replies in shard order.
 
-    def round(self, directives: list[list[tuple]], horizon: int) -> list[ShardReport]:
-        for pipe, shard_directives in zip(self._pipes, directives):
-            pipe.send(("round", shard_directives, horizon))
-        return [self._receive(pipe) for pipe in self._pipes]
+        A worker that died or relayed an exception raises a
+        :class:`SimulationError` naming the shard, never a bare pipe error.
+        """
+        for index, args in enumerate(arguments):
+            try:
+                self._pipes[index].send((command, *args))
+            except OSError as error:
+                raise self._died(index, command) from error
+        replies = []
+        for index, pipe in enumerate(self._pipes):
+            try:
+                reply = pipe.recv()
+            except (EOFError, OSError) as error:
+                raise self._died(index, command) from error
+            if isinstance(reply, _WorkerFailure):
+                raise SimulationError(
+                    f"shard {index} worker failed during {command}: "
+                    f"{reply.message}\n{reply.details}"
+                )
+            replies.append(reply)
+        return replies
 
-    def finalize(self) -> list[dict[str, Any]]:
-        for pipe in self._pipes:
-            pipe.send(("finalize",))
-        return [self._receive(pipe) for pipe in self._pipes]
+    def _died(self, index: int, command: str) -> SimulationError:
+        process = self._processes[index]
+        process.join(timeout=5)
+        return SimulationError(
+            f"shard {index} worker died (exit code {process.exitcode}) during {command}"
+        )
 
     def close(self) -> None:
         for pipe in self._pipes:
@@ -493,21 +497,25 @@ class ShardedEngine:
             stalls = 0
             while True:
                 horizon = min(horizon + self.round_ticks, max_ticks)
-                reports = transport.round(directives, horizon)
+                reports = transport.exchange(
+                    "round", [(entries, horizon) for entries in directives]
+                )
                 rounds += 1
                 directives, progress = coordinator.process_round(reports)
-                busy = any(report.busy for report in reports)
-                if not busy and not any(directives):
+                substantive = any(directives)
+                polls = coordinator.polls()
+                if any(polls):
+                    # Apply, then ballot, then decide, then run: no tick
+                    # passes between a vote and the decision it settles.
+                    answers = transport.exchange("vote", list(zip(directives, polls)))
+                    directives = coordinator.settle(answers)
+                    substantive = substantive or any(directives)
+                if not substantive and not any(report.busy for report in reports):
                     break
-                # Vote polls alone are housekeeping, not work: a round that
-                # produced no decisions, no tick movement, no messages and
-                # no resolutions is a distributed stall even while ballots
-                # keep circulating (a ring of mutually deferring commits).
-                substantive = any(
-                    directive[0] != "vote"
-                    for shard_directives in directives
-                    for directive in shard_directives
-                )
+                # Ballots are not work: a barrier that applies no directive
+                # after a round without decisions, tick movement, messages
+                # or notes is a distributed stall, even while ballots keep
+                # deferring (a ring of mutually deferring commits).
                 if progress or substantive:
                     stalls = 0
                     continue
@@ -521,10 +529,8 @@ class ShardedEngine:
                     # frames are locally wedged, exactly like a plain run
                     # whose force-wake found no runnable frame.  Finalise.
                     break
-                directives = [
-                    polls + aborts for polls, aborts in zip(directives, breaker)
-                ]
-            outcomes = transport.finalize()
+                directives = breaker
+            outcomes = transport.exchange("finalize", [()] * self.shard_map.shards)
         finally:
             transport.close()
         shards = tuple(

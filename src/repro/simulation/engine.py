@@ -219,7 +219,7 @@ class _ShardRuntime:
     waiters: dict[str, str] = field(default_factory=dict)
     #: Outgoing messages for the coordinator, drained at the tick barrier.
     outbox: list[tuple] = field(default_factory=list)
-    #: Outgoing lifecycle notes (prepared / aborted / vote results).
+    #: Outgoing lifecycle notes (prepared / aborted).
     notes: list[tuple] = field(default_factory=list)
 
 
@@ -625,10 +625,11 @@ class SimulationEngine:
     #
     # A sharded run partitions the object space across engines, one full
     # engine (+ scheduler) per shard.  Shards advance in lock-step *tick
-    # rounds*: each round the driver applies the coordinator's directives
-    # (remote admissions, results, votes, global commit/abort decisions),
-    # runs the plain hot loop (_run_until) up to a common horizon, then
-    # drains the shard's outbox/notes for the coordinator.  All cross-shard
+    # rounds*: at each barrier the driver applies the coordinator's
+    # directives (remote admissions, results, commit/abort decisions),
+    # takes any open ballot's votes (commit_vote) and applies the
+    # decisions, then runs the plain hot loop (_run_until) up to a common
+    # horizon and drains the shard's outbox/notes.  All cross-shard
     # interaction happens at these barriers, so a sharded run is a pure
     # function of (spec, shard map, seed) regardless of transport —
     # in-process and multiprocess execution are bit-identical.
@@ -696,10 +697,11 @@ class SimulationEngine:
 
         Directive tuples: ``("invoke", remote_id, gid, object, method,
         args)`` admits a remote invocation; ``("result", remote_id,
-        value)`` delivers a remote result; ``("vote", gid)`` asks the local
-        scheduler's commit vote (answered via a ``("vote", gid, verdict,
-        reason)`` note); ``("commit", gid)`` / ``("abort", gid, reason)``
-        apply the coordinator's global decision.
+        value)`` delivers a remote result; ``("commit", gid)`` /
+        ``("abort", gid, reason)`` apply the coordinator's global
+        decision.  Votes are not directives: the shard worker asks
+        :meth:`commit_vote` between applying a barrier's directives and
+        running the next round.
         """
         for directive in directives:
             kind = directive[0]
@@ -708,10 +710,6 @@ class SimulationEngine:
                 self.admit_remote(gid, remote_id, object_name, method_name, arguments)
             elif kind == "result":
                 self.deliver_remote_result(directive[1], directive[2])
-            elif kind == "vote":
-                gid = directive[1]
-                verdict, reason = self.commit_vote(gid)
-                self._shard.notes.append(("vote", gid, verdict, reason))
             elif kind == "commit":
                 self.apply_global_commit(directive[1])
             elif kind == "abort":

@@ -188,9 +188,11 @@ class TestCrossShardExecution:
         metrics = result.metrics
         assert metrics.committed + metrics.gave_up == 30
         assert result.serialisable is True
-        assert (
-            result.coordinator["stall_aborts"] + result.coordinator["cycle_aborts"] > 0
-        ), "split-hotspot run never needed the coordinator's deadlock breakers"
+        # Ballots are not progress: a ring of deferring commits still trips
+        # the stall breaker.
+        assert result.coordinator["stall_aborts"] > 0, (
+            "split-hotspot run never needed the coordinator's stall breaker"
+        )
 
     def test_session_commits_do_not_double_count(self):
         spec = make_spec("n2pl", seed=909, assignment=COLOCATED_HOT)
