@@ -149,9 +149,6 @@ class MethodExecution:
     def step(self, step_id: int) -> Step:
         return self._steps[step_id]
 
-    def has_step(self, step_id: int) -> bool:
-        return step_id in self._steps
-
     def step_ids(self) -> list[int]:
         return list(self._step_sequence)
 

@@ -88,12 +88,6 @@ class ObjectState(Mapping[str, Any]):
             return values_equal(self._variables, dict(other))
         return NotImplemented
 
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __hash__(self) -> int:
         return hash(self._frozen_form())
 

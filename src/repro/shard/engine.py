@@ -123,12 +123,15 @@ class ShardWorker:
         object_base = engine.object_base
         names = frozenset(object_base.object_names())
         tracker = ShardStepTracker(object_base.conflicts("step"))
+        self._certify = bool(payload.get("certify", False))
         engine.bind_shard_runtime(
             index=index,
             count=shard_map.shards,
             owns=lambda object_name: shard_map.shard_of(object_name) == index,
             classify=lambda txn_spec: shard_map.is_cross(txn_spec, names),
             tracker=tracker,
+            # Only a worker that certifies post hoc reads the shard's history.
+            keep_history=self._certify,
         )
         specs = [
             entry if isinstance(entry, TransactionSpec) else TransactionSpec(entry, ())
@@ -161,7 +164,6 @@ class ShardWorker:
         self.index = index
         self.engine = engine
         self.tracker = tracker
-        self._certify = payload.get("certify", False)
         self._check_legality = bool(payload.get("check_legality", False))
         owned = {name for name in names if shard_map.shard_of(name) == index}
         if index == 0:
@@ -206,7 +208,7 @@ class ShardWorker:
         )
 
     def finalize(self) -> dict[str, Any]:
-        """Close the run and flatten the outcome to plain picklable data."""
+        """Close the run and flatten it to plain picklable :class:`ShardOutcome` fields."""
         result = self.engine.finalize_shard()
         payload: dict[str, Any] = {
             "index": self.index,
@@ -397,7 +399,11 @@ class ShardedRunResult:
 
     @property
     def serialisable(self) -> bool | None:
-        """Conjunction of the per-shard certification verdicts."""
+        """Conjunction of the per-shard certification verdicts.
+
+        Not a global verdict: a cycle through two shards passes every
+        shard's certificate (DESIGN.md, sharded limitation (i)).
+        """
         verdicts = [outcome.serialisable for outcome in self.shards]
         if any(verdict is None for verdict in verdicts):
             return None
@@ -534,17 +540,7 @@ class ShardedEngine:
         finally:
             transport.close()
         shards = tuple(
-            ShardOutcome(
-                index=payload["index"],
-                metrics=payload["metrics"],
-                scheduler_description=payload["scheduler_description"],
-                committed=tuple(payload["committed"]),
-                aborted=tuple(payload["aborted"]),
-                final_states=payload["final_states"],
-                tracker_live_records=payload["tracker_live_records"],
-                serialisable=payload["serialisable"],
-                legal=payload["legal"],
-            )
+            ShardOutcome(**payload)
             for payload in sorted(outcomes, key=lambda entry: entry["index"])
         )
         return ShardedRunResult(

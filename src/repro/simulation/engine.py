@@ -68,9 +68,9 @@ against the committed pre-rewrite rows.
 The recorded history contains the steps of aborted attempts as well; the
 :class:`~repro.simulation.metrics.RunResult` exposes the committed
 projection, which is what serialisability certification operates on.
-Under ``certify="stream"`` the certifier checks each transaction as it
-settles and the builder forgets it, so the engine keeps only in-flight
-records and the result carries no history.
+Only a run that must return a whole history keeps one (``certify=False``,
+or a shard whose worker certifies post hoc); any other run forgets each
+transaction as it settles, keeping only in-flight records (and no history).
 """
 
 from __future__ import annotations
@@ -319,6 +319,8 @@ class SimulationEngine:
                 conflicts=self._builder.conflicts,
                 initial_states=object_base.initial_states(),
             )
+        # The retention rule (module docstring); bind_shard_runtime may clear it.
+        self._keeps_history = self._certifier is None
         self._states: dict[str, ObjectState] = dict(object_base.initial_states())
         self._frames: dict[str, _Frame] = {}
         self._executions_by_transaction: dict[str, set[str]] = {}
@@ -494,8 +496,8 @@ class SimulationEngine:
 
         Returns:
             The :class:`~repro.simulation.metrics.RunResult`: the recorded
-            history (aborted attempts included; ``None`` under
-            ``certify="stream"``, which keeps only in-flight records), the
+            history (aborted attempts included; ``None`` when the run kept
+            only in-flight records, as under ``certify="stream"``), the
             final object states, the metrics, the committed transaction
             order and, when requested, the trace.
 
@@ -532,9 +534,9 @@ class SimulationEngine:
         self._collect_garbage()
         self._finished = True
         return RunResult(
-            # Online certification forgot every settled transaction, so there
-            # is no whole history to build (see RunResult.committed_history).
-            history=self._builder.build() if self._certifier is None else None,
+            # Without the retention rule every settled transaction was
+            # forgotten: no whole history to build (RunResult.committed_history).
+            history=self._builder.build() if self._keeps_history else None,
             states=self._states,
             metrics=self.metrics,
             scheduler_description=self.scheduler.describe(),
@@ -644,13 +646,7 @@ class SimulationEngine:
     # coordinator's global decision.
 
     def bind_shard_runtime(
-        self,
-        *,
-        index: int,
-        count: int,
-        owns,
-        classify,
-        tracker=None,
+        self, *, index: int, count: int, owns, classify, tracker=None, keep_history: bool
     ) -> None:
         """Run this engine as shard ``index`` of ``count``.
 
@@ -659,20 +655,15 @@ class SimulationEngine:
         submitted transaction may touch foreign objects (advisory — a
         missed classification is repaired at the first actual remote
         invoke); ``tracker`` optionally observes every executed step of
-        cross-shard transactions for the coordinator's precedence graph.
+        cross-shard transactions for the coordinator's precedence graph;
+        ``keep_history`` says whether the worker certifies post hoc.
 
         Raises:
-            SimulationError: when the engine already ran or certifies
-                online (per-shard certification happens post-hoc in the
-                shard worker instead).
+            SimulationError: when the engine already ran.
         """
         if self._finished or self._tick or self._frames:
             raise SimulationError("bind_shard_runtime must precede the run")
-        if self._certifier is not None:
-            raise SimulationError(
-                "sharded engines cannot certify online; certify each shard's "
-                "RunResult post-hoc in the shard worker instead"
-            )
+        self._keeps_history = keep_history and self._certifier is None
         self._shard = _ShardRuntime(
             index=index,
             count=count,
@@ -1361,19 +1352,20 @@ class SimulationEngine:
         self._set_not_ready(frame, _DONE)
         self._frames.pop(frame.execution_id, None)
         self._undo_log.forget_transaction(frame.info.top_level_id)
-        if not session:
-            self.metrics.committed += 1
-            if self._certifier is not None:
-                # Hand the committed subtree over while the execution index
-                # still lists it (the index is dropped a few lines below):
-                # the builder forgets it, the certifier keeps what it needs.
-                index = self._executions_by_transaction
-                subtree, intervals = self._builder.forget(
-                    sorted(index.get(frame.execution_id, {frame.execution_id}))
-                )
+        if not self._keeps_history:
+            # Forget the committed subtree while the execution index still
+            # lists it (the index is dropped a few lines below); an online
+            # certifier keeps what it needs of a home transaction.
+            index = self._executions_by_transaction
+            subtree, intervals = self._builder.forget(
+                sorted(index.get(frame.execution_id, {frame.execution_id}))
+            )
+            if self._certifier is not None and not session:
                 self._certifier.note_commit(
                     frame.execution_id, subtree, intervals, resolve_stamp=self._builder.clock
                 )
+        if not session:
+            self.metrics.committed += 1
             lineage = self._lineage_of.pop(frame.execution_id, None)
             if lineage is not None:
                 self.restart_policy.on_finished(lineage)
@@ -1461,6 +1453,7 @@ class SimulationEngine:
         self.scheduler.on_transaction_abort(info, tuple(sorted(subtree_ids)))
         if self._certifier is not None:
             self._certifier.note_abort(top_level_id)
+        if not self._keeps_history:
             self._builder.forget(subtree_ids)
 
         # Discard the attempt's frames (unhooking any parked ones) and undo

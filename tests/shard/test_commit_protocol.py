@@ -7,7 +7,9 @@ engine tick.  These tests pin that down on a running fleet (recorders on
 the engine's vote and decision entry points) and on the coordinator alone
 (``polls`` / ``settle``).  A shard worker that dies or raises must
 surface as a :class:`SimulationError` naming the shard, never as a bare
-pipe error or a hang.
+pipe error or a hang.  The coordinator counts the precedence edges it
+drops because their requester is not registered yet
+(``unregistered_edges``); those tests pin the count.
 """
 
 from __future__ import annotations
@@ -163,6 +165,48 @@ class TestPollsAndSettle:
         assert coordinator.polls() == [["g"], ["g"], []]
         answers = [[("g", "commit", "")], [("g", "commit", "")], []]
         assert coordinator.settle(answers) == [[("commit", "g")], [("commit", "g")], []]
+
+
+class TestUnregisteredEdges:
+    """The coordinator drops an edge whose requester it has not registered.
+
+    ROADMAP 9(b), defect 1: ``describe()`` counts these edges as
+    ``unregistered_edges`` so the loss is visible.  The fix changes
+    decisions; until it lands these tests pin the count.
+    """
+
+    def test_an_edge_ahead_of_its_requesters_registration_is_counted(self):
+        coordinator = InterShardCoordinator(ShardMap(shards=2, assignment={"a": 0, "b": 1}))
+        edge = ("s1:T1", "s0:T2")
+        invoke = ("invoke", "s0:T2/r1", "s0:T2", "b", "m", ())
+        # A report's edges are ingested before its messages: the edge that
+        # names s0:T2 arrives before the invoke that registers it.
+        coordinator.process_round(
+            [
+                ShardReport(
+                    index=0, decisions=1, tick=8, busy=True, messages=[invoke], edges=[edge]
+                ),
+                ShardReport(index=1, decisions=0, tick=8, busy=False),
+            ]
+        )
+        description = coordinator.describe()
+        assert description["unregistered_edges"] == 1
+        assert description["precedence_nodes"] == 0
+        # Reported again once s0:T2 is registered, the edge is kept.
+        coordinator.process_round(
+            [
+                ShardReport(index=0, decisions=0, tick=8, busy=True),
+                ShardReport(index=1, decisions=1, tick=16, busy=True, edges=[edge]),
+            ]
+        )
+        description = coordinator.describe()
+        assert description["unregistered_edges"] == 1
+        assert description["precedence_nodes"] == 2
+
+    def test_a_small_two_shard_stream_drops_edges(self):
+        result = ShardedEngine(hotspot_2shard_spec(transactions=120), ShardMap(shards=2)).run()
+        # 27 of the 63 edges the trackers report; 0 once defect 1 is fixed.
+        assert result.coordinator["unregistered_edges"] == 27
 
 
 @contextlib.contextmanager
