@@ -5,7 +5,8 @@ PR 6 made each scheduling decision cheap, but a single engine still makes
 txns/tick on the E15 hotspot config no matter how fast the loop runs.
 PR 8 shards the engine: a :class:`~repro.shard.ShardMap` partitions the
 object space, one full :class:`~repro.simulation.SimulationEngine` runs
-per shard in lock-step tick rounds, and the
+per shard between barriers that fall where a cross-shard message is due,
+and the
 :class:`~repro.shard.InterShardCoordinator` resolves cross-shard
 transactions with two-phase votes over a global precedence graph.  This
 benchmark regenerates the three claims that make sharding usable:
@@ -64,11 +65,6 @@ CROSS_TRANSACTIONS = 120
 SEED = 1818
 SHARD_COUNTS = (1, 2, 4)
 GC_INTERVAL = 64
-#: Rounds are barriers; a bench-sized round keeps their cost marginal.
-#: round_ticks shapes coordinator registration order (and so victim
-#: selection under contention), which is why it is pinned here: the
-#: deterministic row columns are a pure function of (spec, map, round_ticks).
-ROUND_TICKS = 256
 
 #: Measured μ at 2 shards as a multiple of the 1-shard μ (multiprocess
 #: mode), enforced only where two shard processes actually run
@@ -129,7 +125,6 @@ def _run_sharded(spec: ScenarioSpec, shard_map: ShardMap, mode: str, repeats: in
             spec,
             shard_map,
             mode=mode,
-            round_ticks=ROUND_TICKS,
             mp_context="fork" if mode == "multiprocess" else None,
         ),
     )

@@ -116,8 +116,7 @@ class CommitGate:
         # Transactions currently inside a blocked commit spell.  A deferred
         # cross-shard ballot calls check_commit again at every barrier, so
         # the counter tracks *spells*, not calls — otherwise commit_waits
-        # would scale with the barrier frequency and a sharded run's
-        # scheduler description would depend on round_ticks.
+        # would scale with how often barriers fall.
         self._commit_waiters: set[str] = set()
         self.cascading_aborts = 0
         self.commit_waits = 0

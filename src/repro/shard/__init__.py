@@ -4,12 +4,11 @@ The paper's modularity theorem applied one level up: each shard runs a
 complete scheduler over its slice of the object base, and the
 :class:`InterShardCoordinator` arbitrates only the transactions that
 cross shards.  See ``DESIGN.md`` ("Sharded execution") for the
-tick-barrier determinism argument and the commit protocol.
+barrier rule, its determinism argument and the commit protocol.
 """
 
 from .coordinator import InterShardCoordinator, ShardReport, ShardStepTracker
 from .engine import (
-    DEFAULT_ROUND_TICKS,
     ShardOutcome,
     ShardWorker,
     ShardedEngine,
@@ -18,7 +17,6 @@ from .engine import (
 from .map import ShardMap
 
 __all__ = [
-    "DEFAULT_ROUND_TICKS",
     "InterShardCoordinator",
     "ShardMap",
     "ShardOutcome",

@@ -241,7 +241,7 @@ def merge_run_metrics(parts: "list[RunMetrics]") -> RunMetrics:
     """Fold per-shard metrics into one fleet-level :class:`RunMetrics`.
 
     Counters add across shards.  ``total_ticks`` is the maximum — shards
-    advance lock-step rounds towards a common horizon, so the slowest
+    advance between common barriers, so the slowest
     shard's clock is the fleet makespan.  The two peak gauges
     (``in_flight_peak``, ``live_state_peak``) add as a documented *upper
     bound*: per-shard peaks need not coincide in time, so the sum can

@@ -43,20 +43,20 @@ class TestRouting:
     def test_home_is_first_routable_name(self):
         shard_map = ShardMap(shards=2, assignment={"hot-0": 1, "cold-000": 0})
         spec = TransactionSpec("update", (("hot-0", "cold-000"), 1))
-        assert shard_map.home_of(spec, NAMES) == 1
+        assert shard_map.route(spec, shard_map.placement(NAMES))[0] == 1
 
     def test_no_names_routes_to_shard_zero_and_is_local(self):
         shard_map = ShardMap(shards=4)
         spec = TransactionSpec("noop", (42,))
-        assert shard_map.home_of(spec, NAMES) == 0
-        assert not shard_map.is_cross(spec, NAMES)
+        assert shard_map.route(spec, shard_map.placement(NAMES)) == (0, False)
 
     def test_is_cross_iff_names_span_shards(self):
         shard_map = ShardMap(shards=2, assignment={"hot-0": 0, "hot-1": 1, "cold-000": 0})
         local = TransactionSpec("update", (("hot-0", "cold-000"), 1))
         cross = TransactionSpec("update", (("hot-0", "hot-1"), 1))
-        assert not shard_map.is_cross(local, NAMES)
-        assert shard_map.is_cross(cross, NAMES)
+        placement = shard_map.placement(NAMES)
+        assert shard_map.route(local, placement) == (0, False)
+        assert shard_map.route(cross, placement) == (0, True)
 
 
 class TestValidation:

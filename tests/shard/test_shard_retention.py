@@ -83,8 +83,8 @@ def checked_workers(monkeypatch):
     checks = {"barriers": 0, "finalized": 0, "settled": 0}
     round_, finalize = ShardWorker.round, ShardWorker.finalize
 
-    def checked_round(worker, directives, horizon):
-        report = round_(worker, directives, horizon)
+    def checked_round(worker, directives, now, horizon):
+        report = round_(worker, directives, now, horizon)
         if not worker._certify:
             assert set(worker.engine._builder._executions) == live_executions(worker.engine)
             checks["barriers"] += 1
