@@ -7,13 +7,7 @@ bench.onepass --workload W --kind timed --seed N`` writes a pstats dump.
 
 from .certify import certify_history, certify_run, theorem_5_conditions
 from .streaming import CertificationReport, StreamingCertifier, Theorem5Report
-from .report import (
-    format_comparison,
-    format_markdown_table,
-    format_table,
-    relative_change,
-    summarise_sweep,
-)
+from .report import format_markdown_table, format_table
 from .stats import HistoryStatistics, history_statistics
 
 __all__ = [
@@ -23,11 +17,8 @@ __all__ = [
     "Theorem5Report",
     "certify_history",
     "certify_run",
-    "format_comparison",
     "format_markdown_table",
     "format_table",
     "history_statistics",
-    "relative_change",
-    "summarise_sweep",
     "theorem_5_conditions",
 ]

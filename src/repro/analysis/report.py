@@ -8,7 +8,7 @@ experiment's output uniform.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 
 def _format_value(value: Any, precision: int) -> str:
@@ -84,36 +84,3 @@ def format_markdown_table(
     lines = [f"**{title}**", ""] if title else []
     lines.extend([header, separator, *body])
     return "\n".join(lines)
-
-
-def format_comparison(
-    rows: Sequence[Mapping[str, Any]],
-    group_column: str,
-    metric_columns: Sequence[str],
-    *,
-    precision: int = 4,
-    title: str | None = None,
-) -> str:
-    """Render a comparison keyed by ``group_column`` over chosen metrics."""
-    columns = [group_column, *metric_columns]
-    return format_table(rows, columns, precision=precision, title=title)
-
-
-def relative_change(baseline: float, value: float) -> float:
-    """Relative improvement of ``value`` over ``baseline`` (positive = better)."""
-    if baseline == 0:
-        return 0.0
-    return (value - baseline) / baseline
-
-
-def summarise_sweep(rows: Iterable[Mapping[str, Any]], key: str, metric: str) -> dict[str, Any]:
-    """Minimum, maximum and argmax of ``metric`` across a parameter sweep."""
-    materialised = list(rows)
-    if not materialised:
-        return {"min": None, "max": None, "best": None}
-    best = max(materialised, key=lambda row: row.get(metric, float("-inf")))
-    return {
-        "min": min(row.get(metric, float("inf")) for row in materialised),
-        "max": max(row.get(metric, float("-inf")) for row in materialised),
-        "best": best.get(key),
-    }

@@ -24,7 +24,6 @@ from .errors import (
     InvalidOperationError,
     ModelError,
     ReproError,
-    SchedulerError,
     SimulationError,
     UnknownExecutionError,
     UnknownMethodError,
@@ -86,7 +85,6 @@ __all__ = [
     "ReadVariable",
     "ReadWriteConflictSpec",
     "ReproError",
-    "SchedulerError",
     "SimulationError",
     "Step",
     "UnknownExecutionError",

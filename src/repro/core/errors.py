@@ -54,10 +54,6 @@ class InvalidOperationError(ModelError):
     """A local operation was applied to a state it cannot handle."""
 
 
-class SchedulerError(ReproError):
-    """Base class for errors raised by concurrency-control schedulers."""
-
-
 class SimulationError(ReproError):
     """Base class for errors raised by the simulation engine."""
 

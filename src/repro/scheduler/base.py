@@ -126,16 +126,19 @@ class SchedulerResponse:
         return cls(Decision.GRANT)
 
     @classmethod
-    def block(cls, reason: str = "", blockers: frozenset[str] | set[str] = frozenset()) -> "SchedulerResponse":
+    def block(cls, reason: str, blockers: frozenset[str] | set[str]) -> "SchedulerResponse":
         """The request must wait.
 
         Args:
             reason: human-readable explanation recorded in the trace.
             blockers: identifiers of the owners standing in the way, in
                 the same namespace this scheduler reports wake-ups in; the
-                engine parks the issuing frame on them.  An empty set
-                makes the frame fall back to retrying (and feeds the
-                starvation valve).
+                engine parks the issuing frame on the live ones until one
+                of them commits, aborts or transfers its locks.  At least
+                one must be live (a running execution or top-level
+                transaction): a BLOCK with none is a wait nobody can end,
+                and the engine raises
+                :class:`~repro.core.errors.SimulationError`.
 
         Returns:
             The BLOCK response.

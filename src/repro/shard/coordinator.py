@@ -248,8 +248,8 @@ class InterShardCoordinator:
         Called by the driver after a zero-progress round while shards are
         still busy.  Returns abort directives, or ``None`` when no cross
         transaction is left to sacrifice — in that case the remaining
-        frames are locally wedged and the driver finalises, mirroring the
-        plain engine's force-wake exhaustion semantics.
+        frames are locally wedged and the driver raises, as a plain run
+        with nothing ready and nothing due does.
         """
         unresolved = [txn for txn in self._txns.values() if txn.state != "resolved"]
         if not unresolved:

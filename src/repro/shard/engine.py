@@ -201,10 +201,11 @@ class ShardWorker:
 
         It holds as long as no directive arrives.  With a cross-shard
         transaction or a session live, a decision can send at once (a ready
-        frame; a parked frame the loop would force-wake), else at the next
-        event's tick + 1.  Otherwise nothing sends before a cross-shard
-        arrival or restart is released and decides.  A classifier that
-        misses a cross-shard spec only makes its messages late, never early.
+        frame; or no frame ready, no event and no barrier state, which the
+        next round raises as a wedge), else at the next event's tick + 1.
+        Otherwise nothing sends before a cross-shard arrival or restart is
+        released and decides.  A classifier that misses a cross-shard spec
+        only makes its messages late, never early.
         """
         engine = self.engine
         shard, tick, events = engine._shard, engine._tick, engine._events
@@ -540,10 +541,11 @@ class ShardedEngine:
                     stalls = 0
                     directives = coordinator.break_stall()
                     if directives is None:
-                        # Nothing cross-shard left to sacrifice: the remaining
-                        # frames are locally wedged, exactly like a plain run
-                        # whose force-wake found no runnable frame.  Finalise.
-                        break
+                        busy = [report.index for report in reports if report.busy]
+                        raise SimulationError(
+                            f"sharded run stalled at tick {now}: shards {busy} hold work "
+                            "but no cross-shard transaction is left to abort"
+                        )
                 # A bound holds until a directive arrives, so the larger of
                 # the standing and the reported one stands; a shard that voted
                 # or is handed more than forget notices may send from now + 1.

@@ -13,20 +13,23 @@ Execution model
 * Every method execution in progress is a *frame* holding its generator,
   its :class:`~repro.scheduler.base.ExecutionInfo` and its pending request.
 * Each *tick* the engine picks one runnable frame (uniformly at random
-  under a seeded RNG, or round-robin) and resolves exactly one request for
-  it: a local operation (consulting the scheduler and, when granted,
-  executing it against the object states), a message send (creating a child
-  frame), or the completion of the frame.
-* The engine is **event-driven**: a frame whose operation is BLOCKed is
-  *parked* — removed from the runnable set, keyed by the blocker
-  identifiers the scheduler reports — and is re-awakened only when a
-  wake-up fires for one of its blockers: the blocker commits, aborts, or
+  under a seeded RNG) and resolves exactly one request for it: a local
+  operation (consulting the scheduler and, when granted, executing it
+  against the object states), a message send (creating a child frame), or
+  the completion of the frame.
+* The engine is **event-driven**, with one blocking rule: a BLOCK names
+  at least one live blocker, and the frame *parks* on the live ones —
+  removed from the runnable set, keyed by those identifiers — until a
+  wake-up fires for one of them: the blocker commits, aborts, or
   transfers its locks (rule 5 inheritance).  A parked frame never
   re-issues its request in between, so the makespan and the blocking
   metrics measure contention, not polling.  A commit request may block
   too (optimistic schedulers wait for read-from dependencies); the frame
-  then parks at its commit point.  Blocking with no identifiable live
-  blocker falls back to retrying, which feeds the starvation valve.
+  then parks at its commit point.  A BLOCK that names no live blocker is
+  a scheduler bug and raises :class:`SimulationError`; so does a run
+  whose every frame is parked with no frame ready and no event due — a
+  wait nobody can end (an undetected deadlock).  The error names the
+  scheduler and each parked frame with its blockers.
 * An ``ABORT`` decision aborts the whole top-level transaction: its frames
   are discarded, the affected object states are repaired by *incremental
   undo* — each touched object is rolled back to the snapshot taken before
@@ -46,11 +49,10 @@ Execution model
   carries streamed arrivals.  Due events are released at the top of
   every scheduling iteration; a waiting restart consumes no ticks, and
   when nothing is runnable but an event is pending the engine
-  fast-forwards the clock to the heap's next due tick instead of
-  force-waking parked frames.  The transaction's *lineage* (its
-  original submission index) is preserved across attempts so
-  seniority-based policies (``ordered``) can privilege old
-  transactions.
+  fast-forwards the clock to the heap's next due tick.  The
+  transaction's *lineage* (its original submission index) is preserved
+  across attempts so seniority-based policies (``ordered``) can privilege
+  old transactions.
 
 Hot loop
 --------
@@ -148,7 +150,6 @@ class _Frame:
     status: str = _READY
     inbox: Any = None
     pending_local: LocalRequest | None = None
-    blocked_attempts: int = 0
     parent: "_Frame | None" = None
     waiting_on: set[str] = field(default_factory=set)
     parallel_results: dict[str, Any] = field(default_factory=dict)
@@ -244,11 +245,7 @@ class SimulationEngine:
         scheduler: the concurrency-control algorithm to consult (attached
             to ``object_base`` during construction).
         seed: RNG seed for the per-tick runnable-frame choice.
-        scheduling: ``"random"`` (seeded uniform choice) or
-            ``"round-robin"``.
         max_restarts: restart budget per transaction before it gives up.
-        starvation_limit: consecutive blocked attempts of one frame before
-            its transaction is aborted for starvation.
         max_ticks: hard cap on scheduling decisions (truncates runaway
             runs; parked waiters are accounted before the result is
             built).  A run cut off with streamed arrivals still queued
@@ -266,8 +263,8 @@ class SimulationEngine:
             total arrival count.
 
     Raises:
-        SimulationError: on an unknown ``scheduling`` or ``certify`` value,
-            or a non-positive ``gc_interval``.
+        SimulationError: on an unknown ``certify`` value or a non-positive
+            ``gc_interval``.
     """
 
     def __init__(
@@ -276,17 +273,13 @@ class SimulationEngine:
         scheduler: Scheduler,
         *,
         seed: int = 0,
-        scheduling: str = "random",
         max_restarts: int = 25,
-        starvation_limit: int = 2000,
         max_ticks: int = 2_000_000,
         record_trace: bool = False,
         gc_interval: int = 64,
         certify: bool | str = False,
         fault_plan: "FaultPlan | str | dict | None" = None,
     ):
-        if scheduling not in ("random", "round-robin"):
-            raise SimulationError(f"unknown scheduling policy {scheduling!r}")
         if gc_interval < 1:
             raise SimulationError(f"gc_interval must be >= 1, got {gc_interval}")
         if certify not in (False, STREAM_CERTIFY):
@@ -299,9 +292,7 @@ class SimulationEngine:
         self.scheduler = scheduler
         self.seed = seed
         self.rng = random.Random(seed)
-        self.scheduling = scheduling
         self.max_restarts = max_restarts
-        self.starvation_limit = starvation_limit
         self.max_ticks = max_ticks
         self.record_trace = record_trace
         self._trace = Trace() if record_trace else None
@@ -326,7 +317,6 @@ class SimulationEngine:
         self._states: dict[str, ObjectState] = dict(object_base.initial_states())
         self._frames: dict[str, _Frame] = {}
         self._executions_by_transaction: dict[str, set[str]] = {}
-        self._round_robin_cursor = 0
         # The ready list: (frame.seq, frame) pairs sorted by creation
         # sequence — the same order a scan over the insertion-ordered frame
         # table produces, so the O(1) chooser sees the identical candidate
@@ -571,7 +561,6 @@ class SimulationEngine:
         shard = self._shard
         until_send = shard is not None and not catch_up
         rng_choice = self.rng.choice
-        random_scheduling = self.scheduling == "random"
         decisions = 0
         try:
             while (frames or events) and self._tick < horizon:
@@ -581,12 +570,7 @@ class SimulationEngine:
                     if until_send and (shard.outbox or shard.notes):
                         break  # an injected fault aborted cross-shard work
                 if ready:
-                    if random_scheduling:
-                        frame = rng_choice(ready)[1]
-                    else:
-                        index = self._round_robin_cursor % len(ready)
-                        self._round_robin_cursor = index + 1
-                        frame = ready[index][1]
+                    frame = rng_choice(ready)[1]
                     self._tick = tick + 1
                     decisions += 1
                     self._advance(frame)
@@ -600,11 +584,8 @@ class SimulationEngine:
                     self._tick = min(events[0][0], horizon)
                 elif shard is not None and (shard.waiters or shard.held or shard.sessions):
                     break  # blocked on the barrier until a directive arrives
-                # Nothing runnable, nothing pending: parked frames mean a
-                # missed wake-up (a scheduler bug) or an unresolvable wait;
-                # force a retry round rather than dropping the transactions.
-                elif not self._force_wake_all():
-                    break
+                elif frames:
+                    raise self._wedged()  # frames left, none ready, nothing due
             if catch_up and self._tick < horizon:
                 self._tick = horizon
         finally:
@@ -907,29 +888,26 @@ class SimulationEngine:
     # parking and wake-ups
     # ------------------------------------------------------------------
 
-    def _live_blocker_keys(self, blockers: frozenset[str]) -> frozenset[str]:
-        """The blocker identifiers that refer to live executions/transactions.
+    def _wait(self, frame: _Frame, object_name: str, reason: str, blockers) -> None:
+        """A BLOCK answer to ``frame``'s operation or commit request.
 
-        A frame may only park on keys a future wake-up can fire for; dead or
-        unknown identifiers are dropped (and a frame with none left falls
-        back to retrying).
+        The frame keeps its request pending and parks on the live ones of
+        the blockers the scheduler named: the keys a future wake-up can
+        fire for are live executions and live top-level ids (the keys of
+        the execution index, which an attempt's retirement drops in the
+        same call).  Dead or unknown identifiers are dropped; a BLOCK with
+        no live blocker left is a wait nobody can end, and raises.
         """
-        if not blockers:
-            return frozenset()
+        self._record(BLOCKED, frame.execution_id, object_name, reason)
         frames = self._frames
-        # Live top-level ids == keys of the execution index: an entry is
-        # created when the top frame starts and dropped in the same call
-        # that retires it (commit or abort), so no set rebuild is needed.
         live_transactions = self._executions_by_transaction
-        return frozenset(
-            key for key in blockers if key in frames or key in live_transactions
-        )
-
-    def _park(self, frame: _Frame, blockers: frozenset[str], *, commit: bool) -> bool:
-        """Park the frame on its blockers; False when no live key exists."""
-        keys = self._live_blocker_keys(blockers)
+        keys = frozenset(key for key in blockers if key in frames or key in live_transactions)
         if not keys:
-            return False
+            raise SimulationError(
+                f"{type(self.scheduler).__name__} blocked {frame.execution_id} at tick "
+                f"{self._tick} on {sorted(blockers)}, no live blocker: a BLOCK must "
+                "name a live execution or transaction to park on"
+            )
         self._set_not_ready(frame, _PARKED)
         self._parked_count += 1
         frame.parked_on = keys
@@ -937,9 +915,8 @@ class SimulationEngine:
         for key in keys:
             self._parked_by_key.setdefault(key, set()).add(frame.execution_id)
         self.metrics.parks += 1
-        if commit:
+        if frame.pending_commit:
             self.metrics.commit_parks += 1
-        return True
 
     def _clear_parking(self, frame: _Frame) -> None:
         """Remove the frame from the park index and account its wait time."""
@@ -990,15 +967,17 @@ class SimulationEngine:
                 for frame_id in list(waiters):
                     self._wake_frame(frame_id, detail=key)
 
-    def _force_wake_all(self) -> bool:
-        """Last-resort stall breaker: wake every parked frame for a retry."""
-        parked = [frame for frame in self._frames.values() if frame.status == _PARKED]
-        if not parked:
-            return False
-        for frame in parked:
-            self.metrics.forced_wakes += 1
-            self._wake_frame(frame.execution_id, detail="forced")
-        return True
+    def _wedged(self) -> SimulationError:
+        """The error for a run with frames left, none ready and no event due."""
+        parked = "; ".join(
+            f"{frame.execution_id} on {', '.join(sorted(frame.parked_on))}"
+            for frame in self._frames.values()
+            if frame.status == _PARKED
+        )
+        return SimulationError(
+            f"run wedged at tick {self._tick} under {type(self.scheduler).__name__}: "
+            f"no frame is ready and no event is due; parked: {parked or 'none'}"
+        )
 
     # ------------------------------------------------------------------
     # frame management
@@ -1188,29 +1167,6 @@ class SimulationEngine:
             frame.inbox = value
             self._set_ready(frame)
 
-    def _wait(self, frame: _Frame, object_name: str, reason: str, blockers) -> None:
-        """A BLOCK answer to ``frame``'s operation or commit request.
-
-        The frame keeps its request pending and parks on the blockers the
-        scheduler named; at ``starvation_limit`` consecutive blocked
-        attempts its transaction is aborted instead.
-        """
-        frame.blocked_attempts += 1
-        self._record(BLOCKED, frame.execution_id, object_name, reason)
-        if frame.blocked_attempts >= self.starvation_limit:
-            self._abort_transaction(frame.info.top_level_id, "starvation: blocked too long")
-        elif not self._park(frame, blockers, commit=frame.pending_commit):
-            # No live blocker to key a wake-up on: stay runnable and retry
-            # (the pre-event-driven behaviour), which keeps the starvation
-            # valve meaningful for degenerate schedulers.  A retried commit
-            # is accounted as commit waiting, so "never blocks an
-            # operation" schedulers still report zero blocked ticks.
-            self.metrics.wait_ticks += 1
-            if frame.pending_commit:
-                self.metrics.commit_wait_ticks += 1
-            else:
-                self.metrics.blocked_ticks += 1
-
     # -- local operations ---------------------------------------------------------
 
     def _resolve_local(self, frame: _Frame, request: LocalRequest) -> None:
@@ -1246,7 +1202,6 @@ class SimulationEngine:
 
         # Granted: commit the already-computed transition and record the step.
         frame.pending_local = None
-        frame.blocked_attempts = 0
         self._states[object_name] = new_state
         self._builder.record_local(frame.execution, operation, value)
         self._undo_log.record(
@@ -1415,7 +1370,7 @@ class SimulationEngine:
         shard = self._shard
         # A session — a *foreign* transaction's local share — aborts through
         # this same path, whether the abort was detected locally (deadlock,
-        # timestamp violation, starvation) or decided globally: the subtree
+        # timestamp violation) or decided globally: the subtree
         # is discarded, its effects undone (the wasted steps physically ran
         # here) and the coordinator notified.  The attempt and reason
         # counts, restart and give-up belong to the transaction's home shard.

@@ -68,7 +68,7 @@ def _metric(merge: str, default: Any = 0, *, exported: bool = True) -> Any:
 
 #: The keywords ``aborts_by_reason`` files an abort under, in precedence order.
 _ABORT_CATEGORIES = ("deadlock", "timestamp", "cascad", "validation", "inter-object",
-                     "intra-object", "starvation", "fault")
+                     "intra-object", "fault")
 
 #: The derived quantities :meth:`RunMetrics.as_dict` reports next to the fields.
 _DERIVED = (
@@ -106,6 +106,8 @@ class RunMetrics:
     submitted: int = _metric("sum")
     parks: int = _metric("sum")
     wakes: int = _metric("sum")
+    #: Always 0: no engine path wakes a frame its blockers did not free.
+    #: Kept for the readers of the metrics row.
     forced_wakes: int = _metric("sum")
     commit_parks: int = _metric("sum")
     wait_ticks: int = _metric("sum")

@@ -33,8 +33,6 @@ from .aggregate import (
     render_markdown_report,
     rows_of,
     sweep_report,
-    write_json_report,
-    write_markdown_report,
 )
 from .runner import (
     DEFAULT_MP_CONTEXT,
@@ -73,6 +71,4 @@ __all__ = [
     "summarise_run",
     "summarise_sharded_run",
     "sweep_report",
-    "write_json_report",
-    "write_markdown_report",
 ]

@@ -4,15 +4,13 @@ A sweep produces one flat metrics row per scenario
 (:attr:`~repro.sweep.runner.ScenarioResult.row`).  This module merges
 those rows into grouped summary tables — mean/min/max of chosen metrics
 per group key (typically a sweep axis such as ``scheduler`` or
-``hot_probability``) — and renders the whole result as a JSON document
-and a markdown report, reusing the text-table machinery in
+``hot_probability``) — and assembles the whole result as a JSON-ready
+document with a markdown rendering, reusing the text-table machinery in
 :mod:`repro.analysis.report` so every experiment's output stays uniform.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..analysis.report import format_markdown_table, format_table
@@ -116,13 +114,6 @@ def sweep_report(
     return report
 
 
-def write_json_report(report: Mapping[str, Any], path: str | Path) -> Path:
-    """Write a :func:`sweep_report` document as indented JSON; returns the path."""
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2, default=str) + "\n")
-    return path
-
-
 def render_markdown_report(
     report: Mapping[str, Any],
     *,
@@ -141,19 +132,6 @@ def render_markdown_report(
         lines.extend(["", f"### Grouped by {', '.join(grouped['group_by'])}", ""])
         lines.append(format_markdown_table(grouped["rows"], None, precision=precision))
     return "\n".join(lines) + "\n"
-
-
-def write_markdown_report(
-    report: Mapping[str, Any],
-    path: str | Path,
-    *,
-    columns: Sequence[str] | None = None,
-    precision: int = 4,
-) -> Path:
-    """Write the markdown rendering of a report; returns the path."""
-    path = Path(path)
-    path.write_text(render_markdown_report(report, columns=columns, precision=precision))
-    return path
 
 
 def print_report(report: Mapping[str, Any], *, columns: Sequence[str] | None = None) -> None:

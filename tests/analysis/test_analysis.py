@@ -1,15 +1,10 @@
 """Tests for run certification, history statistics and report formatting."""
 
-import pytest
-
 from repro.analysis import (
     certify_history,
     certify_run,
-    format_comparison,
     format_table,
     history_statistics,
-    relative_change,
-    summarise_sweep,
 )
 from repro.scheduler import Scheduler, make_scheduler
 from repro.simulation import BankingWorkload, HotspotWorkload, SimulationEngine
@@ -103,17 +98,3 @@ class TestReportFormatting:
         assert "(no rows)" in format_table([], title="empty")
         titled = format_table(self.rows, title="Results")
         assert titled.splitlines()[0] == "Results"
-
-    def test_format_comparison_selects_columns(self):
-        table = format_comparison(self.rows, "scheduler", ["throughput"])
-        assert "committed" not in table
-
-    def test_relative_change(self):
-        assert relative_change(10, 15) == pytest.approx(0.5)
-        assert relative_change(0, 15) == 0.0
-
-    def test_summarise_sweep(self):
-        summary = summarise_sweep(self.rows, key="scheduler", metric="throughput")
-        assert summary["best"] == "nto"
-        assert summary["min"] == pytest.approx(0.123456)
-        assert summarise_sweep([], key="scheduler", metric="throughput")["best"] is None

@@ -35,15 +35,10 @@ class ScanLoopEngine(SimulationEngine):
             if not candidates:
                 if self._events:
                     self._tick = min(self._events[0][0], horizon)
-                elif not self._force_wake_all():
-                    break
+                elif self._frames:
+                    raise self._wedged()
                 continue
-            if self.scheduling == "random":
-                frame = self.rng.choice(candidates)
-            else:
-                index = self._round_robin_cursor % len(candidates)
-                self._round_robin_cursor = index + 1
-                frame = candidates[index]
+            frame = self.rng.choice(candidates)
             self._tick += 1
             self.metrics.decisions += 1
             self._advance(frame)

@@ -1,11 +1,15 @@
 """Unit tests for nested two-phase locking (Moss' algorithm)."""
 
+import itertools
+
 from repro.core.operations import ReadVariable
 from repro.objectbase.adts.bank_account import Deposit, Withdraw
 from repro.objectbase.adts.fifo_queue import Dequeue, Enqueue
 from repro.objectbase.adts.register import ReadRegister, WriteRegister
 from repro.scheduler import NestedTwoPhaseLocking, STEP_LEVEL
+from repro.scheduler import make_scheduler as make_registry_scheduler
 from repro.scheduler.base import Decision
+from repro.simulation import SimulationEngine, make_workload
 
 from tests.scheduler.conftest import child_of, info, request
 
@@ -100,6 +104,97 @@ class TestDeadlockDetection:
         assert response.decision is Decision.ABORT
         assert "deadlock" in response.reason
         assert scheduler.deadlocks_detected == 1
+
+    def test_sibling_branches_holding_each_others_lock_abort_the_requester(
+        self, small_object_base
+    ):
+        # Rule 2 passes a lock to an ancestor only when the holding branch
+        # completes, so two parallel branches that each hold what the other
+        # needs can never finish.
+        scheduler = make_scheduler(small_object_base)
+        root = info("T1")
+        scheduler.on_transaction_begin(root)
+        left, right = child_of(root, "T1.1", "svc"), child_of(root, "T1.2", "svc")
+        left_leaf, right_leaf = child_of(left, "T1.1.1", "cell"), child_of(right, "T1.2.1", "cell")
+        for parent, child in ((root, left), (root, right), (left, left_leaf), (right, right_leaf)):
+            scheduler.on_invoke(parent, child)
+        assert scheduler.on_operation(request(left_leaf, "cell", WriteRegister(1))).granted
+        assert scheduler.on_operation(request(right, "other-cell", WriteRegister(1))).granted
+        assert scheduler.on_operation(request(left, "other-cell", WriteRegister(2))).blocked
+        response = scheduler.on_operation(request(right_leaf, "cell", WriteRegister(2)))
+        assert response.decision is Decision.ABORT
+        assert response.reason == "deadlock among branches ['T1.1', 'T1.2'] of T1"
+        assert scheduler.deadlocks_detected == 1
+        scheduler.on_transaction_abort(root, ("T1", "T1.1", "T1.1.1", "T1.2", "T1.2.1"))
+        assert scheduler.branch_waits.edges() == {}
+
+    def test_a_branch_wait_that_inheritance_ends_is_no_deadlock(self, small_object_base):
+        # T1.1.1 waits on its cousin T1.1.2's branch and T1.2 waits on T1.1:
+        # T1.1.2 can complete, hand its lock to T1.1 and let T1.1.1 finish.
+        scheduler = make_scheduler(small_object_base)
+        root = info("T1")
+        scheduler.on_transaction_begin(root)
+        left, right = child_of(root, "T1.1", "svc"), child_of(root, "T1.2", "cell")
+        first, second = child_of(left, "T1.1.1", "cell"), child_of(left, "T1.1.2", "cell")
+        for parent, child in ((root, left), (root, right), (left, first), (left, second)):
+            scheduler.on_invoke(parent, child)
+        assert scheduler.on_operation(request(second, "cell", WriteRegister(1))).granted
+        assert scheduler.on_operation(request(first, "cell", WriteRegister(2))).blocked
+        assert scheduler.on_operation(request(right, "cell", WriteRegister(3))).blocked
+        assert scheduler.deadlocks_detected == 0
+        scheduler.on_execution_complete(second)
+        assert scheduler.on_operation(request(first, "cell", WriteRegister(2))).granted
+        assert scheduler.branch_waits.edges() == {"T1.2": {"T1.1"}}
+
+
+def run_random_ops(scheduler, *, seed, transactions=8, record_trace=False, **params):
+    base, specs = make_workload(
+        "random-ops", transactions=transactions, registers=4, seed=seed, **params
+    ).build()
+    engine = SimulationEngine(
+        base,
+        make_registry_scheduler(scheduler, restart_policy="backoff"),
+        seed=seed,
+        record_trace=record_trace,
+    )
+    engine.submit_all(specs)
+    return engine.run()
+
+
+class TestSiblingDeadlocksInRuns:
+    def test_two_branches_of_t3_deadlock_and_t3_aborts(self):
+        # At tick 156 T3.1.1.2 is parked on T3.2.1 (holding register-000)
+        # and T3.2.1.2 on T3.1.1 (holding register-003), while T2 waits on
+        # both: neither branch of T3 can ever finish.
+        result = run_random_ops(
+            "n2pl",
+            seed=7,
+            transactions=6,
+            record_trace=True,
+            write_fraction=0.7,
+            nesting_depth=3,
+            parallel_fanout=2,
+        )
+        sibling_aborts = [
+            event
+            for event in result.trace.of_kind("aborted")
+            if event.execution_id == "T3" and "deadlock among branches" in event.detail
+        ]
+        assert sibling_aborts and sibling_aborts[0].tick <= 160
+        assert result.metrics.forced_wakes == 0
+        assert result.metrics.committed == 6
+        assert result.metrics.total_ticks == 223
+
+    def test_nested_parallel_grid_never_wedges(self):
+        # 160 runs, 16 of which meet a deadlock between parallel branches.
+        for cell in itertools.product(("n2pl", "n2pl-step"), (2, 3), (2, 3), range(20)):
+            scheduler, depth, fanout, seed = cell
+            metrics = run_random_ops(
+                scheduler, seed=seed, write_fraction=0.7, nesting_depth=depth, parallel_fanout=fanout
+            ).metrics
+            assert metrics.committed == 8, cell
+            assert set(metrics.aborts_by_reason) <= {"deadlock"}, cell
+            assert metrics.forced_wakes == 0, cell
 
 
 class TestStepLevelLocking:

@@ -130,46 +130,6 @@ class TestBasicExecution:
         with pytest.raises(SimulationError):
             engine.run()
 
-    def test_unknown_scheduling_policy_rejected(self):
-        with pytest.raises(SimulationError):
-            SimulationEngine(two_register_base(), Scheduler(), scheduling="magic")
-
-    def test_round_robin_scheduling_also_completes(self):
-        base = two_register_base()
-        result = run_engine(
-            base,
-            [TransactionSpec("set_both", (1,)), TransactionSpec("set_both", (2,))],
-            scheduling="round-robin",
-        )
-        assert result.metrics.committed == 2
-
-    def test_round_robin_starts_with_the_first_frame_and_rotates_fairly(self):
-        # Regression: the cursor used to be incremented *before* indexing
-        # into the freshly rebuilt candidate list, so frame 0 was
-        # systematically skipped on every tick.
-        base = two_register_base()
-        result = run_engine(
-            base,
-            [
-                TransactionSpec("set_both", (1,)),
-                TransactionSpec("set_both", (2,)),
-                TransactionSpec("set_both", (3,)),
-            ],
-            scheduling="round-robin",
-            record_trace=True,
-        )
-        assert result.metrics.committed == 3
-        begin_ids = [event.execution_id for event in result.trace.of_kind("begin")]
-        first_advanced = next(
-            event for event in result.trace if event.kind not in ("begin",)
-        )
-        # The very first scheduling decision must pick the first submitted
-        # transaction (or its subtree), not the second.
-        first = begin_ids[0]
-        assert first_advanced.execution_id == first or first_advanced.execution_id.startswith(
-            first + "."
-        )
-
 
 class TestAbortAndRestart:
     class AbortFirstAttempt(Scheduler):
@@ -270,22 +230,60 @@ class TestAbortAndRestart:
         assert result.metrics.aborted_attempts == 4  # initial attempt + 3 restarts
         assert result.metrics.restarts == 3
 
-    class AlwaysBlock(Scheduler):
-        def on_operation(self, request):
-            return SchedulerResponse.block("never grants")
+    class BlockOn(Scheduler):
+        """Blocks every operation on a fixed blocker set."""
 
-    def test_starvation_valve_aborts_permanently_blocked_transactions(self):
+        def __init__(self, blockers):
+            super().__init__()
+            self.blockers = blockers
+
+        def on_operation(self, request):
+            return SchedulerResponse.block("never grants", blockers=self.blockers)
+
+    @pytest.mark.parametrize("blockers", [(), ("T99",)], ids=["none", "dead"])
+    def test_a_block_naming_no_live_blocker_raises(self, blockers):
+        with pytest.raises(SimulationError, match=r"BlockOn blocked T1\.1 .*no live blocker"):
+            run_engine(
+                two_register_base(), [TransactionSpec("set_both", (5,))], self.BlockOn(blockers)
+            )
+
+    class ObjectLocks(Scheduler):
+        """Each object is locked by its first transaction until that commits.
+
+        Nothing detects deadlock: two transactions that lock the registers
+        in opposite orders wait on each other for ever.
+        """
+
+        def _reset(self):
+            super()._reset()
+            self.owners = {}
+
+        def on_operation(self, request):
+            owner = self.owners.setdefault(request.object_name, request.info.top_level_id)
+            if owner == request.info.top_level_id:
+                return SchedulerResponse.grant()
+            return SchedulerResponse.block("object locked", blockers={owner})
+
+        def on_transaction_commit(self, info):
+            self.owners = {
+                name: owner for name, owner in self.owners.items() if owner != info.top_level_id
+            }
+
+    def test_a_deadlock_nobody_detects_raises_naming_both_parked_frames(self):
         base = two_register_base()
-        result = run_engine(
-            base,
-            [TransactionSpec("set_both", (5,))],
-            scheduler=self.AlwaysBlock(),
-            starvation_limit=10,
-            max_restarts=1,
-        )
-        assert result.metrics.committed == 0
-        assert result.metrics.gave_up == 1
-        assert result.metrics.aborts_by_reason.get("starvation", 0) >= 1
+
+        def set_right_then_left(ctx, value):
+            yield ctx.invoke("right", "write", value)
+            yield ctx.invoke("left", "write", value)
+            return value
+
+        base.register_transaction(MethodDefinition("set_right_then_left", set_right_then_left))
+        specs = [TransactionSpec("set_both", (1,)), TransactionSpec("set_right_then_left", (2,))]
+        with pytest.raises(SimulationError, match="ObjectLocks") as raised:
+            run_engine(base, specs, self.ObjectLocks(), seed=0)
+        message = str(raised.value)
+        assert "no frame is ready and no event is due" in message
+        assert "T1.2 on T2" in message and "T2.2 on T1" in message
 
     def test_commit_veto_counts_as_validation_abort(self):
         base = two_register_base()

@@ -114,7 +114,6 @@ class TestRule5InheritanceWakeups:
         engine = SimulationEngine(
             base,
             make_scheduler("n2pl"),
-            scheduling="round-robin",
             record_trace=True,
         )
         engine.submit(TransactionSpec("double_write", (7,)))

@@ -6,7 +6,7 @@ list and a unified event heap.  The scan loop it replaced is
 can be compared: the refactor's contract is that *every* observable of a
 run — metrics, committed order, aborted executions, the trace, the
 recorded history — is bit-identical under both loops, for every scheduler,
-restart policy, commit-gate mode, scheduling policy and seed.
+restart policy, commit-gate mode and seed.
 
 A second contract rides along: the hot record types are ``__slots__``-ed
 (the rewrite's memory/speed pass), and a slotted type silently regaining a
@@ -46,10 +46,9 @@ scheduler_names = st.sampled_from(
 )
 restart_policies = st.sampled_from(["immediate", "backoff", "ordered"])
 gate_modes = st.sampled_from(["cascade", "aca"])
-scheduling_policies = st.sampled_from(["random", "round-robin"])
 
 
-def contended_engine(scheduler, *, seed, scheduling, stream, engine_class=SimulationEngine):
+def contended_engine(scheduler, *, seed, stream, engine_class=SimulationEngine):
     """A small but genuinely contended scenario (parks, aborts, restarts)."""
     workload = make_workload(
         "hotspot",
@@ -61,13 +60,7 @@ def contended_engine(scheduler, *, seed, scheduling, stream, engine_class=Simula
         seed=seed,
     )
     base, specs = workload.build()
-    engine = engine_class(
-        base,
-        scheduler,
-        seed=seed,
-        scheduling=scheduling,
-        record_trace=True,
-    )
+    engine = engine_class(base, scheduler, seed=seed, record_trace=True)
     if stream:
         engine.submit_stream(specs, {"name": "poisson", "rate": 0.2})
     else:
@@ -102,11 +95,10 @@ class TestEventLoopBitIdentity:
         scheduler=scheduler_names,
         policy=restart_policies,
         gate_mode=gate_modes,
-        scheduling=scheduling_policies,
         stream=st.booleans(),
         seed=st.integers(0, 10_000),
     )
-    def test_event_equals_scan(self, scheduler, policy, gate_mode, scheduling, stream, seed):
+    def test_event_equals_scan(self, scheduler, policy, gate_mode, stream, seed):
         kwargs = {"restart_policy": policy}
         if scheduler in GATE_AWARE:
             kwargs["gate_mode"] = gate_mode
@@ -115,7 +107,6 @@ class TestEventLoopBitIdentity:
             engine = contended_engine(
                 make_scheduler(scheduler, **kwargs),
                 seed=seed,
-                scheduling=scheduling,
                 stream=stream,
                 engine_class=engine_class,
             )
@@ -144,9 +135,7 @@ class TestOneHotLoop:
         return calls
 
     def test_plain_run_is_one_call_with_max_ticks(self, loop_calls):
-        engine = contended_engine(
-            make_scheduler("n2pl"), seed=5, scheduling="random", stream=True
-        )
+        engine = contended_engine(make_scheduler("n2pl"), seed=5, stream=True)
         result = engine.run()
         assert [call[1:3] for call in loop_calls] == [(engine.max_ticks, False)]
         assert result.metrics.decisions > 0

@@ -135,7 +135,6 @@ class TestIncrementalUndoEquivalence:
         engine = ReplayCheckedEngine(
             base,
             AbortSecondTransactionLate(),
-            scheduling="round-robin",
             max_restarts=0,
         )
         engine.submit(TransactionSpec("write_cell", (10,)))

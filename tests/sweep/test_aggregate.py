@@ -1,8 +1,6 @@
-"""Aggregation layer: grouping math, JSON and markdown report emission."""
+"""Aggregation layer: grouping math and the markdown report rendering."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -14,8 +12,6 @@ from repro.sweep import (
     render_markdown_report,
     rows_of,
     sweep_report,
-    write_json_report,
-    write_markdown_report,
 )
 
 ROWS = [
@@ -80,13 +76,9 @@ def test_sweep_report_structure_and_extra():
     assert len(report["grouped"]["rows"]) == 2
 
 
-def test_json_and_markdown_reports_roundtrip(tmp_path):
+def test_render_markdown_report_with_grouping():
     report = sweep_report("unit", ROWS, group_by=("scheduler",), metrics=("committed",))
-    json_path = write_json_report(report, tmp_path / "report.json")
-    assert json.loads(json_path.read_text())["sweep"] == "unit"
-
-    markdown_path = write_markdown_report(report, tmp_path / "report.md")
-    text = markdown_path.read_text()
+    text = render_markdown_report(report)
     assert "## Sweep `unit` — 4 scenarios" in text
     assert "### Grouped by scheduler" in text
     assert "| scheduler |" in text

@@ -79,15 +79,13 @@ def test_run_scenario_matches_direct_engine_run():
 
 
 def test_engine_params_and_certify_flag_are_honoured():
-    spec = tiny_spec(
-        engine_params={"scheduling": "round-robin", "max_restarts": 1},
-        certify=False,
-    )
+    spec = tiny_spec(engine_params={"max_restarts": 1, "max_ticks": 7}, certify=False)
     row = run_scenario(spec).row
     assert "serialisable" not in row
-    # Round-robin vs random interleaving under the same seed must differ in
-    # general; at minimum the run completes and reports the scheduler name.
     assert row["scheduler"] == "n2pl"
+    # The tick cap cut the run short of its first commit.
+    assert row["makespan"] == 7
+    assert row["committed"] == 0
 
 
 def test_modular_strategy_from_workload_builds_in_worker():

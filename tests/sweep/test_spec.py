@@ -154,7 +154,7 @@ def test_sweep_rejects_grid_that_expands_invalid():
 def test_scenario_spec_json_roundtrip():
     spec = hotspot_spec(
         scheduler_kwargs={"level": "step"},
-        engine_params={"scheduling": "round-robin", "max_restarts": 3},
+        engine_params={"gc_interval": 2, "max_restarts": 3},
         tags={"grid": "unit"},
     )
     assert ScenarioSpec.from_json(spec.to_json()) == spec
