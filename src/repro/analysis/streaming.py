@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from ..core.conflicts import PerObjectConflicts
 from ..core.dag import PrecedenceDag, cyclic_nodes
@@ -120,16 +120,15 @@ class Theorem5Report:
         return self.holds
 
 
-class _StepEntry:
-    """One retained committed local step: the classification window's unit."""
+class _StepEntry(NamedTuple):
+    """One retained committed local step: the classification window's unit.
+    Entries order by ``(stamp, step_id)``: temporal order, ties broken."""
 
-    __slots__ = ("stamp", "step", "execution_id", "top_id")
-
-    def __init__(self, stamp: int, step: LocalStep, execution_id: str, top_id: str):
-        self.stamp = stamp
-        self.step = step
-        self.execution_id = execution_id
-        self.top_id = top_id
+    stamp: int
+    step_id: int
+    step: LocalStep
+    execution_id: str
+    top_id: str
 
 
 class _Subtree:
@@ -194,18 +193,24 @@ def _sequential_and_nested(
     True when Definition 6 condition 2a holds, the containment form of 2c
     holds (each child's steps lie inside its invoking message's interval,
     as ``HistoryBuilder`` builds them) and every execution's messages are
-    totally ordered (each directly after the previous one, as sequential
-    code records them).  Then everything under the earlier of two messages
-    ends before the later one starts, so every conflict edge inside the
-    transaction is a type (b) edge and ``->_e`` is the programme order.
+    totally ordered by programme order (each after the previous one, as
+    sequential code records them).  Then everything under the earlier of
+    two messages ends before the later one starts, so every conflict edge
+    inside the transaction is a type (b) edge and ``->_e`` is the
+    programme order.  2a is checked on the generating pairs, which implies
+    it on their closure because no interval ends before it starts.
     ``False`` only costs the general path (:meth:`StreamingCertifier._check_transaction`).
     """
     for execution in executions:
-        pairs = execution.program_order_pairs()
-        for before, after in pairs:
-            first, second = intervals.get(before), intervals.get(after)
-            if first is None or second is None or first[1] >= second[0]:
+        for after, befores in execution.program_order_items():
+            second = intervals.get(after)
+            if second is None:
                 return False
+            start = second[0]
+            for before in befores:
+                first = intervals.get(before)
+                if first is None or first[1] >= start:
+                    return False
         if execution.invoking_step_id is not None:
             envelope = intervals.get(execution.invoking_step_id)
             if envelope is None:
@@ -215,11 +220,12 @@ def _sequential_and_nested(
                 interval = intervals.get(step_id)
                 if interval is None or interval[0] < low or interval[1] > high:
                     return False
-        previous = None
-        for message in execution.message_steps():
-            if previous is not None and (previous, message.step_id) not in pairs:
-                return False
-            previous = message.step_id
+        if not execution.is_sequential():  # else the messages are ordered
+            previous = None
+            for message in execution.message_steps():
+                if previous is not None and not execution.program_precedes(previous, message):
+                    return False
+                previous = message
     return True
 
 
@@ -277,7 +283,8 @@ class StreamingCertifier:
         self._replay_states: dict[str, ObjectState] = {
             name: state for name, state in (initial_states or {}).items()
         }
-        self._pending_replay: dict[str, list[tuple[int, int, LocalStep]]] = {}
+        # Per object, a heap of the entries not yet replayed (never empty).
+        self._pending_replay: dict[str, list[_StepEntry]] = {}
         # First replay mismatch per object, in ``History.replay``'s exact
         # wording: the post-hoc checker raises on the alphabetically first
         # illegal object's first bad step, and :meth:`finalise` reproduces
@@ -355,14 +362,13 @@ class StreamingCertifier:
         # steps, so intra-transaction witnesses are covered as well).  A pair
         # from two transactions only contributes its projection edge, so a
         # pair whose edge is already known needs no conflict test.
-        new_entries = sorted(
-            (
-                _StepEntry(intervals[step.step_id][0], step, execution.execution_id, top_id)
-                for execution in executions
-                for step in execution.local_steps()
-            ),
-            key=lambda entry: (entry.stamp, entry.step.step_id),
-        )
+        new_entries = [
+            _StepEntry(intervals[step.step_id][0], step.step_id, step, execution.execution_id, top_id)
+            for execution in executions
+            for step in execution.steps()
+            if isinstance(step, LocalStep)
+        ]
+        new_entries.sort()
         preds: dict[str, None] = {}
         succs: dict[str, None] = {}
         steps_by_object = self._steps_by_object
@@ -370,8 +376,7 @@ class StreamingCertifier:
         conflict_fn = self._conflict_fn
         heappush = heapq.heappush
         for entry in new_entries:
-            step = entry.step
-            stamp = entry.stamp
+            stamp, _, step, _, _ = entry
             object_name = step.object_name
             conflict = conflict_fn.get(object_name)
             if conflict is None:
@@ -395,10 +400,11 @@ class StreamingCertifier:
                 elif other_top not in succs and conflict(step, other.step):
                     succs[other_top] = None
             window.append(entry)
-            heappush(
-                pending_replay.setdefault(object_name, []),
-                (stamp, step.step_id, step),
-            )
+            pending = pending_replay.get(object_name)
+            if pending is None:
+                pending_replay[object_name] = [entry]
+            else:
+                heappush(pending, entry)
         if own_pairs is not None:
             self._check_transaction(_Subtree(executions), intervals, own_pairs)
 
@@ -563,11 +569,9 @@ class StreamingCertifier:
     def _replay_stable_prefix(self, threshold: int | None) -> None:
         """Replay committed steps up to ``threshold`` (all of them if None)."""
         for object_name, pending in self._pending_replay.items():
-            if not pending:
-                continue
             state = self._replay_states.get(object_name, ObjectState())
-            while pending and (threshold is None or pending[0][0] <= threshold):
-                _, _, step = heapq.heappop(pending)
+            while pending and (threshold is None or pending[0].stamp <= threshold):
+                step = heapq.heappop(pending).step
                 value, state = step.operation.apply(state)
                 if (
                     value != step.return_value
@@ -579,6 +583,8 @@ class StreamingCertifier:
                         f"return value {step.return_value!r} but replay produced {value!r}"
                     )
             self._replay_states[object_name] = state
+        for object_name in [name for name, pending in self._pending_replay.items() if not pending]:
+            del self._pending_replay[object_name]
 
     # -- garbage collection ----------------------------------------------------
 
@@ -622,10 +628,11 @@ class StreamingCertifier:
             pruned += len(self._txn_executions.pop(top))
         if pruned_txns:
             self._projection.remove_nodes(pruned_txns)
-            for object_name, window in self._steps_by_object.items():
-                self._steps_by_object[object_name] = [
-                    entry for entry in window if entry.top_id not in pruned_txns
-                ]
+            self._steps_by_object = {
+                object_name: kept
+                for object_name, window in self._steps_by_object.items()
+                if (kept := [entry for entry in window if entry.top_id not in pruned_txns])
+            }
         self.gc_pruned += pruned
         return pruned
 

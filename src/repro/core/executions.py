@@ -44,37 +44,25 @@ class MethodExecution:
     """
 
     __slots__ = (
-        "execution_id",
-        "object_name",
-        "method_name",
-        "parent_id",
-        "invoking_step_id",
-        "_steps",
-        "_step_sequence",
-        "_program_order",
-        "_po_successors",
-        "_po_reachable",
-    )
+        "execution_id", "object_name", "method_name", "parent_id", "invoking_step_id",
+        "_steps", "_predecessors", "_maximal", "_sequential", "_po_successors", "_po_reachable",
+    )  # fmt: skip
 
-    def __init__(
-        self,
-        execution_id: str,
-        object_name: str,
-        method_name: str,
-        parent_id: str | None = None,
-        invoking_step_id: int | None = None,
-    ):
+    def __init__(self, execution_id: str, object_name: str, method_name: str,
+                 parent_id: str | None = None, invoking_step_id: int | None = None):  # fmt: skip
         self.execution_id = execution_id
         self.object_name = object_name
         self.method_name = method_name
         self.parent_id = parent_id
         self.invoking_step_id = invoking_step_id
-        self._steps: dict[int, Step] = {}
-        self._step_sequence: list[int] = []
-        self._program_order: set[tuple[int, int]] = set()
-        # Memoised programme-order reachability; invalidated on mutation.
+        self._steps: dict[int, Step] = {}  # in the order they were added
+        # The generating pairs of ``prec`` by later step: id -> ids it follows.
+        self._predecessors: dict[int, tuple[int, ...]] = {}
+        self._maximal: tuple[int, ...] = ()  # see maximal_step_ids
+        self._sequential = True  # see is_sequential
+        # Memoised programme-order reachability; dropped on mutation.
         self._po_successors: dict[int, set[int]] | None = None
-        self._po_reachable: dict[int, set[int]] = {}
+        self._po_reachable: dict[int, set[int]] | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -84,39 +72,49 @@ class MethodExecution:
         ``after`` lists the steps of this execution that must precede the
         new step in the programme order ``prec``.  Passing ``None`` (the
         default) means the step follows *every* step added so far — i.e.
-        purely sequential method code.  Passing an explicit (possibly
-        empty) iterable models internal parallelism: the step is ordered
-        only after the steps named.
+        purely sequential method code; it is linked from the maximal steps
+        only, which implies the rest.  Passing an explicit (possibly empty)
+        iterable models internal parallelism: the step is ordered only
+        after the steps named.
         """
+        step_id = step.step_id
         if step.execution_id != self.execution_id:
             raise ModelError(
-                f"step {step.step_id} belongs to execution {step.execution_id!r}, "
+                f"step {step_id} belongs to execution {step.execution_id!r}, "
                 f"not {self.execution_id!r}"
             )
         if isinstance(step, LocalStep) and step.object_name != self.object_name:
             raise ModelError(
-                f"local step {step.step_id} acts on object {step.object_name!r} but "
+                f"local step {step_id} acts on object {step.object_name!r} but "
                 f"execution {self.execution_id!r} belongs to object {self.object_name!r}"
             )
-        if step.step_id in self._steps:
-            raise ModelError(f"duplicate step id {step.step_id} in execution {self.execution_id!r}")
+        steps = self._steps
+        if step_id in steps:
+            raise ModelError(f"duplicate step id {step_id} in execution {self.execution_id!r}")
 
         if after is None:
-            predecessor_ids = list(self._step_sequence)
+            predecessor_ids = self._maximal
+            self._maximal = (step_id,)
         else:
-            predecessor_ids = [item.step_id if isinstance(item, Step) else int(item) for item in after]
-            unknown = [pid for pid in predecessor_ids if pid not in self._steps]
+            predecessor_ids = tuple(
+                dict.fromkeys(item.step_id if isinstance(item, Step) else int(item) for item in after)
+            )
+            unknown = [pid for pid in predecessor_ids if pid not in steps]
             if unknown:
                 raise ModelError(
                     f"programme-order predecessors {unknown} are not steps of "
                     f"execution {self.execution_id!r}"
                 )
+            maximal = tuple(pid for pid in self._maximal if pid not in predecessor_ids)
+            self._maximal = maximal + (step_id,)
+            if maximal:  # two maximal steps are unordered, and stay unordered
+                self._sequential = False
 
-        self._steps[step.step_id] = step
-        self._step_sequence.append(step.step_id)
-        for predecessor_id in predecessor_ids:
-            self._program_order.add((predecessor_id, step.step_id))
-        self._invalidate_program_order_caches()
+        steps[step_id] = step
+        if predecessor_ids:
+            self._predecessors[step_id] = predecessor_ids
+        if self._po_successors is not None:
+            self._po_successors = self._po_reachable = None
         return step
 
     def order_steps(self, first: Step | int, second: Step | int) -> None:
@@ -128,12 +126,11 @@ class MethodExecution:
                 raise ModelError(
                     f"step {step_id} is not part of execution {self.execution_id!r}"
                 )
-        self._program_order.add((first_id, second_id))
-        self._invalidate_program_order_caches()
-
-    def _invalidate_program_order_caches(self) -> None:
-        self._po_successors = None
-        self._po_reachable.clear()
+        # An added pair leaves every step preceding some step of _maximal.
+        existing = self._predecessors.get(second_id, ())
+        if first_id not in existing:
+            self._predecessors[second_id] = existing + (first_id,)
+        self._po_successors = self._po_reachable = None
 
     # -- inspection -----------------------------------------------------------
 
@@ -144,47 +141,67 @@ class MethodExecution:
 
     def steps(self) -> list[Step]:
         """All steps, in the order they were added."""
-        return [self._steps[step_id] for step_id in self._step_sequence]
+        return list(self._steps.values())
 
     def step(self, step_id: int) -> Step:
         return self._steps[step_id]
 
     def step_ids(self) -> list[int]:
-        return list(self._step_sequence)
+        return list(self._steps)
 
     def step_ids_iter(self) -> Iterable[int]:
         """Step ids in insertion order, without copying the sequence."""
-        return iter(self._step_sequence)
+        return iter(self._steps)
 
     def local_steps(self) -> list[LocalStep]:
-        return [step for step in self.steps() if isinstance(step, LocalStep)]
+        return [step for step in self._steps.values() if isinstance(step, LocalStep)]
 
     def message_steps(self) -> list[MessageStep]:
-        return [step for step in self.steps() if isinstance(step, MessageStep)]
+        return [step for step in self._steps.values() if isinstance(step, MessageStep)]
+
+    def is_sequential(self) -> bool:
+        """True when ``prec`` orders every two steps: no step was ever added
+        beside another (an explicit ``after`` that left two maximal steps)."""
+        return self._sequential
+
+    def maximal_step_ids(self) -> tuple[int, ...]:
+        """Steps that every step precedes or is (the maximal ones, unless
+        :meth:`order_steps` ordered one of them before another step)."""
+        return self._maximal
+
+    def program_order_items(self) -> Iterable[tuple[int, tuple[int, ...]]]:
+        """:meth:`program_order_pairs` grouped by later step, as a live view:
+        ``(step id, ids it directly follows)`` for each step that follows any."""
+        return self._predecessors.items()
 
     def program_order_pairs(self) -> frozenset[tuple[int, int]]:
         """The generating pairs of the programme order ``prec`` (not closed)."""
-        return frozenset(self._program_order)
+        pairs = self._predecessors.items()
+        return frozenset((before, after) for after, befores in pairs for before in befores)
 
     def program_precedes(self, first: Step | int, second: Step | int) -> bool:
         """True when ``first prec second`` holds in the transitive closure.
 
-        Reachability is memoised per source step (and the successor
-        adjacency built once), so repeated queries — the serialisation-graph
-        builders ask about every message pair — cost ``O(1)`` after the
-        first one.
+        A generating pair answers at once.  Otherwise reachability is
+        memoised per source step (and the successor adjacency built once),
+        so repeated queries — the serialisation-graph builders ask about
+        every message pair — cost ``O(1)`` after the first one.
         """
         first_id = first.step_id if isinstance(first, Step) else int(first)
         second_id = second.step_id if isinstance(second, Step) else int(second)
         if first_id == second_id:
             return False
+        if first_id in self._predecessors.get(second_id, ()):
+            return True
+        if self._po_successors is None:
+            successors: dict[int, set[int]] = {}
+            for after, befores in self._predecessors.items():
+                for before in befores:
+                    successors.setdefault(before, set()).add(after)
+            self._po_successors = successors
+            self._po_reachable = {}
         reachable = self._po_reachable.get(first_id)
         if reachable is None:
-            if self._po_successors is None:
-                successors: dict[int, set[int]] = {}
-                for before, after in self._program_order:
-                    successors.setdefault(before, set()).add(after)
-                self._po_successors = successors
             reachable = set()
             frontier = list(self._po_successors.get(first_id, ()))
             while frontier:

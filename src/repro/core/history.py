@@ -88,7 +88,8 @@ class History:
         with ``intervals``.
     intervals:
         Alternative representation of ``<``: a mapping from step id to a
-        ``(start, end)`` pair of logical instants; then ``t < t'`` iff
+        ``(start, end)`` pair of logical instants, ``start <= end`` (a
+        reversed interval raises :class:`ModelError`); then ``t < t'`` iff
         ``end(t) < start(t')``.  This is the representation produced by the
         simulation engine and by :class:`HistoryBuilder`.
     """
@@ -116,31 +117,29 @@ class History:
         self._intervals: dict[int, tuple[int, int]] | None = (
             dict(intervals) if intervals is not None else None
         )
+        # ``<`` is transitive only if no interval ends before it starts.
+        for step_id, (start, end) in (self._intervals or {}).items():
+            if start > end:
+                raise ModelError(f"interval ({start}, {end}) of step {step_id} ends before it starts")
         self._order_pairs: set[tuple[int, int]] = set(order_pairs or [])
 
-        # Index steps and the B mapping.
+        # Index steps, the B mapping and the persistent indexes (histories
+        # are frozen at construction), in one pass over the executions.
         self._steps: dict[int, Step] = {}
+        self._children_by_step: dict[int, str] = {}
+        self._local_steps_by_object: dict[str, list[LocalStep]] = {}
+        self._children_index: dict[str, list[str]] = {}
         for execution in self._executions.values():
             for step in execution.steps():
                 if step.step_id in self._steps:
                     raise ModelError(f"step id {step.step_id} appears in two executions")
                 self._steps[step.step_id] = step
-        self._children_by_step: dict[int, str] = {}
-        for execution in self._executions.values():
+                if isinstance(step, LocalStep):
+                    self._local_steps_by_object.setdefault(step.object_name, []).append(step)
             if execution.invoking_step_id is not None:
                 self._children_by_step.setdefault(execution.invoking_step_id, execution.execution_id)
-
-        # Persistent indexes (histories are frozen at construction).
-        self._local_steps_by_object: dict[str, list[LocalStep]] = {}
-        for step in self._steps.values():
-            if isinstance(step, LocalStep):
-                self._local_steps_by_object.setdefault(step.object_name, []).append(step)
-        self._children_index: dict[str, list[str]] = {}
-        for execution in self._executions.values():
             if execution.parent_id is not None:
-                self._children_index.setdefault(execution.parent_id, []).append(
-                    execution.execution_id
-                )
+                self._children_index.setdefault(execution.parent_id, []).append(execution.execution_id)
 
         self._ancestor_chain_cache: dict[str, tuple[str, ...]] = {}
         self._ancestor_set_cache: dict[str, frozenset[str]] = {}
@@ -601,8 +600,8 @@ class History:
         """Condition 2c of an interval order, in ``O(n log n)`` (DESIGN.md, *Legality*).
 
         ``env(t) = (min start, max end)`` over ``step_descendant_steps(t)``, one
-        bottom-up pass over the execution forest; a descendant with no (or an
-        inverted) interval widens it to ``(-inf, +inf)``, as ``precedes`` is
+        bottom-up pass over the execution forest; a descendant with no
+        interval widens it to ``(-inf, +inf)``, as ``precedes`` is
         ``False`` for it.  2c holds iff ``envmax(a) < envmin(b)`` whenever ``b``
         starts after ``a`` ends: one suffix minimum, one bisect per step.
         """
@@ -612,9 +611,7 @@ class History:
         for execution_id in sorted(self._executions, key=self.level, reverse=True):
             low, high = infinity, -infinity
             for step_id in self._executions[execution_id].step_ids_iter():
-                start, end = intervals.get(step_id, (infinity, -infinity))
-                if start > end:
-                    start, end = -infinity, infinity
+                start, end = intervals.get(step_id, (-infinity, infinity))
                 if step_id in self._children_by_step:
                     below = subtree[self._children_by_step[step_id]]  # deeper, so done
                     start, end = min(start, below[0]), max(end, below[1])
@@ -776,20 +773,13 @@ class HistoryBuilder:
         self._current_states: dict[str, ObjectState] = dict(self._initial_states)
         self._executions: dict[str, MethodExecution] = {}
         self._intervals: dict[int, tuple[int, int]] = {}
-        self._open_messages: dict[str, int] = {}  # execution id -> its invoking message step id
-        # Step-id index over every step this builder recorded, so closing a
-        # message on finish() is a lookup instead of a scan over all
-        # executions (which made long runs quadratic in their step count).
-        self._steps_by_id: dict[int, Step] = {}
-        self._clock = 0
+        # Execution id -> (its invoking message step, the message's start).
+        self._open_messages: dict[str, tuple[MessageStep, int]] = {}
+        self._clock = 0  # one instant per recorded step and per finish
         self._top_level_counter = itertools.count(1)
-        self._child_counters: dict[str, itertools.count] = {}
+        self._child_counters: dict[str, int] = {}
 
     # -- clock ---------------------------------------------------------------
-
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
 
     @property
     def clock(self) -> int:
@@ -802,14 +792,12 @@ class HistoryBuilder:
         return self._current_states.get(object_name, ObjectState())
 
     def set_initial_state(self, object_name: str, state: ObjectState | Mapping[str, Any]) -> None:
-        if any(execution.local_steps() for execution in self._executions.values()):
-            for execution in self._executions.values():
-                for step in execution.local_steps():
-                    if step.object_name == object_name:
-                        raise ModelError(
-                            f"cannot change initial state of {object_name!r} after recording "
-                            "local steps on it"
-                        )
+        for execution in self._executions.values():
+            if any(step.object_name == object_name for step in execution.local_steps()):
+                raise ModelError(
+                    f"cannot change initial state of {object_name!r} after recording "
+                    "local steps on it"
+                )
         resolved = state if isinstance(state, ObjectState) else ObjectState(state)
         self._initial_states[object_name] = resolved
         self._current_states[object_name] = resolved
@@ -841,31 +829,22 @@ class HistoryBuilder:
     ) -> MethodExecution:
         """Record a message step in ``parent`` and create the child execution."""
         parent_execution = self._resolve(parent)
+        parent_id = parent_execution.execution_id
         if execution_id is None:
-            counter = self._child_counters.setdefault(
-                parent_execution.execution_id, itertools.count(1)
-            )
-            execution_id = sys.intern(f"{parent_execution.execution_id}.{next(counter)}")
+            number = self._child_counters.get(parent_id, 0) + 1
+            self._child_counters[parent_id] = number
+            execution_id = sys.intern(f"{parent_id}.{number}")
         if execution_id in self._executions:
             raise ModelError(f"duplicate execution id {execution_id!r}")
 
-        message = MessageStep(
-            parent_execution.execution_id, target_object, target_method, arguments
-        )
+        message = MessageStep(parent_id, target_object, target_method, arguments)
         parent_execution.add_step(message, after=after)
-        self._steps_by_id[message.step_id] = message
-        start = self._tick()
-        self._intervals[message.step_id] = (start, start)  # end fixed on finish()
-
+        self._clock = start = self._clock + 1
         child = MethodExecution(
-            execution_id,
-            target_object,
-            target_method,
-            parent_id=parent_execution.execution_id,
-            invoking_step_id=message.step_id,
+            execution_id, target_object, target_method, parent_id, message.step_id
         )
         self._executions[execution_id] = child
-        self._open_messages[execution_id] = message.step_id
+        self._open_messages[execution_id] = (message, start)  # finish() closes it
         return child
 
     def local(
@@ -883,32 +862,25 @@ class HistoryBuilder:
         value = produced_value if return_value is AUTO else return_value
         step = LocalStep(resolved.execution_id, object_name, operation, value)
         resolved.add_step(step, after=after)
-        self._steps_by_id[step.step_id] = step
-        instant = self._tick()
+        self._clock = instant = self._clock + 1
         self._intervals[step.step_id] = (instant, instant)
         self._current_states[object_name] = new_state
         self._initial_states.setdefault(object_name, ObjectState())
         return step
 
-    def record_local(
-        self, execution: MethodExecution, operation: LocalOperation, return_value: Any
-    ) -> LocalStep:
-        """The simulation engine's fast path for :meth:`local`.
+    def record_local(self, execution: MethodExecution, step: LocalStep) -> LocalStep:
+        """The simulation engine's fast path for :meth:`local`: record ``step``.
 
-        The engine has already applied the operation (its own state table
-        is authoritative — it also *undoes* aborted effects, which the
-        builder's convenience state mirror never does), so this records
-        the step without re-applying the operation or touching the mirror.
-        Standalone history construction should keep using :meth:`local`.
+        The engine has already applied the operation and built the step the
+        scheduler granted (its state table is authoritative — it also *undoes*
+        aborted effects, which the builder's state mirror never does), so the
+        step is recorded as it is.  Standalone construction uses :meth:`local`.
         """
-        object_name = execution.object_name
-        step = LocalStep(execution.execution_id, object_name, operation, return_value)
         execution.add_step(step)
-        self._steps_by_id[step.step_id] = step
-        instant = self._tick()
+        self._clock = instant = self._clock + 1
         self._intervals[step.step_id] = (instant, instant)
-        if object_name not in self._initial_states:
-            self._initial_states[object_name] = ObjectState()
+        if step.object_name not in self._initial_states:
+            self._initial_states[step.object_name] = ObjectState()
         return step
 
     def abort(self, execution: MethodExecution | str, reason: str = "") -> LocalStep:
@@ -917,13 +889,13 @@ class HistoryBuilder:
 
     def finish(self, execution: MethodExecution | str, return_value: Any = None) -> None:
         """Mark the execution complete, closing its invoking message step."""
-        resolved = self._resolve(execution)
-        message_id = self._open_messages.pop(resolved.execution_id, None)
-        end = self._tick()
-        if message_id is not None:
-            start, _ = self._intervals[message_id]
-            self._intervals[message_id] = (start, end)
-            self._steps_by_id[message_id].return_value = return_value
+        execution_id = self._resolve(execution).execution_id
+        self._clock = end = self._clock + 1
+        opened = self._open_messages.pop(execution_id, None)
+        if opened is not None:
+            message, start = opened
+            self._intervals[message.step_id] = (start, end)
+            message.return_value = return_value
 
     def _resolve(self, execution: MethodExecution | str) -> MethodExecution:
         if isinstance(execution, MethodExecution):
@@ -953,7 +925,6 @@ class HistoryBuilder:
                 continue
             executions.append(execution)
             for step_id in execution.step_ids_iter():
-                self._steps_by_id.pop(step_id, None)
                 interval = self._intervals.pop(step_id, None)
                 if interval is not None:
                     intervals[step_id] = interval
@@ -966,10 +937,10 @@ class HistoryBuilder:
     def build(self, check: bool = False) -> History:
         """Produce the :class:`History`; optionally verify legality."""
         # Close any message steps whose executions were never finished.
-        for execution_id, message_id in list(self._open_messages.items()):
-            start, _ = self._intervals[message_id]
-            self._intervals[message_id] = (start, self._tick())
-            self._open_messages.pop(execution_id, None)
+        for message, start in self._open_messages.values():
+            self._clock += 1
+            self._intervals[message.step_id] = (start, self._clock)
+        self._open_messages.clear()
         history = History(
             list(self._executions.values()),
             self._initial_states,

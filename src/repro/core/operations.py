@@ -242,16 +242,13 @@ class Step:
     Steps have library-assigned integer identities so that the partial
     orders of a history can be represented as relations over step ids.
     Identity (not structure) determines equality: the same operation issued
-    twice yields two distinct steps.
+    twice yields two distinct steps.  Each subclass sets both slots itself
+    (an id of ``None`` draws the next one from ``_id_counter``).
     """
 
     _id_counter = itertools.count(1)
 
     __slots__ = ("step_id", "execution_id")
-
-    def __init__(self, execution_id: str, step_id: int | None = None):
-        self.step_id = step_id if step_id is not None else next(Step._id_counter)
-        self.execution_id = execution_id
 
     def is_local(self) -> bool:
         return isinstance(self, LocalStep)
@@ -281,7 +278,8 @@ class LocalStep(Step):
         return_value: Any,
         step_id: int | None = None,
     ):
-        super().__init__(execution_id, step_id)
+        self.step_id = step_id if step_id is not None else next(Step._id_counter)
+        self.execution_id = execution_id
         self.object_name = object_name
         self.operation = operation
         self.return_value = return_value
@@ -312,7 +310,8 @@ class MessageStep(Step):
         return_value: Any = None,
         step_id: int | None = None,
     ):
-        super().__init__(execution_id, step_id)
+        self.step_id = step_id if step_id is not None else next(Step._id_counter)
+        self.execution_id = execution_id
         self.target_object = target_object
         self.target_method = target_method
         self.arguments = tuple(arguments)

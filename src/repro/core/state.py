@@ -151,8 +151,14 @@ class UndoLog:
     ) -> None:
         """Append one applied step to the object's segment."""
         entry = AppliedStep(execution_id, top_level_id, object_name, operation, pre_state, return_value)
-        self._by_object.setdefault(object_name, []).append(entry)
-        self._touched_by_transaction.setdefault(top_level_id, set()).add(object_name)
+        entries = self._by_object.get(object_name)
+        if entries is None:
+            entries = self._by_object[object_name] = []
+        entries.append(entry)
+        touched = self._touched_by_transaction.get(top_level_id)
+        if touched is None:
+            touched = self._touched_by_transaction[top_level_id] = set()
+        touched.add(object_name)
 
     # -- queries -------------------------------------------------------------
 

@@ -145,7 +145,10 @@ class ObjectBase:
             raise UnknownObjectError(f"unknown object {object_name!r}") from exc
 
     def method(self, object_name: str, method_name: str) -> MethodDefinition:
-        return self.definition(object_name).method(method_name)
+        try:
+            return self._objects[object_name].methods[method_name]
+        except KeyError:  # the two lookups name whichever key is unknown
+            return self.definition(object_name).method(method_name)
 
     def object_names(self, include_environment: bool = False) -> list[str]:
         names = [name for name in self._objects if name != ENVIRONMENT_OBJECT]

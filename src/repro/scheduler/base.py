@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from ..core.conflicts import PerObjectConflicts
 from ..core.operations import LocalOperation, LocalStep
@@ -55,8 +55,7 @@ OPERATION_LEVEL = "operation"
 STEP_LEVEL = "step"
 
 
-@dataclass(frozen=True, slots=True)
-class ExecutionInfo:
+class ExecutionInfo(NamedTuple):
     """Identity and ancestry of one method execution, as seen by schedulers."""
 
     execution_id: str
@@ -90,8 +89,7 @@ def disjoint_ancestors(first: ExecutionInfo, second: ExecutionInfo) -> tuple[str
     return first_side, second_side
 
 
-@dataclass(frozen=True, slots=True)
-class OperationRequest:
+class OperationRequest(NamedTuple):
     """A request to execute one local operation on behalf of an execution."""
 
     info: ExecutionInfo
@@ -122,8 +120,8 @@ class SchedulerResponse:
 
     @classmethod
     def grant(cls) -> "SchedulerResponse":
-        """The operation (or commit) may proceed now."""
-        return cls(Decision.GRANT)
+        """The operation (or commit) may proceed now (the shared GRANT)."""
+        return _GRANT_RESPONSE
 
     @classmethod
     def block(cls, reason: str, blockers: frozenset[str] | set[str]) -> "SchedulerResponse":

@@ -57,15 +57,14 @@ Execution model
 Hot loop
 --------
 
-Choosing the next runnable frame is O(1): the engine maintains a *ready
-list* of ``(creation sequence, frame)`` pairs, updated at every status
-transition (spawn, park, wake, wait, retire), that is always sorted by
-frame-creation order — exactly the iteration order of the frame table
-that a per-tick scan of the table would observe, so decisions (and the
-RNG draw sequence) are bit-identical to such a scan.  The scan itself
-lives in ``tests/oracles/engines.py``, where the bit-identity property
-tests hold this loop against it; E16 gates the loop's decision throughput
-against the committed pre-rewrite rows.
+Choosing the next runnable frame is one seeded draw into a *ready list*
+of frames kept sorted by creation sequence at every status transition —
+the order a per-tick scan of the frame table observes, so decisions (and
+RNG draws) are bit-identical to the scan in ``tests/oracles/engines.py``
+that the property tests hold this loop against (E16 gates its decision
+throughput).  A decision allocates only what it records: immutable tuple
+records, one ``LocalStep`` per granted step, frame containers on first
+use, trace events only when a trace was asked for.
 
 The recorded history contains the steps of aborted attempts as well; the
 :class:`~repro.simulation.metrics.RunResult` exposes the committed
@@ -82,6 +81,8 @@ import itertools
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
+from types import GeneratorType
 from typing import Any
 
 from ..core.errors import SimulationError
@@ -89,7 +90,7 @@ from ..core.history import HistoryBuilder
 from ..core.operations import LocalStep
 from ..core.state import ObjectState, UndoLog
 from ..objectbase.base import ObjectBase
-from ..scheduler.base import STEP_LEVEL, ExecutionInfo, OperationRequest, Scheduler
+from ..scheduler.base import STEP_LEVEL, Decision, ExecutionInfo, OperationRequest, Scheduler
 from ..scheduler.restart import ImmediateRestart, RestartPolicy
 from .arrivals import ArrivalProcess, make_arrival_process
 from .events import (
@@ -123,6 +124,10 @@ _WAITING = "waiting"
 _PARKED = "parked"
 _DONE = "done"
 
+_GRANT, _BLOCK = Decision.GRANT, Decision.BLOCK
+_COMMIT = "commit"  # the pending request of a top level parked at its commit
+_SEQ = attrgetter("seq")  # the ready list's sort key
+
 # ObjectState is immutable, so one shared empty state serves every
 # object the run never initialised (instead of allocating per lookup).
 _EMPTY_STATE = ObjectState()
@@ -140,44 +145,51 @@ _EVENT_ARRIVAL = 1
 _EVENT_FAULT = 2
 
 
-@dataclass(slots=True)
 class _Frame:
-    """One method execution in progress."""
+    """One method execution in progress; containers are made on first use.
 
-    info: ExecutionInfo
-    execution: Any  # MethodExecution handle returned by the HistoryBuilder
-    generator: Any = None
-    status: str = _READY
-    inbox: Any = None
-    pending_local: LocalRequest | None = None
-    parent: "_Frame | None" = None
-    waiting_on: set[str] = field(default_factory=set)
-    parallel_results: dict[str, Any] = field(default_factory=dict)
-    parallel_order: list[str] = field(default_factory=list)
-    spec: TransactionSpec | None = None
-    attempt: int = 1
-    parked_on: frozenset[str] = frozenset()
-    parked_since: int = 0
-    pending_commit: bool = False
-    commit_value: Any = None
-    #: Monotonic creation index; the ready list sorts on it, which keeps
-    #: the candidate order identical to frame-table insertion order.
-    seq: int = 0
-    #: Whether ``generator`` is an actual generator (vs a plain return
-    #: value) — detected once at creation, not re-probed per advance.
-    is_generator: bool = False
-    #: Set on children spawned on behalf of a *remote* shard: the message
-    #: identifier whose result travels back to the requesting shard when
-    #: this frame completes.  ``None`` on every frame of a plain run.
-    shard_remote_id: str | None = None
+    ``inbox``: what the next ``send`` delivers (a finished top level's commit
+    value).  ``pending``: the request to re-issue when the frame next runs
+    (a parked LocalRequest, or ``_COMMIT``).  ``waiting_on``: the keys a
+    WAITING frame awaits (a set for a parallel request, whose ``parallel``
+    dict gathers results in order).  ``spec``, ``attempt``: a top level's.
+    ``seq``: the ready list's sort key.  ``shard_remote_id``: the remote
+    message whose result this frame sends back (``None`` in a plain run)."""
 
-    @property
-    def execution_id(self) -> str:
-        return self.info.execution_id
+    __slots__ = (
+        "info", "execution_id", "execution", "generator", "status", "inbox", "pending",
+        "parent", "waiting_on", "parallel", "spec", "attempt", "parked_on", "parked_since",
+        "seq", "shard_remote_id",
+    )  # fmt: skip
+
+    def __init__(
+        self, info: ExecutionInfo, execution: Any, seq: int, parent: "_Frame | None" = None,
+        *, spec: TransactionSpec | None = None, attempt: int = 1, status: str = _READY,
+    ):  # fmt: skip
+        self.info = info
+        self.execution_id = info.execution_id
+        self.execution = execution  # the HistoryBuilder's MethodExecution
+        self.status = status
+        self.generator = self.inbox = self.pending = self.parallel = self.shard_remote_id = None
+        self.parent = parent
+        self.waiting_on = self.parked_on = ()
+        self.spec = spec
+        self.attempt = attempt
+        self.parked_since = 0
+        self.seq = seq
 
 
-def _proxy_session_marker():  # pragma: no cover - never advanced
-    """Placeholder body for remote-session roots (driven imperatively)."""
+def _body_generator(body: Any):
+    """A method body's generator; a plain body's return value is wrapped in
+    one, so the frame completes with it on its first advance."""
+    if type(body) is GeneratorType or (hasattr(body, "send") and hasattr(body, "throw")):
+        return body
+    return _returning(body)
+
+
+def _returning(value: Any):
+    return value
+    yield  # pragma: no cover - makes this a generator function
 
 
 @dataclass(slots=True)
@@ -317,13 +329,13 @@ class SimulationEngine:
         self._states: dict[str, ObjectState] = dict(object_base.initial_states())
         self._frames: dict[str, _Frame] = {}
         self._executions_by_transaction: dict[str, set[str]] = {}
-        # The ready list: (frame.seq, frame) pairs sorted by creation
-        # sequence — the same order a scan over the insertion-ordered frame
-        # table produces, so the O(1) chooser sees the identical candidate
+        # The ready list: the READY frames sorted by creation sequence —
+        # the same order a scan over the insertion-ordered frame table
+        # produces, so the O(1) chooser sees the identical candidate
         # sequence.  Maintained by _set_ready/_set_not_ready at every
-        # status transition.
+        # status transition (a new frame, the newest, is appended).
         self._frame_sequence = itertools.count()
-        self._ready: list[tuple[int, _Frame]] = []
+        self._ready: list[_Frame] = []
         self._parked_count = 0
         self._undo_log = UndoLog()
         self._aborted_executions: set[str] = set()
@@ -551,29 +563,36 @@ class SimulationEngine:
         A plain run is one call with ``max_ticks``; a shard round stops after
         the first decision that queues a message or note, and a shard's
         ``catch_up`` to the barrier tick waits there if it runs out of work.
-        Per decision this touches the ready list tail (or one RNG draw), the
-        heap head and the frame generator — no per-tick scans, no per-tick
-        allocations.  Returns the decisions made.
+        Per decision this draws one index into the ready list, peeks at the
+        heap head and advances the chosen frame by one request — no per-tick
+        scans.  Returns the decisions made.
         """
         frames = self._frames
         events = self._events
         ready = self._ready
         shard = self._shard
         until_send = shard is not None and not catch_up
-        rng_choice = self.rng.choice
+        getrandbits = self.rng.getrandbits
         decisions = 0
+        tick = self._tick
         try:
-            while (frames or events) and self._tick < horizon:
-                tick = self._tick
+            while (frames or events) and tick < horizon:
                 if events and events[0][0] <= tick:
                     self._release_due_events()
                     if until_send and (shard.outbox or shard.notes):
                         break  # an injected fault aborted cross-shard work
                 if ready:
-                    frame = rng_choice(ready)[1]
-                    self._tick = tick + 1
+                    # random.Random.choice(ready), inlined: the same
+                    # getrandbits draws, so the same index and RNG state.
+                    count = len(ready)
+                    bits = count.bit_length()
+                    index = getrandbits(bits)
+                    while index >= count:
+                        index = getrandbits(bits)
+                    tick += 1
+                    self._tick = tick
                     decisions += 1
-                    self._advance(frame)
+                    self._advance(ready[index])
                     if until_send and (shard.outbox or shard.notes):
                         break  # a message is due: the barrier falls at this tick
                 elif events:
@@ -581,7 +600,7 @@ class SimulationEngine:
                     # fast-forward the clock to its due tick (the wait
                     # costs time, not scheduling decisions), clamped so a
                     # run never reports a makespan beyond its horizon.
-                    self._tick = min(events[0][0], horizon)
+                    tick = self._tick = min(events[0][0], horizon)
                 elif shard is not None and (shard.waiters or shard.held or shard.sessions):
                     break  # blocked on the barrier until a directive arrives
                 elif frames:
@@ -720,9 +739,8 @@ class SimulationEngine:
             )
         )
         self.metrics.remote_invocations += 1
-        self._record(
-            INVOKE, remote_id, invocation.object_name, invocation.method_name
-        )
+        if self._trace is not None:
+            self._record(INVOKE, remote_id, invocation.object_name, invocation.method_name)
         return remote_id
 
     def deliver_remote_result(self, remote_id: str, value: Any) -> None:
@@ -734,7 +752,8 @@ class SimulationEngine:
         frame = self._frames.get(frame_id)
         if frame is None or frame.status != _WAITING or remote_id not in frame.waiting_on:
             return
-        self._deliver(frame, remote_id, value)
+        if self._deliver(frame, remote_id, value):
+            self._set_ready(frame)
 
     def admit_remote(
         self,
@@ -764,29 +783,24 @@ class SimulationEngine:
         if session is None and gid in shard.cross:
             session = self._frames.get(gid)
         if session is None:
-            session = shard.sessions[gid] = self._open_root(
-                "remote-session", gid, generator=_proxy_session_marker, status=_WAITING
-            )
-            self._record(BEGIN, gid, detail="remote session")
-        child = self._spawn_child(
-            session,
-            InvokeRequest(object_name, method_name, tuple(arguments)),
-            after=None,
+            # A session root has no body: it waits until the global decision.
+            session = shard.sessions[gid] = self._open_root("remote-session", gid, status=_WAITING)
+            if self._trace is not None:
+                self._record(BEGIN, gid, detail="remote session")
+        child = self._spawn_child(  # its result travels back, the session awaits nothing
+            session, InvokeRequest(object_name, method_name, tuple(arguments)), None
         )
         child.shard_remote_id = remote_id
-        session.waiting_on.add(child.execution_id)
 
     def _hold_commit(self, frame: _Frame, return_value: Any) -> None:
         """Park a prepared cross-shard root until the global decision."""
         shard = self._shard
         self._set_not_ready(frame, _WAITING)
-        frame.pending_commit = True
-        frame.commit_value = return_value
+        frame.inbox = return_value
         shard.held[frame.execution_id] = frame
         shard.notes.append(("prepared", frame.execution_id))
-        self._record(
-            BLOCKED, frame.execution_id, detail="prepared: awaiting global commit"
-        )
+        if self._trace is not None:
+            self._record(BLOCKED, frame.execution_id, detail="prepared: awaiting global commit")
 
     def commit_vote(self, gid: str) -> tuple[str, str]:
         """This shard's two-phase vote on ``gid``: commit, defer or abort."""
@@ -807,7 +821,7 @@ class SimulationEngine:
         frame = shard.held.pop(gid, None) or shard.sessions.get(gid)
         if frame is not None:
             shard.cross.discard(gid)
-            self._finalise_commit(frame, frame.commit_value)
+            self._finalise_commit(frame, frame.inbox)
 
     def apply_global_abort(self, gid: str, reason: str) -> None:
         """The coordinator decided abort: discard the local share."""
@@ -852,36 +866,25 @@ class SimulationEngine:
     # the ready list
     # ------------------------------------------------------------------
 
-    def _ready_add(self, frame: _Frame) -> None:
-        """Insert a ready frame, keeping the list sorted by creation seq.
-
-        Frames usually become ready in creation order, so the common case
-        is an O(1) append; a wake of an old frame pays one bisect insert.
-        """
-        entry = (frame.seq, frame)
-        ready = self._ready
-        if not ready or frame.seq > ready[-1][0]:
-            ready.append(entry)
-        else:
-            insort(ready, entry)
-
-    def _ready_remove(self, frame: _Frame) -> None:
-        ready = self._ready
-        # (seq,) sorts immediately before (seq, frame), so bisect_left
-        # lands on the entry itself; seqs are unique so the frame halves
-        # of the pairs are never compared.
-        index = bisect_left(ready, (frame.seq,))
-        if index < len(ready) and ready[index][0] == frame.seq:
-            del ready[index]
-
     def _set_ready(self, frame: _Frame) -> None:
+        """Mark ``frame`` ready, keeping the list sorted by creation seq.
+
+        A frame spawned now is the newest, so a spawn appends directly; a
+        wake of an old frame pays one bisect insert.
+        """
         if frame.status != _READY:
             frame.status = _READY
-            self._ready_add(frame)
+            ready = self._ready
+            if ready and frame.seq < ready[-1].seq:
+                insort(ready, frame, key=_SEQ)
+            else:
+                ready.append(frame)
 
     def _set_not_ready(self, frame: _Frame, status: str) -> None:
         if frame.status == _READY:
-            self._ready_remove(frame)
+            ready = self._ready
+            # Seqs are unique, so the bisect lands on the frame itself.
+            del ready[bisect_left(ready, frame.seq, key=_SEQ)]
         frame.status = status
 
     # ------------------------------------------------------------------
@@ -898,7 +901,8 @@ class SimulationEngine:
         same call).  Dead or unknown identifiers are dropped; a BLOCK with
         no live blocker left is a wait nobody can end, and raises.
         """
-        self._record(BLOCKED, frame.execution_id, object_name, reason)
+        if self._trace is not None:
+            self._record(BLOCKED, frame.execution_id, object_name, reason)
         frames = self._frames
         live_transactions = self._executions_by_transaction
         keys = frozenset(key for key in blockers if key in frames or key in live_transactions)
@@ -915,7 +919,7 @@ class SimulationEngine:
         for key in keys:
             self._parked_by_key.setdefault(key, set()).add(frame.execution_id)
         self.metrics.parks += 1
-        if frame.pending_commit:
+        if frame.pending is _COMMIT:
             self.metrics.commit_parks += 1
 
     def _clear_parking(self, frame: _Frame) -> None:
@@ -929,11 +933,11 @@ class SimulationEngine:
                     del self._parked_by_key[key]
         elapsed = self._tick - frame.parked_since
         self.metrics.wait_ticks += elapsed
-        if frame.pending_commit:
+        if frame.pending is _COMMIT:
             self.metrics.commit_wait_ticks += elapsed
         else:
             self.metrics.blocked_ticks += elapsed
-        frame.parked_on = frozenset()
+        frame.parked_on = ()
 
     def _wake_frame(self, frame_id: str, detail: str) -> None:
         frame = self._frames.get(frame_id)
@@ -942,7 +946,8 @@ class SimulationEngine:
         self._clear_parking(frame)
         self._set_ready(frame)
         self.metrics.wakes += 1
-        self._record(WOKEN, frame.execution_id, detail=detail)
+        if self._trace is not None:
+            self._record(WOKEN, frame.execution_id, detail=detail)
 
     def _drain_wakeups(self, extra_keys=()) -> None:
         """Wake every frame parked on a freed blocker identifier.
@@ -984,8 +989,8 @@ class SimulationEngine:
     # ------------------------------------------------------------------
 
     def _record(self, kind: str, execution_id: str, object_name: str = "", detail: str = "") -> None:
-        if self._trace is not None:
-            self._trace.record(TraceEvent(self._tick, kind, execution_id, object_name, detail))
+        """Append a trace event; callers test ``self._trace`` first."""
+        self._trace.record(TraceEvent(self._tick, kind, execution_id, object_name, detail))
 
     def _root_info(self, execution_id: str, method_name: str) -> ExecutionInfo:
         """The :class:`ExecutionInfo` of a top-level execution."""
@@ -1005,15 +1010,15 @@ class SimulationEngine:
 
         Records it in the history (``execution_id=None`` takes the
         builder's next id), registers its frame and execution index, and
-        announces it to the scheduler.
+        announces it to the scheduler.  A READY frame joins the ready list.
         """
         execution = self._builder.begin_top_level(method_name, execution_id)
         info = self._root_info(execution.execution_id, method_name)
-        frame = _Frame(
-            info=info, execution=execution, seq=next(self._frame_sequence), **frame_fields
-        )
-        self._frames[info.execution_id] = frame
-        self._executions_by_transaction[info.execution_id] = {info.execution_id}
+        frame = _Frame(info, execution, next(self._frame_sequence), **frame_fields)
+        self._frames[frame.execution_id] = frame
+        if frame.status == _READY:
+            self._ready.append(frame)  # the newest frame sorts last
+        self._executions_by_transaction[frame.execution_id] = {frame.execution_id}
         self.scheduler.on_transaction_begin(info)
         return frame
 
@@ -1031,9 +1036,7 @@ class SimulationEngine:
         frame = self._open_root(spec.method_name, namespaced, spec=spec, attempt=attempt)
         info = frame.info
         context = MethodContext(info.object_name, info.execution_id, spec.method_name)
-        frame.generator = definition.body(context, *spec.arguments)
-        frame.is_generator = self._is_generator(frame.generator)
-        self._ready_add(frame)
+        frame.generator = _body_generator(definition.body(context, *spec.arguments))
         self._lineage_of[info.execution_id] = lineage
         if attempt == 1:
             self.restart_policy.on_submit(lineage)
@@ -1043,41 +1046,38 @@ class SimulationEngine:
             shard.cross.add(info.execution_id)
         if self._certifier is not None:
             self._certifier.note_begin(info.execution_id, self._builder.clock)
-        self._record(BEGIN if attempt == 1 else RESTARTED, info.execution_id, detail=spec.label)
+        if self._trace is not None:
+            self._record(
+                BEGIN if attempt == 1 else RESTARTED, info.execution_id, detail=spec.label
+            )
 
     def _spawn_child(self, parent: _Frame, invocation: InvokeRequest, after) -> _Frame:
-        definition = self.object_base.method(invocation.object_name, invocation.method_name)
-        child_execution = self._builder.invoke(
-            parent.execution,
-            invocation.object_name,
-            invocation.method_name,
-            invocation.arguments,
-            after=after,
+        object_name, method_name, arguments = invocation
+        definition = self.object_base.method(object_name, method_name)
+        execution = self._builder.invoke(
+            parent.execution, object_name, method_name, arguments, after
         )
+        execution_id = execution.execution_id
+        parent_id = parent.execution_id
+        parent_info = parent.info
         info = ExecutionInfo(
-            execution_id=child_execution.execution_id,
-            object_name=invocation.object_name,
-            method_name=invocation.method_name,
-            parent_id=parent.execution_id,
-            ancestor_ids=(parent.execution_id,) + parent.info.ancestor_ids,
-            top_level_id=parent.info.top_level_id,
+            execution_id,
+            object_name,
+            method_name,
+            parent_id,
+            (parent_id,) + parent_info.ancestor_ids,
+            parent_info.top_level_id,
         )
-        child = _Frame(
-            info=info,
-            execution=child_execution,
-            parent=parent,
-            attempt=parent.attempt,
-            seq=next(self._frame_sequence),
-        )
-        context = MethodContext(info.object_name, info.execution_id, info.method_name)
-        child.generator = definition.body(context, *invocation.arguments)
-        child.is_generator = self._is_generator(child.generator)
-        self._frames[info.execution_id] = child
-        self._ready_add(child)
-        self._executions_by_transaction.setdefault(info.top_level_id, set()).add(info.execution_id)
-        self.scheduler.on_invoke(parent.info, info)
+        child = _Frame(info, execution, next(self._frame_sequence), parent)
+        context = MethodContext(object_name, execution_id, method_name)
+        child.generator = _body_generator(definition.body(context, *arguments))
+        self._frames[execution_id] = child
+        self._ready.append(child)  # the newest frame sorts last
+        self._executions_by_transaction[parent_info.top_level_id].add(execution_id)
+        self.scheduler.on_invoke(parent_info, info)
         self.metrics.invocations += 1
-        self._record(INVOKE, info.execution_id, invocation.object_name, invocation.method_name)
+        if self._trace is not None:
+            self._record(INVOKE, execution_id, object_name, method_name)
         return child
 
     # ------------------------------------------------------------------
@@ -1085,19 +1085,16 @@ class SimulationEngine:
     # ------------------------------------------------------------------
 
     def _advance(self, frame: _Frame) -> None:
-        if frame.status != _READY:
-            return
-        if frame.pending_commit:
-            self._complete_top_level(frame, frame.commit_value)
-            return
-        if frame.pending_local is not None:
-            self._resolve_local(frame, frame.pending_local)
+        """Resolve one request of the (READY) frame the loop chose."""
+        pending = frame.pending
+        if pending is not None:
+            frame.pending = None
+            if pending is _COMMIT:
+                self._complete_top_level(frame, frame.inbox)
+            else:
+                self._resolve_local(frame, pending)
             return
         try:
-            if not frame.is_generator:
-                # A plain function body: its return value is immediate.
-                self._complete_frame(frame, frame.generator)
-                return
             request = frame.generator.send(frame.inbox)
         except StopIteration as stop:
             self._complete_frame(frame, stop.value)
@@ -1106,34 +1103,23 @@ class SimulationEngine:
             raise SimulationError(
                 f"transaction programme {frame.info.method_name!r} raised {error!r}"
             ) from error
-        frame.inbox = None
-        self._handle_request(frame, request)
-
-    @staticmethod
-    def _is_generator(candidate: Any) -> bool:
-        return hasattr(candidate, "send") and hasattr(candidate, "throw")
-
-    def _handle_request(self, frame: _Frame, request: Any) -> None:
         if isinstance(request, LocalRequest):
             self._resolve_local(frame, request)
             return
         if isinstance(request, InvokeRequest):
-            awaited = [self._dispatch(frame, request, after=None)]
-            frame.parallel_order = []
+            frame.waiting_on = (self._dispatch(frame, request, None),)
         elif isinstance(request, ParallelRequest):
-            existing_steps = list(frame.execution.step_ids())
+            after = frame.execution.maximal_step_ids()  # each branch follows every step so far
             awaited = [
-                self._dispatch(frame, invocation, after=existing_steps)
-                for invocation in request.invocations
+                self._dispatch(frame, invocation, after) for invocation in request.invocations
             ]
-            frame.parallel_order = awaited
-            frame.parallel_results = {}
+            frame.waiting_on = set(awaited)
+            frame.parallel = dict.fromkeys(awaited)
         else:
             raise SimulationError(
                 f"method {frame.info.method_name!r} yielded an unknown request: {request!r}"
             )
         self._set_not_ready(frame, _WAITING)
-        frame.waiting_on = set(awaited)
 
     def _dispatch(self, frame: _Frame, invocation: InvokeRequest, after) -> str:
         """Start one invocation; returns the id whose result ``frame`` awaits.
@@ -1146,26 +1132,27 @@ class SimulationEngine:
             return self._send_remote_invoke(frame, invocation)
         return self._spawn_child(frame, invocation, after).execution_id
 
-    def _deliver(self, frame: _Frame, key: str, value: Any) -> None:
+    def _deliver(self, frame: _Frame, key: str, value: Any) -> bool:
         """Hand ``frame`` the result it awaited under ``key``.
 
         ``key`` is a child execution id or a remote message id.  A
-        parallel request gathers its results in ``parallel_order``; the
-        frame becomes runnable when nothing is awaited any more.
+        parallel request gathers its results in ``parallel``, in request
+        order.  Returns whether nothing is awaited any more: the caller
+        then makes the frame ready.
         """
-        frame.waiting_on.discard(key)
-        if frame.parallel_order:
-            frame.parallel_results[key] = value
-            if not frame.waiting_on:
-                frame.inbox = [
-                    frame.parallel_results.get(awaited) for awaited in frame.parallel_order
-                ]
-                frame.parallel_order = []
-                frame.parallel_results = {}
-                self._set_ready(frame)
-        elif not frame.waiting_on:
+        parallel = frame.parallel
+        if parallel is None:
+            frame.waiting_on = ()
             frame.inbox = value
-            self._set_ready(frame)
+            return True
+        frame.waiting_on.discard(key)
+        parallel[key] = value
+        if frame.waiting_on:
+            return False
+        frame.inbox = list(parallel.values())
+        frame.waiting_on = ()
+        frame.parallel = None
+        return True
 
     # -- local operations ---------------------------------------------------------
 
@@ -1173,41 +1160,30 @@ class SimulationEngine:
         info = frame.info
         object_name = info.object_name
         operation = request.operation
-        metrics = self.metrics
-        pre_state = self._states.get(object_name)
-        if pre_state is None:
-            pre_state = _EMPTY_STATE
-        # One application serves both the provisional step the scheduler
-        # inspects and — when granted — the recorded step: operations are
-        # pure functions of the state, and the scheduler cannot change the
-        # object states, so re-applying after the grant would recompute
-        # the identical (value, new state) pair.
+        pre_state = self._states.get(object_name, _EMPTY_STATE)
+        # One application serves the step the scheduler inspects and, when
+        # granted, records: operations are pure functions of the state, which
+        # the scheduler cannot change, so re-applying would recompute it.
         value, new_state = operation.apply(pre_state)
-        provisional_step = LocalStep(info.execution_id, object_name, operation, value)
-        operation_request = OperationRequest(
-            info=info,
-            object_name=object_name,
-            operation=operation,
-            provisional_step=provisional_step,
-        )
+        step = LocalStep(frame.execution_id, object_name, operation, value)
+        operation_request = OperationRequest(info, object_name, operation, step)
         response = self.scheduler.on_operation(operation_request)
-        if response.blocked:
-            frame.pending_local = request
-            self._wait(frame, object_name, response.reason, response.blockers)
-            return
-        if response.aborted:
-            frame.pending_local = None
-            self._abort_transaction(info.top_level_id, response.reason)
+        decision = response.decision
+        if decision is not _GRANT:
+            if decision is _BLOCK:
+                frame.pending = request
+                self._wait(frame, object_name, response.reason, response.blockers)
+            else:
+                self._abort_transaction(info.top_level_id, response.reason)
             return
 
         # Granted: commit the already-computed transition and record the step.
-        frame.pending_local = None
         self._states[object_name] = new_state
-        self._builder.record_local(frame.execution, operation, value)
+        self._builder.record_local(frame.execution, step)
         self._undo_log.record(
-            object_name, info.execution_id, info.top_level_id, operation, pre_state, value
+            object_name, frame.execution_id, info.top_level_id, operation, pre_state, value
         )
-        metrics.local_steps += 1
+        self.metrics.local_steps += 1
         self.scheduler.on_operation_executed(operation_request, value)
         shard = self._shard
         if (
@@ -1217,29 +1193,44 @@ class SimulationEngine:
         ):
             # Only cross-shard work feeds the inter-shard precedence graph;
             # purely local transactions are the local scheduler's business.
-            shard.tracker.note_step(info, provisional_step)
-        self._record(GRANTED, frame.execution_id, object_name, operation.name)
+            shard.tracker.note_step(info, step)
+        if self._trace is not None:
+            self._record(GRANTED, frame.execution_id, object_name, operation.name)
         frame.inbox = value
 
     # -- completion -----------------------------------------------------------------
 
     def _complete_frame(self, frame: _Frame, return_value: Any) -> None:
-        self._set_not_ready(frame, _DONE)
-        if frame.parent is None:
+        parent = frame.parent
+        if parent is None:
+            self._set_not_ready(frame, _DONE)
             self._complete_top_level(frame, return_value)
             return
+        # The child leaves the ready list and its parent may join it: one slot
+        # write does both when no ready frame sorts between them.
+        ready = self._ready
+        index = bisect_left(ready, frame.seq, key=_SEQ)
+        frame.status = _DONE
         self._builder.finish(frame.execution, return_value)
         self.scheduler.on_execution_complete(frame.info)
-        self._record(COMPLETED, frame.execution_id, frame.info.object_name)
-        self._deliver_to_parent(frame, return_value)
-        self._frames.pop(frame.execution_id, None)
+        if self._trace is not None:
+            self._record(COMPLETED, frame.execution_id, frame.info.object_name)
+        if not self._deliver_to_parent(frame, return_value):
+            del ready[index]
+        elif index and ready[index - 1].seq > parent.seq:
+            del ready[index]
+            self._set_ready(parent)
+        else:
+            parent.status = _READY
+            ready[index] = parent
+        del self._frames[frame.execution_id]
         # Completion may have transferred the child's locks to its parent
         # (rule 5); waiters blocked on the child must re-examine their
         # conflicts against the inheriting ancestor.
         self._drain_wakeups()
 
-    def _deliver_to_parent(self, child: _Frame, return_value: Any) -> None:
-        parent = child.parent
+    def _deliver_to_parent(self, child: _Frame, return_value: Any) -> bool:
+        """Route a completed child's result; True when its parent may run."""
         if child.shard_remote_id is not None:
             # A remote-session child: its result travels back to the shard
             # that requested it (open-nesting style, the value is
@@ -1249,9 +1240,11 @@ class SimulationEngine:
             self._shard.outbox.append(
                 ("result", child.shard_remote_id, child.info.top_level_id, return_value)
             )
-            parent.waiting_on.discard(child.execution_id)
-        elif parent.status == _WAITING:
-            self._deliver(parent, child.execution_id, return_value)
+            return False
+        parent = child.parent
+        return parent.status == _WAITING and self._deliver(
+            parent, child.execution_id, return_value
+        )
 
     def _complete_top_level(self, frame: _Frame, return_value: Any) -> None:
         shard = self._shard
@@ -1261,19 +1254,18 @@ class SimulationEngine:
             self._hold_commit(frame, return_value)
             return
         response = self.scheduler.on_commit_request(frame.info)
-        if response.blocked:
+        decision = response.decision
+        if decision is _GRANT:
+            self._finalise_commit(frame, return_value)
+        elif decision is _BLOCK:
             # The scheduler defers the commit (e.g. until the transactions
             # whose effects this one observed have resolved); park at the
             # commit point and retry on wake-up.
-            self._set_ready(frame)  # _complete_frame marked it done
-            frame.pending_commit = True
-            frame.commit_value = return_value
+            frame.pending = _COMMIT
+            frame.inbox = return_value
             self._wait(frame, "", response.reason or "commit deferred", response.blockers)
-            return
-        if not response.granted:
+        else:
             self._abort_transaction(frame.info.top_level_id, response.reason or "commit vetoed")
-            return
-        self._finalise_commit(frame, return_value)
 
     def _finalise_commit(self, frame: _Frame, return_value: Any) -> None:
         """Apply a granted commit (shared with the global-commit directive).
@@ -1284,47 +1276,40 @@ class SimulationEngine:
         transaction's home shard.
         """
         shard = self._shard
-        session = shard is not None and shard.sessions.pop(frame.execution_id, None) is not None
-        frame.pending_commit = False
+        transaction_id = frame.execution_id
+        session = shard is not None and shard.sessions.pop(transaction_id, None) is not None
         self.scheduler.on_transaction_commit(frame.info)
-        self._committed.append(frame.execution_id)
-        self._record(
-            COMMITTED,
-            frame.execution_id,
-            detail="remote session" if session else str(return_value),
-        )
-        # Re-entered commits (pending_commit retries) arrive here _READY.
-        self._set_not_ready(frame, _DONE)
-        self._frames.pop(frame.execution_id, None)
-        self._undo_log.forget_transaction(frame.info.top_level_id)
-        if not self._keeps_history:
-            # Forget the committed subtree while the execution index still
-            # lists it (the index is dropped a few lines below); an online
-            # certifier keeps what it needs of a home transaction.
-            index = self._executions_by_transaction
-            subtree, intervals = self._builder.forget(
-                sorted(index.get(frame.execution_id, {frame.execution_id}))
+        self._committed.append(transaction_id)
+        if self._trace is not None:
+            self._record(
+                COMMITTED,
+                transaction_id,
+                detail="remote session" if session else str(return_value),
             )
+        # Re-entered commits (pending commit retries) arrive here _READY.
+        self._set_not_ready(frame, _DONE)
+        del self._frames[transaction_id]
+        self._undo_log.forget_transaction(transaction_id)
+        # A committed transaction can never abort: drop its execution index
+        # (which lists the root too), and the builder's records unless kept.
+        subtree_ids = self._executions_by_transaction.pop(transaction_id)
+        if not self._keeps_history:
+            subtree, intervals = self._builder.forget(sorted(subtree_ids))
             if self._certifier is not None and not session:
                 self._certifier.note_commit(
-                    frame.execution_id, subtree, intervals, resolve_stamp=self._builder.clock
+                    transaction_id, subtree, intervals, resolve_stamp=self._builder.clock
                 )
         if not session:
             self.metrics.committed += 1
-            lineage = self._lineage_of.pop(frame.execution_id, None)
+            lineage = self._lineage_of.pop(transaction_id, None)
             if lineage is not None:
                 self.restart_policy.on_finished(lineage)
                 arrival_tick = self._arrival_tick_of.pop(lineage, 0)
                 self.metrics.note_latency(self._tick - arrival_tick)
             self._in_flight -= 1
         # The commit released the transaction's locks (and resolved any
-        # read-from dependencies on it): wake its waiters, then drop the
-        # execution index — a committed transaction can never abort, so the
-        # subtree listing is dead weight from here on.
-        self._drain_wakeups(
-            {frame.execution_id, *self._executions_by_transaction.get(frame.execution_id, ())}
-        )
-        self._executions_by_transaction.pop(frame.execution_id, None)
+        # read-from dependencies on it): wake its waiters.
+        self._drain_wakeups(subtree_ids)
         self._note_finished_attempt()
 
     # -- fault injection -------------------------------------------------------------
@@ -1358,7 +1343,8 @@ class SimulationEngine:
         victim = plan.choose_victim(candidates)
         if victim is not None:
             self.metrics.faults_injected += 1
-            self._record(FAULT_INJECTED, victim, detail=f"crash injected at tick {due}")
+            if self._trace is not None:
+                self._record(FAULT_INJECTED, victim, detail=f"crash injected at tick {due}")
             self._abort_transaction(victim, "fault: injected crash")
         next_due = plan.next_after(due)
         if next_due is not None and (self._frames or self._events):
@@ -1392,7 +1378,8 @@ class SimulationEngine:
         self._aborted_executions.update(subtree_ids)
         if not session:
             self.metrics.note_abort(reason)
-        self._record(ABORTED, top_level_id, detail=reason)
+        if self._trace is not None:
+            self._record(ABORTED, top_level_id, detail=reason)
 
         info = top_frame.info if top_frame is not None else self._root_info(top_level_id, "")
         self.scheduler.on_transaction_abort(info, tuple(sorted(subtree_ids)))
@@ -1463,14 +1450,18 @@ class SimulationEngine:
                 )
                 if self._shard is not None and self._shard.classify(spec):
                     heapq.heappush(self._shard.cross_due, self._tick + delay)
-                self._record(RESTART_SCHEDULED, top_level_id, detail=f"+{delay} ticks: {reason}")
+                if self._trace is not None:
+                    self._record(
+                        RESTART_SCHEDULED, top_level_id, detail=f"+{delay} ticks: {reason}"
+                    )
         else:
             self.metrics.gave_up += 1
             if lineage is not None:
                 self.restart_policy.on_finished(lineage)
                 self._arrival_tick_of.pop(lineage, None)
             self._in_flight -= 1
-            self._record(GAVE_UP, top_level_id, detail=reason)
+            if self._trace is not None:
+                self._record(GAVE_UP, top_level_id, detail=reason)
 
     # -- live-state garbage collection -------------------------------------------
 

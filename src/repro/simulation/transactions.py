@@ -22,21 +22,19 @@ resulting history and feeds return values back into the generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..core.errors import SimulationError
 from ..core.operations import LocalOperation
 
 
-@dataclass(frozen=True, slots=True)
-class LocalRequest:
+class LocalRequest(NamedTuple):
     """Request to execute a local operation on the issuing method's object."""
 
     operation: LocalOperation
 
 
-@dataclass(frozen=True, slots=True)
-class InvokeRequest:
+class InvokeRequest(NamedTuple):
     """Request to invoke ``method_name`` of ``object_name`` as a child execution."""
 
     object_name: str
@@ -44,8 +42,7 @@ class InvokeRequest:
     arguments: tuple[Any, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ParallelRequest:
+class ParallelRequest(NamedTuple):
     """Request to run several invocations as concurrent child executions."""
 
     invocations: tuple[InvokeRequest, ...]

@@ -110,6 +110,10 @@ def test_certification_work_grows_with_the_history_not_its_square(monkeypatch):
         work.append({"conflict_calls": counting.calls, **certifier._projection.counters()})
 
     assert steps == [824, 1672]
+    # 204 and 408 of these are condition 2a's, one per generating pair of
+    # programme order; no execution here has three steps in sequence, so
+    # storing sequential steps as a chain (k - 1 pairs) moved neither.
+    assert comparisons == [1592, 3278]
     assert work == [
         {"conflict_calls": 4199, "edge_inserts": 1000, "dfs_visits": 908, "rollbacks": 0},
         {"conflict_calls": 9003, "edge_inserts": 2205, "dfs_visits": 2508, "rollbacks": 0},

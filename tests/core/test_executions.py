@@ -1,6 +1,7 @@
 """Unit tests for method executions (Definition 4)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     ENVIRONMENT_OBJECT,
@@ -10,6 +11,7 @@ from repro.core import (
     MethodExecution,
     ReadVariable,
 )
+from repro.core.dag import topological_order
 from repro.core.errors import ModelError
 from repro.core.executions import execution_return_value
 
@@ -121,3 +123,99 @@ class TestInspection:
         child = MethodExecution("t.1", "A", "m", parent_id="t", invoking_step_id=1)
         assert "top-level" in repr(top)
         assert "child of" in repr(child)
+
+
+def _closure(pairs, nodes):
+    reachable = {node: set() for node in nodes}
+    for before, after in pairs:
+        reachable[before].add(after)
+    changed = True
+    while changed:
+        changed = False
+        for node in nodes:
+            extra = set().union(*(reachable[other] for other in reachable[node])) - reachable[node]
+            if extra:
+                reachable[node] |= extra
+                changed = True
+    return {(node, other) for node in nodes for other in reachable[node]}
+
+
+#: One addition: ``None`` is sequential (after every step so far); a list
+#: of fractions picks explicit predecessors among the steps so far.
+additions = st.lists(
+    st.one_of(st.none(), st.lists(st.floats(0, 1, exclude_max=True), max_size=3)),
+    min_size=1,
+    max_size=14,
+)
+
+
+class TestProgramOrderStorage:
+    """Sequential steps are linked from the maximal steps only, not from
+    every earlier step: the stored relation differs, its closure does not."""
+
+    def test_sequential_steps_store_one_pair_each(self):
+        execution = make_execution()
+        for index in range(1000):
+            execution.add_step(LocalStep("e1", "A", ReadVariable(str(index)), 0))
+        pairs = execution.program_order_pairs()
+        assert len(pairs) == 999
+        ids = execution.step_ids()
+        assert pairs == frozenset(zip(ids, ids[1:]))
+        assert execution.program_precedes(ids[0], ids[-1])
+
+    def test_a_step_after_parallel_branches_follows_every_branch(self):
+        execution = make_execution()
+        first = execution.add_step(LocalStep("e1", "A", ReadVariable("x"), 0))
+        left = execution.add_step(MessageStep("e1", "B", "m"), after=[first])
+        assert execution.is_sequential()
+        right = execution.add_step(MessageStep("e1", "C", "m"), after=[first])
+        assert set(execution.maximal_step_ids()) == {left.step_id, right.step_id}
+        last = execution.add_step(LocalStep("e1", "A", ReadVariable("y"), 0))
+        assert execution.maximal_step_ids() == (last.step_id,)
+        assert not execution.is_sequential()  # left and right stay unordered
+        assert execution.program_order_pairs() == {
+            (first.step_id, left.step_id),
+            (first.step_id, right.step_id),
+            (left.step_id, last.step_id),
+            (right.step_id, last.step_id),
+        }
+        assert not execution.program_precedes(left, right)
+
+    @settings(max_examples=150, deadline=None)
+    @given(additions)
+    def test_closure_and_topological_order_match_the_all_pairs_form(self, plan):
+        execution = make_execution()
+        all_pairs = set()
+        ids = []
+        for index, choice in enumerate(plan):
+            step = LocalStep("e1", "A", ReadVariable(str(index)), 0)
+            if choice is None:
+                execution.add_step(step)
+                all_pairs.update((earlier, step.step_id) for earlier in ids)
+            else:
+                after = sorted({ids[int(fraction * len(ids))] for fraction in choice}) if ids else []
+                execution.add_step(step, after=after)
+                all_pairs.update((earlier, step.step_id) for earlier in after)
+            ids.append(step.step_id)
+        assert execution.program_order_pairs() <= all_pairs
+        closure = _closure(all_pairs, ids)
+        assert {
+            (first, second)
+            for first in ids
+            for second in ids
+            if execution.program_precedes(first, second)
+        } == closure
+        total = all(
+            (first, second) in closure or (second, first) in closure
+            for first in ids
+            for second in ids
+            if first != second
+        )
+        assert execution.is_sequential() == total
+
+        def key(step_id):
+            return (step_id * 7919) % 13
+
+        assert topological_order(ids, execution.program_order_pairs(), key) == topological_order(
+            ids, all_pairs, key
+        )

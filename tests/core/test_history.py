@@ -212,6 +212,18 @@ class TestTemporalOrder:
         read, write = history.topological_local_order("A")
         assert (read.step_id, write.step_id) in history.order_pairs()
 
+    def test_an_interval_ending_before_it_starts_is_rejected(self):
+        # ``<`` over intervals is transitive only if every interval has
+        # start <= end, and condition 2a over generating pairs relies on it.
+        history = simple_history()
+        read, _ = history.topological_local_order("A")
+        intervals = history.intervals()
+        History(history.executions, history.initial_states, intervals=intervals)  # accepted
+        start, end = intervals[read.step_id]
+        intervals[read.step_id] = (end + 1, start)
+        with pytest.raises(ModelError, match="ends before it starts"):
+            History(history.executions, history.initial_states, intervals=intervals)
+
 
 class TestLegality:
     def test_builder_histories_are_legal(self, serialisable_history):

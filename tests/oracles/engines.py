@@ -113,14 +113,21 @@ class ReplayCheckedEngine(SimulationEngine):
         abort wasted — and lists the survivors whose replayed return value
         differs from the recorded one.  The history builder keeps every
         step of every attempt in the order the engine recorded (and so
-        applied) them.
+        applied) them: step ids are drawn in creation order, and the engine
+        records each granted step as it creates it.
         """
         states = dict(self.object_base.initial_states())
         wasted = 0
         mismatches = []
-        for step in self._builder._steps_by_id.values():
-            if not isinstance(step, LocalStep):
-                continue
+        recorded = sorted(
+            (
+                step
+                for execution in self._builder._executions.values()
+                for step in execution.local_steps()
+            ),
+            key=lambda step: step.step_id,
+        )
+        for step in recorded:
             if step.execution_id in subtree_ids:
                 wasted += 1
             if step.execution_id not in self._aborted_executions:

@@ -10,7 +10,9 @@ restart policy, commit-gate mode and seed.
 
 A second contract rides along: the hot record types are ``__slots__``-ed
 (the rewrite's memory/speed pass), and a slotted type silently regaining a
-``__dict__`` is a regression this file fails loudly on.
+``__dict__`` is a regression this file fails loudly on.  The per-step
+records the decision path builds are immutable tuples, equal and hashed by
+value, which this file pins too.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.streaming import _StepEntry
 from repro.core.executions import MethodExecution
-from repro.core.operations import LocalStep
+from repro.core.operations import LocalStep, MessageStep
 from repro.core.state import AppliedStep, ObjectState
 from repro.objectbase.adts.register import WriteRegister
 from repro.scheduler import make_scheduler
@@ -33,7 +36,12 @@ from repro.scheduler.recovery import _GateRecord
 from repro.simulation import SimulationEngine
 from repro.simulation.engine import _Frame
 from repro.simulation.events import TraceEvent
-from repro.simulation.transactions import MethodContext
+from repro.simulation.transactions import (
+    InvokeRequest,
+    LocalRequest,
+    MethodContext,
+    ParallelRequest,
+)
 from repro.simulation.workloads import make_workload
 
 from tests.oracles.engines import ScanLoopEngine
@@ -208,6 +216,12 @@ SLOTTED_HOT_TYPES = [
     ExecutionInfo,
     OperationRequest,
     SchedulerResponse,
+    LocalRequest,
+    InvokeRequest,
+    ParallelRequest,
+    LocalStep,
+    MessageStep,
+    _StepEntry,
 ]
 
 
@@ -243,3 +257,41 @@ class TestSlottedHotRecords:
             # rejected.
             with pytest.raises((AttributeError, TypeError)):
                 instance.definitely_not_a_slot = 1
+
+
+def _records():
+    """Two independently built copies of every per-step record type."""
+    operation = WriteRegister(7)
+    info = ExecutionInfo("T1.1", "A", "write", "T1", ("T1",), "T1")
+    step = LocalStep("T1.1", "A", operation, 7)
+    invoke = InvokeRequest("A", "write", (7,))
+    return [
+        (info, ExecutionInfo("T1.1", "A", "write", "T1", ("T1",), "T1")),
+        (
+            OperationRequest(info, "A", operation, step),
+            OperationRequest(info, "A", WriteRegister(7), step),
+        ),
+        (LocalRequest(operation), LocalRequest(WriteRegister(7))),
+        (invoke, InvokeRequest("A", "write", (7,))),
+        (ParallelRequest((invoke,)), ParallelRequest((InvokeRequest("A", "write", (7,)),))),
+    ]
+
+
+class TestImmutableRecords:
+    """The records the decision path allocates per step are values."""
+
+    @pytest.mark.parametrize(
+        "record, twin", _records(), ids=lambda record: type(record).__name__
+    )
+    def test_fields_cannot_be_assigned(self, record, twin):
+        for name in type(record).__annotations__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    @pytest.mark.parametrize(
+        "record, twin", _records(), ids=lambda record: type(record).__name__
+    )
+    def test_equal_fields_mean_equal_records_and_hashes(self, record, twin):
+        assert record is not twin
+        assert record == twin and hash(record) == hash(twin)
+        assert len({record, twin}) == 1
