@@ -4,7 +4,9 @@ Theorem 2's construction and Definition 6's replay need three graph
 operations, and every module of the library takes them from here: an
 acyclicity test (:class:`PrecedenceDag`), a cycle witness
 (:func:`cyclic_nodes`, an iterative Tarjan) and a keyed topological order
-(:func:`topological_order`, Kahn's algorithm on a heap).
+(:func:`topological_order`, Kahn's algorithm on a heap).  The run's
+waits-for relation (:mod:`repro.core.waits`) asks :func:`reachable`
+whether a new wait closes a cycle, and walks its result back to name it.
 
 Every component that keeps a precedence graph — the modular scheduler's
 inter-object coordinator, the inter-shard coordinator, the optimistic
@@ -44,22 +46,25 @@ def reachable(
     succ: Mapping[Hashable, Collection[Hashable]],
     sources: Iterable[Hashable],
     target: Hashable = _NO_TARGET,
-) -> set:
+) -> dict:
     """Nodes forward-reachable from ``sources`` (themselves included).
 
     One iterative multi-source DFS over a ``{node: successors}`` mapping;
     nodes missing from the mapping have no successors.  With ``target``
     the search stops the moment it is discovered, so ``target in result``
-    says whether any source reaches it.
+    says whether any source reaches it.  The result maps each node to the
+    node that discovered it (``None`` for a source), so a hit can be walked
+    back into the path that found it.
     """
     stack = list(sources)  # a repeated source is expanded twice, harmlessly
-    seen = set(stack)
+    seen = dict.fromkeys(stack)
     if target in seen:
         return seen
     while stack:
-        for successor in succ.get(stack.pop(), ()):
+        node = stack.pop()
+        for successor in succ.get(node, ()):
             if successor not in seen:
-                seen.add(successor)
+                seen[successor] = node
                 if successor == target:
                     return seen
                 stack.append(successor)
@@ -236,7 +241,7 @@ class PrecedenceDag:
     def descendants(self, sources: Iterable[Hashable]) -> set:
         """The present ``sources`` plus everything forward-reachable from them."""
         succ = self._succ
-        return reachable(succ, (node for node in sources if node in succ))
+        return set(reachable(succ, (node for node in sources if node in succ)))
 
     def counters(self) -> dict[str, int]:
         """The work counters, under the keys ``describe()`` dicts surface them by."""

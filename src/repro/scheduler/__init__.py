@@ -25,7 +25,6 @@ from .base import (
     SchedulerResponse,
 )
 from .certifier import OptimisticCertifier
-from .deadlock import WaitsForGraph
 from .locks import LockEntry, LockManager, LockRequestOutcome
 from .modular import (
     BTreeKeyLocking,
@@ -167,7 +166,6 @@ __all__ = [
     "SchedulerResponse",
     "SingleActiveObjectScheduler",
     "TimestampAuthority",
-    "WaitsForGraph",
     "disjoint_ancestors",
     "make_intra_strategy",
     "make_restart_policy",

@@ -213,7 +213,7 @@ class AdaptiveModularScheduler(ModularScheduler):
             # next natural quiescent point) because paying a drain to
             # relax an object that just went calm re-creates the very
             # contention the demotion says is gone.  The block goes
-            # through the ordinary deadlock-checked park path, so a drain
+            # to the run's waits-for relation like any other, so a drain
             # that would deadlock aborts the requester.  The barrier only
             # arms when the live set is small enough (``drain_limit``) to
             # actually empty soon; stalling every newcomer behind a
@@ -230,13 +230,15 @@ class AdaptiveModularScheduler(ModularScheduler):
                 self._ops_seen += 1
                 if self._ops_seen % self.window == 0:
                     self._evaluate_window()
-                return self._park_with_deadlock_check(
-                    request,
-                    SchedulerResponse.block(
-                        f"strategy swap pending on {object_name}: draining "
-                        f"live transactions",
-                        blockers=set(live),
-                    ),
+                return self._count_wait(
+                    self.waits.block(
+                        request.info.execution_id,
+                        SchedulerResponse.block(
+                            f"strategy swap pending on {object_name}: draining "
+                            f"live transactions",
+                            blockers=set(live),
+                        ),
+                    )
                 )
         response = super().on_operation(request)
         if object_name in self._rungs:

@@ -48,6 +48,8 @@ from typing import Any, Mapping, NamedTuple
 
 from ..core.conflicts import PerObjectConflicts
 from ..core.operations import LocalOperation, LocalStep
+# disjoint_ancestors is re-exported: the schedulers take it from here.
+from ..core.waits import UNBOUND, WaitsFor, disjoint_ancestors  # noqa: F401
 from ..objectbase.base import ObjectBase
 from .restart import IMMEDIATE_RESTART, RestartPolicy, make_restart_policy
 
@@ -68,25 +70,6 @@ class ExecutionInfo(NamedTuple):
     @property
     def is_top_level(self) -> bool:
         return self.parent_id is None
-
-
-def disjoint_ancestors(first: ExecutionInfo, second: ExecutionInfo) -> tuple[str, str] | None:
-    """The children of the least common ancestor on each side, or top-levels.
-
-    Returns ``None`` when the executions are comparable (one an ancestor of
-    the other), in which case no inter-object ordering constraint applies.
-    """
-    first_chain = (first.execution_id,) + first.ancestor_ids
-    second_chain = (second.execution_id,) + second.ancestor_ids
-    if first.execution_id in second_chain or second.execution_id in first_chain:
-        return None
-    second_set = set(second_chain)
-    common = next((ancestor for ancestor in first_chain if ancestor in second_set), None)
-    if common is None:
-        return first.top_level_id, second.top_level_id
-    first_side = first_chain[first_chain.index(common) - 1]
-    second_side = second_chain[second_chain.index(common) - 1]
-    return first_side, second_side
 
 
 class OperationRequest(NamedTuple):
@@ -139,7 +122,11 @@ class SchedulerResponse:
                 :class:`~repro.core.errors.SimulationError`.
 
         Returns:
-            The BLOCK response.
+            The BLOCK response.  A scheduler hands it to the run's
+            waits-for relation (:meth:`WaitsFor.block
+            <repro.core.waits.WaitsFor.block>`) and answers what that
+            returns: this BLOCK, or the requester's ABORT when the wait
+            would close a cycle — schedulers keep no waits-for graph.
         """
         return cls(Decision.BLOCK, reason, frozenset(blockers))
 
@@ -208,6 +195,10 @@ class Scheduler:
     name = "pass-through"
     #: Conflict granularity, ``"operation"`` or ``"step"``.
     level = STEP_LEVEL
+    #: The run's waits-for relation, which every BLOCK is asked of.  The
+    #: engine binds its own before :meth:`attach`; a scheduler no engine
+    #: runs keeps the unbound one, which never sees a cycle.
+    waits: WaitsFor = UNBOUND
 
     def __init__(
         self, restart_policy: "str | Mapping[str, Any] | RestartPolicy" = IMMEDIATE_RESTART

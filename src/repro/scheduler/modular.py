@@ -25,6 +25,13 @@ requester if the edge would close a cycle.  The coordinator can be switched
 off (``inter_object_checks=False``) to demonstrate experimentally that
 intra-object serialisability alone is *not* sufficient — the paper's
 Section 2 example and experiment E4.
+
+Waiting is neither half's business.  A blocking synchroniser's BLOCK, an
+aca read the commit gate holds back and a commit that waits for its
+read-from dependencies all go to the run's one waits-for relation
+(:mod:`repro.core.waits`), which aborts the requester whose wait
+would close a cycle — so a cycle through a lock wait and a commit wait is
+seen as surely as one of lock waits alone, with no graph kept here.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from ..core.dag import PrecedenceDag
 from ..core.errors import UnknownObjectError
 from ..core.operations import LocalStep
 from ..core.registry import resolve_component
+from ..core.waits import DEADLOCK
 from ..objectbase.base import ObjectBase
 from .base import (
     STEP_LEVEL,
@@ -48,7 +56,6 @@ from .base import (
     SchedulerResponse,
     disjoint_ancestors,
 )
-from .deadlock import WaitsForGraph
 from .recovery import CASCADE_MODE, CommitGate
 from .timestamps import TimestampAuthority
 
@@ -607,7 +614,6 @@ class ModularScheduler(Scheduler):
         # top-level id -> objects whose synchroniser saw a request from it
         # (insertion-ordered), so resolution notifies only those.
         self._objects_of: dict[str, dict[str, None]] = {}
-        self.waits = WaitsForGraph()
         self.authority = TimestampAuthority()
         # Intra-object synchronisers are free to execute against uncommitted
         # state (timestamp ordering does); the gate keeps committed histories
@@ -669,24 +675,11 @@ class ModularScheduler(Scheduler):
         if self.inter_object_checks:
             self.gate.begin(info.top_level_id)
 
-    def _park_with_deadlock_check(
-        self, request: OperationRequest, response: SchedulerResponse
-    ) -> SchedulerResponse:
-        """Track a BLOCK in the waits-for graph; abort instead on a cycle.
-
-        Used for both intra-object lock waits and aca dirty-read waits, so
-        cycles mixing the two kinds of wait are detected in one graph.
-        """
-        transaction_id = request.info.top_level_id
+    def _count_wait(self, response: SchedulerResponse) -> SchedulerResponse:
+        """Count a blocked request the waits-for relation answered (an ABORT: a deadlock)."""
         self.blocked_requests += 1
-        self.waits.park(request.info.execution_id, transaction_id, set(response.blockers))
-        cycle = self.waits.find_cycle_from(transaction_id)
-        if cycle is not None:
+        if response.aborted:
             self.deadlocks_detected += 1
-            self.waits.remove_transaction(transaction_id)
-            return SchedulerResponse.abort(
-                f"deadlock among transactions {sorted(set(cycle))}"
-            )
         return response
 
     def on_operation(self, request: OperationRequest) -> SchedulerResponse:
@@ -694,11 +687,10 @@ class ModularScheduler(Scheduler):
         self._objects_of.setdefault(request.info.top_level_id, {})[request.object_name] = None
         intra_response = intra.on_operation(request)
         if intra_response.blocked:
-            return self._park_with_deadlock_check(request, intra_response)
+            return self._count_wait(self.waits.block(request.info.execution_id, intra_response))
         if intra_response.aborted:
             return intra_response
 
-        self.waits.unpark(request.info.execution_id)
         if self.inter_object_checks:
             if self._coordinator is not None:
                 inter_response = self._coordinator.check_step(request)
@@ -707,10 +699,8 @@ class ModularScheduler(Scheduler):
             gate_response = self.gate.check_operation(
                 request.object_name, request.lock_item(self.level), request.info
             )
-            if gate_response.blocked:
-                return self._park_with_deadlock_check(request, gate_response)
             if not gate_response.granted:
-                return gate_response
+                return self._count_wait(gate_response)  # the gate asked the relation
         return SchedulerResponse.grant()
 
     def on_operation_executed(self, request: OperationRequest, value: Any) -> None:
@@ -738,27 +728,11 @@ class ModularScheduler(Scheduler):
                 return response
         if not self.inter_object_checks:
             return SchedulerResponse.grant()
-        transaction_id = info.top_level_id
-        response = self.gate.check_commit(transaction_id)
-        if response.blocked:
-            # A commit-wait must enter the same waits-for graph as the lock
-            # and aca waits: a transaction holding an intra-object lock can
-            # be commit-blocked on a transaction that waits for that very
-            # lock, and neither the gate's graph nor ours alone sees the
-            # full cycle.  (The gate still catches pure commit-wait cycles
-            # itself.)
-            self.waits.park(transaction_id, transaction_id, set(response.blockers))
-            cycle = self.waits.find_cycle_from(transaction_id)
-            if cycle is not None:
-                self.deadlocks_detected += 1
-                self.waits.remove_transaction(transaction_id)
-                return SchedulerResponse.abort(
-                    f"deadlock among transactions {sorted(set(cycle))} "
-                    "(commit-wait closing a lock-wait cycle)"
-                )
-            return response
-        if response.granted:
-            self.waits.unpark(transaction_id)
+        response = self.gate.check_commit(info.top_level_id)
+        # The gate's commit wait enters the one relation the lock waits are
+        # in, so a commit wait that closes a lock-wait cycle is a deadlock.
+        if response.aborted and response.reason.startswith(DEADLOCK):
+            self.deadlocks_detected += 1
         return response
 
     def _finish_transaction(self, info: ExecutionInfo, *, committed: bool) -> None:
@@ -771,7 +745,6 @@ class ModularScheduler(Scheduler):
             synchroniser.on_transaction_finished(info.top_level_id)
         if self._coordinator is not None:
             self._coordinator.note_finished(info.top_level_id)
-        self.waits.remove_transaction(info.top_level_id)
         # Intra-object locks (held to transaction end) are now gone and any
         # read-from dependencies on this transaction are resolved.
         self._note_wakeups(self.gate.finish(info.top_level_id, committed=committed))

@@ -22,11 +22,13 @@ policy, selected by the gate's ``mode`` axis:
   a dependency commits or aborts);
 * a commit request is **aborted** — a cascading abort — when a dependency
   has aborted: the requester observed state that has since been undone;
-* mutual commit-waits (a dependency cycle) would stall forever, so the
-  gate keeps its own incremental :class:`~repro.scheduler.deadlock.WaitsForGraph`
-  over commit-waiters and aborts the requester that closes a cycle (such a
-  cycle is also a serialisation-graph cycle, so one of the participants
-  must die anyway).
+* mutual commit-waits (a dependency cycle) would stall forever, so every
+  commit wait goes to the run's waits-for relation
+  (:mod:`repro.core.waits`), which aborts the requester that closes
+  a cycle (such a cycle is also a serialisation-graph cycle, so one of the
+  participants must die anyway).  A cycle of commit waits alone is a
+  ``validation`` failure; one that also runs through a lock wait is a
+  ``deadlock``.
 
 **``mode="aca"``** avoids cascading aborts altogether by gating
 conflicting reads at *execution* time: :meth:`CommitGate.check_operation`
@@ -37,8 +39,8 @@ executes, every effect it can observe is committed, so no read-from
 dependency on a live transaction is ever recorded and commits neither
 wait nor cascade.  The price is operation blocking — the scheduler's
 "never blocks an operation" property is traded away — and the dirty-read
-wait cycles that come with it, which the same waits-for graph detects and
-breaks by aborting the requester.
+wait cycles that come with it, which the same waits-for relation detects
+and breaks by aborting the requester.
 
 The gate tracks only live transactions: a transaction's records, its
 dependency set and — once no live dependent references them — aborted
@@ -52,8 +54,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..core.operations import LocalOperation, LocalStep
+from ..core.waits import UNBOUND, WaitsFor
 from .base import STEP_LEVEL, ExecutionInfo, Scheduler, SchedulerResponse
-from .deadlock import WaitsForGraph
 
 #: Commit-time cascading (the default, legacy behaviour).
 CASCADE_MODE = "cascade"
@@ -88,6 +90,8 @@ class CommitGate:
         commit-waits plus cascading aborts; ``"aca"`` prevents them at
         execution time — :meth:`check_operation` blocks conflicting reads
         of uncommitted effects, so commits never cascade.
+    waits:
+        the run's waits-for relation, which every BLOCK is asked of.
     """
 
     def __init__(
@@ -95,12 +99,14 @@ class CommitGate:
         conflicts_lookup: Callable[[str], Any],
         step_level: bool = True,
         mode: str = CASCADE_MODE,
+        waits: WaitsFor = UNBOUND,
     ):
         if mode not in GATE_MODES:
             raise ValueError(f"unknown gate mode {mode!r}; available: {', '.join(GATE_MODES)}")
         self._conflicts_lookup = conflicts_lookup
         self._step_level = step_level
         self.mode = mode
+        self.waits = waits
         self._sequence = itertools.count(1)
         # Per-object records keyed by sequence (insertion-ordered), plus a
         # per-transaction index of (object, sequence) pairs so finish()
@@ -112,7 +118,6 @@ class CommitGate:
         self._live: set[str] = set()
         self._aborted: set[str] = set()
         self._dependencies: dict[str, set[str]] = {}
-        self._waits = WaitsForGraph()
         # Transactions currently inside a blocked commit spell.  A deferred
         # cross-shard ballot calls check_commit again at every barrier, so
         # the counter tracks *spells*, not calls — otherwise commit_waits
@@ -124,12 +129,13 @@ class CommitGate:
 
     @classmethod
     def for_scheduler(cls, scheduler: Scheduler) -> "CommitGate":
-        """A fresh gate at ``scheduler``'s conflict level and ``gate_mode``."""
+        """A fresh gate at ``scheduler``'s conflict level, ``gate_mode`` and waits-for relation."""
         registry = scheduler.conflicts_for(scheduler.level)
         return cls(
             lambda name: registry[name],
             step_level=scheduler.level == STEP_LEVEL,
             mode=scheduler.gate_mode,
+            waits=scheduler.waits,
         )
 
     # -- life cycle ----------------------------------------------------------
@@ -150,7 +156,6 @@ class CommitGate:
                     del self._steps_by_object[object_name]
         self._dependencies.pop(transaction_id, None)
         self._commit_waiters.discard(transaction_id)
-        self._waits.remove_transaction(transaction_id)
         if self._aborted:
             # An aborted marker only matters while some live dependent might
             # still observe it; prune the rest to keep the gate bounded.
@@ -216,10 +221,11 @@ class CommitGate:
 
         BLOCKs (naming the live writers as blockers) when the requested
         item conflicts with an earlier state-mutating step of another
-        still-live transaction; a dirty-read wait cycle — reader and
-        writer each stuck behind the other's uncommitted effects — is
-        broken by aborting the requester.  In ``cascade`` mode this is a
-        no-op GRANT: dirty reads are resolved at commit time instead.
+        still-live transaction, unless the run's waits-for relation finds
+        that the wait closes a cycle — reader and writer each stuck behind
+        the other's uncommitted effects — and aborts the requester.  In
+        ``cascade`` mode this is a no-op GRANT: dirty reads are resolved at
+        commit time instead.
 
         Args:
             object_name: the object the operation addresses.
@@ -243,21 +249,17 @@ class CommitGate:
             if spec.conflicting(record.item, item, self._step_level):
                 writers.add(record.transaction_id)
         if not writers:
-            self._waits.unpark(info.execution_id)
             return SchedulerResponse.grant()
-        self._waits.park(info.execution_id, transaction_id, writers)
-        cycle = self._waits.find_cycle_from(transaction_id)
-        if cycle is not None:
-            self._waits.unpark(info.execution_id)
-            return SchedulerResponse.abort(
-                f"deadlock: dirty-read wait cycle among {sorted(set(cycle))} "
-                "(aca gate)"
-            )
-        self.blocked_reads += 1
-        return SchedulerResponse.block(
-            f"aca: waiting for uncommitted writers of {object_name} to resolve",
-            blockers=writers,
+        response = self.waits.block(
+            info.execution_id,
+            SchedulerResponse.block(
+                f"aca: waiting for uncommitted writers of {object_name} to resolve",
+                blockers=writers,
+            ),
         )
+        if response.blocked:
+            self.blocked_reads += 1
+        return response
 
     # -- commit arbitration ----------------------------------------------------
 
@@ -268,31 +270,27 @@ class CommitGate:
         if dirty:
             self.cascading_aborts += 1
             self._commit_waiters.discard(transaction_id)
-            self._waits.unpark(transaction_id)
             return SchedulerResponse.abort(
                 f"cascading abort: observed state written by aborted transaction(s) "
                 f"{sorted(dirty)}"
             )
         waiting = dependencies & self._live
         if waiting:
-            self._waits.park(transaction_id, transaction_id, waiting)
-            cycle = self._waits.find_cycle_from(transaction_id)
-            if cycle is not None:
+            response = self.waits.block(
+                transaction_id,
+                SchedulerResponse.block(
+                    "waiting for commit of transactions whose effects were observed",
+                    blockers=waiting,
+                ),
+                commit=True,
+            )
+            if response.aborted:
                 self._commit_waiters.discard(transaction_id)
-                self._waits.unpark(transaction_id)
-                return SchedulerResponse.abort(
-                    f"validation failed: commit dependency cycle among "
-                    f"{sorted(set(cycle))}"
-                )
-            if transaction_id not in self._commit_waiters:
+            elif transaction_id not in self._commit_waiters:
                 self._commit_waiters.add(transaction_id)
                 self.commit_waits += 1
-            return SchedulerResponse.block(
-                "waiting for commit of transactions whose effects were observed",
-                blockers=waiting,
-            )
+            return response
         self._commit_waiters.discard(transaction_id)
-        self._waits.unpark(transaction_id)
         return SchedulerResponse.grant()
 
     # -- descriptive ------------------------------------------------------------

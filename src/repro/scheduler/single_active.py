@@ -13,7 +13,11 @@ invoke methods declared ``read_only`` on the object and an *exclusive* lock
 otherwise; locks belong to the top-level transaction and are held until it
 commits or aborts.  This deliberately "severely curtails parallelism"
 (the paper's words) and is the baseline experiment E1 compares the
-fine-grained schedulers against.
+fine-grained schedulers against.  Whole-object locks held to transaction
+end deadlock like any two-phase scheme; the scheduler keeps no waits-for
+graph but hands each BLOCK to the run's waits-for relation
+(:mod:`repro.core.waits`), which aborts the requester whose wait
+would close a cycle.
 
 Transaction-granularity locks say nothing about the *parallel siblings
 inside* a transaction: two parallel children may interleave conflicting
@@ -39,7 +43,6 @@ from .base import (
     SchedulerResponse,
     disjoint_ancestors,
 )
-from .deadlock import WaitsForGraph
 
 SHARED = "shared"
 EXCLUSIVE = "exclusive"
@@ -111,7 +114,6 @@ class SingleActiveObjectScheduler(Scheduler):
         super()._reset()
         # object name -> {transaction id -> mode}
         self._object_locks: dict[str, dict[str, str]] = defaultdict(dict)
-        self.waits = WaitsForGraph()
         self.sibling_order = IntraTransactionOrdering(self._sibling_conflicts)
         self.deadlocks_detected = 0
         self.blocked_requests = 0
@@ -156,19 +158,16 @@ class SingleActiveObjectScheduler(Scheduler):
                 holders[transaction_id] = mode if current is None else (
                     EXCLUSIVE if EXCLUSIVE in (current, mode) else SHARED
                 )
-            self.waits.unpark(request.info.execution_id)
             return SchedulerResponse.grant()
 
         self.blocked_requests += 1
-        self.waits.park(request.info.execution_id, transaction_id, blockers)
-        cycle = self.waits.find_cycle_from(transaction_id)
-        if cycle is not None:
+        response = self.waits.block(
+            request.info.execution_id,
+            SchedulerResponse.block("object locked by another transaction", blockers=blockers),
+        )
+        if response.aborted:
             self.deadlocks_detected += 1
-            self.waits.remove_transaction(transaction_id)
-            return SchedulerResponse.abort(
-                f"deadlock among transactions {sorted(set(cycle))}"
-            )
-        return SchedulerResponse.block("object locked by another transaction", blockers=blockers)
+        return response
 
     def on_operation_executed(self, request: OperationRequest, value: Any) -> None:
         self.sibling_order.record_step(request, value)
@@ -179,7 +178,6 @@ class SingleActiveObjectScheduler(Scheduler):
         # note needed here.
         for holders in self._object_locks.values():
             holders.pop(transaction_id, None)
-        self.waits.remove_transaction(transaction_id)
         self.sibling_order.forget_transaction(transaction_id)
 
     def on_transaction_commit(self, info: ExecutionInfo) -> None:

@@ -21,7 +21,9 @@ Execution model
   at least one live blocker, and the frame *parks* on the live ones —
   removed from the runnable set, keyed by those identifiers — until a
   wake-up fires for one of them: the blocker commits, aborts, or
-  transfers its locks (rule 5 inheritance).  A parked frame never
+  transfers its locks (rule 5 inheritance).  The scheduler asks the
+  run's waits-for relation for that BLOCK first, and a park that closes
+  a cycle aborts the requester instead.  A parked frame never
   re-issues its request in between, so the makespan and the blocking
   metrics measure contention, not polling.  A commit request may block
   too (optimistic schedulers wait for read-from dependencies); the frame
@@ -89,6 +91,7 @@ from ..core.errors import SimulationError
 from ..core.history import HistoryBuilder
 from ..core.operations import LocalStep
 from ..core.state import ObjectState, UndoLog
+from ..core.waits import WaitsFor
 from ..objectbase.base import ObjectBase
 from ..scheduler.base import STEP_LEVEL, Decision, ExecutionInfo, OperationRequest, Scheduler
 from ..scheduler.restart import ImmediateRestart, RestartPolicy
@@ -336,13 +339,10 @@ class SimulationEngine:
         # status transition (a new frame, the newest, is appended).
         self._frame_sequence = itertools.count()
         self._ready: list[_Frame] = []
-        self._parked_count = 0
         self._undo_log = UndoLog()
         self._aborted_executions: set[str] = set()
         self._committed: list[str] = []
         self._pending_specs: list[TransactionSpec] = []
-        # Parked-frame reverse index: blocker key -> ids of frames parked on it.
-        self._parked_by_key: dict[str, set[str]] = {}
         # Unified event heap: (due tick, kind, sequence, payload) covering
         # delayed restarts (payload = (spec, attempt, lineage)) and streamed
         # arrivals (payload = spec).  The kind keeps restarts ahead of
@@ -382,6 +382,10 @@ class SimulationEngine:
         # test this single attribute).  Bound via bind_shard_runtime.
         self._shard: _ShardRuntime | None = None
 
+        # Who waits on whom, over the live frames: the scheduler asks it at
+        # every BLOCK (bound before attach builds any commit gate), the
+        # engine clears, drops and parks (see repro.core.waits).
+        self._waits = scheduler.waits = WaitsFor(self._frames)
         self.scheduler.attach(object_base)
         # The scheduler transports the restart policy as configuration; the
         # engine drives it (and seeds its randomness deterministically).
@@ -811,6 +815,7 @@ class SimulationEngine:
         response = self.scheduler.on_commit_request(frame.info)
         if response.blocked:
             return ("defer", response.reason or "commit deferred")
+        self._waits.clear(gid)
         if not response.granted:
             return ("abort", response.reason or "commit vetoed")
         return ("commit", "")
@@ -913,24 +918,16 @@ class SimulationEngine:
                 "name a live execution or transaction to park on"
             )
         self._set_not_ready(frame, _PARKED)
-        self._parked_count += 1
         frame.parked_on = keys
         frame.parked_since = self._tick
-        for key in keys:
-            self._parked_by_key.setdefault(key, set()).add(frame.execution_id)
+        self._waits.park(frame.execution_id, keys)
         self.metrics.parks += 1
         if frame.pending is _COMMIT:
             self.metrics.commit_parks += 1
 
     def _clear_parking(self, frame: _Frame) -> None:
         """Remove the frame from the park index and account its wait time."""
-        self._parked_count -= 1
-        for key in frame.parked_on:
-            waiters = self._parked_by_key.get(key)
-            if waiters is not None:
-                waiters.discard(frame.execution_id)
-                if not waiters:
-                    del self._parked_by_key[key]
+        self._waits.park(frame.execution_id, frame.parked_on, step=-1)
         elapsed = self._tick - frame.parked_since
         self.metrics.wait_ticks += elapsed
         if frame.pending is _COMMIT:
@@ -956,7 +953,7 @@ class SimulationEngine:
         transfers) with the engine's own keys (transaction ends).
         """
         pending = self.scheduler.drain_wakeups()
-        parked_by_key = self._parked_by_key
+        parked_by_key = self._waits.parked
         if not parked_by_key:
             return
         if extra_keys:
@@ -1178,6 +1175,7 @@ class SimulationEngine:
             return
 
         # Granted: commit the already-computed transition and record the step.
+        self._waits.clear(frame.execution_id)
         self._states[object_name] = new_state
         self._builder.record_local(frame.execution, step)
         self._undo_log.record(
@@ -1279,6 +1277,7 @@ class SimulationEngine:
         transaction_id = frame.execution_id
         session = shard is not None and shard.sessions.pop(transaction_id, None) is not None
         self.scheduler.on_transaction_commit(frame.info)
+        self._waits.end(transaction_id)
         self._committed.append(transaction_id)
         if self._trace is not None:
             self._record(
@@ -1383,6 +1382,7 @@ class SimulationEngine:
 
         info = top_frame.info if top_frame is not None else self._root_info(top_level_id, "")
         self.scheduler.on_transaction_abort(info, tuple(sorted(subtree_ids)))
+        self._waits.end(top_level_id)
         if self._certifier is not None:
             self._certifier.note_abort(top_level_id)
         if not self._keeps_history:
@@ -1490,7 +1490,7 @@ class SimulationEngine:
         sample = (
             self.scheduler.live_state_size()
             + self._undo_log.total_steps()
-            + self._parked_count
+            + self._waits.parked_count
         )
         if self._certifier is not None:
             sample += self._certifier.live_state_size()

@@ -13,15 +13,23 @@ run the same scenario on both and compare every observable.
   by replaying the surviving recorded steps from the initial states, and
   raises on any divergence (``tests/simulation/test_undo.py`` and the
   fault / open-system / adaptive cells that abort mid-stream).
+* :class:`WaitsCheckedEngine` — after every decision, maps each parked
+  frame's waits to disjoint-ancestor nodes and raises if they form a
+  cycle; and holds every cycle abort of the run's waits-for relation to a
+  cycle of live records (``tests/scheduler/test_waits.py``).
 """
 
 from __future__ import annotations
 
+import networkx as nx
+
 from repro.core.errors import SimulationError
 from repro.core.operations import LocalStep
 from repro.core.state import ObjectState
+from repro.core.waits import DEADLOCK, VALIDATION
+from repro.scheduler.base import disjoint_ancestors
 from repro.simulation import SimulationEngine
-from repro.simulation.engine import _READY
+from repro.simulation.engine import _PARKED, _READY
 
 
 class ScanLoopEngine(SimulationEngine):
@@ -136,3 +144,78 @@ class ReplayCheckedEngine(SimulationEngine):
                 if value != step.return_value:
                     mismatches.append(step)
         return states, wasted, mismatches
+
+
+class WaitsCheckedEngine(SimulationEngine):
+    """Holds the run's waits-for relation to the waits the engine parks.
+
+    * After every decision, each parked frame waits on each live key it is
+      parked on; mapped to their disjoint ancestors these waits must form
+      no cycle (networkx decides) — a cycle the relation let through would
+      outlive the decision that closed it.
+    * Every ABORT the relation answers names a cycle in wait order, and
+      each of its edges is the requester's new wait or a record the
+      relation held when it was asked, between live frames.  A
+      ``validation`` cycle is made of commit waits alone.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        waits = self._waits
+        block = waits.block
+
+        def checked_block(waiter, response, *, commit=False):
+            records = waits._records.values()
+            held = {edge for _, edges, _ in records for edge in edges}
+            held_commits = {
+                edge for _, edges, at_commit in records if at_commit for edge in edges
+            }
+            answer = block(waiter, response, commit=commit)
+            if answer.aborted:
+                self._check_cycle(
+                    waiter, response.blockers, commit, held, held_commits, answer.reason
+                )
+            return answer
+
+        waits.block = checked_block  # the scheduler and its gate ask this relation
+
+    def _check_cycle(self, waiter, blockers, commit, held, held_commits, reason):
+        frames = self._frames
+        new = {
+            disjoint_ancestors(frames[waiter].info, frames[key].info)
+            for key in blockers
+            if key in frames
+        } - {None}
+        validation = reason.startswith(VALIDATION + " ")
+        if not validation and not reason.startswith(DEADLOCK + " "):
+            raise SimulationError(f"abort at tick {self._tick} names no wait cycle: {reason!r}")
+        nodes = reason.split(" cycle ", 1)[1].split(" -> ")
+        edges = list(zip(nodes, nodes[1:]))
+        allowed = (held_commits if validation else held) | new
+        if (
+            (validation and not commit)
+            or len(nodes) < 2
+            or nodes[0] != nodes[-1]
+            or not set(nodes) <= frames.keys()
+            or not set(edges) <= allowed
+            or not set(edges) & new
+        ):
+            raise SimulationError(
+                f"abort at tick {self._tick} names no cycle of live records: {reason!r}"
+            )
+
+    def _advance(self, frame) -> None:
+        super()._advance(frame)
+        frames = self._frames
+        waits = nx.DiGraph()
+        for parked in frames.values():
+            if parked.status == _PARKED:
+                for key in parked.parked_on:
+                    if key in frames:
+                        pair = disjoint_ancestors(parked.info, frames[key].info)
+                        if pair is not None:
+                            waits.add_edge(*pair)
+        if not nx.is_directed_acyclic_graph(waits):
+            raise SimulationError(
+                f"parked frames wait in a cycle after tick {self._tick}: {nx.find_cycle(waits)}"
+            )

@@ -147,18 +147,6 @@ class TestModularScheduler:
         # (each object on its own is still serialisable).
         assert run_step(scheduler, first, "other-cell", WriteRegister(1), 1).granted
 
-    def test_blocking_intra_strategy_detects_cross_object_deadlock(self, small_object_base):
-        scheduler = attach(small_object_base, default_strategy="locking")
-        first, second = info("T1"), info("T2")
-        scheduler.on_transaction_begin(first)
-        scheduler.on_transaction_begin(second)
-        assert run_step(scheduler, first, "cell", WriteRegister(1), 1).granted
-        assert run_step(scheduler, second, "other-cell", WriteRegister(2), 2).granted
-        assert run_step(scheduler, first, "other-cell", WriteRegister(3), 3).blocked
-        response = run_step(scheduler, second, "cell", WriteRegister(4), 4)
-        assert response.decision is Decision.ABORT
-        assert scheduler.deadlocks_detected == 1
-
     def test_abort_removes_coordinator_state(self, small_object_base):
         scheduler = attach(small_object_base, default_strategy="timestamp")
         first, second = info("T1"), info("T2")

@@ -2,9 +2,10 @@
 
 The gate was previously only covered end-to-end (through NTO / certifier
 / modular engine runs); these tests drive its internals in isolation:
-the commit-wait cycle abort path, aborted-marker pruning once no live
-dependent remains, step-level vs operation-level dependency induction,
-and the PR-4 ``aca`` mode (execution-time read gating).
+aborted-marker pruning once no live dependent remains, step-level vs
+operation-level dependency induction, and the PR-4 ``aca`` mode
+(execution-time read gating).  Its wait cycles are the run's waits-for
+relation's, tested in engine runs in ``tests/scheduler/test_waits.py``.
 """
 
 from __future__ import annotations
@@ -74,28 +75,6 @@ class TestCommitArbitration:
         # Two conflicting-by-spec reads: nothing dirty could have been
         # transferred, so T2 commits without waiting for T1.
         assert gate.check_commit("T2").granted
-
-    def test_commit_wait_cycle_aborts_the_closing_requester(self):
-        gate = register_gate()
-        gate.begin("T1")
-        gate.begin("T2")
-        # T2 depends on T1 via "cell", T1 depends on T2 via "other".
-        gate.record_step("cell", WriteRegister(1), "T1")
-        gate.record_step("cell", ReadRegister(), "T2")
-        gate.record_step("other", WriteRegister(2), "T2")
-        gate.record_step("other", ReadRegister(), "T1")
-
-        first = gate.check_commit("T1")
-        assert first.blocked and first.blockers == frozenset({"T2"})
-
-        second = gate.check_commit("T2")
-        assert second.aborted
-        assert "commit dependency cycle" in second.reason
-        # The victim's wait edge was rolled back; T1 can now cascade or
-        # resolve once T2's abort is reported.
-        gate.finish("T2", committed=False)
-        assert gate.check_commit("T1").aborted  # observed T2's undone write
-
 
 class TestAbortedMarkerPruning:
     def test_marker_kept_while_a_live_dependent_references_it(self):
@@ -201,19 +180,6 @@ class TestAcaMode:
         gate.begin("T1")
         gate.record_step("cell", WriteRegister(1), "T1")
         assert gate.check_operation("cell", ReadRegister(), info("T1", top_level="T1")).granted
-
-    def test_dirty_read_wait_cycle_aborts_the_requester(self):
-        gate = register_gate(mode=ACA_MODE)
-        gate.begin("T1")
-        gate.begin("T2")
-        gate.record_step("cell", WriteRegister(1), "T1")
-        gate.record_step("other", WriteRegister(2), "T2")
-        # T2 waits on T1's uncommitted cell write...
-        assert gate.check_operation("cell", ReadRegister(), info("e2", top_level="T2")).blocked
-        # ...and T1 reading "other" would close the wait cycle.
-        response = gate.check_operation("other", ReadRegister(), info("e1", top_level="T1"))
-        assert response.aborted
-        assert "dirty-read wait cycle" in response.reason
 
     def test_aca_commits_never_wait_nor_cascade(self):
         gate = register_gate(mode=ACA_MODE)

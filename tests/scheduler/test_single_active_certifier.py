@@ -73,17 +73,6 @@ class TestSingleActiveObject:
         other = info("T2")
         assert scheduler.on_operation(request(other, "cell", ReadRegister())).blocked
 
-    def test_deadlock_detection_at_object_granularity(self, small_object_base):
-        scheduler = make_single_active(small_object_base)
-        first, second = info("T1"), info("T2")
-        assert scheduler.on_operation(request(first, "cell", WriteRegister(1))).granted
-        assert scheduler.on_operation(request(second, "other-cell", WriteRegister(1))).granted
-        assert scheduler.on_operation(request(first, "other-cell", WriteRegister(2))).blocked
-        response = scheduler.on_operation(request(second, "cell", WriteRegister(2)))
-        assert response.decision is Decision.ABORT
-        assert scheduler.deadlocks_detected == 1
-
-
 class TestOptimisticCertifier:
     def run_step(self, scheduler, issuer, object_name, operation, value):
         operation_request = request(issuer, object_name, operation, value)
