@@ -179,8 +179,8 @@ class TestCrossShardExecution:
     def test_split_hotspot_terminates_under_distributed_deadlock(self):
         # Hot objects on different shards and taken by nearly every
         # transaction: locks are held on one shard while requesting the
-        # other, so distributed deadlocks (invisible to either local
-        # waits-for graph) are guaranteed.  The run must still terminate
+        # other, so distributed deadlocks (invisible to either shard's
+        # waits-for relation) are guaranteed.  The run must still terminate
         # with every arrival resolved and every shard serialisable.
         spec = make_spec("n2pl", seed=808, transactions=30, assignment=SPLIT_HOT)
         spec.workload_params.update({"hot_probability": 0.9, "cold_objects": 8})
