@@ -35,8 +35,9 @@ transactions so every transaction is shard-local: it measures the
 partition's parallel headroom, not 2PC contention.  A separate ``cross``
 case splits the hot pair across shards under multi-operation contention,
 so the rows also track the coordinator's decision counters
-(cross-shard commits, stall/cycle aborts) on a workload where
-distributed deadlocks actually happen.
+(cross-shard commits, precedence-cycle aborts and the aborts of wait
+cycles through several shards) on a workload where distributed
+deadlocks actually happen.
 
 ``REPRO_E18_ARRIVALS`` shortens the stream for local iteration; a
 shortened grid is written to ``benchmarks/out/`` marked as such and
@@ -76,7 +77,7 @@ MIN_CPUS_FOR_SCALING = 4
 #: work; the hashed cold tail spreads the rest of the load.
 COLOCATED_HOT = {"hot-0": 0, "hot-1": 0}
 #: Split the hot pair for the contention case: most transactions become
-#: cross-shard and the coordinator's deadlock breakers earn their keep.
+#: cross-shard and the coordinator's cycle tests earn their keep.
 SPLIT_HOT = {"hot-0": 0, "hot-1": 1}
 
 
@@ -148,8 +149,8 @@ def _bench_row(case, mode, spec, shards, row, coordinator, wall, cpu) -> dict:
         "remote_invocations": row.get("remote_invocations", 0),
         "cross_commits": row.get("cross_commits", 0),
         "cross_aborts": row.get("cross_aborts", 0),
-        "stall_aborts": coordinator.get("stall_aborts", 0),
         "cycle_aborts": coordinator.get("cycle_aborts", 0),
+        "wait_cycle_aborts": coordinator.get("wait_cycle_aborts", 0),
         "shard_rounds": row.get("shard_rounds", 0),
         "serialisable": row["serialisable"],
         "wall_seconds": round(wall, 6),
@@ -236,8 +237,8 @@ EXPERIMENT = Experiment(
     columns=(
         "case", "mode", "scheduler", "shards", "committed", "gave_up",
         "commit_rate", "throughput", "mu_wall", "mu_ratio_vs_one",
-        "remote_invocations", "cross_commits", "cross_aborts", "stall_aborts",
-        "cycle_aborts", "shard_rounds", "serialisable", "wall_seconds", "cpu_count",
+        "remote_invocations", "cross_commits", "cross_aborts", "cycle_aborts",
+        "wait_cycle_aborts", "shard_rounds", "serialisable", "wall_seconds", "cpu_count",
     ),
     key_fields=("case", "mode", "scheduler", "shards"),
     run=run_experiment,
@@ -276,8 +277,8 @@ def test_e18_sharding(benchmark):
         if row["case"] == "cross":
             assert row["remote_invocations"] > 0, "cross case never crossed a shard"
             assert row["cross_commits"] > 0, "cross case committed nothing through 2PC"
-            assert row["stall_aborts"] + row["cycle_aborts"] > 0, (
-                "cross case never needed the coordinator's deadlock breakers"
+            assert row["wait_cycle_aborts"] + row["cycle_aborts"] > 0, (
+                "cross case never needed the coordinator's cycle tests"
             )
     # Scaling is a hardware fact: enforce the 1.8x μ target only where
     # two shard processes actually run concurrently and the stream is

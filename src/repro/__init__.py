@@ -44,7 +44,6 @@ from .core import (
     PerObjectConflicts,
     ReadWriteConflictSpec,
     ReproError,
-    brute_force_serialisable,
     check_determinacy,
     is_serialisable,
     serialisation_graph,
@@ -105,7 +104,6 @@ __all__ = [
     "SweepSpec",
     "WORKLOAD_REGISTRY",
     "__version__",
-    "brute_force_serialisable",
     "check_determinacy",
     "component_names",
     "is_serialisable",

@@ -49,7 +49,6 @@ from .operations import (
 )
 from .state import EMPTY_STATE, AppliedStep, ObjectState, UndoLog
 from .theorems import (
-    brute_force_serialisable,
     check_determinacy,
     execution_serial_order,
     is_serialisable,
@@ -95,7 +94,6 @@ __all__ = [
     "WriteVariable",
     "component_names",
     "resolve_component",
-    "brute_force_serialisable",
     "check_determinacy",
     "execution_serial_order",
     "is_acyclic",

@@ -12,13 +12,14 @@ wait's nodes are :func:`disjoint_ancestors` of waiter and blocker; a
 cycle of commit waits alone fails validation, any other is a deadlock.
 DESIGN.md, "Waits and deadlocks", gives the rules and why they hold.
 The search is :func:`repro.core.dag.reachable`, iterative however long
-the chain.  The engine's park index is kept here too.
+the chain.  A sharded run's coordinator keeps one more over the shards'
+records (:meth:`WaitsFor.record`).  The engine's park index is kept here.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Mapping
 
 from .dag import reachable
 
@@ -61,7 +62,7 @@ class WaitsFor:
     def __init__(self, frames: Mapping[str, Any] = MappingProxyType({})) -> None:
         self._frames = frames
         # Waiting execution -> (its transaction, its edges, a commit wait?).
-        self._records: dict[str, tuple[str, tuple[tuple[str, str], ...], bool]] = {}
+        self._records: dict[Hashable, tuple[str, tuple[tuple[str, str], ...], bool]] = {}
         # Node -> successor -> how many records have that edge; the two
         # indexes keep a transaction's end O(its own waits).
         self._succ: dict[str, dict[str, int]] = {}
@@ -81,10 +82,10 @@ class WaitsFor:
         ``commit`` marks a top level waiting at its commit.  Returns
         ``response``, or the requester's ABORT naming the cycle.
         """
-        self.clear(waiter)
         frames = self._frames
         frame = frames.get(waiter)
         if frame is None:
+            self.clear(waiter)
             return response
         edges: dict[tuple[str, str], None] = {}
         for key in sorted(response.blockers):
@@ -92,15 +93,25 @@ class WaitsFor:
             pair = None if blocker is None else disjoint_ancestors(frame.info, blocker.info)
             if pair is not None:
                 edges[pair] = None
-        if not edges:
-            return response
-        self._add(waiter, (frame.info.top_level_id, tuple(edges), commit), 1)
-        # A cycle through a new edge needs a wait on the edge's source.
-        if not any(source in self._waiting_on for source, _ in edges):
-            return response
-        cycle = self._cycle(self._succ, edges)
+        reason = self.record(waiter, (frame.info.top_level_id, tuple(edges), commit))
+        # This module sits below scheduler/base.py: the response's own class
+        # builds the ABORT.
+        return response if reason is None else type(response).abort(reason)
+
+    def record(self, waiter: Hashable, record: tuple[str, tuple, bool]) -> str | None:
+        """Record ``waiter``'s wait ``(transaction, edges, commit)``; ``None``, or if it
+        closes a cycle, the abort reason naming it (:meth:`block` without frames)."""
+        self.clear(waiter)
+        edges, commit = record[1:]
+        cycle = None
+        if edges:
+            self._add(waiter, record, 1)
+            # A cycle through a new edge needs a wait on the edge's source.
+            if any(source in self._waiting_on for source, _ in edges):
+                cycle = self._cycle(self._succ, edges)
         if cycle is None:
-            return response
+            return None
+        label = DEADLOCK
         if commit:
             # The gate's label: a cycle of commit waits alone fails validation.
             commits: dict[str, list[str]] = {}
@@ -108,12 +119,10 @@ class WaitsFor:
                 for source, target in record_edges if record_commit else ():
                     commits.setdefault(source, []).append(target)
             commit_cycle = self._cycle(commits, edges)
+            if commit_cycle is not None:
+                label, cycle = VALIDATION, commit_cycle
         self.clear(waiter)
-        if commit and commit_cycle is not None:
-            return type(response).abort(f"{VALIDATION} {' -> '.join(commit_cycle)}")
-        # This module sits below scheduler/base.py: the response's own class
-        # builds the ABORT.
-        return type(response).abort(f"{DEADLOCK} {' -> '.join(cycle)}")
+        return f"{label} {' -> '.join(cycle)}"
 
     @staticmethod
     def _cycle(succ: Mapping[str, Any], edges) -> list[str] | None:

@@ -32,14 +32,16 @@ an open ballot runs apply, then ballot, then decide, then run:
   is polled again at the next barrier.  A vote and its decision are zero
   ticks apart on every shard.
 
-Precedence and deadlock: each shard's :class:`ShardStepTracker` observes
-the steps of cross-shard transactions and reports conflict edges
-(recorded → requester) up to the coordinator, which accumulates them in
-a transaction-level :class:`~repro.core.dag.PrecedenceDag`.  An edge
-that would close a cycle aborts the requester — the same rule, the same
-kernel and the same frontier GC as the modular scheduler's inter-object
-coordinator.  Distributed stalls that produce no edges are broken by
-aborting the *youngest* unresolved cross transaction.
+Precedence and waits: each shard's :class:`ShardStepTracker` reports the
+conflict edges (recorded → requester) of cross-shard steps, and an edge
+that would close a cycle in the transaction-level
+:class:`~repro.core.dag.PrecedenceDag` aborts the requester (the modular
+scheduler's inter-object rule, kernel and frontier GC).  Each shard also
+reports its waits-for records projected onto top-level gids, whenever
+they changed, after its round and with its votes.  Keyed by (shard,
+waiter) they form one more :class:`~repro.core.waits.WaitsFor`, Obermarck's
+global union (ACM TODS 1982): a new record that closes a cycle aborts its
+waiter's transaction with the single engine's labels.
 """
 
 from __future__ import annotations
@@ -51,15 +53,15 @@ from typing import Any, Sequence
 from ..core.dag import PrecedenceDag
 from ..core.errors import SimulationError
 from ..core.operations import LocalStep
+from ..core.waits import WaitsFor
 from .map import ShardMap
 
 __all__ = ["ShardReport", "ShardStepTracker", "InterShardCoordinator"]
 
-#: Abort reason used when the coordinator breaks a distributed stall.
-STALL_REASON = "inter-shard stall: no shard progressed"
-
-#: Abort reason used when a precedence edge would close a cross-shard cycle.
-CYCLE_REASON = "inter-shard precedence cycle"
+#: Abort reason used when a precedence edge would close a cross-shard
+#: cycle, filed under ``inter-object``: the coordinator is that layer one
+#: level up.
+CYCLE_REASON = "inter-object ordering violation: inter-shard precedence cycle"
 
 
 @dataclass
@@ -76,6 +78,9 @@ class ShardReport:
     messages: list[tuple] = field(default_factory=list)
     notes: list[tuple] = field(default_factory=list)
     edges: list[tuple[str, str]] = field(default_factory=list)
+    #: The shard's waits-for records that changed since its last report or
+    #: votes: waiter -> (gid, edges between gids, commit?), or ``None`` if gone.
+    waits: dict[str, tuple | None] | None = None
 
 
 class ShardStepTracker:
@@ -162,62 +167,53 @@ class InterShardCoordinator:
         self._pending_results: dict[str, int] = {}
         self._precedence = PrecedenceDag()
         self._resolved_since_gc = 0
-        self._last_tick: dict[int, int] = {}
+        # The fleet's waits-for union, keyed by (shard, waiter).
+        self._waits = WaitsFor()
         # Observability (surfaces in the sharded result's description).
         self.commits_decided = 0
         self.aborts_decided = 0
-        self.stall_aborts = 0
         self.cycle_aborts = 0
+        self.wait_cycle_aborts = 0
         self.gc_pruned_records = 0
 
     # ------------------------------------------------------------------
     # Round processing
     # ------------------------------------------------------------------
-    def process_round(self, reports: Sequence[ShardReport]) -> tuple[list[list[tuple]], bool]:
-        """Ingest one round of shard reports; emit next-round directives.
+    def process_round(self, reports: Sequence[ShardReport]) -> list[list[tuple]]:
+        """Ingest one round of shard reports; return shard ``i``'s next directives at ``[i]``.
 
-        Returns ``(directives, progress)`` where ``directives[i]`` is the
-        ordered list for shard ``i`` and ``progress`` reflects whether the
-        fleet moved: scheduling decisions, tick advances, cross-shard
-        messages, prepared/aborted notes, or abort resolutions.  Ballots
-        are not settled here: the driver takes :meth:`polls` after this
-        call and hands the answers to :meth:`settle`.
+        Ballots are not settled here: the driver takes :meth:`polls` after
+        this call and hands the answers to :meth:`settle`.
         """
         directives: list[list[tuple]] = [[] for _ in range(self._map.shards)]
-        progress = False
-
-        for report in sorted(reports, key=lambda entry: entry.index):
-            if report.decisions or report.tick != self._last_tick.get(report.index):
-                self._last_tick[report.index] = report.tick
-                progress = True
+        reports = sorted(reports, key=lambda entry: entry.index)
+        for report in reports:
             for message in report.messages:
-                progress |= self._route_message(report.index, message, directives)
+                self._route_message(report.index, message, directives)
             for edge in report.edges:
-                progress |= self._note_edge(edge, directives)
+                self._note_edge(edge, directives)
             for note in report.notes:
-                progress |= self._ingest_note(report.index, note, directives)
-
+                self._ingest_note(report.index, note, directives)
+        self._note_waits([report.waits for report in reports], directives)
         if self._resolved_since_gc >= self._gc_interval:
             self._collect(directives)
-        return directives, progress
+        return directives
 
     def polls(self) -> list[list[str]]:
-        """Per shard, the prepared gids it votes on at this barrier (home included).
-
-        A ballot deferred at one barrier is polled again at the next.
-        """
+        """Per shard, the prepared gids it votes on at this barrier (a deferred ballot again)."""
         polls: list[list[str]] = [[] for _ in range(self._map.shards)]
         for txn in self._ballots():
             for shard in self._voters(txn):
                 polls[shard].append(txn.gid)
         return polls
 
-    def settle(self, answers: Sequence[Sequence[tuple[str, str, str]]]) -> list[list[tuple]]:
+    def settle(self, answers: Sequence[Sequence[tuple]], waits: Sequence = ()) -> list[list[tuple]]:
         """Turn shard ``i``'s ``(gid, verdict, reason)`` answers into directives.
 
         Any abort vote aborts the transaction on every voter; a ballot every
         voter answered commit commits on every voter, in shard order; a
-        deferred ballot gets no directive and stays open.
+        deferred ballot gets no directive and stays open.  ``waits[i]`` is
+        :attr:`ShardReport.waits` of shard ``i``'s votes.
         """
         directives: list[list[tuple]] = [[] for _ in range(self._map.shards)]
         commits: dict[str, set[int]] = {}
@@ -234,30 +230,13 @@ class InterShardCoordinator:
             if commits.get(txn.gid) != self._voters(txn):
                 continue
             del self._voting[txn.gid]
-            txn.state = "resolved"
-            txn.outcome = "committed"
+            txn.state, txn.outcome = "resolved", "committed"
             for shard in sorted(commits[txn.gid]):
                 directives[shard].append(("commit", txn.gid))
+            self._waits.end(txn.gid)
             self.commits_decided += 1
             self._resolved_since_gc += 1
-        return directives
-
-    def break_stall(self) -> list[list[tuple]] | None:
-        """Abort the youngest unresolved cross transaction, if any.
-
-        Called by the driver after a zero-progress round while shards are
-        still busy.  Returns abort directives, or ``None`` when no cross
-        transaction is left to sacrifice — in that case the remaining
-        frames are locally wedged and the driver raises, as a plain run
-        with nothing ready and nothing due does.
-        """
-        unresolved = [txn for txn in self._txns.values() if txn.state != "resolved"]
-        if not unresolved:
-            return None
-        victim = max(unresolved, key=lambda txn: txn.sequence)
-        directives: list[list[tuple]] = [[] for _ in range(self._map.shards)]
-        self._resolve_abort(victim, STALL_REASON, directives)
-        self.stall_aborts += 1
+        self._note_waits(waits, directives)
         return directives
 
     def describe(self) -> dict[str, Any]:
@@ -266,8 +245,8 @@ class InterShardCoordinator:
             "cross_transactions": len(self._txns),
             "commits_decided": self.commits_decided,
             "aborts_decided": self.aborts_decided,
-            "stall_aborts": self.stall_aborts,
             "cycle_aborts": self.cycle_aborts,
+            "wait_cycle_aborts": self.wait_cycle_aborts,
             "gc_pruned_records": self.gc_pruned_records,
             "precedence_nodes": len(self._precedence),
             **self._precedence.counters(),
@@ -277,13 +256,15 @@ class InterShardCoordinator:
     # Ingestion
     # ------------------------------------------------------------------
     def _txn(self, gid: str, home: int) -> _CrossTxn:
-        txn = self._txns.get(gid)
-        if txn is None:
-            txn = _CrossTxn(gid=gid, home=home, sequence=next(self._sequence))
-            self._txns[gid] = txn
-        return txn
+        if gid not in self._txns:
+            self._txns[gid] = _CrossTxn(gid=gid, home=home, sequence=next(self._sequence))
+        return self._txns[gid]
 
-    def _route_message(self, sender: int, message: tuple, directives: list[list[tuple]]) -> bool:
+    def _home_txn(self, gid: str) -> _CrossTxn:
+        """``gid``'s entry, registered on the home shard its prefix (``s<i>:``) names."""
+        return self._txn(gid, int(gid[1 : gid.index(":")]))
+
+    def _route_message(self, sender: int, message: tuple, directives: list[list[tuple]]) -> None:
         kind = message[0]
         if kind == "invoke":
             _, remote_id, gid, object_name, method_name, arguments = message
@@ -291,7 +272,7 @@ class InterShardCoordinator:
             if txn.state == "resolved":
                 # The home shard already learned the abort through its own
                 # directives; drop the straggler.
-                return False
+                return
             owner = self._map.shard_of(object_name)
             txn.participants.add(owner)
             if sender != txn.home:
@@ -300,18 +281,16 @@ class InterShardCoordinator:
             directives[owner].append(
                 ("invoke", remote_id, gid, object_name, method_name, arguments)
             )
-            return True
-        if kind == "result":
+        elif kind == "result":
             _, remote_id, gid, value = message
             requester = self._pending_results.pop(remote_id, None)
             txn = self._txns.get(gid)
-            if requester is None or txn is None or txn.state == "resolved":
-                return False
-            directives[requester].append(("result", remote_id, value))
-            return True
-        raise SimulationError(f"unknown inter-shard message {message!r}")
+            if requester is not None and txn is not None and txn.state != "resolved":
+                directives[requester].append(("result", remote_id, value))
+        else:
+            raise SimulationError(f"unknown inter-shard message {message!r}")
 
-    def _ingest_note(self, sender: int, note: tuple, directives: list[list[tuple]]) -> bool:
+    def _ingest_note(self, sender: int, note: tuple, directives: list[list[tuple]]) -> None:
         kind = note[0]
         if kind == "prepared":
             gid = note[1]
@@ -319,37 +298,51 @@ class InterShardCoordinator:
             # actually invoke remotely this attempt; its prepare still must
             # be answered, so register it here (voters = home alone).
             txn = self._txn(gid, sender)
-            if txn.state == "resolved":
-                return False
-            txn.state = "voting"
-            self._voting[gid] = txn
-            return True
-        if kind == "aborted":
+            if txn.state != "resolved":
+                txn.state = "voting"
+                self._voting[gid] = txn
+        elif kind == "aborted":
             _, gid, reason = note
             txn = self._txns.get(gid)
-            if txn is None or txn.state == "resolved":
-                return False
-            self._resolve_abort(txn, reason, directives, skip={sender})
-            return True
-        raise SimulationError(f"unknown inter-shard note {note!r}")
+            if txn is not None:
+                self._resolve_abort(txn, reason, directives, skip={sender})
+        else:
+            raise SimulationError(f"unknown inter-shard note {note!r}")
 
-    def _note_edge(self, edge: tuple[str, str], directives: list[list[tuple]]) -> bool:
+    def _note_edge(self, edge: tuple[str, str], directives: list[list[tuple]]) -> None:
         recorded, requester = edge
         # A requester whose first message is still to come registers on its
-        # first edge; its id prefix (``s<i>:``) names its home shard.
-        requesting = self._txn(requester, int(requester[1 : requester.index(":")]))
-        if requesting.state == "resolved":
-            return False
+        # first edge.
+        requesting = self._home_txn(requester)
         recorded_txn = self._txns.get(recorded)
-        if recorded_txn is not None and recorded_txn.outcome == "aborted":
-            return False  # edges from aborted work never constrain anyone
-        if self._precedence.add_edges((edge,)):
-            return False
+        if (
+            requesting.state == "resolved"
+            # edges from aborted work never constrain anyone
+            or recorded_txn is not None and recorded_txn.outcome == "aborted"
+            or self._precedence.add_edges((edge,))
+        ):
+            return
         # The edge would close a cycle: abort the requester, exactly as
         # the modular inter-object coordinator does one level down.
         self._resolve_abort(requesting, CYCLE_REASON, directives)
         self.cycle_aborts += 1
-        return True
+
+    def _note_waits(self, waits: Sequence[dict[str, tuple | None] | None], directives) -> None:
+        """Drop the shards' stale records, then test each new one against the fleet as it
+        stands: a record that closes a cycle aborts its waiter's transaction."""
+        for shard, changed in enumerate(waits):
+            for waiter in changed or ():
+                self._waits.clear((shard, waiter))
+        for shard, changed in enumerate(waits):
+            for waiter, record in (changed or {}).items():
+                txn = self._txns.get(record[0]) if record else None
+                if record is None or txn is not None and txn.state == "resolved":
+                    continue
+                reason = self._waits.record((shard, waiter), record)
+                if reason is not None:
+                    # A shard-local waiter registers on its home shard to abort.
+                    self._resolve_abort(self._home_txn(record[0]), reason, directives)
+                    self.wait_cycle_aborts += 1
 
     # ------------------------------------------------------------------
     # Resolution
@@ -371,11 +364,8 @@ class InterShardCoordinator:
         if txn.state == "resolved":
             return
         self._voting.pop(txn.gid, None)
-        txn.state = "resolved"
-        txn.outcome = "aborted"
-        for shard in sorted(self._voters(txn)):
-            if skip and shard in skip:
-                continue
+        txn.state, txn.outcome = "resolved", "aborted"
+        for shard in sorted(self._voters(txn) - (skip or set())):
             directives[shard].append(("abort", txn.gid, reason))
         # Results still in flight for this transaction are now meaningless.
         self._pending_results = {
@@ -383,18 +373,17 @@ class InterShardCoordinator:
             for remote_id, requester in self._pending_results.items()
             if not remote_id.startswith(f"{txn.gid}/")
         }
+        self._waits.end(txn.gid)
         self.aborts_decided += 1
         self._resolved_since_gc += 1
 
     def _collect(self, directives: list[list[tuple]]) -> None:
         """Frontier GC, shared with the modular scheduler's coordinator.
 
-        A resolved transaction's steps (held in the shard-side trackers)
-        are the only source of new out-edges, so once the kernel's
-        frontier GC (DESIGN.md, "Precedence DAG kernel") drops its node
-        the shards may drop its step records too — the ``("forget",
-        gid)`` directives — and tracker memory is bounded by the live
-        frontier, not the history.
+        Once the kernel drops a resolved transaction's node, its step
+        records (the only source of its new out-edges) go from the shard
+        trackers too: the ``("forget", gid)`` directives (DESIGN.md,
+        "Coordinator GC").
         """
         live = [gid for gid, txn in self._txns.items() if txn.state != "resolved"]
         removed, keep = self._precedence.prune_unreachable(live)

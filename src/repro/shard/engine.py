@@ -16,6 +16,8 @@ message is applied at its send tick.  The
 barrier's messages and notes into the next round's directives; a
 barrier with an open commit ballot first has each shard apply them and
 vote (:meth:`ShardWorker.vote`), and the decisions become the round's.
+A barrier at which nothing moved is wedged (the fleet's waits-for union
+has no cycle to break), and the driver raises naming the parked frames.
 
 Determinism is the design's spine, not a feature flag:
 
@@ -50,7 +52,7 @@ import heapq
 import multiprocessing
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..analysis import certify_run
@@ -69,15 +71,15 @@ __all__ = [
     "ShardedEngine",
 ]
 
-#: Consecutive zero-progress rounds tolerated before the driver asks the
-#: coordinator to sacrifice a transaction.  A deferred commit vote often
-#: clears itself within a round or two (the gate was waiting on local
-#: state); only a *sustained* quiet spell is a distributed stall.
-STALL_PATIENCE_ROUNDS = 3
 
 def _wakes(directives: list[tuple]) -> bool:
     """Whether a directive list holds more than ``forget`` notices."""
     return any(directive[0] != "forget" for directive in directives)
+
+
+def _conjunction(verdicts: list[bool | None]) -> bool | None:
+    """All per-shard verdicts, or ``None`` when some shard gave none."""
+    return None if None in verdicts else all(verdicts)
 
 
 def _horizons(bounds: list[int]) -> list[int]:
@@ -140,6 +142,7 @@ class ShardWorker:
         self.index = index
         self.engine = engine
         self.tracker = tracker
+        self._shipped: dict[str, tuple] = {}  # the waits-for records last reported
         self._check_legality = bool(payload.get("check_legality", False))
         if index == 0:
             # The environment object exists on every shard (transaction
@@ -167,12 +170,10 @@ class ShardWorker:
             self._apply(directives)
         return decisions
 
-    def vote(
-        self, directives: list[tuple], gids: list[str], now: int
-    ) -> list[tuple[str, str, str]]:
-        """Enter the barrier at ``now``, then vote ``(gid, verdict, reason)`` on each gid."""
+    def vote(self, directives: list[tuple], gids: list[str], now: int) -> tuple:
+        """Enter the barrier at ``now``; ``(gid, verdict, reason)`` per gid, and :meth:`_waits`."""
         self._enter(directives, now)
-        return [(gid, *self.engine.commit_vote(gid)) for gid in gids]
+        return [(gid, *self.engine.commit_vote(gid)) for gid in gids], self._waits()
 
     def round(self, directives: list[tuple], now: int, horizon: int) -> ShardReport:
         """Enter the barrier at ``now``, run to ``horizon`` or the first send, report."""
@@ -194,7 +195,33 @@ class ShardWorker:
             messages=messages,
             notes=notes,
             edges=self.tracker.drain_edges(),
+            waits=self._waits(),
         )
+
+    def _waits(self) -> dict[str, tuple | None] | None:
+        """:attr:`ShardReport.waits`: the records changed since the last report.
+
+        A record is projected onto top-level gids: a wait between two
+        transactions runs from the waiter's gid to the blocker's.
+        """
+        shipped, projected = self._shipped, {}
+        for waiter, (gid, edges, commit) in self.engine._waits._records.items():
+            if kept := tuple(edge for edge in edges if edge[0] == gid):
+                projected[waiter] = (gid, kept, commit)
+        self._shipped = projected
+        changed = {waiter: None for waiter in shipped if waiter not in projected}
+        for waiter, record in projected.items():
+            if shipped.get(waiter) != record:
+                changed[waiter] = record
+        return changed or None
+
+    def parked(self) -> str:
+        """This shard's parked frames, each with the keys it waits on."""
+        return "; ".join(
+            f"{frame.execution_id} on {', '.join(sorted(frame.parked_on))}"
+            for frame in self.engine._frames.values()
+            if frame.parked_on
+        ) or "none"
 
     def _next_send(self) -> int:
         """A lower bound on the tick of this shard's next message or note.
@@ -392,21 +419,13 @@ class ShardedRunResult:
         Owner-side session commits repeat the home gid in that shard's own
         ``committed`` tuple; the merged view keeps the home entry only.
         """
-        seen: set[str] = set()
-        merged: list[str] = []
-        for outcome in self.shards:
-            for gid in outcome.committed:
-                if gid not in seen:
-                    seen.add(gid)
-                    merged.append(gid)
-        return tuple(merged)
+        return tuple(dict.fromkeys(gid for outcome in self.shards for gid in outcome.committed))
 
     def final_states(self) -> dict[str, dict[str, Any]]:
         """Final object states, merged across shards (ownership-disjoint)."""
-        states: dict[str, dict[str, Any]] = {}
-        for outcome in self.shards:
-            states.update(outcome.final_states)
-        return states
+        return {
+            name: state for outcome in self.shards for name, state in outcome.final_states.items()
+        }
 
     @property
     def serialisable(self) -> bool | None:
@@ -415,17 +434,11 @@ class ShardedRunResult:
         Not a global verdict: a cycle through two shards passes every
         shard's certificate (DESIGN.md, sharded limitation (i)).
         """
-        verdicts = [outcome.serialisable for outcome in self.shards]
-        if any(verdict is None for verdict in verdicts):
-            return None
-        return all(verdicts)
+        return _conjunction([outcome.serialisable for outcome in self.shards])
 
     @property
     def legal(self) -> bool | None:
-        verdicts = [outcome.legal for outcome in self.shards]
-        if any(verdict is None for verdict in verdicts):
-            return None
-        return all(verdicts)
+        return _conjunction([outcome.legal for outcome in self.shards])
 
     def scheduler_description(self) -> dict[str, Any]:
         description = dict(self.shards[0].scheduler_description)
@@ -460,10 +473,7 @@ class ShardedEngine:
             check_legality: also replay-check legality when certifying;
                 defaults to ``spec.check_legality``.
         """
-        if shard_map is None:
-            shard_map = ShardMap(shards=getattr(spec, "shards", 1))
-        if mode is None:
-            mode = getattr(spec, "shard_mode", "inprocess")
+        mode = mode or getattr(spec, "shard_mode", "inprocess")
         if mode not in ("inprocess", "multiprocess"):
             raise SimulationError(f"unknown shard mode {mode!r}")
         if spec.certify == "stream":
@@ -471,16 +481,12 @@ class ShardedEngine:
                 "sharded runs certify per shard post-hoc; certify='stream' "
                 "is the single-engine online path"
             )
-        if certify is None:
-            certify = bool(spec.certify)
-        if check_legality is None:
-            check_legality = spec.check_legality
         self.spec = spec
-        self.shard_map = shard_map
+        self.shard_map = shard_map or ShardMap(shards=getattr(spec, "shards", 1))
         self.mode = mode
         self.mp_context = mp_context or "spawn"
-        self.certify = certify
-        self.check_legality = check_legality
+        self.certify = bool(spec.certify) if certify is None else certify
+        self.check_legality = spec.check_legality if check_legality is None else check_legality
         self._finished = False
 
     def run(self) -> ShardedRunResult:
@@ -506,7 +512,8 @@ class ShardedEngine:
             directives: list[list[tuple]] = [[] for _ in range(count)]
             # Before the first report every shard may send at once.
             bounds = [0] * count
-            now = rounds = stalls = 0
+            ticks: list[int] = []
+            now = rounds = 0
             while True:
                 horizons = _horizons(bounds)
                 reports = transport.exchange(
@@ -515,37 +522,37 @@ class ShardedEngine:
                 )
                 rounds += 1
                 now = max(report.tick for report in reports)
-                directives, progress = coordinator.process_round(reports)
+                # A barrier moved if it applied a directive or some shard
+                # decided, sent, noted (an echoed abort too) or moved its clock.
+                clocks = [report.tick for report in reports]
+                moved = clocks != ticks or any(map(_wakes, directives)) or any(
+                    report.decisions or report.messages or report.notes for report in reports
+                )
+                ticks = clocks
+                directives = coordinator.process_round(reports)
                 substantive = any(directives)
+                moved = moved or any(map(_wakes, directives))
                 woken = polls = coordinator.polls()
                 if any(polls):
                     # Apply, then ballot, then decide, then run: no tick
                     # passes between a vote and the decision it settles.
-                    answers = transport.exchange(
+                    replies = transport.exchange(
                         "vote", [(entries, gids, now) for entries, gids in zip(directives, polls)]
                     )
                     woken = [gids or _wakes(entries) for gids, entries in zip(polls, directives)]
-                    directives = coordinator.settle(answers)
+                    directives = coordinator.settle(*zip(*replies))
                     substantive = substantive or any(directives)
                 if not substantive and not any(report.busy for report in reports):
                     break
-                # Ballots are not work: a barrier that applies no directive
-                # after a round without decisions, tick movement, messages
-                # or notes is a distributed stall, even while ballots keep
-                # deferring (a ring of mutually deferring commits).
-                if progress or substantive:
-                    stalls = 0
-                elif stalls + 1 < STALL_PATIENCE_ROUNDS:
-                    stalls += 1
-                else:
-                    stalls = 0
-                    directives = coordinator.break_stall()
-                    if directives is None:
-                        busy = [report.index for report in reports if report.busy]
-                        raise SimulationError(
-                            f"sharded run stalled at tick {now}: shards {busy} hold work "
-                            "but no cross-shard transaction is left to abort"
-                        )
+                # Ballots are not work: a barrier whose only news is deferred
+                # votes, with no cycle in the fleet's waits-for union, is wedged.
+                if not (moved or any(map(_wakes, directives))):
+                    parked = transport.exchange("parked", [()] * count)
+                    raise SimulationError(
+                        f"sharded run wedged at tick {now}: no shard moved and the fleet's "
+                        "waits-for relation has no cycle; parked: "
+                        + "; ".join(f"shard {index}: {text}" for index, text in enumerate(parked))
+                    )
                 # A bound holds until a directive arrives, so the larger of
                 # the standing and the reported one stands; a shard that voted
                 # or is handed more than forget notices may send from now + 1.

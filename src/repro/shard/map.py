@@ -157,10 +157,3 @@ class ShardMap:
     @classmethod
     def from_json(cls, text: str) -> "ShardMap":
         return cls.from_json_dict(json.loads(text))
-
-    def describe(self) -> dict[str, Any]:
-        return {
-            "shards": self.shards,
-            "explicit_assignments": len(self.assignment),
-            "placement": "crc32",
-        }

@@ -7,7 +7,6 @@ from repro.core import (
     ModelError,
     ReadVariable,
     WriteVariable,
-    brute_force_serialisable,
     check_determinacy,
     execution_serial_order,
     is_serialisable,
@@ -16,6 +15,7 @@ from repro.core import (
 )
 
 from tests.conftest import fresh_builder, increment_via_read_write
+from tests.oracles.serial import brute_force_serialisable
 
 
 class TestTheorem1Determinacy:

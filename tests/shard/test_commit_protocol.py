@@ -157,11 +157,11 @@ class TestPollsAndSettle:
         coordinator = _ballot(1)
         answers = [[("g", "commit", "")], [("g", "defer", "busy")], []]
         assert coordinator.settle(answers) == [[], [], []]
-        # The next barrier: nothing moved, and an open ballot is no progress.
-        directives, progress = coordinator.process_round(
+        # The next barrier: nothing moved, and an open ballot sends nothing.
+        directives = coordinator.process_round(
             [ShardReport(index=i, decisions=0, tick=10, busy=i == 0) for i in range(3)]
         )
-        assert directives == [[], [], []] and not progress
+        assert directives == [[], [], []]
         assert coordinator.polls() == [["g"], ["g"], []]
         answers = [[("g", "commit", "")], [("g", "commit", "")], []]
         assert coordinator.settle(answers) == [[("commit", "g")], [("commit", "g")], []]

@@ -9,7 +9,8 @@ The three claims that make sharding safe to use for experiments:
 * cross-shard transactions commit through the coordinator's two-phase
   protocol and every shard's committed projection stays serialisable
   (the paper's modularity theorem applied at the shard level), including
-  under distributed deadlocks broken by the stall breaker.
+  under distributed deadlocks, which the fleet's one waits-for relation
+  breaks (``tests/shard/test_fleet_waits.py``).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ SCHEDULERS = ("n2pl", "nto-step", "certifier", "modular")
 COLOCATED_HOT = {"hot-0": 0, "hot-1": 0}
 
 #: Splits the hot pair across shards: most transactions become
-#: cross-shard and distributed deadlocks are common — the stall breaker's
-#: stress diet.
+#: cross-shard and distributed deadlocks are common — the fleet waits-for
+#: relation's stress diet.
 SPLIT_HOT = {"hot-0": 0, "hot-1": 1}
 
 
@@ -188,11 +189,12 @@ class TestCrossShardExecution:
         metrics = result.metrics
         assert metrics.committed + metrics.gave_up == 30
         assert result.serialisable is True
-        # Ballots are not progress: a ring of deferring commits still trips
-        # the stall breaker.
-        assert result.coordinator["stall_aborts"] > 0, (
-            "split-hotspot run never needed the coordinator's stall breaker"
+        # The fleet's waits-for union sees the rings, and every abort (the
+        # union's and each shard's own) is a lock-wait deadlock.
+        assert result.coordinator["wait_cycle_aborts"] > 0, (
+            "split-hotspot run never closed a wait cycle across shards"
         )
+        assert set(metrics.aborts_by_reason) == {"deadlock"}
 
     def test_session_commits_do_not_double_count(self):
         spec = make_spec("n2pl", seed=909, assignment=COLOCATED_HOT)
