@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.streaming import _StepEntry
 from repro.core.executions import MethodExecution
+from repro.core.records import StepRecords
 from repro.core.operations import LocalStep, MessageStep
 from repro.core.state import AppliedStep, ObjectState
 from repro.objectbase.adts.register import WriteRegister
@@ -32,7 +33,6 @@ from repro.scheduler.base import ExecutionInfo, OperationRequest, SchedulerRespo
 from repro.scheduler.certifier import _CandidateEdge
 from repro.scheduler.locks import LockEntry
 from repro.scheduler.nto import _StepRecord
-from repro.scheduler.recovery import _GateRecord
 from repro.simulation import SimulationEngine
 from repro.simulation.engine import _Frame
 from repro.simulation.events import TraceEvent
@@ -207,7 +207,7 @@ SLOTTED_HOT_TYPES = [
     _Frame,
     MethodExecution,
     _CandidateEdge,
-    _GateRecord,
+    StepRecords,
     _StepRecord,
     LockEntry,
     AppliedStep,
