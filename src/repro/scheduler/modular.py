@@ -57,7 +57,6 @@ from .base import (
     disjoint_ancestors,
 )
 from .recovery import CASCADE_MODE, CommitGate
-from .timestamps import TimestampAuthority
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +578,6 @@ class ModularScheduler(Scheduler):
         # top-level id -> objects whose synchroniser saw a request from it
         # (insertion-ordered), so resolution notifies only those.
         self._objects_of: dict[str, dict[str, None]] = {}
-        self.authority = TimestampAuthority()
         # Intra-object synchronisers are free to execute against uncommitted
         # state (timestamp ordering does); the gate keeps committed histories
         # recoverable regardless of the per-object strategy mix.  It belongs

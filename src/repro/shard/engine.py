@@ -1,8 +1,9 @@
 """Sharded execution: one engine per shard, coordinated at barriers.
 
 The :class:`ShardedEngine` partitions the object space with a
-:class:`~repro.shard.map.ShardMap` and runs one complete
-:class:`~repro.simulation.engine.SimulationEngine` per shard.  A barrier
+:class:`~repro.shard.map.ShardMap` and runs one :class:`ShardWorker` per
+shard: a complete :class:`~repro.simulation.engine.SimulationEngine`
+subclassed with the shard's side of the protocol.  A barrier
 falls exactly where some shard queues a message (remote invocation,
 result) or a lifecycle note (prepared, aborted) — the conservative
 lookahead rule of distributed discrete-event simulation (Chandy and
@@ -49,6 +50,7 @@ communicating.
 from __future__ import annotations
 
 import heapq
+import itertools
 import multiprocessing
 import sys
 import traceback
@@ -57,10 +59,12 @@ from typing import Any, Mapping
 
 from ..analysis import certify_run
 from ..core.errors import SimulationError
+from ..simulation.engine import _EVENT_ARRIVAL, _EVENT_RESTART, _WAITING, SimulationEngine
+from ..simulation.events import BEGIN, BLOCKED, INVOKE
 from ..simulation.metrics import RunMetrics, merge_run_metrics
-from ..simulation.transactions import TransactionSpec
-from ..sweep.runner import build_unsubmitted_engine
-from ..sweep.spec import ScenarioSpec
+from ..simulation.transactions import InvokeRequest, TransactionSpec
+from ..sweep.runner import build_scenario
+from ..sweep.spec import SHARD_MODES, ScenarioSpec
 from .coordinator import InterShardCoordinator, ShardReport, ShardStepTracker
 from .map import ShardMap
 
@@ -70,6 +74,10 @@ __all__ = [
     "ShardedRunResult",
     "ShardedEngine",
 ]
+
+
+#: The lifecycle notes among a worker's sends; the rest are messages.
+_NOTES = ("prepared", "aborted")
 
 
 def _wakes(directives: list[tuple]) -> bool:
@@ -88,8 +96,17 @@ def _horizons(bounds: list[int]) -> list[int]:
     return [second if bound == first else first for bound in bounds]
 
 
-class ShardWorker:
+class ShardWorker(SimulationEngine):
     """One shard's engine plus its side of the round protocol.
+
+    The plain engine's loop, commit and abort paths run unchanged; this
+    subclass adds the 2PC participant through the engine's overridable
+    methods.  On its home shard a cross-shard transaction runs normally
+    until commit, which is *held* for the two-phase decision; on every
+    other shard its remote invokes run under a *session* root carrying its
+    top-level id, so the owner's scheduler synchronises it like any nested
+    transaction.  A session root has no lineage, so the engine leaves the
+    transaction's counts, restarts and fault victims to its home shard.
 
     Identical in both transports — the in-process oracle calls these
     methods directly, the multiprocess transport calls them through
@@ -100,48 +117,62 @@ class ShardWorker:
         spec = ScenarioSpec.from_json_dict(payload["spec"])
         shard_map = ShardMap.from_json_dict(payload["map"])
         index = int(payload["index"])
-        engine, workload, transaction_specs = build_unsubmitted_engine(spec)
-        object_base = engine.object_base
+        workload, arguments, transaction_specs = build_scenario(spec)
+        object_base = arguments["object_base"]
         # Routing is computed once per worker: one table over the object
         # names, and one walk of each spec's arguments for home and cross.
         placement = shard_map.placement(object_base.object_names())
         owned = {name for name, shard in placement.items() if shard == index}
-        tracker = ShardStepTracker(object_base.conflicts("step"))
+        self.index = index
+        #: ``owns(object_name)``: does this shard hold the object?
+        self.owns = frozenset(owned).__contains__
+        #: ``classify(spec)``: may the transaction touch foreign objects?
+        #: (Advisory: a missed classification is repaired at the first
+        #: actual remote invoke; see :meth:`_send_remote_invoke`.)
+        self.classify = lambda txn_spec: shard_map.route(txn_spec, placement)[1]
+        #: Execution-id namespace (``"s<i>:"``); empty with one shard, so a
+        #: single-shard run is bit-identical to the plain engine.
+        self.id_prefix = f"s{index}:" if shard_map.shards > 1 else ""
+        self._attempts = itertools.count(1)
+        self._remote_ids = itertools.count(1)
+        #: Home side: attempt ids known (or discovered) to be cross-shard.
+        self.cross: set[str] = set()
+        #: Home side: prepared roots awaiting the global commit decision.
+        self.held: dict[str, Any] = {}
+        #: Owner side: one session root per foreign transaction, keyed by
+        #: the foreign top-level id, which is also the root's execution id.
+        self.sessions: dict[str, Any] = {}
+        #: Remote message id -> the local frame waiting on its result.
+        self.waiters: dict[str, str] = {}
+        #: A remote invocation's child -> the message id its result answers.
+        self._reply_to: dict[str, str] = {}
+        #: Heap of due ticks of queued cross-classified arrivals and restarts.
+        self._cross_due: list[int] = []
+        # Messages and notes (prepared / aborted) for the coordinator, in
+        # the order queued; the loop stops at the first, the round drains.
+        self._outbox = []
+        super().__init__(**arguments)
+        self.tracker = ShardStepTracker(object_base.conflicts("step"))
         self._certify = bool(payload.get("certify", False))
-        engine.bind_shard_runtime(
-            index=index,
-            count=shard_map.shards,
-            owns=frozenset(owned).__contains__,
-            classify=lambda txn_spec: shard_map.route(txn_spec, placement)[1],
-            tracker=tracker,
-            # Only a worker that certifies post hoc reads the shard's history.
-            keep_history=self._certify,
-        )
+        # Only a worker that certifies post hoc reads the shard's history.
+        self._keeps_history = self._certify and self._certifier is None
         specs = [
             entry if isinstance(entry, TransactionSpec) else TransactionSpec(entry, ())
             for entry in transaction_specs
         ]
-        routes = [shard_map.route(txn_spec, placement) for txn_spec in specs]
-        homed = [home == index for home, _ in routes]
+        homed = [shard_map.route(txn_spec, placement)[0] == index for txn_spec in specs]
         # Recompute the full deterministic arrival schedule, then keep only
         # the transactions homed here.  Dropped pairs keep their ticks: the
         # schedule is the global one, filtered — not a per-shard re-deal.
         arrival_factory = getattr(workload, "arrival_process", None)
         if arrival_factory is not None:
             process = arrival_factory()
-            process.bind(engine.seed)
-            pairs = list(zip(process.schedule(len(specs)), specs))
-            engine.submit_scheduled([pair for pair, home in zip(pairs, homed) if home])
-            # Ticks ascend, so the list is already a heap.
-            engine._shard.cross_due.extend(
-                tick for (tick, _), home, (_, cross) in zip(pairs, homed, routes) if home and cross
-            )
+            process.bind(self.seed)
+            pairs = zip(process.schedule(len(specs)), specs)
+            self.submit_scheduled([pair for pair, home in zip(pairs, homed) if home])
         else:
-            engine.submit_all([txn_spec for txn_spec, home in zip(specs, homed) if home])
-        engine._admit_pending()  # the closed batch, as SimulationEngine.run does
-        self.index = index
-        self.engine = engine
-        self.tracker = tracker
+            self.submit_all([txn_spec for txn_spec, home in zip(specs, homed) if home])
+        self._admit_pending()  # the closed batch, as SimulationEngine.run does
         self._shipped: dict[str, tuple] = {}  # the waits-for records last reported
         self._check_legality = bool(payload.get("check_legality", False))
         if index == 0:
@@ -151,61 +182,80 @@ class ShardWorker:
             owned.add(object_base.environment.name)
         self._owned = frozenset(owned)
 
+    # ------------------------------------------------------------------
+    # the round protocol
+    # ------------------------------------------------------------------
+
     def _apply(self, directives: list[tuple]) -> None:
-        for directive in directives:
-            if directive[0] in ("forget", "abort"):
-                # Aborted work constrains nobody, and a forgotten (GC'd)
-                # transaction's steps no longer matter to any precedence check.
-                self.tracker.forget(directive[1])
-        self.engine.apply_shard_directives(
-            [directive for directive in directives if directive[0] != "forget"]
-        )
+        """Apply one barrier's coordinator directives, in order.
+
+        ``("invoke", remote_id, gid, object, method, args)`` admits a
+        remote invocation; ``("result", remote_id, value)`` delivers a
+        remote result; ``("commit", gid)`` / ``("abort", gid, reason)``
+        apply the coordinator's global decision; ``("forget", gid)`` drops
+        a garbage-collected transaction's tracked steps.  Aborted work
+        constrains nobody, so an abort drops them too.  Votes are not
+        directives: :meth:`vote` asks :meth:`commit_vote` after applying.
+        """
+        for kind, *fields in directives:
+            if kind == "invoke":
+                remote_id, gid, *invocation = fields
+                self.admit_remote(gid, remote_id, *invocation)
+            elif kind == "result":
+                self.deliver_remote_result(*fields)
+            elif kind == "commit":
+                self.apply_global_commit(*fields)
+            elif kind == "abort":
+                self.tracker.forget(fields[0])
+                self.apply_global_abort(*fields)
+            elif kind == "forget":
+                self.tracker.forget(fields[0])
+            else:
+                raise SimulationError(f"unknown shard directive {(kind, *fields)!r}")
 
     def _enter(self, directives: list[tuple], now: int) -> int:
         """Catch up to the barrier tick ``now``, then apply its directives."""
         decisions = 0
-        if self.engine._tick < now:
-            decisions = self.engine.run_shard_round(now, catch_up=True)
-        if directives:
-            self._apply(directives)
+        if self._tick < now:
+            decisions = self._run_until(min(now, self.max_ticks), catch_up=True)
+        self._apply(directives)
         return decisions
 
     def vote(self, directives: list[tuple], gids: list[str], now: int) -> tuple:
-        """Enter the barrier at ``now``; ``(gid, verdict, reason)`` per gid, and :meth:`_waits`."""
+        """Enter the barrier at ``now``; ``(gid, verdict, reason)`` per gid, and the changed waits."""
         self._enter(directives, now)
-        return [(gid, *self.engine.commit_vote(gid)) for gid in gids], self._waits()
+        return [(gid, *self.commit_vote(gid)) for gid in gids], self._changed_waits()
 
     def round(self, directives: list[tuple], now: int, horizon: int) -> ShardReport:
         """Enter the barrier at ``now``, run to ``horizon`` or the first send, report."""
-        engine = self.engine
         decisions = self._enter(directives, now)
-        shard = engine._shard
-        if engine._tick < horizon and not (shard.outbox or shard.notes):
-            decisions += engine.run_shard_round(horizon)
-        messages, notes = engine.drain_shard_sends()
+        if self._tick < horizon and not self._outbox:
+            decisions += self._run_until(min(horizon, self.max_ticks))
+        sent, self._outbox = self._outbox, []
+        notes = [entry for entry in sent if entry[0] in _NOTES]
         for note in notes:
             if note[0] == "aborted":
                 self.tracker.forget(note[1])
         return ShardReport(
             index=self.index,
             decisions=decisions,
-            tick=engine._tick,
-            busy=engine.shard_pending(),
+            tick=self._tick,
+            busy=bool(self._frames or self._events or self.waiters or self.held),
             next_send=self._next_send(),
-            messages=messages,
+            messages=[entry for entry in sent if entry[0] not in _NOTES],
             notes=notes,
             edges=self.tracker.drain_edges(),
-            waits=self._waits(),
+            waits=self._changed_waits(),
         )
 
-    def _waits(self) -> dict[str, tuple | None] | None:
+    def _changed_waits(self) -> dict[str, tuple | None] | None:
         """:attr:`ShardReport.waits`: the records changed since the last report.
 
         A record is projected onto top-level gids: a wait between two
         transactions runs from the waiter's gid to the blocker's.
         """
         shipped, projected = self._shipped, {}
-        for waiter, (gid, edges, commit) in self.engine._waits._records.items():
+        for waiter, (gid, edges, commit) in self._waits._records.items():
             if kept := tuple(edge for edge in edges if edge[0] == gid):
                 projected[waiter] = (gid, kept, commit)
         self._shipped = projected
@@ -219,7 +269,7 @@ class ShardWorker:
         """This shard's parked frames, each with the keys it waits on."""
         return "; ".join(
             f"{frame.execution_id} on {', '.join(sorted(frame.parked_on))}"
-            for frame in self.engine._frames.values()
+            for frame in self._frames.values()
             if frame.parked_on
         ) or "none"
 
@@ -234,20 +284,19 @@ class ShardWorker:
         released and decides.  A classifier that misses a cross-shard spec
         only makes its messages late, never early.
         """
-        engine = self.engine
-        shard, tick, events = engine._shard, engine._tick, engine._events
-        if shard.cross or shard.sessions:
-            if engine._ready or not (events or shard.waiters or shard.held or shard.sessions):
+        tick, events = self._tick, self._events
+        if self.cross or self.sessions:
+            if self._ready or not (events or self.waiters or self.held or self.sessions):
                 return tick + 1
-            return events[0][0] + 1 if events else engine.max_ticks
-        due = shard.cross_due
+            return events[0][0] + 1 if events else self.max_ticks
+        due = self._cross_due
         while due and due[0] < tick:
             heapq.heappop(due)  # released already
-        return due[0] + 1 if due else engine.max_ticks
+        return due[0] + 1 if due else self.max_ticks
 
     def finalize(self) -> dict[str, Any]:
         """Close the run and flatten it to plain picklable :class:`ShardOutcome` fields."""
-        result = self.engine.finalize_shard()
+        result = self._finalise_run()
         payload: dict[str, Any] = {
             "index": self.index,
             "metrics": result.metrics,
@@ -269,6 +318,179 @@ class ShardWorker:
             if self._check_legality:
                 payload["legal"] = bool(report.legal)
         return payload
+
+    # ------------------------------------------------------------------
+    # the participant, through the engine's overridable methods
+    # ------------------------------------------------------------------
+
+    def _schedule(self, due: int, kind: int, payload: Any = None) -> None:
+        """Queue an event; a cross-classified arrival or restart also bounds :meth:`_next_send`."""
+        super()._schedule(due, kind, payload)
+        spec = payload if kind == _EVENT_ARRIVAL else payload[0] if kind == _EVENT_RESTART else None
+        if spec is not None and self.classify(spec):
+            heapq.heappush(self._cross_due, due)
+
+    def _open_root(self, method_name: str, execution_id: str | None, **frame_fields: Any):
+        """Open a root; an attempt takes a fleet-unique id and may register as cross-shard.
+
+        Each restart is a fresh id, so the coordinator sees attempts, not
+        lineages.  A session root arrives with the foreign id.
+        """
+        if execution_id is not None:
+            return super()._open_root(method_name, execution_id, **frame_fields)
+        if self.id_prefix:
+            execution_id = f"{self.id_prefix}T{next(self._attempts)}"
+        frame = super()._open_root(method_name, execution_id, **frame_fields)
+        if self.classify(frame.spec):
+            self.cross.add(frame.execution_id)
+        return frame
+
+    def _awaits_input(self) -> bool:
+        """Blocked on the barrier until a directive arrives (a result or a decision)."""
+        return bool(self.waiters or self.held or self.sessions)
+
+    def _note_step(self, info, step) -> None:
+        # Only cross-shard work feeds the inter-shard precedence graph;
+        # purely local transactions are the local scheduler's business.
+        gid = info.top_level_id
+        if gid in self.cross or gid in self.sessions:
+            self.tracker.note_step(info, step)
+
+    def _dispatch(self, frame, invocation: InvokeRequest, after) -> str:
+        if self.owns(invocation.object_name):
+            return super()._dispatch(frame, invocation, after)
+        return self._send_remote_invoke(frame, invocation)
+
+    def _send_remote_invoke(self, frame, invocation: InvokeRequest) -> str:
+        """Queue a foreign-object invocation for the owning shard."""
+        gid = frame.info.top_level_id
+        # Safety net for imprecise classifiers: the id is cross-shard from
+        # the first remote invoke on, whatever classify() said at submit.
+        self.cross.add(gid)
+        remote_id = f"{gid}/r{self.index}.{next(self._remote_ids)}"  # unique fleet-wide
+        self.waiters[remote_id] = frame.execution_id
+        self._outbox.append(("invoke", remote_id, gid, *invocation))
+        self.metrics.remote_invocations += 1
+        if self._trace is not None:
+            self._record(INVOKE, remote_id, invocation.object_name, invocation.method_name)
+        return remote_id
+
+    def deliver_remote_result(self, remote_id: str, value: Any) -> None:
+        """A remote invocation's result arrived (stale ids are dropped)."""
+        frame_id = self.waiters.pop(remote_id, None)
+        if frame_id is None:
+            return
+        frame = self._frames.get(frame_id)
+        if frame is None or frame.status != _WAITING or remote_id not in frame.waiting_on:
+            return
+        if self._deliver(frame, remote_id, value):
+            self._set_ready(frame)
+
+    def admit_remote(
+        self, gid: str, remote_id: str, object_name: str, method_name: str, arguments: tuple
+    ) -> None:
+        """Run a foreign transaction's invocation under a local session root.
+
+        The first invocation for ``gid`` opens the session: an inert
+        top-level frame whose execution id *is* the foreign id, so to the
+        local scheduler the remote work is an ordinary nested transaction
+        (begin, lock inheritance, commit gate and garbage collection all
+        key by ``gid`` exactly as on the home shard).  Each invocation is
+        spawned as a child of that root; the root itself never becomes
+        runnable and is resolved only by the coordinator's global decision.
+        A nested call that comes *back* to the transaction's home shard
+        finds the transaction's own live root there: that root is its
+        session, and the invocation is spawned under it.
+        """
+        if gid in self._aborted_executions:
+            return  # raced with a local abort; the coordinator re-relays
+        session = self.sessions.get(gid)
+        if session is None and gid in self.cross:
+            session = self._frames.get(gid)
+        if session is None:
+            # A session root has no body: it waits until the global decision.
+            session = self.sessions[gid] = self._open_root("remote-session", gid, status=_WAITING)
+            if self._trace is not None:
+                self._record(BEGIN, gid, detail="remote session")
+        child = self._spawn_child(  # its result travels back, the session awaits nothing
+            session, InvokeRequest(object_name, method_name, tuple(arguments)), None
+        )
+        self._reply_to[child.execution_id] = remote_id
+
+    def _deliver_to_parent(self, child, return_value: Any) -> bool:
+        remote_id = self._reply_to.pop(child.execution_id, None)
+        if remote_id is None:
+            return super()._deliver_to_parent(child, return_value)
+        # A remote invocation's result travels back to the shard that
+        # requested it (open-nesting style, the value is provisional until
+        # the global commit); the session root stays open, retaining the
+        # subtree's locks, until the coordinator resolves the transaction.
+        self._outbox.append(("result", remote_id, child.info.top_level_id, return_value))
+        return False
+
+    def _complete_top_level(self, frame, return_value: Any) -> None:
+        if frame.info.top_level_id in self.cross:
+            # A cross-shard transaction cannot commit unilaterally: hold the
+            # prepared root for the coordinator's two-phase decision.
+            self._hold_commit(frame, return_value)
+        else:
+            super()._complete_top_level(frame, return_value)
+
+    def _hold_commit(self, frame, return_value: Any) -> None:
+        """Park a prepared cross-shard root until the global decision."""
+        self._set_not_ready(frame, _WAITING)
+        frame.inbox = return_value
+        self.held[frame.execution_id] = frame
+        self._outbox.append(("prepared", frame.execution_id))
+        if self._trace is not None:
+            self._record(BLOCKED, frame.execution_id, detail="prepared: awaiting global commit")
+
+    def commit_vote(self, gid: str) -> tuple[str, str]:
+        """This shard's two-phase vote on ``gid``: commit, defer or abort."""
+        frame = self.held.get(gid) or self.sessions.get(gid)
+        if frame is None:
+            return ("abort", "transaction unknown on this shard")
+        response = self.scheduler.on_commit_request(frame.info)
+        if response.blocked:
+            return ("defer", response.reason or "commit deferred")
+        self._waits.clear(gid)
+        if not response.granted:
+            return ("abort", response.reason or "commit vetoed")
+        return ("commit", "")
+
+    def apply_global_commit(self, gid: str) -> None:
+        """The coordinator decided commit: finalise the local share."""
+        home = self.held.pop(gid, None)
+        frame = home or self.sessions.pop(gid, None)
+        if frame is not None:
+            self.cross.discard(gid)
+            self._finalise_commit(frame, frame.inbox if home else "remote session")
+
+    def apply_global_abort(self, gid: str, reason: str) -> None:
+        """The coordinator decided abort: discard the local share."""
+        if gid in self._frames or gid in self._executions_by_transaction:
+            # The standard abort path (on the home shard, restart policy
+            # included); it re-notes the abort, which the coordinator
+            # ignores for an already-resolved id.
+            self._abort_transaction(gid, reason)
+
+    def _abort_transaction(self, top_level_id: str, reason: str) -> None:
+        """Abort through the engine's path; a cross attempt or a session is also unregistered.
+
+        Whether the abort was detected locally (deadlock, timestamp
+        violation) or decided globally, the coordinator is told, so every
+        other participant discards its share of this id.
+        """
+        if self.sessions.pop(top_level_id, None) is not None or top_level_id in self.cross:
+            self.cross.discard(top_level_id)
+            self.held.pop(top_level_id, None)
+            subtree = {top_level_id, *self._executions_by_transaction.get(top_level_id, ())}
+            for remote_id in [key for key, frame_id in self.waiters.items() if frame_id in subtree]:
+                del self.waiters[remote_id]
+            for execution_id in subtree:
+                self._reply_to.pop(execution_id, None)
+            self._outbox.append(("aborted", top_level_id, reason))
+        super()._abort_transaction(top_level_id, reason)
 
 
 class _WorkerFailure:
@@ -461,9 +683,11 @@ class ShardedEngine:
         check_legality: bool | None = None,
     ):
         """Args:
-            spec: the scenario to run (its ``shards`` / ``shard_mode``
-                fields provide defaults for ``shard_map`` and ``mode``).
-            shard_map: explicit partition; defaults to the CRC-32 map over
+            spec: the scenario to run (its ``shards`` / ``shard_assignment``
+                / ``shard_mode`` fields provide defaults for ``shard_map``
+                and ``mode``).
+            shard_map: explicit partition; defaults to the spec's: its
+                ``shard_assignment`` pins over the CRC-32 map of
                 ``spec.shards`` shards.
             mode: ``"inprocess"`` (oracle) or ``"multiprocess"``.
             mp_context: multiprocess start method (``spawn`` by default, as
@@ -473,8 +697,8 @@ class ShardedEngine:
             check_legality: also replay-check legality when certifying;
                 defaults to ``spec.check_legality``.
         """
-        mode = mode or getattr(spec, "shard_mode", "inprocess")
-        if mode not in ("inprocess", "multiprocess"):
+        mode = mode or spec.shard_mode
+        if mode not in SHARD_MODES:
             raise SimulationError(f"unknown shard mode {mode!r}")
         if spec.certify == "stream":
             raise SimulationError(
@@ -482,7 +706,7 @@ class ShardedEngine:
                 "is the single-engine online path"
             )
         self.spec = spec
-        self.shard_map = shard_map or ShardMap(shards=getattr(spec, "shards", 1))
+        self.shard_map = shard_map or ShardMap(spec.shards, spec.shard_assignment)
         self.mode = mode
         self.mp_context = mp_context or "spawn"
         self.certify = bool(spec.certify) if certify is None else certify

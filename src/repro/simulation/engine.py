@@ -71,9 +71,9 @@ use, trace events only when a trace was asked for.
 The recorded history contains the steps of aborted attempts as well; the
 :class:`~repro.simulation.metrics.RunResult` exposes the committed
 projection, which is what serialisability certification operates on.
-Only a run that must return a whole history keeps one (``certify=False``,
-or a shard whose worker certifies post hoc); any other run forgets each
-transaction as it settles, keeping only in-flight records (and no history).
+Only a run that must return a whole history keeps one (``certify=False``);
+any other run forgets each transaction as it settles, keeping only
+in-flight records (and no history).
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ import heapq
 import itertools
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from operator import attrgetter
 from types import GeneratorType
 from typing import Any
@@ -156,13 +155,12 @@ class _Frame:
     (a parked LocalRequest, or ``_COMMIT``).  ``waiting_on``: the keys a
     WAITING frame awaits (a set for a parallel request, whose ``parallel``
     dict gathers results in order).  ``spec``, ``attempt``: a top level's.
-    ``seq``: the ready list's sort key.  ``shard_remote_id``: the remote
-    message whose result this frame sends back (``None`` in a plain run)."""
+    ``seq``: the ready list's sort key."""
 
     __slots__ = (
         "info", "execution_id", "execution", "generator", "status", "inbox", "pending",
         "parent", "waiting_on", "parallel", "spec", "attempt", "parked_on", "parked_since",
-        "seq", "shard_remote_id",
+        "seq",
     )  # fmt: skip
 
     def __init__(
@@ -173,7 +171,7 @@ class _Frame:
         self.execution_id = info.execution_id
         self.execution = execution  # the HistoryBuilder's MethodExecution
         self.status = status
-        self.generator = self.inbox = self.pending = self.parallel = self.shard_remote_id = None
+        self.generator = self.inbox = self.pending = self.parallel = None
         self.parent = parent
         self.waiting_on = self.parked_on = ()
         self.spec = spec
@@ -193,52 +191,6 @@ def _body_generator(body: Any):
 def _returning(value: Any):
     return value
     yield  # pragma: no cover - makes this a generator function
-
-
-@dataclass(slots=True)
-class _ShardRuntime:
-    """Per-shard execution state when the engine runs as one shard of many.
-
-    Bound by :meth:`SimulationEngine.bind_shard_runtime`; ``None`` on plain
-    engines, so every shard-mode check on the hot paths is a single
-    attribute test.  The shard driver (:mod:`repro.shard`) owns the message
-    transport; the engine only fills ``outbox``/``notes`` and consumes
-    directives at barriers.
-    """
-
-    index: int
-    count: int
-    #: ``owns(object_name) -> bool`` — does this shard hold the object?
-    owns: Any
-    #: ``classify(spec) -> bool`` — does the spec touch foreign objects?
-    #: (Advisory: a missed classification is repaired at the first actual
-    #: remote invoke; see :meth:`SimulationEngine._send_remote_invoke`.)
-    classify: Any
-    #: Optional conflict observer fed every executed step of cross-shard
-    #: transactions (``note_step(info, step)``), for the inter-shard
-    #: coordinator's precedence graph.
-    tracker: Any = None
-    #: Execution-id namespace (``"s<i>:"``); empty at ``count == 1`` so a
-    #: single-shard run is bit-identical to the plain engine.
-    id_prefix: str = ""
-    txn_counter: Any = None
-    remote_counter: Any = None
-    #: Home-side: top-level ids known (or discovered) to be cross-shard.
-    cross: set[str] = field(default_factory=set)
-    #: Home-side: prepared root frames awaiting the global commit decision.
-    held: dict[str, "_Frame"] = field(default_factory=dict)
-    #: Owner-side: one *session* root per foreign transaction, carrying the
-    #: foreign top-level id as its own execution id so the local scheduler
-    #: sees a perfectly ordinary nested transaction.
-    sessions: dict[str, "_Frame"] = field(default_factory=dict)
-    #: remote message id -> local frame waiting on its result.
-    waiters: dict[str, str] = field(default_factory=dict)
-    #: Outgoing messages for the coordinator, drained at the barrier.
-    outbox: list[tuple] = field(default_factory=list)
-    #: Outgoing lifecycle notes (prepared / aborted).
-    notes: list[tuple] = field(default_factory=list)
-    #: Heap of due ticks of queued cross-classified arrivals and restarts.
-    cross_due: list[int] = field(default_factory=list)
 
 
 class SimulationEngine:
@@ -282,6 +234,11 @@ class SimulationEngine:
             ``gc_interval``.
     """
 
+    #: Messages for other engines.  A plain run sends none; a subclass that
+    #: exchanges messages makes this a list, and :meth:`_run_until` returns
+    #: after the decision that queues one.
+    _outbox: list[tuple] | tuple = ()
+
     def __init__(
         self,
         object_base: ObjectBase,
@@ -309,7 +266,6 @@ class SimulationEngine:
         self.rng = random.Random(seed)
         self.max_restarts = max_restarts
         self.max_ticks = max_ticks
-        self.record_trace = record_trace
         self._trace = Trace() if record_trace else None
 
         self._builder = HistoryBuilder(
@@ -327,7 +283,7 @@ class SimulationEngine:
                 conflicts=self._builder.conflicts,
                 initial_states=object_base.initial_states(),
             )
-        # The retention rule (module docstring); bind_shard_runtime may clear it.
+        # The retention rule (module docstring); a subclass may clear it.
         self._keeps_history = self._certifier is None
         self._states: dict[str, ObjectState] = dict(object_base.initial_states())
         self._frames: dict[str, _Frame] = {}
@@ -378,9 +334,6 @@ class SimulationEngine:
         self.metrics = RunMetrics()
         self._tick = 0
         self._finished = False
-        # Sharded execution state; None on plain engines (the hot paths
-        # test this single attribute).  Bound via bind_shard_runtime.
-        self._shard: _ShardRuntime | None = None
 
         # Who waits on whom, over the live frames: the scheduler asks it at
         # every BLOCK (bound before attach builds any commit gate), the
@@ -470,11 +423,11 @@ class SimulationEngine:
     def submit_scheduled(self, pairs) -> None:
         """Queue ``(arrival_tick, spec)`` pairs with pre-computed due ticks.
 
-        The sharded driver computes one global arrival schedule and splits
-        it by home shard; each shard's engine receives its slice with the
-        *absolute* ticks, so the merged run observes the same schedule the
-        plain engine would have drawn.  Ticks must be non-decreasing in
-        ``pairs`` order (the order the shared schedule was drawn in).
+        A driver that draws one arrival schedule for several engines hands
+        each its slice with the *absolute* ticks, so the merged run
+        observes the same schedule one engine would have drawn.  Ticks must
+        be non-decreasing in ``pairs`` order (the order the shared schedule
+        was drawn in).
 
         Raises:
             SimulationError: when the engine already ran, or a spec names
@@ -526,7 +479,7 @@ class SimulationEngine:
         self._pending_specs = []
 
     def _finalise_run(self) -> RunResult:
-        """Close the run and build its result (shared with shard finalize)."""
+        """Close the run and build its result (:meth:`run`'s last step)."""
         self.metrics.total_ticks = self._tick
         self._check_arrival_truncation()
 
@@ -564,9 +517,11 @@ class SimulationEngine:
     def _run_until(self, horizon: int, catch_up: bool = False) -> int:
         """The hot loop, run until the clock reaches ``horizon``.
 
-        A plain run is one call with ``max_ticks``; a shard round stops after
-        the first decision that queues a message or note, and a shard's
-        ``catch_up`` to the barrier tick waits there if it runs out of work.
+        A plain run is one call with ``max_ticks``.  A subclass's loop also
+        returns after the first decision or event that queues a message in
+        :attr:`_outbox`, and when the frames left wait on input from outside
+        (:meth:`_awaits_input`); a ``catch_up`` run ignores the outbox and
+        leaves the clock at ``horizon`` even when its work runs out first.
         Per decision this draws one index into the ready list, peeks at the
         heap head and advances the chosen frame by one request — no per-tick
         scans.  Returns the decisions made.
@@ -574,8 +529,7 @@ class SimulationEngine:
         frames = self._frames
         events = self._events
         ready = self._ready
-        shard = self._shard
-        until_send = shard is not None and not catch_up
+        outbox = () if catch_up else self._outbox
         getrandbits = self.rng.getrandbits
         decisions = 0
         tick = self._tick
@@ -583,8 +537,8 @@ class SimulationEngine:
             while (frames or events) and tick < horizon:
                 if events and events[0][0] <= tick:
                     self._release_due_events()
-                    if until_send and (shard.outbox or shard.notes):
-                        break  # an injected fault aborted cross-shard work
+                    if outbox:
+                        break  # an injected fault aborted work another engine shares
                 if ready:
                     # random.Random.choice(ready), inlined: the same
                     # getrandbits draws, so the same index and RNG state.
@@ -597,17 +551,17 @@ class SimulationEngine:
                     self._tick = tick
                     decisions += 1
                     self._advance(ready[index])
-                    if until_send and (shard.outbox or shard.notes):
-                        break  # a message is due: the barrier falls at this tick
+                    if outbox:
+                        break  # a message is due: the exchange falls at this tick
                 elif events:
                     # Nothing is runnable until the next event matures:
                     # fast-forward the clock to its due tick (the wait
                     # costs time, not scheduling decisions), clamped so a
                     # run never reports a makespan beyond its horizon.
                     tick = self._tick = min(events[0][0], horizon)
-                elif shard is not None and (shard.waiters or shard.held or shard.sessions):
-                    break  # blocked on the barrier until a directive arrives
                 elif frames:
+                    if self._awaits_input():
+                        break  # only a message from outside can move a frame
                     raise self._wedged()  # frames left, none ready, nothing due
             if catch_up and self._tick < horizon:
                 self._tick = horizon
@@ -635,206 +589,6 @@ class SimulationEngine:
                 self.metrics.submitted += 1
                 self.metrics.arrived += 1
                 self._admit(payload, arrival_tick=due)
-
-    # ------------------------------------------------------------------
-    # sharded execution (driven by repro.shard)
-    # ------------------------------------------------------------------
-    #
-    # One full engine per shard.  At each barrier a shard catches up to the
-    # barrier tick, applies the coordinator's directives (and votes on open
-    # ballots), then runs the plain hot loop until it queues a message or
-    # note or reaches its horizon (see repro.shard.engine).  On its home
-    # shard a cross-shard transaction runs normally until commit, which is
-    # *held* for the two-phase decision; on every other shard its remote
-    # invokes run under a *session* root carrying its top-level id, so the
-    # owner's scheduler synchronises it like any nested transaction.
-
-    def bind_shard_runtime(
-        self, *, index: int, count: int, owns, classify, tracker=None, keep_history: bool
-    ) -> None:
-        """Run this engine as shard ``index`` of ``count``.
-
-        Must be called before any work ran.  ``owns(object_name)`` says
-        whether this shard holds the object; ``classify(spec)`` whether a
-        submitted transaction may touch foreign objects (advisory — a
-        missed classification is repaired at the first actual remote
-        invoke); ``tracker`` optionally observes every executed step of
-        cross-shard transactions for the coordinator's precedence graph;
-        ``keep_history`` says whether the worker certifies post hoc.
-
-        Raises:
-            SimulationError: when the engine already ran.
-        """
-        if self._finished or self._tick or self._frames:
-            raise SimulationError("bind_shard_runtime must precede the run")
-        self._keeps_history = keep_history and self._certifier is None
-        self._shard = _ShardRuntime(
-            index=index,
-            count=count,
-            owns=owns,
-            classify=classify,
-            tracker=tracker,
-            id_prefix=f"s{index}:" if count > 1 else "",
-            txn_counter=itertools.count(1),
-            remote_counter=itertools.count(1),
-        )
-
-    def run_shard_round(self, horizon: int, *, catch_up: bool = False) -> int:
-        """The plain hot loop run to ``horizon`` (see :meth:`_run_until`); returns its decisions."""
-        return self._run_until(min(horizon, self.max_ticks), catch_up)
-
-    def apply_shard_directives(self, directives) -> None:
-        """Apply one round's coordinator directives, in order.
-
-        Directive tuples: ``("invoke", remote_id, gid, object, method,
-        args)`` admits a remote invocation; ``("result", remote_id,
-        value)`` delivers a remote result; ``("commit", gid)`` /
-        ``("abort", gid, reason)`` apply the coordinator's global
-        decision.  Votes are not directives: the shard worker asks
-        :meth:`commit_vote` between applying a barrier's directives and
-        running the next round.
-        """
-        for directive in directives:
-            kind = directive[0]
-            if kind == "invoke":
-                _, remote_id, gid, object_name, method_name, arguments = directive
-                self.admit_remote(gid, remote_id, object_name, method_name, arguments)
-            elif kind == "result":
-                self.deliver_remote_result(directive[1], directive[2])
-            elif kind == "commit":
-                self.apply_global_commit(directive[1])
-            elif kind == "abort":
-                self.apply_global_abort(directive[1], directive[2])
-            else:
-                raise SimulationError(f"unknown shard directive {directive!r}")
-
-    def drain_shard_sends(self) -> tuple[list[tuple], list[tuple]]:
-        """The messages and the notes queued since the last barrier (clears both)."""
-        shard = self._shard
-        sent, shard.outbox, shard.notes = (shard.outbox, shard.notes), [], []
-        return sent
-
-    def shard_pending(self) -> bool:
-        """Whether this shard still holds live work or barrier state."""
-        shard = self._shard
-        return bool(self._frames or self._events or shard.waiters or shard.held)
-
-    def finalize_shard(self) -> RunResult:
-        """Close the shard's run once the driver declares the fleet done."""
-        return self._finalise_run()
-
-    def _send_remote_invoke(self, frame: _Frame, invocation: InvokeRequest) -> str:
-        """Queue a foreign-object invocation for the owning shard."""
-        shard = self._shard
-        gid = frame.info.top_level_id
-        # Safety net for imprecise classifiers: the id is cross-shard from
-        # the first remote invoke on, whatever classify() said at submit.
-        shard.cross.add(gid)
-        remote_id = f"{gid}/r{shard.index}.{next(shard.remote_counter)}"  # unique fleet-wide
-        shard.waiters[remote_id] = frame.execution_id
-        shard.outbox.append(
-            (
-                "invoke",
-                remote_id,
-                gid,
-                invocation.object_name,
-                invocation.method_name,
-                invocation.arguments,
-            )
-        )
-        self.metrics.remote_invocations += 1
-        if self._trace is not None:
-            self._record(INVOKE, remote_id, invocation.object_name, invocation.method_name)
-        return remote_id
-
-    def deliver_remote_result(self, remote_id: str, value: Any) -> None:
-        """A remote invocation's result arrived (stale ids are dropped)."""
-        shard = self._shard
-        frame_id = shard.waiters.pop(remote_id, None)
-        if frame_id is None:
-            return
-        frame = self._frames.get(frame_id)
-        if frame is None or frame.status != _WAITING or remote_id not in frame.waiting_on:
-            return
-        if self._deliver(frame, remote_id, value):
-            self._set_ready(frame)
-
-    def admit_remote(
-        self,
-        gid: str,
-        remote_id: str,
-        object_name: str,
-        method_name: str,
-        arguments: tuple,
-    ) -> None:
-        """Run a foreign transaction's invocation under a local session root.
-
-        The first invocation for ``gid`` opens the session: an inert
-        top-level frame whose execution id *is* the foreign id, so to the
-        local scheduler the remote work is an ordinary nested transaction
-        (begin, lock inheritance, commit gate and garbage collection all
-        key by ``gid`` exactly as on the home shard).  Each invocation is
-        spawned as a child of that root; the root itself never becomes
-        runnable and is resolved only by the coordinator's global decision.
-        A nested call that comes *back* to the transaction's home shard
-        finds the transaction's own live root there: that root is its
-        session, and the invocation is spawned under it.
-        """
-        shard = self._shard
-        if gid in self._aborted_executions:
-            return  # raced with a local abort; the coordinator re-relays
-        session = shard.sessions.get(gid)
-        if session is None and gid in shard.cross:
-            session = self._frames.get(gid)
-        if session is None:
-            # A session root has no body: it waits until the global decision.
-            session = shard.sessions[gid] = self._open_root("remote-session", gid, status=_WAITING)
-            if self._trace is not None:
-                self._record(BEGIN, gid, detail="remote session")
-        child = self._spawn_child(  # its result travels back, the session awaits nothing
-            session, InvokeRequest(object_name, method_name, tuple(arguments)), None
-        )
-        child.shard_remote_id = remote_id
-
-    def _hold_commit(self, frame: _Frame, return_value: Any) -> None:
-        """Park a prepared cross-shard root until the global decision."""
-        shard = self._shard
-        self._set_not_ready(frame, _WAITING)
-        frame.inbox = return_value
-        shard.held[frame.execution_id] = frame
-        shard.notes.append(("prepared", frame.execution_id))
-        if self._trace is not None:
-            self._record(BLOCKED, frame.execution_id, detail="prepared: awaiting global commit")
-
-    def commit_vote(self, gid: str) -> tuple[str, str]:
-        """This shard's two-phase vote on ``gid``: commit, defer or abort."""
-        shard = self._shard
-        frame = shard.held.get(gid) or shard.sessions.get(gid)
-        if frame is None:
-            return ("abort", "transaction unknown on this shard")
-        response = self.scheduler.on_commit_request(frame.info)
-        if response.blocked:
-            return ("defer", response.reason or "commit deferred")
-        self._waits.clear(gid)
-        if not response.granted:
-            return ("abort", response.reason or "commit vetoed")
-        return ("commit", "")
-
-    def apply_global_commit(self, gid: str) -> None:
-        """The coordinator decided commit: finalise the local share."""
-        shard = self._shard
-        frame = shard.held.pop(gid, None) or shard.sessions.get(gid)
-        if frame is not None:
-            shard.cross.discard(gid)
-            self._finalise_commit(frame, frame.inbox)
-
-    def apply_global_abort(self, gid: str, reason: str) -> None:
-        """The coordinator decided abort: discard the local share."""
-        if gid in self._frames or gid in self._executions_by_transaction:
-            # The standard abort path (on the home shard, restart policy
-            # included); it re-notes the abort, which the coordinator
-            # ignores for an already-resolved id.
-            self._abort_transaction(gid, reason)
 
     def _check_arrival_truncation(self) -> None:
         """Refuse to end a run that silently dropped queued arrivals.
@@ -969,6 +723,14 @@ class SimulationEngine:
                 for frame_id in list(waiters):
                     self._wake_frame(frame_id, detail=key)
 
+    def _awaits_input(self) -> bool:
+        """Whether frames that cannot move wait on input from outside the run.
+
+        Asked when no frame is ready and no event is due; a plain run has no
+        outside, so its answer is no and the run is wedged.
+        """
+        return False
+
     def _wedged(self) -> SimulationError:
         """The error for a run with frames left, none ready and no event due."""
         parked = "; ".join(
@@ -1003,7 +765,7 @@ class SimulationEngine:
     def _open_root(
         self, method_name: str, execution_id: str | None, **frame_fields: Any
     ) -> _Frame:
-        """Begin a top-level execution — a transaction attempt or a session.
+        """Begin a top-level execution: a transaction attempt, or a root a subclass opens.
 
         Records it in the history (``execution_id=None`` takes the
         builder's next id), registers its frame and execution index, and
@@ -1021,26 +783,13 @@ class SimulationEngine:
 
     def _start_transaction(self, spec: TransactionSpec, attempt: int, lineage: int) -> None:
         definition = self.object_base.environment.method(spec.method_name)
-        shard = self._shard
-        # Namespaced ids keep top-level (and hence child) execution ids
-        # globally unique across the shard fleet; single-shard runs keep
-        # the builder's own ids so they stay bit-identical to plain runs.
-        namespaced = (
-            f"{shard.id_prefix}T{next(shard.txn_counter)}"
-            if shard is not None and shard.id_prefix
-            else None
-        )
-        frame = self._open_root(spec.method_name, namespaced, spec=spec, attempt=attempt)
+        frame = self._open_root(spec.method_name, None, spec=spec, attempt=attempt)
         info = frame.info
         context = MethodContext(info.object_name, info.execution_id, spec.method_name)
         frame.generator = _body_generator(definition.body(context, *spec.arguments))
         self._lineage_of[info.execution_id] = lineage
         if attempt == 1:
             self.restart_policy.on_submit(lineage)
-        if shard is not None and shard.classify(spec):
-            # Register the attempt for two-phase coordination; each restart
-            # is a fresh id, so the coordinator sees attempts, not lineages.
-            shard.cross.add(info.execution_id)
         if self._certifier is not None:
             self._certifier.note_begin(info.execution_id, self._builder.clock)
         if self._trace is not None:
@@ -1121,18 +870,16 @@ class SimulationEngine:
     def _dispatch(self, frame: _Frame, invocation: InvokeRequest, after) -> str:
         """Start one invocation; returns the id whose result ``frame`` awaits.
 
-        A local child's execution id, or — when another shard owns the
-        object — the id of the message queued for that shard.
+        Here a child's execution id; an override that sends the invocation
+        elsewhere returns the id of its message.
         """
-        shard = self._shard
-        if shard is not None and not shard.owns(invocation.object_name):
-            return self._send_remote_invoke(frame, invocation)
         return self._spawn_child(frame, invocation, after).execution_id
 
     def _deliver(self, frame: _Frame, key: str, value: Any) -> bool:
         """Hand ``frame`` the result it awaited under ``key``.
 
-        ``key`` is a child execution id or a remote message id.  A
+        ``key`` is what :meth:`_dispatch` returned: a child execution id, or
+        a message id.  A
         parallel request gathers its results in ``parallel``, in request
         order.  Returns whether nothing is awaited any more: the caller
         then makes the frame ready.
@@ -1183,18 +930,13 @@ class SimulationEngine:
         )
         self.metrics.local_steps += 1
         self.scheduler.on_operation_executed(operation_request, value)
-        shard = self._shard
-        if (
-            shard is not None
-            and shard.tracker is not None
-            and (info.top_level_id in shard.cross or info.top_level_id in shard.sessions)
-        ):
-            # Only cross-shard work feeds the inter-shard precedence graph;
-            # purely local transactions are the local scheduler's business.
-            shard.tracker.note_step(info, step)
+        self._note_step(info, step)
         if self._trace is not None:
             self._record(GRANTED, frame.execution_id, object_name, operation.name)
         frame.inbox = value
+
+    def _note_step(self, info: ExecutionInfo, step: LocalStep) -> None:
+        """Observe a granted step once the scheduler has (a no-op here)."""
 
     # -- completion -----------------------------------------------------------------
 
@@ -1229,28 +971,12 @@ class SimulationEngine:
 
     def _deliver_to_parent(self, child: _Frame, return_value: Any) -> bool:
         """Route a completed child's result; True when its parent may run."""
-        if child.shard_remote_id is not None:
-            # A remote-session child: its result travels back to the shard
-            # that requested it (open-nesting style, the value is
-            # provisional until the global commit); the session root stays
-            # open, retaining the subtree's locks, until the coordinator
-            # resolves the transaction.
-            self._shard.outbox.append(
-                ("result", child.shard_remote_id, child.info.top_level_id, return_value)
-            )
-            return False
         parent = child.parent
         return parent.status == _WAITING and self._deliver(
             parent, child.execution_id, return_value
         )
 
     def _complete_top_level(self, frame: _Frame, return_value: Any) -> None:
-        shard = self._shard
-        if shard is not None and frame.info.top_level_id in shard.cross:
-            # A cross-shard transaction cannot commit unilaterally: hold the
-            # prepared root for the coordinator's two-phase decision.
-            self._hold_commit(frame, return_value)
-            return
         response = self.scheduler.on_commit_request(frame.info)
         decision = response.decision
         if decision is _GRANT:
@@ -1266,25 +992,21 @@ class SimulationEngine:
             self._abort_transaction(frame.info.top_level_id, response.reason or "commit vetoed")
 
     def _finalise_commit(self, frame: _Frame, return_value: Any) -> None:
-        """Apply a granted commit (shared with the global-commit directive).
+        """Apply a granted commit.
 
-        A session commits its foreign transaction's local share through
-        this same path; the commit count, latency, in-flight and
-        restart-policy bookkeeping (and online certification) belong to the
-        transaction's home shard.
+        Every attempt :meth:`_start_transaction` begins has a lineage.  A
+        root without one stands in for a transaction whose lineage lives
+        elsewhere (a subclass opens it): its share commits through this same
+        path, but the commit count, latency, in-flight and restart-policy
+        bookkeeping (and online certification) belong to the lineage.
         """
-        shard = self._shard
         transaction_id = frame.execution_id
-        session = shard is not None and shard.sessions.pop(transaction_id, None) is not None
+        lineage = self._lineage_of.pop(transaction_id, None)
         self.scheduler.on_transaction_commit(frame.info)
         self._waits.end(transaction_id)
         self._committed.append(transaction_id)
         if self._trace is not None:
-            self._record(
-                COMMITTED,
-                transaction_id,
-                detail="remote session" if session else str(return_value),
-            )
+            self._record(COMMITTED, transaction_id, detail=str(return_value))
         # Re-entered commits (pending commit retries) arrive here _READY.
         self._set_not_ready(frame, _DONE)
         del self._frames[transaction_id]
@@ -1294,17 +1016,14 @@ class SimulationEngine:
         subtree_ids = self._executions_by_transaction.pop(transaction_id)
         if not self._keeps_history:
             subtree, intervals = self._builder.forget(sorted(subtree_ids))
-            if self._certifier is not None and not session:
+            if self._certifier is not None and lineage is not None:
                 self._certifier.note_commit(
                     transaction_id, subtree, intervals, resolve_stamp=self._builder.clock
                 )
-        if not session:
+        if lineage is not None:
             self.metrics.committed += 1
-            lineage = self._lineage_of.pop(transaction_id, None)
-            if lineage is not None:
-                self.restart_policy.on_finished(lineage)
-                arrival_tick = self._arrival_tick_of.pop(lineage, 0)
-                self.metrics.note_latency(self._tick - arrival_tick)
+            self.restart_policy.on_finished(lineage)
+            self.metrics.note_latency(self._tick - self._arrival_tick_of.pop(lineage, 0))
             self._in_flight -= 1
         # The commit released the transaction's locks (and resolved any
         # read-from dependencies on it): wake its waiters.
@@ -1319,25 +1038,21 @@ class SimulationEngine:
         The victim dies through the ordinary abort path — undo, scheduler
         release, cascade exposure, restart policy — so an injected crash
         is indistinguishable from a scheduler-initiated abort downstream.
-        Shard-foreign sessions are excluded (their home shard owns their
-        lineage); with no eligible victim the fault passes without effect.
+        Only transactions with a lineage here are victims (see
+        :meth:`_finalise_commit`); with none the fault passes without effect.
         A periodic plan re-arms itself here for as long as any work
         (frames or queued events) remains, so an idle tail never spins on
         fault events alone.
         """
         plan = self._fault_plan
-        shard = self._shard
         lineage_of = self._lineage_of
         candidates = sorted(
             (
                 transaction_id
                 for transaction_id in self._executions_by_transaction
-                if shard is None or transaction_id not in shard.sessions
+                if transaction_id in lineage_of
             ),
-            key=lambda transaction_id: (
-                lineage_of.get(transaction_id, 0),
-                transaction_id,
-            ),
+            key=lambda transaction_id: (lineage_of[transaction_id], transaction_id),
         )
         victim = plan.choose_victim(candidates)
         if victim is not None:
@@ -1352,14 +1067,11 @@ class SimulationEngine:
     # -- aborts ----------------------------------------------------------------------
 
     def _abort_transaction(self, top_level_id: str, reason: str) -> None:
-        shard = self._shard
-        # A session — a *foreign* transaction's local share — aborts through
-        # this same path, whether the abort was detected locally (deadlock,
-        # timestamp violation) or decided globally: the subtree
-        # is discarded, its effects undone (the wasted steps physically ran
-        # here) and the coordinator notified.  The attempt and reason
-        # counts, restart and give-up belong to the transaction's home shard.
-        session = shard is not None and shard.sessions.pop(top_level_id, None) is not None
+        # A root without a lineage (see _finalise_commit) aborts through this
+        # same path: its subtree is discarded and its effects undone (the
+        # wasted steps physically ran here), but the attempt and reason
+        # counts, restart and give-up belong to the lineage.
+        home = top_level_id in self._lineage_of
         top_frame = self._frames.get(top_level_id)
         # Every execution ever created for this attempt belongs to the
         # aborted subtree (including completed children whose frames are
@@ -1375,7 +1087,7 @@ class SimulationEngine:
         ]
 
         self._aborted_executions.update(subtree_ids)
-        if not session:
+        if home:
             self.metrics.note_abort(reason)
         if self._trace is not None:
             self._record(ABORTED, top_level_id, detail=reason)
@@ -1404,20 +1116,7 @@ class SimulationEngine:
         self._drain_wakeups(subtree_ids)
         self._executions_by_transaction.pop(top_level_id, None)
 
-        if session or (shard is not None and top_level_id in shard.cross):
-            # Unregister the attempt and tell the coordinator, so every
-            # other participant discards its share of this id.
-            shard.cross.discard(top_level_id)
-            shard.held.pop(top_level_id, None)
-            for remote_id in [
-                remote_id
-                for remote_id, frame_id in shard.waiters.items()
-                if frame_id in subtree_ids
-            ]:
-                del shard.waiters[remote_id]
-            shard.notes.append(("aborted", top_level_id, reason))
-
-        if not session:
+        if home:
             self._restart_or_give_up(top_frame, top_level_id, reason)
         self._note_finished_attempt()
         # The undo re-applied a survivor whose step no longer returns what
@@ -1434,10 +1133,8 @@ class SimulationEngine:
         says (zero delay: this tick; else via the event heap), or give up."""
         spec = top_frame.spec if top_frame is not None else None
         attempt = top_frame.attempt if top_frame is not None else 1
-        lineage = self._lineage_of.pop(top_level_id, None)
+        lineage = self._lineage_of.pop(top_level_id)
         if spec is not None and attempt <= self.max_restarts:
-            if lineage is None:
-                lineage = next(self._lineage_counter)
             delay = max(0, int(self.restart_policy.delay(lineage, attempt, reason)))
             if delay == 0:
                 self.metrics.restarts += 1
@@ -1448,17 +1145,14 @@ class SimulationEngine:
                 self._schedule(
                     self._tick + delay, _EVENT_RESTART, (spec, attempt + 1, lineage)
                 )
-                if self._shard is not None and self._shard.classify(spec):
-                    heapq.heappush(self._shard.cross_due, self._tick + delay)
                 if self._trace is not None:
                     self._record(
                         RESTART_SCHEDULED, top_level_id, detail=f"+{delay} ticks: {reason}"
                     )
         else:
             self.metrics.gave_up += 1
-            if lineage is not None:
-                self.restart_policy.on_finished(lineage)
-                self._arrival_tick_of.pop(lineage, None)
+            self.restart_policy.on_finished(lineage)
+            self._arrival_tick_of.pop(lineage, None)
             self._in_flight -= 1
             if self._trace is not None:
                 self._record(GAVE_UP, top_level_id, detail=reason)

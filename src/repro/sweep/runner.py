@@ -72,16 +72,17 @@ class ScenarioResult:
     worker_pid: int
 
 
-def build_unsubmitted_engine(spec: ScenarioSpec) -> tuple[SimulationEngine, Any, Any]:
-    """Construct a scenario's workload, scheduler and engine, nothing submitted.
+def build_scenario(spec: ScenarioSpec) -> tuple[Any, dict[str, Any], Any]:
+    """Construct a scenario's workload and the arguments of its engine.
 
     The one place a :class:`ScenarioSpec` becomes live objects:
-    :func:`build_engine` submits the transactions to the result, a
-    :class:`~repro.shard.engine.ShardWorker` binds it as one shard and
-    submits its home slice.
+    :func:`build_engine` builds a :class:`SimulationEngine` from them and
+    submits the transactions, a :class:`~repro.shard.engine.ShardWorker`
+    builds itself from them and submits its home slice.
 
     Returns:
-        ``(engine, workload, transaction_specs)``.
+        ``(workload, engine_arguments, transaction_specs)``, where
+        ``engine_arguments`` are the engine's keyword arguments.
     """
     workload = make_workload(spec.workload, **spec.workload_params)
     object_base, transaction_specs = workload.build()
@@ -92,8 +93,8 @@ def build_unsubmitted_engine(spec: ScenarioSpec) -> tuple[SimulationEngine, Any,
     engine_params = dict(spec.engine_params)
     if spec.certify == "stream":
         engine_params.setdefault("certify", "stream")
-    engine = SimulationEngine(object_base, scheduler, seed=spec.seed, **engine_params)
-    return engine, workload, transaction_specs
+    arguments = dict(object_base=object_base, scheduler=scheduler, seed=spec.seed, **engine_params)
+    return workload, arguments, transaction_specs
 
 
 def build_engine(spec: ScenarioSpec) -> SimulationEngine:
@@ -105,7 +106,8 @@ def build_engine(spec: ScenarioSpec) -> SimulationEngine:
     Returns:
         A single-use :class:`SimulationEngine` ready for :meth:`run`.
     """
-    engine, workload, transaction_specs = build_unsubmitted_engine(spec)
+    workload, arguments, transaction_specs = build_scenario(spec)
+    engine = SimulationEngine(**arguments)
     # Streaming workloads (any with an arrival_process hook) enter as an
     # open arrival stream; everything else as the classic closed batch.
     arrival_factory = getattr(workload, "arrival_process", None)
@@ -216,10 +218,9 @@ def run_sharded_scenario(spec: ScenarioSpec):
     """Run a ``shards > 1`` scenario; returns the ShardedRunResult."""
     # Imported lazily: repro.shard builds on the sweep layer (spec payloads),
     # so a module-level import here would be circular.
-    from ..shard import ShardMap, ShardedEngine
+    from ..shard import ShardedEngine
 
-    shard_map = ShardMap(shards=spec.shards, assignment=spec.shard_assignment)
-    return ShardedEngine(spec, shard_map).run()
+    return ShardedEngine(spec).run()
 
 
 def run_scenario(spec: ScenarioSpec, index: int = 0) -> ScenarioResult:

@@ -41,7 +41,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
-from ..core.errors import SweepSpecError
+from ..core.errors import ModelError, SweepSpecError
 from ..scheduler import GATE_MODES, SCHEDULER_FACTORIES, make_restart_policy
 from ..simulation import SimulationEngine
 from ..simulation.workloads import WORKLOAD_REGISTRY
@@ -299,10 +299,17 @@ class ScenarioSpec:
                 f"workload {self.workload!r} does not define modular_strategy_map(), "
                 "required by modular_strategy_from_workload=True"
             )
-        if not isinstance(self.shards, int) or isinstance(self.shards, bool):
-            raise SweepSpecError(f"shards must be an int, got {self.shards!r}")
-        if self.shards < 1:
-            raise SweepSpecError(f"shards must be >= 1, got {self.shards}")
+        if not isinstance(self.shard_assignment, Mapping):
+            raise SweepSpecError(
+                f"shard_assignment must be a mapping, got {self.shard_assignment!r}"
+            )
+        # Deferred import: repro.shard builds on this module.
+        from ..shard.map import ShardMap
+
+        try:
+            ShardMap(self.shards, self.shard_assignment)
+        except ModelError as exc:
+            raise SweepSpecError(f"invalid shards / shard_assignment: {exc}") from exc
         if self.shard_mode not in SHARD_MODES:
             raise SweepSpecError(
                 f"unknown shard_mode {self.shard_mode!r}; "
@@ -314,23 +321,6 @@ class ScenarioSpec:
                 "runs certify each shard's committed projection post-hoc "
                 "(use certify=True)"
             )
-        if not isinstance(self.shard_assignment, Mapping):
-            raise SweepSpecError(
-                f"shard_assignment must be a mapping, got {self.shard_assignment!r}"
-            )
-        for name, index in self.shard_assignment.items():
-            if not isinstance(name, str) or not name:
-                raise SweepSpecError(
-                    f"shard_assignment keys must be object names, got {name!r}"
-                )
-            if not isinstance(index, int) or isinstance(index, bool):
-                raise SweepSpecError(
-                    f"shard_assignment[{name!r}] must be an int, got {index!r}"
-                )
-            if not 0 <= index < self.shards:
-                raise SweepSpecError(
-                    f"shard_assignment[{name!r}] = {index} outside 0..{self.shards - 1}"
-                )
 
     # -- description -----------------------------------------------------------
 

@@ -31,8 +31,7 @@ from benchmarks.bench_e18_sharding import (
     _cross_spec,
     _scaling_spec,
 )
-from repro.shard import ShardMap, ShardedEngine
-from repro.simulation import SimulationEngine
+from repro.shard import ShardMap, ShardWorker, ShardedEngine
 from repro.sweep import summarise_sharded_run
 from tests.shard.test_commit_protocol import hotspot_2shard_spec
 from tests.shard.test_shard_retention import SCHEDULERS, WORKLOADS, make_spec
@@ -44,10 +43,10 @@ E18_GOLDEN = Path(__file__).resolve().parents[2] / "benchmarks" / "BENCH_e18_sha
 def message_ticks(monkeypatch):
     """``(kind, remote id) -> {"send": tick, "consume": tick}`` on the engine clocks."""
     log: dict[tuple[str, str], dict[str, int]] = defaultdict(dict)
-    send_invoke = SimulationEngine._send_remote_invoke
-    admit_remote = SimulationEngine.admit_remote
-    deliver_to_parent = SimulationEngine._deliver_to_parent
-    deliver_result = SimulationEngine.deliver_remote_result
+    send_invoke = ShardWorker._send_remote_invoke
+    admit_remote = ShardWorker.admit_remote
+    deliver_to_parent = ShardWorker._deliver_to_parent
+    deliver_result = ShardWorker.deliver_remote_result
 
     def sent_invoke(engine, frame, invocation):
         remote_id = send_invoke(engine, frame, invocation)
@@ -59,18 +58,19 @@ def message_ticks(monkeypatch):
         return admit_remote(engine, gid, remote_id, *args)
 
     def sent_result(engine, child, value):
-        if child.shard_remote_id is not None:
-            log["result", child.shard_remote_id]["send"] = engine._tick
+        remote_id = engine._reply_to.get(child.execution_id)
+        if remote_id is not None:
+            log["result", remote_id]["send"] = engine._tick
         return deliver_to_parent(engine, child, value)
 
     def delivered(engine, remote_id, value):
         log["result", remote_id]["consume"] = engine._tick
         return deliver_result(engine, remote_id, value)
 
-    monkeypatch.setattr(SimulationEngine, "_send_remote_invoke", sent_invoke)
-    monkeypatch.setattr(SimulationEngine, "admit_remote", admitted)
-    monkeypatch.setattr(SimulationEngine, "_deliver_to_parent", sent_result)
-    monkeypatch.setattr(SimulationEngine, "deliver_remote_result", delivered)
+    monkeypatch.setattr(ShardWorker, "_send_remote_invoke", sent_invoke)
+    monkeypatch.setattr(ShardWorker, "admit_remote", admitted)
+    monkeypatch.setattr(ShardWorker, "_deliver_to_parent", sent_result)
+    monkeypatch.setattr(ShardWorker, "deliver_remote_result", delivered)
     return log
 
 
@@ -97,18 +97,18 @@ class TestCausality:
         self, message_ticks, monkeypatch, scheduler
     ):
         notes = []
-        drain = SimulationEngine.drain_shard_sends
+        round_ = ShardWorker.round
 
-        def drained(engine):
-            messages, sent = drain(engine)
+        def drained(worker, *args):
+            report = round_(worker, *args)
             notes.extend(
-                (engine._tick, note)
-                for note in sent
-                if "fault" in note[-1] and note[1].startswith(engine._shard.id_prefix)
+                (report.tick, note)
+                for note in report.notes
+                if "fault" in note[-1] and note[1].startswith(worker.id_prefix)
             )
-            return messages, sent
+            return report
 
-        monkeypatch.setattr(SimulationEngine, "drain_shard_sends", drained)
+        monkeypatch.setattr(ShardWorker, "round", drained)
         spec = make_spec("hotspot-stream", scheduler, 3, certify=False)
         # A sparse stream, so a crash often leaves its shard nothing to run.
         spec = replace(

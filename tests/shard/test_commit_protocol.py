@@ -23,7 +23,6 @@ import pytest
 from repro.core.errors import SimulationError
 from repro.shard import ShardMap, ShardReport, ShardWorker, ShardedEngine
 from repro.shard.coordinator import InterShardCoordinator
-from repro.simulation import SimulationEngine
 from repro.sweep import ScenarioSpec
 from tests.shard.test_sharded_engine import COLOCATED_HOT, make_spec
 
@@ -59,26 +58,26 @@ def protocol_log(monkeypatch):
     log = defaultdict(list)
 
     def record(name, with_verdict=False):
-        method = getattr(SimulationEngine, name)
+        method = getattr(ShardWorker, name)
 
         def recorded(engine, gid, *args):
             result = method(engine, gid, *args)
-            entry = (engine._shard.index, gid, engine._tick)
+            entry = (engine.index, gid, engine._tick)
             log[name].append(entry + (result[0],) if with_verdict else entry)
             return result
 
-        monkeypatch.setattr(SimulationEngine, name, recorded)
+        monkeypatch.setattr(ShardWorker, name, recorded)
 
     record("commit_vote", with_verdict=True)
     record("apply_global_commit")
     record("apply_global_abort")
-    hold_commit = SimulationEngine._hold_commit
+    hold_commit = ShardWorker._hold_commit
 
     def recorded_hold(engine, frame, value):
-        log["prepared"].append((engine._shard.index, frame.execution_id, engine._tick))
+        log["prepared"].append((engine.index, frame.execution_id, engine._tick))
         return hold_commit(engine, frame, value)
 
-    monkeypatch.setattr(SimulationEngine, "_hold_commit", recorded_hold)
+    monkeypatch.setattr(ShardWorker, "_hold_commit", recorded_hold)
     ShardedEngine(hotspot_2shard_spec(), ShardMap(shards=2)).run()
     return log
 

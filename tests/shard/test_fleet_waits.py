@@ -251,10 +251,10 @@ def test_a_shard_reports_its_waits_between_transactions_once_per_change():
     worker = ShardWorker(
         {"spec": spec.to_json_dict(), "map": ShardMap(shards=2).to_json_dict(), "index": 0}
     )
-    records = worker.engine._waits._records
+    records = worker._waits._records
     records["s0:T1.1"] = ("s0:T1", (("s0:T1.1", "s0:T1.2"),), False)  # inside one transaction
     records["s0:T2"] = ("s0:T2", (("s0:T2", "s1:T3"),), True)
-    assert worker._waits() == {"s0:T2": ("s0:T2", (("s0:T2", "s1:T3"),), True)}
-    assert worker._waits() is None
+    assert worker._changed_waits() == {"s0:T2": ("s0:T2", (("s0:T2", "s1:T3"),), True)}
+    assert worker._changed_waits() is None
     del records["s0:T2"]
-    assert worker._waits() == {"s0:T2": None}
+    assert worker._changed_waits() == {"s0:T2": None}

@@ -86,13 +86,13 @@ def checked_workers(monkeypatch):
     def checked_round(worker, directives, now, horizon):
         report = round_(worker, directives, now, horizon)
         if not worker._certify:
-            assert set(worker.engine._builder._executions) == live_executions(worker.engine)
+            assert set(worker._builder._executions) == live_executions(worker)
             checks["barriers"] += 1
         return report
 
     def checked_finalize(worker):
         payload = finalize(worker)
-        builder = worker.engine._builder
+        builder = worker._builder
         if not worker._certify:
             assert not builder._executions and not builder._intervals
             assert not builder._open_messages and not builder._child_counters

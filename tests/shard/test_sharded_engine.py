@@ -15,10 +15,12 @@ The three claims that make sharding safe to use for experiments:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.shard import ShardMap, ShardedEngine
+from repro.shard import ShardMap, ShardWorker, ShardedEngine
 from repro.sweep import ScenarioSpec, run_scenario
 from repro.sweep.runner import build_engine
 
@@ -237,6 +239,41 @@ class TestCrossShardExecution:
         for outcome in result.shards:
             assert outcome.serialisable is True
 
+    @pytest.mark.parametrize("scheduler", ("n2pl", "nto-step", "certifier"))
+    def test_crashes_spare_sessions_and_every_arrival_settles_once(self, monkeypatch, scheduler):
+        # A session root has no lineage, so an injected crash never picks
+        # it: the victim is a transaction homed on the crashing shard, and
+        # each arrival is counted once, as committed or given up.
+        victims, crashing = [], []
+        inject, abort = ShardWorker._inject_fault, ShardWorker._abort_transaction
+
+        def injected(worker, due):
+            crashing.append(worker)
+            try:
+                return inject(worker, due)
+            finally:
+                crashing.pop()
+
+        def recorded(worker, top_level_id, reason):
+            if crashing and reason == "fault: injected crash":  # the victim, not a cascade
+                victims.append((top_level_id, bool(worker.sessions)))
+                assert top_level_id not in worker.sessions
+                assert top_level_id in worker._lineage_of
+                assert top_level_id.startswith(worker.id_prefix)
+            return abort(worker, top_level_id, reason)
+
+        monkeypatch.setattr(ShardWorker, "_inject_fault", injected)
+        monkeypatch.setattr(ShardWorker, "_abort_transaction", recorded)
+        spec = dataclasses.replace(
+            make_spec(scheduler, seed=606, stream=True, shards=2, assignment=SPLIT_HOT),
+            engine_params={"fault_plan": {"name": "crash", "period": 23}},
+        )
+        result = ShardedEngine(spec).run()
+        metrics = result.metrics
+        assert metrics.faults_injected == len(victims) > 0
+        assert any(live for _, live in victims), "no crash fired beside a live session"
+        assert metrics.committed + metrics.gave_up == metrics.submitted == 40
+
 
 class TestSweepIntegration:
     def test_run_scenario_routes_to_sharded_engine(self):
@@ -280,8 +317,6 @@ class TestSweepIntegration:
         # ShardedEngine(spec) used to take ``certify`` from the spec but
         # default ``check_legality`` to False, so the same spec reported
         # legal=None run directly and legal=True through repro.run.
-        import dataclasses
-
         import repro
 
         spec = dataclasses.replace(
@@ -296,6 +331,29 @@ class TestSweepIntegration:
             spec, ShardMap(shards=2, assignment=COLOCATED_HOT), check_legality=False
         ).run()
         assert unchecked.legal is None
+
+    def test_the_default_map_keeps_the_spec_pins(self):
+        # ShardedEngine(spec) used to build its map from spec.shards alone,
+        # dropping spec.shard_assignment: both pinned objects stayed on the
+        # CRC shard and the run took other rounds and remote invocations.
+        pins = {"cold-000": 0, "cold-001": 0}
+        spec = ScenarioSpec(
+            workload="hotspot",
+            scheduler="n2pl",
+            seed=1,
+            workload_params={"transactions": 12, "seed": 1},
+            shards=2,
+            shard_assignment=pins,
+        )
+        assert [ShardMap(shards=2).shard_of(name) for name in pins] == [1, 1]
+        default = ShardedEngine(spec).run()
+        pinned = ShardedEngine(spec, ShardMap(shards=2, assignment=pins)).run()
+        assert default.shard_map == pinned.shard_map == ShardMap(shards=2, assignment=pins)
+        assert (default.rounds, default.metrics.remote_invocations) == (
+            pinned.rounds,
+            pinned.metrics.remote_invocations,
+        )
+        assert sharded_outcome(default) == sharded_outcome(pinned)
 
     def test_sharded_engine_rejects_stream_certify(self):
         from repro.core.errors import SimulationError

@@ -159,7 +159,7 @@ class TestOneHotLoop:
             original = getattr(ShardWorker, command)
 
             def wrapper(worker, *args):
-                engine, before, first = worker.engine, worker.engine._tick, len(loop_calls)
+                engine, before, first = worker, worker._tick, len(loop_calls)
                 result = original(worker, *args)
                 calls = loop_calls[first:]
                 now = args[2 if command == "vote" else 1]
