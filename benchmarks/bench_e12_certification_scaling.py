@@ -7,22 +7,18 @@ conflicting pairs.  This experiment certifies the committed projection of
 the same low-contention hotspot workload across run lengths and two
 schedulers (blocking n2pl produces long committed histories; the
 optimistic certifier exercises commit-time validation during the run
-itself), records a setup/run/certify wall breakdown per configuration, and
-asserts that every deterministic column (commits, committed steps, SG
+itself), and asserts that every column (commits, committed steps, SG
 edges, the serialisability verdict) equals the golden rows.
 
-What it no longer gates is a wall ratio against the from-scratch
-permutation builders: those live in ``tests/oracles/graphs.py`` as the
-reference the property tests compare against, and the scaling claim is
-held exactly, as call counts, by ``tests/analysis/test_certification_cost.py``.
-The golden rows were recorded while those builders were still timed
-alongside and carry their ``certify_legacy_seconds`` / ``speedup_*`` /
-``*_incremental*`` / ``commit_conflict_calls`` columns.
+It times nothing.  The from-scratch permutation builders live in
+``tests/oracles/graphs.py`` as the reference the property tests compare
+against, the scaling claim is held exactly, as call counts, by
+``tests/analysis/test_certification_cost.py``, and the certification wall
+is ``bench/``'s ``analysis.certify.certify_run_s`` on the
+``banking-closed-certifier`` workload.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.analysis import certify_history
 from repro.sweep import ScenarioSpec, build_engine
@@ -53,19 +49,9 @@ def _spec(scheduler_name: str, transactions: int) -> ScenarioSpec:
 
 
 def run_configuration(scheduler_name: str, transactions: int) -> dict:
-    started = time.perf_counter()
-    engine = build_engine(_spec(scheduler_name, transactions))
-    setup_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    result = engine.run()
-    run_seconds = time.perf_counter() - started
-
+    result = build_engine(_spec(scheduler_name, transactions)).run()
     committed = result.committed_history()
-    started = time.perf_counter()
     report = certify_history(committed, check_legality=False)
-    certify_seconds = time.perf_counter() - started
-
     return {
         "scheduler": scheduler_name,
         "transactions": transactions,
@@ -73,9 +59,6 @@ def run_configuration(scheduler_name: str, transactions: int) -> dict:
         "committed_steps": len(committed.local_steps()),
         "sg_edges": report.sg_edges,
         "serialisable": report.serialisable,
-        "setup_seconds": round(setup_seconds, 6),
-        "run_seconds": round(run_seconds, 6),
-        "certify_seconds": round(certify_seconds, 6),
     }
 
 
@@ -87,16 +70,15 @@ def run_experiment(sizing=None) -> list[dict]:
     ]
 
 
+PINNED = ("committed", "committed_steps", "sg_edges", "serialisable")
+
 EXPERIMENT = Experiment(
     name="e12_certification_scaling",
     title="E12: post-hoc certification across run lengths",
-    columns=(
-        "scheduler", "transactions", "committed", "committed_steps",
-        "sg_edges", "serialisable", "setup_seconds", "run_seconds", "certify_seconds",
-    ),
+    columns=("scheduler", "transactions", *PINNED),
     key_fields=("scheduler", "transactions"),
     run=run_experiment,
-    pinned=("committed", "committed_steps", "sg_edges", "serialisable"),
+    pinned=PINNED,
 )
 
 

@@ -1,4 +1,4 @@
-"""E18 — sharded execution: μ vs shard count on a sharded E15-style stream.
+"""E18 — sharded execution: identity, transport and μ on an E15-style stream.
 
 PR 6 made each scheduling decision cheap, but a single engine still makes
 *one* decision per tick, so service capacity tops out near μ ≈ 0.055–0.065
@@ -9,7 +9,7 @@ per shard between barriers that fall where a cross-shard message is due,
 and the
 :class:`~repro.shard.InterShardCoordinator` resolves cross-shard
 transactions with two-phase votes over a global precedence graph.  This
-benchmark regenerates the three claims that make sharding usable:
+benchmark regenerates the claims that make sharding usable:
 
 1. **shards=1 is the plain engine** — the single-shard run must match an
    unsharded run of the same spec bit for bit (metrics, committed ids,
@@ -17,17 +17,16 @@ benchmark regenerates the three claims that make sharding usable:
 2. **the transport is invisible** — the ``multiprocess`` mode (one OS
    process per shard) must match the in-process oracle bit for bit at
    every shard count.  Asserted unconditionally.
-3. **μ scales with shards** — measured μ (committed transactions per
-   wall-second, best of ``REPRO_E18_REPEATS`` runs) should improve by
-   ``SCALING_TARGET`` (1.8×) from one to two shards in multiprocess
-   mode.  Scaling is a hardware fact, so like E13 the assertion is gated
-   on the CPUs actually available — enforced at ≥4 CPUs on full-size
-   runs, recorded-but-never-asserted below (a CPU-bound fan-out cannot
-   beat serial on a single core by construction).  The walls, μ ratios
-   and host CPU count are in the rows either way (the golden
-   ``BENCH_e18_sharding.json`` and the fresh ones under
-   ``benchmarks/out/``), so a recorded row always states the hardware it
-   was measured on.
+3. **μ scales with shards** — recorded, never asserted.  Measured μ
+   (committed transactions per wall-second, best of
+   ``REPRO_E18_REPEATS`` runs) should improve 1.8× from one to two
+   shards in multiprocess mode on a host with ≥4 free CPUs (a CPU-bound
+   fan-out cannot beat serial on one core).  The walls, μ ratios and host
+   CPU count are in every row, so a recorded row always states the
+   hardware it was measured on.
+
+Every count, rate and verdict of a full-size run is pinned to the golden
+``BENCH_e18_sharding.json``.
 
 The scaling grid is the E15 open-system shape — a saturating Poisson
 hotspot stream with mid-stream GC — restricted to single-operation
@@ -40,8 +39,8 @@ cycles through several shards) on a workload where distributed
 deadlocks actually happen.
 
 ``REPRO_E18_ARRIVALS`` shortens the stream for local iteration; a
-shortened grid is written to ``benchmarks/out/`` marked as such and
-``compare_bench`` reports it as not compared with the golden.
+shortened grid is written to ``benchmarks/out/`` marked as such and is
+not pinned to the golden.
 
 Sharded runs must not themselves be nested inside a multiprocessing
 pool: the multiprocess transport spawns daemon processes, which daemonic
@@ -66,12 +65,6 @@ CROSS_TRANSACTIONS = 120
 SEED = 1818
 SHARD_COUNTS = (1, 2, 4)
 GC_INTERVAL = 64
-
-#: Measured μ at 2 shards as a multiple of the 1-shard μ (multiprocess
-#: mode), enforced only where two shard processes actually run
-#: concurrently and only on full-size runs (short streams are jitter).
-SCALING_TARGET = 1.8
-MIN_CPUS_FOR_SCALING = 4
 
 #: Pin the hot pair together so the scaling grid is dominated by local
 #: work; the hashed cold tail spreads the rest of the load.
@@ -207,7 +200,7 @@ def run_experiment(sizing) -> list[dict]:
         bench_multi["matches_inprocess"] = _outcome(multi) == _outcome(inproc)
         rows.extend((bench_inproc, bench_multi))
 
-    # Claim 3's measure: per-shard-count μ over the same mode's 1-shard μ.
+    # Claim 3's record: per-shard-count μ over the same mode's 1-shard μ.
     one_shard_mu = {
         row["mode"]: row["mu_wall"]
         for row in rows
@@ -244,15 +237,11 @@ EXPERIMENT = Experiment(
     run=run_experiment,
     full_sizes={SIZE: 400},
     repeats=("REPRO_E18_REPEATS", 1),
-    # ``mu_ratio_vs_one`` is each shard count's measured μ over the same
-    # mode's 1-shard μ — an in-run wall ratio, so it needs the noise
-    # floor — and is where the sharded engine's parallel headroom eroding
-    # shows up; ``commit_rate`` rides along as the deterministic canary (a
-    # coordinator change that thrashes more degrades it identically on
-    # every machine).  The cross rows carry no μ ratio (``None`` skips
-    # comparison) but their commit_rate still gates.
-    watched=("mu_ratio_vs_one", "commit_rate"),
-    noise_floor=("wall_seconds", 0.25),
+    pinned=(
+        "committed", "gave_up", "commit_rate", "throughput", "makespan",
+        "remote_invocations", "cross_commits", "cross_aborts", "cycle_aborts",
+        "wait_cycle_aborts", "shard_rounds", "serialisable",
+    ),
 )
 
 
@@ -280,16 +269,6 @@ def test_e18_sharding(benchmark):
             assert row["wait_cycle_aborts"] + row["cycle_aborts"] > 0, (
                 "cross case never needed the coordinator's cycle tests"
             )
-    # Scaling is a hardware fact: enforce the 1.8x μ target only where
-    # two shard processes actually run concurrently and the stream is
-    # full-size (short smoke streams measure jitter); record elsewhere.
-    cpu = rows[0]["cpu_count"]
-    if cpu >= MIN_CPUS_FOR_SCALING and EXPERIMENT.sizing().full:
-        ratio = by_key[("scaling", "multiprocess", 2)]["mu_ratio_vs_one"]
-        assert ratio >= SCALING_TARGET, (
-            f"2-shard multiprocess μ only {ratio:.2f}x of 1-shard "
-            f"(target >= {SCALING_TARGET}x) on {cpu} CPUs"
-        )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual/CI smoke entry point

@@ -14,20 +14,23 @@ grid experiments through :func:`run_sweep_rows`), so every experiment
 reports the columns :func:`repro.sweep.runner.summarise_run` defines and
 no script constructs an engine by hand.
 
-E11-E19 also keep a committed ``BENCH_<name>.json`` next to this module.
-Those files are **goldens**: one row per configuration, read and never
-written by a run.  Each of those modules declares one :class:`Experiment`
-record and this module owns, once, everything around it: shortening by
-environment variable, best-of-N timing (:func:`timed_best`), row
-assembly, the pin check against the golden, the pytest/``__main__`` tail
-(:meth:`Experiment.execute`) and writing the fresh rows to the
-git-ignored ``benchmarks/out/``, where ``compare_bench`` picks them up.
-Running an experiment therefore never edits a tracked file.
+E11-E15, E18 and E19 also keep a committed ``BENCH_<name>.json`` next to
+this module.  Those files are **goldens**: one row per configuration, read
+and never written by a run.  Each of those modules declares one
+:class:`Experiment` record and this module owns, once, everything around
+it: shortening by environment variable, best-of-N timing
+(:func:`timed_best`), row assembly, the pin check against the golden, the
+pytest/``__main__`` tail (:meth:`Experiment.execute`) and writing the
+fresh rows to the git-ignored ``benchmarks/out/``.  Running an experiment
+therefore never edits a tracked file.
+
+These experiments hold facts: pinned columns and determinism identities.
+A wall a row records is recorded only; wall-clock speed is measured by
+``bench/`` against ``BENCHMARK.json``'s workloads.
 """
 
 from __future__ import annotations
 
-import gc
 import importlib
 import json
 import os
@@ -63,7 +66,7 @@ def hotspot_spec(
     engine_params: Mapping[str, Any] | None = None,
     **workload_overrides: Any,
 ) -> ScenarioSpec:
-    """The E15 hotspot configuration, which E16, E17 and E18 re-use.
+    """The E15 hotspot configuration, which E18 re-uses.
 
     Two hot and 128 cold registers, two operations per transaction, 5% hot,
     no service layer, ``backoff`` restarts (immediate restarts thrash at
@@ -110,8 +113,6 @@ def timed_best(
     repeats: int,
     build: Callable[[], Any],
     run: Callable[[Any], Any] = lambda subject: subject.run(),
-    *,
-    freeze_gc: bool = False,
 ) -> tuple[float, Any, Any]:
     """Best (minimum) wall of ``repeats`` timings of ``run(build())``.
 
@@ -120,14 +121,6 @@ def timed_best(
     varies and the minimum filters scheduler-noise spikes out of
     sub-second measurements.
 
-    With ``freeze_gc`` the cyclic collector is disabled inside the timed
-    region (and the heap collected right before it): a history builder
-    retains the full history either way, so mid-run garbage is acyclic and
-    refcounted away, while gen-2 collections rescan the ever-growing
-    history — a drag that grows with stream length, hits the variant with
-    the larger heap harder, and has nothing to do with the cost being
-    compared.
-
     Returns:
         ``(wall_seconds, result, subject)`` — the last run's result and
         the object it ran on.
@@ -135,17 +128,9 @@ def timed_best(
     wall = float("inf")
     for _ in range(repeats):
         subject = build()
-        refreeze = freeze_gc and gc.isenabled()
-        if refreeze:
-            gc.collect()
-            gc.disable()
-        try:
-            started = time.perf_counter()
-            result = run(subject)
-            wall = min(wall, time.perf_counter() - started)
-        finally:
-            if refreeze:
-                gc.enable()
+        started = time.perf_counter()
+        result = run(subject)
+        wall = min(wall, time.perf_counter() - started)
     return wall, result, subject
 
 
@@ -181,17 +166,10 @@ class Experiment:
         run: ``run(sizing) -> rows``, the experiment body.
         full_sizes: environment variable -> full size.  A smaller value in
             the environment shortens the run; a shortened run is never
-            pinned to, or compared with, the golden.
+            pinned to the golden.
         repeats: ``(environment variable, default)`` for best-of-N timing.
         pinned: columns that are pure functions of the spec: at full size
             every fresh row must equal its golden row on them bit for bit.
-        watched: higher-is-better ratio columns ``compare_bench`` guards
-            against a >30% drop below the golden.
-        noise_floor: optional ``(column, minimum)`` the *golden* row must
-            satisfy for its configuration to be compared at all:
-            wall-time ratios built on sub-floor measurements are
-            scheduling jitter, and gating pull requests on jitter would
-            make CI flaky.
         directory: where the golden lives and ``out/`` is created.
     """
 
@@ -203,8 +181,6 @@ class Experiment:
     full_sizes: Mapping[str, int] = field(default_factory=dict)
     repeats: tuple[str, int] | None = None
     pinned: tuple[str, ...] = ()
-    watched: tuple[str, ...] = ()
-    noise_floor: tuple[str, float] | None = None
     directory: Path = BENCH_DIR
 
     @property
@@ -269,8 +245,6 @@ class Experiment:
 
     def check_pins(self, rows: list[dict[str, Any]]) -> None:
         """Assert full-size ``rows`` equal the golden on every pinned column."""
-        if not self.pinned:
-            return
         golden = self.golden_rows()
         for row in rows:
             key = self.key(row)
