@@ -40,26 +40,26 @@ Determinism is the design's spine, not a feature flag:
 Workers are spawn-safe the same way the sweep runner's are: a worker
 receives only picklable plain data (the scenario spec and shard map as
 JSON dicts) and constructs every live object in-worker.  Each worker
-rebuilds the *full* workload and recomputes the *full* arrival schedule
-(both pure functions of the spec), then keeps only the transactions
-whose home is its shard — no generator state ever crosses a process
-boundary, and every worker agrees on every transaction's home without
-communicating.
+walks the *full* ``(tick, spec)`` stream (a pure function of the spec),
+routes each spec once and keeps those homed on its shard, reading ahead
+no further than its next cross-shard arrival — no generator state ever
+crosses a process boundary, and every worker agrees on every
+transaction's home without communicating.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import multiprocessing
 import sys
 import traceback
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..analysis import certify_run
 from ..core.errors import SimulationError
-from ..simulation.engine import _EVENT_ARRIVAL, _EVENT_RESTART, _WAITING, SimulationEngine
+from ..simulation.engine import _EVENT_RESTART, _WAITING, SimulationEngine
 from ..simulation.events import BEGIN, BLOCKED, INVOKE
 from ..simulation.metrics import RunMetrics, merge_run_metrics
 from ..simulation.transactions import InvokeRequest, TransactionSpec
@@ -117,19 +117,18 @@ class ShardWorker(SimulationEngine):
         spec = ScenarioSpec.from_json_dict(payload["spec"])
         shard_map = ShardMap.from_json_dict(payload["map"])
         index = int(payload["index"])
-        workload, arguments, transaction_specs = build_scenario(spec)
+        arguments, transaction_specs, arrival = build_scenario(spec)
         object_base = arguments["object_base"]
-        # Routing is computed once per worker: one table over the object
-        # names, and one walk of each spec's arguments for home and cross.
+        # Routing: one table over the object names, one walk per spec.
         placement = shard_map.placement(object_base.object_names())
         owned = {name for name, shard in placement.items() if shard == index}
         self.index = index
         #: ``owns(object_name)``: does this shard hold the object?
         self.owns = frozenset(owned).__contains__
-        #: ``classify(spec)``: may the transaction touch foreign objects?
-        #: (Advisory: a missed classification is repaired at the first
-        #: actual remote invoke; see :meth:`_send_remote_invoke`.)
-        self.classify = lambda txn_spec: shard_map.route(txn_spec, placement)[1]
+        #: ``route(spec)``: ``(home, cross)``, cross if it may touch foreign
+        #: objects.  (Advisory: a missed classification is repaired at the
+        #: first actual remote invoke; see :meth:`_send_remote_invoke`.)
+        self.route = lambda txn_spec: shard_map.route(txn_spec, placement)
         #: Execution-id namespace (``"s<i>:"``); empty with one shard, so a
         #: single-shard run is bit-identical to the plain engine.
         self.id_prefix = f"s{index}:" if shard_map.shards > 1 else ""
@@ -146,8 +145,16 @@ class ShardWorker(SimulationEngine):
         self.waiters: dict[str, str] = {}
         #: A remote invocation's child -> the message id its result answers.
         self._reply_to: dict[str, str] = {}
-        #: Heap of due ticks of queued cross-classified arrivals and restarts.
+        #: Heap of due ticks of cross-classified arrivals read and restarts queued.
         self._cross_due: list[int] = []
+        # A spec's route is reused by its restarts: the cross flags of the
+        # specs handed to the engine, in admission order, then the lineages
+        # in flight whose spec is cross-classified.
+        self._handed: deque[bool] = deque()
+        self._cross_lineages: set[int] = set()
+        #: Homed ``(due, spec, cross)`` arrivals read, not yet handed over.
+        self._ahead: deque[tuple[int, TransactionSpec, bool]] = deque()
+        self._global = iter(())  # the global (due, spec) stream
         # Messages and notes (prepared / aborted) for the coordinator, in
         # the order queued; the loop stops at the first, the round drains.
         self._outbox = []
@@ -156,22 +163,17 @@ class ShardWorker(SimulationEngine):
         self._certify = bool(payload.get("certify", False))
         # Only a worker that certifies post hoc reads the shard's history.
         self._keeps_history = self._certify and self._certifier is None
-        specs = [
-            entry if isinstance(entry, TransactionSpec) else TransactionSpec(entry, ())
-            for entry in transaction_specs
-        ]
-        homed = [shard_map.route(txn_spec, placement)[0] == index for txn_spec in specs]
-        # Recompute the full deterministic arrival schedule, then keep only
-        # the transactions homed here.  Dropped pairs keep their ticks: the
-        # schedule is the global one, filtered — not a per-shard re-deal.
-        arrival_factory = getattr(workload, "arrival_process", None)
-        if arrival_factory is not None:
-            process = arrival_factory()
-            process.bind(self.seed)
-            pairs = zip(process.schedule(len(specs)), specs)
-            self.submit_scheduled([pair for pair, home in zip(pairs, homed) if home])
+        # Kept arrivals keep their ticks: the schedule is the global one,
+        # filtered — not a per-shard re-deal.
+        if arrival is not None:
+            self._global = self._stream(transaction_specs, arrival)
+            self.submit_scheduled(self._homed_arrivals())
         else:
-            self.submit_all([txn_spec for txn_spec, home in zip(specs, homed) if home])
+            for txn_spec in transaction_specs:
+                home, cross = self.route(txn_spec)
+                if home == index:
+                    self._handed.append(cross)
+                    self.submit(txn_spec)
         self._admit_pending()  # the closed batch, as SimulationEngine.run does
         self._shipped: dict[str, tuple] = {}  # the waits-for records last reported
         self._check_legality = bool(payload.get("check_legality", False))
@@ -289,6 +291,7 @@ class ShardWorker(SimulationEngine):
             if self._ready or not (events or self.waiters or self.held or self.sessions):
                 return tick + 1
             return events[0][0] + 1 if events else self.max_ticks
+        self._look_ahead()
         due = self._cross_due
         while due and due[0] < tick:
             heapq.heappop(due)  # released already
@@ -323,27 +326,58 @@ class ShardWorker(SimulationEngine):
     # the participant, through the engine's overridable methods
     # ------------------------------------------------------------------
 
+    def _look_ahead(self) -> bool:
+        """Buffer the homed arrivals up to the next cross-classified one, whose
+        due bounds :meth:`_next_send` (with one shard none is, so up to the
+        next one); returns whether an arrival is buffered."""
+        ahead, alone = self._ahead, not self.id_prefix
+        if not (ahead and (alone or ahead[-1][2])):
+            for due, txn_spec in self._global:
+                home, cross = self.route(txn_spec)
+                if home == self.index:
+                    ahead.append((due, txn_spec, cross))
+                    if cross:
+                        heapq.heappush(self._cross_due, due)
+                    if cross or alone:
+                        break
+        return bool(ahead)
+
+    def _homed_arrivals(self):
+        """This shard's ``(due, spec)`` arrivals, for the engine's feed."""
+        ahead = self._ahead
+        while ahead or self._look_ahead():
+            due, txn_spec, cross = ahead.popleft()
+            self._handed.append(cross)
+            yield due, txn_spec
+
     def _schedule(self, due: int, kind: int, payload: Any = None) -> None:
-        """Queue an event; a cross-classified arrival or restart also bounds :meth:`_next_send`."""
+        """Queue an event; a cross-classified restart also bounds :meth:`_next_send`."""
         super()._schedule(due, kind, payload)
-        spec = payload if kind == _EVENT_ARRIVAL else payload[0] if kind == _EVENT_RESTART else None
-        if spec is not None and self.classify(spec):
+        if kind == _EVENT_RESTART and payload[2] in self._cross_lineages:
             heapq.heappush(self._cross_due, due)
 
+    def _start_transaction(self, spec, attempt: int, lineage: int):
+        """Start an attempt; one of a cross-classified lineage registers as cross-shard."""
+        if attempt == 1 and self._handed.popleft():
+            self._cross_lineages.add(lineage)
+        frame = super()._start_transaction(spec, attempt, lineage)
+        if lineage in self._cross_lineages:
+            self.cross.add(frame.execution_id)
+        return frame
+
+    def _end_lineage(self, lineage: int) -> int:
+        self._cross_lineages.discard(lineage)
+        return super()._end_lineage(lineage)
+
     def _open_root(self, method_name: str, execution_id: str | None, **frame_fields: Any):
-        """Open a root; an attempt takes a fleet-unique id and may register as cross-shard.
+        """Open a root; an attempt takes a fleet-unique id.
 
         Each restart is a fresh id, so the coordinator sees attempts, not
         lineages.  A session root arrives with the foreign id.
         """
-        if execution_id is not None:
-            return super()._open_root(method_name, execution_id, **frame_fields)
-        if self.id_prefix:
+        if execution_id is None and self.id_prefix:
             execution_id = f"{self.id_prefix}T{next(self._attempts)}"
-        frame = super()._open_root(method_name, execution_id, **frame_fields)
-        if self.classify(frame.spec):
-            self.cross.add(frame.execution_id)
-        return frame
+        return super()._open_root(method_name, execution_id, **frame_fields)
 
     def _awaits_input(self) -> bool:
         """Blocked on the barrier until a directive arrives (a result or a decision)."""
@@ -365,7 +399,7 @@ class ShardWorker(SimulationEngine):
         """Queue a foreign-object invocation for the owning shard."""
         gid = frame.info.top_level_id
         # Safety net for imprecise classifiers: the id is cross-shard from
-        # the first remote invoke on, whatever classify() said at submit.
+        # the first remote invoke on, whatever its route said.
         self.cross.add(gid)
         remote_id = f"{gid}/r{self.index}.{next(self._remote_ids)}"  # unique fleet-wide
         self.waiters[remote_id] = frame.execution_id
@@ -545,6 +579,8 @@ class _ProcessTransport:
     """
 
     def __init__(self, payloads: list[dict[str, Any]], mp_context: str):
+        import multiprocessing  # only a multiprocess run loads the module
+
         context = multiprocessing.get_context(mp_context)
         self._processes = []
         self._pipes = []

@@ -40,6 +40,21 @@ def _stable_shard(name: str, shards: int) -> int:
     return zlib.crc32(name.encode("utf-8")) % shards
 
 
+def _named_objects(value: Any, names: Collection[str], found: list[str]) -> list[str]:
+    """``found`` plus every string in ``value`` that is one of ``names``."""
+    if isinstance(value, str):
+        if value in names:
+            found.append(value)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _named_objects(item, names, found)
+    elif isinstance(value, Mapping):
+        for key, item in value.items():
+            _named_objects(key, names, found)
+            _named_objects(item, names, found)
+    return found
+
+
 @dataclass(frozen=True)
 class ShardMap:
     """Assigns every object name to exactly one of ``shards`` shards.
@@ -99,22 +114,7 @@ class ShardMap:
         argument values in every process, so home/cross classification is
         a pure function of (spec, map).
         """
-        found: list[str] = []
-
-        def walk(value: Any) -> None:
-            if isinstance(value, str):
-                if value in names:
-                    found.append(value)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    walk(item)
-            elif isinstance(value, Mapping):
-                for key, item in value.items():
-                    walk(key)
-                    walk(item)
-
-        walk(spec.arguments)
-        return found
+        return _named_objects(spec.arguments, names, [])
 
     def placement(self, object_names: Iterable[str]) -> dict[str, int]:
         """``object name -> shard`` for ``object_names``: a routing table."""
@@ -126,6 +126,8 @@ class ShardMap:
         ``placement`` is a :meth:`placement` table over the known object
         names; the home is the first routable name's shard (0 if none).
         """
+        if self.shards == 1:
+            return 0, False
         shards = [placement[name] for name in self.spec_objects(spec, placement)]
         if not shards:
             return 0, False

@@ -1,17 +1,17 @@
 """Seeded arrival processes for open-system simulation.
 
-Every experiment before E15 ran a *closed* system: a fixed batch of
-transactions was submitted up front and the engine drained it, so the
-schedulers were only ever measured on the transient of a starting burst.
-An :class:`ArrivalProcess` turns the same transaction list into an *open*
-workload: it assigns each transaction a deterministic arrival tick, and
-:meth:`~repro.simulation.engine.SimulationEngine.submit_stream` releases
-the transactions into the running engine as the simulated clock crosses
-those ticks.  Per-transaction latency (arrival → commit), sustained
-throughput and the in-flight count then become measurable, and the
-saturation point — the arrival rate beyond which the in-flight population
-grows without bound — becomes a property of the scheduler, which
-``benchmarks/bench_e15_open_system.py`` sweeps.
+A closed batch is submitted up front and drained, which measures a
+scheduler only on the transient of a starting burst.  An
+:class:`ArrivalProcess` turns the same transactions into an *open*
+workload: its :meth:`~ArrivalProcess.ticks` give each a deterministic
+arrival tick, and
+:meth:`~repro.simulation.engine.SimulationEngine.submit_stream` reads
+tick and spec only when the previous arrival is released, so a run holds
+the input in flight, not the whole stream.  Per-transaction latency
+(arrival → commit), sustained throughput, the in-flight count and the
+saturation point — the arrival rate beyond which the in-flight
+population grows without bound — then become measurable
+(``benchmarks/bench_e15_open_system.py`` sweeps them).
 
 All randomness is owned by the process and seeded deterministically: a
 run remains a pure function of ``(workload seed, engine seed, arrival
@@ -25,9 +25,10 @@ declaratively.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from ..core.registry import resolve_component
 
@@ -40,11 +41,11 @@ class ArrivalProcess:
 
     The engine drives one process instance per run:
 
-    * :meth:`bind` — called once at stream submission with the engine
-      seed; must reset all process state (a process may be constructed
-      once and bound to a fresh run later);
-    * :meth:`schedule` — return the non-decreasing arrival ticks of the
-      next ``count`` transactions.
+    * :meth:`bind` — called with the engine seed when the run's feed
+      reaches the stream; must reset all process state (a process may be
+      constructed once and bound to a fresh run later);
+    * :meth:`ticks` — yield the non-decreasing arrival ticks, one per
+      transaction, as the stream reads them.
     """
 
     name = "abstract"
@@ -60,19 +61,21 @@ class ArrivalProcess:
         """
         return 0
 
-    def schedule(self, count: int) -> list[int]:
-        """The cumulative arrival ticks of ``count`` transactions."""
-        ticks: list[int] = []
+    def ticks(self) -> Iterator[int]:
+        """The cumulative arrival ticks, one per transaction, drawn as they are read."""
         current = 0
-        for index in range(count):
+        for index in itertools.count():
             gap = int(self.interarrival(index))
             if gap < 0:
                 raise ValueError(
                     f"arrival process {self.name!r} produced a negative gap {gap}"
                 )
             current += gap
-            ticks.append(current)
-        return ticks
+            yield current
+
+    def schedule(self, count: int) -> list[int]:
+        """The first ``count`` of :meth:`ticks`."""
+        return list(itertools.islice(self.ticks(), count))
 
     def describe(self) -> dict[str, Any]:
         """Process description merged into run metadata."""

@@ -63,10 +63,9 @@ Choosing the next runnable frame is one seeded draw into a *ready list*
 of frames kept sorted by creation sequence at every status transition —
 the order a per-tick scan of the frame table observes, so decisions (and
 RNG draws) are bit-identical to the scan in ``tests/oracles/engines.py``
-that the property tests hold this loop against (E16 gates its decision
-throughput).  A decision allocates only what it records: immutable tuple
-records, one ``LocalStep`` per granted step, frame containers on first
-use, trace events only when a trace was asked for.
+that the property tests hold this loop against.  A decision allocates only
+what it records: immutable tuple records, one ``LocalStep`` per granted
+step, frame containers on first use, trace events only when asked for.
 
 The recorded history contains the steps of aborted attempts as well; the
 :class:`~repro.simulation.metrics.RunResult` exposes the committed
@@ -320,7 +319,11 @@ class SimulationEngine:
             first_periodic = self._fault_plan.next_after(0)
             if first_periodic is not None:
                 self._schedule(first_periodic, _EVENT_FAULT)
+        # The arrival feed (submit_scheduled), its last due read and
+        # whether that arrival is on the heap.
+        self._feed = iter(())
         self._last_arrival_tick = 0
+        self._arrival_pending = False
         # Lineage = original submission index, preserved across restarts so
         # the restart policy can reason about transaction seniority.
         self._lineage_counter = itertools.count()
@@ -388,9 +391,11 @@ class SimulationEngine:
         the simulated clock crosses it.  The run then reports open-system
         metrics: per-transaction latency (arrival to commit), the
         in-flight population and its peak, and the live-state gauge.
+        Successive streams are concatenated in time.
 
         Args:
-            specs: the :class:`TransactionSpec` sequence, in arrival order.
+            specs: the :class:`TransactionSpec` sequence (or iterator), in
+                arrival order.
             arrival: an :class:`~repro.simulation.arrivals.ArrivalProcess`,
                 a registry name (``"poisson"``, ``"bursty"``), or a
                 ``{"name": ..., **kwargs}`` mapping.  The process is bound
@@ -401,49 +406,46 @@ class SimulationEngine:
             SimulationError: when the engine already ran, or a spec names
                 an unknown transaction method.
         """
-        if self._finished:
-            raise SimulationError("engine instances are single-use; create a new one")
-        process = make_arrival_process(arrival)
+        self.submit_scheduled(self._stream(specs, make_arrival_process(arrival)))
+
+    def _stream(self, specs, process: ArrivalProcess):
+        """``specs`` at ``process``'s ticks, after the last arrival read before them."""
         process.bind(self.seed)
         self._arrival_process = process
-        specs = [
-            spec if isinstance(spec, TransactionSpec) else TransactionSpec(spec, ())
-            for spec in specs
-        ]
+        ticks, start = process.ticks(), self._last_arrival_tick
         for spec in specs:
-            self.object_base.environment.method(spec.method_name)  # validate early
-        # Successive streams are concatenated in time: the new schedule is
-        # offset by the latest arrival tick queued so far.
-        start = self._last_arrival_tick
-        for tick, spec in zip(process.schedule(len(specs)), specs):
-            due = start + tick
-            self._last_arrival_tick = due
-            self._schedule(due, _EVENT_ARRIVAL, spec)
+            yield start + next(ticks), spec
 
     def submit_scheduled(self, pairs) -> None:
         """Queue ``(arrival_tick, spec)`` pairs with pre-computed due ticks.
 
-        A driver that draws one arrival schedule for several engines hands
-        each its slice with the *absolute* ticks, so the merged run
-        observes the same schedule one engine would have drawn.  Ticks must
-        be non-decreasing in ``pairs`` order (the order the shared schedule
-        was drawn in).
+        The one arrival feed: one pending arrival sits on the event heap,
+        and releasing it reads the next pair, so a stream holds only its
+        input in flight.  Ticks must be non-decreasing, across calls too.
 
         Raises:
             SimulationError: when the engine already ran, or a spec names
-                an unknown transaction method.
+                an unknown transaction method (each before it is admitted).
         """
         if self._finished:
             raise SimulationError("engine instances are single-use; create a new one")
-        for due, spec in pairs:
-            self.object_base.environment.method(spec.method_name)  # validate early
-            if due > self._last_arrival_tick:
-                self._last_arrival_tick = due
-            self._schedule(due, _EVENT_ARRIVAL, spec)
+        self._feed = itertools.chain(self._feed, pairs)
+        if not self._arrival_pending:
+            self._pull_arrival()
 
-    def run_stream(
-        self, specs, arrival: "ArrivalProcess | str | dict" = "poisson"
-    ) -> RunResult:
+    def _pull_arrival(self) -> None:
+        """Put the feed's next arrival, if any, on the event heap."""
+        self._arrival_pending = False
+        for due, spec in self._feed:
+            if not isinstance(spec, TransactionSpec):
+                spec = TransactionSpec(spec, ())
+            self.object_base.environment.method(spec.method_name)  # validate early
+            self._last_arrival_tick = due
+            self._schedule(due, _EVENT_ARRIVAL, spec)
+            self._arrival_pending = True
+            return
+
+    def run_stream(self, specs, arrival: "ArrivalProcess | str | dict" = "poisson") -> RunResult:
         """Convenience: :meth:`submit_stream` then :meth:`run`."""
         self.submit_stream(specs, arrival)
         return self.run()
@@ -589,28 +591,23 @@ class SimulationEngine:
                 self.metrics.submitted += 1
                 self.metrics.arrived += 1
                 self._admit(payload, arrival_tick=due)
+                self._pull_arrival()
 
     def _check_arrival_truncation(self) -> None:
-        """Refuse to end a run that silently dropped queued arrivals.
+        """Refuse to end a run that silently dropped arrivals.
 
-        The tick cap can cut a streamed run short while arrivals are still
-        queued on the event heap; every metric downstream (commit rate,
-        throughput, the bounded-memory gauge) would then describe a shorter
-        stream than the one requested.  Restart events may be truncated
-        silently — the transaction already arrived and its attempts are
-        accounted — but an undelivered *arrival* means the workload itself
-        was cut, which is an error, not a result.
+        The tick cap may truncate restarts (the transaction arrived and its
+        attempts are accounted), but an arrival still in the feed means the
+        workload itself was cut, which is an error, not a result.
         """
-        if self._tick < self.max_ticks:
+        if self._tick < self.max_ticks or not self._arrival_pending:
             return
-        undelivered = sum(1 for event in self._events if event[1] == _EVENT_ARRIVAL)
-        if undelivered:
-            raise SimulationError(
-                f"run truncated at max_ticks={self.max_ticks} with {undelivered} "
-                "streamed arrival(s) still undelivered; raise max_ticks to cover "
-                "the arrival schedule (the last arrival is due at tick "
-                f"{max(event[0] for event in self._events if event[1] == _EVENT_ARRIVAL)})"
-            )
+        dues = [self._last_arrival_tick, *(due for due, _ in self._feed)]
+        raise SimulationError(
+            f"run truncated at max_ticks={self.max_ticks} with {len(dues)} "
+            "streamed arrival(s) still undelivered; raise max_ticks to cover "
+            f"the arrival schedule (the last arrival is due at tick {dues[-1]})"
+        )
 
     def _admit(self, spec: TransactionSpec, arrival_tick: int = 0) -> None:
         """A new lineage enters the system (first attempt)."""
@@ -781,7 +778,7 @@ class SimulationEngine:
         self.scheduler.on_transaction_begin(info)
         return frame
 
-    def _start_transaction(self, spec: TransactionSpec, attempt: int, lineage: int) -> None:
+    def _start_transaction(self, spec: TransactionSpec, attempt: int, lineage: int) -> _Frame:
         definition = self.object_base.environment.method(spec.method_name)
         frame = self._open_root(spec.method_name, None, spec=spec, attempt=attempt)
         info = frame.info
@@ -796,6 +793,7 @@ class SimulationEngine:
             self._record(
                 BEGIN if attempt == 1 else RESTARTED, info.execution_id, detail=spec.label
             )
+        return frame
 
     def _spawn_child(self, parent: _Frame, invocation: InvokeRequest, after) -> _Frame:
         object_name, method_name, arguments = invocation
@@ -1022,9 +1020,7 @@ class SimulationEngine:
                 )
         if lineage is not None:
             self.metrics.committed += 1
-            self.restart_policy.on_finished(lineage)
-            self.metrics.note_latency(self._tick - self._arrival_tick_of.pop(lineage, 0))
-            self._in_flight -= 1
+            self.metrics.note_latency(self._tick - self._end_lineage(lineage))
         # The commit released the transaction's locks (and resolved any
         # read-from dependencies on it): wake its waiters.
         self._drain_wakeups(subtree_ids)
@@ -1151,11 +1147,15 @@ class SimulationEngine:
                     )
         else:
             self.metrics.gave_up += 1
-            self.restart_policy.on_finished(lineage)
-            self._arrival_tick_of.pop(lineage, None)
-            self._in_flight -= 1
+            self._end_lineage(lineage)
             if self._trace is not None:
                 self._record(GAVE_UP, top_level_id, detail=reason)
+
+    def _end_lineage(self, lineage: int) -> int:
+        """A lineage leaves (committed or gave up); returns its arrival tick."""
+        self.restart_policy.on_finished(lineage)
+        self._in_flight -= 1
+        return self._arrival_tick_of.pop(lineage, 0)
 
     # -- live-state garbage collection -------------------------------------------
 

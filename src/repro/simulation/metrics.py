@@ -87,7 +87,7 @@ class RunMetrics:
     #: whose clock fast-forwarded across idle gaps (delayed restarts,
     #: arrival streams), where the difference is exactly the skipped idle
     #: time.  ``decisions / wall-clock`` is the engine's raw service
-    #: throughput, which benchmark E16 tracks.
+    #: throughput (``simulation.engine.decisions_per_s`` in ``bench/``).
     decisions: int = _metric("sum")
     committed: int = _metric("sum")
     aborted_attempts: int = _metric("sum")

@@ -1,13 +1,13 @@
 """Workload generators: object bases plus transaction mixes for the engine.
 
-Each workload is a plain dataclass whose fields are the knobs an
-experiment sweeps (population sizes, contention probabilities, seeds) and
-whose :meth:`build` method returns an :class:`~repro.objectbase.base.ObjectBase`
-together with the :class:`~repro.simulation.transactions.TransactionSpec`
-list to submit.  :data:`WORKLOAD_REGISTRY` maps short names to the
-classes so that declarative scenario specifications (:mod:`repro.sweep`)
-can reference workloads by name and construct them inside worker
-processes from JSON-serialisable parameters.
+Each workload is a dataclass :class:`~.base.Workload` whose fields are
+the knobs an experiment sweeps (population sizes, contention
+probabilities, seeds): ``build_object_base()`` makes the object base and
+``iter_transactions()`` yields the specs to submit, one as it is read
+(``build()`` returns both, the specs as a list).  :data:`WORKLOAD_REGISTRY`
+maps short names to the classes so that declarative scenario
+specifications (:mod:`repro.sweep`) can reference workloads by name and
+construct them inside worker processes from JSON-serialisable parameters.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import Any, Mapping
 
 from ...core.registry import resolve_component
 from .banking import BankingWorkload
+from .base import Workload
 from .btree_load import BTreeWorkload
 from .hotspot import HotspotWorkload
 from .mixed import MixedWorkload
@@ -116,6 +117,7 @@ __all__ = [
     "StreamingRandomOperationsWorkload",
     "StreamingWorkload",
     "StreamingZipfianWorkload",
+    "Workload",
     "ZipfianWorkload",
     "WORKLOAD_REGISTRY",
     "make_workload",

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ...core.errors import WorkloadError
 from ...objectbase.adts.bank_account import bank_account_definition
 from ...objectbase.adts.counter import counter_definition
 from ...objectbase.base import MethodDefinition, ObjectBase, ObjectDefinition
 from ..transactions import TransactionSpec
+from .base import Workload
 
 
 def _account_name(index: int) -> str:
@@ -44,7 +46,7 @@ def _branch_counter_name(branch: int) -> str:
 
 
 @dataclass
-class BankingWorkload:
+class BankingWorkload(Workload):
     """Parameterised generator of the banking object base and transactions."""
 
     accounts: int = 16
@@ -136,8 +138,7 @@ class BankingWorkload:
             return 0  # a single hot account concentrates contention
         return self._rng.randrange(self.accounts)
 
-    def build_transactions(self) -> list[TransactionSpec]:
-        specs: list[TransactionSpec] = []
+    def iter_transactions(self) -> Iterator[TransactionSpec]:
         for _ in range(self.transactions):
             draw = self._rng.random()
             if draw < self.transfer_fraction:
@@ -147,38 +148,20 @@ class BankingWorkload:
                     destination = self._rng.randrange(self.accounts)
                 amount = round(self._rng.uniform(1, 20), 2)
                 branch = source % self.branches
-                specs.append(
-                    TransactionSpec(
-                        "transfer",
-                        (_account_name(source), _account_name(destination), amount, branch),
-                        label=f"transfer {source}->{destination}",
-                    )
-                )
+                arguments = (_account_name(source), _account_name(destination), amount, branch)
+                label = f"transfer {source}->{destination}"
+                yield TransactionSpec("transfer", arguments, label=label)
             elif draw < self.transfer_fraction + self.payroll_fraction:
                 branch = self._rng.randrange(self.branches)
                 members = self._rng.sample(range(self.accounts), min(self.payroll_width, self.accounts))
-                specs.append(
-                    TransactionSpec(
-                        "payroll",
-                        (tuple(_account_name(index) for index in members), 10.0, branch),
-                        label=f"payroll branch {branch}",
-                    )
-                )
+                names = tuple(_account_name(index) for index in members)
+                label = f"payroll branch {branch}"
+                yield TransactionSpec("payroll", (names, 10.0, branch), label=label)
             else:
                 sample = self._rng.sample(range(self.accounts), min(self.audit_sample, self.accounts))
                 branch = self._rng.randrange(self.branches)
-                specs.append(
-                    TransactionSpec(
-                        "audit",
-                        (tuple(_account_name(index) for index in sample), branch),
-                        label="audit",
-                    )
-                )
-        return specs
-
-    def build(self) -> tuple[ObjectBase, list[TransactionSpec]]:
-        """The object base plus the transaction mix, ready for the engine."""
-        return self.build_object_base(), self.build_transactions()
+                names = tuple(_account_name(index) for index in sample)
+                yield TransactionSpec("audit", (names, branch), label="audit")
 
     def expected_total_balance(self) -> float:
         """The sum of balances any serialisable run must preserve.

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ...core.errors import WorkloadError
 from ...objectbase.adts.btree import btree_definition
 from ...objectbase.base import MethodDefinition, ObjectBase
 from ..transactions import TransactionSpec
+from .base import Workload
 
 
 def _index_name(index: int) -> str:
@@ -23,7 +25,7 @@ def _index_name(index: int) -> str:
 
 
 @dataclass
-class BTreeWorkload:
+class BTreeWorkload(Workload):
     """Key lookups, insertions, deletions and scans over B-tree indexes."""
 
     indexes: int = 1
@@ -88,15 +90,10 @@ class BTreeWorkload:
             return ("insert", key)
         return ("delete", key)
 
-    def build_transactions(self) -> list[TransactionSpec]:
-        specs: list[TransactionSpec] = []
+    def iter_transactions(self) -> Iterator[TransactionSpec]:
         for index in range(self.transactions):
             target = _index_name(self._rng.randrange(self.indexes))
             actions = tuple(
                 self._random_action() for _ in range(self.operations_per_transaction)
             )
-            specs.append(TransactionSpec("maintain", (target, actions), label=f"maintain-{index}"))
-        return specs
-
-    def build(self) -> tuple[ObjectBase, list[TransactionSpec]]:
-        return self.build_object_base(), self.build_transactions()
+            yield TransactionSpec("maintain", (target, actions), label=f"maintain-{index}")

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ...core.errors import WorkloadError
 from ...objectbase.adts.register import register_definition
 from ...objectbase.base import MethodDefinition, ObjectBase, ObjectDefinition
 from ..transactions import TransactionSpec
+from .base import Workload
 
 
 def _hot_name(index: int) -> str:
@@ -28,7 +30,7 @@ def _cold_name(index: int) -> str:
 
 
 @dataclass
-class HotspotWorkload:
+class HotspotWorkload(Workload):
     """Update transactions over a small hot set and a large cold set."""
 
     transactions: int = 24
@@ -107,8 +109,7 @@ class HotspotWorkload:
             reachable += self.cold_objects
         return reachable
 
-    def build_transactions(self) -> list[TransactionSpec]:
-        specs: list[TransactionSpec] = []
+    def iter_transactions(self) -> Iterator[TransactionSpec]:
         # Degenerate contention settings (e.g. hot_probability=1.0 with two
         # hot registers) cannot yield operations_per_transaction *distinct*
         # names; cap the target so generation terminates.
@@ -126,10 +127,4 @@ class HotspotWorkload:
                     repeats += 1
                 else:
                     names.append(candidate)
-            specs.append(
-                TransactionSpec("update", (tuple(names), 1), label=f"update-{index}")
-            )
-        return specs
-
-    def build(self) -> tuple[ObjectBase, list[TransactionSpec]]:
-        return self.build_object_base(), self.build_transactions()
+            yield TransactionSpec("update", (tuple(names), 1), label=f"update-{index}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ...core.errors import WorkloadError
 from ...objectbase.adts.append_log import append_log_definition
@@ -22,6 +23,7 @@ from ...objectbase.adts.counter import counter_definition
 from ...objectbase.adts.fifo_queue import fifo_queue_definition
 from ...objectbase.base import MethodDefinition, ObjectBase, ObjectDefinition
 from ..transactions import TransactionSpec
+from .base import Workload
 
 CATALOGUE = "catalogue"
 SHIPPING_QUEUE = "shipping-queue"
@@ -35,7 +37,7 @@ def _customer_account(index: int) -> str:
 
 
 @dataclass
-class MixedWorkload:
+class MixedWorkload(Workload):
     """Order placement, restocking and reporting over heterogeneous objects."""
 
     customers: int = 12
@@ -128,37 +130,26 @@ class MixedWorkload:
         base.register_transaction(MethodDefinition("ship", ship))
         base.register_transaction(MethodDefinition("report", report, read_only=True))
 
-    def build_transactions(self) -> list[TransactionSpec]:
-        specs: list[TransactionSpec] = []
+    def iter_transactions(self) -> Iterator[TransactionSpec]:
         for index in range(self.transactions):
             draw = self._rng.random()
             if draw < self.order_fraction:
                 customer = _customer_account(self._rng.randrange(self.customers))
                 item = self._rng.randrange(self.catalogue_items)
                 price = round(self._rng.uniform(*self.price_range), 2)
-                specs.append(TransactionSpec("order", (customer, item, price), label=f"order-{index}"))
+                yield TransactionSpec("order", (customer, item, price), label=f"order-{index}")
             elif draw < self.order_fraction + self.restock_fraction:
                 item = self._rng.randrange(self.catalogue_items)
-                specs.append(
-                    TransactionSpec("restock", (item, self._rng.randrange(5, 15)), label=f"restock-{index}")
-                )
+                arguments = (item, self._rng.randrange(5, 15))
+                yield TransactionSpec("restock", arguments, label=f"restock-{index}")
             elif self._rng.random() < 0.5:
-                specs.append(TransactionSpec("ship", (3,), label=f"ship-{index}"))
+                yield TransactionSpec("ship", (3,), label=f"ship-{index}")
             else:
-                sample = tuple(
-                    _customer_account(i)
-                    for i in self._rng.sample(range(self.customers), min(3, self.customers))
-                )
+                picked = self._rng.sample(range(self.customers), min(3, self.customers))
+                sample = tuple(_customer_account(i) for i in picked)
                 low = self._rng.randrange(self.catalogue_items)
-                specs.append(
-                    TransactionSpec(
-                        "report", (sample, low, min(self.catalogue_items, low + 10)), label=f"report-{index}"
-                    )
-                )
-        return specs
-
-    def build(self) -> tuple[ObjectBase, list[TransactionSpec]]:
-        return self.build_object_base(), self.build_transactions()
+                arguments = (sample, low, min(self.catalogue_items, low + 10))
+                yield TransactionSpec("report", arguments, label=f"report-{index}")
 
     def modular_strategy_map(self) -> dict[str, str]:
         """Per-object intra-object synchroniser choices for the modular scheduler."""

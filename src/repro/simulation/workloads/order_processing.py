@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ...core.errors import WorkloadError
 from ...objectbase.adts.bank_account import bank_account_definition
@@ -31,6 +32,7 @@ from ...objectbase.adts.btree import btree_definition
 from ...objectbase.adts.fifo_queue import fifo_queue_definition
 from ...objectbase.base import MethodDefinition, ObjectBase
 from ..transactions import TransactionSpec
+from .base import Workload
 
 INVENTORY = "inventory"
 FULFILMENT_QUEUE = "fulfilment-queue"
@@ -42,7 +44,7 @@ def _customer_account(index: int) -> str:
 
 
 @dataclass
-class OrderProcessingWorkload:
+class OrderProcessingWorkload(Workload):
     """Zipf-skewed orders flowing through inventory, queue and accounts."""
 
     customers: int = 16
@@ -145,8 +147,7 @@ class OrderProcessingWorkload:
 
     # -- transactions ----------------------------------------------------------------
 
-    def build_transactions(self) -> list[TransactionSpec]:
-        specs: list[TransactionSpec] = []
+    def iter_transactions(self) -> Iterator[TransactionSpec]:
         order_cut = self.order_fraction
         fulfil_cut = order_cut + self.fulfil_fraction
         restock_cut = fulfil_cut + self.restock_fraction
@@ -154,39 +155,16 @@ class OrderProcessingWorkload:
             draw = self._rng.random()
             if draw < order_cut:
                 customer = _customer_account(self._rng.randrange(self.customers))
-                specs.append(
-                    TransactionSpec(
-                        "order",
-                        (customer, self._pick_item(), self.price),
-                        label=f"order-{index}",
-                    )
-                )
+                arguments = (customer, self._pick_item(), self.price)
+                yield TransactionSpec("order", arguments, label=f"order-{index}")
             elif draw < fulfil_cut:
-                specs.append(TransactionSpec("fulfil", (3,), label=f"fulfil-{index}"))
+                yield TransactionSpec("fulfil", (3,), label=f"fulfil-{index}")
             elif draw < restock_cut:
-                specs.append(
-                    TransactionSpec(
-                        "restock",
-                        (self._pick_item(), self._rng.randrange(3, 9)),
-                        label=f"restock-{index}",
-                    )
-                )
+                arguments = (self._pick_item(), self._rng.randrange(3, 9))
+                yield TransactionSpec("restock", arguments, label=f"restock-{index}")
             else:
-                sample = tuple(
-                    _customer_account(i)
-                    for i in self._rng.sample(
-                        range(self.customers), min(3, self.customers)
-                    )
-                )
+                picked = self._rng.sample(range(self.customers), min(3, self.customers))
+                sample = tuple(_customer_account(i) for i in picked)
                 low = self._rng.randrange(self.items)
-                specs.append(
-                    TransactionSpec(
-                        "audit",
-                        (sample, low, min(self.items, low + 8)),
-                        label=f"audit-{index}",
-                    )
-                )
-        return specs
-
-    def build(self) -> tuple[ObjectBase, list[TransactionSpec]]:
-        return self.build_object_base(), self.build_transactions()
+                arguments = (sample, low, min(self.items, low + 8))
+                yield TransactionSpec("audit", arguments, label=f"audit-{index}")

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ...core.errors import WorkloadError
 from ...objectbase.adts.fifo_queue import fifo_queue_definition
 from ...objectbase.base import MethodDefinition, ObjectBase
 from ..transactions import TransactionSpec
+from .base import Workload
 
 
 def _queue_name(index: int) -> str:
@@ -25,7 +27,7 @@ def _queue_name(index: int) -> str:
 
 
 @dataclass
-class QueueWorkload:
+class QueueWorkload(Workload):
     """Producers enqueue batches of unique items; consumers drain them."""
 
     queues: int = 2
@@ -73,32 +75,19 @@ class QueueWorkload:
         base.register_transaction(MethodDefinition("consume", consume))
         base.register_transaction(MethodDefinition("inspect", inspect, read_only=True))
 
-    def build_transactions(self) -> list[TransactionSpec]:
+    def iter_transactions(self) -> Iterator[TransactionSpec]:
         specs: list[TransactionSpec] = []
         for producer in range(self.producers):
             queue = self._rng.randrange(self.queues)
-            items = tuple(
-                f"item-{producer}-{sequence}" for sequence in range(self.items_per_transaction)
-            )
-            specs.append(
-                TransactionSpec(
-                    "produce", (_queue_name(queue), items), label=f"produce@{queue}"
-                )
-            )
+            items = tuple(f"item-{producer}-{n}" for n in range(self.items_per_transaction))
+            arguments = (_queue_name(queue), items)
+            specs.append(TransactionSpec("produce", arguments, label=f"produce@{queue}"))
         for consumer in range(self.consumers):
             queue = self._rng.randrange(self.queues)
-            specs.append(
-                TransactionSpec(
-                    "consume",
-                    (_queue_name(queue), self.items_per_transaction),
-                    label=f"consume@{queue}",
-                )
-            )
-        self._rng.shuffle(specs)
-        return specs
-
-    def build(self) -> tuple[ObjectBase, list[TransactionSpec]]:
-        return self.build_object_base(), self.build_transactions()
+            arguments = (_queue_name(queue), self.items_per_transaction)
+            specs.append(TransactionSpec("consume", arguments, label=f"consume@{queue}"))
+        self._rng.shuffle(specs)  # the mix is drawn whole, then shuffled
+        yield from specs
 
     def total_items_produced(self) -> int:
         """Upper bound on items enqueued by producers (all unique)."""

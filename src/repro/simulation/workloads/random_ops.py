@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ...core.errors import WorkloadError
 from ...objectbase.adts.register import register_definition
 from ...objectbase.base import MethodDefinition, ObjectBase, ObjectDefinition
 from ..transactions import TransactionSpec
+from .base import Workload
 
 
 def _register_name(index: int) -> str:
@@ -27,7 +29,7 @@ def _service_name(depth: int) -> str:
 
 
 @dataclass
-class RandomOperationsWorkload:
+class RandomOperationsWorkload(Workload):
     """Random read/write transactions with configurable nesting and fan-out."""
 
     registers: int = 32
@@ -119,15 +121,10 @@ class RandomOperationsWorkload:
                 accesses.append(("read", register, None))
         return tuple(accesses)
 
-    def build_transactions(self) -> list[TransactionSpec]:
-        specs: list[TransactionSpec] = []
+    def iter_transactions(self) -> Iterator[TransactionSpec]:
         for index in range(self.transactions):
             groups = []
             per_group = max(1, self.operations_per_transaction // self.parallel_fanout)
             for group_index in range(self.parallel_fanout):
                 groups.append(self._random_accesses(per_group, f"t{index}g{group_index}"))
-            specs.append(TransactionSpec("run", (tuple(groups),), label=f"run-{index}"))
-        return specs
-
-    def build(self) -> tuple[ObjectBase, list[TransactionSpec]]:
-        return self.build_object_base(), self.build_transactions()
+            yield TransactionSpec("run", (tuple(groups),), label=f"run-{index}")

@@ -5,10 +5,10 @@ generation to an *inner* workload named in
 :data:`~repro.simulation.workloads.WORKLOAD_REGISTRY` and adds the one
 thing an open-system run needs: an
 :class:`~repro.simulation.arrivals.ArrivalProcess` configuration.  The
-sweep runner detects the :meth:`arrival_process` hook and submits the
-generated transactions through
-:meth:`~repro.simulation.engine.SimulationEngine.submit_stream` instead
-of ``submit_all``, so every existing generator doubles as an open
+sweep runner detects the :meth:`arrival_process` hook and feeds the
+inner ``iter_transactions()`` to
+:meth:`~repro.simulation.engine.SimulationEngine.submit_stream`, which
+draws each spec as it falls due, so every generator doubles as an open
 workload and arrival rate becomes a declarative sweep axis
 (``workload_params.arrival_params``).
 
@@ -28,10 +28,11 @@ from typing import Any, Mapping
 
 from ...core.errors import WorkloadError
 from ..arrivals import ArrivalProcess, ARRIVAL_REGISTRY, make_arrival_process
+from .base import Workload
 
 
 @dataclass
-class StreamingWorkload:
+class StreamingWorkload(Workload):
     """An inner workload plus the arrival process that feeds it in.
 
     Args:
@@ -136,9 +137,11 @@ class StreamingWorkload:
 
     # -- building ------------------------------------------------------------------
 
-    def build(self):
-        """Delegate to the inner workload: ``(object base, transaction specs)``."""
-        return self._inner_workload.build()
+    def build_object_base(self):
+        return self._inner_workload.build_object_base()
+
+    def iter_transactions(self):
+        return self._inner_workload.iter_transactions()
 
     def arrival_process(self) -> ArrivalProcess:
         """The configured arrival process (fresh instance; engine binds it)."""

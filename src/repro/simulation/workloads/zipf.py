@@ -20,11 +20,13 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ...core.errors import WorkloadError
 from ...objectbase.adts.register import register_definition
 from ...objectbase.base import MethodDefinition, ObjectBase
 from ..transactions import TransactionSpec
+from .base import Workload
 
 
 def _register_name(rank: int) -> str:
@@ -32,7 +34,7 @@ def _register_name(rank: int) -> str:
 
 
 @dataclass
-class ZipfianWorkload:
+class ZipfianWorkload(Workload):
     """Read/update transactions over registers with power-law popularity."""
 
     transactions: int = 24
@@ -94,8 +96,7 @@ class ZipfianWorkload:
         base.register_transaction(MethodDefinition("update", update))
         base.register_transaction(MethodDefinition("scan", scan, read_only=True))
 
-    def build_transactions(self) -> list[TransactionSpec]:
-        specs: list[TransactionSpec] = []
+    def iter_transactions(self) -> Iterator[TransactionSpec]:
         distinct_target = min(self.operations_per_transaction, self.objects)
         for index in range(self.transactions):
             names: list[str] = []
@@ -103,10 +104,4 @@ class ZipfianWorkload:
                 candidate = _register_name(self._pick_rank())
                 if candidate not in names:
                     names.append(candidate)
-            specs.append(
-                TransactionSpec("update", (tuple(names), 1), label=f"update-{index}")
-            )
-        return specs
-
-    def build(self) -> tuple[ObjectBase, list[TransactionSpec]]:
-        return self.build_object_base(), self.build_transactions()
+            yield TransactionSpec("update", (tuple(names), 1), label=f"update-{index}")

@@ -35,18 +35,15 @@ interpreter state; tests may select ``fork`` for speed where available.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from ..analysis import certify_run
 from ..scheduler import make_scheduler
-from ..simulation import SimulationEngine
+from ..simulation import ArrivalProcess, SimulationEngine
 from ..simulation.metrics import RunResult
 from ..simulation.workloads import make_workload
 from .spec import ScenarioSpec, SweepSpec
@@ -72,8 +69,8 @@ class ScenarioResult:
     worker_pid: int
 
 
-def build_scenario(spec: ScenarioSpec) -> tuple[Any, dict[str, Any], Any]:
-    """Construct a scenario's workload and the arguments of its engine.
+def build_scenario(spec: ScenarioSpec) -> tuple[dict[str, Any], Any, ArrivalProcess | None]:
+    """Construct the arguments of a scenario's engine and its input.
 
     The one place a :class:`ScenarioSpec` becomes live objects:
     :func:`build_engine` builds a :class:`SimulationEngine` from them and
@@ -81,11 +78,17 @@ def build_scenario(spec: ScenarioSpec) -> tuple[Any, dict[str, Any], Any]:
     builds itself from them and submits its home slice.
 
     Returns:
-        ``(workload, engine_arguments, transaction_specs)``, where
-        ``engine_arguments`` are the engine's keyword arguments.
+        ``(engine_arguments, transaction_specs, arrival)``: the engine's
+        keyword arguments, and the closed batch (``arrival`` is ``None``)
+        or the lazy ``iter_transactions()`` of a streaming workload (any
+        with an ``arrival_process`` hook) and its arrival process.
     """
     workload = make_workload(spec.workload, **spec.workload_params)
-    object_base, transaction_specs = workload.build()
+    arrival_factory = getattr(workload, "arrival_process", None)
+    if arrival_factory is None:
+        object_base, transaction_specs = workload.build()
+    else:  # a stream draws each spec as it falls due
+        object_base, transaction_specs = workload.build_object_base(), workload.iter_transactions()
     scheduler_kwargs = dict(spec.scheduler_kwargs)
     if spec.modular_strategy_from_workload:
         scheduler_kwargs.setdefault("per_object_strategy", workload.modular_strategy_map())
@@ -94,7 +97,7 @@ def build_scenario(spec: ScenarioSpec) -> tuple[Any, dict[str, Any], Any]:
     if spec.certify == "stream":
         engine_params.setdefault("certify", "stream")
     arguments = dict(object_base=object_base, scheduler=scheduler, seed=spec.seed, **engine_params)
-    return workload, arguments, transaction_specs
+    return arguments, transaction_specs, arrival_factory and arrival_factory()
 
 
 def build_engine(spec: ScenarioSpec) -> SimulationEngine:
@@ -106,15 +109,12 @@ def build_engine(spec: ScenarioSpec) -> SimulationEngine:
     Returns:
         A single-use :class:`SimulationEngine` ready for :meth:`run`.
     """
-    workload, arguments, transaction_specs = build_scenario(spec)
+    arguments, transaction_specs, arrival = build_scenario(spec)
     engine = SimulationEngine(**arguments)
-    # Streaming workloads (any with an arrival_process hook) enter as an
-    # open arrival stream; everything else as the classic closed batch.
-    arrival_factory = getattr(workload, "arrival_process", None)
-    if arrival_factory is not None:
-        engine.submit_stream(transaction_specs, arrival_factory())
-    else:
+    if arrival is None:
         engine.submit_all(transaction_specs)
+    else:
+        engine.submit_stream(transaction_specs, arrival)
     return engine
 
 
@@ -311,6 +311,11 @@ class SweepRunner:
         if pool_size <= 1:
             return [_run_indexed(payload) for payload in payloads]
         self._check_spawnable()
+        # Only a pool loads these (about 2 MB no in-process run needs).
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         context = multiprocessing.get_context(self.mp_context)
         # ProcessPoolExecutor rather than multiprocessing.Pool: when a worker
         # dies before or during a task (e.g. a spawn re-import failure in a

@@ -16,14 +16,21 @@ sessions alike.  The tests pin that down:
   per-shard verdicts;
 * the shard's step tracker forgets a transaction by its own records only,
   and emits exactly the edges, in exactly the order, of the list-scanning
-  tracker it replaced (the reference below).
+  tracker it replaced (the reference below);
+* a worker's input is in flight too: it reads the global arrival stream
+  exactly as far as its next cross-shard arrival and holds at most one
+  pending arrival on its heap, and a run leaves no cyclic garbage.
 """
 
 from __future__ import annotations
 
+import gc
+from collections import Counter
+
 import pytest
 
 from repro.shard import ShardMap, ShardStepTracker, ShardWorker, ShardedEngine
+from repro.simulation.engine import _EVENT_ARRIVAL
 from repro.sweep import ScenarioSpec
 
 SCHEDULERS = ("n2pl", "nto-step", "certifier", "modular")
@@ -120,6 +127,54 @@ class TestUncertifiedWorkersForget:
         assert checked_workers["finalized"] == shards
         assert checked_workers["barriers"] >= shards * result.rounds
         assert checked_workers["settled"] > metrics.submitted
+
+
+class TestWorkerInput:
+    @pytest.mark.parametrize("shards", (1, 2, 3))
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_a_worker_reads_ahead_exactly_to_its_next_cross_arrival(
+        self, monkeypatch, scheduler, shards
+    ):
+        reads = Counter()
+        look_ahead, schedule = ShardWorker._look_ahead, ShardWorker._schedule
+
+        def checked_look_ahead(worker):
+            buffered = look_ahead(worker)
+            crosses = [index for index, entry in enumerate(worker._ahead) if entry[2]]
+            if crosses:
+                assert crosses == [len(worker._ahead) - 1]  # nothing read past it
+                reads["cross"] += 1
+            elif shards > 1:
+                assert next(worker._global, None) is None  # the stream has none left
+                reads["end"] += 1
+            else:
+                assert len(worker._ahead) <= 1  # one shard: no spec is cross
+            return buffered
+
+        def checked_schedule(worker, due, kind, payload=None):
+            schedule(worker, due, kind, payload)
+            assert sum(1 for event in worker._events if event[1] == _EVENT_ARRIVAL) <= 1
+
+        monkeypatch.setattr(ShardWorker, "_look_ahead", checked_look_ahead)
+        monkeypatch.setattr(ShardWorker, "_schedule", checked_schedule)
+        result = run("hotspot-stream", scheduler, shards, certify=False)
+        assert result.metrics.arrived == 30
+        assert (reads["cross"] > 0 and reads["end"] > 0) == (shards > 1)
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_a_sharded_run_leaves_no_cyclic_garbage(self, workload):
+        spec = make_spec(workload, "nto-step", 3, certify=False)
+        ShardedEngine(spec, ShardMap(shards=2)).run()  # first-use imports and caches
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            ShardedEngine(spec, ShardMap(shards=2)).run()
+            gc.collect()
+            garbage = Counter(type(item).__name__ for item in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert not garbage
 
 
 class TestCertifiedAndUncertifiedTwins:

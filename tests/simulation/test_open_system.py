@@ -13,7 +13,8 @@ import pytest
 from repro.analysis import certify_run
 from repro.core.errors import SimulationError, UnknownMethodError
 from repro.scheduler import make_scheduler
-from repro.simulation import SimulationEngine, make_workload
+from repro.simulation import SimulationEngine, TransactionSpec, make_arrival_process, make_workload
+from repro.simulation.events import BEGIN
 from repro.sweep import summarise_run
 
 from tests.oracles.certifier import ReenumeratingCertifier
@@ -117,6 +118,45 @@ class TestRunStream:
         engine, specs, arrival = build_stream_engine("n2pl", max_ticks=40)
         with pytest.raises(SimulationError, match="undelivered"):
             engine.run_stream(specs, arrival)
+
+    def test_truncation_error_counts_the_arrivals_left_in_the_feed(self):
+        # The feed holds one arrival on the heap and draws the rest lazily;
+        # the error still counts every undelivered one and names the last
+        # due tick of the whole schedule.
+        engine, specs, arrival = build_stream_engine("n2pl", max_ticks=40)
+        process = make_arrival_process(arrival)
+        process.bind(engine.seed)
+        ticks = process.schedule(len(specs))
+        with pytest.raises(SimulationError) as raised:
+            engine.run_stream(specs, arrival)
+        delivered = engine.metrics.arrived
+        assert delivered == sum(1 for tick in ticks if tick < 40) > 0
+        assert f"with {len(specs) - delivered} streamed arrival(s)" in str(raised.value)
+        assert f"due at tick {ticks[-1]})" in str(raised.value)
+
+    def test_an_unknown_method_later_in_the_stream_is_never_admitted(self):
+        engine, specs, arrival = build_stream_engine("n2pl")
+        engine.submit_stream([*specs[:3], TransactionSpec("no-such-method"), *specs[3:]], arrival)
+        with pytest.raises(UnknownMethodError):
+            engine.run()
+        # Read when the third arrival was released, before it could arrive.
+        assert engine.metrics.arrived == 3
+
+    def test_successive_streams_concatenate_in_time(self):
+        engine, specs, arrival = build_stream_engine("n2pl", record_trace=True)
+        engine.submit_stream(iter(specs[:20]), arrival)
+        engine.submit_stream(iter(specs[20:40]), arrival)
+        result = engine.run()
+        process = make_arrival_process(arrival)
+        process.bind(engine.seed)
+        first = process.schedule(20)
+        process.bind(engine.seed)
+        expected = first + [first[-1] + tick for tick in process.schedule(20)]
+        assert [event.tick for event in result.trace.of_kind(BEGIN)] == expected
+        assert [event.detail for event in result.trace.of_kind(BEGIN)] == [
+            spec.label for spec in specs[:40]
+        ]
+        assert result.metrics.arrived == result.metrics.committed == 40
 
     def test_truncation_of_in_flight_work_still_tolerated(self):
         # Once every arrival is delivered, cutting the *processing* short is

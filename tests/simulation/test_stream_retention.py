@@ -14,10 +14,17 @@ pin that down:
   same interval, so certifying the twin post hoc certifies the stream's
   run (``tests/analysis/test_streaming_certification.py`` does);
 * the result of a stream run says so: no history, and the calls that need
-  one raise with a pointer to ``certify=False``.
+  one raise with a pointer to ``certify=False``;
+* the input is in flight too: the event heap never holds more than one
+  pending arrival, and quadrupling a stream adds only what scales with its
+  commits to the run's traced peak (the spec list and a heap entry per
+  arrival used to make it grow with the whole stream).
 """
 
 from __future__ import annotations
+
+import gc
+import tracemalloc
 
 import pytest
 
@@ -25,6 +32,8 @@ from repro.analysis import certify_run
 from repro.core.errors import SimulationError
 from repro.scheduler import make_scheduler
 from repro.simulation import SimulationEngine, make_workload
+from repro.simulation.engine import _EVENT_ARRIVAL
+from repro.sweep import ScenarioSpec, build_engine
 
 #: Contended nested workloads: aborts, cascades and restarts mid-stream.
 WORKLOADS = {
@@ -65,6 +74,18 @@ class CapturingEngine(SimulationEngine):
             note_commit(top_id, executions, intervals, resolve_stamp=resolve_stamp)
 
         self._certifier.note_commit = capture
+
+
+class OneArrivalEngine(SimulationEngine):
+    """Asserts, at every event queued, that at most one arrival is pending."""
+
+    most_pending = 0
+
+    def _schedule(self, due, kind, payload=None):
+        super()._schedule(due, kind, payload)
+        pending = sum(1 for event in self._events if event[1] == _EVENT_ARRIVAL)
+        assert pending <= 1
+        self.most_pending = max(self.most_pending, pending)
 
 
 def run(scheduler, workload, seed, *, certify, engine_class=SimulationEngine, transactions=20):
@@ -108,6 +129,60 @@ class TestBuilderRetention:
         engine, result = run("nto-step", "hotspot", 5, certify=False)
         assert result.metrics.aborted_attempts > 0
         assert len(engine._builder._executions) == len(result.history.executions) > 20
+
+
+def hotspot_stream(arrivals: int) -> ScenarioSpec:
+    """``bench/``'s ``hotspot-stream-n2pl`` at seed 3 and ``arrivals`` arrivals."""
+    inner = {
+        "transactions": arrivals, "seed": 3, "hot_objects": 2, "cold_objects": 128,
+        "operations_per_transaction": 2, "hot_probability": 0.05, "use_service_layer": False,
+    }  # fmt: skip
+    return ScenarioSpec(
+        workload="hotspot-stream",
+        workload_params={"inner_params": inner, "arrival_params": {"rate": 0.045}},
+        scheduler="n2pl",
+        scheduler_kwargs={"restart_policy": "backoff"},
+        seed=3,
+        engine_params={"gc_interval": 16},
+        certify="stream",
+    )
+
+
+def traced_peak(spec: ScenarioSpec) -> int:
+    """Peak bytes traced from building ``spec``'s engine to the end of its run."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = build_engine(spec).run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.metrics.committed == result.metrics.arrived
+    return peak
+
+
+class TestInputRetention:
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("scheduler", ("n2pl-step", "certifier"))
+    def test_the_heap_holds_at_most_one_pending_arrival(self, scheduler, workload):
+        engine, result = run(
+            scheduler, workload, 5, certify="stream", engine_class=OneArrivalEngine
+        )
+        assert engine.most_pending == 1
+        assert result.metrics.arrived == 20
+        assert result.metrics.delayed_restarts > 0 or workload == "order-processing"
+
+    def test_the_traced_peak_grows_with_commits_not_with_the_stream(self):
+        # Each figure is the lower of two runs.  The interpreter's
+        # interned-string table (execution ids are interned) reallocates,
+        # 400 KB here, in whichever run crosses its threshold; it then has
+        # room for at least as many ids again, so two runs in a row never
+        # both pay for it.
+        short = min(traced_peak(hotspot_stream(500)) for _ in range(2))
+        long = min(traced_peak(hotspot_stream(2_000)) for _ in range(2))
+        # Measured: 1.39 with the lazy feed; 2.16 when every spec and arrival
+        # event was built before tick 0.
+        assert long <= 1.7 * short, (short, long)
 
 
 class TestTwinRuns:

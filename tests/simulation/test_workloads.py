@@ -32,8 +32,8 @@ class TestBankingWorkload:
         assert len(specs) == 10
 
     def test_deterministic_for_fixed_seed(self):
-        first = BankingWorkload(transactions=12, seed=9).build_transactions()
-        second = BankingWorkload(transactions=12, seed=9).build_transactions()
+        first = list(BankingWorkload(transactions=12, seed=9).iter_transactions())
+        second = list(BankingWorkload(transactions=12, seed=9).iter_transactions())
         assert [(spec.method_name, spec.arguments) for spec in first] == [
             (spec.method_name, spec.arguments) for spec in second
         ]
@@ -58,7 +58,7 @@ class TestBankingWorkload:
 
     def test_hot_fraction_concentrates_accesses(self):
         workload = BankingWorkload(accounts=10, transactions=40, hot_fraction=1.0, seed=2)
-        specs = workload.build_transactions()
+        specs = workload.iter_transactions()
         transfer_sources = [
             spec.arguments[0] for spec in specs if spec.method_name == "transfer"
         ]
@@ -75,7 +75,7 @@ class TestQueueWorkload:
 
     def test_produced_items_are_unique(self):
         workload = QueueWorkload(producers=6, consumers=0, items_per_transaction=4, seed=1)
-        specs = workload.build_transactions()
+        specs = workload.iter_transactions()
         items = [item for spec in specs for item in spec.arguments[1]]
         assert len(items) == len(set(items))
 
@@ -104,7 +104,7 @@ class TestHotspotWorkload:
 
     def test_high_contention_touches_hot_objects_only(self):
         workload = HotspotWorkload(transactions=10, hot_probability=1.0, hot_objects=2, seed=5)
-        specs = workload.build_transactions()
+        specs = workload.iter_transactions()
         registers = {name for spec in specs for name in spec.arguments[0]}
         assert registers <= {"hot-0", "hot-1"}
 
@@ -119,12 +119,12 @@ class TestHotspotWorkload:
             operations_per_transaction=3,
             seed=5,
         )
-        specs = workload.build_transactions()
+        specs = workload.iter_transactions()
         assert all(set(spec.arguments[0]) == {"hot-0", "hot-1"} for spec in specs)
 
     def test_zero_contention_touches_cold_objects_only(self):
         workload = HotspotWorkload(transactions=10, hot_probability=0.0, seed=5)
-        specs = workload.build_transactions()
+        specs = workload.iter_transactions()
         registers = {name for spec in specs for name in spec.arguments[0]}
         assert all(name.startswith("cold-") for name in registers)
 
@@ -213,6 +213,6 @@ class TestRandomOperationsWorkload:
         assert has_parallel_pair
 
     def test_deterministic_for_fixed_seed(self):
-        first = RandomOperationsWorkload(transactions=5, seed=11).build_transactions()
-        second = RandomOperationsWorkload(transactions=5, seed=11).build_transactions()
+        first = list(RandomOperationsWorkload(transactions=5, seed=11).iter_transactions())
+        second = list(RandomOperationsWorkload(transactions=5, seed=11).iter_transactions())
         assert [spec.arguments for spec in first] == [spec.arguments for spec in second]
