@@ -30,7 +30,6 @@ and Definition 6 condition 2c into an ``O(n log n)`` envelope sweep
 from __future__ import annotations
 
 import itertools
-import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping
 from typing import Any
@@ -809,9 +808,7 @@ class HistoryBuilder:
     ) -> MethodExecution:
         """Start a new top-level transaction (a method of the environment)."""
         if execution_id is None:
-            # Interned: these ids are compared and hashed throughout the
-            # engine's hot paths (frame table, park index, subtree sets).
-            execution_id = sys.intern(f"T{next(self._top_level_counter)}")
+            execution_id = f"T{next(self._top_level_counter)}"
         if execution_id in self._executions:
             raise ModelError(f"duplicate execution id {execution_id!r}")
         execution = MethodExecution(execution_id, ENVIRONMENT_OBJECT, method_name)
@@ -833,7 +830,7 @@ class HistoryBuilder:
         if execution_id is None:
             number = self._child_counters.get(parent_id, 0) + 1
             self._child_counters[parent_id] = number
-            execution_id = sys.intern(f"{parent_id}.{number}")
+            execution_id = f"{parent_id}.{number}"
         if execution_id in self._executions:
             raise ModelError(f"duplicate execution id {execution_id!r}")
 

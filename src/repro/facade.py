@@ -23,6 +23,8 @@ facade is the shortest path::
             "inner_params": {"transactions": 200, "skew": 1.2},
             "arrival": "flash-crowd",
         },
+        # A crash every 5,000 ticks while transactions are in flight; the
+        # plan never keeps a run alive once the last one has settled.
         engine_params={"fault_plan": {"name": "crash", "period": 5000}},
     )
 """

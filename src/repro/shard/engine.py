@@ -242,7 +242,7 @@ class ShardWorker(SimulationEngine):
             index=self.index,
             decisions=decisions,
             tick=self._tick,
-            busy=bool(self._frames or self._events or self.waiters or self.held),
+            busy=bool(self._has_work() or self.waiters or self.held),
             next_send=self._next_send(),
             messages=[entry for entry in sent if entry[0] not in _NOTES],
             notes=notes,

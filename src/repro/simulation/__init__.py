@@ -15,7 +15,6 @@ from .events import Trace, TraceEvent
 from .faults import (
     CrashPlan,
     FAULT_REGISTRY,
-    FaultPlan,
     fault_plan_names,
     make_fault_plan,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "CrashPlan",
     "DiurnalArrivals",
     "FAULT_REGISTRY",
-    "FaultPlan",
     "FlashCrowdArrivals",
     "HotspotWorkload",
     "InvokeRequest",

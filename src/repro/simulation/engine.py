@@ -48,10 +48,11 @@ Execution model
   delay restarts within the same tick (the ``immediate`` policy — the
   classic storm-prone behaviour), a positive delay puts the restart on
   the engine's *event heap*, a min-heap keyed by due tick that also
-  carries streamed arrivals.  Due events are released at the top of
-  every scheduling iteration; a waiting restart consumes no ticks, and
-  when nothing is runnable but an event is pending the engine
-  fast-forwards the clock to the heap's next due tick.  The
+  carries streamed arrivals and the fault plan's next crash.  Due events
+  are released at the top of every scheduling iteration; a waiting
+  restart consumes no ticks, and when nothing is runnable but an event
+  is pending the engine fast-forwards the clock to the heap's next due
+  tick (a pending crash alone is not work: the run is over).  The
   transaction's *lineage* (its original submission index) is preserved
   across attempts so seniority-based policies (``ordered``) can privilege
   old transactions.
@@ -110,7 +111,7 @@ from .events import (
     Trace,
     TraceEvent,
 )
-from .faults import FaultPlan, make_fault_plan
+from .faults import CrashPlan, make_fault_plan
 from .metrics import RunMetrics, RunResult
 from .transactions import (
     InvokeRequest,
@@ -249,7 +250,7 @@ class SimulationEngine:
         record_trace: bool = False,
         gc_interval: int = 64,
         certify: bool | str = False,
-        fault_plan: "FaultPlan | str | dict | None" = None,
+        fault_plan: "CrashPlan | str | dict | None" = None,
     ):
         if gc_interval < 1:
             raise SimulationError(f"gc_interval must be >= 1, got {gc_interval}")
@@ -299,26 +300,20 @@ class SimulationEngine:
         self._committed: list[str] = []
         self._pending_specs: list[TransactionSpec] = []
         # Unified event heap: (due tick, kind, sequence, payload) covering
-        # delayed restarts (payload = (spec, attempt, lineage)) and streamed
-        # arrivals (payload = spec).  The kind keeps restarts ahead of
+        # delayed restarts (payload = (spec, attempt, lineage)), streamed
+        # arrivals (payload = spec) and crashes.  The kind keeps restarts ahead of
         # arrivals at an equal due tick and the sequence keeps equal
         # (due, kind) keys FIFO — both matching the order the split queues
         # had.  _schedule is the only writer.
         self._events: list[tuple[int, int, int, Any]] = []
         self._event_sequence = itertools.count()
-        # Fault injection: explicit crash ticks enter the heap up front,
-        # periodic crashes re-arm themselves at each firing (see
-        # _inject_fault) for as long as work remains.
-        self._fault_plan: FaultPlan | None = (
-            make_fault_plan(fault_plan) if fault_plan is not None else None
-        )
+        # The crash feed (_pull_crash): the plan's next crash, if any, is on
+        # the heap, and whether it is (a pending crash is not work).
+        self._fault_plan = make_fault_plan(fault_plan) if fault_plan is not None else None
         if self._fault_plan is not None:
             self._fault_plan.bind(seed)
-            for due in self._fault_plan.initial_ticks():
-                self._schedule(due, _EVENT_FAULT)
-            first_periodic = self._fault_plan.next_after(0)
-            if first_periodic is not None:
-                self._schedule(first_periodic, _EVENT_FAULT)
+        self._crashes = self._fault_plan.ticks() if self._fault_plan is not None else iter(())
+        self._pull_crash()
         # The arrival feed (submit_scheduled), its last due read and
         # whether that arrival is on the heap.
         self._feed = iter(())
@@ -555,13 +550,15 @@ class SimulationEngine:
                     self._advance(ready[index])
                     if outbox:
                         break  # a message is due: the exchange falls at this tick
+                elif not self._has_work():
+                    break  # only a crash is pending: the run is over
                 elif events:
                     # Nothing is runnable until the next event matures:
                     # fast-forward the clock to its due tick (the wait
                     # costs time, not scheduling decisions), clamped so a
                     # run never reports a makespan beyond its horizon.
                     tick = self._tick = min(events[0][0], horizon)
-                elif frames:
+                else:
                     if self._awaits_input():
                         break  # only a message from outside can move a frame
                     raise self._wedged()  # frames left, none ready, nothing due
@@ -586,7 +583,7 @@ class SimulationEngine:
                 self.metrics.restarts += 1
                 self._start_transaction(spec, attempt=attempt, lineage=lineage)
             elif kind == _EVENT_FAULT:
-                self._inject_fault(due)
+                self._crash(due)
             else:
                 self.metrics.submitted += 1
                 self.metrics.arrived += 1
@@ -719,6 +716,14 @@ class SimulationEngine:
             if waiters:
                 for frame_id in list(waiters):
                     self._wake_frame(frame_id, detail=key)
+
+    def _has_work(self) -> bool:
+        """Whether a frame or an event other than the pending crash is left.
+
+        A crash is not work: with nothing else left the run ends at its
+        last decision instead of fast-forwarding to the crash.
+        """
+        return bool(self._frames) or len(self._events) > self._crash_pending
 
     def _awaits_input(self) -> bool:
         """Whether frames that cannot move wait on input from outside the run.
@@ -1028,37 +1033,29 @@ class SimulationEngine:
 
     # -- fault injection -------------------------------------------------------------
 
-    def _inject_fault(self, due: int) -> None:
-        """Fire one fault-plan crash: kill a live top-level transaction.
+    def _pull_crash(self) -> None:
+        """Put the fault plan's next crash, if any, on the event heap."""
+        due = next(self._crashes, None)
+        self._crash_pending = due is not None
+        if self._crash_pending:
+            self._schedule(due, _EVENT_FAULT)
 
-        The victim dies through the ordinary abort path — undo, scheduler
-        release, cascade exposure, restart policy — so an injected crash
-        is indistinguishable from a scheduler-initiated abort downstream.
-        Only transactions with a lineage here are victims (see
-        :meth:`_finalise_commit`); with none the fault passes without effect.
-        A periodic plan re-arms itself here for as long as any work
-        (frames or queued events) remains, so an idle tail never spins on
-        fault events alone.
+    def _crash(self, due: int) -> None:
+        """Release the pending crash, then pull the next one.
+
+        The plan names the victim among the live attempts with a lineage
+        here (see :meth:`_finalise_commit`), oldest lineage first; with none
+        the crash passes.  The victim dies through the ordinary abort path
+        (undo, scheduler release, cascades, restart policy).
         """
-        plan = self._fault_plan
         lineage_of = self._lineage_of
-        candidates = sorted(
-            (
-                transaction_id
-                for transaction_id in self._executions_by_transaction
-                if transaction_id in lineage_of
-            ),
-            key=lambda transaction_id: (lineage_of[transaction_id], transaction_id),
-        )
-        victim = plan.choose_victim(candidates)
+        victim = self._fault_plan.strike(sorted(lineage_of, key=lineage_of.__getitem__))
         if victim is not None:
             self.metrics.faults_injected += 1
             if self._trace is not None:
                 self._record(FAULT_INJECTED, victim, detail=f"crash injected at tick {due}")
             self._abort_transaction(victim, "fault: injected crash")
-        next_due = plan.next_after(due)
-        if next_due is not None and (self._frames or self._events):
-            self._schedule(next_due, _EVENT_FAULT)
+        self._pull_crash()
 
     # -- aborts ----------------------------------------------------------------------
 

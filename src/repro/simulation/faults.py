@@ -1,6 +1,6 @@
 """Deterministic fault injection: crash in-flight transactions mid-stream.
 
-A fault plan kills live top-level transactions at predetermined points of
+A crash plan kills live top-level transactions at predetermined points of
 the simulated clock.  A *crash* is an engine-initiated abort: the victim's
 whole execution subtree is discarded, its effects are rolled back through
 the undo log (exactly the paper's abort semantics; the fault tests run it
@@ -11,19 +11,25 @@ machinery — undo, garbage collection of scheduler state, cascade handling
 for transactions that read the victim's dirty writes — under load rather
 than only at scheduler-chosen abort points.
 
-Like arrival processes and restart policies, plans are deterministic:
-explicit crash ticks are part of the configuration, the optional victim
-randomisation is seeded from the engine seed, and a run stays a pure
-function of ``(workload seed, engine seed, fault plan)``.  Plans are
-JSON-friendly registry components (:func:`make_fault_plan` accepts
-``name | {"name", ...kwargs} | instance``), so ``engine_params``
-in a sweep spec can carry ``{"fault_plan": {"name": "crash", "at": [500]}}``.
+The plan is a feed, like an arrival process: :meth:`CrashPlan.ticks`
+yields the crash ticks in ascending order and the engine keeps the next
+one on its event heap.  A pending crash is not work: a run whose
+transactions have all settled ends at its last decision, whatever crashes
+its plan still holds.  Plans are deterministic: explicit crash ticks are
+part of the configuration, the optional victim randomisation is seeded
+from the engine seed, and a run stays a pure function of ``(workload
+seed, engine seed, fault plan)``.  Plans are JSON-friendly registry
+components (:func:`make_fault_plan` accepts ``name | {"name", ...kwargs}
+| instance``), so ``engine_params`` in a sweep spec can carry
+``{"fault_plan": {"name": "crash", "at": [500]}}``.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from ..core.registry import resolve_component
 
@@ -31,58 +37,20 @@ from ..core.registry import resolve_component
 VICTIM_POLICIES = ("oldest", "newest", "random")
 
 
-class FaultPlan:
-    """Decides when faults fire and which live transaction each one kills.
-
-    The engine drives one plan instance per run:
-
-    * :meth:`bind` — called once at run start with the engine seed; must
-      reset all plan state;
-    * :meth:`initial_ticks` — the explicit crash ticks to queue up front;
-    * :meth:`next_after` — the due tick of the next recurring fault after
-      ``tick``, or ``None``;
-    * :meth:`choose_victim` — pick the casualty among the live top-level
-      transactions (ordered oldest lineage first); ``None`` skips the
-      fault.
-    """
-
-    name = "abstract"
-
-    def bind(self, seed: int) -> None:
-        """Reset the plan for a fresh run seeded with the engine seed."""
-
-    def initial_ticks(self) -> tuple[int, ...]:
-        """Explicit fault ticks, queued when the run starts."""
-        return ()
-
-    def next_after(self, tick: int) -> int | None:
-        """Due tick of the next recurring fault strictly after ``tick``."""
-        return None
-
-    def choose_victim(self, candidates: list[str]) -> str | None:
-        """The transaction to kill; ``None`` lets this fault pass."""
-        return None
-
-    def describe(self) -> dict[str, Any]:
-        """Plan description merged into run metadata."""
-        return {"name": self.name}
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class CrashPlan(FaultPlan):
+class CrashPlan:
     """Crash one in-flight transaction at each configured tick.
 
     Args:
         at: explicit simulated-clock ticks at which to inject one crash
             each (sorted internally; duplicates fire twice).
-        period: additionally crash every ``period`` ticks, re-armed after
-            each firing for as long as transactions remain in flight.
+        period: additionally crash at ``period``, ``2 * period``, ... —
+            one schedule, merged with ``at`` (an explicit tick starts no
+            schedule of its own).
         victim: ``"oldest"`` (longest-lived lineage — the victim whose
             undo is largest), ``"newest"``, or ``"random"`` (seeded).
         max_faults: stop injecting after this many crashes landed on a
-            victim (``None`` = unlimited).
+            victim (``None`` = unlimited); a crash that finds no victim
+            does not count.
         seed: explicit RNG seed for ``victim="random"``; ``None`` derives
             one from the engine seed at :meth:`bind` time.
     """
@@ -114,47 +82,39 @@ class CrashPlan(FaultPlan):
         self.victim = victim
         self.max_faults = max_faults
         self.seed = seed
-        self._rng = random.Random(seed)
-        self._injected = 0
+        self.bind(0)
 
     def bind(self, seed: int) -> None:
+        """Reset the plan for a fresh run seeded with the engine seed."""
         effective = self.seed if self.seed is not None else seed ^ 0x2545F491
         self._rng = random.Random(effective)
-        self._injected = 0
+        self._landed = 0
 
-    def initial_ticks(self) -> tuple[int, ...]:
-        return self.at
+    def ticks(self) -> Iterator[int]:
+        """The crash ticks, ascending, until ``max_faults`` crashes have landed.
 
-    def next_after(self, tick: int) -> int | None:
-        if self.period is None:
-            return None
-        if self.max_faults is not None and self._injected >= self.max_faults:
-            return None
-        return tick + self.period
+        Read one at a time as each crash is released, so the cap sees the
+        crashes landed so far.
+        """
+        periodic = itertools.count(self.period, self.period) if self.period else ()
+        for tick in heapq.merge(self.at, periodic):
+            if self.max_faults is not None and self._landed >= self.max_faults:
+                return
+            yield tick
 
-    def choose_victim(self, candidates: list[str]) -> str | None:
+    def strike(self, candidates: list[str]) -> str | None:
+        """The victim among ``candidates`` (oldest lineage first); ``None`` if there is none."""
         if not candidates:
             return None
-        if self.max_faults is not None and self._injected >= self.max_faults:
-            return None
-        self._injected += 1
+        self._landed += 1
         if self.victim == "oldest":
             return candidates[0]
         if self.victim == "newest":
             return candidates[-1]
         return self._rng.choice(candidates)
 
-    def describe(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "at": list(self.at),
-            "period": self.period,
-            "victim": self.victim,
-            "max_faults": self.max_faults,
-        }
 
-
-FAULT_REGISTRY: dict[str, Callable[..., FaultPlan]] = {
+FAULT_REGISTRY: dict[str, Callable[..., CrashPlan]] = {
     "crash": CrashPlan,
 }
 
@@ -165,9 +125,9 @@ def fault_plan_names() -> list[str]:
 
 
 def make_fault_plan(
-    plan: "str | Mapping[str, Any] | FaultPlan",
+    plan: "str | Mapping[str, Any] | CrashPlan",
     **kwargs: Any,
-) -> FaultPlan:
+) -> CrashPlan:
     """Build a fault plan from a name, a config mapping, or an instance.
 
     Accepted shapes (the uniform component-specification contract of
@@ -176,7 +136,7 @@ def make_fault_plan(
     * ``"crash"`` — a registry name, optionally with ``**kwargs``;
     * ``{"name": "crash", "at": [500, 1500]}`` — a registry name plus
       constructor keywords (``**kwargs`` are merged in);
-    * a ready :class:`FaultPlan` instance (returned unchanged; keywords
+    * a ready :class:`CrashPlan` instance (returned unchanged; keywords
       are rejected).
 
     Raises:
@@ -185,5 +145,5 @@ def make_fault_plan(
             unsupported specification type.
     """
     return resolve_component(
-        FAULT_REGISTRY, plan, kind="fault plan", instance_of=FaultPlan, **kwargs
+        FAULT_REGISTRY, plan, kind="fault plan", instance_of=CrashPlan, **kwargs
     )

@@ -41,6 +41,8 @@ class ScanLoopEngine(SimulationEngine):
             self._release_due_events()
             candidates = [frame for frame in self._frames.values() if frame.status == _READY]
             if not candidates:
+                if not self._has_work():
+                    break
                 if self._events:
                     self._tick = min(self._events[0][0], horizon)
                 elif self._frames:

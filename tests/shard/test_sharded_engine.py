@@ -245,7 +245,7 @@ class TestCrossShardExecution:
         # it: the victim is a transaction homed on the crashing shard, and
         # each arrival is counted once, as committed or given up.
         victims, crashing = [], []
-        inject, abort = ShardWorker._inject_fault, ShardWorker._abort_transaction
+        inject, abort = ShardWorker._crash, ShardWorker._abort_transaction
 
         def injected(worker, due):
             crashing.append(worker)
@@ -262,7 +262,7 @@ class TestCrossShardExecution:
                 assert top_level_id.startswith(worker.id_prefix)
             return abort(worker, top_level_id, reason)
 
-        monkeypatch.setattr(ShardWorker, "_inject_fault", injected)
+        monkeypatch.setattr(ShardWorker, "_crash", injected)
         monkeypatch.setattr(ShardWorker, "_abort_transaction", recorded)
         spec = dataclasses.replace(
             make_spec(scheduler, seed=606, stream=True, shards=2, assignment=SPLIT_HOT),
@@ -273,6 +273,30 @@ class TestCrossShardExecution:
         assert metrics.faults_injected == len(victims) > 0
         assert any(live for _, live in victims), "no crash fired beside a live session"
         assert metrics.committed + metrics.gave_up == metrics.submitted == 40
+
+    @pytest.mark.parametrize(
+        "plan",
+        ({"name": "crash", "at": [5, 9], "period": 400}, {"name": "crash", "at": [50000]}),
+        ids=("at-and-period", "late-at"),
+    )
+    def test_a_pending_crash_does_not_keep_the_fleet_running(self, monkeypatch, plan):
+        # A shard whose only event is a crash is not busy: the fleet ends at
+        # its last settlement.
+        settled = []
+        end_lineage = ShardWorker._end_lineage
+
+        def ended(worker, lineage):
+            settled.append(worker._tick)
+            return end_lineage(worker, lineage)
+
+        monkeypatch.setattr(ShardWorker, "_end_lineage", ended)
+        spec = dataclasses.replace(
+            make_spec("n2pl", seed=606, stream=True, shards=2, assignment=SPLIT_HOT),
+            engine_params={"fault_plan": plan},
+        )
+        metrics = ShardedEngine(spec).run().metrics
+        assert metrics.committed + metrics.gave_up == metrics.submitted == 40
+        assert metrics.total_ticks == max(settled)
 
 
 class TestSweepIntegration:

@@ -1,15 +1,17 @@
 """Fault injection: deterministic crashes exercising undo + recovery.
 
 An injected crash is an engine-initiated abort of an in-flight top-level
-transaction.  The tests pin the contract: faults land exactly where the
-plan says, victims recover through the ordinary undo/restart machinery
-(verified against full replay by running on ``ReplayCheckedEngine``), the
-committed
-projection stays serialisable, and a faulted run is still a pure
-function of its seeds.
+transaction.  The tests pin the contract: the plan is one ascending feed
+of crash ticks, faults land exactly where it says, victims recover through
+the ordinary undo/restart machinery (verified against full replay by
+running on ``ReplayCheckedEngine``), the committed projection stays
+serialisable, a pending crash never keeps a finished run alive, and a
+faulted run is still a pure function of its seeds.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
@@ -18,13 +20,12 @@ from repro.scheduler import make_scheduler
 from repro.simulation import (
     FAULT_REGISTRY,
     CrashPlan,
-    FaultPlan,
     HotspotWorkload,
     SimulationEngine,
     fault_plan_names,
     make_fault_plan,
 )
-from repro.simulation.events import FAULT_INJECTED
+from repro.simulation.events import COMMITTED, FAULT_INJECTED, GAVE_UP
 
 from tests.oracles.engines import ReplayCheckedEngine
 
@@ -95,10 +96,47 @@ class TestCrashPlanValidation:
 
     def test_bind_resets_state(self):
         plan = CrashPlan(period=10, max_faults=1)
-        plan.choose_victim(["T1"])
-        assert plan.next_after(0) is None
+        ticks = plan.ticks()
+        assert next(ticks) == 10
+        assert plan.strike(["T1"]) == "T1"
+        assert next(ticks, None) is None
         plan.bind(3)
-        assert plan.next_after(0) == 10
+        assert list(itertools.islice(plan.ticks(), 3)) == [10, 20, 30]
+
+
+def first(plan, count):
+    return list(itertools.islice(plan.ticks(), count))
+
+
+class TestCrashFeed:
+    """The plan is one ascending feed of crash ticks, read as crashes land."""
+
+    def test_explicit_ticks_merge_into_the_period_schedule(self):
+        # An explicit tick starts no schedule of its own.
+        assert first(CrashPlan(at=(40, 90), period=150), 6) == [40, 90, 150, 300, 450, 600]
+
+    def test_explicit_ticks_alone_end_the_feed(self):
+        assert list(CrashPlan(at=(90, 40)).ticks()) == [40, 90]
+        assert list(CrashPlan().ticks()) == []
+
+    def test_duplicate_ticks_fire_twice(self):
+        assert list(CrashPlan(at=(7, 7, 3)).ticks()) == [3, 7, 7]
+        assert first(CrashPlan(at=(20,), period=20), 3) == [20, 20, 40]
+
+    def test_max_faults_counts_landed_crashes_only(self):
+        plan = CrashPlan(period=5, max_faults=2)
+        ticks = plan.ticks()
+        assert next(ticks) == 5
+        assert plan.strike([]) is None  # nobody in flight: the crash passes
+        assert next(ticks) == 10
+        assert plan.strike(["T1", "T2"]) == "T1"
+        assert next(ticks) == 15
+        assert plan.strike(["T3"]) == "T3"
+        assert next(ticks, None) is None
+
+    @pytest.mark.parametrize("victim, expected", (("oldest", "T1"), ("newest", "T3")))
+    def test_victim_order(self, victim, expected):
+        assert CrashPlan(victim=victim).strike(["T1", "T2", "T3"]) == expected
 
 
 class TestInjection:
@@ -148,6 +186,37 @@ class TestInjection:
         report = certify_run(result, check_legality=True)
         assert report.serialisable
         assert report.legal
+
+
+def last_settlement(result):
+    """The tick at which the run's last lineage committed or gave up."""
+    return max(
+        event.tick for event in result.trace.events if event.kind in (COMMITTED, GAVE_UP)
+    )
+
+
+class TestIdleCrashTail:
+    """A pending crash is not work: the run ends at its last decision."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        (
+            CrashPlan(at=(40, 90), period=150),
+            CrashPlan(period=150),
+            CrashPlan(at=(100_000,)),
+        ),
+        ids=("at-and-period", "period", "late-at"),
+    )
+    def test_makespan_is_the_last_settlement(self, plan):
+        result = run_with_faults(plan, record_trace=True)
+        assert result.metrics.committed + result.metrics.gave_up == 24
+        assert result.metrics.total_ticks == last_settlement(result)
+
+    def test_a_crash_due_after_the_run_never_lands(self):
+        plain = run_with_faults(None)
+        late = run_with_faults(CrashPlan(at=(100_000,)))
+        assert late.metrics.faults_injected == 0
+        assert late.metrics.as_dict() == plain.metrics.as_dict()
 
 
 class TestDeterminism:

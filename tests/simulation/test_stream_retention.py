@@ -173,11 +173,10 @@ class TestInputRetention:
         assert result.metrics.delayed_restarts > 0 or workload == "order-processing"
 
     def test_the_traced_peak_grows_with_commits_not_with_the_stream(self):
-        # Each figure is the lower of two runs.  The interpreter's
-        # interned-string table (execution ids are interned) reallocates,
-        # 400 KB here, in whichever run crosses its threshold; it then has
-        # room for at least as many ids again, so two runs in a row never
-        # both pay for it.
+        # Each figure is the lower of two runs, so a one-off allocation of
+        # the interpreter's (a table resized in whichever run crosses its
+        # threshold) cannot decide the ratio.  Execution ids are not
+        # interned, and the two runs agree within 3%.
         short = min(traced_peak(hotspot_stream(500)) for _ in range(2))
         long = min(traced_peak(hotspot_stream(2_000)) for _ in range(2))
         # Measured: 1.39 with the lazy feed; 2.16 when every spec and arrival
