@@ -8,7 +8,8 @@ intra-/inter-object decomposition of Theorem 5, and a simulation substrate
 the paper's comparative claims can be measured.
 
 The supported public surface is re-exported here so users never need
-deep module paths:
+deep module paths; each name loads its module on first use, so ``import
+repro`` itself is cheap (DESIGN.md, "Import on use"):
 
 * :func:`repro.run` — one scenario, from declarative description to
   :class:`~repro.simulation.metrics.RunResult` /
@@ -30,93 +31,58 @@ not exported here should be treated as internal: deep imports are
 deprecated in favour of this surface and may move between releases.
 """
 
-from .core import (
-    AUTO,
-    ConflictSpec,
-    ConflictTable,
-    ConservativeConflictSpec,
-    ENVIRONMENT_OBJECT,
-    History,
-    HistoryBuilder,
-    IllegalHistoryError,
-    MethodExecution,
-    ObjectState,
-    PerObjectConflicts,
-    ReadWriteConflictSpec,
-    ReproError,
-    check_determinacy,
-    is_serialisable,
-    serialisation_graph,
-    serialise,
-)
-from .analysis import theorem_5_conditions
-from .core.registry import component_names, resolve_component
-from .facade import run
-from .scheduler import (
-    INTRA_STRATEGIES,
-    RESTART_POLICIES,
-    SCHEDULER_FACTORIES,
-    make_restart_policy,
-    make_scheduler,
-    scheduler_names,
-)
-from .shard import ShardMap
-from .simulation import (
-    ARRIVAL_REGISTRY,
-    FAULT_REGISTRY,
-    RunMetrics,
-    RunResult,
-    SimulationEngine,
-    WORKLOAD_REGISTRY,
-    make_arrival_process,
-    make_fault_plan,
-    make_workload,
-    workload_names,
-)
-from .sweep import ScenarioSpec, SweepSpec
+from .core.registry import lazy_surface
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ARRIVAL_REGISTRY",
-    "AUTO",
-    "ConflictSpec",
-    "ConflictTable",
-    "ConservativeConflictSpec",
-    "ENVIRONMENT_OBJECT",
-    "FAULT_REGISTRY",
-    "History",
-    "HistoryBuilder",
-    "INTRA_STRATEGIES",
-    "IllegalHistoryError",
-    "MethodExecution",
-    "ObjectState",
-    "PerObjectConflicts",
-    "RESTART_POLICIES",
-    "ReadWriteConflictSpec",
-    "ReproError",
-    "RunMetrics",
-    "RunResult",
-    "SCHEDULER_FACTORIES",
-    "ScenarioSpec",
-    "ShardMap",
-    "SimulationEngine",
-    "SweepSpec",
-    "WORKLOAD_REGISTRY",
-    "__version__",
-    "check_determinacy",
-    "component_names",
-    "is_serialisable",
-    "make_arrival_process",
-    "make_fault_plan",
-    "make_restart_policy",
-    "make_scheduler",
-    "make_workload",
-    "resolve_component",
-    "run",
-    "scheduler_names",
-    "serialisation_graph",
-    "serialise",
-    "theorem_5_conditions",
-    "workload_names",
-]
+_exports, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".core": (
+            "AUTO",
+            "ConflictSpec",
+            "ConflictTable",
+            "ConservativeConflictSpec",
+            "ENVIRONMENT_OBJECT",
+            "History",
+            "HistoryBuilder",
+            "IllegalHistoryError",
+            "MethodExecution",
+            "ObjectState",
+            "PerObjectConflicts",
+            "ReadWriteConflictSpec",
+            "ReproError",
+            "check_determinacy",
+            "component_names",
+            "is_serialisable",
+            "resolve_component",
+            "serialisation_graph",
+            "serialise",
+        ),
+        ".analysis": ("theorem_5_conditions",),
+        ".facade": ("run",),
+        ".scheduler": (
+            "INTRA_STRATEGIES",
+            "RESTART_POLICIES",
+            "SCHEDULER_FACTORIES",
+            "make_restart_policy",
+            "make_scheduler",
+            "scheduler_names",
+        ),
+        ".shard": ("ShardMap",),
+        ".simulation": (
+            "ARRIVAL_REGISTRY",
+            "FAULT_REGISTRY",
+            "RunMetrics",
+            "RunResult",
+            "SimulationEngine",
+            "WORKLOAD_REGISTRY",
+            "make_arrival_process",
+            "make_fault_plan",
+            "make_workload",
+            "workload_names",
+        ),
+        ".sweep": ("ScenarioSpec", "SweepSpec"),
+    },
+)
+__all__ = sorted([*_exports, "__version__"])

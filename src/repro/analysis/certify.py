@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..core.errors import IllegalHistoryError, ModelError
-from ..core.executions import MethodExecution
+from ..core.executions import MethodExecution, natural_execution_key
 from ..core.history import History
-from ..core.theorems import natural_execution_key
 from ..simulation.metrics import RunResult
 from .streaming import CertificationReport, StreamingCertifier, Theorem5Report
 

@@ -57,10 +57,9 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from ..core.conflicts import PerObjectConflicts
 from ..core.dag import PrecedenceDag, cyclic_nodes
-from ..core.executions import MethodExecution
+from ..core.executions import MethodExecution, natural_execution_key
 from ..core.operations import LocalStep
 from ..core.state import ObjectState
-from ..core.theorems import natural_execution_key
 
 Edge = tuple[str, str]
 

@@ -14,6 +14,7 @@ object (Definition 1): they are the transactions users submit.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Iterable, Iterator
 
 from .errors import ModelError
@@ -21,6 +22,25 @@ from .operations import LocalStep, MessageStep, Step
 
 ENVIRONMENT_OBJECT = "environment"
 """Name of the fictitious object whose methods are the users' transactions."""
+
+
+def natural_execution_key(execution_id: str) -> tuple[tuple[int, int | str], ...]:
+    """Sort key ordering execution ids by their numeric components.
+
+    ``HistoryBuilder`` numbers top-level transactions ``T1, T2, ...``; a
+    plain string sort puts ``T10`` before ``T2``, which would make the
+    serial-order tie-break depend on how many transactions the run happens
+    to contain (and would leave the streaming certifier unable to emit a
+    rolling order: a transaction begun *later* could still sort before
+    every pending one).  Splitting the id into digit runs compares the
+    numbers numerically, so later-begun transactions always carry larger
+    keys.  The streaming certifier keys each transaction once and keeps the
+    key with the transaction's own state.
+    """
+    return tuple(
+        (1, int(part)) if part.isdigit() else (0, part)
+        for part in re.split(r"(\d+)", execution_id)
+    )
 
 
 class MethodExecution:

@@ -28,13 +28,97 @@ naming the registry's available entries, malformed specifications raise
 :class:`TypeError` describing the accepted shapes.  The historical entry
 points (``make_restart_policy``, ``make_arrival_process``,
 ``make_workload``, ``make_scheduler``) remain as thin wrappers.
+
+Every registry is a :class:`LazyTable`, and so is every package's public
+surface (:func:`lazy_surface`): a name is known up front, but its module
+loads the first time the name is looked up, so a run loads only the
+components its spec names (DESIGN.md, "Import on use").
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+import importlib
+import sys
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
-__all__ = ["component_names", "resolve_component"]
+__all__ = ["LazyTable", "component_names", "lazy_surface", "load_target", "resolve_component"]
+
+
+def load_target(target: str, home: str, name: str = "") -> Any:
+    """The object ``target`` names: ``"module:attribute"``, or ``"module"`` for ``name``.
+
+    ``module`` is relative to the package of the module named ``home`` when
+    it starts with a dot, and is ``home`` itself when empty
+    (``":PoissonArrivals"``).
+    """
+    module, _, attribute = target.partition(":")
+    loaded = importlib.import_module(module or home, sys.modules[home].__package__)
+    return getattr(loaded, attribute or name)
+
+
+class LazyTable(Mapping):
+    """A read-only name table whose entries load on first lookup.
+
+    An entry is a :func:`load_target` target, read from the module named
+    ``home``, or a zero-argument loader.  Names, membership and iteration
+    import nothing; ``table[name]`` imports that entry's module alone and
+    keeps the value.
+    """
+
+    def __init__(self, home: str, entries: Mapping[str, "str | Callable[[], Any]"]):
+        self._home = home
+        self._entries = dict(entries)
+        self._loaded: dict[str, Any] = {}
+
+    def __getitem__(self, name: str) -> Any:
+        if name not in self._loaded:
+            target = self._entries[name]
+            self._loaded[name] = (
+                target() if callable(target) else load_target(target, self._home, name)
+            )
+        return self._loaded[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._entries
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __repr__(self) -> str:
+        return f"LazyTable({self._home!r}, {sorted(self._entries)})"
+
+
+def lazy_surface(home: str, exports: Mapping[str, Iterable[str]]):
+    """A module's public names, each loaded from its submodule on first use (PEP 562).
+
+    ``exports`` maps each module (``".conflicts"``, a :func:`load_target`
+    module) to the names taken from it.  Returns ``(names, __getattr__,
+    __dir__)`` for the module named ``home`` to bind; a name, once loaded,
+    is a plain module global.  In a package, ``__getattr__`` also imports a
+    submodule looked up as an attribute, as an eager ``__init__`` would have.
+    """
+    table = LazyTable(home, {name: module for module, names in exports.items() for name in names})
+    namespace = vars(sys.modules[home])
+
+    def __getattr__(name: str) -> Any:
+        if name in table:
+            namespace[name] = table[name]
+            return namespace[name]
+        if "__path__" in namespace and not name.startswith("__"):
+            try:
+                return importlib.import_module(f"{home}.{name}")
+            except ModuleNotFoundError as error:
+                if error.name != f"{home}.{name}":
+                    raise
+        raise AttributeError(f"module {home!r} has no attribute {name!r}")
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *table})
+
+    return sorted(table), __getattr__, __dir__
 
 
 def component_names(registry: Mapping[str, Any]) -> list[str]:

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 import random
-import re
 
 from .dag import cyclic_nodes, topological_order
 from .errors import IllegalStepSequenceError, ModelError, VerificationError
+from .executions import natural_execution_key
 from .graphs import is_acyclic, serialisation_graph
 from .history import History
 from .operations import LocalStep, Step
@@ -80,25 +80,6 @@ def is_serialisable(history: History) -> bool:
 def serialisation_cycle(history: History) -> tuple[str, ...] | None:
     """The executions on some cycle of ``SG(h)``, sorted, or ``None`` when it is acyclic."""
     return cyclic_nodes(serialisation_graph(history)) or None
-
-
-def natural_execution_key(execution_id: str) -> tuple[tuple[int, int | str], ...]:
-    """Sort key ordering execution ids by their numeric components.
-
-    ``HistoryBuilder`` numbers top-level transactions ``T1, T2, ...``; a
-    plain string sort puts ``T10`` before ``T2``, which would make the
-    serial-order tie-break depend on how many transactions the run happens
-    to contain (and would leave the streaming certifier unable to emit a
-    rolling order: a transaction begun *later* could still sort before
-    every pending one).  Splitting the id into digit runs compares the
-    numbers numerically, so later-begun transactions always carry larger
-    keys.  The streaming certifier keys each transaction once and keeps the
-    key with the transaction's own state.
-    """
-    return tuple(
-        (1, int(part)) if part.isdigit() else (0, part)
-        for part in re.split(r"(\d+)", execution_id)
-    )
 
 
 def execution_serial_order(history: History) -> list[str]:

@@ -34,6 +34,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Mapping
 
+from .sweep.runner import build_engine, run_sharded_scenario
+from .sweep.spec import ScenarioSpec
+
 #: Scheduler used when the scenario shape does not name one.
 DEFAULT_SCHEDULER = "modular"
 
@@ -66,10 +69,6 @@ def run(spec_or_scenario: Any = "hotspot", **overrides: Any):
         TypeError: on an unsupported ``spec_or_scenario`` type.
         SweepSpecError: on invalid scenario fields.
     """
-    # Imported lazily so ``import repro`` stays light and cycle-free.
-    from .sweep.runner import build_engine, run_sharded_scenario
-    from .sweep.spec import ScenarioSpec
-
     if isinstance(spec_or_scenario, ScenarioSpec):
         spec = (
             dataclasses.replace(spec_or_scenario, **overrides)

@@ -6,142 +6,88 @@ factory that packages everything into an :class:`ObjectDefinition` whose
 methods each issue a single local operation.
 """
 
-from .append_log import Append, AppendLogConflicts, AppendLogStepConflicts, LogLength, ReadAt, append_log_definition
-from .bank_account import (
-    BankAccountConflicts,
-    BankAccountStepConflicts,
-    Deposit,
-    GetBalance,
-    Withdraw,
-    bank_account_definition,
-)
-from .btree import (
-    BTreeConflicts,
-    BTreeStepConflicts,
-    DeleteKey,
-    IndexSize,
-    InsertKey,
-    RangeScan,
-    SearchKey,
-    btree_definition,
-    empty_tree,
-    tree_delete,
-    tree_height,
-    tree_insert,
-    tree_items,
-    tree_range,
-    tree_search,
-    tree_size,
-    validate_tree,
-)
-from .counter import AddToCounter, CounterConflicts, GetCount, counter_definition
-from .directory import (
-    CreateFile,
-    DirectoryConflicts,
-    ListDirectory,
-    MakeDirectory,
-    PathExists,
-    RemoveEntry,
-    directory_definition,
-)
-from .fifo_queue import (
-    Dequeue,
-    Enqueue,
-    FifoQueueConflicts,
-    FifoQueueStepConflicts,
-    QueueLength,
-    fifo_queue_definition,
-)
-from .kv_store import (
-    CountEntries,
-    Delete,
-    Insert,
-    KVStoreConflicts,
-    KVStoreStepConflicts,
-    Lookup,
-    kv_store_definition,
-)
-from .register import (
-    ReadRegister,
-    RegisterConflicts,
-    RegisterStepConflicts,
-    WriteRegister,
-    register_definition,
-)
-from .set_object import (
-    AddMember,
-    Contains,
-    RemoveMember,
-    SetConflicts,
-    SetSize,
-    SetStepConflicts,
-    set_definition,
-)
+from ...core.registry import lazy_surface
 
-__all__ = [
-    "AddMember",
-    "AddToCounter",
-    "Append",
-    "AppendLogConflicts",
-    "AppendLogStepConflicts",
-    "BTreeConflicts",
-    "BTreeStepConflicts",
-    "BankAccountConflicts",
-    "BankAccountStepConflicts",
-    "Contains",
-    "CountEntries",
-    "CounterConflicts",
-    "CreateFile",
-    "Delete",
-    "DeleteKey",
-    "Deposit",
-    "Dequeue",
-    "DirectoryConflicts",
-    "Enqueue",
-    "FifoQueueConflicts",
-    "FifoQueueStepConflicts",
-    "GetBalance",
-    "GetCount",
-    "IndexSize",
-    "Insert",
-    "InsertKey",
-    "KVStoreConflicts",
-    "KVStoreStepConflicts",
-    "ListDirectory",
-    "LogLength",
-    "Lookup",
-    "MakeDirectory",
-    "PathExists",
-    "QueueLength",
-    "RangeScan",
-    "ReadAt",
-    "ReadRegister",
-    "RegisterConflicts",
-    "RegisterStepConflicts",
-    "RemoveEntry",
-    "RemoveMember",
-    "SearchKey",
-    "SetConflicts",
-    "SetSize",
-    "SetStepConflicts",
-    "Withdraw",
-    "WriteRegister",
-    "append_log_definition",
-    "bank_account_definition",
-    "btree_definition",
-    "counter_definition",
-    "directory_definition",
-    "empty_tree",
-    "fifo_queue_definition",
-    "kv_store_definition",
-    "register_definition",
-    "set_definition",
-    "tree_delete",
-    "tree_height",
-    "tree_insert",
-    "tree_items",
-    "tree_range",
-    "tree_search",
-    "tree_size",
-    "validate_tree",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".append_log": (
+            "Append",
+            "AppendLogConflicts",
+            "AppendLogStepConflicts",
+            "LogLength",
+            "ReadAt",
+            "append_log_definition",
+        ),
+        ".bank_account": (
+            "BankAccountConflicts",
+            "BankAccountStepConflicts",
+            "Deposit",
+            "GetBalance",
+            "Withdraw",
+            "bank_account_definition",
+        ),
+        ".btree": (
+            "BTreeConflicts",
+            "BTreeStepConflicts",
+            "DeleteKey",
+            "IndexSize",
+            "InsertKey",
+            "RangeScan",
+            "SearchKey",
+            "btree_definition",
+            "empty_tree",
+            "tree_delete",
+            "tree_height",
+            "tree_insert",
+            "tree_items",
+            "tree_range",
+            "tree_search",
+            "tree_size",
+            "validate_tree",
+        ),
+        ".counter": ("AddToCounter", "CounterConflicts", "GetCount", "counter_definition"),
+        ".directory": (
+            "CreateFile",
+            "DirectoryConflicts",
+            "ListDirectory",
+            "MakeDirectory",
+            "PathExists",
+            "RemoveEntry",
+            "directory_definition",
+        ),
+        ".fifo_queue": (
+            "Dequeue",
+            "Enqueue",
+            "FifoQueueConflicts",
+            "FifoQueueStepConflicts",
+            "QueueLength",
+            "fifo_queue_definition",
+        ),
+        ".kv_store": (
+            "CountEntries",
+            "Delete",
+            "Insert",
+            "KVStoreConflicts",
+            "KVStoreStepConflicts",
+            "Lookup",
+            "kv_store_definition",
+        ),
+        ".register": (
+            "ReadRegister",
+            "RegisterConflicts",
+            "RegisterStepConflicts",
+            "WriteRegister",
+            "register_definition",
+        ),
+        ".set_object": (
+            "AddMember",
+            "Contains",
+            "RemoveMember",
+            "SetConflicts",
+            "SetSize",
+            "SetStepConflicts",
+            "set_definition",
+        ),
+    },
+)

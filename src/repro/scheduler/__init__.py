@@ -13,91 +13,61 @@ from __future__ import annotations
 import inspect
 from typing import Any, Callable
 
-from ..core.registry import resolve_component
-from .adaptive import DEFAULT_LADDER, AdaptiveModularScheduler
-from .base import (
-    Decision,
-    ExecutionInfo,
-    OPERATION_LEVEL,
-    OperationRequest,
-    STEP_LEVEL,
-    Scheduler,
-    SchedulerResponse,
-)
-from .certifier import OptimisticCertifier
-from .locks import LockEntry, LockManager, LockRequestOutcome
-from .modular import (
-    BTreeKeyLocking,
-    INTRA_STRATEGIES,
-    InterObjectCoordinator,
-    IntraObjectCertifier,
-    IntraObjectLocking,
-    IntraObjectSynchroniser,
-    IntraObjectTimestampOrdering,
-    ModularScheduler,
-    disjoint_ancestors,
-    make_intra_strategy,
-)
-from .n2pl import NestedTwoPhaseLocking
-from .nto import NestedTimestampOrdering
-from .recovery import ACA_MODE, CASCADE_MODE, CommitGate, GATE_MODES
-from .restart import (
-    IMMEDIATE_RESTART,
-    ImmediateRestart,
-    OrderedRestart,
-    RESTART_POLICIES,
-    RandomizedBackoff,
-    RestartPolicy,
-    make_restart_policy,
-    restart_policy_names,
-)
-from .single_active import SingleActiveObjectScheduler
-from .timestamps import HierarchicalTimestamp, TimestampAuthority
+from ..core.registry import LazyTable, lazy_surface, load_target, resolve_component
+from .base import CASCADE_MODE, STEP_LEVEL, Scheduler
 
 
-def _preset(cls: type[Scheduler], **fixed: Any) -> Callable[..., Scheduler]:
-    """``cls`` with some keywords fixed: the result no longer accepts them.
+def _preset(target: str, **fixed: Any) -> Callable[[], Callable[..., Scheduler]]:
+    """A loader of class ``target`` with some keywords fixed, which it no longer accepts.
 
     ``functools.partial`` would let a caller override a fixed keyword; here
     passing one is a ``TypeError`` (a second value for the keyword), and
     ``inspect.signature`` does not list it.
     """
 
-    def factory(**kwargs: Any) -> Scheduler:
-        return cls(**fixed, **kwargs)
+    def load() -> Callable[..., Scheduler]:
+        cls = load_target(target, __name__)
 
-    signature = inspect.signature(cls)
-    factory.__signature__ = signature.replace(
-        parameters=[p for p in signature.parameters.values() if p.name not in fixed]
-    )
-    return factory
+        def factory(**kwargs: Any) -> Scheduler:
+            return cls(**fixed, **kwargs)
+
+        signature = inspect.signature(cls)
+        factory.__signature__ = signature.replace(
+            parameters=[p for p in signature.parameters.values() if p.name not in fixed]
+        )
+        return factory
+
+    return load
 
 
 # The keywords a name accepts, and their defaults, are the signature of the
 # class it maps to — nothing is re-declared here.  A misspelt or unsupported
 # keyword raises TypeError, and the sweep layer (repro.sweep) binds spec
-# kwargs against ``inspect.signature`` of these entries eagerly — before any
-# worker process is spawned.
+# kwargs against ``inspect.signature`` of the named entry eagerly — before
+# any worker process is spawned.  An entry's module loads when it is named.
 #
 # Two cross-cutting axes appear on (nearly) every scheduler since PR 4:
 # ``restart_policy`` (immediate / backoff / ordered — how aborted
 # transactions are resubmitted, see repro.scheduler.restart) on all of
 # them, and ``gate_mode`` (cascade / aca — how the CommitGate resolves
 # dirty reads) on the non-strict schedulers that run a CommitGate.
-SCHEDULER_FACTORIES: dict[str, Callable[..., Scheduler]] = {
-    "pass-through": Scheduler,
-    "n2pl": NestedTwoPhaseLocking,
-    "n2pl-step": _preset(NestedTwoPhaseLocking, level=STEP_LEVEL),
-    "nto": NestedTimestampOrdering,
-    "nto-step": _preset(NestedTimestampOrdering, level=STEP_LEVEL),
-    "single-active": SingleActiveObjectScheduler,
-    "certifier": OptimisticCertifier,
-    "modular": ModularScheduler,
-    "modular-intra-only": _preset(
-        ModularScheduler, inter_object_checks=False, gate_mode=CASCADE_MODE
-    ),
-    "adaptive": AdaptiveModularScheduler,
-}
+SCHEDULER_FACTORIES: LazyTable = LazyTable(
+    __name__,
+    {
+        "pass-through": ".base:Scheduler",
+        "n2pl": ".n2pl:NestedTwoPhaseLocking",
+        "n2pl-step": _preset(".n2pl:NestedTwoPhaseLocking", level=STEP_LEVEL),
+        "nto": ".nto:NestedTimestampOrdering",
+        "nto-step": _preset(".nto:NestedTimestampOrdering", level=STEP_LEVEL),
+        "single-active": ".single_active:SingleActiveObjectScheduler",
+        "certifier": ".certifier:OptimisticCertifier",
+        "modular": ".modular:ModularScheduler",
+        "modular-intra-only": _preset(
+            ".modular:ModularScheduler", inter_object_checks=False, gate_mode=CASCADE_MODE
+        ),
+        "adaptive": ".adaptive:AdaptiveModularScheduler",
+    },
+)
 
 
 def make_scheduler(name: "str | Any", **kwargs: Any) -> Scheduler:
@@ -128,48 +98,51 @@ def scheduler_names() -> list[str]:
     return sorted(SCHEDULER_FACTORIES)
 
 
-__all__ = [
-    "ACA_MODE",
-    "AdaptiveModularScheduler",
-    "BTreeKeyLocking",
-    "DEFAULT_LADDER",
-    "INTRA_STRATEGIES",
-    "CASCADE_MODE",
-    "CommitGate",
-    "Decision",
-    "GATE_MODES",
-    "IMMEDIATE_RESTART",
-    "ImmediateRestart",
-    "OrderedRestart",
-    "RESTART_POLICIES",
-    "RandomizedBackoff",
-    "RestartPolicy",
-    "ExecutionInfo",
-    "HierarchicalTimestamp",
-    "InterObjectCoordinator",
-    "IntraObjectCertifier",
-    "IntraObjectLocking",
-    "IntraObjectSynchroniser",
-    "IntraObjectTimestampOrdering",
-    "LockEntry",
-    "LockManager",
-    "LockRequestOutcome",
-    "ModularScheduler",
-    "NestedTimestampOrdering",
-    "NestedTwoPhaseLocking",
-    "OPERATION_LEVEL",
-    "OperationRequest",
-    "OptimisticCertifier",
-    "STEP_LEVEL",
-    "SCHEDULER_FACTORIES",
-    "Scheduler",
-    "SchedulerResponse",
-    "SingleActiveObjectScheduler",
-    "TimestampAuthority",
-    "disjoint_ancestors",
-    "make_intra_strategy",
-    "make_restart_policy",
-    "make_scheduler",
-    "restart_policy_names",
-    "scheduler_names",
-]
+_exports, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".adaptive": ("DEFAULT_LADDER", "AdaptiveModularScheduler"),
+        ".base": (
+            "ACA_MODE",
+            "CASCADE_MODE",
+            "Decision",
+            "ExecutionInfo",
+            "GATE_MODES",
+            "OPERATION_LEVEL",
+            "OperationRequest",
+            "STEP_LEVEL",
+            "Scheduler",
+            "SchedulerResponse",
+            "disjoint_ancestors",
+        ),
+        ".certifier": ("OptimisticCertifier",),
+        ".locks": ("LockEntry", "LockManager", "LockRequestOutcome"),
+        ".modular": (
+            "BTreeKeyLocking",
+            "INTRA_STRATEGIES",
+            "InterObjectCoordinator",
+            "IntraObjectCertifier",
+            "IntraObjectLocking",
+            "IntraObjectSynchroniser",
+            "IntraObjectTimestampOrdering",
+            "ModularScheduler",
+            "make_intra_strategy",
+        ),
+        ".n2pl": ("NestedTwoPhaseLocking",),
+        ".nto": ("NestedTimestampOrdering",),
+        ".recovery": ("CommitGate",),
+        ".restart": (
+            "IMMEDIATE_RESTART",
+            "ImmediateRestart",
+            "OrderedRestart",
+            "RESTART_POLICIES",
+            "RandomizedBackoff",
+            "RestartPolicy",
+            "make_restart_policy",
+            "restart_policy_names",
+        ),
+        ".single_active": ("SingleActiveObjectScheduler",),
+        ".timestamps": ("HierarchicalTimestamp", "TimestampAuthority"),
+    },
+)
+__all__ = sorted([*_exports, "SCHEDULER_FACTORIES", "make_scheduler", "scheduler_names"])

@@ -56,6 +56,15 @@ from .restart import IMMEDIATE_RESTART, RestartPolicy, make_restart_policy
 OPERATION_LEVEL = "operation"
 STEP_LEVEL = "step"
 
+# The CommitGate's modes (repro.scheduler.recovery), here so that a spec
+# names one without loading the gate.
+#: Commit-time cascading (the default, legacy behaviour).
+CASCADE_MODE = "cascade"
+#: Avoid cascading aborts: gate conflicting reads at execution time.
+ACA_MODE = "aca"
+#: The gate's contention-handling modes, in registry order.
+GATE_MODES = (CASCADE_MODE, ACA_MODE)
+
 
 class ExecutionInfo(NamedTuple):
     """Identity and ancestry of one method execution, as seen by schedulers."""

@@ -45,7 +45,7 @@ from ..core.dag import PrecedenceDag
 from ..core.errors import UnknownObjectError
 from ..core.operations import LocalStep
 from ..core.records import StepRecords
-from ..core.registry import resolve_component
+from ..core.registry import LazyTable, resolve_component
 from ..core.waits import DEADLOCK
 from ..objectbase.base import ObjectBase
 from .base import (
@@ -362,13 +362,16 @@ class BTreeKeyLocking(IntraObjectLocking):
     strategy = "btree-key-locking"
 
 
-INTRA_STRATEGIES: dict[str, Callable[..., IntraObjectSynchroniser]] = {
-    "locking": IntraObjectLocking,
-    "timestamp": IntraObjectTimestampOrdering,
-    "certifier": IntraObjectCertifier,
-    "btree-key-locking": BTreeKeyLocking,
-    "pass-through": IntraObjectSynchroniser,
-}
+INTRA_STRATEGIES: LazyTable = LazyTable(
+    __name__,
+    {
+        "locking": ":IntraObjectLocking",
+        "timestamp": ":IntraObjectTimestampOrdering",
+        "certifier": ":IntraObjectCertifier",
+        "btree-key-locking": ":BTreeKeyLocking",
+        "pass-through": ":IntraObjectSynchroniser",
+    },
+)
 
 
 def make_intra_strategy(

@@ -54,14 +54,16 @@ from typing import Any, Callable
 from ..core.operations import LocalOperation, LocalStep
 from ..core.records import StepRecords
 from ..core.waits import UNBOUND, WaitsFor
-from .base import STEP_LEVEL, ExecutionInfo, Scheduler, SchedulerResponse
-
-#: Commit-time cascading (the default, legacy behaviour).
-CASCADE_MODE = "cascade"
-#: Avoid cascading aborts: gate conflicting reads at execution time.
-ACA_MODE = "aca"
-#: The gate's contention-handling modes, in registry order.
-GATE_MODES = (CASCADE_MODE, ACA_MODE)
+# The gate modes are re-exported: the schedulers take them from here.
+from .base import (  # noqa: F401
+    ACA_MODE,
+    CASCADE_MODE,
+    GATE_MODES,
+    STEP_LEVEL,
+    ExecutionInfo,
+    Scheduler,
+    SchedulerResponse,
+)
 
 
 class CommitGate:

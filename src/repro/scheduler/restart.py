@@ -34,9 +34,9 @@ restarts.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
-from ..core.registry import resolve_component
+from ..core.registry import LazyTable, resolve_component
 
 #: Registry name of the default (pre-PR-4) policy.
 IMMEDIATE_RESTART = "immediate"
@@ -171,11 +171,14 @@ class OrderedRestart(RestartPolicy):
         return {"name": self.name, "stride": self.stride}
 
 
-RESTART_POLICIES: dict[str, Callable[..., RestartPolicy]] = {
-    "immediate": ImmediateRestart,
-    "backoff": RandomizedBackoff,
-    "ordered": OrderedRestart,
-}
+RESTART_POLICIES: LazyTable = LazyTable(
+    __name__,
+    {
+        "immediate": ":ImmediateRestart",
+        "backoff": ":RandomizedBackoff",
+        "ordered": ":OrderedRestart",
+    },
+)
 
 
 def restart_policy_names() -> list[str]:

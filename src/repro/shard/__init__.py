@@ -7,22 +7,14 @@ cross shards.  See ``DESIGN.md`` ("Sharded execution") for the
 barrier rule, its determinism argument and the commit protocol.
 """
 
-from .coordinator import InterShardCoordinator, ShardReport, ShardStepTracker
-from .engine import (
-    ShardOutcome,
-    ShardWorker,
-    ShardedEngine,
-    ShardedRunResult,
-)
-from .map import ShardMap
+from ..core.registry import lazy_surface
 
-__all__ = [
-    "InterShardCoordinator",
-    "ShardMap",
-    "ShardOutcome",
-    "ShardReport",
-    "ShardStepTracker",
-    "ShardWorker",
-    "ShardedEngine",
-    "ShardedRunResult",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".coordinator": ("InterShardCoordinator", "ShardReport", "ShardStepTracker"),
+        ".engine": ("ShardOutcome", "ShardedEngine", "ShardedRunResult"),
+        ".map": ("ShardMap",),
+        ".worker": ("ShardWorker",),
+    },
+)

@@ -28,9 +28,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
-from ..core.registry import resolve_component
+from ..core.registry import LazyTable, resolve_component
 
 #: Registry name of the default arrival process.
 POISSON_ARRIVALS = "poisson"
@@ -333,12 +333,15 @@ class FlashCrowdArrivals(ArrivalProcess):
         }
 
 
-ARRIVAL_REGISTRY: dict[str, Callable[..., ArrivalProcess]] = {
-    "poisson": PoissonArrivals,
-    "bursty": BurstyArrivals,
-    "diurnal": DiurnalArrivals,
-    "flash-crowd": FlashCrowdArrivals,
-}
+ARRIVAL_REGISTRY: LazyTable = LazyTable(
+    __name__,
+    {
+        "poisson": ":PoissonArrivals",
+        "bursty": ":BurstyArrivals",
+        "diurnal": ":DiurnalArrivals",
+        "flash-crowd": ":FlashCrowdArrivals",
+    },
+)
 
 
 def arrival_process_names() -> list[str]:

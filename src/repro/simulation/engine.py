@@ -275,8 +275,8 @@ class SimulationEngine:
         self.certify = certify
         self._certifier = None
         if certify == STREAM_CERTIFY:
-            # Deferred import: repro.analysis pulls in simulation.metrics,
-            # which must not re-enter this module's import.
+            # Set-up, not run: only a stream-certified engine loads the
+            # certifier (DESIGN.md, "Import on use").
             from ..analysis.streaming import StreamingCertifier
 
             self._certifier = StreamingCertifier(
@@ -517,8 +517,8 @@ class SimulationEngine:
         A plain run is one call with ``max_ticks``.  A subclass's loop also
         returns after the first decision or event that queues a message in
         :attr:`_outbox`, and when the frames left wait on input from outside
-        (:meth:`_awaits_input`); a ``catch_up`` run ignores the outbox and
-        leaves the clock at ``horizon`` even when its work runs out first.
+        (:meth:`_awaits_input`); a ``catch_up`` run ignores the outbox, releases
+        a lone pending crash at its own tick and leaves the clock at ``horizon``.
         Per decision this draws one index into the ready list, peeks at the
         heap head and advances the chosen frame by one request — no per-tick
         scans.  Returns the decisions made.
@@ -550,7 +550,7 @@ class SimulationEngine:
                     self._advance(ready[index])
                     if outbox:
                         break  # a message is due: the exchange falls at this tick
-                elif not self._has_work():
+                elif not (catch_up or self._has_work()):
                     break  # only a crash is pending: the run is over
                 elif events:
                     # Nothing is runnable until the next event matures:

@@ -29,9 +29,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
-from ..core.registry import resolve_component
+from ..core.registry import LazyTable, resolve_component
 
 #: Victim-selection policies of :class:`CrashPlan`.
 VICTIM_POLICIES = ("oldest", "newest", "random")
@@ -114,9 +114,12 @@ class CrashPlan:
         return self._rng.choice(candidates)
 
 
-FAULT_REGISTRY: dict[str, Callable[..., CrashPlan]] = {
-    "crash": CrashPlan,
-}
+FAULT_REGISTRY: LazyTable = LazyTable(
+    __name__,
+    {
+        "crash": ":CrashPlan",
+    },
+)
 
 
 def fault_plan_names() -> list[str]:

@@ -14,52 +14,35 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from ...core.registry import resolve_component
-from .banking import BankingWorkload
-from .base import Workload
-from .btree_load import BTreeWorkload
-from .hotspot import HotspotWorkload
-from .mixed import MixedWorkload
-from .order_processing import OrderProcessingWorkload
-from .queues import QueueWorkload
-from .random_ops import RandomOperationsWorkload
-from .stream import (
-    StreamingBankingWorkload,
-    StreamingBTreeWorkload,
-    StreamingHotspotWorkload,
-    StreamingMixedWorkload,
-    StreamingOrderProcessingWorkload,
-    StreamingQueueWorkload,
-    StreamingRandomOperationsWorkload,
-    StreamingWorkload,
-    StreamingZipfianWorkload,
-)
-from .zipf import ZipfianWorkload
+from ...core.registry import LazyTable, lazy_surface, resolve_component
 
-#: Short names accepted by :func:`make_workload` and ``repro.sweep`` specs.
-#: The ``*-stream`` entries wrap the matching closed-batch generator in an
-#: arrival process (see :mod:`repro.simulation.workloads.stream`); the
-#: generic ``"stream"`` entry picks the inner workload via its ``inner``
-#: parameter.
-WORKLOAD_REGISTRY: dict[str, type] = {
-    "banking": BankingWorkload,
-    "btree": BTreeWorkload,
-    "hotspot": HotspotWorkload,
-    "mixed": MixedWorkload,
-    "order-processing": OrderProcessingWorkload,
-    "queue": QueueWorkload,
-    "random-ops": RandomOperationsWorkload,
-    "zipf": ZipfianWorkload,
-    "stream": StreamingWorkload,
-    "banking-stream": StreamingBankingWorkload,
-    "btree-stream": StreamingBTreeWorkload,
-    "hotspot-stream": StreamingHotspotWorkload,
-    "mixed-stream": StreamingMixedWorkload,
-    "order-processing-stream": StreamingOrderProcessingWorkload,
-    "queue-stream": StreamingQueueWorkload,
-    "random-ops-stream": StreamingRandomOperationsWorkload,
-    "zipf-stream": StreamingZipfianWorkload,
-}
+#: Short names accepted by :func:`make_workload` and ``repro.sweep`` specs;
+#: an entry's module loads when it is named.  The ``*-stream`` entries wrap
+#: the matching closed-batch generator in an arrival process (see
+#: :mod:`repro.simulation.workloads.stream`); the generic ``"stream"`` entry
+#: picks the inner workload via its ``inner`` parameter.
+WORKLOAD_REGISTRY: LazyTable = LazyTable(
+    __name__,
+    {
+        "banking": ".banking:BankingWorkload",
+        "btree": ".btree_load:BTreeWorkload",
+        "hotspot": ".hotspot:HotspotWorkload",
+        "mixed": ".mixed:MixedWorkload",
+        "order-processing": ".order_processing:OrderProcessingWorkload",
+        "queue": ".queues:QueueWorkload",
+        "random-ops": ".random_ops:RandomOperationsWorkload",
+        "zipf": ".zipf:ZipfianWorkload",
+        "stream": ".stream:StreamingWorkload",
+        "banking-stream": ".stream:StreamingBankingWorkload",
+        "btree-stream": ".stream:StreamingBTreeWorkload",
+        "hotspot-stream": ".stream:StreamingHotspotWorkload",
+        "mixed-stream": ".stream:StreamingMixedWorkload",
+        "order-processing-stream": ".stream:StreamingOrderProcessingWorkload",
+        "queue-stream": ".stream:StreamingQueueWorkload",
+        "random-ops-stream": ".stream:StreamingRandomOperationsWorkload",
+        "zipf-stream": ".stream:StreamingZipfianWorkload",
+    },
+)
 
 
 def make_workload(name: "str | Mapping[str, Any] | Any", **params: Any):
@@ -100,26 +83,29 @@ def workload_names() -> list[str]:
     return sorted(WORKLOAD_REGISTRY)
 
 
-__all__ = [
-    "BankingWorkload",
-    "BTreeWorkload",
-    "HotspotWorkload",
-    "MixedWorkload",
-    "OrderProcessingWorkload",
-    "QueueWorkload",
-    "RandomOperationsWorkload",
-    "StreamingBankingWorkload",
-    "StreamingBTreeWorkload",
-    "StreamingHotspotWorkload",
-    "StreamingMixedWorkload",
-    "StreamingOrderProcessingWorkload",
-    "StreamingQueueWorkload",
-    "StreamingRandomOperationsWorkload",
-    "StreamingWorkload",
-    "StreamingZipfianWorkload",
-    "Workload",
-    "ZipfianWorkload",
-    "WORKLOAD_REGISTRY",
-    "make_workload",
-    "workload_names",
-]
+_exports, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".banking": ("BankingWorkload",),
+        ".base": ("Workload",),
+        ".btree_load": ("BTreeWorkload",),
+        ".hotspot": ("HotspotWorkload",),
+        ".mixed": ("MixedWorkload",),
+        ".order_processing": ("OrderProcessingWorkload",),
+        ".queues": ("QueueWorkload",),
+        ".random_ops": ("RandomOperationsWorkload",),
+        ".stream": (
+            "StreamingBankingWorkload",
+            "StreamingBTreeWorkload",
+            "StreamingHotspotWorkload",
+            "StreamingMixedWorkload",
+            "StreamingOrderProcessingWorkload",
+            "StreamingQueueWorkload",
+            "StreamingRandomOperationsWorkload",
+            "StreamingWorkload",
+            "StreamingZipfianWorkload",
+        ),
+        ".zipf": ("ZipfianWorkload",),
+    },
+)
+__all__ = sorted([*_exports, "WORKLOAD_REGISTRY", "make_workload", "workload_names"])

@@ -28,6 +28,7 @@ from typing import Any, Mapping
 
 from ...core.errors import WorkloadError
 from ..arrivals import ArrivalProcess, ARRIVAL_REGISTRY, make_arrival_process
+from . import WORKLOAD_REGISTRY, make_workload
 from .base import Workload
 
 
@@ -65,8 +66,6 @@ class StreamingWorkload(Workload):
         self._inner_workload = self._make_inner()
 
     def _make_inner(self) -> Any:
-        from . import make_workload  # deferred: the registry imports this module
-
         return make_workload(self.inner, **self.inner_params)
 
     # -- eager validation (shared with the sweep layer) ---------------------------
@@ -90,8 +89,6 @@ class StreamingWorkload(Workload):
         Raises:
             WorkloadError: on any unknown name or keyword.
         """
-        from . import WORKLOAD_REGISTRY  # deferred: the registry imports this module
-
         if default_inner is None:
             default_inner = next(
                 f.default for f in dataclasses.fields(cls) if f.name == "inner"

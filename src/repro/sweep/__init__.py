@@ -27,48 +27,28 @@ the worker fan-out model and the determinism guarantees, and
 ``python -m repro.sweep`` for a self-checking demo.
 """
 
-from .aggregate import (
-    group_rows,
-    print_report,
-    render_markdown_report,
-    rows_of,
-    sweep_report,
-)
-from .runner import (
-    DEFAULT_MP_CONTEXT,
-    ScenarioResult,
-    SweepRunner,
-    build_engine,
-    run_scenario,
-    run_sharded_scenario,
-    summarise_run,
-    summarise_sharded_run,
-)
-from .spec import (
-    ENGINE_PARAM_NAMES,
-    Axis,
-    AxisPoint,
-    ScenarioSpec,
-    SweepSpec,
-)
+from ..core.registry import lazy_surface
 
-__all__ = [
-    "Axis",
-    "AxisPoint",
-    "DEFAULT_MP_CONTEXT",
-    "ENGINE_PARAM_NAMES",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "SweepRunner",
-    "SweepSpec",
-    "build_engine",
-    "group_rows",
-    "print_report",
-    "render_markdown_report",
-    "rows_of",
-    "run_scenario",
-    "run_sharded_scenario",
-    "summarise_run",
-    "summarise_sharded_run",
-    "sweep_report",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        ".aggregate": (
+            "group_rows",
+            "print_report",
+            "render_markdown_report",
+            "rows_of",
+            "sweep_report",
+        ),
+        ".runner": (
+            "DEFAULT_MP_CONTEXT",
+            "ScenarioResult",
+            "SweepRunner",
+            "build_engine",
+            "run_scenario",
+            "run_sharded_scenario",
+            "summarise_run",
+            "summarise_sharded_run",
+        ),
+        ".spec": ("ENGINE_PARAM_NAMES", "Axis", "AxisPoint", "ScenarioSpec", "SweepSpec"),
+    },
+)

@@ -41,9 +41,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from ..analysis import certify_run
+from ..analysis.certify import certify_run
 from ..scheduler import make_scheduler
-from ..simulation import ArrivalProcess, SimulationEngine
+from ..shard.engine import ShardedEngine
+from ..simulation.arrivals import ArrivalProcess
+from ..simulation.engine import SimulationEngine
 from ..simulation.metrics import RunResult
 from ..simulation.workloads import make_workload
 from .spec import ScenarioSpec, SweepSpec
@@ -216,10 +218,6 @@ def summarise_sharded_run(result, scheduler_name: str) -> dict[str, Any]:
 
 def run_sharded_scenario(spec: ScenarioSpec):
     """Run a ``shards > 1`` scenario; returns the ShardedRunResult."""
-    # Imported lazily: repro.shard builds on the sweep layer (spec payloads),
-    # so a module-level import here would be circular.
-    from ..shard import ShardedEngine
-
     return ShardedEngine(spec).run()
 
 

@@ -42,8 +42,11 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..core.errors import ModelError, SweepSpecError
-from ..scheduler import GATE_MODES, SCHEDULER_FACTORIES, make_restart_policy
-from ..simulation import SimulationEngine
+from ..scheduler import SCHEDULER_FACTORIES
+from ..scheduler.base import GATE_MODES
+from ..scheduler.restart import make_restart_policy
+from ..shard.map import ShardMap
+from ..simulation.engine import SimulationEngine
 from ..simulation.workloads import WORKLOAD_REGISTRY
 
 #: Engine constructor keywords a scenario may set — derived from the
@@ -303,9 +306,6 @@ class ScenarioSpec:
             raise SweepSpecError(
                 f"shard_assignment must be a mapping, got {self.shard_assignment!r}"
             )
-        # Deferred import: repro.shard builds on this module.
-        from ..shard.map import ShardMap
-
         try:
             ShardMap(self.shards, self.shard_assignment)
         except ModelError as exc:

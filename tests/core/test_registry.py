@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
-from repro.core.registry import component_names, resolve_component
+import repro
+from repro.core.registry import LazyTable, component_names, resolve_component
 
 
 class Widget:
@@ -100,3 +103,67 @@ class TestErrors:
 
 def test_component_names_sorted():
     assert component_names(REGISTRY) == ["gadget", "widget"]
+
+
+class TestLazyTable:
+    def test_names_and_membership_load_nothing(self):
+        loads = []
+        table = LazyTable(__name__, {"widget": lambda: loads.append(1) or Widget})
+        assert "widget" in table and "gadget" not in table
+        assert list(table) == ["widget"] and len(table) == 1
+        assert component_names(table) == ["widget"]
+        assert loads == []
+        assert table["widget"] is Widget and table["widget"] is Widget
+        assert loads == [1]  # loaded once, then kept
+
+    def test_targets_resolve_relative_to_the_home_package(self):
+        table = LazyTable("repro.core.registry", {"dag": ".dag:PrecedenceDag", "self": ":LazyTable"})
+        assert table["dag"] is importlib.import_module("repro.core.dag").PrecedenceDag
+        assert table["self"] is LazyTable
+
+    def test_unknown_names_raise_key_error_through_resolve_component(self):
+        with pytest.raises(KeyError, match="unknown component 'nope'.*widget"):
+            resolve_component(LazyTable(__name__, {"widget": lambda: Widget}), "nope")
+
+
+SURFACES = (
+    "repro",
+    "repro.core",
+    "repro.scheduler",
+    "repro.simulation",
+    "repro.simulation.workloads",
+    "repro.objectbase",
+    "repro.objectbase.adts",
+    "repro.analysis",
+    "repro.shard",
+    "repro.shard.engine",
+    "repro.sweep",
+)
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+def test_every_surface_name_resolves_and_is_listed(surface):
+    module = importlib.import_module(surface)
+    assert module.__all__, surface
+    for name in module.__all__:
+        assert getattr(module, name) is not None, name
+        assert name in dir(module)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        getattr(module, "no_such_name")
+
+
+@pytest.mark.parametrize(
+    "registry",
+    (
+        "SCHEDULER_FACTORIES",
+        "WORKLOAD_REGISTRY",
+        "INTRA_STRATEGIES",
+        "RESTART_POLICIES",
+        "ARRIVAL_REGISTRY",
+        "FAULT_REGISTRY",
+    ),
+)
+def test_every_registry_entry_resolves_to_a_factory(registry):
+    table = getattr(repro, registry)
+    assert isinstance(table, LazyTable)
+    assert all(callable(factory) for factory in table.values())

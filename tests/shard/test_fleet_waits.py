@@ -195,7 +195,7 @@ def test_a_barrier_that_produces_or_applies_a_directive_is_not_wedged(monkeypatc
             idle(),
         ]
     )
-    monkeypatch.setattr("repro.shard.engine._LocalTransport", lambda payloads: transport)
+    monkeypatch.setattr("repro.shard.worker.LocalTransport", lambda payloads: transport)
     spec = random_ops_spec("n2pl", 0)
     with pytest.raises(SimulationError, match="wedged at tick 5: .*shard 0: s0:T1 on s1:T2"):
         ShardedEngine(spec, ShardMap(shards=2)).run()

@@ -298,6 +298,25 @@ class TestCrossShardExecution:
         assert metrics.committed + metrics.gave_up == metrics.submitted == 40
         assert metrics.total_ticks == max(settled)
 
+    def test_every_crash_is_released_at_its_own_tick(self, monkeypatch):
+        # A catch-up that fast-forwards an idle shard to the barrier tick
+        # releases each crash due on the way at its tick, not at a later round.
+        released = []
+        inject = ShardWorker._crash
+
+        def injected(worker, due):
+            released.append((due, worker._tick))
+            return inject(worker, due)
+
+        monkeypatch.setattr(ShardWorker, "_crash", injected)
+        spec = dataclasses.replace(
+            make_spec("n2pl", seed=606, stream=True, shards=2, assignment=SPLIT_HOT),
+            engine_params={"fault_plan": {"name": "crash", "period": 23}},
+        )
+        ShardedEngine(spec).run()
+        assert released
+        assert [(due, tick) for due, tick in released if due != tick] == []
+
 
 class TestSweepIntegration:
     def test_run_scenario_routes_to_sharded_engine(self):

@@ -174,9 +174,11 @@ class TestInputRetention:
 
     def test_the_traced_peak_grows_with_commits_not_with_the_stream(self):
         # Each figure is the lower of two runs, so a one-off allocation of
-        # the interpreter's (a table resized in whichever run crosses its
-        # threshold) cannot decide the ratio.  Execution ids are not
-        # interned, and the two runs agree within 3%.
+        # the interpreter's cannot decide the ratio.  Execution ids are not
+        # interned and a run imports nothing, but the first object base a
+        # process builds still allocates about 12 KB more than later ones:
+        # of ten single 500-arrival runs in a fresh process the first read
+        # 2.6% above the other nine, which agreed within 0.4%.
         short = min(traced_peak(hotspot_stream(500)) for _ in range(2))
         long = min(traced_peak(hotspot_stream(2_000)) for _ in range(2))
         # Measured: 1.39 with the lazy feed; 2.16 when every spec and arrival
