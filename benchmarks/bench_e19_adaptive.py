@@ -131,11 +131,7 @@ def _fixed(strategy: str) -> dict:
 SCHEDULERS: dict[str, dict] = {
     "adaptive": {
         "scheduler": "adaptive",
-        "scheduler_kwargs": {
-            "restart_policy": "backoff",
-            "window": 64,
-            "promote_threshold": 4,
-        },
+        "scheduler_kwargs": {"restart_policy": "backoff", "window": 64},
     },
     "fixed-certifier": _fixed("certifier"),
     "fixed-timestamp": _fixed("timestamp"),

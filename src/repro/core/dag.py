@@ -10,8 +10,9 @@ whether a new wait closes a cycle, and walks its result back to name it.
 
 Every component that keeps a precedence graph — the modular scheduler's
 inter-object coordinator, the inter-shard coordinator, the optimistic
-certifier's committed graph and the streaming certifier's top-level
-projection of ``SG(h)`` — keeps it in one :class:`PrecedenceDag` and asks
+certifier's committed graph, the single-active scheduler's per-transaction
+sibling order and the streaming certifier's top-level projection of
+``SG(h)`` — keeps it in one :class:`PrecedenceDag` and asks
 it the same question: "does this batch of edges keep the graph acyclic?".  The kernel answers it in
 place.  A graph that was acyclic before a call gains a cycle iff some new
 edge's target already reaches its source, through old edges or through
@@ -35,7 +36,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Collection, Hashable, Iterable, Mapping
 
-__all__ = ["PrecedenceDag", "cyclic_nodes", "reachable", "reaches", "topological_order"]
+__all__ = ["PrecedenceDag", "cyclic_nodes", "reachable", "topological_order"]
 
 Edge = tuple[Hashable, Hashable]
 
@@ -69,11 +70,6 @@ def reachable(
                     return seen
                 stack.append(successor)
     return seen
-
-
-def reaches(succ: Mapping[Hashable, Collection[Hashable]], source: Hashable, target: Hashable) -> bool:
-    """Directed reachability ``source -> ... -> target`` (a node reaches itself)."""
-    return target in reachable(succ, (source,), target)
 
 
 def topological_order(

@@ -931,22 +931,19 @@ class HistoryBuilder:
 
     # -- building ------------------------------------------------------------
 
-    def build(self, check: bool = False) -> History:
-        """Produce the :class:`History`; optionally verify legality."""
+    def build(self) -> History:
+        """Produce the :class:`History` (:meth:`History.check_legal` verifies it)."""
         # Close any message steps whose executions were never finished.
         for message, start in self._open_messages.values():
             self._clock += 1
             self._intervals[message.step_id] = (start, self._clock)
         self._open_messages.clear()
-        history = History(
+        return History(
             list(self._executions.values()),
             self._initial_states,
             conflicts=self._conflicts,
             intervals=self._intervals,
         )
-        if check:
-            history.check_legal()
-        return history
 
     @property
     def conflicts(self) -> PerObjectConflicts:

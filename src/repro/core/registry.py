@@ -9,7 +9,7 @@ is the single shape behind all of them.  A *component specification* is
 uniformly one of
 
 * a registry **name** — ``"backoff"``;
-* a JSON-friendly **mapping** — ``{"name": "backoff", "base": 16}`` —
+* a JSON-friendly **mapping** — ``{"name": "poisson", "rate": 0.05}`` —
   the ``name`` entry selects the factory, every other entry is passed
   as a constructor keyword;
 * a ready **instance** of the component's base type, returned unchanged
@@ -19,9 +19,9 @@ uniformly one of
 The mapping shape is what lets declarative sweep axes
 (:mod:`repro.sweep`) target any component knob without code: the spec
 stays JSON-serialisable all the way into the worker processes.  The
-adaptive scheduler's policy ladder and the modular scheduler's
-``per_object_strategy`` accept the same shapes for their intra-object
-strategies (:data:`repro.scheduler.modular.INTRA_STRATEGIES`).
+modular scheduler's ``default_strategy`` and ``per_object_strategy``
+accept the same shapes for their intra-object strategies
+(:data:`repro.scheduler.modular.INTRA_STRATEGIES`).
 
 Errors are uniform and actionable: unknown names raise :class:`KeyError`
 naming the registry's available entries, malformed specifications raise

@@ -9,13 +9,13 @@ fixes the mix at attach time; this module makes the mix *dynamic*.
 :class:`AdaptiveModularScheduler` watches per-object contention signals —
 blocked requests (waits), abort responses (restarts) and distinct parked
 transactions — over a sliding window of scheduling decisions, and moves
-each object along a configurable **policy ladder** (by default
-``certifier → timestamp → locking``): promotion towards the pessimistic
-end when a window's contention score reaches ``promote_threshold``,
-demotion towards the optimistic end after ``hysteresis`` consecutive calm
-windows at or below ``demote_threshold``.  Hot objects end up paying for
-blocking locks because they save restarts; cold objects keep the
-certifier's zero-overhead hot path.
+each object along the **policy ladder** ``certifier → timestamp →
+locking``: promotion towards the pessimistic end when a window's
+contention score reaches :data:`PROMOTE_THRESHOLD`, demotion towards the
+optimistic end after :data:`HYSTERESIS` consecutive calm windows at or
+below :data:`DEMOTE_THRESHOLD`.  Hot objects end up paying for blocking
+locks because they save restarts; cold objects keep the certifier's
+zero-overhead hot path.
 
 Correctness rests on two pillars, argued in DESIGN.md:
 
@@ -32,7 +32,7 @@ Correctness rests on two pillars, argued in DESIGN.md:
   mix, static or dynamic, stays within Theorem 5's conditions.
 
 Every input to an adaptation decision (operation counts, per-object
-counters, ladder configuration) is a deterministic function of the run,
+counters, the window) is a deterministic function of the run,
 so repeats at a fixed seed remain bit-identical — the property the E19
 benchmark asserts on every adaptive row.
 """
@@ -40,59 +40,45 @@ benchmark asserts on every adaptive row.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Mapping
+from typing import Any
 
 from .base import ExecutionInfo, OperationRequest, SchedulerResponse, STEP_LEVEL
-from .modular import (
-    IntraObjectSynchroniser,
-    ModularScheduler,
-    make_intra_strategy,
-    validate_intra_strategy_spec,
-)
+from .modular import IntraObjectSynchroniser, ModularScheduler, make_intra_strategy
 from .recovery import CASCADE_MODE
 
-#: The default policy ladder, optimistic to pessimistic.
+#: The policy ladder, optimistic to pessimistic.  Every non-pinned object
+#: starts on rung 0.
 DEFAULT_LADDER = ("certifier", "timestamp", "locking")
-
-
-def _ladder_entry_name(spec: Any) -> str:
-    if isinstance(spec, str):
-        return spec
-    if isinstance(spec, Mapping):
-        return str(spec.get("name"))
-    return str(spec)
+#: Window contention score (waits + restarts + distinct parked
+#: transactions, attributed to the requested object) at which an object
+#: moves one rung up the ladder.
+PROMOTE_THRESHOLD = 4
+#: Score at or below which a window counts as calm.
+DEMOTE_THRESHOLD = 0
+#: Consecutive calm windows before an object moves one rung back down —
+#: the damper that stops a border-line object from oscillating between
+#: rungs every window.
+HYSTERESIS = 2
+#: The most live transactions a promotion drain may block behind.
+#: Draining a busier object would stall every new entrant for as long as
+#: the live set takes to empty — under a flash crowd that is effectively
+#: forever, and the blocked newcomers feed deadlock cycles and cascade
+#: storms instead of a swap.  Promotions on busier objects stay
+#: opportunistic (executed at the next natural quiescent point).
+DRAIN_LIMIT = 4
+#: Evaluation windows a desired promotion may stay pending before it is
+#: cancelled.  A promotion that cannot find quiescence within the patience
+#: is evidence the object is too busy to swap safely; cancelling re-arms
+#: the sampler instead of letting a stale desire barrier new entrants
+#: indefinitely.
+DRAIN_PATIENCE = 8
 
 
 class AdaptiveModularScheduler(ModularScheduler):
     """A modular scheduler that re-assigns intra-object strategies online.
 
     Args:
-        ladder: strategy specifications ordered optimistic → pessimistic;
-            each entry is a uniform component spec (a name or a
-            ``{"name", ...kwargs}`` mapping over
-            :data:`~repro.scheduler.modular.INTRA_STRATEGIES` — instances
-            are rejected, one cannot be shared across objects).  Every
-            non-pinned object starts on rung 0.
         window: scheduling decisions between adaptation evaluations.
-        promote_threshold: window contention score (waits + restarts +
-            distinct parked transactions, attributed to the requested
-            object) at which an object moves one rung up the ladder.
-        demote_threshold: score at or below which a window counts as calm.
-        hysteresis: consecutive calm windows required before an object
-            moves one rung back down — the damper that stops a border-line
-            object from oscillating between rungs every window.
-        drain_limit: the most live transactions a promotion drain may
-            block behind.  Draining a busier object would stall every new
-            entrant for as long as the live set takes to empty — under a
-            flash crowd that is effectively forever, and the blocked
-            newcomers feed deadlock cycles and cascade storms instead of
-            a swap.  Promotions on busier objects stay opportunistic
-            (executed at the next natural quiescent point).
-        drain_patience: evaluation windows a desired promotion may stay
-            pending before it is cancelled.  A promotion that cannot find
-            quiescence within the patience is evidence the object is too
-            busy to swap safely; cancelling re-arms the sampler instead
-            of letting a stale desire barrier new entrants indefinitely.
         per_object_strategy: objects pinned to a fixed strategy spec; they
             never adapt.  Objects whose definition names a preferred
             synchroniser (``intra_object_synchroniser``, e.g. the b-tree's
@@ -106,54 +92,18 @@ class AdaptiveModularScheduler(ModularScheduler):
 
     def __init__(
         self,
-        ladder: tuple = DEFAULT_LADDER,
         window: int = 128,
-        promote_threshold: int = 4,
-        demote_threshold: int = 0,
-        hysteresis: int = 2,
-        drain_limit: int = 4,
-        drain_patience: int = 8,
         per_object_strategy: dict[str, Any] | None = None,
         inter_object_checks: bool = True,
         level: str = STEP_LEVEL,
         restart_policy: Any = "immediate",
         gate_mode: str = CASCADE_MODE,
     ):
-        ladder = tuple(ladder)
-        if not ladder:
-            raise ValueError("adaptive policy ladder must name at least one strategy")
-        for spec in ladder:
-            if isinstance(spec, IntraObjectSynchroniser):
-                raise TypeError(
-                    "adaptive policy ladder entries must be names or mappings; "
-                    "a synchroniser instance is bound to a single object"
-                )
-            validate_intra_strategy_spec(spec)
         if window < 1:
             raise ValueError(f"adaptation window must be >= 1, got {window}")
-        if promote_threshold < 1:
-            raise ValueError(
-                f"promote threshold must be >= 1, got {promote_threshold}"
-            )
-        if demote_threshold < 0 or demote_threshold >= promote_threshold:
-            raise ValueError(
-                f"demote threshold must be in [0, promote), got {demote_threshold}"
-            )
-        if hysteresis < 1:
-            raise ValueError(f"hysteresis must be >= 1, got {hysteresis}")
-        if drain_limit < 1:
-            raise ValueError(f"drain limit must be >= 1, got {drain_limit}")
-        if drain_patience < 1:
-            raise ValueError(f"drain patience must be >= 1, got {drain_patience}")
-        self.ladder = ladder
         self.window = window
-        self.promote_threshold = promote_threshold
-        self.demote_threshold = demote_threshold
-        self.hysteresis = hysteresis
-        self.drain_limit = drain_limit
-        self.drain_patience = drain_patience
         super().__init__(
-            default_strategy=ladder[0],
+            default_strategy=DEFAULT_LADDER[0],
             per_object_strategy=per_object_strategy,
             inter_object_checks=inter_object_checks,
             level=level,
@@ -195,7 +145,7 @@ class AdaptiveModularScheduler(ModularScheduler):
                 # rung measurably thrashes, so preferences stay pinned.
                 continue
             self._synchronisers[object_name] = make_intra_strategy(
-                self.ladder[0], object_name, registry[object_name], step_level
+                DEFAULT_LADDER[0], object_name, registry[object_name], step_level
             )
             self._rungs[object_name] = 0
         self._refresh_commit_checkers()
@@ -215,7 +165,7 @@ class AdaptiveModularScheduler(ModularScheduler):
             # contention the demotion says is gone.  The block goes
             # to the run's waits-for relation like any other, so a drain
             # that would deadlock aborts the requester.  The barrier only
-            # arms when the live set is small enough (``drain_limit``) to
+            # arms when the live set is small enough (:data:`DRAIN_LIMIT`) to
             # actually empty soon; stalling every newcomer behind a
             # flash-crowd-sized live set breeds deadlock cycles and
             # cascade storms worth far more than the swap.
@@ -224,7 +174,7 @@ class AdaptiveModularScheduler(ModularScheduler):
             if (
                 live
                 and transaction_id not in live
-                and len(live) <= self.drain_limit
+                and len(live) <= DRAIN_LIMIT
             ):
                 self.barrier_blocks += 1
                 self._ops_seen += 1
@@ -283,7 +233,7 @@ class AdaptiveModularScheduler(ModularScheduler):
 
     def _evaluate_window(self) -> None:
         self.windows_evaluated += 1
-        top = len(self.ladder) - 1
+        top = len(DEFAULT_LADDER) - 1
         for object_name, rung in self._rungs.items():
             pending = object_name in self._desired
             target = self._desired.get(object_name, rung)
@@ -292,13 +242,13 @@ class AdaptiveModularScheduler(ModularScheduler):
                 + self._restarts[object_name]
                 + len(self._parked[object_name])
             )
-            if score >= self.promote_threshold:
+            if score >= PROMOTE_THRESHOLD:
                 self._calm_windows[object_name] = 0
                 if target < top:
                     target += 1
-            elif score <= self.demote_threshold:
+            elif score <= DEMOTE_THRESHOLD:
                 self._calm_windows[object_name] += 1
-                if self._calm_windows[object_name] >= self.hysteresis:
+                if self._calm_windows[object_name] >= HYSTERESIS:
                     self._calm_windows[object_name] = 0
                     if target > 0:
                         target -= 1
@@ -310,7 +260,7 @@ class AdaptiveModularScheduler(ModularScheduler):
                 # object is too busy to swap safely right now, and the
                 # sampler will re-raise the desire if contention persists.
                 self._desired_age[object_name] += 1
-                if self._desired_age[object_name] >= self.drain_patience:
+                if self._desired_age[object_name] >= DRAIN_PATIENCE:
                     self.cancelled_swaps += 1
                     target = rung
             if target != rung:
@@ -346,7 +296,7 @@ class AdaptiveModularScheduler(ModularScheduler):
             return False
         registry = self.conflicts_for(self.level)
         self._synchronisers[object_name] = make_intra_strategy(
-            self.ladder[target],
+            DEFAULT_LADDER[target],
             object_name,
             registry[object_name],
             self.level == STEP_LEVEL,
@@ -365,13 +315,7 @@ class AdaptiveModularScheduler(ModularScheduler):
         description.update(
             {
                 "name": self.name,
-                "ladder": [_ladder_entry_name(spec) for spec in self.ladder],
                 "window": self.window,
-                "promote_threshold": self.promote_threshold,
-                "demote_threshold": self.demote_threshold,
-                "hysteresis": self.hysteresis,
-                "drain_limit": self.drain_limit,
-                "drain_patience": self.drain_patience,
                 "strategy_swaps": self.strategy_swaps,
                 "deferred_swaps": self.deferred_swaps,
                 "cancelled_swaps": self.cancelled_swaps,

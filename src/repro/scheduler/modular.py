@@ -381,8 +381,8 @@ def make_intra_strategy(
 
     Accepts the same ``name | {"name", ...kwargs} | instance`` shapes as
     every other registry (:func:`repro.core.registry.resolve_component`),
-    so ``per_object_strategy`` maps and the adaptive scheduler's policy
-    ladder share one contract.  A ready instance is returned unchanged
+    so ``default_strategy``, ``per_object_strategy`` maps and the adaptive
+    scheduler's policy ladder share one contract.  A ready instance is returned unchanged
     and must already be bound to ``object_name``.
 
     Raises:

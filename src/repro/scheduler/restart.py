@@ -88,70 +88,56 @@ class ImmediateRestart(RestartPolicy):
     name = "immediate"
 
 
+#: Window (in ticks) of a backoff policy's first retry.
+BACKOFF_BASE = 32
+#: Maximum number of doublings of a backoff policy's window.
+BACKOFF_CAP = 8
+#: Ticks an ordered policy defers per older unfinished lineage.
+ORDERED_STRIDE = 100
+
+
 class RandomizedBackoff(RestartPolicy):
     """Deterministic seeded randomized-exponential backoff.
 
     Attempt ``a`` waits a uniformly random number of ticks from
-    ``[1, base * 2^min(a - 1, cap)]``: repeated aborts of one lineage back
-    off exponentially (up to the cap), and the randomization de-correlates
-    the restart times of distinct lineages so they stop re-colliding on
-    the same hot objects in lockstep.
-
-    Args:
-        base: window size (in ticks) of the first retry.
-        cap: maximum number of doublings of the window.
-        seed: explicit RNG seed; ``None`` derives one from the engine seed
-            at :meth:`bind` time (the common case — keeps a scenario a pure
-            function of its spec without repeating the seed here).
+    ``[1, BACKOFF_BASE * 2^min(a - 1, BACKOFF_CAP)]``: repeated aborts of
+    one lineage back off exponentially (up to the cap), and the
+    randomization de-correlates the restart times of distinct lineages so
+    they stop re-colliding on the same hot objects in lockstep.  The RNG
+    is seeded from the engine seed at :meth:`bind`, which keeps a scenario
+    a pure function of its spec.
     """
 
     name = "backoff"
 
-    def __init__(self, base: int = 32, cap: int = 8, seed: int | None = None):
-        if base < 1:
-            raise ValueError(f"backoff base must be >= 1, got {base}")
-        if cap < 0:
-            raise ValueError(f"backoff cap must be >= 0, got {cap}")
-        self.base = base
-        self.cap = cap
-        self.seed = seed
-        self._rng = random.Random(seed)
+    def __init__(self):
+        self.bind(0)
 
     def bind(self, seed: int) -> None:
         # XOR with a fixed odd constant decouples the policy's stream from
         # the engine's tick-choice stream without introducing any
         # process-dependent state (str hashes would break spawn workers).
-        effective = self.seed if self.seed is not None else seed ^ 0x9E3779B9
-        self._rng = random.Random(effective)
+        self._rng = random.Random(seed ^ 0x9E3779B9)
 
     def delay(self, lineage: int, attempt: int, reason: str) -> int:
-        window = self.base << min(max(attempt, 1) - 1, self.cap)
+        window = BACKOFF_BASE << min(max(attempt, 1) - 1, BACKOFF_CAP)
         return 1 + self._rng.randrange(window)
-
-    def describe(self) -> dict[str, Any]:
-        return {"name": self.name, "base": self.base, "cap": self.cap}
 
 
 class OrderedRestart(RestartPolicy):
     """Wait-die-style seniority: young lineages defer to old ones.
 
-    The delay is ``stride`` ticks per unfinished lineage *older* than the
-    aborted one (smaller original submission index).  The oldest unfinished
-    lineage therefore always restarts immediately and faces progressively
-    less competition — it can never cascade forever — while younger
-    lineages queue up behind their seniors instead of storming back into
-    the hot set.
-
-    Args:
-        stride: ticks of deference per older unfinished lineage.
+    The delay is :data:`ORDERED_STRIDE` ticks per unfinished lineage
+    *older* than the aborted one (smaller original submission index).  The
+    oldest unfinished lineage therefore always restarts immediately and
+    faces progressively less competition — it can never cascade forever —
+    while younger lineages queue up behind their seniors instead of
+    storming back into the hot set.
     """
 
     name = "ordered"
 
-    def __init__(self, stride: int = 100):
-        if stride < 1:
-            raise ValueError(f"ordered stride must be >= 1, got {stride}")
-        self.stride = stride
+    def __init__(self):
         self._unfinished: set[int] = set()
 
     def bind(self, seed: int) -> None:
@@ -165,10 +151,7 @@ class OrderedRestart(RestartPolicy):
 
     def delay(self, lineage: int, attempt: int, reason: str) -> int:
         rank = sum(1 for other in self._unfinished if other < lineage)
-        return self.stride * rank
-
-    def describe(self) -> dict[str, Any]:
-        return {"name": self.name, "stride": self.stride}
+        return ORDERED_STRIDE * rank
 
 
 RESTART_POLICIES: LazyTable = LazyTable(
@@ -194,15 +177,14 @@ def make_restart_policy(
     Accepted shapes (all JSON-friendly, so sweep axes can target
     ``scheduler_kwargs.restart_policy`` directly):
 
-    * ``"backoff"`` — a registry name with default parameters;
-    * ``{"name": "backoff", "base": 16}`` — a registry name plus
-      constructor keywords;
+    * ``"backoff"`` — a registry name;
+    * ``{"name": "backoff"}`` — the same name as a mapping (a policy
+      takes no keywords: its constants are module-level);
     * a ready :class:`RestartPolicy` instance (returned unchanged).
 
     Raises:
         KeyError: on an unknown policy name.
-        TypeError: on keywords the policy does not accept, or an
-            unsupported specification type.
+        TypeError: on any keyword, or an unsupported specification type.
     """
     return resolve_component(
         RESTART_POLICIES, policy, kind="restart policy", instance_of=RestartPolicy

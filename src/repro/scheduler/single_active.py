@@ -24,9 +24,10 @@ inside* a transaction: two parallel children may interleave conflicting
 steps on different objects in incompatible orders, closing a
 sibling-level serialisation cycle (Theorem 5) that no amount of
 inter-transaction locking prevents.  A lightweight intra-transaction
-ordering guard therefore records, per transaction, the sibling-level
-edges its conflicting steps induce and aborts the transaction when a new
-step would close a cycle among its own siblings.
+ordering guard therefore keeps, per transaction, the sibling-level edges
+its conflicting steps induce in a :class:`~repro.core.dag.PrecedenceDag`
+and aborts the transaction when a new step would close a cycle among its
+own siblings.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any
 
-from ..core.dag import reaches
+from ..core.dag import PrecedenceDag
 from ..core.operations import LocalStep
 from ..core.records import StepRecords
 from .base import (
@@ -64,12 +65,11 @@ class IntraTransactionOrdering:
         self._conflicts_lookup = conflicts_lookup
         # (step, info) per granted step, until its transaction ends.
         self._steps = StepRecords()
-        # top-level id -> sibling precedence adjacency
-        self._edges: dict[str, dict[str, set[str]]] = defaultdict(dict)
+        # top-level id -> its siblings' precedence graph
+        self._orders: dict[str, PrecedenceDag] = defaultdict(PrecedenceDag)
 
     def check_step(self, request: OperationRequest) -> SchedulerResponse:
         transaction_id = request.info.top_level_id
-        edges = self._edges[transaction_id]
         new_pairs: set[tuple[str, str]] = set()
         for owner, (step, info) in self._steps.on(request.object_name):
             if owner != transaction_id:
@@ -80,17 +80,12 @@ class IntraTransactionOrdering:
             spec = self._conflicts_lookup(request.object_name)
             if spec.steps_conflict(step, request.provisional_step):
                 new_pairs.add(pair)
-        for earlier_side, later_side in new_pairs:
-            if earlier_side == later_side:
-                continue
-            if reaches(edges, later_side, earlier_side):
-                return SchedulerResponse.abort(
-                    "inter-object ordering violation among parallel siblings: "
-                    f"admitting the step would order {later_side} both before "
-                    f"and after {earlier_side}"
-                )
-        for earlier_side, later_side in new_pairs:
-            edges.setdefault(earlier_side, set()).add(later_side)
+        if new_pairs and not self._orders[transaction_id].add_edges(new_pairs):
+            return SchedulerResponse.abort(
+                "inter-object ordering violation among parallel siblings: "
+                f"admitting the step would close a cycle in {transaction_id}'s "
+                "sibling order"
+            )
         return SchedulerResponse.grant()
 
     def record_step(self, request: OperationRequest, value: Any) -> None:
@@ -101,7 +96,7 @@ class IntraTransactionOrdering:
 
     def forget_transaction(self, transaction_id: str) -> None:
         self._steps.drop(transaction_id)
-        self._edges.pop(transaction_id, None)
+        self._orders.pop(transaction_id, None)
 
 
 class SingleActiveObjectScheduler(Scheduler):

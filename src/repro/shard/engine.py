@@ -141,7 +141,6 @@ class ShardedEngine:
         *,
         mode: str | None = None,
         mp_context: str | None = None,
-        certify: bool | None = None,
         check_legality: bool | None = None,
     ):
         """Args:
@@ -154,10 +153,10 @@ class ShardedEngine:
             mode: ``"inprocess"`` (oracle) or ``"multiprocess"``.
             mp_context: multiprocess start method (``spawn`` by default, as
                 in the sweep runner; tests may pick ``fork`` for speed).
-            certify: post-hoc certify each shard's committed projection in
-                the worker; defaults to ``bool(spec.certify)``.
             check_legality: also replay-check legality when certifying;
-                defaults to ``spec.check_legality``.
+                defaults to ``spec.check_legality``.  Whether each worker
+                certifies its shard's committed projection post hoc is the
+                spec's ``certify``.
         """
         mode = mode or spec.shard_mode
         if mode not in SHARD_MODES:
@@ -171,7 +170,7 @@ class ShardedEngine:
         self.shard_map = shard_map or ShardMap(spec.shards, spec.shard_assignment)
         self.mode = mode
         self.mp_context = mp_context or "spawn"
-        self.certify = bool(spec.certify) if certify is None else certify
+        self.certify = bool(spec.certify)
         self.check_legality = spec.check_legality if check_legality is None else check_legality
         self._finished = False
         # Set-up, not run: building a fleet loads its worker side (the shard

@@ -29,7 +29,6 @@ import traceback
 from collections import deque
 from typing import Any, Mapping
 
-from ..analysis.certify import certify_run
 from ..core.errors import SimulationError
 from ..simulation.engine import _EVENT_RESTART, _WAITING, SimulationEngine
 from ..simulation.events import BEGIN, BLOCKED, INVOKE
@@ -110,9 +109,14 @@ class ShardWorker(SimulationEngine):
         self._outbox = []
         super().__init__(**arguments)
         self.tracker = ShardStepTracker(object_base.conflicts("step"))
-        self._certify = bool(payload.get("certify", False))
-        # Only a worker that certifies post hoc reads the shard's history.
-        self._keeps_history = self._certify and self._certifier is None
+        # Only a worker that certifies post hoc loads the certifier (at
+        # set-up: finalize imports nothing) and reads the shard's history.
+        self._certify = None
+        if payload.get("certify", False):
+            from ..analysis.certify import certify_run
+
+            self._certify = certify_run
+        self._keeps_history = self._certify is not None and self._certifier is None
         # Kept arrivals keep their ticks: the schedule is the global one,
         # filtered — not a per-shard re-deal.
         if arrival is not None:
@@ -265,8 +269,8 @@ class ShardWorker(SimulationEngine):
             "serialisable": None,
             "legal": None,
         }
-        if self._certify:
-            report = certify_run(result, check_legality=self._check_legality)
+        if self._certify is not None:
+            report = self._certify(result, check_legality=self._check_legality)
             payload["serialisable"] = bool(report.serialisable)
             if self._check_legality:
                 payload["legal"] = bool(report.legal)

@@ -13,9 +13,10 @@ saturation point — the arrival rate beyond which the in-flight
 population grows without bound — then become measurable
 (``benchmarks/bench_e15_open_system.py`` sweeps them).
 
-All randomness is owned by the process and seeded deterministically: a
-run remains a pure function of ``(workload seed, engine seed, arrival
-process configuration)``, exactly like the restart policies
+All randomness is owned by the process and seeded from the engine seed
+at :meth:`~ArrivalProcess.bind`, each process XOR-ing it with its own
+constant: a run remains a pure function of ``(workload seed, engine
+seed, arrival process configuration)``, exactly like the restart policies
 (:mod:`repro.scheduler.restart`), so the sweep layer's serial/parallel
 determinism guarantee extends to streaming scenarios.  Like those
 policies, processes are built from JSON-friendly shapes (a registry name,
@@ -96,27 +97,22 @@ class PoissonArrivals(ArrivalProcess):
     Args:
         rate: mean arrivals per tick (``0.1`` = one transaction every 10
             ticks on average).  Must be positive.
-        seed: explicit RNG seed; ``None`` derives one from the engine
-            seed at :meth:`bind` time (the common case — keeps a scenario
-            a pure function of its spec without repeating the seed here).
     """
 
     name = "poisson"
 
-    def __init__(self, rate: float = 0.1, seed: int | None = None):
+    def __init__(self, rate: float = 0.1):
         if not rate > 0:
             raise ValueError(f"poisson arrival rate must be > 0, got {rate}")
         self.rate = float(rate)
-        self.seed = seed
-        self._rng = random.Random(seed)
+        self.bind(0)
 
     def bind(self, seed: int) -> None:
         # XOR with a fixed odd constant decouples the arrival stream from
         # the engine's tick-choice stream (and from the restart policy's
         # stream, which uses a different constant) without introducing any
         # process-dependent state.
-        effective = self.seed if self.seed is not None else seed ^ 0x85EBCA6B
-        self._rng = random.Random(effective)
+        self._rng = random.Random(seed ^ 0x85EBCA6B)
 
     def interarrival(self, index: int) -> int:
         return round(self._rng.expovariate(self.rate))
@@ -138,8 +134,6 @@ class BurstyArrivals(ArrivalProcess):
         burst: transactions per burst (>= 1).
         mean_gap: mean pause in ticks between bursts (>= 1).
         within_gap: ticks between the members of one burst (>= 0).
-        seed: explicit RNG seed; ``None`` derives one from the engine
-            seed at :meth:`bind` time.
     """
 
     name = "bursty"
@@ -149,7 +143,6 @@ class BurstyArrivals(ArrivalProcess):
         burst: int = 8,
         mean_gap: int = 64,
         within_gap: int = 0,
-        seed: int | None = None,
     ):
         if burst < 1:
             raise ValueError(f"burst size must be >= 1, got {burst}")
@@ -160,12 +153,10 @@ class BurstyArrivals(ArrivalProcess):
         self.burst = burst
         self.mean_gap = mean_gap
         self.within_gap = within_gap
-        self.seed = seed
-        self._rng = random.Random(seed)
+        self.bind(0)
 
     def bind(self, seed: int) -> None:
-        effective = self.seed if self.seed is not None else seed ^ 0xC2B2AE35
-        self._rng = random.Random(effective)
+        self._rng = random.Random(seed ^ 0xC2B2AE35)
 
     def interarrival(self, index: int) -> int:
         if index % self.burst == 0 and index > 0:
@@ -197,8 +188,6 @@ class DiurnalArrivals(ArrivalProcess):
         amplitude: relative swing of the rate in ``[0, 1)``; ``0.8`` means
             the rate sweeps between 0.2× and 1.8× the mean.
         period: full day length in ticks (>= 2).
-        seed: explicit RNG seed; ``None`` derives one from the engine
-            seed at :meth:`bind` time.
     """
 
     name = "diurnal"
@@ -208,7 +197,6 @@ class DiurnalArrivals(ArrivalProcess):
         rate: float = 0.1,
         amplitude: float = 0.8,
         period: int = 4096,
-        seed: int | None = None,
     ):
         if not rate > 0:
             raise ValueError(f"diurnal mean rate must be > 0, got {rate}")
@@ -221,13 +209,10 @@ class DiurnalArrivals(ArrivalProcess):
         self.rate = float(rate)
         self.amplitude = float(amplitude)
         self.period = int(period)
-        self.seed = seed
-        self._rng = random.Random(seed)
-        self._clock = 0
+        self.bind(0)
 
     def bind(self, seed: int) -> None:
-        effective = self.seed if self.seed is not None else seed ^ 0x27D4EB2F
-        self._rng = random.Random(effective)
+        self._rng = random.Random(seed ^ 0x27D4EB2F)
         self._clock = 0
 
     def interarrival(self, index: int) -> int:
@@ -263,8 +248,6 @@ class FlashCrowdArrivals(ArrivalProcess):
         spike_factor: rate multiplier during a spike (> 1).
         spike_length: duration of one spike in ticks (>= 1).
         mean_calm: mean ticks of baseline traffic between spikes (>= 1).
-        seed: explicit RNG seed; ``None`` derives one from the engine
-            seed at :meth:`bind` time.
     """
 
     name = "flash-crowd"
@@ -275,7 +258,6 @@ class FlashCrowdArrivals(ArrivalProcess):
         spike_factor: float = 8.0,
         spike_length: int = 256,
         mean_calm: int = 2048,
-        seed: int | None = None,
     ):
         if not rate > 0:
             raise ValueError(f"flash-crowd baseline rate must be > 0, got {rate}")
@@ -295,15 +277,10 @@ class FlashCrowdArrivals(ArrivalProcess):
         self.spike_factor = float(spike_factor)
         self.spike_length = int(spike_length)
         self.mean_calm = int(mean_calm)
-        self.seed = seed
-        self._rng = random.Random(seed)
-        self._clock = 0
-        self._spike_until = 0
-        self._next_spike = 0
+        self.bind(0)
 
     def bind(self, seed: int) -> None:
-        effective = self.seed if self.seed is not None else seed ^ 0x165667B1
-        self._rng = random.Random(effective)
+        self._rng = random.Random(seed ^ 0x165667B1)
         self._clock = 0
         self._spike_until = 0
         self._next_spike = 1 + round(self._rng.expovariate(1.0 / self.mean_calm))

@@ -198,13 +198,11 @@ class SimulationEngine:
 
     Engines are single-use: construct, :meth:`submit` (or
     :meth:`submit_all`) the transactions, then :meth:`run` exactly once.
-    All randomness — the interleaving choice each tick, plus whatever the
-    scheduler's restart policy draws (randomized backoff is re-seeded
-    deterministically from the engine seed at construction) — comes from
-    seeded RNGs, so a run is a pure function of ``(object_base, scheduler,
-    submissions, seed, options)``; the scenario-sweep layer
-    (:mod:`repro.sweep`) relies on this for its serial/parallel
-    determinism guarantee.
+    All randomness — the interleaving choice each tick and whatever the
+    restart policy and the arrival process draw (each re-seeded from the
+    engine seed) — comes from seeded RNGs, so a run is a pure function of
+    ``(object_base, scheduler, submissions, seed, options)``; the sweep
+    layer (:mod:`repro.sweep`) relies on it for serial == parallel rows.
 
     Args:
         object_base: the objects, their conflict specifications, and the
@@ -307,13 +305,11 @@ class SimulationEngine:
         # had.  _schedule is the only writer.
         self._events: list[tuple[int, int, int, Any]] = []
         self._event_sequence = itertools.count()
-        # The crash feed (_pull_crash): the plan's next crash, if any, is on
-        # the heap, and whether it is (a pending crash is not work).
+        # The crash feed (_pull_crash, first at admission): the plan's next
+        # crash, if any, is on the heap, and whether it is (it is not work).
         self._fault_plan = make_fault_plan(fault_plan) if fault_plan is not None else None
-        if self._fault_plan is not None:
-            self._fault_plan.bind(seed)
         self._crashes = self._fault_plan.ticks() if self._fault_plan is not None else iter(())
-        self._pull_crash()
+        self._crash_pending = False
         # The arrival feed (submit_scheduled), its last due read and
         # whether that arrival is on the heap.
         self._feed = iter(())
@@ -468,12 +464,13 @@ class SimulationEngine:
         return self._finalise_run()
 
     def _admit_pending(self) -> None:
-        """Admit the closed-batch submissions queued by :meth:`submit`."""
+        """Admit the closed-batch submissions queued by :meth:`submit`; pull the first crash."""
         if self._finished:
             raise SimulationError("engine instances are single-use; create a new one")
         for spec in self._pending_specs:
             self._admit(spec)
         self._pending_specs = []
+        self._pull_crash()
 
     def _finalise_run(self) -> RunResult:
         """Close the run and build its result (:meth:`run`'s last step)."""
@@ -559,8 +556,8 @@ class SimulationEngine:
                     # run never reports a makespan beyond its horizon.
                     tick = self._tick = min(events[0][0], horizon)
                 else:
-                    if self._awaits_input():
-                        break  # only a message from outside can move a frame
+                    if not frames or self._awaits_input():
+                        break  # nothing is left, or only a message from outside moves it
                     raise self._wedged()  # frames left, none ready, nothing due
             if catch_up and self._tick < horizon:
                 self._tick = horizon
@@ -754,15 +751,9 @@ class SimulationEngine:
         self._trace.record(TraceEvent(self._tick, kind, execution_id, object_name, detail))
 
     def _root_info(self, execution_id: str, method_name: str) -> ExecutionInfo:
-        """The :class:`ExecutionInfo` of a top-level execution."""
-        return ExecutionInfo(
-            execution_id=execution_id,
-            object_name=self.object_base.environment.name,
-            method_name=method_name,
-            parent_id=None,
-            ancestor_ids=(),
-            top_level_id=execution_id,
-        )
+        """The :class:`ExecutionInfo` of a top-level execution: no parent, no ancestors."""
+        environment = self.object_base.environment.name
+        return ExecutionInfo(execution_id, environment, method_name, None, (), execution_id)
 
     def _open_root(
         self, method_name: str, execution_id: str | None, **frame_fields: Any
@@ -1034,8 +1025,15 @@ class SimulationEngine:
     # -- fault injection -------------------------------------------------------------
 
     def _pull_crash(self) -> None:
-        """Put the fault plan's next crash, if any, on the event heap."""
-        due = next(self._crashes, None)
+        """Put the fault plan's next crash, if any, on the event heap.
+
+        With no attempt live, a crash due before the next arrival or restart
+        (only they make attempts; at its tick the arrival goes first) would
+        pass: it is read past, and with neither due the feed ends here."""
+        events = self._events
+        due = next(self._crashes, None) if events or self._lineage_of else None
+        while due is not None and not self._lineage_of and due < events[0][0]:
+            due = next(self._crashes, None)
         self._crash_pending = due is not None
         if self._crash_pending:
             self._schedule(due, _EVENT_FAULT)
@@ -1043,13 +1041,10 @@ class SimulationEngine:
     def _crash(self, due: int) -> None:
         """Release the pending crash, then pull the next one.
 
-        The plan names the victim among the live attempts with a lineage
-        here (see :meth:`_finalise_commit`), oldest lineage first; with none
-        the crash passes.  The victim dies through the ordinary abort path
-        (undo, scheduler release, cascades, restart policy).
-        """
-        lineage_of = self._lineage_of
-        victim = self._fault_plan.strike(sorted(lineage_of, key=lineage_of.__getitem__))
+        The victim is the oldest live attempt with a lineage here (see
+        :meth:`_finalise_commit`); with none the crash passes.  It dies through
+        the ordinary abort path (undo, scheduler release, cascades, restarts)."""
+        victim = self._fault_plan.strike(sorted(self._lineage_of, key=self._lineage_of.get))
         if victim is not None:
             self.metrics.faults_injected += 1
             if self._trace is not None:

@@ -15,10 +15,10 @@ The plan is a feed, like an arrival process: :meth:`CrashPlan.ticks`
 yields the crash ticks in ascending order and the engine keeps the next
 one on its event heap.  A pending crash is not work: a run whose
 transactions have all settled ends at its last decision, whatever crashes
-its plan still holds.  Plans are deterministic: explicit crash ticks are
-part of the configuration, the optional victim randomisation is seeded
-from the engine seed, and a run stays a pure function of ``(workload
-seed, engine seed, fault plan)``.  Plans are JSON-friendly registry
+its plan still holds.  Plans draw nothing at random: the crash ticks are
+part of the configuration and the victim is always the oldest live
+lineage, so a run stays a pure function of ``(workload seed, engine
+seed, fault plan)``.  Plans are JSON-friendly registry
 components (:func:`make_fault_plan` accepts ``name | {"name", ...kwargs}
 | instance``), so ``engine_params`` in a sweep spec can carry
 ``{"fault_plan": {"name": "crash", "at": [500]}}``.
@@ -28,17 +28,16 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 from typing import Any, Iterator, Mapping
 
 from ..core.registry import LazyTable, resolve_component
 
-#: Victim-selection policies of :class:`CrashPlan`.
-VICTIM_POLICIES = ("oldest", "newest", "random")
-
 
 class CrashPlan:
-    """Crash one in-flight transaction at each configured tick.
+    """Crash the oldest in-flight transaction at each configured tick.
+
+    The victim is the longest-lived lineage: the one whose undo is
+    largest, and the one a restart policy ranks most senior.
 
     Args:
         at: explicit simulated-clock ticks at which to inject one crash
@@ -46,13 +45,9 @@ class CrashPlan:
         period: additionally crash at ``period``, ``2 * period``, ... —
             one schedule, merged with ``at`` (an explicit tick starts no
             schedule of its own).
-        victim: ``"oldest"`` (longest-lived lineage — the victim whose
-            undo is largest), ``"newest"``, or ``"random"`` (seeded).
         max_faults: stop injecting after this many crashes landed on a
             victim (``None`` = unlimited); a crash that finds no victim
             does not count.
-        seed: explicit RNG seed for ``victim="random"``; ``None`` derives
-            one from the engine seed at :meth:`bind` time.
     """
 
     name = "crash"
@@ -61,41 +56,27 @@ class CrashPlan:
         self,
         at: tuple = (),
         period: int | None = None,
-        victim: str = "oldest",
         max_faults: int | None = None,
-        seed: int | None = None,
     ):
         ticks = tuple(int(tick) for tick in at)
         if any(tick < 0 for tick in ticks):
             raise ValueError(f"crash ticks must be >= 0, got {sorted(ticks)}")
         if period is not None and period < 1:
             raise ValueError(f"crash period must be >= 1, got {period}")
-        if victim not in VICTIM_POLICIES:
-            raise ValueError(
-                f"unknown victim policy {victim!r}; "
-                f"available: {', '.join(VICTIM_POLICIES)}"
-            )
         if max_faults is not None and max_faults < 1:
             raise ValueError(f"max_faults must be >= 1, got {max_faults}")
         self.at = tuple(sorted(ticks))
         self.period = period
-        self.victim = victim
         self.max_faults = max_faults
-        self.seed = seed
-        self.bind(0)
-
-    def bind(self, seed: int) -> None:
-        """Reset the plan for a fresh run seeded with the engine seed."""
-        effective = self.seed if self.seed is not None else seed ^ 0x2545F491
-        self._rng = random.Random(effective)
         self._landed = 0
 
     def ticks(self) -> Iterator[int]:
         """The crash ticks, ascending, until ``max_faults`` crashes have landed.
 
         Read one at a time as each crash is released, so the cap sees the
-        crashes landed so far.
+        crashes landed so far.  Each call starts a fresh run's feed.
         """
+        self._landed = 0
         periodic = itertools.count(self.period, self.period) if self.period else ()
         for tick in heapq.merge(self.at, periodic):
             if self.max_faults is not None and self._landed >= self.max_faults:
@@ -103,15 +84,11 @@ class CrashPlan:
             yield tick
 
     def strike(self, candidates: list[str]) -> str | None:
-        """The victim among ``candidates`` (oldest lineage first); ``None`` if there is none."""
+        """The victim: the first of ``candidates`` (oldest lineage first); ``None`` if there is none."""
         if not candidates:
             return None
         self._landed += 1
-        if self.victim == "oldest":
-            return candidates[0]
-        if self.victim == "newest":
-            return candidates[-1]
-        return self._rng.choice(candidates)
+        return candidates[0]
 
 
 FAULT_REGISTRY: LazyTable = LazyTable(

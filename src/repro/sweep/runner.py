@@ -41,7 +41,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from ..analysis.certify import certify_run
 from ..scheduler import make_scheduler
 from ..shard.engine import ShardedEngine
 from ..simulation.arrivals import ArrivalProcess
@@ -98,6 +97,8 @@ def build_scenario(spec: ScenarioSpec) -> tuple[dict[str, Any], Any, ArrivalProc
     engine_params = dict(spec.engine_params)
     if spec.certify == "stream":
         engine_params.setdefault("certify", "stream")
+    elif spec.certify:  # set-up loads the post-hoc certifier summarise_run calls
+        from ..analysis import certify  # noqa: F401
     arguments = dict(object_base=object_base, scheduler=scheduler, seed=spec.seed, **engine_params)
     return arguments, transaction_specs, arrival_factory and arrival_factory()
 
@@ -153,6 +154,8 @@ def summarise_run(
         if check_legality:
             row["legal"] = report.legal
     elif certify:
+        from ..analysis.certify import certify_run
+
         report = certify_run(result, check_legality=check_legality)
         row["serialisable"] = report.serialisable
         if check_legality:
@@ -269,8 +272,9 @@ class SweepRunner:
             count).
         mp_context: ``multiprocessing`` start method for the pool
             (default :data:`DEFAULT_MP_CONTEXT`, i.e. ``"spawn"``).
-        chunksize: scenarios handed to a worker per dispatch; ``1`` gives
-            the best balance for heterogeneous scenario costs.
+
+    A worker is handed one scenario per dispatch, the best balance for
+    heterogeneous scenario costs.
     """
 
     def __init__(
@@ -279,7 +283,6 @@ class SweepRunner:
         *,
         workers: int = 0,
         mp_context: str = DEFAULT_MP_CONTEXT,
-        chunksize: int = 1,
     ):
         if isinstance(sweep, SweepSpec):
             self.name = sweep.name
@@ -291,7 +294,6 @@ class SweepRunner:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self.workers = workers
         self.mp_context = mp_context
-        self.chunksize = chunksize
 
     def run(self) -> list[ScenarioResult]:
         """Execute every scenario; results come back in scenario order.
@@ -322,9 +324,7 @@ class SweepRunner:
         # forever and hang the sweep.
         try:
             with ProcessPoolExecutor(max_workers=pool_size, mp_context=context) as executor:
-                results = list(
-                    executor.map(_run_indexed, payloads, chunksize=self.chunksize)
-                )
+                results = list(executor.map(_run_indexed, payloads))
         except BrokenProcessPool as exc:
             raise RuntimeError(
                 f"sweep worker pool (mp_context={self.mp_context!r}) broke: a worker "

@@ -128,7 +128,8 @@ class TestCertifyHistory:
     def test_local_step_without_an_interval_is_rejected(self):
         builder = fresh_builder({"A": {"x": 0}})
         increment_via_read_write(builder, builder.begin_top_level(), "A")
-        history = builder.build(check=True)
+        history = builder.build()
+        history.check_legal()
         intervals = history.intervals()
         (untimed, _) = history.local_steps("A")
         del intervals[untimed.step_id]

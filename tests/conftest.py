@@ -52,7 +52,9 @@ def two_transaction_history(compatible_orders: bool):
     else:
         increment_via_read_write(builder, second, "B")
         increment_via_read_write(builder, first, "B")
-    return builder.build(check=True)
+    history = builder.build()
+    history.check_legal()
+    return history
 
 
 @pytest.fixture

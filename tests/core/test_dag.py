@@ -18,7 +18,7 @@ import sys
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dag import PrecedenceDag, cyclic_nodes, reaches, topological_order
+from repro.core.dag import PrecedenceDag, cyclic_nodes, reachable, topological_order
 
 NODES = st.integers(min_value=0, max_value=11)
 EDGES = st.tuples(NODES, NODES)
@@ -94,12 +94,11 @@ class TestAgainstNetworkx:
     def test_reaches_is_has_path(self, batches, source, target):
         _, oracle = grow(batches)
         present = source in oracle and target in oracle
-        # The bare traversal, as the single-active scheduler's sibling guard
-        # calls it on its own dict-of-sets: absent nodes have no successors,
-        # a node reaches itself.
+        # The bare traversal, as the waits-for relation calls it on its own
+        # mapping: absent nodes have no successors, a node reaches itself.
         succ = {node: set(oracle.successors(node)) for node in oracle}
         expected = source == target or (present and nx.has_path(oracle, source, target))
-        assert reaches(succ, source, target) == expected
+        assert (target in reachable(succ, (source,), target)) == expected
 
 
 def scc_cycle_nodes(graph: nx.DiGraph) -> tuple:

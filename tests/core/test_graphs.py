@@ -46,7 +46,8 @@ class TestSerialisationGraph:
         transaction = builder.begin_top_level()
         increment_via_read_write(builder, transaction, "A")
         increment_via_read_write(builder, transaction, "B")
-        history = builder.build(check=True)
+        history = builder.build()
+        history.check_legal()
         graph = serialisation_graph(history)
         children = history.children_of(transaction.execution_id)
         assert any(reason[0] == "structure" for reason in graph[children[0], children[1]])
@@ -62,7 +63,8 @@ class TestSerialisationGraph:
         second = builder.invoke(transaction, "B", "m", after=[])
         builder.local(second, ReadVariable("x"))
         builder.finish(second)
-        history = builder.build(check=True)
+        history = builder.build()
+        history.check_legal()
         graph = serialisation_graph(history)
         assert not any(reason[0] == "structure" for reasons in graph.values() for reason in reasons)
 
@@ -70,7 +72,8 @@ class TestSerialisationGraph:
         builder = fresh_builder({"A": {"x": 0}})
         transaction = builder.begin_top_level()
         increment_via_read_write(builder, transaction, "A")
-        history = builder.build(check=True)
+        history = builder.build()
+        history.check_legal()
         graph = serialisation_graph(history)
         assert is_acyclic(graph)
         assert {node for edge in graph for node in edge} <= set(history.execution_ids())

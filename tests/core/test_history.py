@@ -32,7 +32,9 @@ def simple_history():
     builder = fresh_builder({"A": {"x": 0}})
     transaction = builder.begin_top_level("t1")
     increment_via_read_write(builder, transaction, "A")
-    return builder.build(check=True)
+    history = builder.build()
+    history.check_legal()
+    return history
 
 
 class TestHistoryBuilder:
@@ -102,7 +104,8 @@ class TestHistoryBuilder:
         transaction = builder.begin_top_level()
         child = builder.invoke(transaction, "A", "m")
         builder.local(child, ReadVariable("x"))
-        history = builder.build(check=True)
+        history = builder.build()
+        history.check_legal()
         assert history.is_legal()
 
     def test_unknown_execution_reference_raises(self):
@@ -117,7 +120,8 @@ class TestHistoryBuilder:
         builder.abort(child, "failure")
         builder.finish(child, "aborted")
         builder.abort(transaction, "failure")
-        history = builder.build(check=True)
+        history = builder.build()
+        history.check_legal()
         assert history.aborted_executions() == {child.execution_id, transaction.execution_id}
 
 
@@ -338,7 +342,8 @@ class TestLegality:
         builder.finish(child)
         later = builder.local(second, ReadVariable("x"))
         builder.finish(second)
-        history = builder.build(check=True)
+        history = builder.build()
+        history.check_legal()
         (message,) = history.execution(first.execution_id).message_steps()
         assert history.intervals()[message.step_id] == (2, 4)
         return history, message, inner, later

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 
 import pytest
 
 import repro
 from repro.core.registry import LazyTable, component_names, resolve_component
+from repro.shard import ShardedEngine
+from repro.simulation import SimulationEngine
+from repro.sweep import SweepRunner
 
 
 class Widget:
@@ -167,3 +171,74 @@ def test_every_registry_entry_resolves_to_a_factory(registry):
     table = getattr(repro, registry)
     assert isinstance(table, LazyTable)
     assert all(callable(factory) for factory in table.values())
+
+
+#: The constructor arguments ``make_intra_strategy`` supplies itself.
+_INTRA_CONSTRUCTION = ("object_name", "conflicts", "step_level")
+_GATED = ("restart_policy", "gate_mode")
+_MODULAR = ("default_strategy", "per_object_strategy", "inter_object_checks", "level", *_GATED)
+
+
+class TestKeywordCensus:
+    """Every keyword a caller can set on a component, pinned by name.
+
+    A keyword stays only if production sets a second value or it is an input
+    of the run (DESIGN.md, first rule), so adding one is an edit here too.
+    """
+
+    CENSUS = {
+        "SCHEDULER_FACTORIES": {
+            "pass-through": ("restart_policy",),
+            "n2pl": ("level", "restart_policy"),
+            "n2pl-step": ("restart_policy",),
+            "nto": ("level", *_GATED),
+            "nto-step": _GATED,
+            "single-active": ("restart_policy",),
+            "certifier": ("level", *_GATED),
+            "modular": _MODULAR,
+            "modular-intra-only": (
+                "default_strategy", "per_object_strategy", "level", "restart_policy",
+            ),
+            "adaptive": ("window", "per_object_strategy", "inter_object_checks", "level", *_GATED),
+        },
+        "RESTART_POLICIES": {"immediate": (), "backoff": (), "ordered": ()},
+        "ARRIVAL_REGISTRY": {
+            "poisson": ("rate",),
+            "bursty": ("burst", "mean_gap", "within_gap"),
+            "diurnal": ("rate", "amplitude", "period"),
+            "flash-crowd": ("rate", "spike_factor", "spike_length", "mean_calm"),
+        },
+        "FAULT_REGISTRY": {"crash": ("at", "period", "max_faults")},
+        "INTRA_STRATEGIES": {
+            "locking": (),
+            "timestamp": (),
+            "certifier": (),
+            "btree-key-locking": (),
+            "pass-through": (),
+        },
+    }
+
+    ENTRY_POINTS = {
+        SimulationEngine: (
+            "object_base", "scheduler", "seed", "max_restarts", "max_ticks",
+            "record_trace", "gc_interval", "certify", "fault_plan",
+        ),
+        ShardedEngine: ("spec", "shard_map", "mode", "mp_context", "check_legality"),
+        SweepRunner: ("sweep", "workers", "mp_context"),
+    }  # fmt: skip
+
+    @staticmethod
+    def keywords(factory, supplied=()) -> tuple:
+        parameters = inspect.signature(factory).parameters
+        return tuple(name for name in parameters if name not in supplied)
+
+    @pytest.mark.parametrize("registry", sorted(CENSUS))
+    def test_registry_entries(self, registry):
+        table = getattr(repro, registry)
+        supplied = _INTRA_CONSTRUCTION if registry == "INTRA_STRATEGIES" else ()
+        census = {name: self.keywords(table[name], supplied) for name in table}
+        assert census == self.CENSUS[registry]
+
+    @pytest.mark.parametrize("entry_point", ENTRY_POINTS, ids=lambda cls: cls.__name__)
+    def test_entry_points(self, entry_point):
+        assert self.keywords(entry_point) == self.ENTRY_POINTS[entry_point]

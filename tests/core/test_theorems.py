@@ -72,7 +72,8 @@ class TestTheorem2Serialisability:
         increment_via_read_write(builder, first, "B")
         increment_via_read_write(builder, second, "C")
         increment_via_read_write(builder, first, "C")
-        history = builder.build(check=True)
+        history = builder.build()
+        history.check_legal()
         assert is_serialisable(history)
         serial = serialise(history)
         assert serial.is_serial()
@@ -120,7 +121,8 @@ class TestTheorem5ModularConditions:
         builder.local(first, WriteVariable("y", 1))
         builder.finish(first)
         builder.finish(second)
-        history = builder.build(check=True)
+        history = builder.build()
+        history.check_legal()
         report = theorem_5_conditions(history)
         assert not report.holds
         assert transaction.execution_id in report.cyclic_executions
@@ -132,7 +134,8 @@ class TestTheorem5ModularConditions:
             child = builder.invoke(transaction, "A", "peek")
             builder.local(child, ReadVariable("x"))
             builder.finish(child, 0)
-        history = builder.build(check=True)
+        history = builder.build()
+        history.check_legal()
         report = theorem_5_conditions(history)
         assert report.holds
         assert is_serialisable(history)

@@ -16,7 +16,9 @@ the modules its spec names:
 * on each of the end-to-end benchmark's five workloads, building the
   engine loads everything its run and its summary use: ``run()`` and
   ``summarise_*`` import nothing, so no deferred import lands in a
-  throughput wall.
+  throughput wall;
+* and only a spec that certifies post hoc loads the certifier: the 2-shard
+  benchmark stream, which does not, never loads it.
 
 Each check runs in a fresh interpreter: pytest itself has loaded the
 whole library here.
@@ -157,3 +159,26 @@ print(json.dumps(sorted(set(sys.modules) - built)))
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_a_run_and_its_summary_import_nothing(workload):
     assert json.loads(run_script(RUN_SCRIPT, workload)) == []
+
+
+UNCERTIFIED_SCRIPT = """
+import json, sys
+from bench.workloads import WORKLOADS
+from repro.shard import ShardMap, ShardedEngine
+from repro.sweep import ScenarioSpec, summarise_sharded_run
+
+spec = ScenarioSpec(**WORKLOADS["hotspot-stream-2shard-nto"].fields(12, 0.02))
+assert spec.shards > 1 and spec.certify is False
+engine = ShardedEngine(spec, ShardMap(spec.shards, spec.shard_assignment))
+summarise_sharded_run(engine.run(), spec.scheduler)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro.analysis"))))
+"""
+
+
+def test_an_uncertified_sharded_pass_loads_no_certifier():
+    # Only a spec that certifies post hoc loads the certifier, at set-up:
+    # the 2-shard benchmark stream builds its fleet, runs and summarises
+    # without the post-hoc certifier or the streaming one it feeds.
+    loaded = json.loads(run_script(UNCERTIFIED_SCRIPT))
+    assert "repro.analysis.certify" not in loaded
+    assert "repro.analysis.streaming" not in loaded

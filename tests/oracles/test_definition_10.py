@@ -80,7 +80,8 @@ class TestMessageRelation:
         transaction = builder.begin_top_level()
         increment_via_read_write(builder, transaction, "A")
         increment_via_read_write(builder, transaction, "B")
-        history = builder.build(check=True)
+        history = builder.build()
+        history.check_legal()
         relation = message_relation(history, transaction.execution_id)
         messages = history.execution(transaction.execution_id).message_steps()
         assert relation.has_edge(messages[0].step_id, messages[1].step_id)
@@ -94,7 +95,8 @@ class TestMessageRelation:
         second = builder.invoke(transaction, "A", "m", after=[])
         builder.local(second, WriteVariable("x", 2))
         builder.finish(second)
-        history = builder.build(check=True)
+        history = builder.build()
+        history.check_legal()
         relation = message_relation(history, transaction.execution_id)
         messages = history.execution(transaction.execution_id).message_steps()
         assert relation.has_edge(messages[0].step_id, messages[1].step_id)

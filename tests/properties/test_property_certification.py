@@ -121,7 +121,9 @@ def nested_history(draw):
             builder.finish(caller)
         if not plans[index]:
             pending.discard(index)
-    return builder.build(check=True)
+    history = builder.build()
+    history.check_legal()
+    return history
 
 
 @st.composite

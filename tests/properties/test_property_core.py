@@ -118,7 +118,9 @@ def interleaved_history(draw):
         builder.finish(child)
         if not plans[index]:
             pending.discard(index)
-    return builder.build(check=True)
+    history = builder.build()
+    history.check_legal()
+    return history
 
 
 class TestHistoryProperties:

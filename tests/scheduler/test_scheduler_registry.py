@@ -13,7 +13,7 @@ import inspect
 
 import pytest
 
-from repro.scheduler import SCHEDULER_FACTORIES, make_scheduler
+from repro.scheduler import SCHEDULER_FACTORIES, adaptive, make_scheduler
 from repro.simulation import SimulationEngine, make_workload
 from repro.sweep import ScenarioSpec
 from repro.sweep.spec import SweepSpecError
@@ -46,13 +46,7 @@ RECORDED_SIGNATURES = {
         if key not in ("inter_object_checks", "gate_mode")
     },
     "adaptive": {
-        "ladder": ("certifier", "timestamp", "locking"),
         "window": 128,
-        "promote_threshold": 4,
-        "demote_threshold": 0,
-        "hysteresis": 2,
-        "drain_limit": 4,
-        "drain_patience": 8,
         **{key: value for key, value in _MODULAR.items() if key != "default_strategy"},
     },
 }
@@ -111,10 +105,12 @@ def _run(scheduler, workload_seed):
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED_SIGNATURES))
-def test_reattached_scheduler_starts_like_a_new_one(name):
+def test_reattached_scheduler_starts_like_a_new_one(name, monkeypatch):
     kwargs = {"restart_policy": "backoff"}
     if name == "adaptive":
-        kwargs.update(window=8, promote_threshold=2)
+        # A short run must adapt, so that a swap left behind would show.
+        monkeypatch.setattr(adaptive, "PROMOTE_THRESHOLD", 2)
+        kwargs.update(window=8)
     used = make_scheduler(name, **kwargs)
     first = _run(used, workload_seed=11)
     assert first[0]["committed"] > 0

@@ -274,6 +274,37 @@ class TestCrossShardExecution:
         assert any(live for _, live in victims), "no crash fired beside a live session"
         assert metrics.committed + metrics.gave_up == metrics.submitted == 40
 
+    @pytest.mark.parametrize("scheduler", ("n2pl", "nto-step", "certifier"))
+    def test_a_shard_with_no_attempt_reads_past_its_crashes(self, monkeypatch, scheduler):
+        # Only an arrival or a restart makes an attempt to crash, so a shard
+        # with none reads past the crashes due before its next such event:
+        # it never releases two crashes in a row that find no victim.
+        logs: dict[int, list[str]] = {}
+        crash, start = ShardWorker._crash, ShardWorker._start_transaction
+
+        def crashed(worker, due):
+            landed = worker.metrics.faults_injected
+            crash(worker, due)
+            passed = worker.metrics.faults_injected == landed
+            logs.setdefault(worker.index, []).append("passed" if passed else "landed")
+
+        def started(worker, *args, **kwargs):
+            logs.setdefault(worker.index, []).append("admitted")
+            return start(worker, *args, **kwargs)
+
+        monkeypatch.setattr(ShardWorker, "_crash", crashed)
+        monkeypatch.setattr(ShardWorker, "_start_transaction", started)
+        spec = dataclasses.replace(
+            make_spec(scheduler, seed=606, stream=True, shards=2, assignment=SPLIT_HOT),
+            engine_params={"fault_plan": {"name": "crash", "period": 23}},
+        )
+        metrics = ShardedEngine(spec).run().metrics
+        assert metrics.faults_injected > 0
+        for index, log in logs.items():
+            crashes = [entry for entry in log if entry != "admitted"]
+            assert "passed" in crashes, f"shard {index}: the check saw no passing crash"
+            assert "passed passed" not in " ".join(log), f"shard {index}: {log}"
+
     @pytest.mark.parametrize(
         "plan",
         ({"name": "crash", "at": [5, 9], "period": 400}, {"name": "crash", "at": [50000]}),

@@ -85,13 +85,6 @@ class TestSchedules:
         b.bind(2)
         assert a.schedule(100) != b.schedule(100)
 
-    def test_explicit_seed_wins_over_bind(self):
-        a = PoissonArrivals(rate=0.1, seed=7)
-        a.bind(1)
-        b = PoissonArrivals(rate=0.1, seed=7)
-        b.bind(2)
-        assert a.schedule(100) == b.schedule(100)
-
     def test_poisson_rate_is_respected(self):
         process = PoissonArrivals(rate=0.1)
         process.bind(0)

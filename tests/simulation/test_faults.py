@@ -61,9 +61,9 @@ class TestMakeFaultPlan:
         assert plan.at == (100,)
 
     def test_by_mapping(self):
-        plan = make_fault_plan({"name": "crash", "period": 50, "victim": "newest"})
+        plan = make_fault_plan({"name": "crash", "period": 50, "max_faults": 3})
         assert plan.period == 50
-        assert plan.victim == "newest"
+        assert plan.max_faults == 3
 
     def test_instance_passthrough(self):
         plan = CrashPlan(at=(10,))
@@ -86,21 +86,18 @@ class TestCrashPlanValidation:
         with pytest.raises(ValueError, match="period must be >= 1"):
             CrashPlan(period=0)
 
-    def test_unknown_victim_policy(self):
-        with pytest.raises(ValueError, match="unknown victim policy"):
-            CrashPlan(victim="unluckiest")
-
     def test_bad_max_faults(self):
         with pytest.raises(ValueError, match="max_faults must be >= 1"):
             CrashPlan(max_faults=0)
 
-    def test_bind_resets_state(self):
+    def test_each_feed_starts_afresh(self):
+        # One plan may serve several runs: a new feed forgets the crashes
+        # the last one landed.
         plan = CrashPlan(period=10, max_faults=1)
         ticks = plan.ticks()
         assert next(ticks) == 10
         assert plan.strike(["T1"]) == "T1"
         assert next(ticks, None) is None
-        plan.bind(3)
         assert list(itertools.islice(plan.ticks(), 3)) == [10, 20, 30]
 
 
@@ -134,9 +131,8 @@ class TestCrashFeed:
         assert plan.strike(["T3"]) == "T3"
         assert next(ticks, None) is None
 
-    @pytest.mark.parametrize("victim, expected", (("oldest", "T1"), ("newest", "T3")))
-    def test_victim_order(self, victim, expected):
-        assert CrashPlan(victim=victim).strike(["T1", "T2", "T3"]) == expected
+    def test_the_victim_is_the_oldest(self):
+        assert CrashPlan().strike(["T1", "T2", "T3"]) == "T1"
 
 
 class TestInjection:
@@ -166,9 +162,8 @@ class TestInjection:
         result = run_with_faults(CrashPlan(period=60, max_faults=2))
         assert 0 < result.metrics.faults_injected <= 2
 
-    @pytest.mark.parametrize("victim", ("oldest", "newest", "random"))
-    def test_victim_policies_complete(self, victim):
-        result = run_with_faults(CrashPlan(period=100, victim=victim, max_faults=3))
+    def test_crashed_runs_complete(self):
+        result = run_with_faults(CrashPlan(period=100, max_faults=3))
         assert result.metrics.committed + result.metrics.gave_up == 24
 
     def test_no_plan_means_no_faults(self):
@@ -220,12 +215,9 @@ class TestIdleCrashTail:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("victim", ("oldest", "random"))
-    def test_faulted_runs_are_bit_identical(self, victim):
+    def test_faulted_runs_are_bit_identical(self):
         def outcome():
-            result = run_with_faults(
-                CrashPlan(period=70, victim=victim, max_faults=4)
-            )
+            result = run_with_faults(CrashPlan(period=70, max_faults=4))
             return (
                 result.metrics.as_dict(),
                 tuple(result.committed_transaction_ids),

@@ -105,7 +105,7 @@ def test_serial_and_parallel_sweeps_agree_on_delayed_restarts():
 
 
 def test_policy_axis_values_validate_eagerly():
-    """Bad policy names, parameters or gate modes fail at spec construction,
+    """Bad policy names, keywords or gate modes fail at spec construction,
     never inside a worker process."""
 
     def spec_with(**scheduler_kwargs) -> ScenarioSpec:
@@ -121,40 +121,41 @@ def test_policy_axis_values_validate_eagerly():
     with pytest.raises(SweepSpecError, match="invalid restart policy"):
         spec_with(restart_policy={"name": "backoff", "bse": 4})  # typo'd kwarg
     with pytest.raises(SweepSpecError, match="invalid restart policy"):
-        spec_with(restart_policy={"name": "backoff", "base": 0})  # invalid value
+        spec_with(restart_policy={"name": "backoff", "base": 4})  # a policy takes none
     with pytest.raises(SweepSpecError, match="invalid restart policy"):
         spec_with(restart_policy={"base": 4})  # missing name
     with pytest.raises(SweepSpecError, match="unknown gate mode"):
         spec_with(gate_mode="optimism")
     # The valid shapes still construct.
-    spec_with(restart_policy={"name": "backoff", "base": 4}, gate_mode="aca")
+    spec_with(restart_policy={"name": "backoff"}, gate_mode="aca")
 
 
-def test_axis_points_can_couple_policy_parameters():
-    """AxisPoint overrides reach policy *parameters*, not just names."""
+def test_axis_points_can_couple_policy_and_gate_mode():
+    """One AxisPoint sets the policy (mapping shape) and the gate mode together."""
+    couples = (("backoff", "aca"), ("ordered", "cascade"))
     sweep = SweepSpec(
-        name="coupled_policy_params",
+        name="coupled_policy_gate",
         base=storm_spec("certifier", "immediate", "cascade", seed=7),
         axes=(
             Axis(
                 "policy",
-                (
+                tuple(
                     AxisPoint(
-                        "backoff-small",
-                        {"scheduler_kwargs.restart_policy": {"name": "backoff", "base": 2, "cap": 1}},
-                    ),
-                    AxisPoint(
-                        "backoff-large",
-                        {"scheduler_kwargs.restart_policy": {"name": "backoff", "base": 256, "cap": 2}},
-                    ),
+                        f"{policy}-{gate_mode}",
+                        {
+                            "scheduler_kwargs.restart_policy": {"name": policy},
+                            "scheduler_kwargs.gate_mode": gate_mode,
+                        },
+                    )
+                    for policy, gate_mode in couples
                 ),
             ),
         ),
     )
     rows = SweepRunner(sweep, workers=0).run_rows()
-    small, large = rows
-    assert small["policy"] == "backoff-small"
-    assert large["policy"] == "backoff-large"
-    if small["delayed_restarts"] and large["delayed_restarts"]:
-        # A wider window must schedule at least as much total delay.
-        assert large["restart_delay_ticks"] > small["restart_delay_ticks"]
+    assert [row.pop("policy") for row in rows] == ["backoff-aca", "ordered-cascade"]
+    # Each point ran exactly the scenario its two overrides name.
+    assert rows == [
+        run_once(storm_spec("certifier", policy, gate_mode, seed=7))[0]
+        for policy, gate_mode in couples
+    ]
