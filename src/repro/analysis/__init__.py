@@ -12,7 +12,7 @@ __all__, __getattr__, __dir__ = lazy_surface(
     {
         ".certify": ("certify_history", "certify_run", "theorem_5_conditions"),
         ".streaming": ("CertificationReport", "StreamingCertifier", "Theorem5Report"),
-        ".report": ("format_markdown_table", "format_table"),
+        ".report": ("format_table",),
         ".stats": ("HistoryStatistics", "history_statistics"),
     },
 )

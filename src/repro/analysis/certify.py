@@ -77,7 +77,14 @@ def certify_history(history: History, *, check_legality: bool = True) -> Certifi
     Raises :class:`~repro.core.errors.ModelError` for an order-pair
     history, or one with a local step that has no interval.
     """
-    report = _fed_certifier(history).finalise()
+    return _certified(history, check_legality)[0]
+
+
+def _certified(
+    history: History, check_legality: bool
+) -> tuple[CertificationReport, StreamingCertifier]:
+    certifier = _fed_certifier(history)
+    report = certifier.finalise()
     violations = list(report.violations)
     if not report.legal:
         del violations[0]  # the certifier's condition 3 replay; check_legal covers it
@@ -88,12 +95,27 @@ def certify_history(history: History, *, check_legality: bool = True) -> Certifi
         except IllegalHistoryError as error:
             legal = False
             violations.insert(0, f"legality: {error}")
-    return replace(report, legal=legal, violations=violations)
+    return replace(report, legal=legal, violations=violations), certifier
 
 
 def certify_run(result: RunResult, *, check_legality: bool = True) -> CertificationReport:
     """Certify the committed projection of a simulation run."""
     return certify_history(result.committed_history(), check_legality=check_legality)
+
+
+def certify_shard(
+    result: RunResult, *, check_legality: bool = True
+) -> tuple[CertificationReport, tuple[tuple[str, str], ...]]:
+    """:func:`certify_run`, plus the sorted top-level edges of ``SG(h)``.
+
+    A shard ships the edges for its fleet's merged verdict (the union over
+    shards, whose top-level ids are fleet-wide).  They stay out of the
+    report, whose online and post-hoc forms must agree field for field
+    while online GC drops edges.  A cyclic shard's list lacks the refused
+    batch, but its own verdict is already ``False``.
+    """
+    report, certifier = _certified(result.committed_history(), check_legality)
+    return report, tuple(sorted(certifier.top_level_edges()))
 
 
 def theorem_5_conditions(history: History) -> Theorem5Report:

@@ -50,37 +50,3 @@ def format_table(
     lines.extend([header, separator, *body])
     return "\n".join(lines)
 
-
-def format_markdown_table(
-    rows: Sequence[Mapping[str, Any]],
-    columns: Sequence[str] | None = None,
-    *,
-    precision: int = 4,
-    title: str | None = None,
-) -> str:
-    """Render ``rows`` (dictionaries) as a GitHub-flavoured markdown table.
-
-    Args:
-        rows: the table rows; missing cells render empty.
-        columns: column order; defaults to the first row's keys.
-        precision: decimal places for float cells.
-        title: optional heading emitted above the table.
-
-    Returns:
-        The markdown text (no trailing newline).
-    """
-    if not rows:
-        return f"**{title}**\n\n(no rows)" if title else "(no rows)"
-    if columns is None:
-        columns = list(rows[0].keys())
-    header = "| " + " | ".join(str(column) for column in columns) + " |"
-    separator = "| " + " | ".join("---" for _ in columns) + " |"
-    body = [
-        "| "
-        + " | ".join(_format_value(row.get(column, ""), precision) for column in columns)
-        + " |"
-        for row in rows
-    ]
-    lines = [f"**{title}**", ""] if title else []
-    lines.extend([header, separator, *body])
-    return "\n".join(lines)

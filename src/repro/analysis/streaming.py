@@ -635,6 +635,14 @@ class StreamingCertifier:
         self.gc_pruned += pruned
         return pruned
 
+    def top_level_edges(self) -> set[Edge]:
+        """The retained top-level projection of ``SG(h)``.
+
+        Post hoc nothing is collected, so while the projection is acyclic
+        these are all of its edges; the first refused batch is missing.
+        """
+        return self._projection.edges()
+
     # -- gauge -----------------------------------------------------------------
 
     def live_state_size(self) -> int:

@@ -118,17 +118,20 @@ class OptimisticCertifier(Scheduler):
         # (step, info) per executed step; an abort drops the transaction's,
         # and so does GC once nothing live can reach the committed ones.
         self._steps = StepRecords()
-        self._committed: set[str] = set()
         self._committed_graph = PrecedenceDag()
-        self._nodes_by_transaction: dict[str, set[str]] = defaultdict(set)
         self._pending_edges: dict[str, set[_CandidateEdge]] = defaultdict(set)
+        # Begun and not yet resolved.  The engine begins a transaction before
+        # its first step and an abort un-files its edges, so the other side
+        # of a filed edge is either live or committed.
         self._live_transactions: set[str] = set()
-        # Begin/resolve stamps and the nodes of *retained* committed
-        # transactions, kept so collect_garbage can decide overlap and clean
-        # up; all are dropped when the transaction's records are pruned.
+        # Per transaction that asked to commit, the graph nodes it owns (for
+        # an abort's clean-up and for collect_garbage), and its begin and
+        # resolve stamps (to decide overlap); a committed transaction's go
+        # when its records are pruned.
+        self._nodes: dict[str, set[str]] = defaultdict(set)
         self._begin_seq: dict[str, int] = {}
         self._resolve_seq: dict[str, int] = {}
-        self._committed_nodes: dict[str, set[str]] = {}
+        self.commits = 0
         self.validation_aborts = 0
         self.classified_pairs = 0
         self.gc_pruned_records = 0
@@ -167,7 +170,7 @@ class OptimisticCertifier(Scheduler):
             # A committed predecessor never revalidates (its file was popped
             # at commit), so the edge is filed only under sides that can
             # still reach validation.
-            if earlier_id not in self._committed:
+            if earlier_id in self._live_transactions:
                 self._pending_edges[earlier_id].add(edge)
             if transaction_id != earlier_id:
                 self._pending_edges[transaction_id].add(edge)
@@ -192,17 +195,9 @@ class OptimisticCertifier(Scheduler):
         active = []
         for edge in self._pending_edges.get(candidate_id, ()):
             other = edge.other(candidate_id)
-            if other == candidate_id or other in self._committed:
+            if other == candidate_id or other not in self._live_transactions:
                 active.append(edge)
         return active
-
-    @staticmethod
-    def _owner_map(active: list[_CandidateEdge]) -> dict[str, str]:
-        owner_of: dict[str, str] = {}
-        for edge in active:
-            owner_of[edge.source] = edge.earlier_tx
-            owner_of[edge.target] = edge.later_tx
-        return owner_of
 
     def on_commit_request(self, info: ExecutionInfo) -> SchedulerResponse:
         candidate_id = info.top_level_id
@@ -217,13 +212,14 @@ class OptimisticCertifier(Scheduler):
         graph = self._committed_graph
         if graph.add_edges(sorted({(edge.source, edge.target) for edge in active})):
             graph.add_node(candidate_id)
-            owner_of = self._owner_map(active)
-            for node, owner in owner_of.items():
-                # Ownership is only needed to clean up after an abort;
-                # committed owners can never abort, so don't index them.
-                if owner not in self._committed:
-                    self._nodes_by_transaction[owner].add(node)
-            self._nodes_by_transaction[candidate_id].add(candidate_id)
+            # The candidate's side of each edge; the other side committed.
+            nodes = self._nodes[candidate_id]
+            nodes.add(candidate_id)
+            for edge in active:
+                if edge.earlier_tx == candidate_id:
+                    nodes.add(edge.source)
+                if edge.later_tx == candidate_id:
+                    nodes.add(edge.target)
             return SchedulerResponse.grant()
         self.validation_aborts += 1
         return SchedulerResponse.abort(
@@ -232,18 +228,12 @@ class OptimisticCertifier(Scheduler):
 
     def on_transaction_commit(self, info: ExecutionInfo) -> None:
         transaction_id = info.top_level_id
-        self._committed.add(transaction_id)
+        self.commits += 1
         self._live_transactions.discard(transaction_id)
         self._resolve_seq[transaction_id] = next(self._sequence)
-        # The nodes stay in the committed graph; ownership moves to the
-        # retained-committed index so collect_garbage can remove them once
-        # nothing live can reach them (a committed transaction never
-        # aborts, so the abort-cleanup index is done with them).
-        self._committed_nodes[transaction_id] = self._nodes_by_transaction.pop(
-            transaction_id, set()
-        )
-        # The transaction never revalidates, so its own edge file is done;
-        # edges shared with still-live peers remain filed under the peer.
+        # Its nodes stay in the committed graph until collect_garbage finds
+        # nothing open reaches them.  It never revalidates, so its own edge
+        # file is done; edges shared with live peers stay filed under them.
         self._pending_edges.pop(transaction_id, None)
         self._note_wakeups(self.gate.finish(transaction_id, committed=True))
 
@@ -257,86 +247,56 @@ class OptimisticCertifier(Scheduler):
             other = edge.other(transaction_id)
             if other != transaction_id and other in self._pending_edges:
                 self._pending_edges[other].discard(edge)
-        if transaction_id not in self._committed:
-            # A failed candidate never merged its trial edges, but edges
-            # *touching* it may have been added by later-validating peers;
-            # drop every node the aborted transaction owns.
-            self._committed_graph.remove_nodes(
-                self._nodes_by_transaction.pop(transaction_id, set()) | {transaction_id}
-            )
+        # A failed candidate never merged its trial edges, but one that
+        # validated and then aborted (a cross-shard abort after its yes vote)
+        # did: drop every node it owns.
+        self._committed_graph.remove_nodes(self._nodes.pop(transaction_id, ()))
         self._note_wakeups(self.gate.finish(transaction_id, committed=False))
 
     # -- live-state garbage collection ---------------------------------------------
 
     def collect_garbage(self) -> int:
-        """Prune committed records and graph nodes nothing live can reach.
+        """Prune committed records and graph nodes nothing open can reach.
 
-        The kernel's frontier GC (DESIGN.md, "Precedence DAG kernel") with
-        this scheduler's notion of an *open* node — one that can still
-        gain an in-edge.  A new in-edge of a committed transaction T
-        needs another transaction with a step before one of T's, i.e. one
-        that began before T resolved; so T's nodes are open until every
-        such overlapper has resolved.  The frontier is therefore the live
-        transactions plus the committed ones whose resolve stamp is later
-        than the oldest live begin stamp.
+        The kernel's frontier GC (:meth:`PrecedenceDag.prune_unreachable`,
+        DESIGN.md "Precedence DAG kernel") with this scheduler's notion of
+        an *open* node — one that can still gain an in-edge.  A new in-edge
+        of a committed transaction T needs another transaction with a step
+        before one of T's, i.e. one that began before T resolved; so T's
+        nodes are open until every such overlapper has resolved.  The open
+        nodes are therefore those of the live transactions and of the
+        committed ones whose resolve stamp is later than the oldest live
+        begin stamp; every other committed transaction is *closed*.
 
-        Everything forward-reachable from the frontier is marked; every
-        non-frontier committed transaction none of whose nodes is marked
-        loses its step records, its graph nodes and its bookkeeping.
-        Edges already *filed* under live peers survive (they were
-        discovered while the records existed and re-add a fresh,
-        in-edge-free node at validation, which cannot close a cycle), so
-        decisions are unchanged — only memory shrinks, which is what
-        keeps week-long streams O(in-flight) instead of O(total
+        The kernel drops every node no open node reaches; a closed
+        transaction none of whose nodes is kept loses its step records and
+        its bookkeeping.  Edges already *filed* under live peers survive
+        (they were discovered while the records existed and re-add a
+        fresh, in-edge-free node at validation, which cannot close a
+        cycle), so decisions are unchanged — only memory shrinks, which is
+        what keeps week-long streams O(in-flight) instead of O(total
         arrivals).
 
         Returns:
             The number of pruned step records.
         """
-        if not self._resolve_seq:
-            return 0
-        min_live_begin = min(
-            (self._begin_seq[t] for t in self._live_transactions), default=None
-        )
-        if min_live_begin is None:
-            frontier = set()
-        else:
-            frontier = {
-                t for t, seq in self._resolve_seq.items() if seq > min_live_begin
-            }
-        if len(frontier) == len(self._resolve_seq):
+        oldest_live = min((self._begin_seq[t] for t in self._live_transactions), default=None)
+        closed = [
+            t for t, seq in self._resolve_seq.items() if oldest_live is None or seq < oldest_live
+        ]
+        if not closed:
             return 0  # every retained transaction is still overlapped
-        graph = self._committed_graph
-        roots: list[str] = []
-        for t in self._live_transactions:
-            roots.extend(self._nodes_by_transaction.get(t, ()))
-        for t in frontier:
-            roots.extend(self._committed_nodes.get(t, ()))
-        marked = graph.descendants(roots)
-        removed = 0
-        for transaction_id in [
-            t for t in self._resolve_seq if t not in frontier
-        ]:
-            nodes = self._committed_nodes.get(transaction_id, set())
-            if any(node in marked for node in nodes):
-                continue
-            removed += self._steps.drop(transaction_id)
-            graph.remove_nodes(nodes)
-            self._committed_nodes.pop(transaction_id, None)
-            self._resolve_seq.pop(transaction_id, None)
-            self._begin_seq.pop(transaction_id, None)
-        # Orphan sweep: nodes re-added by a trial insertion after their
-        # owner was pruned carry out-edges only (an in-edge would require
-        # an overlapper, which would have kept the owner in the frontier);
-        # they can never sit on a cycle, so unmarked unowned nodes go too.
-        owned: set[str] = set()
-        for nodes in self._nodes_by_transaction.values():
-            owned.update(nodes)
-        for nodes in self._committed_nodes.values():
-            owned.update(nodes)
-        graph.remove_nodes(
-            [node for node in graph.nodes() if node not in marked and node not in owned]
+        closing = set(closed)
+        _, keep = self._committed_graph.prune_unreachable(
+            [node for t, nodes in self._nodes.items() if t not in closing for node in nodes]
         )
+        removed = 0
+        for transaction_id in closed:
+            if keep.isdisjoint(self._nodes.get(transaction_id, ())):
+                removed += self._steps.drop(transaction_id)
+                self._nodes.pop(transaction_id, None)
+                del self._resolve_seq[transaction_id]
+                self._begin_seq.pop(transaction_id, None)
         self.gc_pruned_records += removed
         return removed
 
@@ -357,7 +317,7 @@ class OptimisticCertifier(Scheduler):
             "level": self.level,
             "restart_policy": self.restart_policy.name,
             "validation_aborts": self.validation_aborts,
-            "committed": len(self._committed),
+            "committed": self.commits,
             "classified_pairs": self.classified_pairs,
             "gc_pruned_records": self.gc_pruned_records,
             **self.gate.describe(),

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from ..core.conflicts import ConflictSpec
 from ..core.dag import PrecedenceDag
@@ -405,36 +405,6 @@ def make_intra_strategy(
     return synchroniser
 
 
-def validate_intra_strategy_spec(spec: Any) -> None:
-    """Eagerly reject strategy specs that could never resolve.
-
-    Construction needs an object's conflict specification, so full
-    resolution happens at :meth:`ModularScheduler.attach`; this check
-    surfaces unknown names and malformed mappings at configuration time
-    instead (the scheduler constructors call it).
-    """
-    if isinstance(spec, IntraObjectSynchroniser):
-        return
-    if isinstance(spec, str):
-        name = spec
-    elif isinstance(spec, Mapping):
-        name = spec.get("name")
-        if not isinstance(name, str):
-            raise TypeError(
-                f"intra-object strategy mapping needs a 'name' entry, got {dict(spec)!r}"
-            )
-    else:
-        raise TypeError(
-            f"intra-object strategy must be a name, a mapping or an "
-            f"IntraObjectSynchroniser, got {spec!r}"
-        )
-    if name not in INTRA_STRATEGIES:
-        raise KeyError(
-            f"unknown intra-object strategy {name!r}; "
-            f"available: {', '.join(sorted(INTRA_STRATEGIES))}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Inter-object coordination
 # ---------------------------------------------------------------------------
@@ -562,9 +532,11 @@ class ModularScheduler(Scheduler):
         self.gate_mode = gate_mode
         self.default_strategy = default_strategy
         self.per_object_strategy = dict(per_object_strategy or {})
-        validate_intra_strategy_spec(default_strategy)
-        for strategy_spec in self.per_object_strategy.values():
-            validate_intra_strategy_spec(strategy_spec)
+        # A strategy spec is valid when it builds; an object's own conflict
+        # specification is needed only at attach, so try an inert one now.
+        for strategy_spec in (default_strategy, *self.per_object_strategy.values()):
+            if not isinstance(strategy_spec, IntraObjectSynchroniser):
+                make_intra_strategy(strategy_spec, "", ConflictSpec())
         self.inter_object_checks = inter_object_checks
         super().__init__(restart_policy=restart_policy)
 

@@ -83,6 +83,8 @@ class ShardOutcome:
     tracker_live_records: int
     serialisable: bool | None
     legal: bool | None
+    #: The top-level edges of the shard's ``SG(h)`` (empty unless certified).
+    top_edges: tuple[tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -113,12 +115,19 @@ class ShardedRunResult:
 
     @property
     def serialisable(self) -> bool | None:
-        """Conjunction of the per-shard certification verdicts.
+        """The merged verdict: every shard serialisable, and the union of
+        their top-level ``SG(h)`` edges acyclic.
 
-        Not a global verdict: a cycle through two shards passes every
-        shard's certificate (DESIGN.md, sharded limitation (i)).
+        A cycle through two shards passes every shard's own certificate
+        (those verdicts stay on each :class:`ShardOutcome`); top-level ids
+        are fleet-wide, so the union sees it.
         """
-        return _conjunction([outcome.serialisable for outcome in self.shards])
+        verdict = _conjunction([outcome.serialisable for outcome in self.shards])
+        if not verdict:
+            return verdict
+        from ..core.graphs import is_acyclic
+
+        return is_acyclic(edge for outcome in self.shards for edge in outcome.top_edges)
 
     @property
     def legal(self) -> bool | None:

@@ -113,9 +113,9 @@ class ShardWorker(SimulationEngine):
         # set-up: finalize imports nothing) and reads the shard's history.
         self._certify = None
         if payload.get("certify", False):
-            from ..analysis.certify import certify_run
+            from ..analysis.certify import certify_shard
 
-            self._certify = certify_run
+            self._certify = certify_shard
         self._keeps_history = self._certify is not None and self._certifier is None
         # Kept arrivals keep their ticks: the schedule is the global one,
         # filtered — not a per-shard re-deal.
@@ -268,9 +268,12 @@ class ShardWorker(SimulationEngine):
             "tracker_live_records": self.tracker.live_records(),
             "serialisable": None,
             "legal": None,
+            "top_edges": (),
         }
         if self._certify is not None:
-            report = self._certify(result, check_legality=self._check_legality)
+            report, payload["top_edges"] = self._certify(
+                result, check_legality=self._check_legality
+            )
             payload["serialisable"] = bool(report.serialisable)
             if self._check_legality:
                 payload["legal"] = bool(report.legal)

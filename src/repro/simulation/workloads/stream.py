@@ -12,22 +12,19 @@ draws each spec as it falls due, so every generator doubles as an open
 workload and arrival rate becomes a declarative sweep axis
 (``workload_params.arrival_params``).
 
-The wrapper validates eagerly on two levels: its own ``__post_init__``
-(bad construction fails immediately) and the
-:meth:`StreamingWorkload.validate_params` hook the sweep layer calls
-while a :class:`~repro.sweep.spec.ScenarioSpec` is being built — a typo'd
-inner parameter or an unknown arrival process fails at spec construction,
-before any worker process is spawned.
+Construction builds the inner workload and the arrival process, so a
+typo'd inner parameter or an unknown arrival process fails at once — at
+:class:`~repro.sweep.spec.ScenarioSpec` construction, which builds the
+workload, before any worker process is spawned.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from ...core.errors import WorkloadError
-from ..arrivals import ArrivalProcess, ARRIVAL_REGISTRY, make_arrival_process
+from ..arrivals import ArrivalProcess, make_arrival_process
 from . import WORKLOAD_REGISTRY, make_workload
 from .base import Workload
 
@@ -53,84 +50,13 @@ class StreamingWorkload(Workload):
     _inner_workload: Any = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        self.validate_params(
-            {
-                "inner": self.inner,
-                "inner_params": self.inner_params,
-                "arrival": self.arrival,
-                "arrival_params": self.arrival_params,
-            },
-            default_inner=self.inner,
-        )
-        # Constructing the inner workload also runs its own validation.
-        self._inner_workload = self._make_inner()
-
-    def _make_inner(self) -> Any:
-        return make_workload(self.inner, **self.inner_params)
-
-    # -- eager validation (shared with the sweep layer) ---------------------------
-
-    @classmethod
-    def validate_params(
-        cls, params: Mapping[str, Any], default_inner: str | None = None
-    ) -> None:
-        """Validate streaming parameters without building anything.
-
-        Called by :meth:`repro.sweep.spec.ScenarioSpec.validate` so a
-        sweep over streaming scenarios rejects unknown inner workloads,
-        unknown inner parameters, unknown arrival processes and unknown
-        arrival keywords at spec-construction time.
-
-        Args:
-            params: the ``workload_params`` mapping of a scenario.
-            default_inner: inner workload assumed when ``params`` does
-                not name one (subclasses pin it via their field default).
-
-        Raises:
-            WorkloadError: on any unknown name or keyword.
-        """
-        if default_inner is None:
-            default_inner = next(
-                f.default for f in dataclasses.fields(cls) if f.name == "inner"
-            )
-        inner = params.get("inner", default_inner)
-        if inner not in WORKLOAD_REGISTRY:
-            raise WorkloadError(
-                f"unknown inner workload {inner!r}; "
-                f"available: {', '.join(sorted(WORKLOAD_REGISTRY))}"
-            )
-        inner_class = WORKLOAD_REGISTRY[inner]
-        if issubclass(inner_class, StreamingWorkload):
+        inner_class = WORKLOAD_REGISTRY.get(self.inner)
+        if inner_class is not None and issubclass(inner_class, StreamingWorkload):
             raise WorkloadError("streaming workloads cannot wrap one another")
-        allowed = {
-            spec_field.name
-            for spec_field in dataclasses.fields(inner_class)
-            if spec_field.init
-        }
-        inner_params = params.get("inner_params", {})
-        unknown = sorted(set(inner_params) - allowed)
-        if unknown:
-            raise WorkloadError(
-                f"inner workload {inner!r} has no parameters {unknown}; "
-                f"available: {', '.join(sorted(allowed))}"
-            )
-        arrival = params.get("arrival", "poisson")
-        if not isinstance(arrival, str) or arrival not in ARRIVAL_REGISTRY:
-            raise WorkloadError(
-                f"unknown arrival process {arrival!r}; "
-                f"available: {', '.join(sorted(ARRIVAL_REGISTRY))}"
-            )
-        arrival_params = params.get("arrival_params", {})
-        try:
-            # Constructing the process validates keywords *and* values
-            # (negative rates, zero-sized bursts) in one go; it is cheap
-            # and side-effect free.
-            ARRIVAL_REGISTRY[arrival](**dict(arrival_params))
-        except (TypeError, ValueError) as exc:
-            raise WorkloadError(
-                f"arrival process {arrival!r} rejects parameters "
-                f"{sorted(arrival_params)}: {exc}"
-            ) from exc
+        # Each part checks itself: the inner workload's constructor its
+        # name and keywords, the arrival process's its own.
+        self._inner_workload = make_workload(self.inner, **self.inner_params)
+        self.arrival_process()
 
     # -- building ------------------------------------------------------------------
 

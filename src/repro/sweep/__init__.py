@@ -6,7 +6,7 @@ scheduler × seed) plus grid axes, :class:`SweepRunner` expands and
 executes the grid — serially or fanned out over ``multiprocessing``
 workers, with deterministic, order-stable results either way — and
 :mod:`repro.sweep.aggregate` merges the per-scenario metrics rows into
-grouped tables and JSON/markdown reports.
+grouped tables and JSON reports.
 
 A sweep in five lines::
 
@@ -35,7 +35,6 @@ __all__, __getattr__, __dir__ = lazy_surface(
         ".aggregate": (
             "group_rows",
             "print_report",
-            "render_markdown_report",
             "rows_of",
             "sweep_report",
         ),

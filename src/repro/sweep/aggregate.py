@@ -5,7 +5,7 @@ A sweep produces one flat metrics row per scenario
 those rows into grouped summary tables — mean/min/max of chosen metrics
 per group key (typically a sweep axis such as ``scheduler`` or
 ``hot_probability``) — and assembles the whole result as a JSON-ready
-document with a markdown rendering, reusing the text-table machinery in
+document, printed with the text-table machinery in
 :mod:`repro.analysis.report` so every experiment's output stays uniform.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from ..analysis.report import format_markdown_table, format_table
+from ..analysis.report import format_table
 from .runner import ScenarioResult
 
 _AGGREGATIONS: dict[str, Callable[[Sequence[float]], float]] = {
@@ -112,26 +112,6 @@ def sweep_report(
     if extra:
         report.update(extra)
     return report
-
-
-def render_markdown_report(
-    report: Mapping[str, Any],
-    *,
-    columns: Sequence[str] | None = None,
-    precision: int = 4,
-) -> str:
-    """Render a :func:`sweep_report` document as a markdown fragment.
-
-    Emits the per-scenario table and, when present, the grouped summary
-    table underneath it.
-    """
-    lines = [f"## Sweep `{report['sweep']}` — {report['scenarios']} scenarios", ""]
-    lines.append(format_markdown_table(report["rows"], columns, precision=precision))
-    grouped = report.get("grouped")
-    if grouped and grouped.get("rows"):
-        lines.extend(["", f"### Grouped by {', '.join(grouped['group_by'])}", ""])
-        lines.append(format_markdown_table(grouped["rows"], None, precision=precision))
-    return "\n".join(lines) + "\n"
 
 
 def print_report(report: Mapping[str, Any], *, columns: Sequence[str] | None = None) -> None:

@@ -39,15 +39,13 @@ import inspect
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from ..core.errors import ModelError, SweepSpecError
-from ..scheduler import SCHEDULER_FACTORIES
-from ..scheduler.base import GATE_MODES
-from ..scheduler.restart import make_restart_policy
+from ..core.errors import ModelError, ReproError, SweepSpecError
+from ..scheduler import make_scheduler
 from ..shard.map import ShardMap
 from ..simulation.engine import SimulationEngine
-from ..simulation.workloads import WORKLOAD_REGISTRY
+from ..simulation.workloads import make_workload
 
 #: Engine constructor keywords a scenario may set — derived from the
 #: :class:`SimulationEngine` signature so the whitelist tracks the engine
@@ -144,11 +142,16 @@ def _canonical(value: Any, *, where: str) -> Any:
         raise SweepSpecError(f"{where} must be JSON-serialisable, got {value!r}") from exc
 
 
-def _workload_param_names(workload_class: type) -> frozenset[str]:
-    """The constructor parameters of a registered workload dataclass."""
-    return frozenset(
-        spec_field.name for spec_field in dataclasses.fields(workload_class) if spec_field.init
-    )
+def _built(make: Callable[..., Any], name: str, params: Mapping[str, Any], field_name: str):
+    """``make(name, **params)``, any refusal raised as :class:`SweepSpecError`."""
+    try:
+        return make(name, **params)
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
+        # A KeyError's str() is the repr of its message; show the message.
+        reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        raise SweepSpecError(
+            f"{name!r} rejects {field_name} {sorted(params)}: {reason}"
+        ) from exc
 
 
 @dataclass
@@ -158,9 +161,10 @@ class ScenarioSpec:
     Args:
         workload: a :data:`~repro.simulation.workloads.WORKLOAD_REGISTRY` name.
         workload_params: constructor arguments of the workload dataclass
-            (validated against its fields; must be JSON-serialisable).
+            (must be JSON-serialisable; validation builds the workload).
         scheduler: a :func:`~repro.scheduler.make_scheduler` registry name.
-        scheduler_kwargs: keyword arguments for the scheduler factory.
+        scheduler_kwargs: keyword arguments for the scheduler factory
+            (validation builds the scheduler).
         seed: the engine's RNG seed (interleaving choice); workload
             generation seeds live in ``workload_params``.
         engine_params: extra :class:`~repro.simulation.engine.SimulationEngine`
@@ -206,88 +210,43 @@ class ScenarioSpec:
     tags: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.validate()
+        # Canonical first: a value JSON cannot carry (NaN, a callable) is
+        # refused as such, before a constructor sees it.
         self.workload_params = _canonical(self.workload_params, where="workload_params")
         self.scheduler_kwargs = _canonical(self.scheduler_kwargs, where="scheduler_kwargs")
         self.engine_params = _canonical(self.engine_params, where="engine_params")
         self.shard_assignment = _canonical(self.shard_assignment, where="shard_assignment")
         self.tags = _canonical(self.tags, where="tags")
+        self.validate()
 
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check the spec against the registries; raise :class:`SweepSpecError`."""
-        if self.workload not in WORKLOAD_REGISTRY:
-            raise SweepSpecError(
-                f"unknown workload {self.workload!r}; "
-                f"available: {', '.join(sorted(WORKLOAD_REGISTRY))}"
-            )
-        if self.scheduler not in SCHEDULER_FACTORIES:
-            raise SweepSpecError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"available: {', '.join(sorted(SCHEDULER_FACTORIES))}"
-            )
+        """Check the spec; raise :class:`SweepSpecError`.
+
+        What a workload or a scheduler accepts is what its constructor
+        accepts: both are built here (names, keywords, restart policy,
+        gate mode, arrival process and inner workload are each checked
+        once, where they are defined), so a bad spec fails at
+        construction, before any worker process is spawned.
+        """
+        for mapping_name in ("workload_params", "scheduler_kwargs", "engine_params", "tags"):
+            mapping = getattr(self, mapping_name)
+            if not isinstance(mapping, Mapping):
+                raise SweepSpecError(f"{mapping_name} must be a mapping, got {mapping!r}")
+        workload = _built(make_workload, self.workload, self.workload_params, "workload_params")
+        _built(make_scheduler, self.scheduler, self.scheduler_kwargs, "scheduler_kwargs")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise SweepSpecError(f"seed must be an int, got {self.seed!r}")
         if self.certify not in (True, False, "stream"):
             raise SweepSpecError(
                 f"certify must be True, False or 'stream', got {self.certify!r}"
             )
-        for mapping_name in ("workload_params", "scheduler_kwargs", "engine_params", "tags"):
-            mapping = getattr(self, mapping_name)
-            if not isinstance(mapping, Mapping):
-                raise SweepSpecError(f"{mapping_name} must be a mapping, got {mapping!r}")
-        workload_class = WORKLOAD_REGISTRY[self.workload]
-        allowed = _workload_param_names(workload_class)
-        unknown = sorted(set(self.workload_params) - allowed)
-        if unknown:
-            raise SweepSpecError(
-                f"workload {self.workload!r} has no parameters {unknown}; "
-                f"available: {', '.join(sorted(allowed))}"
-            )
-        # Workloads may validate parameter *values* eagerly too — the
-        # streaming wrappers check their inner workload name/params and the
-        # arrival process configuration here, so a typo'd arrival axis
-        # fails at spec construction, not inside a worker process.
-        validator = getattr(workload_class, "validate_params", None)
-        if validator is not None:
-            try:
-                validator(self.workload_params)
-            except Exception as exc:
-                raise SweepSpecError(
-                    f"workload {self.workload!r} rejects workload_params: {exc}"
-                ) from exc
         unknown_engine = sorted(set(self.engine_params) - ENGINE_PARAM_NAMES)
         if unknown_engine:
             raise SweepSpecError(
                 f"unknown engine parameters {unknown_engine}; "
                 f"available: {', '.join(sorted(ENGINE_PARAM_NAMES))}"
-            )
-        # The factories declare their keywords explicitly, so binding the
-        # kwargs against the factory signature catches typos eagerly —
-        # before any worker process is spawned.
-        factory = SCHEDULER_FACTORIES[self.scheduler]
-        try:
-            inspect.signature(factory).bind(**self.scheduler_kwargs)
-        except TypeError as exc:
-            raise SweepSpecError(
-                f"scheduler {self.scheduler!r} rejects scheduler_kwargs "
-                f"{sorted(self.scheduler_kwargs)}: {exc}"
-            ) from exc
-        # The cross-cutting scheduler axes carry registry *values*, not just
-        # keyword names; validate them eagerly too so a typo'd policy name,
-        # policy parameter or gate mode fails at spec construction, not
-        # inside a worker.
-        policy = self.scheduler_kwargs.get("restart_policy")
-        if policy is not None:
-            try:
-                make_restart_policy(policy)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SweepSpecError(f"invalid restart policy {policy!r}: {exc}") from exc
-        gate_mode = self.scheduler_kwargs.get("gate_mode")
-        if gate_mode is not None and gate_mode not in GATE_MODES:
-            raise SweepSpecError(
-                f"unknown gate mode {gate_mode!r}; available: {', '.join(GATE_MODES)}"
             )
         shadowing = sorted(set(self.tags) & RESERVED_ROW_COLUMNS)
         if shadowing:
@@ -295,9 +254,7 @@ class ScenarioSpec:
                 f"tags {shadowing} would overwrite measured metrics-row columns; "
                 "rename the tag/axis (e.g. prefix it with the parameter it varies)"
             )
-        if self.modular_strategy_from_workload and not hasattr(
-            workload_class, "modular_strategy_map"
-        ):
+        if self.modular_strategy_from_workload and not hasattr(workload, "modular_strategy_map"):
             raise SweepSpecError(
                 f"workload {self.workload!r} does not define modular_strategy_map(), "
                 "required by modular_strategy_from_workload=True"

@@ -26,7 +26,14 @@ class ReenumeratingCertifier(OptimisticCertifier):
         # no longer see their steps, so edges against them are excluded
         # from the comparison.
         self._pruned_committed: set[str] = set()
+        # Every committed id, kept here: production reads "committed" as
+        # "not live", and the re-enumeration must not take that on trust.
+        self._committed: set[str] = set()
         self.commit_conflict_calls = 0
+
+    def on_transaction_commit(self, info) -> None:
+        self._committed.add(info.top_level_id)
+        super().on_transaction_commit(info)
 
     def _active_edges(self, candidate_id: str):
         active = super()._active_edges(candidate_id)
@@ -76,7 +83,10 @@ class ReenumeratingCertifier(OptimisticCertifier):
                 f"certifier check: candidate {candidate_id!r} selected edges "
                 f"{sorted(selected_edges)!r} != re-enumerated {sorted(expected_edges)!r}"
             )
-        owner_of = self._owner_map(active)
+        owner_of: dict[str, str] = {}
+        for edge in active:
+            owner_of[edge.source] = edge.earlier_tx
+            owner_of[edge.target] = edge.later_tx
         if owner_of != expected_owner_of:
             raise VerificationError(
                 f"certifier check: candidate {candidate_id!r} owner map diverges "

@@ -7,9 +7,11 @@ Commit validation merely *selects* the filed edges whose other side has
 resolved: it performs zero conflict-spec calls and never re-enumerates
 committed-vs-committed step pairs.  These tests pin that contract down by
 counting conflict-spec calls per lifecycle phase, and exercise the
-abort cleanup and the retention of committed records, and run the
-scheduler under ``tests/oracles/certifier.py`` ``ReenumeratingCertifier``,
-which revalidates every commit against a full re-enumeration of step pairs.
+abort cleanup and the retention of committed records, check that no
+container grows with the number of arrivals, and run the scheduler under
+``tests/oracles/certifier.py`` ``ReenumeratingCertifier``, which
+revalidates every commit against a full re-enumeration of step pairs.
+Hand-driven transactions are begun first, as the engine begins them.
 """
 
 from __future__ import annotations
@@ -29,6 +31,14 @@ def make_certifier(base, certifier_class=OptimisticCertifier):
     scheduler = certifier_class()
     scheduler.attach(base)
     return scheduler
+
+
+def begun(scheduler, *transaction_ids):
+    """Begin each transaction, as the engine does before its first step."""
+    issuers = [info(transaction_id) for transaction_id in transaction_ids]
+    for issuer in issuers:
+        scheduler.on_transaction_begin(issuer)
+    return issuers
 
 
 def run_step(scheduler, issuer, object_name, operation, value):
@@ -90,13 +100,23 @@ class TestCommitValidationIsIncremental:
             assert counter.take() == 0
             scheduler.on_transaction_commit(issuer)
 
+    @staticmethod
+    def cross(scheduler, first, second):
+        """T1 -> T2 on ``cell`` and T2 -> T1 on ``other-cell``.
+
+        Each read comes before the other side's write, so neither observed
+        an uncommitted write: the commit gate grants both requests (no
+        commit wait) and validation alone sees the cycle.
+        """
+        run_step(scheduler, first, "cell", ReadRegister(), 0)
+        run_step(scheduler, second, "other-cell", ReadRegister(), 0)
+        run_step(scheduler, second, "cell", WriteRegister(2), 2)
+        run_step(scheduler, first, "other-cell", WriteRegister(1), 1)
+
     def test_cyclic_conflicts_still_abort_at_validation(self, small_object_base):
         scheduler = make_certifier(small_object_base, ReenumeratingCertifier)
-        first, second = info("T1"), info("T2")
-        run_step(scheduler, first, "cell", WriteRegister(1), 1)
-        run_step(scheduler, second, "cell", WriteRegister(2), 2)
-        run_step(scheduler, second, "other-cell", WriteRegister(2), 2)
-        run_step(scheduler, first, "other-cell", WriteRegister(1), 1)
+        first, second = begun(scheduler, "T1", "T2")
+        self.cross(scheduler, first, second)
         assert scheduler.on_commit_request(first).granted
         scheduler.on_transaction_commit(first)
         response = scheduler.on_commit_request(second)
@@ -105,11 +125,8 @@ class TestCommitValidationIsIncremental:
 
     def test_failed_validation_rolls_the_committed_graph_back(self, small_object_base):
         scheduler = make_certifier(small_object_base, ReenumeratingCertifier)
-        first, second, third = info("T1"), info("T2"), info("T3")
-        run_step(scheduler, first, "cell", WriteRegister(1), 1)
-        run_step(scheduler, second, "cell", WriteRegister(2), 2)
-        run_step(scheduler, second, "other-cell", WriteRegister(2), 2)
-        run_step(scheduler, first, "other-cell", WriteRegister(1), 1)
+        first, second = begun(scheduler, "T1", "T2")
+        self.cross(scheduler, first, second)
         assert scheduler.on_commit_request(first).granted
         scheduler.on_transaction_commit(first)
         snapshot_nodes = scheduler._committed_graph.nodes()
@@ -120,6 +137,7 @@ class TestCommitValidationIsIncremental:
         assert scheduler._committed_graph.edges() == snapshot_edges
         scheduler.on_transaction_abort(second, ("T2",))
         # An unrelated transaction still validates cleanly afterwards.
+        (third,) = begun(scheduler, "T3")
         run_step(scheduler, third, "cell", WriteRegister(3), 3)
         assert scheduler.on_commit_request(third).granted
 
@@ -127,7 +145,7 @@ class TestCommitValidationIsIncremental:
 class TestAbortCleanupAndPruning:
     def test_abort_rebuilds_only_touched_objects(self, small_object_base):
         scheduler = make_certifier(small_object_base)
-        first, second = info("T1"), info("T2")
+        first, second = begun(scheduler, "T1", "T2")
         run_step(scheduler, first, "cell", WriteRegister(1), 1)
         run_step(scheduler, second, "other-cell", WriteRegister(2), 2)
         steps = scheduler._steps
@@ -142,7 +160,7 @@ class TestAbortCleanupAndPruning:
 
     def test_abort_unfiles_candidate_edges_on_both_sides(self, small_object_base):
         scheduler = make_certifier(small_object_base)
-        first, second = info("T1"), info("T2")
+        first, second = begun(scheduler, "T1", "T2")
         run_step(scheduler, first, "cell", WriteRegister(1), 1)
         run_step(scheduler, second, "cell", WriteRegister(2), 2)
         assert scheduler._pending_edges["T1"] and scheduler._pending_edges["T2"]
@@ -154,7 +172,7 @@ class TestAbortCleanupAndPruning:
 
     def test_committed_records_stay_until_garbage_collection(self, small_object_base):
         scheduler = make_certifier(small_object_base)
-        issuer = info("T1")
+        (issuer,) = begun(scheduler, "T1")
         # The same execution re-reads the register: a commit keeps every
         # record, in execution order, and only GC drops them.
         run_step(scheduler, issuer, "cell", ReadRegister(), 0)
@@ -174,7 +192,7 @@ class TestAbortCleanupAndPruning:
 
     def test_live_records_are_never_pruned(self, small_object_base):
         scheduler = make_certifier(small_object_base)
-        committed, live = info("T1"), info("T2")
+        committed, live = begun(scheduler, "T1", "T2")
         run_step(scheduler, committed, "cell", ReadRegister(), 0)
         run_step(scheduler, live, "cell", ReadRegister(), 0)
         run_step(scheduler, live, "cell", ReadRegister(), 0)
@@ -182,6 +200,47 @@ class TestAbortCleanupAndPruning:
         scheduler.on_transaction_commit(committed)
         live_records = [record for owner, record in scheduler._steps.on("cell") if owner == "T2"]
         assert len(live_records) == 2
+
+
+class TestRetentionIsBoundedByInFlight:
+    """No certifier container grows with the number of arrivals."""
+
+    @staticmethod
+    def peak_sizes(arrivals: int) -> dict[str, int]:
+        """Each sized attribute's peak length, sampled before every GC pass."""
+        base, specs = HotspotWorkload(
+            transactions=arrivals,
+            hot_probability=0.2,
+            cold_objects=64,
+            operations_per_transaction=2,
+            use_service_layer=False,
+            seed=3,
+        ).build()
+        scheduler = OptimisticCertifier(restart_policy="backoff")
+        peaks: dict[str, int] = {}
+        collect = scheduler.collect_garbage
+
+        def sampled() -> int:
+            for name, value in vars(scheduler).items():
+                if hasattr(value, "__len__") and not isinstance(value, str):
+                    peaks[name] = max(peaks.get(name, 0), len(value))
+            return collect()
+
+        scheduler.collect_garbage = sampled
+        engine = SimulationEngine(base, scheduler, seed=7, gc_interval=8)
+        result = engine.run_stream(specs, {"name": "poisson", "rate": 0.03})
+        assert result.metrics.committed == arrivals
+        return peaks
+
+    def test_no_container_grows_from_1000_to_4000_arrivals(self):
+        short, long = self.peak_sizes(1_000), self.peak_sizes(4_000)
+        assert short.keys() == long.keys() and short
+        grown = {
+            name: (short[name], long[name])
+            for name in short
+            if long[name] > 2 * short[name] + 16
+        }
+        assert not grown, grown
 
 
 class TestLegacyOracle:
@@ -230,7 +289,7 @@ class TestLegacyOracle:
             lambda scheduler, candidate_id: selection(scheduler, candidate_id)[1:],
         )
         scheduler = make_certifier(small_object_base, ReenumeratingCertifier)
-        first, second = info("T1"), info("T2")
+        first, second = begun(scheduler, "T1", "T2")
         run_step(scheduler, first, "cell", WriteRegister(1), 1)
         run_step(scheduler, second, "cell", WriteRegister(2), 2)
         assert scheduler.on_commit_request(first).granted
@@ -242,8 +301,10 @@ class TestLegacyOracle:
         scheduler = make_certifier(small_object_base)
         description = scheduler.describe()
         assert description["classified_pairs"] == 0
-        issuer = info("T1")
+        (issuer,) = begun(scheduler, "T1")
         run_step(scheduler, issuer, "cell", WriteRegister(1), 1)
         run_step(scheduler, issuer, "cell", WriteRegister(2), 2)
         assert scheduler.describe()["classified_pairs"] == 1
         assert scheduler.on_commit_request(issuer).granted
+        scheduler.on_transaction_commit(issuer)
+        assert scheduler.describe()["committed"] == 1

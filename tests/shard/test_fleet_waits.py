@@ -15,6 +15,13 @@ union replaced (it aborted the youngest cross transaction, never a ring
 member).  They run with a ``max_ticks`` of a few thousand, so a
 regression fails in well under a second instead of spinning.  The
 liveness grid holds four schedulers to the same rule on 192 small runs.
+
+The grid also holds each run to the merged verdict: every shard
+serialisable and the union of the shards' top-level ``SG(h)`` edges
+acyclic.  Defect 2 (ROADMAP 9(c)) breaks it on 18 cells: an order that
+runs through shard-local transactions reaches neither the coordinator nor
+any one shard's certificate, so the union is cyclic while every shard
+certifies clean.  Those cells are strict xfails until it is closed.
 """
 
 from __future__ import annotations
@@ -38,7 +45,13 @@ TRANSACTIONS = 40
 
 
 def random_ops_spec(
-    scheduler: str, seed: int, *, registers: int = 24, depth: int = 1, max_ticks: int = 3_000
+    scheduler: str,
+    seed: int,
+    *,
+    registers: int = 24,
+    depth: int = 1,
+    max_ticks: int = 3_000,
+    write_fraction: float = 0.5,
 ) -> ScenarioSpec:
     return ScenarioSpec(
         workload="random-ops",
@@ -48,7 +61,7 @@ def random_ops_spec(
             "registers": registers,
             "transactions": TRANSACTIONS,
             "operations_per_transaction": 2,
-            "write_fraction": 0.5,
+            "write_fraction": write_fraction,
             "nesting_depth": depth,
             "seed": seed,
         },
@@ -75,6 +88,7 @@ class TestWitnesses:
         assert result.coordinator["wait_cycle_aborts"] > 0
         for outcome in result.shards:
             assert outcome.serialisable is True
+        assert result.serialisable is True
 
     def test_witness_is_bit_identical_across_transports(self):
         scheduler, seed, shards = WITNESSES["C"]
@@ -222,6 +236,7 @@ def grid_cell(scheduler: str, shards: int, registers: int, depth: int, seed: int
         metrics.gave_up,
         tuple(sorted(metrics.aborts_by_reason)),
         tuple(outcome.serialisable for outcome in result.shards),
+        result.serialisable,
     )
 
 
@@ -237,13 +252,71 @@ class TestLivenessGrid:
     """random-ops, 40 transactions of 2 operations, on the CRC map."""
 
     def test_every_run_commits_every_transaction_serialisably(self, scheduler, shards):
-        for cell, (committed, gave_up, _, serialisable) in grid(scheduler, shards):
+        for cell, (committed, gave_up, _, serialisable, _) in grid(scheduler, shards):
             assert (committed, gave_up) == (TRANSACTIONS, 0), cell
             assert all(serialisable), cell
 
     def test_no_sharded_abort_is_filed_under_other(self, scheduler, shards):
-        for cell, (_, _, categories, _) in grid(scheduler, shards):
+        for cell, (_, _, categories, _, _) in grid(scheduler, shards):
             assert "other" not in categories, (cell, categories)
+
+
+#: (scheduler, shards, registers, depth, seed) of the grid runs whose union
+#: of top-level edges is cyclic although every shard certifies clean.
+DEFECT_2_CELLS = frozenset(
+    {
+        *(("certifier", 2, 24, 1, seed) for seed in (2, 4, 5, 7, 8, 9)),
+        *(("certifier", 3, 24, 1, seed) for seed in (0, 1, 3, 4, 6)),
+        ("certifier", 2, 12, 2, 6),
+        *((name, 2, 24, 1, seed) for name in ("nto", "nto-step") for seed in (2, 6)),
+        *((name, 3, 12, 2, 0) for name in ("nto", "nto-step")),
+    }
+)
+
+
+def merged_cells():
+    defect_2 = pytest.mark.xfail(
+        strict=True,
+        reason="defect 2 (ROADMAP 9(c)): orders through shard-local transactions "
+        "reach no shard's certificate and not the coordinator",
+    )
+    for scheduler in (*GRID_SCHEDULERS, "nto-step"):
+        for shards in (2, 3):
+            for registers, depth in GRID_BASES:
+                for seed in GRID_SEEDS:
+                    cell = (scheduler, shards, registers, depth, seed)
+                    marks = [defect_2] if cell in DEFECT_2_CELLS else []
+                    yield pytest.param(*cell, marks=marks, id="-".join(map(str, cell)))
+
+
+@pytest.mark.parametrize("scheduler, shards, registers, depth, seed", merged_cells())
+def test_the_merged_verdict_holds(scheduler, shards, registers, depth, seed):
+    *_, serialisable, merged = grid_cell(scheduler, shards, registers, depth, seed)
+    assert all(serialisable)
+    assert merged is True
+
+
+class TestMergedVerdict:
+    """Scripted runs for the merged verdict, on either side of it."""
+
+    def test_defect_1_witness_is_globally_serialisable(self):
+        # An edge reported ahead of its requester's first message was once
+        # dropped (ROADMAP 9(b), defect 1); the coordinator's cycle aborts
+        # now keep this run's union acyclic.
+        spec = random_ops_spec(
+            "certifier", 3, registers=6, depth=2, max_ticks=20_000, write_fraction=0.6
+        )
+        result = ShardedEngine(spec, ShardMap(shards=2)).run()
+        assert result.metrics.committed == TRANSACTIONS
+        assert result.coordinator["cycle_aborts"] > 0
+        assert result.serialisable is True
+
+    @pytest.mark.parametrize("scheduler, seed", [("nto", 2), ("nto", 6), ("certifier", 2)])
+    def test_a_cycle_through_two_shards_is_reported(self, scheduler, seed):
+        spec = random_ops_spec(scheduler, seed, max_ticks=20_000)
+        result = ShardedEngine(spec, ShardMap(shards=2)).run()
+        assert [outcome.serialisable for outcome in result.shards] == [True, True]
+        assert result.serialisable is False
 
 
 def test_a_shard_reports_its_waits_between_transactions_once_per_change():

@@ -1,15 +1,13 @@
-"""Aggregation layer: grouping math and the markdown report rendering."""
+"""Aggregation layer: grouping math and the sweep report document."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import format_markdown_table
 from repro.sweep import (
     ScenarioResult,
     ScenarioSpec,
     group_rows,
-    render_markdown_report,
     rows_of,
     sweep_report,
 )
@@ -74,30 +72,3 @@ def test_sweep_report_structure_and_extra():
     assert report["serial_seconds"] == 1.5
     assert report["grouped"]["group_by"] == ["scheduler"]
     assert len(report["grouped"]["rows"]) == 2
-
-
-def test_render_markdown_report_with_grouping():
-    report = sweep_report("unit", ROWS, group_by=("scheduler",), metrics=("committed",))
-    text = render_markdown_report(report)
-    assert "## Sweep `unit` — 4 scenarios" in text
-    assert "### Grouped by scheduler" in text
-    assert "| scheduler |" in text
-
-
-def test_render_markdown_report_without_grouping():
-    report = sweep_report("plain", ROWS)
-    text = render_markdown_report(report, columns=("scheduler", "committed"))
-    assert "Grouped" not in text
-    assert text.count("| n2pl | 10 |") == 1
-
-
-def test_format_markdown_table_cells():
-    table = format_markdown_table(
-        [{"a": 1.23456, "b": True}, {"a": 2, "b": False}], precision=2, title="T"
-    )
-    lines = table.splitlines()
-    assert lines[0] == "**T**"
-    assert "| a | b |" in lines
-    assert "| 1.23 | yes |" in lines
-    assert "| 2 | no |" in lines
-    assert format_markdown_table([]) == "(no rows)"

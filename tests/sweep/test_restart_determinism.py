@@ -116,13 +116,13 @@ def test_policy_axis_values_validate_eagerly():
             scheduler_kwargs=scheduler_kwargs,
         )
 
-    with pytest.raises(SweepSpecError, match="invalid restart policy"):
+    with pytest.raises(SweepSpecError, match="unknown restart policy 'polite'"):
         spec_with(restart_policy="polite")
-    with pytest.raises(SweepSpecError, match="invalid restart policy"):
+    with pytest.raises(SweepSpecError, match="unexpected keyword argument 'bse'"):
         spec_with(restart_policy={"name": "backoff", "bse": 4})  # typo'd kwarg
-    with pytest.raises(SweepSpecError, match="invalid restart policy"):
+    with pytest.raises(SweepSpecError, match="unexpected keyword argument 'base'"):
         spec_with(restart_policy={"name": "backoff", "base": 4})  # a policy takes none
-    with pytest.raises(SweepSpecError, match="invalid restart policy"):
+    with pytest.raises(SweepSpecError, match="restart policy mapping needs a 'name'"):
         spec_with(restart_policy={"base": 4})  # missing name
     with pytest.raises(SweepSpecError, match="unknown gate mode"):
         spec_with(gate_mode="optimism")

@@ -42,7 +42,7 @@ def test_unknown_scheduler_rejected():
 
 
 def test_unknown_workload_parameter_rejected():
-    with pytest.raises(SweepSpecError, match="no parameters"):
+    with pytest.raises(SweepSpecError, match="unexpected keyword argument 'wrong_knob'"):
         hotspot_spec(workload_params={"transactions": 4, "wrong_knob": 1})
 
 
@@ -60,6 +60,18 @@ def test_unknown_scheduler_kwargs_rejected_eagerly():
         hotspot_spec(scheduler="single-active", scheduler_kwargs={"level": "step"})
     # Valid keywords still pass.
     assert hotspot_spec(scheduler_kwargs={"level": "step"}).scheduler_kwargs == {"level": "step"}
+
+
+def test_bad_intra_object_strategy_rejected_eagerly():
+    # The modular scheduler builds each strategy spec at construction, so
+    # a typo'd name or keyword fails here, before any object base exists.
+    with pytest.raises(SweepSpecError, match="unknown intra-object strategy 'nope'"):
+        hotspot_spec(scheduler="modular", scheduler_kwargs={"default_strategy": "nope"})
+    with pytest.raises(SweepSpecError, match="unexpected keyword argument 'x'"):
+        hotspot_spec(
+            scheduler="modular",
+            scheduler_kwargs={"per_object_strategy": {"hot-0": {"name": "locking", "x": 1}}},
+        )
 
 
 def test_tags_shadowing_metric_columns_rejected():
