@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, Iterator
 
+from .dag import reachable
 from .errors import ModelError
 from .operations import LocalStep, MessageStep, Step
 
@@ -82,7 +83,7 @@ class MethodExecution:
         self._sequential = True  # see is_sequential
         # Memoised programme-order reachability; dropped on mutation.
         self._po_successors: dict[int, set[int]] | None = None
-        self._po_reachable: dict[int, set[int]] | None = None
+        self._po_reachable: dict[int, dict] | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -202,10 +203,11 @@ class MethodExecution:
     def program_precedes(self, first: Step | int, second: Step | int) -> bool:
         """True when ``first prec second`` holds in the transitive closure.
 
-        A generating pair answers at once.  Otherwise reachability is
-        memoised per source step (and the successor adjacency built once),
-        so repeated queries — the serialisation-graph builders ask about
-        every message pair — cost ``O(1)`` after the first one.
+        A generating pair answers at once.  Otherwise the closure from
+        ``first`` (:func:`~repro.core.dag.reachable`) is memoised per source
+        step (and the successor adjacency built once), so repeated queries —
+        the serialisation-graph builders ask about every message pair — cost
+        ``O(1)`` after the first one.
         """
         first_id = first.step_id if isinstance(first, Step) else int(first)
         second_id = second.step_id if isinstance(second, Step) else int(second)
@@ -220,18 +222,10 @@ class MethodExecution:
                     successors.setdefault(before, set()).add(after)
             self._po_successors = successors
             self._po_reachable = {}
-        reachable = self._po_reachable.get(first_id)
-        if reachable is None:
-            reachable = set()
-            frontier = list(self._po_successors.get(first_id, ()))
-            while frontier:
-                current = frontier.pop()
-                if current in reachable:
-                    continue
-                reachable.add(current)
-                frontier.extend(self._po_successors.get(current, ()))
-            self._po_reachable[first_id] = reachable
-        return second_id in reachable
+        reached = self._po_reachable.get(first_id)
+        if reached is None:
+            reached = self._po_reachable[first_id] = reachable(self._po_successors, (first_id,))
+        return second_id in reached
 
     def is_aborted(self) -> bool:
         """True when the execution contains an ``Abort`` local step."""

@@ -35,7 +35,7 @@ from collections.abc import Iterable, Mapping
 from typing import Any
 
 from .conflicts import PerObjectConflicts
-from .dag import topological_order
+from .dag import reachable, topological_order
 from .errors import (
     IllegalHistoryError,
     IllegalStepSequenceError,
@@ -144,7 +144,7 @@ class History:
         self._ancestor_set_cache: dict[str, frozenset[str]] = {}
         self._descendant_cache: dict[str, tuple[str, ...]] = {}
         self._successors_cache: dict[int, set[int]] | None = None
-        self._reachability_cache: dict[int, set[int]] = {}
+        self._reachability_cache: dict[int, dict] = {}
         self._final_states_cache: dict[str, ObjectState] | None = None
 
     # ------------------------------------------------------------------
@@ -319,31 +319,18 @@ class History:
             if first_interval is None or second_interval is None:
                 return False
             return first_interval[1] < second_interval[0]
-        return second_id in self._reachable_from(first_id)
-
-    def _successors(self) -> dict[int, set[int]]:
-        """Successor adjacency of the generating pairs (built once, cached)."""
-        if self._successors_cache is None:
-            successors: dict[int, set[int]] = {}
-            for before, after in self._order_pairs:
-                successors.setdefault(before, set()).add(after)
-            self._successors_cache = successors
-        return self._successors_cache
-
-    def _reachable_from(self, step_id: int) -> set[int]:
-        if step_id in self._reachability_cache:
-            return self._reachability_cache[step_id]
-        successors = self._successors()
-        reached: set[int] = set()
-        frontier = list(successors.get(step_id, ()))
-        while frontier:
-            current = frontier.pop()
-            if current in reached:
-                continue
-            reached.add(current)
-            frontier.extend(successors.get(current, ()))
-        self._reachability_cache[step_id] = reached
-        return reached
+        # The closure from ``first`` over the generating pairs, memoised per
+        # source (the successor adjacency is built once).
+        reached = self._reachability_cache.get(first_id)
+        if reached is None:
+            if self._successors_cache is None:
+                successors: dict[int, set[int]] = {}
+                for before, after in self._order_pairs:
+                    successors.setdefault(before, set()).add(after)
+                self._successors_cache = successors
+            reached = reachable(self._successors_cache, (first_id,))
+            self._reachability_cache[first_id] = reached
+        return second_id in reached
 
     def ordered(self, first: Step | int, second: Step | int) -> bool:
         """True when the two steps are related by ``<`` in either direction."""

@@ -38,10 +38,18 @@ components its spec names (DESIGN.md, "Import on use").
 from __future__ import annotations
 
 import importlib
+import inspect
 import sys
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-__all__ = ["LazyTable", "component_names", "lazy_surface", "load_target", "resolve_component"]
+__all__ = [
+    "LazyTable",
+    "component_names",
+    "lazy_surface",
+    "load_target",
+    "preset",
+    "resolve_component",
+]
 
 
 def load_target(target: str, home: str, name: str = "") -> Any:
@@ -54,6 +62,31 @@ def load_target(target: str, home: str, name: str = "") -> Any:
     module, _, attribute = target.partition(":")
     loaded = importlib.import_module(module or home, sys.modules[home].__package__)
     return getattr(loaded, attribute or name)
+
+
+def preset(target: str, home: str, /, **fixed: Any) -> Callable[[], Callable[..., Any]]:
+    """A :class:`LazyTable` loader of class ``target`` with some keywords fixed.
+
+    The factory it loads no longer accepts a fixed keyword:
+    ``functools.partial`` would let a caller override one; here passing it
+    is a ``TypeError`` (a second value for the keyword), and
+    ``inspect.signature`` does not list it.  ``target`` is read as by
+    :func:`load_target` from the module named ``home``.
+    """
+
+    def load() -> Callable[..., Any]:
+        cls = load_target(target, home)
+
+        def factory(**kwargs: Any) -> Any:
+            return cls(**fixed, **kwargs)
+
+        signature = inspect.signature(cls)
+        factory.__signature__ = signature.replace(
+            parameters=[p for p in signature.parameters.values() if p.name not in fixed]
+        )
+        return factory
+
+    return load
 
 
 class LazyTable(Mapping):

@@ -108,19 +108,17 @@ EMPTY_STATE = ObjectState()
 class AppliedStep:
     """One local step applied to an object, with the pre-application state.
 
+    ``step`` is the engine's own record of the step (its execution,
+    object, operation and the value its transaction observed);
     ``pre_state`` is a snapshot (a reference — states are immutable) of the
-    object's state immediately before ``operation`` was applied, which is
-    exactly what incremental undo needs to roll the object back to the
-    point just before an aborted transaction first touched it;
-    ``return_value`` is what its transaction observed.
+    object's state immediately before the step applied, which is exactly
+    what incremental undo needs to roll the object back to the point just
+    before an aborted transaction first touched it.
     """
 
-    execution_id: str
+    step: Any  # a LocalStep; typed loosely to avoid an import cycle
     top_level_id: str
-    object_name: str
-    operation: Any  # a LocalOperation; typed loosely to avoid an import cycle
     pre_state: ObjectState
-    return_value: Any
 
 
 class UndoLog:
@@ -140,17 +138,10 @@ class UndoLog:
 
     # -- recording -----------------------------------------------------------
 
-    def record(
-        self,
-        object_name: str,
-        execution_id: str,
-        top_level_id: str,
-        operation: Any,
-        pre_state: ObjectState,
-        return_value: Any,
-    ) -> None:
-        """Append one applied step to the object's segment."""
-        entry = AppliedStep(execution_id, top_level_id, object_name, operation, pre_state, return_value)
+    def record(self, step: Any, top_level_id: str, pre_state: ObjectState) -> None:
+        """Append one applied step (a ``LocalStep``) to its object's segment."""
+        object_name = step.object_name
+        entry = AppliedStep(step, top_level_id, pre_state)
         entries = self._by_object.get(object_name)
         if entries is None:
             entries = self._by_object[object_name] = []
@@ -241,7 +232,7 @@ class UndoLog:
             if not log:
                 continue
             first = next(
-                (index for index, entry in enumerate(log) if entry.execution_id in subtree),
+                (index for index, entry in enumerate(log) if entry.step.execution_id in subtree),
                 None,
             )
             if first is None:
@@ -250,12 +241,13 @@ class UndoLog:
             del log[first:]
             state = suffix[0].pre_state
             for entry in suffix:
-                if entry.execution_id in subtree:
+                step = entry.step
+                if step.execution_id in subtree:
                     removed += 1
                     continue
                 entry.pre_state = state
-                value, state = entry.operation.apply(state)
-                if value != entry.return_value and not entry.operation.is_read_only():
+                value, state = step.operation.apply(state)
+                if value != step.return_value and not step.operation.is_read_only():
                     stale[entry.top_level_id] = None
                 log.append(entry)
             states[object_name] = state

@@ -10,34 +10,10 @@ name, which the benchmark harness uses for its parameter sweeps.
 
 from __future__ import annotations
 
-import inspect
-from typing import Any, Callable
+from typing import Any
 
-from ..core.registry import LazyTable, lazy_surface, load_target, resolve_component
+from ..core.registry import LazyTable, lazy_surface, preset, resolve_component
 from .base import CASCADE_MODE, STEP_LEVEL, Scheduler
-
-
-def _preset(target: str, **fixed: Any) -> Callable[[], Callable[..., Scheduler]]:
-    """A loader of class ``target`` with some keywords fixed, which it no longer accepts.
-
-    ``functools.partial`` would let a caller override a fixed keyword; here
-    passing one is a ``TypeError`` (a second value for the keyword), and
-    ``inspect.signature`` does not list it.
-    """
-
-    def load() -> Callable[..., Scheduler]:
-        cls = load_target(target, __name__)
-
-        def factory(**kwargs: Any) -> Scheduler:
-            return cls(**fixed, **kwargs)
-
-        signature = inspect.signature(cls)
-        factory.__signature__ = signature.replace(
-            parameters=[p for p in signature.parameters.values() if p.name not in fixed]
-        )
-        return factory
-
-    return load
 
 
 # The keywords a name accepts, and their defaults, are the signature of the
@@ -56,14 +32,17 @@ SCHEDULER_FACTORIES: LazyTable = LazyTable(
     {
         "pass-through": ".base:Scheduler",
         "n2pl": ".n2pl:NestedTwoPhaseLocking",
-        "n2pl-step": _preset(".n2pl:NestedTwoPhaseLocking", level=STEP_LEVEL),
+        "n2pl-step": preset(".n2pl:NestedTwoPhaseLocking", __name__, level=STEP_LEVEL),
         "nto": ".nto:NestedTimestampOrdering",
-        "nto-step": _preset(".nto:NestedTimestampOrdering", level=STEP_LEVEL),
+        "nto-step": preset(".nto:NestedTimestampOrdering", __name__, level=STEP_LEVEL),
         "single-active": ".single_active:SingleActiveObjectScheduler",
         "certifier": ".certifier:OptimisticCertifier",
         "modular": ".modular:ModularScheduler",
-        "modular-intra-only": _preset(
-            ".modular:ModularScheduler", inter_object_checks=False, gate_mode=CASCADE_MODE
+        "modular-intra-only": preset(
+            ".modular:ModularScheduler",
+            __name__,
+            inter_object_checks=False,
+            gate_mode=CASCADE_MODE,
         ),
         "adaptive": ".adaptive:AdaptiveModularScheduler",
     },

@@ -131,24 +131,20 @@ class AdaptiveModularScheduler(ModularScheduler):
         self.windows_evaluated = 0
 
     def attach(self, object_base) -> None:
+        # The modular attach already gave every object its pin, its
+        # definition's preference or the default, rung 0; only the latter
+        # adapt.
         super().attach(object_base)
-        registry = self.conflicts_for(self.level)
-        step_level = self.level == STEP_LEVEL
         for object_name in self._synchronisers:
             if object_name in self.per_object_strategy:
                 continue  # explicitly pinned objects never adapt
-            definition = object_base.definition(object_name)
-            if getattr(definition, "intra_object_synchroniser", None):
+            if object_base.definition(object_name).intra_object_synchroniser:
                 # A definition-preferred synchroniser (e.g. the b-tree's
                 # key-granular locking) encodes structure the generic
                 # ladder cannot reproduce; flattening it to a whole-object
                 # rung measurably thrashes, so preferences stay pinned.
                 continue
-            self._synchronisers[object_name] = make_intra_strategy(
-                DEFAULT_LADDER[0], object_name, registry[object_name], step_level
-            )
             self._rungs[object_name] = 0
-        self._refresh_commit_checkers()
 
     # -- contention sampling ------------------------------------------------------
 

@@ -38,6 +38,13 @@ the resulting return value, and, having established the actual step,
 acquire the necessary lock" implementation of step-level conflict
 detection (Section 5.1); schedulers that only use operation-level
 conflicts simply ignore it.
+
+Nothing runs between a GRANT and the execution, so the provisional step
+*is* the executed step: the engine builds one :class:`LocalStep` per
+request and records that same object in the history and the undo log.
+:meth:`Scheduler.on_operation_executed` takes only the request, and a
+scheduler keeps ``request.lock_item(level)`` — the step itself at step
+level — rather than building a step of its own.
 """
 
 from __future__ import annotations
@@ -281,8 +288,8 @@ class Scheduler:
         """
         return SchedulerResponse.grant()
 
-    def on_operation_executed(self, request: OperationRequest, value: Any) -> None:
-        """The operation was executed and returned ``value``."""
+    def on_operation_executed(self, request: OperationRequest) -> None:
+        """The granted operation executed as ``request.provisional_step``."""
 
     def on_execution_complete(self, info: ExecutionInfo) -> None:
         """A (child) method execution finished normally."""

@@ -151,10 +151,8 @@ class OptimisticCertifier(Scheduler):
         item = request.lock_item(self.level)
         return self.gate.check_operation(request.object_name, item, request.info)
 
-    def on_operation_executed(self, request: OperationRequest, value: Any) -> None:
-        step = LocalStep(
-            request.info.execution_id, request.object_name, request.operation, value
-        )
+    def on_operation_executed(self, request: OperationRequest) -> None:
+        step = request.provisional_step
         transaction_id = request.info.top_level_id
         # Classify the new step against the object's recorded suffix exactly
         # once: every earlier step executed first, so only "earlier conflicts
@@ -175,8 +173,7 @@ class OptimisticCertifier(Scheduler):
             if transaction_id != earlier_id:
                 self._pending_edges[transaction_id].add(edge)
         self._steps.add(request.object_name, transaction_id, (step, request.info))
-        item = step if self.level == STEP_LEVEL else request.operation
-        self.gate.record_step(request.object_name, item, transaction_id)
+        self.gate.record_step(request.object_name, request.lock_item(self.level), transaction_id)
 
     # -- validation phase ----------------------------------------------------------
 

@@ -43,7 +43,6 @@ from typing import Any, Callable
 from ..core.conflicts import ConflictSpec
 from ..core.dag import PrecedenceDag
 from ..core.errors import UnknownObjectError
-from ..core.operations import LocalStep
 from ..core.records import StepRecords
 from ..core.registry import LazyTable, resolve_component
 from ..core.waits import DEADLOCK
@@ -86,8 +85,8 @@ class IntraObjectSynchroniser:
     def on_operation(self, request: OperationRequest) -> SchedulerResponse:
         return SchedulerResponse.grant()
 
-    def on_operation_executed(self, request: OperationRequest, value: Any) -> None:
-        """The operation executed and returned ``value``."""
+    def on_operation_executed(self, request: OperationRequest) -> None:
+        """The granted operation executed as ``request.provisional_step``."""
 
     def on_commit_request(self, info: ExecutionInfo) -> SchedulerResponse:
         """The top-level transaction asks to commit (optimistic validation hook).
@@ -208,15 +207,10 @@ class IntraObjectTimestampOrdering(IntraObjectSynchroniser):
                 )
         return SchedulerResponse.grant()
 
-    def on_operation_executed(self, request: OperationRequest, value: Any) -> None:
+    def on_operation_executed(self, request: OperationRequest) -> None:
         transaction_id = request.info.top_level_id
         timestamp = self._timestamp_of(transaction_id)
-        item = (
-            LocalStep(request.info.execution_id, request.object_name, request.operation, value)
-            if self.step_level
-            else request.operation
-        )
-        self._records.append((item, timestamp, transaction_id))
+        self._records.append((self._item_of(request), timestamp, transaction_id))
 
     def on_transaction_finished(self, transaction_id: str) -> None:
         self._timestamps.pop(transaction_id, None)
@@ -282,13 +276,8 @@ class IntraObjectCertifier(IntraObjectSynchroniser):
             self._started[transaction_id] = next(self._seq)
         return SchedulerResponse.grant()
 
-    def on_operation_executed(self, request: OperationRequest, value: Any) -> None:
-        item = (
-            LocalStep(request.info.execution_id, request.object_name, request.operation, value)
-            if self.step_level
-            else request.operation
-        )
-        self._items[request.info.top_level_id].append(item)
+    def on_operation_executed(self, request: OperationRequest) -> None:
+        self._items[request.info.top_level_id].append(self._item_of(request))
 
     def on_commit_request(self, info: ExecutionInfo) -> SchedulerResponse:
         transaction_id = info.top_level_id
@@ -462,11 +451,12 @@ class InterObjectCoordinator:
             "serialisation orders of different objects incompatible"
         )
 
-    def record_step(self, request: OperationRequest, value: Any) -> None:
-        step = LocalStep(
-            request.info.execution_id, request.object_name, request.operation, value
+    def record_step(self, request: OperationRequest) -> None:
+        self._steps.add(
+            request.object_name,
+            request.info.top_level_id,
+            (request.provisional_step, request.info),
         )
-        self._steps.add(request.object_name, request.info.top_level_id, (step, request.info))
 
     def note_begin(self, transaction_id: str) -> None:
         """A top-level transaction became live (tracked for the frontier GC)."""
@@ -640,16 +630,13 @@ class ModularScheduler(Scheduler):
                 return self._count_wait(gate_response)  # the gate asked the relation
         return SchedulerResponse.grant()
 
-    def on_operation_executed(self, request: OperationRequest, value: Any) -> None:
-        self.synchroniser_for(request.object_name).on_operation_executed(request, value)
+    def on_operation_executed(self, request: OperationRequest) -> None:
+        self.synchroniser_for(request.object_name).on_operation_executed(request)
         if self._coordinator is not None:
-            self._coordinator.record_step(request, value)
-            item = (
-                LocalStep(request.info.execution_id, request.object_name, request.operation, value)
-                if self.level == STEP_LEVEL
-                else request.operation
+            self._coordinator.record_step(request)
+            self.gate.record_step(
+                request.object_name, request.lock_item(self.level), request.info.top_level_id
             )
-            self.gate.record_step(request.object_name, item, request.info.top_level_id)
 
     def _note_commit_veto(
         self, synchroniser: IntraObjectSynchroniser, response: SchedulerResponse

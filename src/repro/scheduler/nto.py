@@ -132,14 +132,9 @@ class NestedTimestampOrdering(Scheduler):
         # cascade mode).
         return self.gate.check_operation(request.object_name, requested, request.info)
 
-    def on_operation_executed(self, request: OperationRequest, value: Any) -> None:
+    def on_operation_executed(self, request: OperationRequest) -> None:
         timestamp = self.authority.timestamp_of(request.info.execution_id)
-        if self.level == STEP_LEVEL:
-            item: LocalOperation | LocalStep = LocalStep(
-                request.info.execution_id, request.object_name, request.operation, value
-            )
-        else:
-            item = request.operation
+        item = request.lock_item(self.level)
         self._records.add(
             request.object_name,
             request.info.top_level_id,

@@ -36,7 +36,6 @@ from collections import defaultdict
 from typing import Any
 
 from ..core.dag import PrecedenceDag
-from ..core.operations import LocalStep
 from ..core.records import StepRecords
 from .base import (
     ExecutionInfo,
@@ -88,11 +87,12 @@ class IntraTransactionOrdering:
             )
         return SchedulerResponse.grant()
 
-    def record_step(self, request: OperationRequest, value: Any) -> None:
-        step = LocalStep(
-            request.info.execution_id, request.object_name, request.operation, value
+    def record_step(self, request: OperationRequest) -> None:
+        self._steps.add(
+            request.object_name,
+            request.info.top_level_id,
+            (request.provisional_step, request.info),
         )
-        self._steps.add(request.object_name, request.info.top_level_id, (step, request.info))
 
     def forget_transaction(self, transaction_id: str) -> None:
         self._steps.drop(transaction_id)
@@ -163,8 +163,8 @@ class SingleActiveObjectScheduler(Scheduler):
             self.deadlocks_detected += 1
         return response
 
-    def on_operation_executed(self, request: OperationRequest, value: Any) -> None:
-        self.sibling_order.record_step(request, value)
+    def on_operation_executed(self, request: OperationRequest) -> None:
+        self.sibling_order.record_step(request)
 
     def _release(self, transaction_id: str) -> None:
         # Object locks only ever free at transaction end, and the engine

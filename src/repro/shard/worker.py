@@ -15,8 +15,9 @@ Workers are spawn-safe the same way the sweep runner's are: a worker
 receives only picklable plain data (the scenario spec and shard map as
 JSON dicts) and constructs every live object in-worker.  Each worker
 walks the *full* ``(tick, spec)`` stream (a pure function of the spec),
-routes each spec once and keeps those homed on its shard, reading ahead
-no further than its next cross-shard arrival — no generator state ever
+routes each spec and keeps those homed on its shard, reading ahead no
+further than its next cross-shard arrival; an attempt asks the route again
+(a pure function of spec and placement) — no generator state ever
 crosses a process boundary, and every worker agrees on every
 transaction's home without communicating.
 """
@@ -96,11 +97,6 @@ class ShardWorker(SimulationEngine):
         self._reply_to: dict[str, str] = {}
         #: Heap of due ticks of cross-classified arrivals read and restarts queued.
         self._cross_due: list[int] = []
-        # A spec's route is reused by its restarts: the cross flags of the
-        # specs handed to the engine, in admission order, then the lineages
-        # in flight whose spec is cross-classified.
-        self._handed: deque[bool] = deque()
-        self._cross_lineages: set[int] = set()
         #: Homed ``(due, spec, cross)`` arrivals read, not yet handed over.
         self._ahead: deque[tuple[int, TransactionSpec, bool]] = deque()
         self._global = iter(())  # the global (due, spec) stream
@@ -124,9 +120,7 @@ class ShardWorker(SimulationEngine):
             self.submit_scheduled(self._homed_arrivals())
         else:
             for txn_spec in transaction_specs:
-                home, cross = self.route(txn_spec)
-                if home == index:
-                    self._handed.append(cross)
+                if self.route(txn_spec)[0] == index:
                     self.submit(txn_spec)
         self._admit_pending()  # the closed batch, as SimulationEngine.run does
         self._shipped: dict[str, tuple] = {}  # the waits-for records last reported
@@ -303,28 +297,21 @@ class ShardWorker(SimulationEngine):
         """This shard's ``(due, spec)`` arrivals, for the engine's feed."""
         ahead = self._ahead
         while ahead or self._look_ahead():
-            due, txn_spec, cross = ahead.popleft()
-            self._handed.append(cross)
+            due, txn_spec, _ = ahead.popleft()
             yield due, txn_spec
 
     def _schedule(self, due: int, kind: int, payload: Any = None) -> None:
         """Queue an event; a cross-classified restart also bounds :meth:`_next_send`."""
         super()._schedule(due, kind, payload)
-        if kind == _EVENT_RESTART and payload[2] in self._cross_lineages:
+        if kind == _EVENT_RESTART and self.route(payload[0])[1]:
             heapq.heappush(self._cross_due, due)
 
     def _start_transaction(self, spec, attempt: int, lineage: int):
-        """Start an attempt; one of a cross-classified lineage registers as cross-shard."""
-        if attempt == 1 and self._handed.popleft():
-            self._cross_lineages.add(lineage)
+        """Start an attempt; an attempt of a cross-classified spec registers as cross-shard."""
         frame = super()._start_transaction(spec, attempt, lineage)
-        if lineage in self._cross_lineages:
+        if self.route(spec)[1]:
             self.cross.add(frame.execution_id)
         return frame
-
-    def _end_lineage(self, lineage: int) -> int:
-        self._cross_lineages.discard(lineage)
-        return super()._end_lineage(lineage)
 
     def _open_root(self, method_name: str, execution_id: str | None, **frame_fields: Any):
         """Open a root; an attempt takes a fleet-unique id.

@@ -919,11 +919,9 @@ class SimulationEngine:
         self._waits.clear(frame.execution_id)
         self._states[object_name] = new_state
         self._builder.record_local(frame.execution, step)
-        self._undo_log.record(
-            object_name, frame.execution_id, info.top_level_id, operation, pre_state, value
-        )
+        self._undo_log.record(step, info.top_level_id, pre_state)
         self.metrics.local_steps += 1
-        self.scheduler.on_operation_executed(operation_request, value)
+        self.scheduler.on_operation_executed(operation_request)
         self._note_step(info, step)
         if self._trace is not None:
             self._record(GRANTED, frame.execution_id, object_name, operation.name)

@@ -5,42 +5,41 @@ the knobs an experiment sweeps (population sizes, contention
 probabilities, seeds): ``build_object_base()`` makes the object base and
 ``iter_transactions()`` yields the specs to submit, one as it is read
 (``build()`` returns both, the specs as a list).  :data:`WORKLOAD_REGISTRY`
-maps short names to the classes so that declarative scenario
-specifications (:mod:`repro.sweep`) can reference workloads by name and
-construct them inside worker processes from JSON-serialisable parameters.
+maps short names to the classes (or presets of them) so that declarative
+scenario specifications (:mod:`repro.sweep`) can reference workloads by name
+and construct them inside worker processes from JSON-serialisable parameters.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-from ...core.registry import LazyTable, lazy_surface, resolve_component
+from ...core.registry import LazyTable, lazy_surface, preset, resolve_component
 
 #: Short names accepted by :func:`make_workload` and ``repro.sweep`` specs;
-#: an entry's module loads when it is named.  The ``*-stream`` entries wrap
-#: the matching closed-batch generator in an arrival process (see
-#: :mod:`repro.simulation.workloads.stream`); the generic ``"stream"`` entry
-#: picks the inner workload via its ``inner`` parameter.
+#: an entry's module loads when it is named.  The generic ``"stream"`` entry
+#: wraps the workload its ``inner`` parameter names in an arrival process
+#: (see :mod:`repro.simulation.workloads.stream`); each ``<name>-stream``
+#: entry is that wrapper with ``inner`` fixed to ``<name>``.
+_CLOSED = {
+    "banking": ".banking:BankingWorkload",
+    "btree": ".btree_load:BTreeWorkload",
+    "hotspot": ".hotspot:HotspotWorkload",
+    "mixed": ".mixed:MixedWorkload",
+    "order-processing": ".order_processing:OrderProcessingWorkload",
+    "queue": ".queues:QueueWorkload",
+    "random-ops": ".random_ops:RandomOperationsWorkload",
+    "zipf": ".zipf:ZipfianWorkload",
+}
 WORKLOAD_REGISTRY: LazyTable = LazyTable(
     __name__,
     {
-        "banking": ".banking:BankingWorkload",
-        "btree": ".btree_load:BTreeWorkload",
-        "hotspot": ".hotspot:HotspotWorkload",
-        "mixed": ".mixed:MixedWorkload",
-        "order-processing": ".order_processing:OrderProcessingWorkload",
-        "queue": ".queues:QueueWorkload",
-        "random-ops": ".random_ops:RandomOperationsWorkload",
-        "zipf": ".zipf:ZipfianWorkload",
+        **_CLOSED,
         "stream": ".stream:StreamingWorkload",
-        "banking-stream": ".stream:StreamingBankingWorkload",
-        "btree-stream": ".stream:StreamingBTreeWorkload",
-        "hotspot-stream": ".stream:StreamingHotspotWorkload",
-        "mixed-stream": ".stream:StreamingMixedWorkload",
-        "order-processing-stream": ".stream:StreamingOrderProcessingWorkload",
-        "queue-stream": ".stream:StreamingQueueWorkload",
-        "random-ops-stream": ".stream:StreamingRandomOperationsWorkload",
-        "zipf-stream": ".stream:StreamingZipfianWorkload",
+        **{
+            f"{inner}-stream": preset(".stream:StreamingWorkload", __name__, inner=inner)
+            for inner in _CLOSED
+        },
     },
 )
 
@@ -94,17 +93,7 @@ _exports, __getattr__, __dir__ = lazy_surface(
         ".order_processing": ("OrderProcessingWorkload",),
         ".queues": ("QueueWorkload",),
         ".random_ops": ("RandomOperationsWorkload",),
-        ".stream": (
-            "StreamingBankingWorkload",
-            "StreamingBTreeWorkload",
-            "StreamingHotspotWorkload",
-            "StreamingMixedWorkload",
-            "StreamingOrderProcessingWorkload",
-            "StreamingQueueWorkload",
-            "StreamingRandomOperationsWorkload",
-            "StreamingWorkload",
-            "StreamingZipfianWorkload",
-        ),
+        ".stream": ("StreamingWorkload",),
         ".zipf": ("ZipfianWorkload",),
     },
 )

@@ -25,7 +25,7 @@ from typing import Any
 
 from ...core.errors import WorkloadError
 from ..arrivals import ArrivalProcess, make_arrival_process
-from . import WORKLOAD_REGISTRY, make_workload
+from . import make_workload
 from .base import Workload
 
 
@@ -50,12 +50,11 @@ class StreamingWorkload(Workload):
     _inner_workload: Any = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        inner_class = WORKLOAD_REGISTRY.get(self.inner)
-        if inner_class is not None and issubclass(inner_class, StreamingWorkload):
-            raise WorkloadError("streaming workloads cannot wrap one another")
         # Each part checks itself: the inner workload's constructor its
         # name and keywords, the arrival process's its own.
         self._inner_workload = make_workload(self.inner, **self.inner_params)
+        if isinstance(self._inner_workload, StreamingWorkload):
+            raise WorkloadError("streaming workloads cannot wrap one another")
         self.arrival_process()
 
     # -- building ------------------------------------------------------------------
@@ -79,58 +78,3 @@ class StreamingWorkload(Workload):
             )
         return mapper()
 
-
-@dataclass
-class StreamingHotspotWorkload(StreamingWorkload):
-    """Hot-spot contention as an arrival stream (E15's default subject)."""
-
-    inner: str = "hotspot"
-
-
-@dataclass
-class StreamingBankingWorkload(StreamingWorkload):
-    """Banking transfers as an arrival stream."""
-
-    inner: str = "banking"
-
-
-@dataclass
-class StreamingMixedWorkload(StreamingWorkload):
-    """The mixed-ADT workload as an arrival stream."""
-
-    inner: str = "mixed"
-
-
-@dataclass
-class StreamingQueueWorkload(StreamingWorkload):
-    """Producer/consumer queues as an arrival stream."""
-
-    inner: str = "queue"
-
-
-@dataclass
-class StreamingRandomOperationsWorkload(StreamingWorkload):
-    """Random register operations as an arrival stream."""
-
-    inner: str = "random-ops"
-
-
-@dataclass
-class StreamingBTreeWorkload(StreamingWorkload):
-    """B-tree index traffic as an arrival stream."""
-
-    inner: str = "btree"
-
-
-@dataclass
-class StreamingZipfianWorkload(StreamingWorkload):
-    """Zipf-skewed register traffic as an arrival stream (E19's hot/cold mix)."""
-
-    inner: str = "zipf"
-
-
-@dataclass
-class StreamingOrderProcessingWorkload(StreamingWorkload):
-    """The order-processing pipeline as an arrival stream."""
-
-    inner: str = "order-processing"

@@ -96,7 +96,7 @@ def build_scenario(spec: ScenarioSpec) -> tuple[dict[str, Any], Any, ArrivalProc
     scheduler = make_scheduler(spec.scheduler, **scheduler_kwargs)
     engine_params = dict(spec.engine_params)
     if spec.certify == "stream":
-        engine_params.setdefault("certify", "stream")
+        engine_params["certify"] = "stream"
     elif spec.certify:  # set-up loads the post-hoc certifier summarise_run calls
         from ..analysis import certify  # noqa: F401
     arguments = dict(object_base=object_base, scheduler=scheduler, seed=spec.seed, **engine_params)

@@ -49,12 +49,13 @@ from ..simulation.workloads import make_workload
 
 #: Engine constructor keywords a scenario may set — derived from the
 #: :class:`SimulationEngine` signature so the whitelist tracks the engine
-#: by construction (``seed`` is a first-class ScenarioSpec field and the
-#: positional arguments are supplied by the runner).
+#: by construction (``seed`` and ``certify`` are first-class ScenarioSpec
+#: fields, stated there once, and the positional arguments are supplied by
+#: the runner).
 ENGINE_PARAM_NAMES = frozenset(
     name
     for name in inspect.signature(SimulationEngine.__init__).parameters
-    if name not in {"self", "object_base", "scheduler", "seed"}
+    if name not in {"self", "object_base", "scheduler", "seed", "certify"}
 )
 
 _SCALAR_FIELDS = frozenset(

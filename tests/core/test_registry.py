@@ -176,6 +176,7 @@ def test_every_registry_entry_resolves_to_a_factory(registry):
 #: The constructor arguments ``make_intra_strategy`` supplies itself.
 _INTRA_CONSTRUCTION = ("object_name", "conflicts", "step_level")
 _GATED = ("restart_policy", "gate_mode")
+_STREAM = ("inner_params", "arrival", "arrival_params")
 _MODULAR = ("default_strategy", "per_object_strategy", "inter_object_checks", "level", *_GATED)
 
 
@@ -209,6 +210,45 @@ class TestKeywordCensus:
             "flash-crowd": ("rate", "spike_factor", "spike_length", "mean_calm"),
         },
         "FAULT_REGISTRY": {"crash": ("at", "period", "max_faults")},
+        "WORKLOAD_REGISTRY": {
+            "banking": (
+                "accounts", "branches", "transactions", "initial_balance", "transfer_fraction",
+                "payroll_fraction", "payroll_width", "audit_sample", "hot_fraction", "seed",
+            ),
+            "btree": (
+                "indexes", "transactions", "operations_per_transaction", "key_space",
+                "initial_keys", "degree", "read_fraction", "scan_fraction", "seed",
+            ),
+            "hotspot": (
+                "transactions", "hot_objects", "cold_objects", "operations_per_transaction",
+                "hot_probability", "use_service_layer", "seed",
+            ),
+            "mixed": (
+                "customers", "catalogue_items", "transactions", "order_fraction",
+                "restock_fraction", "price_range", "initial_balance", "seed",
+            ),
+            "order-processing": (
+                "customers", "items", "transactions", "order_fraction", "fulfil_fraction",
+                "restock_fraction", "skew", "price", "initial_balance", "initial_stock", "seed",
+            ),
+            "queue": (
+                "queues", "producers", "consumers", "items_per_transaction", "initial_depth",
+                "seed",
+            ),
+            "random-ops": (
+                "registers", "transactions", "operations_per_transaction", "write_fraction",
+                "nesting_depth", "parallel_fanout", "seed",
+            ),
+            "zipf": ("transactions", "objects", "operations_per_transaction", "skew", "seed"),
+            "stream": ("inner", *_STREAM),
+            **{
+                f"{inner}-stream": _STREAM
+                for inner in (
+                    "banking", "btree", "hotspot", "mixed", "order-processing", "queue",
+                    "random-ops", "zipf",
+                )
+            },
+        },
         "INTRA_STRATEGIES": {
             "locking": (),
             "timestamp": (),

@@ -44,7 +44,7 @@ def begun(scheduler, *transaction_ids):
 def run_step(scheduler, issuer, object_name, operation, value):
     operation_request = request(issuer, object_name, operation, value)
     assert scheduler.on_operation(operation_request).granted
-    scheduler.on_operation_executed(operation_request, value)
+    scheduler.on_operation_executed(operation_request)
 
 
 class _ConflictCounter:

@@ -30,7 +30,7 @@ def run_step(scheduler, issuer, object_name, operation, value):
     operation_request = request(issuer, object_name, operation, value)
     response = scheduler.on_operation(operation_request)
     if response.granted:
-        scheduler.on_operation_executed(operation_request, value)
+        scheduler.on_operation_executed(operation_request)
     return response
 
 
@@ -91,10 +91,10 @@ class TestIntraObjectSynchronisers:
         # it is "too late" with respect to T2's recorded write and aborts.
         first_read = request(info("T1"), "cell", ReadRegister(), 0)
         assert synchroniser.on_operation(first_read).granted
-        synchroniser.on_operation_executed(first_read, 0)
+        synchroniser.on_operation_executed(first_read)
         second_write = request(info("T2"), "cell", WriteRegister(2), 2)
         assert synchroniser.on_operation(second_write).granted
-        synchroniser.on_operation_executed(second_write, 2)
+        synchroniser.on_operation_executed(second_write)
         response = synchroniser.on_operation(request(info("T1"), "cell", WriteRegister(1), 1))
         assert response.aborted
 

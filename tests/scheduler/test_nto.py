@@ -16,10 +16,10 @@ def make_scheduler(base, level="operation"):
     return scheduler
 
 
-def granted_and_recorded(scheduler, operation_request, value=None):
+def granted_and_recorded(scheduler, operation_request):
     response = scheduler.on_operation(operation_request)
     assert response.granted
-    scheduler.on_operation_executed(operation_request, value)
+    scheduler.on_operation_executed(operation_request)
     return response
 
 
@@ -29,8 +29,8 @@ class TestTimestampRuleOne:
         first, second = info("T1"), info("T2")
         scheduler.on_transaction_begin(first)
         scheduler.on_transaction_begin(second)
-        granted_and_recorded(scheduler, request(first, "cell", WriteRegister(1)), 1)
-        granted_and_recorded(scheduler, request(second, "cell", WriteRegister(2)), 2)
+        granted_and_recorded(scheduler, request(first, "cell", WriteRegister(1), 1))
+        granted_and_recorded(scheduler, request(second, "cell", WriteRegister(2), 2))
 
     def test_late_conflicting_operation_aborts(self, small_object_base):
         scheduler = make_scheduler(small_object_base)
@@ -39,7 +39,7 @@ class TestTimestampRuleOne:
         scheduler.on_transaction_begin(second)
         # The younger transaction writes first; the older one then arrives
         # "too late" and must abort.
-        granted_and_recorded(scheduler, request(second, "cell", WriteRegister(2)), 2)
+        granted_and_recorded(scheduler, request(second, "cell", WriteRegister(2), 2))
         response = scheduler.on_operation(request(first, "cell", WriteRegister(1)))
         assert response.decision is Decision.ABORT
         assert "timestamp" in response.reason
@@ -50,7 +50,7 @@ class TestTimestampRuleOne:
         first, second = info("T1"), info("T2")
         scheduler.on_transaction_begin(first)
         scheduler.on_transaction_begin(second)
-        granted_and_recorded(scheduler, request(second, "cell", ReadRegister()), 0)
+        granted_and_recorded(scheduler, request(second, "cell", ReadRegister(), 0))
         # Reads do not conflict with reads, so the older reader proceeds.
         assert scheduler.on_operation(request(first, "cell", ReadRegister())).granted
 
@@ -60,7 +60,7 @@ class TestTimestampRuleOne:
         scheduler.on_transaction_begin(parent)
         child = child_of(parent, "T1.1", "cell")
         scheduler.on_invoke(parent, child)
-        granted_and_recorded(scheduler, request(child, "cell", WriteRegister(1)), 1)
+        granted_and_recorded(scheduler, request(child, "cell", WriteRegister(1), 1))
         # The parent's timestamp is a prefix of the child's; although the
         # child's record is "later", the parent must not abort (they are
         # comparable executions).
@@ -94,7 +94,7 @@ class TestStepLevelVariant:
         scheduler.on_transaction_begin(older)
         scheduler.on_transaction_begin(younger)
         enqueue = request(younger, "queue", Enqueue("fresh"), provisional_value=None)
-        granted_and_recorded(scheduler, enqueue, None)
+        granted_and_recorded(scheduler, enqueue)
         # The older consumer dequeues the seed item, which does not conflict
         # with the younger producer's enqueue at the step level, so no abort.
         dequeue = request(older, "queue", Dequeue(), provisional_value="seed")
@@ -105,7 +105,7 @@ class TestStepLevelVariant:
         younger, older = info("T2"), info("T1")
         scheduler.on_transaction_begin(older)
         scheduler.on_transaction_begin(younger)
-        granted_and_recorded(scheduler, request(younger, "queue", Enqueue("fresh")), None)
+        granted_and_recorded(scheduler, request(younger, "queue", Enqueue("fresh")))
         response = scheduler.on_operation(
             request(older, "queue", Dequeue(), provisional_value="seed")
         )
@@ -119,7 +119,7 @@ class TestLifecycle:
         scheduler.on_transaction_begin(parent)
         child = child_of(parent, "T1.1", "cell")
         scheduler.on_invoke(parent, child)
-        granted_and_recorded(scheduler, request(child, "cell", WriteRegister(1)), 1)
+        granted_and_recorded(scheduler, request(child, "cell", WriteRegister(1), 1))
         scheduler.on_transaction_abort(parent, ("T1", "T1.1"))
         assert not scheduler.authority.knows("T1.1")
         assert scheduler.describe()["recorded_steps"] == 1
@@ -136,7 +136,7 @@ class TestLifecycle:
         first, second = info("T1"), info("T2")
         scheduler.on_transaction_begin(first)
         scheduler.on_transaction_begin(second)
-        granted_and_recorded(scheduler, request(first, "cell", WriteRegister(1)), 1)
+        granted_and_recorded(scheduler, request(first, "cell", WriteRegister(1), 1))
         response = scheduler.on_operation(request(second, "cell", WriteRegister(2)))
         # NTO either grants or aborts; it never blocks (deadlock freedom).
         assert response.decision in (Decision.GRANT, Decision.ABORT)

@@ -1,10 +1,12 @@
 """The scheduler registry is a table of classes, and a scheduler can be re-attached.
 
-Two facts are written once in ``repro.scheduler`` and pinned here from the
+Three facts are written once in ``repro.scheduler`` and pinned here from the
 outside: the keywords a registry name accepts are the signature of the class
-it maps to (minus what a preset fixes), and a scheduler's per-run state is
+it maps to (minus what a preset fixes); a scheduler's per-run state is
 whatever ``_reset`` creates — so attaching a used instance to a second engine
-must behave exactly like a new instance.
+must behave exactly like a new instance; and a granted step is the one
+``LocalStep`` the engine built for its request, which every scheduler keeps
+rather than building its own.
 """
 
 from __future__ import annotations
@@ -13,7 +15,14 @@ import inspect
 
 import pytest
 
-from repro.scheduler import SCHEDULER_FACTORIES, adaptive, make_scheduler
+from repro.core.operations import LocalStep
+from repro.scheduler import (
+    OPERATION_LEVEL,
+    SCHEDULER_FACTORIES,
+    STEP_LEVEL,
+    adaptive,
+    make_scheduler,
+)
 from repro.simulation import SimulationEngine, make_workload
 from repro.sweep import ScenarioSpec
 from repro.sweep.spec import SweepSpecError
@@ -117,3 +126,41 @@ def test_reattached_scheduler_starts_like_a_new_one(name, monkeypatch):
     # Same instance, second engine, other workload: anything the first run
     # left behind outside ``_reset`` shows in the metrics row or describe().
     assert _run(used, workload_seed=12) == _run(make_scheduler(name, **kwargs), workload_seed=12)
+
+
+def _levels():
+    """Every registry name, at both levels where it takes a ``level``."""
+    for name in sorted(SCHEDULER_FACTORIES):
+        if "level" in inspect.signature(SCHEDULER_FACTORIES[name]).parameters:
+            yield from ((name, level) for level in (OPERATION_LEVEL, STEP_LEVEL))
+        else:
+            yield name, None
+
+
+@pytest.mark.parametrize("name, level", list(_levels()))
+def test_one_local_step_per_operation_request(name, level, monkeypatch):
+    # Nested parallel children on a few registers: every hook that records
+    # a step (intra-object, coordinator, sibling order, gate) is exercised.
+    scheduler = make_scheduler(name, **({} if level is None else {"level": level}))
+    base, specs = make_workload(
+        "random-ops", transactions=12, registers=4, nesting_depth=3, parallel_fanout=2, seed=7
+    ).build()
+    engine = SimulationEngine(base, scheduler, seed=5)
+    engine.submit_all(specs)
+    counts = {"requests": 0, "steps": 0}
+    on_operation, init = scheduler.on_operation, LocalStep.__init__
+
+    def counted_request(request):
+        counts["requests"] += 1
+        return on_operation(request)
+
+    def counted_step(self, *args, **kwargs):
+        counts["steps"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "on_operation", counted_request)
+    monkeypatch.setattr(LocalStep, "__init__", counted_step)
+    result = engine.run()
+    monkeypatch.undo()
+    assert result.metrics.local_steps > 0
+    assert counts["steps"] == counts["requests"], counts

@@ -100,7 +100,7 @@ class TestOptimisticCertifier:
     def run_step(self, scheduler, issuer, object_name, operation, value):
         operation_request = request(issuer, object_name, operation, value)
         assert scheduler.on_operation(operation_request).granted
-        scheduler.on_operation_executed(operation_request, value)
+        scheduler.on_operation_executed(operation_request)
 
     def test_everything_granted_during_execution(self, small_object_base):
         scheduler = make_certifier(small_object_base)

@@ -246,7 +246,7 @@ class TestSlottedHotRecords:
             MethodExecution("T1", "environment", "txn"),
             MethodContext("A", "T1", "txn"),
             LockEntry("T1", "A", operation),
-            AppliedStep("T1.1", "T1", "A", operation, ObjectState(), 7),
+            AppliedStep(LocalStep("T1.1", "A", operation, 7), "T1", ObjectState()),
             TraceEvent(0, "BEGIN", "T1"),
             LocalStep("T1", "environment", operation, None),
         ]

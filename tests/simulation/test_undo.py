@@ -18,7 +18,7 @@ import pytest
 
 from repro.analysis import certify_run
 from repro.core.errors import SimulationError
-from repro.core.operations import LocalOperation
+from repro.core.operations import LocalOperation, LocalStep
 from repro.core.state import ObjectState, UndoLog
 from repro.objectbase.adts.register import WriteRegister
 from repro.scheduler import Scheduler, make_scheduler
@@ -93,11 +93,11 @@ class TestIncrementalUndoEquivalence:
             removed = 0
             for object_name in sorted(log._touched_by_transaction.pop(top_level_id, ())):
                 entries = log._by_object.get(object_name, [])
-                doomed = [entry for entry in entries if entry.execution_id in subtree]
+                doomed = [entry for entry in entries if entry.step.execution_id in subtree]
                 if doomed:
                     removed += len(doomed)
                     states[object_name] = doomed[0].pre_state
-                    entries[:] = [entry for entry in entries if entry.execution_id not in subtree]
+                    entries[:] = [entry for entry in entries if entry.step.execution_id not in subtree]
             return removed, []
 
         monkeypatch.setattr(UndoLog, "undo", rollback_only)
@@ -270,7 +270,7 @@ class TestUndoLogUnit:
     def apply(self, log, object_name, execution_id, top_level_id, operation, states):
         pre = states.get(object_name, ObjectState())
         value, states[object_name] = operation.apply(pre)
-        log.record(object_name, execution_id, top_level_id, operation, pre, value)
+        log.record(LocalStep(execution_id, object_name, operation, value), top_level_id, pre)
 
     def test_undo_removes_only_subtree_steps_and_repairs_state(self):
         log = UndoLog()
@@ -284,7 +284,7 @@ class TestUndoLogUnit:
         assert (removed, stale) == (2, [])
         # T2's surviving write is re-applied on the pre-T1 snapshot.
         assert states["A"]["value"] == 2
-        assert [entry.execution_id for entry in log.steps_on("A")] == ["T2.1"]
+        assert [entry.step.execution_id for entry in log.steps_on("A")] == ["T2.1"]
 
     def test_snapshots_are_refreshed_for_reapplied_survivors(self):
         # After one undo the survivors' snapshots must be consistent, so a

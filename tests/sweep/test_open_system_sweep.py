@@ -49,7 +49,10 @@ class TestEagerValidation:
         [
             ({"inner": "nope"}, "unknown workload 'nope'"),
             ({"inner_params": {"bogus": 1}}, "unexpected keyword argument 'bogus'"),
-            ({"inner": "stream"}, "cannot wrap one another"),
+            (
+                {"inner": "hotspot-stream", "inner_params": {"inner_params": {"transactions": 4}}},
+                "cannot wrap one another",
+            ),
             ({"arrival": "nope"}, "unknown arrival process"),
             ({"arrival_params": {"bogus": 1}}, "PoissonArrivals.*argument 'bogus'"),
             ({"arrival_params": {"rate": -1}}, "rate"),
@@ -57,13 +60,20 @@ class TestEagerValidation:
     )
     def test_bad_streaming_params_fail_at_spec_time(self, bad_params, match):
         params = {
+            "inner": "hotspot",
             "inner_params": {"transactions": 4},
             "arrival": "poisson",
             "arrival_params": {"rate": 0.05},
         }
         params.update(bad_params)
         with pytest.raises(SweepSpecError, match=match):
-            streaming_base(workload_params=params)
+            streaming_base(workload="stream", workload_params=params)
+
+    def test_a_named_stream_fixes_its_inner_workload(self):
+        # "hotspot-stream" is the generic wrapper with inner="hotspot"; a
+        # second value is refused rather than silently winning.
+        with pytest.raises(SweepSpecError, match="multiple values for keyword argument 'inner'"):
+            streaming_base(workload_params={"inner": "banking", "inner_params": {}})
 
     def test_generic_stream_workload_validates_inner(self):
         with pytest.raises(SweepSpecError, match="unknown workload 'definitely-not'"):

@@ -51,6 +51,15 @@ def test_unknown_engine_parameter_rejected():
         hotspot_spec(engine_params={"not_an_engine_option": True})
 
 
+@pytest.mark.parametrize("certify", [True, False])
+def test_certify_is_a_spec_field_not_an_engine_parameter(certify):
+    # Once through engine_params it either contradicted the spec's own
+    # field (post-hoc certification of a run that kept no history) or
+    # certified online and dropped the verdict.
+    with pytest.raises(SweepSpecError, match="unknown engine parameters \\['certify'\\]"):
+        hotspot_spec(certify=certify, engine_params={"certify": "stream"})
+
+
 def test_unknown_scheduler_kwargs_rejected_eagerly():
     # The factory signatures are explicit, so a typo'd keyword fails at
     # spec construction, not inside a worker process mid-sweep.
