@@ -144,12 +144,6 @@ class ConflictTable(ConflictSpec):
         self._default = default
         self._known_names = {name for pair in self._pairs for name in pair}
 
-    @classmethod
-    def mutual_exclusion(cls, names: Iterable[str]) -> "ConflictTable":
-        """A table in which every pair of the given operations conflicts."""
-        names = list(names)
-        return cls([(a, b) for a in names for b in names], symmetric=False)
-
     def operations_conflict(self, first: LocalOperation, second: LocalOperation) -> bool:
         pair = (first.name, second.name)
         if pair in self._pairs:
@@ -157,10 +151,6 @@ class ConflictTable(ConflictSpec):
         if first.name in self._known_names and second.name in self._known_names:
             return False
         return self._default
-
-    def declared_pairs(self) -> frozenset[tuple[str, str]]:
-        """The set of (ordered) conflicting operation-name pairs."""
-        return frozenset(self._pairs)
 
 
 class PerObjectConflicts(Mapping[str, ConflictSpec]):

@@ -15,7 +15,7 @@ object (Definition 1): they are the transactions users submit.
 from __future__ import annotations
 
 import re
-from typing import Any, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .dag import reachable
 from .errors import ModelError
@@ -243,11 +243,3 @@ class MethodExecution:
             f"MethodExecution({self.execution_id!r}, {self.object_name!r}."
             f"{self.method_name}, {flavour}, {len(self._steps)} steps)"
         )
-
-
-def execution_return_value(execution: MethodExecution) -> Any:
-    """Best-effort return value of an execution: its last local step's value."""
-    local_steps = execution.local_steps()
-    if not local_steps:
-        return None
-    return local_steps[-1].return_value

@@ -675,14 +675,6 @@ class History:
     # aborts (Section 3, "Transaction Failures")
     # ------------------------------------------------------------------
 
-    def aborted_executions(self) -> set[str]:
-        """Executions that contain an ``Abort`` step."""
-        return {
-            execution.execution_id
-            for execution in self._executions.values()
-            if execution.is_aborted()
-        }
-
     def check_abort_semantics(self) -> None:
         """Check conditions (a) and (b) of the paper's abort semantics.
 
@@ -770,23 +762,6 @@ class HistoryBuilder:
     @property
     def clock(self) -> int:
         return self._clock
-
-    # -- states --------------------------------------------------------------
-
-    def current_state(self, object_name: str) -> ObjectState:
-        """The object's state after every local step recorded so far."""
-        return self._current_states.get(object_name, ObjectState())
-
-    def set_initial_state(self, object_name: str, state: ObjectState | Mapping[str, Any]) -> None:
-        for execution in self._executions.values():
-            if any(step.object_name == object_name for step in execution.local_steps()):
-                raise ModelError(
-                    f"cannot change initial state of {object_name!r} after recording "
-                    "local steps on it"
-                )
-        resolved = state if isinstance(state, ObjectState) else ObjectState(state)
-        self._initial_states[object_name] = resolved
-        self._current_states[object_name] = resolved
 
     # -- executions ----------------------------------------------------------
 

@@ -250,12 +250,6 @@ class Step:
 
     __slots__ = ("step_id", "execution_id")
 
-    def is_local(self) -> bool:
-        return isinstance(self, LocalStep)
-
-    def is_message(self) -> bool:
-        return isinstance(self, MessageStep)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Step):
             return self.step_id == other.step_id

@@ -4,8 +4,9 @@ Definition 9's type (a) edges, Theorem 5's per-object graphs and Reed's
 commit dependencies all compare a new step with the steps granted
 earlier on its object.  :class:`StepRecords` is the one store of those
 steps.  Each record is filed under its top-level transaction too, so
-dropping a transaction touches only its own entries, and a record lives
-exactly as long as its transaction's entry.  What a record holds, which
+dropping a transaction, or reading its own steps on an object, touches
+only its own entries, and a record lives exactly as long as its
+transaction's entry.  What a record holds, which
 records a scan skips and who is dropped when stay with the user;
 DESIGN.md, "One store of granted steps", lists them.
 """
@@ -34,6 +35,11 @@ class StepRecords:
         """``object_name``'s (transaction, record) pairs, earliest granted first."""
         records = self._on.get(object_name)
         return () if records is None else records.values()
+
+    def of(self, transaction: str, object_name: str) -> list[tuple[str, Any]]:
+        """``transaction``'s own (transaction, record) pairs on ``object_name``, earliest first."""
+        records, entries = self._on.get(object_name), self._of.get(transaction, ())
+        return [records[number] for name, number in entries if name == object_name]
 
     def add(self, object_name: str, transaction: str, record: Any) -> None:
         """File ``record``, a step of ``transaction`` just granted on ``object_name``."""

@@ -153,9 +153,6 @@ class UndoLog:
 
     # -- queries -------------------------------------------------------------
 
-    def steps_on(self, object_name: str) -> list[AppliedStep]:
-        return list(self._by_object.get(object_name, ()))
-
     def objects_touched(self, top_level_id: str) -> set[str]:
         return set(self._touched_by_transaction.get(top_level_id, ()))
 

@@ -36,7 +36,11 @@ def disjoint_ancestors(first: "ExecutionInfo", second: "ExecutionInfo") -> tuple
 
     Returns ``None`` when the executions are comparable (one an ancestor of
     the other), in which case no inter-object ordering constraint applies.
+    Executions of different transactions have disjoint chains, so their
+    pair is their top levels, with no chain built.
     """
+    if first.top_level_id != second.top_level_id:
+        return first.top_level_id, second.top_level_id
     first_chain = (first.execution_id,) + first.ancestor_ids
     second_chain = (second.execution_id,) + second.ancestor_ids
     if first.execution_id in second_chain or second.execution_id in first_chain:

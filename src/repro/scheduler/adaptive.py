@@ -146,6 +146,11 @@ class AdaptiveModularScheduler(ModularScheduler):
                 continue
             self._rungs[object_name] = 0
 
+    def _commit_ordered(self) -> bool:
+        # A swap can move an object off locking mid-run, which would void
+        # the attach-time proof; the coordinator always runs the full check.
+        return False
+
     # -- contention sampling ------------------------------------------------------
 
     def on_operation(self, request: OperationRequest) -> SchedulerResponse:

@@ -83,10 +83,6 @@ class LockManager:
         """All lock entries currently held on the object."""
         return list(self._locks_by_object.get(object_name, ()))
 
-    def held_by(self, owner_id: str) -> list[LockEntry]:
-        """All lock entries currently owned by the execution."""
-        return list(self._locks_by_owner.get(owner_id, []))
-
     def lock_count(self) -> int:
         return sum(len(entries) for entries in self._locks_by_object.values())
 

@@ -407,11 +407,22 @@ class InterObjectCoordinator:
     precedence graph acyclic, otherwise the requesting transaction is
     aborted.  This is the "more complex and stringent inter-object
     synchronisation" the paper trades for per-object freedom.
+
+    A *commit-ordered* coordinator compares a step with its own
+    transaction's earlier steps only: strict locks on every object already
+    order conflicting transactions by commit, so only sibling order is
+    left to check (DESIGN.md, "Commit-ordered objects").
     """
 
-    def __init__(self, conflicts_lookup: Callable[[str], ConflictSpec], step_level: bool = True):
+    def __init__(
+        self,
+        conflicts_lookup: Callable[[str], ConflictSpec],
+        step_level: bool = True,
+        commit_ordered: bool = False,
+    ):
         self._conflicts_lookup = conflicts_lookup
         self._step_level = step_level
+        self.commit_ordered = commit_ordered
         # (step, info) per granted step, until an abort or the GC drops it.
         self._steps = StepRecords()
         self._precedence = PrecedenceDag()
@@ -430,7 +441,11 @@ class InterObjectCoordinator:
         requester = request.info.top_level_id
         provisional = request.provisional_step
         spec = self._conflicts_lookup(request.object_name)
-        for owner, (recorded_step, recorded_info) in self._steps.on(request.object_name):
+        if self.commit_ordered:
+            records = self._steps.of(requester, request.object_name)
+        else:
+            records = self._steps.on(request.object_name)
+        for owner, (recorded_step, recorded_info) in records:
             pair = disjoint_ancestors(recorded_info, request.info)
             if pair is None:
                 continue
@@ -441,7 +456,7 @@ class InterObjectCoordinator:
                     # Two executions of one transaction: the pair names
                     # children of their common ancestor, not top-level ids.
                     sibling_nodes.update(pair)
-        if self._precedence.add_edges(new_edges):
+        if not new_edges or self._precedence.add_edges(new_edges):
             if sibling_nodes and requester in self._live:
                 self._live[requester] |= sibling_nodes
             return SchedulerResponse.grant()
@@ -570,7 +585,25 @@ class ModularScheduler(Scheduler):
             )
         self._refresh_commit_checkers()
         if self.inter_object_checks:
-            self._coordinator = InterObjectCoordinator(lambda name: registry[name], step_level)
+            self._coordinator = InterObjectCoordinator(
+                lambda name: registry[name], step_level, self._commit_ordered()
+            )
+
+    def _commit_ordered(self) -> bool:
+        """Does every object run strict locking over this scheduler's own conflicts?
+
+        Then no cross-transaction cycle and no read from a live writer can
+        arise (DESIGN.md, "Commit-ordered objects").  A subclass of the
+        locking synchroniser may decide differently, so only the class counts.
+        """
+        registry = self.conflicts_for(self.level)
+        step_level = self.level == STEP_LEVEL
+        return all(
+            type(synchroniser) is IntraObjectLocking
+            and synchroniser.conflicts is registry[object_name]
+            and synchroniser.step_level == step_level
+            for object_name, synchroniser in self._synchronisers.items()
+        )
 
     def _refresh_commit_checkers(self) -> None:
         # Only synchronisers that override the default (always-grant)
@@ -619,10 +652,14 @@ class ModularScheduler(Scheduler):
         if intra_response.aborted:
             return intra_response
 
-        if self._coordinator is not None:
-            inter_response = self._coordinator.check_step(request)
+        coordinator = self._coordinator
+        if coordinator is not None:
+            inter_response = coordinator.check_step(request)
             if not inter_response.granted:
                 return inter_response
+            if coordinator.commit_ordered:
+                # No live transaction holds a conflicting step: nothing to read from.
+                return SchedulerResponse.grant()
             gate_response = self.gate.check_operation(
                 request.object_name, request.lock_item(self.level), request.info
             )
@@ -632,8 +669,11 @@ class ModularScheduler(Scheduler):
 
     def on_operation_executed(self, request: OperationRequest) -> None:
         self.synchroniser_for(request.object_name).on_operation_executed(request)
-        if self._coordinator is not None:
-            self._coordinator.record_step(request)
+        coordinator = self._coordinator
+        if coordinator is not None:
+            coordinator.record_step(request)
+            if coordinator.commit_ordered:
+                return
             self.gate.record_step(
                 request.object_name, request.lock_item(self.level), request.info.top_level_id
             )

@@ -69,6 +69,9 @@ from .base import (  # noqa: F401
 class CommitGate:
     """Tracks read-from dependencies and arbitrates commit requests.
 
+    A commit-ordered modular scheduler calls neither step hook: its locks
+    let no step read a live writer (DESIGN.md, "Commit-ordered objects").
+
     Parameters
     ----------
     conflicts_lookup:

@@ -98,13 +98,6 @@ class ShardMap:
             return explicit
         return _stable_shard(object_name, self.shards)
 
-    def partition(self, object_names: Iterable[str]) -> dict[int, list[str]]:
-        """Group ``object_names`` by owning shard (all shards present)."""
-        groups: dict[int, list[str]] = {index: [] for index in range(self.shards)}
-        for name in object_names:
-            groups[self.shard_of(name)].append(name)
-        return groups
-
     def spec_objects(self, spec: TransactionSpec, names: Collection[str]) -> list[str]:
         """Object names referenced by a transaction spec's arguments.
 

@@ -79,17 +79,12 @@ class TestConflictTable:
         op_a = FunctionalOperation("A", lambda s: (None, s))
         assert table.operations_conflict(unknown, op_a)
 
-    def test_mutual_exclusion_constructor(self):
-        table = ConflictTable.mutual_exclusion(["Push", "Pop"])
-        push = FunctionalOperation("Push", lambda s: (None, s))
-        pop = FunctionalOperation("Pop", lambda s: (None, s))
-        assert table.operations_conflict(push, push)
-        assert table.operations_conflict(push, pop)
-
-    def test_declared_pairs_exposed(self):
+    def test_declared_pairs_are_symmetric(self):
         table = ConflictTable([("A", "B")])
-        assert ("A", "B") in table.declared_pairs()
-        assert ("B", "A") in table.declared_pairs()
+        op_a = FunctionalOperation("A", lambda s: (None, s))
+        op_b = FunctionalOperation("B", lambda s: (None, s))
+        assert table.operations_conflict(op_a, op_b)
+        assert table.operations_conflict(op_b, op_a)
 
 
 class TestConflictingAtAGranularity:

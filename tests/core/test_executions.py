@@ -13,7 +13,6 @@ from repro.core import (
 )
 from repro.core.dag import topological_order
 from repro.core.errors import ModelError
-from repro.core.executions import execution_return_value
 
 
 def make_execution(object_name="A"):
@@ -111,12 +110,6 @@ class TestInspection:
         assert not execution.is_aborted()
         execution.add_step(LocalStep("e1", "A", AbortOperation(), "aborted"))
         assert execution.is_aborted()
-
-    def test_execution_return_value_uses_last_local_step(self):
-        execution = make_execution()
-        assert execution_return_value(execution) is None
-        execution.add_step(LocalStep("e1", "A", ReadVariable("x"), 7))
-        assert execution_return_value(execution) == 7
 
     def test_repr_mentions_parentage(self):
         top = MethodExecution("t", ENVIRONMENT_OBJECT, "txn")

@@ -67,28 +67,19 @@ class TestHistoryBuilder:
         with pytest.raises(ModelError):
             builder.begin_top_level(execution_id="T1")
 
-    def test_current_state_tracks_local_steps(self):
+    def test_builder_state_tracks_local_steps(self):
         builder = fresh_builder({"A": {"x": 0}})
         transaction = builder.begin_top_level()
         child = builder.invoke(transaction, "A", "m")
         builder.local(child, WriteVariable("x", 3))
-        assert builder.current_state("A")["x"] == 3
+        assert builder.local(child, ReadVariable("x")).return_value == 3
 
-    def test_set_initial_state_before_steps(self):
-        builder = fresh_builder()
-        builder.set_initial_state("A", {"x": 9})
+    def test_initial_state_seeds_reads(self):
+        builder = fresh_builder({"A": {"x": 9}})
         transaction = builder.begin_top_level()
         child = builder.invoke(transaction, "A", "m")
         step = builder.local(child, ReadVariable("x"))
         assert step.return_value == 9
-
-    def test_set_initial_state_after_steps_rejected(self):
-        builder = fresh_builder({"A": {"x": 0}})
-        transaction = builder.begin_top_level()
-        child = builder.invoke(transaction, "A", "m")
-        builder.local(child, WriteVariable("x", 1))
-        with pytest.raises(ModelError):
-            builder.set_initial_state("A", {"x": 5})
 
     def test_finish_records_message_return_value(self):
         builder = fresh_builder({"A": {"x": 0}})
@@ -122,7 +113,8 @@ class TestHistoryBuilder:
         builder.abort(transaction, "failure")
         history = builder.build()
         history.check_legal()
-        assert history.aborted_executions() == {child.execution_id, transaction.execution_id}
+        aborted = {e.execution_id for e in history.executions.values() if e.is_aborted()}
+        assert aborted == {child.execution_id, transaction.execution_id}
 
 
 class TestAncestry:

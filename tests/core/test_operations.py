@@ -111,12 +111,6 @@ class TestSteps:
         assert first != second
         assert first == first
 
-    def test_local_and_message_classification(self):
-        local = LocalStep("e1", "A", ReadVariable("x"), 0)
-        message = MessageStep("e1", "B", "lookup", ("k",))
-        assert local.is_local() and not local.is_message()
-        assert message.is_message() and not message.is_local()
-
     def test_message_step_records_target_and_arguments(self):
         message = MessageStep("e1", "B", "lookup", ("k", 2), return_value="v")
         assert message.target_object == "B"

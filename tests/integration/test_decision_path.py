@@ -17,6 +17,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from repro.sweep import ScenarioSpec
 from repro.sweep.runner import build_engine
 
@@ -56,7 +58,9 @@ def stream(inner: dict, rate: float) -> dict:
     return {"inner_params": inner, "arrival": "poisson", "arrival_params": {"rate": rate}}
 
 
-def zipf_stream_spec(scheduler: str, gc_interval: int = 16, transactions: int = 240) -> ScenarioSpec:
+def zipf_stream_spec(
+    scheduler: str, gc_interval: int = 16, transactions: int = 240, **scheduler_kwargs
+) -> ScenarioSpec:
     inner = {
         "transactions": transactions,
         "objects": 12,
@@ -68,7 +72,7 @@ def zipf_stream_spec(scheduler: str, gc_interval: int = 16, transactions: int = 
         workload="zipf-stream",
         workload_params=stream(inner, 0.02),
         scheduler=scheduler,
-        scheduler_kwargs=BACKOFF,
+        scheduler_kwargs={**BACKOFF, **scheduler_kwargs},
         seed=21,
         engine_params={"gc_interval": gc_interval},
         certify=False,
@@ -88,8 +92,9 @@ def test_the_library_never_imports_networkx():
     )
 
 
-def test_coordinator_work_does_not_grow_with_retained_garbage():
-    """Same stream, GC every 4 resolutions and every 64: same decisions, bounded work.
+@pytest.mark.parametrize("strategy, lazy_interval", [("locking", 64), ("timestamp", 128)])
+def test_coordinator_work_does_not_grow_with_retained_garbage(strategy, lazy_interval):
+    """Same stream, GC every 4 resolutions and every `lazy_interval`: same decisions, bounded work.
 
     The copy-and-recheck coordinator paid for every retained node and edge
     on every edge-inducing step, so a lazier GC cadence cost 4x the wall
@@ -98,13 +103,22 @@ def test_coordinator_work_does_not_grow_with_retained_garbage():
     definition unreachable from anything live) is never part of.  Stale
     *records* still induce their (harmless) edges until GC drops them, so
     the edge count follows the cadence; the work per edge does not.
+
+    All-locking objects are commit-ordered, so their coordinator orders
+    only siblings and its edges do not follow the cadence; timestamp
+    objects keep the cross-transaction edges this test was written about.
+    Their watermarks retain more state between passes, so the lazy run
+    needs every 128 resolutions to sit on ten times the eager run's.
     """
     rows = {}
-    for gc_interval in (4, 64):
-        result = build_engine(zipf_stream_spec("modular", gc_interval, transactions=400)).run()
+    for gc_interval in (4, lazy_interval):
+        spec = zipf_stream_spec(
+            "modular", gc_interval, transactions=400, default_strategy=strategy
+        )
+        result = build_engine(spec).run()
         rows[gc_interval] = (result.metrics.as_dict(), result.scheduler_description)
     eager_metrics, eager = rows[4]
-    lazy_metrics, lazy = rows[64]
+    lazy_metrics, lazy = rows[lazy_interval]
 
     # GC cadence is decision-invariant: every deterministic column that does
     # not itself gauge retained state is identical.
@@ -118,8 +132,8 @@ def test_coordinator_work_does_not_grow_with_retained_garbage():
     # The lazy run really does sit on an order of magnitude more state ...
     assert lazy_metrics["live_state_peak"] > 10 * eager_metrics["live_state_peak"]
     # ... and a search still costs a node or two per inserted edge (measured
-    # 0.12 and 0.84), where re-checking the retained graph would cost
-    # thousands per edge-inducing step.
+    # 0 and 0 on locking, 0.44 and 0.90 on timestamps), where re-checking
+    # the retained graph would cost thousands per edge-inducing step.
     for description in (eager, lazy):
         assert description["edge_inserts"] > 1000
         assert description["dfs_visits"] <= 2 * description["edge_inserts"]

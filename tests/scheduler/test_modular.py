@@ -17,6 +17,7 @@ from repro.scheduler.modular import (
 from repro.simulation import SimulationEngine
 from repro.simulation.workloads.random_ops import RandomOperationsWorkload
 
+from tests.oracles.modular import disjoint_ancestors_by_chains
 from tests.scheduler.conftest import child_of, info, request
 
 
@@ -63,6 +64,25 @@ class TestDisjointAncestors:
         sibling = child_of(parent, "T1.2", "B")
         nephew = child_of(sibling, "T1.2.1", "C")
         assert disjoint_ancestors(nephew, uncle) == ("T1.2", "T1.1")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parents=st.lists(st.integers(-1, 10), min_size=1, max_size=12),
+        picks=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), min_size=1, max_size=8),
+    )
+    def test_equals_the_chain_walk(self, parents, picks):
+        # A forest: execution i is a top level when its drawn parent is
+        # negative or not an earlier execution, else a child of that one.
+        executions = []
+        for index, parent in enumerate(parents):
+            if 0 <= parent < index:
+                parent_info = executions[parent]
+                executions.append(child_of(parent_info, f"{parent_info.execution_id}.{index}", "A"))
+            else:
+                executions.append(info(f"T{index}"))
+        for first, second in picks:
+            pair = (executions[first % len(executions)], executions[second % len(executions)])
+            assert disjoint_ancestors(*pair) == disjoint_ancestors_by_chains(*pair)
 
 
 class TestIntraObjectSynchronisers:

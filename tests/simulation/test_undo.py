@@ -284,7 +284,7 @@ class TestUndoLogUnit:
         assert (removed, stale) == (2, [])
         # T2's surviving write is re-applied on the pre-T1 snapshot.
         assert states["A"]["value"] == 2
-        assert [entry.step.execution_id for entry in log.steps_on("A")] == ["T2.1"]
+        assert [entry.step.execution_id for entry in log._by_object["A"]] == ["T2.1"]
 
     def test_snapshots_are_refreshed_for_reapplied_survivors(self):
         # After one undo the survivors' snapshots must be consistent, so a
@@ -297,7 +297,7 @@ class TestUndoLogUnit:
         assert states["A"]["value"] == 2
         log.undo("T2", {"T2", "T2.1"}, states)
         assert states["A"]["value"] == 0
-        assert log.steps_on("A") == []
+        assert not log._by_object.get("A")
         assert log.total_steps() == 0
 
     def test_untouched_objects_are_left_alone(self):
