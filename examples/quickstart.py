@@ -43,7 +43,7 @@ def build_object_base() -> ObjectBase:
         return {"total": sum(balances), "pending_settlements": pending}
 
     base.register_transaction(MethodDefinition("pay", pay))
-    base.register_transaction(MethodDefinition("audit", audit, read_only=True))
+    base.register_transaction(MethodDefinition("audit", audit))
     return base
 
 

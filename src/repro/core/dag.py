@@ -10,9 +10,8 @@ whether a new wait closes a cycle, and walks its result back to name it.
 
 Every component that keeps a precedence graph — the modular scheduler's
 inter-object coordinator, the inter-shard coordinator, the optimistic
-certifier's committed graph, the single-active scheduler's per-transaction
-sibling order and the streaming certifier's top-level projection of
-``SG(h)`` — keeps it in one :class:`PrecedenceDag` and asks
+certifier's committed graph and the streaming certifier's top-level
+projection of ``SG(h)`` — keeps it in one :class:`PrecedenceDag` and asks
 it the same question: "does this batch of edges keep the graph acyclic?".  The kernel answers it in
 place.  A graph that was acyclic before a call gains a cycle iff some new
 edge's target already reaches its source, through old edges or through

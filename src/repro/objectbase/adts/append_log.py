@@ -96,6 +96,6 @@ def append_log_definition(name: str, initial_entries: tuple = ()) -> ObjectDefin
         step_conflicts=AppendLogStepConflicts(),
     )
     definition.add_method(single_operation_method("append", Append))
-    definition.add_method(single_operation_method("read", ReadAt, read_only=True))
-    definition.add_method(single_operation_method("length", lambda: LogLength(), read_only=True))
+    definition.add_method(single_operation_method("read", ReadAt))
+    definition.add_method(single_operation_method("length", lambda: LogLength()))
     return definition

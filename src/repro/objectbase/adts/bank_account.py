@@ -149,5 +149,5 @@ def bank_account_definition(name: str, initial_balance: float = 0) -> ObjectDefi
     )
     definition.add_method(single_operation_method("deposit", Deposit))
     definition.add_method(single_operation_method("withdraw", Withdraw))
-    definition.add_method(single_operation_method("balance", GetBalance, read_only=True))
+    definition.add_method(single_operation_method("balance", GetBalance))
     return definition

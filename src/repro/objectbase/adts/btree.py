@@ -433,9 +433,9 @@ def btree_definition(name: str, degree: int = 2, initial_items: dict | None = No
         step_conflicts=BTreeStepConflicts(),
         intra_object_synchroniser="btree-key-locking",
     )
-    definition.add_method(single_operation_method("search", SearchKey, read_only=True))
+    definition.add_method(single_operation_method("search", SearchKey))
     definition.add_method(single_operation_method("insert", InsertKey))
     definition.add_method(single_operation_method("delete", DeleteKey))
-    definition.add_method(single_operation_method("range", RangeScan, read_only=True))
-    definition.add_method(single_operation_method("size", lambda: IndexSize(), read_only=True))
+    definition.add_method(single_operation_method("range", RangeScan))
+    definition.add_method(single_operation_method("size", lambda: IndexSize()))
     return definition

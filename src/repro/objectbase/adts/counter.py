@@ -78,5 +78,5 @@ def counter_definition(name: str, initial_count: float = 0) -> ObjectDefinition:
     definition.add_method(
         single_operation_method("subtract", lambda amount=1: AddToCounter(-amount))
     )
-    definition.add_method(single_operation_method("get", GetCount, read_only=True))
+    definition.add_method(single_operation_method("get", GetCount))
     return definition

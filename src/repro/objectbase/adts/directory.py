@@ -171,6 +171,6 @@ def directory_definition(name: str) -> ObjectDefinition:
     definition.add_method(single_operation_method("mkdir", MakeDirectory))
     definition.add_method(single_operation_method("create", CreateFile))
     definition.add_method(single_operation_method("remove", RemoveEntry))
-    definition.add_method(single_operation_method("list", ListDirectory, read_only=True))
-    definition.add_method(single_operation_method("exists", PathExists, read_only=True))
+    definition.add_method(single_operation_method("list", ListDirectory))
+    definition.add_method(single_operation_method("exists", PathExists))
     return definition

@@ -129,5 +129,5 @@ def fifo_queue_definition(name: str, initial_items: tuple = ()) -> ObjectDefinit
     )
     definition.add_method(single_operation_method("enqueue", Enqueue))
     definition.add_method(single_operation_method("dequeue", lambda: Dequeue()))
-    definition.add_method(single_operation_method("length", lambda: QueueLength(), read_only=True))
+    definition.add_method(single_operation_method("length", lambda: QueueLength()))
     return definition

@@ -127,8 +127,8 @@ def kv_store_definition(name: str, initial_entries: dict | None = None) -> Objec
         operation_conflicts=KVStoreConflicts(),
         step_conflicts=KVStoreStepConflicts(),
     )
-    definition.add_method(single_operation_method("lookup", Lookup, read_only=True))
+    definition.add_method(single_operation_method("lookup", Lookup))
     definition.add_method(single_operation_method("insert", Insert))
     definition.add_method(single_operation_method("delete", Delete))
-    definition.add_method(single_operation_method("size", lambda: CountEntries(), read_only=True))
+    definition.add_method(single_operation_method("size", lambda: CountEntries()))
     return definition

@@ -85,6 +85,6 @@ def register_definition(name: str, initial_value: Any = 0) -> ObjectDefinition:
         operation_conflicts=RegisterConflicts(),
         step_conflicts=RegisterStepConflicts(),
     )
-    definition.add_method(single_operation_method("read", ReadRegister, read_only=True))
+    definition.add_method(single_operation_method("read", ReadRegister))
     definition.add_method(single_operation_method("write", WriteRegister))
     return definition

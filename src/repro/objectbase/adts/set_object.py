@@ -129,6 +129,6 @@ def set_definition(name: str, initial_members: frozenset | set = frozenset()) ->
     )
     definition.add_method(single_operation_method("add", AddMember))
     definition.add_method(single_operation_method("remove", RemoveMember))
-    definition.add_method(single_operation_method("contains", Contains, read_only=True))
-    definition.add_method(single_operation_method("size", lambda: SetSize(), read_only=True))
+    definition.add_method(single_operation_method("contains", Contains))
+    definition.add_method(single_operation_method("size", lambda: SetSize()))
     return definition

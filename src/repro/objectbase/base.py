@@ -51,15 +51,10 @@ class MethodDefinition:
         context (``ctx.local``, ``ctx.invoke``, ``ctx.parallel``) and may
         ``return`` a value, which becomes the return value of the message
         step that invoked it.
-    read_only:
-        Declarative hint that the method never modifies any object; used by
-        the coarse-grained single-active-object scheduler to grant shared
-        access.
     """
 
     name: str
     body: MethodBody
-    read_only: bool = False
 
 
 @dataclass
@@ -192,7 +187,6 @@ class ObjectBase:
 def single_operation_method(
     name: str,
     operation_factory: Callable[..., Any],
-    read_only: bool = False,
 ) -> MethodDefinition:
     """Build a method whose body issues exactly one local operation.
 
@@ -206,7 +200,7 @@ def single_operation_method(
         result = yield ctx.local(operation_factory(*args))
         return result
 
-    return MethodDefinition(name=name, body=body, read_only=read_only)
+    return MethodDefinition(name=name, body=body)
 
 
 def build_object_base(definitions: Mapping[str, ObjectDefinition] | list[ObjectDefinition]) -> ObjectBase:

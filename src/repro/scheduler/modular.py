@@ -46,7 +46,7 @@ from ..core.errors import UnknownObjectError
 from ..core.records import StepRecords
 from ..core.registry import LazyTable, resolve_component
 from ..core.waits import DEADLOCK
-from ..objectbase.base import ObjectBase
+from ..objectbase.base import ObjectBase, ObjectDefinition
 from .base import (
     STEP_LEVEL,
     ExecutionInfo,
@@ -574,20 +574,25 @@ class ModularScheduler(Scheduler):
         registry = self.conflicts_for(self.level)
         step_level = self.level == STEP_LEVEL
         for object_name in object_base.object_names(include_environment=True):
-            definition = object_base.definition(object_name)
-            strategy_spec = (
-                self.per_object_strategy.get(object_name)
-                or definition.intra_object_synchroniser
-                or self.default_strategy
-            )
             self._synchronisers[object_name] = make_intra_strategy(
-                strategy_spec, object_name, registry[object_name], step_level
+                self._strategy_of(object_base.definition(object_name)),
+                object_name,
+                registry[object_name],
+                step_level,
             )
         self._refresh_commit_checkers()
         if self.inter_object_checks:
             self._coordinator = InterObjectCoordinator(
                 lambda name: registry[name], step_level, self._commit_ordered()
             )
+
+    def _strategy_of(self, definition: ObjectDefinition) -> Any:
+        """The object's pin, else its definition's preference, else the default."""
+        return (
+            self.per_object_strategy.get(definition.name)
+            or definition.intra_object_synchroniser
+            or self.default_strategy
+        )
 
     def _commit_ordered(self) -> bool:
         """Does every object run strict locking over this scheduler's own conflicts?

@@ -8,185 +8,57 @@ can be active at each object at any one time" — the approach taken by the
 GemStone system.  Any conventional scheduler can then be used; we use
 strict two-phase locking at object granularity, the most common choice.
 
-The scheduler grants a *shared* object lock to transactions that only ever
-invoke methods declared ``read_only`` on the object and an *exclusive* lock
-otherwise; locks belong to the top-level transaction and are held until it
-commits or aborts.  This deliberately "severely curtails parallelism"
-(the paper's words) and is the baseline experiment E1 compares the
-fine-grained schedulers against.  Whole-object locks held to transaction
-end deadlock like any two-phase scheme; the scheduler keeps no waits-for
-graph but hands each BLOCK to the run's waits-for relation
-(:mod:`repro.core.waits`), which aborts the requester whose wait
-would close a cycle.
+In Theorem 5's terms that is one intra-object strategy applied to every
+object, so the scheduler is a :class:`~repro.scheduler.modular.ModularScheduler`
+whose every object runs :class:`~repro.scheduler.modular.IntraObjectLocking`
+over :data:`WHOLE_OBJECT`: two operations conflict unless both are
+read-only, a shared lock for readers and an exclusive one otherwise, held
+by the top-level transaction until it commits or aborts.  This
+deliberately "severely curtails parallelism" (the paper's words) and is
+the baseline experiment E1 compares the fine-grained schedulers against.
 
-Transaction-granularity locks say nothing about the *parallel siblings
-inside* a transaction: two parallel children may interleave conflicting
-steps on different objects in incompatible orders, closing a
-sibling-level serialisation cycle (Theorem 5) that no amount of
-inter-transaction locking prevents.  A lightweight intra-transaction
-ordering guard therefore keeps, per transaction, the sibling-level edges
-its conflicting steps induce in a :class:`~repro.core.dag.PrecedenceDag`
-and aborts the transaction when a new step would close a cycle among its
-own siblings.
+Whole-object locks order conflicting transactions by commit but say
+nothing about the *parallel siblings inside* a transaction, which may
+interleave conflicting steps on different objects in incompatible orders.
+The coordinator is therefore commit-ordered: it checks each transaction's
+own sibling order against the objects' real conflict specifications
+(DESIGN.md, "Commit-ordered objects").
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any
 
-from ..core.dag import PrecedenceDag
-from ..core.records import StepRecords
-from .base import (
-    ExecutionInfo,
-    OperationRequest,
-    Scheduler,
-    SchedulerResponse,
-    disjoint_ancestors,
-)
-
-SHARED = "shared"
-EXCLUSIVE = "exclusive"
+from ..core.conflicts import ConflictSpec
+from ..core.operations import LocalOperation
+from ..objectbase.base import ObjectDefinition
+from .modular import IntraObjectLocking, ModularScheduler
 
 
-class IntraTransactionOrdering:
-    """Keeps one transaction's sibling-level step orders mutually compatible.
+class WholeObjectConflicts(ConflictSpec):
+    """Two operations on an object conflict unless both are read-only."""
 
-    For every pair of conflicting steps issued by *incomparable* executions
-    of the same transaction, the induced edge between their disjoint
-    ancestors (children of the least common ancestor) must keep the
-    transaction-local precedence graph acyclic; the requesting transaction
-    is aborted otherwise.  Sequentially issued siblings always order
-    consistently, so only parallel siblings can ever trigger an abort.
-    """
-
-    def __init__(self, conflicts_lookup):
-        self._conflicts_lookup = conflicts_lookup
-        # (step, info) per granted step, until its transaction ends.
-        self._steps = StepRecords()
-        # top-level id -> its siblings' precedence graph
-        self._orders: dict[str, PrecedenceDag] = defaultdict(PrecedenceDag)
-
-    def check_step(self, request: OperationRequest) -> SchedulerResponse:
-        transaction_id = request.info.top_level_id
-        new_pairs: set[tuple[str, str]] = set()
-        for owner, (step, info) in self._steps.on(request.object_name):
-            if owner != transaction_id:
-                continue
-            pair = disjoint_ancestors(info, request.info)
-            if pair is None:
-                continue  # comparable executions are ordered by nesting
-            spec = self._conflicts_lookup(request.object_name)
-            if spec.steps_conflict(step, request.provisional_step):
-                new_pairs.add(pair)
-        if new_pairs and not self._orders[transaction_id].add_edges(new_pairs):
-            return SchedulerResponse.abort(
-                "inter-object ordering violation among parallel siblings: "
-                f"admitting the step would close a cycle in {transaction_id}'s "
-                "sibling order"
-            )
-        return SchedulerResponse.grant()
-
-    def record_step(self, request: OperationRequest) -> None:
-        self._steps.add(
-            request.object_name,
-            request.info.top_level_id,
-            (request.provisional_step, request.info),
-        )
-
-    def forget_transaction(self, transaction_id: str) -> None:
-        self._steps.drop(transaction_id)
-        self._orders.pop(transaction_id, None)
+    def operations_conflict(self, first: LocalOperation, second: LocalOperation) -> bool:
+        return not (first.is_read_only() and second.is_read_only())
 
 
-class SingleActiveObjectScheduler(Scheduler):
+WHOLE_OBJECT = WholeObjectConflicts()
+
+
+class SingleActiveObjectScheduler(ModularScheduler):
     """Object-granularity strict two-phase locking (GemStone-style baseline)."""
 
     name = "single-active-object"
 
-    def _reset(self) -> None:
-        super()._reset()
-        # object name -> {transaction id -> mode}
-        self._object_locks: dict[str, dict[str, str]] = defaultdict(dict)
-        self.sibling_order = IntraTransactionOrdering(self._sibling_conflicts)
-        self.deadlocks_detected = 0
-        self.blocked_requests = 0
-        self.sibling_ordering_aborts = 0
+    def __init__(self, restart_policy: Any = "immediate"):
+        super().__init__(restart_policy=restart_policy)
 
-    def _sibling_conflicts(self, object_name: str):
-        return self.step_conflicts[object_name]
+    def _strategy_of(self, definition: ObjectDefinition) -> IntraObjectLocking:
+        # Every object, a b-tree with its key-granular preference included.
+        return IntraObjectLocking(definition.name, WHOLE_OBJECT)
 
-    # -- helpers ---------------------------------------------------------------
-
-    @staticmethod
-    def _required_mode(request: OperationRequest) -> str:
-        write_set = request.operation.write_set()
-        if write_set is not None and not write_set:
-            return SHARED
-        return EXCLUSIVE
-
-    def _incompatible_holders(self, object_name: str, transaction_id: str, mode: str) -> set[str]:
-        holders = self._object_locks[object_name]
-        blockers: set[str] = set()
-        for holder_id, held_mode in holders.items():
-            if holder_id == transaction_id:
-                continue
-            if mode == EXCLUSIVE or held_mode == EXCLUSIVE:
-                blockers.add(holder_id)
-        return blockers
-
-    # -- scheduling --------------------------------------------------------------
-
-    def on_operation(self, request: OperationRequest) -> SchedulerResponse:
-        transaction_id = request.info.top_level_id
-        mode = self._required_mode(request)
-        blockers = self._incompatible_holders(request.object_name, transaction_id, mode)
-        if not blockers:
-            sibling_response = self.sibling_order.check_step(request)
-            if not sibling_response.granted:
-                self.sibling_ordering_aborts += 1
-                return sibling_response
-            holders = self._object_locks[request.object_name]
-            current = holders.get(transaction_id)
-            if current != EXCLUSIVE:
-                holders[transaction_id] = mode if current is None else (
-                    EXCLUSIVE if EXCLUSIVE in (current, mode) else SHARED
-                )
-            return SchedulerResponse.grant()
-
-        self.blocked_requests += 1
-        response = self.waits.block(
-            request.info.execution_id,
-            SchedulerResponse.block("object locked by another transaction", blockers=blockers),
-        )
-        if response.aborted:
-            self.deadlocks_detected += 1
-        return response
-
-    def on_operation_executed(self, request: OperationRequest) -> None:
-        self.sibling_order.record_step(request)
-
-    def _release(self, transaction_id: str) -> None:
-        # Object locks only ever free at transaction end, and the engine
-        # itself wakes frames parked on an ending transaction — no wake-up
-        # note needed here.
-        for holders in self._object_locks.values():
-            holders.pop(transaction_id, None)
-        self.sibling_order.forget_transaction(transaction_id)
-
-    def on_transaction_commit(self, info: ExecutionInfo) -> None:
-        self._release(info.top_level_id)
-
-    def on_transaction_abort(self, info: ExecutionInfo, subtree: tuple[str, ...]) -> None:
-        self._release(info.top_level_id)
-
-    # -- descriptive ------------------------------------------------------------
-
-    def describe(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "restart_policy": self.restart_policy.name,
-            "deadlocks_detected": self.deadlocks_detected,
-            "blocked_requests": self.blocked_requests,
-            "sibling_ordering_aborts": self.sibling_ordering_aborts,
-        }
+    def _commit_ordered(self) -> bool:
+        # Whole-object locks order by commit every pair of transactions whose
+        # operations are not both read-only, and two read-only operations
+        # share an object here as they always have.
+        return True

@@ -131,7 +131,7 @@ class BankingWorkload(Workload):
 
         base.register_transaction(MethodDefinition("transfer", transfer_transaction))
         base.register_transaction(MethodDefinition("payroll", payroll_transaction))
-        base.register_transaction(MethodDefinition("audit", audit_transaction, read_only=True))
+        base.register_transaction(MethodDefinition("audit", audit_transaction))
 
     def _pick_account(self) -> int:
         if self.hot_fraction > 0 and self._rng.random() < self.hot_fraction:

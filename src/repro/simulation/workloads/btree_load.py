@@ -76,7 +76,7 @@ class BTreeWorkload(Workload):
             return len(rows), total
 
         base.register_transaction(MethodDefinition("maintain", maintain))
-        base.register_transaction(MethodDefinition("report", report, read_only=True))
+        base.register_transaction(MethodDefinition("report", report))
 
     def _random_action(self) -> tuple[str, object]:
         draw = self._rng.random()

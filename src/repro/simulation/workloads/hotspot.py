@@ -93,7 +93,7 @@ class HotspotWorkload(Workload):
             return tuple(values)
 
         base.register_transaction(MethodDefinition("update", update))
-        base.register_transaction(MethodDefinition("scan", scan, read_only=True))
+        base.register_transaction(MethodDefinition("scan", scan))
 
     def _pick_register(self, transaction_index: int) -> str:
         if self._rng.random() < self.hot_probability:

@@ -128,7 +128,7 @@ class MixedWorkload(Workload):
         base.register_transaction(MethodDefinition("order", order))
         base.register_transaction(MethodDefinition("restock", restock))
         base.register_transaction(MethodDefinition("ship", ship))
-        base.register_transaction(MethodDefinition("report", report, read_only=True))
+        base.register_transaction(MethodDefinition("report", report))
 
     def iter_transactions(self) -> Iterator[TransactionSpec]:
         for index in range(self.transactions):

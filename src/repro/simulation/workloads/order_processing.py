@@ -143,7 +143,7 @@ class OrderProcessingWorkload(Workload):
         base.register_transaction(MethodDefinition("order", order))
         base.register_transaction(MethodDefinition("fulfil", fulfil))
         base.register_transaction(MethodDefinition("restock", restock))
-        base.register_transaction(MethodDefinition("audit", audit, read_only=True))
+        base.register_transaction(MethodDefinition("audit", audit))
 
     # -- transactions ----------------------------------------------------------------
 

@@ -73,7 +73,7 @@ class QueueWorkload(Workload):
 
         base.register_transaction(MethodDefinition("produce", produce))
         base.register_transaction(MethodDefinition("consume", consume))
-        base.register_transaction(MethodDefinition("inspect", inspect, read_only=True))
+        base.register_transaction(MethodDefinition("inspect", inspect))
 
     def iter_transactions(self) -> Iterator[TransactionSpec]:
         specs: list[TransactionSpec] = []

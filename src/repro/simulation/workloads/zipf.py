@@ -94,7 +94,7 @@ class ZipfianWorkload(Workload):
             return tuple(values)
 
         base.register_transaction(MethodDefinition("update", update))
-        base.register_transaction(MethodDefinition("scan", scan, read_only=True))
+        base.register_transaction(MethodDefinition("scan", scan))
 
     def iter_transactions(self) -> Iterator[TransactionSpec]:
         distinct_target = min(self.operations_per_transaction, self.objects)

@@ -118,8 +118,7 @@ class TestObjectBase:
 
 class TestSingleOperationMethod:
     def test_body_yields_one_local_request(self):
-        method = single_operation_method("read", ReadRegister, read_only=True)
-        assert method.read_only
+        method = single_operation_method("read", ReadRegister)
 
         class FakeContext:
             def local(self, operation):

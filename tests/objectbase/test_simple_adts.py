@@ -40,8 +40,6 @@ class TestRegister:
     def test_definition_methods(self):
         definition = register_definition("r")
         assert set(definition.methods) == {"read", "write"}
-        assert definition.methods["read"].read_only
-        assert not definition.methods["write"].read_only
 
 
 class TestCounter:

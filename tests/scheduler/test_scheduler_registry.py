@@ -6,7 +6,8 @@ it maps to (minus what a preset fixes); a scheduler's per-run state is
 whatever ``_reset`` creates — so attaching a used instance to a second engine
 must behave exactly like a new instance; and a granted step is the one
 ``LocalStep`` the engine built for its request, which every scheduler keeps
-rather than building its own.
+rather than building its own.  Every scheduler but the pass-through base
+also shows the state it keeps for a live transaction to the live-state gauge.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import inspect
 import pytest
 
 from repro.core.operations import LocalStep
+from repro.objectbase.adts.register import WriteRegister
 from repro.scheduler import (
     OPERATION_LEVEL,
     SCHEDULER_FACTORIES,
@@ -26,6 +28,8 @@ from repro.scheduler import (
 from repro.simulation import SimulationEngine, make_workload
 from repro.sweep import ScenarioSpec
 from repro.sweep.spec import SweepSpecError
+
+from tests.scheduler.conftest import info, request
 
 _MODULAR = {
     "default_strategy": "locking",
@@ -99,6 +103,20 @@ def test_unknown_keyword_names_the_scheduler_class(name):
         f"{cls.__name__}.__init__()" in message for cls in type(make_scheduler(name)).__mro__
     )
     assert "lambda" not in message
+
+
+@pytest.mark.parametrize("name", sorted(set(RECORDED_SIGNATURES) - {"pass-through"}))
+def test_live_state_gauge_sees_a_granted_write(name, small_object_base):
+    # A scheduler that keeps state for a live transaction shows it to the
+    # engine's live-state gauge; only the pass-through base keeps none.
+    scheduler = make_scheduler(name)
+    scheduler.attach(small_object_base)
+    transaction = info("T1")
+    scheduler.on_transaction_begin(transaction)
+    write = request(transaction, "cell", WriteRegister(1))
+    assert scheduler.on_operation(write).granted
+    scheduler.on_operation_executed(write)
+    assert scheduler.live_state_size() > 0
 
 
 def _run(scheduler, workload_seed):

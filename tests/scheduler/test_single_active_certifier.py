@@ -91,7 +91,7 @@ class TestSingleActiveObject:
         engine = SimulationEngine(base, SingleActiveObjectScheduler(), seed=0)
         engine.submit_all(specs)
         result = engine.run()
-        assert result.scheduler_description["sibling_ordering_aborts"] > 0
+        assert result.scheduler_description["ordering_aborts"] > 0
         assert result.metrics.committed > 0
         report = certify_run(result, check_legality=True)
         assert report.serialisable and report.legal

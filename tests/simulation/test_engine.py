@@ -46,7 +46,7 @@ def two_register_base():
 
     base.register_transaction(MethodDefinition("set_both", set_both))
     base.register_transaction(MethodDefinition("copy_left_to_right", copy_left_to_right))
-    base.register_transaction(MethodDefinition("read_both", read_both, read_only=True))
+    base.register_transaction(MethodDefinition("read_both", read_both))
     return base
 
 

@@ -252,7 +252,9 @@ class TestGarbageCollectionOracles:
 class TestLiveStateGauge:
     """Retained state is O(in-flight), not O(total arrivals)."""
 
-    @pytest.mark.parametrize("scheduler_name", ["n2pl", "nto-step", "certifier", "modular"])
+    @pytest.mark.parametrize(
+        "scheduler_name", ["n2pl", "nto-step", "single-active", "certifier", "modular"]
+    )
     def test_gauge_flat_across_stream_lengths(self, scheduler_name):
         peaks = {}
         for transactions in (120, 480):
