@@ -84,7 +84,7 @@ class AdaptiveModularScheduler(ModularScheduler):
             synchroniser (``intra_object_synchroniser``, e.g. the b-tree's
             key-granular locking) are likewise left on their preference —
             the generic ladder cannot reproduce that structure.
-        inter_object_checks / level / restart_policy / gate_mode: as on
+        level / restart_policy / gate_mode: as on
             :class:`~repro.scheduler.modular.ModularScheduler`.
     """
 
@@ -94,7 +94,6 @@ class AdaptiveModularScheduler(ModularScheduler):
         self,
         window: int = 128,
         per_object_strategy: dict[str, Any] | None = None,
-        inter_object_checks: bool = True,
         level: str = STEP_LEVEL,
         restart_policy: Any = "immediate",
         gate_mode: str = CASCADE_MODE,
@@ -105,7 +104,6 @@ class AdaptiveModularScheduler(ModularScheduler):
         super().__init__(
             default_strategy=DEFAULT_LADDER[0],
             per_object_strategy=per_object_strategy,
-            inter_object_checks=inter_object_checks,
             level=level,
             restart_policy=restart_policy,
             gate_mode=gate_mode,

@@ -125,9 +125,9 @@ class OptimisticCertifier(Scheduler):
         # of a filed edge is either live or committed.
         self._live_transactions: set[str] = set()
         # Per transaction that asked to commit, the graph nodes it owns (for
-        # an abort's clean-up and for collect_garbage), and its begin and
-        # resolve stamps (to decide overlap); a committed transaction's go
-        # when its records are pruned.
+        # an abort's clean-up and for collect_garbage; a commit leaves only
+        # its top-level id), and its begin and resolve stamps (to decide
+        # overlap); a committed transaction's go when its records are pruned.
         self._nodes: dict[str, set[str]] = defaultdict(set)
         self._begin_seq: dict[str, int] = {}
         self._resolve_seq: dict[str, int] = {}
@@ -228,9 +228,13 @@ class OptimisticCertifier(Scheduler):
         self.commits += 1
         self._live_transactions.discard(transaction_id)
         self._resolve_seq[transaction_id] = next(self._sequence)
-        # Its nodes stay in the committed graph until collect_garbage finds
-        # nothing open reaches them.  It never revalidates, so its own edge
-        # file is done; edges shared with live peers stay filed under them.
+        # Its sibling nodes name its own executions, which issue no more
+        # steps, so no later edge reaches them: they go now.  Its top-level
+        # node stays until collect_garbage finds nothing open reaches it.
+        # It never revalidates, so its own edge file is done; edges shared
+        # with live peers stay filed under them.
+        self._committed_graph.remove_nodes(self._nodes[transaction_id] - {transaction_id})
+        self._nodes[transaction_id] = {transaction_id}
         self._pending_edges.pop(transaction_id, None)
         self._note_wakeups(self.gate.finish(transaction_id, committed=True))
 
@@ -266,13 +270,13 @@ class OptimisticCertifier(Scheduler):
         begin stamp; every other committed transaction is *closed*.
 
         The kernel drops every node no open node reaches; a closed
-        transaction none of whose nodes is kept loses its step records and
-        its bookkeeping.  Edges already *filed* under live peers survive
-        (they were discovered while the records existed and re-add a
-        fresh, in-edge-free node at validation, which cannot close a
-        cycle), so decisions are unchanged — only memory shrinks, which is
-        what keeps week-long streams O(in-flight) instead of O(total
-        arrivals).
+        transaction whose top-level node (a commit leaves it no other) is
+        not kept loses its step records and its bookkeeping.  Edges already
+        *filed* under live peers survive (they were discovered while the
+        records existed and re-add a fresh, in-edge-free node at
+        validation, which cannot close a cycle), so decisions are
+        unchanged — only memory shrinks, which is what keeps week-long
+        streams O(in-flight) instead of O(total arrivals).
 
         Returns:
             The number of pruned step records.
@@ -289,7 +293,7 @@ class OptimisticCertifier(Scheduler):
         )
         removed = 0
         for transaction_id in closed:
-            if keep.isdisjoint(self._nodes.get(transaction_id, ())):
+            if transaction_id not in keep:
                 removed += self._steps.drop(transaction_id)
                 self._nodes.pop(transaction_id, None)
                 del self._resolve_seq[transaction_id]

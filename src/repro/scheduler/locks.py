@@ -79,10 +79,6 @@ class LockManager:
 
     # -- queries ----------------------------------------------------------------
 
-    def holders(self, object_name: str) -> list[LockEntry]:
-        """All lock entries currently held on the object."""
-        return list(self._locks_by_object.get(object_name, ()))
-
     def lock_count(self) -> int:
         return sum(len(entries) for entries in self._locks_by_object.values())
 
@@ -169,6 +165,3 @@ class LockManager:
             self._locks_by_owner[parent_id].append(entry)
         return frozenset({child_id}) if entries else frozenset()
 
-    def owners(self) -> set[str]:
-        """All executions currently owning at least one lock."""
-        return {owner for owner, entries in self._locks_by_owner.items() if entries}

@@ -67,8 +67,8 @@ class IntraObjectSynchroniser:
     """Serialises the method executions of a single object.
 
     One instance guards one object.  It sees only the operations addressed
-    to that object and decides GRANT / BLOCK / ABORT; the commit/finish of a
-    top-level transaction is forwarded to the synchronisers that saw a
+    to that object and decides GRANT / BLOCK / ABORT; the end of a top-level
+    transaction, with its outcome, is forwarded to the synchronisers that saw a
     request from it, so each can release whatever state it keeps per
     transaction (one that never saw the transaction has none).
     """
@@ -98,10 +98,7 @@ class IntraObjectSynchroniser:
         """
         return SchedulerResponse.grant()
 
-    def on_transaction_committed(self, transaction_id: str) -> None:
-        """The top-level transaction committed (fires before ``finished``)."""
-
-    def on_transaction_finished(self, transaction_id: str) -> None:
+    def on_transaction_finished(self, transaction_id: str, committed: bool) -> None:
         """The top-level transaction committed or aborted."""
 
     def collect_garbage(self) -> int:
@@ -171,7 +168,7 @@ class IntraObjectLocking(IntraObjectSynchroniser):
         self._held[transaction_id].append(requested)
         return SchedulerResponse.grant()
 
-    def on_transaction_finished(self, transaction_id: str) -> None:
+    def on_transaction_finished(self, transaction_id: str, committed: bool) -> None:
         self._held.pop(transaction_id, None)
 
     def live_state_size(self) -> int:
@@ -212,7 +209,7 @@ class IntraObjectTimestampOrdering(IntraObjectSynchroniser):
         timestamp = self._timestamp_of(transaction_id)
         self._records.append((self._item_of(request), timestamp, transaction_id))
 
-    def on_transaction_finished(self, transaction_id: str) -> None:
+    def on_transaction_finished(self, transaction_id: str, committed: bool) -> None:
         self._timestamps.pop(transaction_id, None)
 
     def collect_garbage(self) -> int:
@@ -303,14 +300,11 @@ class IntraObjectCertifier(IntraObjectSynchroniser):
                         )
         return SchedulerResponse.grant()
 
-    def on_transaction_committed(self, transaction_id: str) -> None:
-        items = self._items.get(transaction_id)
-        if items:
-            self._committed.append((tuple(items), next(self._seq)))
-
-    def on_transaction_finished(self, transaction_id: str) -> None:
+    def on_transaction_finished(self, transaction_id: str, committed: bool) -> None:
         self._started.pop(transaction_id, None)
-        self._items.pop(transaction_id, None)
+        items = self._items.pop(transaction_id, None)
+        if committed and items:
+            self._committed.append((tuple(items), next(self._seq)))
 
     def collect_garbage(self) -> int:
         """Watermark pruning of the committed window.
@@ -423,7 +417,8 @@ class InterObjectCoordinator:
         self._conflicts_lookup = conflicts_lookup
         self._step_level = step_level
         self.commit_ordered = commit_ordered
-        # (step, info) per granted step, until an abort or the GC drops it.
+        # (step, info) per granted step, until its transaction ends or, after
+        # a commit under the full check, the GC drops it.
         self._steps = StepRecords()
         self._precedence = PrecedenceDag()
         # Live top-level id -> the precedence nodes it owns: itself and the
@@ -477,18 +472,29 @@ class InterObjectCoordinator:
         """A top-level transaction became live (tracked for the frontier GC)."""
         self._live[transaction_id] = {transaction_id}
 
-    def note_finished(self, transaction_id: str) -> None:
-        """The transaction resolved; its node stays until the GC frontier passes it."""
-        self._live.pop(transaction_id, None)
+    def note_finished(self, transaction_id: str, committed: bool) -> None:
+        """The transaction resolved: drop what no later step can reach.
+
+        Its sibling nodes go, since it issues no more steps.  Only a commit
+        under the full check keeps the top-level node and the records (for
+        the frontier GC): commit-ordered, no other transaction reads them.
+        """
+        owned = self._live.pop(transaction_id, {transaction_id})
+        if committed and not self.commit_ordered:
+            owned.discard(transaction_id)
+        else:
+            self._steps.drop(transaction_id)
+        self._precedence.remove_nodes(owned)
 
     def collect_garbage(self) -> int:
         """Frontier GC over the precedence graph and the recorded steps.
 
-        Resolved transactions that no live transaction can reach in the
+        Only a full-check commit leaves state here (:meth:`note_finished`).
+        A committed transaction that no live transaction can reach in the
         precedence graph can never participate in a future cycle (the
-        frontier argument: DESIGN.md, "Precedence DAG kernel"), so their
-        nodes, edges and recorded steps — the only source of new edges
-        out of them — are dropped together.  The frontier is every node a
+        frontier argument: DESIGN.md, "Precedence DAG kernel"), so its
+        node, edges and recorded steps — the only source of new edges
+        out of it — are dropped together.  The frontier is every node a
         live transaction owns, not only its top-level id: a child execution
         of a live transaction can still gain an in-edge from a sibling, so
         the order between two siblings must survive a pass.
@@ -503,11 +509,6 @@ class InterObjectCoordinator:
     def live_state_size(self) -> int:
         """Recorded steps plus precedence nodes/edges still retained."""
         return len(self._steps) + self._precedence.size()
-
-    def forget_transaction(self, transaction_id: str, subtree_ids: set[str]) -> None:
-        """Drop an aborted transaction's steps and precedence nodes."""
-        self._steps.drop(transaction_id)
-        self._precedence.remove_nodes(subtree_ids)
 
     def describe(self) -> dict[str, int]:
         """Decision counters: the verdict count and the kernel's work."""
@@ -707,12 +708,9 @@ class ModularScheduler(Scheduler):
         # A synchroniser keeps per-transaction state only from the requests
         # it saw, so the others have nothing to release.
         for object_name in self._objects_of.pop(info.top_level_id, ()):
-            synchroniser = self._synchronisers[object_name]
-            if committed:
-                synchroniser.on_transaction_committed(info.top_level_id)
-            synchroniser.on_transaction_finished(info.top_level_id)
+            self._synchronisers[object_name].on_transaction_finished(info.top_level_id, committed)
         if self._coordinator is not None:
-            self._coordinator.note_finished(info.top_level_id)
+            self._coordinator.note_finished(info.top_level_id, committed)
         # Intra-object locks (held to transaction end) are now gone and any
         # read-from dependencies on this transaction are resolved.
         self._note_wakeups(self.gate.finish(info.top_level_id, committed=committed))
@@ -722,19 +720,16 @@ class ModularScheduler(Scheduler):
 
     def on_transaction_abort(self, info: ExecutionInfo, subtree: tuple[str, ...]) -> None:
         self._finish_transaction(info, committed=False)
-        if self._coordinator is not None:
-            self._coordinator.forget_transaction(
-                info.top_level_id, set(subtree) | {info.execution_id}
-            )
 
     # -- live-state garbage collection ---------------------------------------------
 
     def collect_garbage(self) -> int:
         """Prune both halves of the split on the engine's GC cadence.
 
-        The coordinator drops resolved transactions unreachable from the
-        live frontier of its precedence graph (with their recorded steps),
-        and each timestamp synchroniser drops records below its live
+        The coordinator drops committed transactions unreachable from the
+        live frontier of its precedence graph (with their recorded steps;
+        a commit-ordered one has none left to drop), and each timestamp
+        or certifying synchroniser drops records below its live
         watermark — so a long stream retains state proportional to the
         in-flight population, not to the total arrival count (ROADMAP
         item 5).  Both prunes are decision-invariant.
@@ -752,11 +747,12 @@ class ModularScheduler(Scheduler):
         """Retained items across both halves of the modular split.
 
         Intra-object locks are released at transaction end and the gate
-        prunes itself; the inter-object coordinator's recorded steps and
-        precedence nodes and the per-object timestamp synchronisers'
-        records persist until a garbage-collection pass proves them
-        unreachable from the live frontier — the gauge reports whatever
-        is retained *now*, so unbounded growth would still be visible.
+        prunes itself; a committed transaction's recorded steps and
+        top-level node under the full check, and the per-object timestamp
+        synchronisers' records, persist until a garbage-collection pass
+        proves them unreachable from the live frontier — the gauge reports
+        whatever is retained *now*, so unbounded growth would still be
+        visible.
         """
         size = sum(
             synchroniser.live_state_size()

@@ -200,7 +200,7 @@ class TestKeywordCensus:
             "modular-intra-only": (
                 "default_strategy", "per_object_strategy", "level", "restart_policy",
             ),
-            "adaptive": ("window", "per_object_strategy", "inter_object_checks", "level", *_GATED),
+            "adaptive": ("window", "per_object_strategy", "level", *_GATED),
         },
         "RESTART_POLICIES": {"immediate": (), "backoff": (), "ordered": ()},
         "ARRIVAL_REGISTRY": {

@@ -26,7 +26,10 @@ class TestLockAcquisition:
         outcome = manager.request("A", ReadVariable("x"), info("T2"))
         assert not outcome.granted
         assert outcome.blockers == {"T1"}
-        assert all(entry.owner_id != "T2" for entry in manager.holders("A"))
+        # T2's refused lock is not in the table: T1's is the only one, and
+        # a third writer waits for T1 alone.
+        assert manager.lock_count() == 1
+        assert manager.request("A", WriteVariable("x", 3), info("T3")).blockers == {"T1"}
 
     def test_conflicting_lock_of_ancestor_does_not_block(self):
         manager = read_write_manager()
@@ -103,7 +106,9 @@ class TestReleaseAndInheritance:
         assert manager.request("A", WriteVariable("x", 1), child).granted
         freed = manager.transfer(child.execution_id, parent.execution_id)
         assert freed == frozenset({"T1.1"})
-        assert {entry.owner_id for entry in manager.holders("A")} == {"T1"}
+        # The one lock is the parent's now: an unrelated writer waits for T1.
+        assert manager.lock_count() == 1
+        assert manager.request("A", WriteVariable("x", 3), info("T2")).blockers == {"T1"}
         # After inheritance the parent's other child can acquire the lock
         # because the only conflicting holder is now its ancestor.
         other_child = child_of(parent, "T1.2", "A")
@@ -120,4 +125,6 @@ class TestReleaseAndInheritance:
         manager = read_write_manager()
         manager.request("A", ReadVariable("x"), info("T1"))
         manager.request("A", ReadVariable("x"), info("T2"))
-        assert manager.owners() == {"T1", "T2"}
+        # Both readers own a lock: a writer waits for each of them.
+        assert manager.lock_count() == 2
+        assert manager.request("A", WriteVariable("x", 1), info("T3")).blockers == {"T1", "T2"}

@@ -94,7 +94,7 @@ class TestIntraObjectSynchronisers:
         assert synchroniser.on_operation(first).granted
         blocked = synchroniser.on_operation(second)
         assert blocked.blocked and blocked.blockers == {"T1"}
-        synchroniser.on_transaction_finished("T1")
+        synchroniser.on_transaction_finished("T1", committed=True)
         assert synchroniser.on_operation(second).granted
 
     def test_locking_ignores_commuting_operations(self, small_object_base):
@@ -221,12 +221,9 @@ class TestModularScheduler:
                 super().__init__(*args)
                 self.events = []
 
-            def on_transaction_committed(self, transaction_id):
-                self.events.append(("committed", transaction_id))
-
-            def on_transaction_finished(self, transaction_id):
-                super().on_transaction_finished(transaction_id)
-                self.events.append(("finished", transaction_id))
+            def on_transaction_finished(self, transaction_id, committed):
+                super().on_transaction_finished(transaction_id, committed)
+                self.events.append((transaction_id, committed))
 
         scheduler = attach(small_object_base, default_strategy="locking")
         for object_name in ("cell", "other-cell"):
@@ -242,10 +239,9 @@ class TestModularScheduler:
         assert run_step(scheduler, second, "cell", WriteRegister(3), 3).blocked
         scheduler.on_transaction_commit(first)
         scheduler.on_transaction_abort(second, ("T2",))
-        assert scheduler.synchroniser_for("cell").events == [
-            ("committed", "T1"), ("finished", "T1"), ("finished", "T2"),
-        ]
-        assert scheduler.synchroniser_for("other-cell").events == [("finished", "T2")]
+        # Each hears each transaction's end once, with its outcome.
+        assert scheduler.synchroniser_for("cell").events == [("T1", True), ("T2", False)]
+        assert scheduler.synchroniser_for("other-cell").events == [("T2", False)]
         assert scheduler._objects_of == {}
         assert all(s.live_state_size() == 0 for s in scheduler._synchronisers.values())
 

@@ -58,9 +58,14 @@ RECORDED_SIGNATURES = {
         for key, value in _MODULAR.items()
         if key not in ("inter_object_checks", "gate_mode")
     },
+    # The coordinator is always on: adaptive's safety rests on it.
     "adaptive": {
         "window": 128,
-        **{key: value for key, value in _MODULAR.items() if key != "default_strategy"},
+        **{
+            key: value
+            for key, value in _MODULAR.items()
+            if key not in ("default_strategy", "inter_object_checks")
+        },
     },
 }
 

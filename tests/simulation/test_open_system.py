@@ -240,13 +240,30 @@ class TestGarbageCollectionOracles:
 
     @pytest.mark.parametrize("scheduler_name", ["certifier", "nto-step", "modular"])
     def test_collector_reports_pruned_records(self, scheduler_name):
+        # Modular over timestamp objects: an all-locking one has nothing to
+        # collect (the next test).
+        kwargs = {"default_strategy": "timestamp"} if scheduler_name == "modular" else {}
+        engine, specs, arrival = build_stream_engine(
+            scheduler_name,
+            scheduler_kwargs={"restart_policy": "backoff", **kwargs},
+            gc_interval=8,
+        )
+        result = engine.run_stream(specs, arrival)
+        assert result.scheduler_description["gc_pruned_records"] > 0
+
+    @pytest.mark.parametrize("scheduler_name", ["modular", "single-active"])
+    def test_commit_ordered_collector_has_nothing_to_prune(self, scheduler_name):
+        # A commit-ordered coordinator drops a transaction's records and
+        # nodes when it ends, and locks keep nothing collectable.
         engine, specs, arrival = build_stream_engine(
             scheduler_name,
             scheduler_kwargs={"restart_policy": "backoff"},
             gc_interval=8,
         )
         result = engine.run_stream(specs, arrival)
-        assert result.scheduler_description["gc_pruned_records"] > 0
+        assert engine.scheduler._coordinator.commit_ordered
+        assert result.metrics.committed > 0
+        assert result.scheduler_description["gc_pruned_records"] == 0
 
 
 class TestLiveStateGauge:
